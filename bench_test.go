@@ -104,6 +104,7 @@ func BenchmarkDeviceBitwisePreAlloc(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(d.PageSize()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Bitwise(Xor, 0, 1, PreAllocated); err != nil {
@@ -127,6 +128,7 @@ func BenchmarkDeviceReduceLocFree(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(k * d.PageSize()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Reduce(And, lpns, LocationFree); err != nil {
@@ -392,6 +394,7 @@ func BenchmarkColumnStoreQuery(b *testing.B) {
 		}
 	}
 	b.SetBytes(3 * 64 * 1024 / 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.And("a", "b", "c"); err != nil {

@@ -191,6 +191,27 @@ func (col *column) liveLocked(shards map[int]*Shard) []replica {
 	return out
 }
 
+// hasLiveLocked reports whether any of the column's replicas is on a live
+// shard.
+func (col *column) hasLiveLocked(shards map[int]*Shard) bool {
+	for _, r := range col.replicas {
+		if sh, ok := shards[r.shard]; ok && sh.Alive() {
+			return true
+		}
+	}
+	return false
+}
+
+// replicaOnLocked returns the column's replica on shard id, if it has one.
+func (col *column) replicaOnLocked(id int) (replica, bool) {
+	for _, r := range col.replicas {
+		if r.shard == id {
+			return r, true
+		}
+	}
+	return replica{}, false
+}
+
 // clusterTele holds the front end's telemetry handles; all-nil is the
 // disabled state.
 type clusterTele struct {

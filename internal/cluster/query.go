@@ -84,58 +84,56 @@ func (c *Cluster) Query(tenant string, e *plan.Expr, scheme ssd.Scheme) (QueryRe
 }
 
 // colocatedShard finds a live shard holding a replica of every key, or
-// nil. Preference follows liveLeastLoadedLocked over the first key's replicas.
-func (c *Cluster) colocatedShard(keys []uint64) (*Shard, map[uint64]uint64, error) {
+// nil. Preference follows liveLeastLoadedLocked over the first key's
+// replicas. On success it overwrites each keys[i] with that key's LPN on
+// the chosen shard, so the caller maps leaves by position.
+func (c *Cluster) colocatedShard(keys []uint64) (*Shard, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if len(keys) == 0 {
-		return nil, nil, fmt.Errorf("%w: no leaves", plan.ErrBadExpr)
+		return nil, fmt.Errorf("%w: no leaves", plan.ErrBadExpr)
 	}
-	// candidate shard id -> key -> local lpn
-	var candidates map[int]map[uint64]uint64
+	// Candidates start as the first key's live replicas and narrow to the
+	// shards every later key also has a live replica on.
+	var buf [8]replica
+	candidates := buf[:0]
 	for i, key := range keys {
 		col := c.columns[key]
 		if col == nil {
-			return nil, nil, fmt.Errorf("%w: key %d", ErrUnknownColumn, key)
+			return nil, fmt.Errorf("%w: key %d", ErrUnknownColumn, key)
 		}
-		if len(col.liveLocked(c.shards)) == 0 {
+		if !col.hasLiveLocked(c.shards) {
 			c.tele.cUnavailable.Add(1)
-			return nil, nil, fmt.Errorf("%w: column %d", ErrUnavailable, key)
-		}
-		here := make(map[int]uint64)
-		for _, r := range col.replicas {
-			if sh := c.shards[r.shard]; sh != nil && sh.Alive() {
-				here[r.shard] = r.lpn
-			}
+			return nil, fmt.Errorf("%w: column %d", ErrUnavailable, key)
 		}
 		if i == 0 {
-			candidates = make(map[int]map[uint64]uint64)
-			for id, lpn := range here {
-				candidates[id] = map[uint64]uint64{key: lpn}
+			for _, r := range col.replicas {
+				if sh := c.shards[r.shard]; sh != nil && sh.Alive() {
+					candidates = append(candidates, replica{shard: r.shard})
+				}
 			}
 			continue
 		}
-		for id, m := range candidates {
-			lpn, ok := here[id]
-			if !ok {
-				delete(candidates, id)
-				continue
+		// Candidate shards exist: the map cannot change under the read lock.
+		kept := candidates[:0]
+		for _, cand := range candidates {
+			if _, ok := col.replicaOnLocked(cand.shard); ok && c.shards[cand.shard].Alive() {
+				kept = append(kept, cand)
 			}
-			m[key] = lpn
 		}
-		if len(candidates) == 0 {
-			return nil, nil, nil
+		if candidates = kept; len(candidates) == 0 {
+			return nil, nil
 		}
 	}
-	reps := make([]replica, 0, len(candidates))
-	for id := range candidates {
-		reps = append(reps, replica{shard: id})
-	}
-	sh, _, ok := c.liveLeastLoadedLocked(reps)
+	sh, _, ok := c.liveLeastLoadedLocked(candidates)
 	if !ok {
-		return nil, nil, nil
+		return nil, nil
 	}
-	return sh, candidates[sh.id], nil
+	for i, key := range keys {
+		r, _ := c.columns[key].replicaOnLocked(sh.id)
+		keys[i] = r.lpn
+	}
+	return sh, nil
 }
 
 // rewriteLeaves rebuilds an expression with every leaf key mapped through f.
@@ -177,13 +175,13 @@ func (c *Cluster) route(e *plan.Expr, scheme ssd.Scheme) (QueryResult, error) {
 	if e.IsLeaf() {
 		return c.routeLeaf(e.LPN)
 	}
-	keys := e.Leaves()
-	sh, local, err := c.colocatedShard(keys)
+	leaves := e.Leaves()
+	sh, err := c.colocatedShard(leaves)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	if sh != nil {
-		return c.execLocal(sh, e, local, scheme)
+		return c.execLocal(sh, e, leaves, scheme)
 	}
 	// Scatter: route each argument independently, gather, combine in
 	// host software.
@@ -236,11 +234,18 @@ func (c *Cluster) routeLeaf(key uint64) (QueryResult, error) {
 	return QueryResult{Data: res.Data, Elapsed: resultEnd(res).Sub(res.Start), Route: RouteLocal}, nil
 }
 
-// execLocal runs the whole expression on one shard. Wire-expressible
+// execLocal runs the whole expression on one shard. lpns holds the
+// shard-local page of each leaf, in e.Leaves order. Wire-expressible
 // shapes cross the shard's queue pair first — encode, bounded submit,
 // device-side parse — so what executes is exactly what survived the wire.
-func (c *Cluster) execLocal(sh *Shard, e *plan.Expr, local map[uint64]uint64, scheme ssd.Scheme) (QueryResult, error) {
-	le, err := rewriteLeaves(e, func(key uint64) uint64 { return local[key] })
+func (c *Cluster) execLocal(sh *Shard, e *plan.Expr, lpns []uint64, scheme ssd.Scheme) (QueryResult, error) {
+	// rewriteLeaves visits leaves in the same left-to-right order as
+	// Leaves, so the i-th visit takes lpns[i].
+	next := 0
+	le, err := rewriteLeaves(e, func(uint64) uint64 {
+		next++
+		return lpns[next-1]
+	})
 	if err != nil {
 		return QueryResult{}, err
 	}

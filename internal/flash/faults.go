@@ -84,8 +84,13 @@ func (e *FaultError) Error() string {
 		e.Kind, e.Op, e.Plane, e.Block)
 }
 
-// AsFaultError unwraps err to the injected *FaultError, or nil.
+// AsFaultError unwraps err to the injected *FaultError, or nil. A nil err
+// returns before errors.As, whose target would otherwise escape to the
+// heap on every successful command.
 func AsFaultError(err error) *FaultError {
+	if err == nil {
+		return nil
+	}
 	var fe *FaultError
 	if errors.As(err, &fe) {
 		return fe

@@ -23,7 +23,7 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,6 +32,11 @@ import (
 
 // Expr is a node of a query expression tree. Leaves name logical pages;
 // interior nodes apply a bitwise operation to their children.
+//
+// Trees are immutable once built: nothing may change a node's fields or
+// its Args slice afterwards. Normalize returns subtrees of its input
+// where they are already canonical, so one node can belong to several
+// trees at once.
 type Expr struct {
 	// LPN is the logical page a leaf reads. Valid only when leaf.
 	LPN  uint64
@@ -244,10 +249,17 @@ func (e *Expr) Key() string {
 	for i, a := range e.Args {
 		keys[i] = a.Key()
 	}
-	// Every multi-operand query op is commutative; NOT is unary.
-	sort.Strings(keys)
+	return joinKey(e.Op, keys)
+}
+
+// joinKey renders the canonical key of an op node from its arguments'
+// keys, sorting keys in place: every multi-operand query op is
+// commutative, and NOT is unary. Expr.Key and the compiler's step keys
+// both spell keys through it, so they agree byte for byte.
+func joinKey(op latch.Op, keys []string) string {
+	slices.Sort(keys)
 	var name string
-	switch e.Op {
+	switch op {
 	case latch.OpAnd:
 		name = "and"
 	case latch.OpOr:
@@ -263,9 +275,24 @@ func (e *Expr) Key() string {
 	case latch.OpNotLSB, latch.OpNotMSB:
 		name = "not"
 	default:
-		name = "op" + strconv.Itoa(int(e.Op))
+		name = "op" + strconv.Itoa(int(op))
 	}
-	return name + "(" + strings.Join(keys, ",") + ")"
+	size := len(name) + len(keys) + 1
+	for _, k := range keys {
+		size += len(k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(name)
+	b.WriteByte('(')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // Parse reads the infix query syntax:

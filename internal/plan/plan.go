@@ -2,8 +2,9 @@ package plan
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
 
 	"parabit/internal/flash"
 	"parabit/internal/latch"
@@ -229,6 +230,57 @@ func MWSWins(op latch.Op, k int) bool {
 	return mws.SROs() < chain.SROs()
 }
 
+// program is one (op, k) entry of the fused-program table: the validated
+// chained program (or the error refusing it) and, when MWSWins, the
+// Flash-Cosmos program for the same fold.
+type program struct {
+	seq     latch.Sequence
+	err     error
+	mws     latch.Sequence
+	mwsWins bool
+}
+
+func newProgram(op latch.Op, k int) *program {
+	p := &program{}
+	p.seq, p.err = FusedSequence(op, k)
+	if p.mwsWins = MWSWins(op, k); p.mwsWins {
+		p.mws, _ = MWSSequence(op, k)
+	}
+	return p
+}
+
+// The fused-program table holds one entry per fusable op and operand count
+// k in [0, maxChainLen(op)+1], so the refusals on either side of the legal
+// range are cached too. Like the paper's per-operation firmware programs,
+// each entry is built and validated once, through FusedSequence, MWSWins
+// and MWSSequence, and every compiled step shares it read-only.
+var (
+	programsOnce sync.Once
+	programTable map[latch.Op][]*program
+)
+
+func buildProgramTable() {
+	programTable = make(map[latch.Op][]*program)
+	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
+		row := make([]*program, maxChainLen(op)+2)
+		for k := range row {
+			row[k] = newProgram(op, k)
+		}
+		programTable[op] = row
+	}
+}
+
+// programFor returns the shared table entry for folding k operands with
+// op, building the table on first use. Combinations outside the table are
+// always refusals and are built fresh.
+func programFor(op latch.Op, k int) *program {
+	programsOnce.Do(buildProgramTable)
+	if row := programTable[op]; k >= 0 && k < len(row) {
+		return row[k]
+	}
+	return newProgram(op, k)
+}
+
 // Normalize rewrites an expression into the planner's canonical form:
 // nested chains of one associative operation flatten into a single n-ary
 // node, double complements cancel, complements fold into complementing
@@ -236,6 +288,10 @@ func MWSWins(op latch.Op, k int) bool {
 // NOT unfolds back to AND), and the complement pairs XNOR/NAND/NOR under
 // a NOT unwrap to their associative bases. The result is semantically
 // identical (same Eval) and maximally fusable.
+//
+// Normalization is copy-on-write: a subtree that is already canonical is
+// returned as is, so normalizing a canonical tree returns its input and
+// allocates nothing. The result may share subtrees with e (see Expr).
 func Normalize(e *Expr) (*Expr, error) {
 	if err := e.check(); err != nil {
 		return nil, err
@@ -247,42 +303,62 @@ func normalize(e *Expr) *Expr {
 	if e.leaf {
 		return e
 	}
-	args := make([]*Expr, len(e.Args))
+	args, changed := e.Args, false
 	for i, a := range e.Args {
-		args[i] = normalize(a)
+		n := normalize(a)
+		if n == a {
+			continue
+		}
+		if !changed {
+			args, changed = slices.Clone(e.Args), true
+		}
+		args[i] = n
 	}
 	switch e.Op {
 	case latch.OpNotLSB, latch.OpNotMSB:
 		a := args[0]
-		if a.leaf {
-			return node(latch.OpNotLSB, a)
+		if !a.leaf {
+			switch a.Op {
+			case latch.OpNotLSB, latch.OpNotMSB:
+				return a.Args[0]
+			case latch.OpAnd:
+				if len(a.Args) == 2 {
+					return node(latch.OpNand, a.Args...)
+				}
+			case latch.OpOr:
+				if len(a.Args) == 2 {
+					return node(latch.OpNor, a.Args...)
+				}
+			case latch.OpXor:
+				if len(a.Args) == 2 {
+					return node(latch.OpXnor, a.Args...)
+				}
+			case latch.OpNand:
+				return node(latch.OpAnd, a.Args...)
+			case latch.OpNor:
+				return node(latch.OpOr, a.Args...)
+			case latch.OpXnor:
+				return node(latch.OpXor, a.Args...)
+			}
 		}
-		switch a.Op {
-		case latch.OpNotLSB, latch.OpNotMSB:
-			return a.Args[0]
-		case latch.OpAnd:
-			if len(a.Args) == 2 {
-				return node(latch.OpNand, a.Args...)
-			}
-		case latch.OpOr:
-			if len(a.Args) == 2 {
-				return node(latch.OpNor, a.Args...)
-			}
-		case latch.OpXor:
-			if len(a.Args) == 2 {
-				return node(latch.OpXnor, a.Args...)
-			}
-		case latch.OpNand:
-			return node(latch.OpAnd, a.Args...)
-		case latch.OpNor:
-			return node(latch.OpOr, a.Args...)
-		case latch.OpXnor:
-			return node(latch.OpXor, a.Args...)
+		if !changed && e.Op == latch.OpNotLSB {
+			return e
 		}
 		return node(latch.OpNotLSB, a)
 	case latch.OpAnd, latch.OpOr, latch.OpXor:
 		// Flatten same-op children: And(And(a,b),c) = And(a,b,c).
-		var flat []*Expr
+		width := 0
+		for _, a := range args {
+			if !a.leaf && a.Op == e.Op {
+				width += len(a.Args)
+			} else {
+				width++
+			}
+		}
+		if width == len(args) {
+			break
+		}
+		flat := make([]*Expr, 0, width)
 		for _, a := range args {
 			if !a.leaf && a.Op == e.Op {
 				flat = append(flat, a.Args...)
@@ -291,6 +367,9 @@ func normalize(e *Expr) *Expr {
 			}
 		}
 		return node(e.Op, flat...)
+	}
+	if !changed {
+		return e
 	}
 	return node(e.Op, args...)
 }
@@ -313,7 +392,7 @@ func Compile(e *Expr) (*Plan, error) {
 		return nil, err
 	}
 	c := &compiler{memo: map[string]Ref{}, plan: &Plan{}}
-	root, err := c.emit(n)
+	root, key, err := c.emit(n)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +401,7 @@ func Compile(e *Expr) (*Plan, error) {
 		c.add(Step{
 			Kind:   StepRead,
 			Args:   []Ref{root},
-			Key:    n.Key(),
+			Key:    key,
 			Leaves: []uint64{root.LPN},
 		})
 	}
@@ -339,16 +418,9 @@ func (c *compiler) add(s Step) Ref {
 
 func (c *compiler) refKey(r Ref) string {
 	if r.Leaf {
-		return Leaf(r.LPN).Key()
+		return strconv.FormatUint(r.LPN, 10)
 	}
 	return c.steps[r.Step].Key
-}
-
-func (c *compiler) refLeaves(r Ref) []uint64 {
-	if r.Leaf {
-		return []uint64{r.LPN}
-	}
-	return c.steps[r.Step].Leaves
 }
 
 // nodeKey is the canonical key of an op over already-compiled refs.
@@ -357,123 +429,130 @@ func (c *compiler) nodeKey(op latch.Op, refs []Ref) string {
 	for i, r := range refs {
 		keys[i] = c.refKey(r)
 	}
-	sort.Strings(keys)
-	var name string
-	switch op {
-	case latch.OpAnd:
-		name = "and"
-	case latch.OpOr:
-		name = "or"
-	case latch.OpXor:
-		name = "xor"
-	case latch.OpXnor:
-		name = "xnor"
-	case latch.OpNand:
-		name = "nand"
-	case latch.OpNor:
-		name = "nor"
-	case latch.OpNotLSB, latch.OpNotMSB:
-		name = "not"
-	}
-	return name + "(" + strings.Join(keys, ",") + ")"
+	return joinKey(op, keys)
 }
 
+// leavesOf returns the sorted, de-duplicated logical pages the refs
+// depend on.
 func (c *compiler) leavesOf(refs []Ref) []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
+	n := 0
 	for _, r := range refs {
-		for _, lpn := range c.refLeaves(r) {
-			if !seen[lpn] {
-				seen[lpn] = true
-				out = append(out, lpn)
-			}
+		if r.Leaf {
+			n++
+		} else {
+			n += len(c.steps[r.Step].Leaves)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := make([]uint64, 0, n)
+	for _, r := range refs {
+		if r.Leaf {
+			out = append(out, r.LPN)
+		} else {
+			out = append(out, c.steps[r.Step].Leaves...)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func (c *compiler) emit(e *Expr) (Ref, error) {
+// emit lowers e and returns its ref together with its canonical key
+// (Expr.Key form), built once per node from the children's keys.
+func (c *compiler) emit(e *Expr) (Ref, string, error) {
 	if e.leaf {
-		return Ref{Leaf: true, LPN: e.LPN}, nil
-	}
-	if r, ok := c.memo[e.Key()]; ok {
-		return r, nil
+		return Ref{Leaf: true, LPN: e.LPN}, strconv.FormatUint(e.LPN, 10), nil
 	}
 	refs := make([]Ref, len(e.Args))
+	var buf [8]string
+	keys := buf[:0]
+	// A step's key is spelled over its refs' keys. It differs from the
+	// expression key only when a child compiled to a split chain, whose
+	// step carries the nested segment key.
+	refKeysMatch := true
 	for i, a := range e.Args {
-		r, err := c.emit(a)
+		r, k, err := c.emit(a)
 		if err != nil {
-			return Ref{}, err
+			return Ref{}, "", err
 		}
-		refs[i] = r
+		refs[i], keys = r, append(keys, k)
+		if !r.Leaf && c.steps[r.Step].Key != k {
+			refKeysMatch = false
+		}
+	}
+	key := joinKey(e.Op, keys)
+	if r, ok := c.memo[key]; ok {
+		return r, key, nil
+	}
+	stepKey := key
+	if !refKeysMatch {
+		stepKey = c.nodeKey(e.Op, refs)
 	}
 	switch e.Op {
 	case latch.OpAnd, latch.OpOr, latch.OpXor:
-		r, err := c.emitFused(e.Op, refs)
+		r, err := c.emitFused(e.Op, refs, stepKey)
 		if err == nil {
 			// Split chains register under nested segment keys; remember
 			// the flat n-ary key too, so an identical sub-query re-uses
 			// the compiled result.
-			c.memo[e.Key()] = r
+			c.memo[key] = r
 		}
-		return r, err
+		return r, key, err
 	case latch.OpXnor, latch.OpNand, latch.OpNor:
 		return c.add(Step{
 			Kind:   StepOp,
 			Op:     e.Op,
 			Args:   refs,
-			Key:    c.nodeKey(e.Op, refs),
+			Key:    stepKey,
 			Leaves: c.leavesOf(refs),
-		}), nil
+		}), key, nil
 	case latch.OpNotLSB, latch.OpNotMSB:
 		return c.add(Step{
 			Kind:   StepNot,
 			Op:     latch.OpNotLSB,
 			Args:   refs,
-			Key:    c.nodeKey(latch.OpNotLSB, refs),
+			Key:    stepKey,
 			Leaves: c.leavesOf(refs),
-		}), nil
+		}), key, nil
 	}
-	return Ref{}, fmt.Errorf("%w: op %v", ErrBadExpr, e.Op)
+	return Ref{}, "", fmt.Errorf("%w: op %v", ErrBadExpr, e.Op)
 }
 
-// emitFused lowers an n-ary associative fold, splitting chains longer
-// than the circuit's legal control-program length into legal segments
-// whose results fold in a further fused step.
-func (c *compiler) emitFused(op latch.Op, refs []Ref) (Ref, error) {
+// emitFused lowers an n-ary associative fold whose step key over refs is
+// key, splitting chains longer than the circuit's legal control-program
+// length into legal segments whose results fold in a further fused step.
+func (c *compiler) emitFused(op latch.Op, refs []Ref, key string) (Ref, error) {
 	maxK := maxChainLen(op)
 	for len(refs) > maxK {
-		var next []Ref
+		next := make([]Ref, 0, (len(refs)+maxK-1)/maxK)
 		for lo := 0; lo < len(refs); lo += maxK {
-			hi := lo + maxK
-			if hi > len(refs) {
-				hi = len(refs)
-			}
+			hi := min(lo+maxK, len(refs))
 			// A single trailing operand cannot chain alone; carry it to
 			// the next level, where it folds with the segment results.
 			if hi-lo == 1 {
 				next = append(next, refs[lo])
 				continue
 			}
-			r, err := c.fuseStep(op, refs[lo:hi])
+			seg := refs[lo:hi:hi]
+			r, err := c.fuseStep(op, seg, c.nodeKey(op, seg))
 			if err != nil {
 				return Ref{}, err
 			}
 			next = append(next, r)
 		}
 		refs = next
+		key = c.nodeKey(op, refs)
 	}
-	return c.fuseStep(op, refs)
+	return c.fuseStep(op, refs, key)
 }
 
-func (c *compiler) fuseStep(op latch.Op, refs []Ref) (Ref, error) {
-	if r, ok := c.memo[c.nodeKey(op, refs)]; ok {
+// fuseStep adds the fused step folding refs, whose key is key, unless an
+// identical one exists. refs becomes the step's Args and must not change.
+func (c *compiler) fuseStep(op latch.Op, refs []Ref, key string) (Ref, error) {
+	if r, ok := c.memo[key]; ok {
 		return r, nil
 	}
-	seq, err := FusedSequence(op, len(refs))
-	if err != nil {
-		return Ref{}, err
+	prog := programFor(op, len(refs))
+	if prog.err != nil {
+		return Ref{}, prog.err
 	}
 	c.plan.FusedChains++
 	c.plan.FusedOperands += len(refs)
@@ -481,18 +560,16 @@ func (c *compiler) fuseStep(op latch.Op, refs []Ref) (Ref, error) {
 	// strictly cheaper than the chain; the chained program stays on the
 	// step as the fallback shape for schemes (or placements) that cannot
 	// realize the MWS.
-	var mwsSeq latch.Sequence
-	if MWSWins(op, len(refs)) {
-		mwsSeq, _ = MWSSequence(op, len(refs))
+	if prog.mwsWins {
 		c.plan.MWSChains++
 	}
 	return c.add(Step{
 		Kind:   StepFused,
 		Op:     op,
-		Args:   append([]Ref(nil), refs...),
-		Key:    c.nodeKey(op, refs),
+		Args:   refs,
+		Key:    key,
 		Leaves: c.leavesOf(refs),
-		Seq:    seq,
-		MWSSeq: mwsSeq,
+		Seq:    prog.seq,
+		MWSSeq: prog.mws,
 	}), nil
 }

@@ -44,6 +44,22 @@ func lsbAligned(a, b flash.PageAddr) bool {
 		a.WordlineAddr != b.WordlineAddr
 }
 
+// slotOp returns op as the sense must run it when the first operand sits
+// in a page of kind first. The two-input ops are commutative, but a
+// complement names its input by page slot: with the first operand in the
+// MSB page, NOT-LSB and NOT-MSB trade places.
+func slotOp(op latch.Op, first flash.PageKind) latch.Op {
+	if first == flash.MSBPage {
+		switch op {
+		case latch.OpNotLSB:
+			return latch.OpNotMSB
+		case latch.OpNotMSB:
+			return latch.OpNotLSB
+		}
+	}
+	return op
+}
+
 // reallocate implements the Operands ReAllocation module (§4.3.2): read
 // both operands into the controller buffer (descrambling as needed) and
 // program them, unscrambled, into the LSB and MSB pages of one fresh
@@ -115,7 +131,7 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 		}
 		if addrM.Kind == flash.MSBPage && addrN.Kind == flash.LSBPage &&
 			addrM.PlaneAddr == addrN.PlaneAddr {
-			res, err := d.array.BitwiseSenseLocFree(op, addrM.WordlineAddr, addrN.WordlineAddr, at)
+			res, err := d.array.BitwiseSenseLocFree(slotOp(op, addrM.Kind), addrM.WordlineAddr, addrN.WordlineAddr, at)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
@@ -149,10 +165,10 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 	return BitwiseResult{}, fmt.Errorf("ssd: unknown scheme %v", scheme)
 }
 
-// senseCoLocated runs the basic ParaBit sense on a shared wordline. The
-// operand stored in the LSB page is the operation's first input.
+// senseCoLocated runs the basic ParaBit sense on a shared wordline; a is
+// the operation's first input, in either page of it.
 func (d *Device) senseCoLocated(op latch.Op, a, b flash.PageAddr, at sim.Time) (BitwiseResult, error) {
-	res, err := d.array.BitwiseSense(op, a.WordlineAddr, at)
+	res, err := d.array.BitwiseSense(slotOp(op, a.Kind), a.WordlineAddr, at)
 	if err != nil {
 		return BitwiseResult{}, err
 	}
@@ -308,6 +324,7 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 	// Pre-scan for run grouping and the fallback decision only; the
 	// wordline addresses seen here are NOT reused for sensing.
 	planes := make([]flash.PlaneAddr, len(lpns))
+	nruns := 0
 	for i, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
@@ -319,19 +336,23 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			return d.reduceSerial(op, lpns, at)
 		}
 		planes[i] = addr.WordlineAddr.PlaneAddr
+		if i == 0 || planes[i] != planes[i-1] {
+			nruns++
+		}
 	}
 	// Split into same-plane runs of LPNs, chain each, then park run
-	// results aligned and chain again until one remains.
+	// results aligned and chain again until one remains. Runs are
+	// contiguous, so each one is a window of lpns.
 	type run struct {
 		lpns  []uint64
 		plane flash.PlaneAddr
 	}
-	var runs []run
-	for i, lpn := range lpns {
-		if i == 0 || planes[i] != runs[len(runs)-1].plane {
-			runs = append(runs, run{plane: planes[i]})
+	runs := make([]run, 0, nruns)
+	for start, i := 0, 1; i <= len(lpns); i++ {
+		if i == len(lpns) || planes[i] != planes[start] {
+			runs = append(runs, run{lpns: lpns[start:i], plane: planes[start]})
+			start = i
 		}
-		runs[len(runs)-1].lpns = append(runs[len(runs)-1].lpns, lpn)
 	}
 
 	var acc BitwiseResult
@@ -368,7 +389,7 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			lpn uint64
 			wl  flash.WordlineAddr
 		}
-		var aligned []located
+		aligned := make([]located, 0, len(r.lpns))
 		var strays []uint64
 		for _, lpn := range r.lpns {
 			addr, err := d.operandLoc(lpn)
@@ -381,7 +402,7 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 				strays = append(strays, lpn)
 			}
 		}
-		var chain []flash.WordlineAddr
+		chain := make([]flash.WordlineAddr, 0, len(aligned)+1)
 		if parked {
 			chain = append(chain, parkWL)
 		}

@@ -66,18 +66,17 @@ func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (Bitwise
 	if e == nil {
 		return BitwiseResult{}, fmt.Errorf("ssd: nil query expression")
 	}
-	norm, err := plan.Normalize(e)
-	if err != nil {
-		return BitwiseResult{}, err
-	}
-	if wired, ok, err := plan.RoundTrip(norm, d.PageSize()); err != nil {
+	// RoundTrip and Compile each normalize their input. Normalization
+	// returns a canonical tree as is, so a tree the caller already
+	// normalized (the cluster path) is never rebuilt.
+	if wired, ok, err := plan.RoundTrip(e, d.PageSize()); err != nil {
 		return BitwiseResult{}, err
 	} else if ok {
 		d.qstats.NVMeRoundTrips++
 		d.tele.cQRoundTrip.Add(1)
-		norm = wired
+		e = wired
 	}
-	p, err := plan.Compile(norm)
+	p, err := plan.Compile(e)
 	if err != nil {
 		return BitwiseResult{}, err
 	}

@@ -109,6 +109,33 @@ func TestBitwisePreAllocAllOps(t *testing.T) {
 	}
 }
 
+// TestBitwiseFirstOperandInMSB pins the operand a complement names when
+// the first operand sits in the MSB page: NOT-LSB still inverts the
+// first operand and NOT-MSB the second, on both sense paths that run
+// without reallocating.
+func TestBitwiseFirstOperandInMSB(t *testing.T) {
+	for _, scheme := range []Scheme{SchemePreAlloc, SchemeLocFree} {
+		d := newDevice(t)
+		m, n := randPage(d, 21), randPage(d, 22)
+		// N goes to the LSB page, M to the MSB page of the same wordline.
+		if _, err := d.WriteOperandPair(1, 0, n, m, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range latch.Ops {
+			r, err := d.Bitwise(op, 0, 1, scheme, 0)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", scheme, op, err)
+			}
+			if !bytes.Equal(r.Data, golden(op, m, n)) {
+				t.Fatalf("%v/%v result wrong with the first operand in the MSB page", scheme, op)
+			}
+		}
+		if d.Stats().Fallbacks != 0 {
+			t.Fatalf("%v: %d fallbacks, want a direct sense", scheme, d.Stats().Fallbacks)
+		}
+	}
+}
+
 func TestBitwisePreAllocTiming(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 5), randPage(d, 6)
