@@ -20,6 +20,7 @@ import (
 	"parabit/internal/experiments"
 	"parabit/internal/flash"
 	"parabit/internal/latch"
+	"parabit/internal/persist"
 	"parabit/internal/ssd"
 )
 
@@ -223,7 +224,7 @@ func BenchmarkAblationStriping(b *testing.B) {
 		page := make([]byte, geo.PageSize)
 		n := geo.Planes() * 4
 		for lpn := 0; lpn < n; lpn++ {
-			if _, err := dev.Write(uint64(lpn), page, 0); err != nil {
+			if _, err := dev.WritePages(persist.OpWrite, 0, []uint64{uint64(lpn)}, [][]byte{page}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,6 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	failed := 0
 	fmt.Println("op       latency    ok")
 	for _, op := range parabit.Ops {
 		r, err := dev.Bitwise(op, 0, 1, parabit.PreAllocated)
@@ -48,7 +49,13 @@ func main() {
 				}
 			}
 		}
+		if !ok {
+			failed++
+		}
 		fmt.Printf("%-8s %-10v %v\n", op, r.Latency, ok)
+	}
+	if failed > 0 {
+		log.Fatalf("%d ops disagree with the host-side golden", failed)
 	}
 
 	s := dev.Stats()

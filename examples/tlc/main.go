@@ -33,6 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	failed := 0
 	fmt.Println("op     latency   ok")
 	for _, op := range parabit.Op3s {
 		r, err := dev.Bitwise3(op, lpns)
@@ -50,7 +51,13 @@ func main() {
 				}
 			}
 		}
+		if !ok {
+			failed++
+		}
 		fmt.Printf("%-6s %-9v %v\n", op, r.Latency, ok)
+	}
+	if failed > 0 {
+		log.Fatalf("%d ops disagree with the host-side golden", failed)
 	}
 
 	s := dev.Stats()

@@ -9,8 +9,8 @@ import (
 )
 
 func Drop(dev *ssd.Device, f *ftl.FTL, at sim.Time) {
-	dev.Write(0, nil, at)    // want `result of ssd\.Write is discarded`
-	f.Read(0, at)            // want `result of ftl\.Read is discarded`
-	defer dev.Read(0, at)    // want `result of ssd\.Read is discarded`
-	go dev.Write(1, nil, at) // want `result of ssd\.Write is discarded`
+	dev.WriteOperand(0, nil, at)    // want `result of ssd\.WriteOperand is discarded`
+	f.Read(0, at)                   // want `result of ftl\.Read is discarded`
+	defer dev.Read(0, at)           // want `result of ssd\.Read is discarded`
+	go dev.WriteOperand(1, nil, at) // want `result of ssd\.WriteOperand is discarded`
 }

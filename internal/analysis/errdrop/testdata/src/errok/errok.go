@@ -8,12 +8,12 @@ import (
 )
 
 func Handled(dev *ssd.Device, at sim.Time) (sim.Time, error) {
-	if _, err := dev.Write(0, nil, at); err != nil {
+	if _, err := dev.WriteOperand(0, nil, at); err != nil {
 		return 0, err
 	}
 	// An explicit blank assignment records that the drop is deliberate.
 	_, _, _ = dev.Read(0, at)
 	// Calls with no error result are plain statements.
 	dev.ResetTiming()
-	return dev.Write(1, nil, at)
+	return dev.WriteOperand(1, nil, at)
 }

@@ -8,5 +8,5 @@ import (
 // Test files are exempt: a dropped error in a test fails the test through
 // other assertions, not by desynchronizing production state.
 func dropInTest(dev *ssd.Device, at sim.Time) {
-	dev.Write(0, nil, at)
+	dev.WriteOperand(0, nil, at)
 }

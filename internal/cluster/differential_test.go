@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"parabit/internal/persist"
 	"parabit/internal/plan"
 	"parabit/internal/ssd"
 )
@@ -52,7 +53,7 @@ func singleDeviceGolden(t *testing.T, pages [][]byte, e *plan.Expr, scheme ssd.S
 	t.Helper()
 	dev := ssd.MustNew(ssd.SmallConfig())
 	for i, p := range pages {
-		if _, err := dev.WriteOperandOnPlane(0, uint64(i), p, 0); err != nil {
+		if _, err := dev.WritePages(persist.OpWriteOnPlane, 0, []uint64{uint64(i)}, [][]byte{p}, 0); err != nil {
 			t.Fatalf("golden write %d: %v", i, err)
 		}
 	}

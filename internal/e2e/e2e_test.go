@@ -12,6 +12,7 @@ import (
 	"parabit/internal/bitvec"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
+	"parabit/internal/persist"
 	"parabit/internal/reliability"
 	"parabit/internal/ssd"
 	"parabit/internal/workload"
@@ -66,7 +67,7 @@ func TestSegmentationEndToEndAllSchemes(t *testing.T) {
 				}
 			case ssd.SchemePreAlloc:
 				// Y,U co-located; V written separately for the combine.
-				if _, err := d.WriteOperandPair(lpns[0], lpns[1], planes[0][p], planes[1][p], 0); err != nil {
+				if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{lpns[0], lpns[1]}, [][]byte{planes[0][p], planes[1][p]}, 0); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := d.WriteOperand(lpns[2], planes[2][p], 0); err != nil {
@@ -134,7 +135,7 @@ func TestEncryptionEndToEndRoundTrip(t *testing.T) {
 		ori := img.Bytes()
 		oriLPN, keyLPN := uint64(i*2), uint64(i*2+1)
 		// ParaBit encryption layout: original paired with the key image.
-		if _, err := d.WriteOperandPair(oriLPN, keyLPN, ori, key, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{oriLPN, keyLPN}, [][]byte{ori, key}, 0); err != nil {
 			t.Fatal(err)
 		}
 		r, err := d.Bitwise(latch.OpXor, oriLPN, keyLPN, ssd.SchemePreAlloc, 0)
@@ -146,7 +147,7 @@ func TestEncryptionEndToEndRoundTrip(t *testing.T) {
 		}
 		// Decrypt in-flash via a second pairing.
 		cLPN, k2LPN := uint64(100+i*2), uint64(101+i*2)
-		if _, err := d.WriteOperandPair(cLPN, k2LPN, r.Data, key, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{cLPN, k2LPN}, [][]byte{r.Data, key}, 0); err != nil {
 			t.Fatal(err)
 		}
 		back, err := d.Bitwise(latch.OpXor, cLPN, k2LPN, ssd.SchemePreAlloc, 0)
@@ -239,7 +240,7 @@ func TestScrambledFormulaEndToEnd(t *testing.T) {
 	pages := make([][]byte, 4)
 	for i := range pages {
 		pages[i] = bytes.Repeat([]byte{byte(0x11 * (i + 1))}, ps)
-		if _, err := d.Write(uint64(i), pages[i], 0); err != nil {
+		if _, err := d.WritePages(persist.OpWrite, 0, []uint64{uint64(i)}, [][]byte{pages[i]}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +273,7 @@ func TestPlaneParallelWaveFunctional(t *testing.T) {
 	x := bytes.Repeat([]byte{0xF0}, d.PageSize())
 	y := bytes.Repeat([]byte{0x55}, d.PageSize())
 	for i := 0; i < n; i++ {
-		if _, err := d.WriteOperandPair(uint64(i*2), uint64(i*2+1), x, y, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{uint64(i * 2), uint64(i*2 + 1)}, [][]byte{x, y}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +315,7 @@ func TestFormulaFuzz(t *testing.T) {
 			var err error
 			switch scheme {
 			case ssd.SchemePreAlloc:
-				_, err = d.WriteOperandPair(a, b, pages[i], pages[i+1], 0)
+				_, err = d.WritePages(persist.OpWritePair, 0, []uint64{a, b}, [][]byte{pages[i], pages[i+1]}, 0)
 			case ssd.SchemeLocFree:
 				_, err = d.WriteOperandLSBGroup([]uint64{a, b}, [][]byte{pages[i], pages[i+1]}, 0)
 			default:
@@ -382,7 +383,7 @@ func TestReadDisturbReachesParaBitResults(t *testing.T) {
 
 	x := bytes.Repeat([]byte{0xAA}, d.PageSize())
 	y := bytes.Repeat([]byte{0x55}, d.PageSize())
-	if _, err := d.WriteOperandPair(0, 1, x, y, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{x, y}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the pair with ParaBit ops to build exposure; with

@@ -7,6 +7,7 @@ import (
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
 	"parabit/internal/latch"
+	"parabit/internal/persist"
 	"parabit/internal/ssd"
 	"parabit/internal/workload"
 )
@@ -80,7 +81,7 @@ func ExtGC(env *Env) Result {
 		writes := int(dev.FTL().LogicalPages()) * 2
 		for i := 0; i < writes; i++ {
 			rng.Read(page[:16])
-			if _, err := dev.Write(uint64(rng.Intn(hot)), page, 0); err != nil {
+			if _, err := dev.WritePages(persist.OpWrite, 0, []uint64{uint64(rng.Intn(hot))}, [][]byte{page}, 0); err != nil {
 				break
 			}
 			if i%64 == 0 && i > 0 {

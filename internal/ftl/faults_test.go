@@ -212,7 +212,7 @@ func TestTransientPlaneFaultSurfacesRetryable(t *testing.T) {
 func TestWritePairedResteersOnProgramFail(t *testing.T) {
 	f := newFTL()
 	f.Array().SetFaultInjector(&scriptInjector{failPrograms: 1})
-	wl, _, err := f.WritePaired(0, 1, page(f, 0x0A), page(f, 0x0B), 0)
+	_, err := f.Place(Layout{Shape: Shared}, []uint64{0, 1}, [][]byte{page(f, 0x0A), page(f, 0x0B)}, 0)
 	f.Array().SetFaultInjector(nil)
 	if err != nil {
 		t.Fatalf("paired write across one program failure: %v", err)
@@ -223,8 +223,8 @@ func TestWritePairedResteersOnProgramFail(t *testing.T) {
 	// Both pages must land on the same (healthy) wordline and read back.
 	aL, okL := f.Lookup(0)
 	aM, okM := f.Lookup(1)
-	if !okL || !okM || aL.WordlineAddr != wl || aM.WordlineAddr != wl {
-		t.Fatalf("paired pages not co-located: %v / %v vs %v", aL, aM, wl)
+	if !okL || !okM || aL.WordlineAddr != aM.WordlineAddr || aL.Kind == aM.Kind {
+		t.Fatalf("paired pages not co-located: %v / %v", aL, aM)
 	}
 	for lpn, seed := range map[uint64]byte{0: 0x0A, 1: 0x0B} {
 		data, _, err := f.Read(lpn, 0)

@@ -95,14 +95,13 @@ func TestStripingSpreadsChannels(t *testing.T) {
 
 func TestWritePairedSharesWordline(t *testing.T) {
 	f := newFTL()
-	wl, _, err := f.WritePaired(10, 11, page(f, 0xAA), page(f, 0x55), 0)
-	if err != nil {
+	if _, err := f.Place(Layout{Shape: Shared}, []uint64{10, 11}, [][]byte{page(f, 0xAA), page(f, 0x55)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	a1, _ := f.Lookup(10)
 	a2, _ := f.Lookup(11)
-	if a1.WordlineAddr != wl || a2.WordlineAddr != wl {
-		t.Fatalf("paired pages not on reported wordline: %v, %v, wl %v", a1, a2, wl)
+	if a1.WordlineAddr != a2.WordlineAddr {
+		t.Fatalf("paired pages on different wordlines: %v, %v", a1, a2)
 	}
 	if a1.Kind != flash.LSBPage || a2.Kind != flash.MSBPage {
 		t.Fatalf("paired kinds = %v, %v", a1.Kind, a2.Kind)
@@ -124,13 +123,12 @@ func TestWritePairedAfterOddWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wl, _, err := f.WritePaired(500, 501, page(f, 1), page(f, 2), 0)
-	if err != nil {
+	if _, err := f.Place(Layout{Shape: Shared}, []uint64{500, 501}, [][]byte{page(f, 1), page(f, 2)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	a1, _ := f.Lookup(500)
 	a2, _ := f.Lookup(501)
-	if a1.WordlineAddr != wl || a2.WordlineAddr != wl {
+	if a1.WordlineAddr != a2.WordlineAddr || a1.Kind != flash.LSBPage {
 		t.Fatal("pairing broken after odd write")
 	}
 }
@@ -138,8 +136,8 @@ func TestWritePairedAfterOddWrite(t *testing.T) {
 func TestRelocationAccounting(t *testing.T) {
 	f := newFTL()
 	f.Write(1, page(f, 1), 0)
-	f.WriteRelocation(2, page(f, 2), 0)
-	f.WritePairedRelocation(3, 4, page(f, 3), page(f, 4), 0)
+	f.Place(Layout{Extra: true}, []uint64{2}, [][]byte{page(f, 2)}, 0)
+	f.Place(Layout{Shape: Shared, Extra: true}, []uint64{3, 4}, [][]byte{page(f, 3), page(f, 4)}, 0)
 	s := f.Stats()
 	if s.HostPagesWritten != 1 {
 		t.Fatalf("host pages = %d, want 1", s.HostPagesWritten)
@@ -237,8 +235,7 @@ func TestWearLevelingPrefersLowErase(t *testing.T) {
 		}
 	}
 	// The first allocation on plane 0 should avoid block 0.
-	_, _, err := f.WritePaired(0, 1, page(f, 0), page(f, 1), 0)
-	if err != nil {
+	if _, err := f.Place(Layout{Shape: Shared}, []uint64{0, 1}, [][]byte{page(f, 0), page(f, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := f.Lookup(0)
@@ -323,24 +320,25 @@ func TestParallelWritesFasterThanSerial(t *testing.T) {
 	}
 }
 
-func ExampleFTL_WritePaired() {
+func ExampleFTL_Place() {
 	array := flash.NewArray(flash.Small(), flash.DefaultTiming())
 	f := New(array, DefaultConfig())
 	x := make([]byte, f.PageSize())
 	y := make([]byte, f.PageSize())
-	wl, _, _ := f.WritePaired(0, 1, x, y, 0)
+	_, _ = f.Place(Layout{Shape: Shared}, []uint64{0, 1}, [][]byte{x, y}, 0)
 	a, _ := f.Lookup(0)
 	b, _ := f.Lookup(1)
-	fmt.Println(a.WordlineAddr == wl, b.WordlineAddr == wl, a.Kind, b.Kind)
-	// Output: true true LSB MSB
+	fmt.Println(a.WordlineAddr == b.WordlineAddr, a.Kind, b.Kind)
+	// Output: true LSB MSB
 }
 
 func TestWriteLSBPair(t *testing.T) {
 	f := newFTL()
-	m, n, _, err := f.WriteLSBPair(20, 21, page(f, 0x70), page(f, 0x07), 0)
+	wls, _, err := f.WriteLSBGroup([]uint64{20, 21}, [][]byte{page(f, 0x70), page(f, 0x07)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, n := wls[0], wls[1]
 	if m.PlaneAddr != n.PlaneAddr {
 		t.Fatalf("pair split across planes: %v vs %v", m, n)
 	}
@@ -372,10 +370,11 @@ func TestWriteTriple(t *testing.T) {
 	for i := range data {
 		data[i] = page(f, byte(0x20+i))
 	}
-	wl, _, err := f.WriteTriple([3]uint64{5, 6, 7}, data, 0)
-	if err != nil {
+	if _, err := f.Place(Layout{Shape: Shared}, []uint64{5, 6, 7}, data[:], 0); err != nil {
 		t.Fatal(err)
 	}
+	first, _ := f.Lookup(5)
+	wl := first.WordlineAddr
 	kinds := []flash.PageKind{flash.LSBPage, flash.MSBPage, flash.TopPage}
 	for i, lpn := range []uint64{5, 6, 7} {
 		addr, ok := f.Lookup(lpn)
@@ -398,7 +397,7 @@ func TestWriteTripleRejectedOnMLC(t *testing.T) {
 	for i := range data {
 		data[i] = page(f, 1)
 	}
-	if _, _, err := f.WriteTriple([3]uint64{0, 1, 2}, data, 0); err == nil {
+	if _, err := f.Place(Layout{Shape: Shared}, []uint64{0, 1, 2}, data[:], 0); err == nil {
 		t.Fatal("triple accepted on MLC")
 	}
 }
@@ -736,5 +735,38 @@ func TestCheckInvariantsAfterChurn(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPlaceRejectsGroupsItsLayoutCannotHold(t *testing.T) {
+	f := newFTL()
+	g := f.Array().Geometry()
+	pages := func(n int) ([]uint64, [][]byte) {
+		lpns, data := make([]uint64, n), make([][]byte, n)
+		for i := range lpns {
+			lpns[i], data[i] = uint64(i), page(f, byte(i))
+		}
+		return lpns, data
+	}
+	for _, tc := range []struct {
+		name string
+		l    Layout
+		n    int
+	}{
+		{"empty", Layout{}, 0},
+		{"shared-overflow", Layout{Shape: Shared}, g.CellBits + 1},
+		{"block-overflow", Layout{Shape: LSBOnly, OneBlock: true}, g.WordlinesPerBlock + 1},
+		{"plane-out-of-range", Layout{Shape: LSBOnly, Fixed: true, Plane: g.Planes()}, 1},
+	} {
+		lpns, data := pages(tc.n)
+		if _, err := f.Place(tc.l, lpns, data, 0); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := f.Place(Layout{}, []uint64{0, 1}, [][]byte{page(f, 0)}, 0); err == nil {
+		t.Error("group with fewer pages than lpns accepted")
+	}
+	if f.MappedPages() != 0 || f.Stats() != (Stats{}) {
+		t.Fatalf("a rejected group left state behind: %d mapped, %+v", f.MappedPages(), f.Stats())
 	}
 }

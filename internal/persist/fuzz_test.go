@@ -26,22 +26,22 @@ func buildSeedJournal(f *testing.F) (journal, snapshot, current []byte) {
 		}
 		return p
 	}
-	if _, err := d.Write(0, page(1), 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{0}, [][]byte{page(1)}, 0); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := d.WriteOperand(1, page(2), 0); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := d.WriteOperandPair(2, 3, page(3), page(4), 0); err != nil {
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{2, 3}, [][]byte{page(3), page(4)}, 0); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := d.WriteOperandLSBGroup([]uint64{4, 5}, [][]byte{page(5), page(6)}, 0); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := d.WriteOperandMWSGroup([]uint64{6, 7}, [][]byte{page(7), page(8)}, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWriteMWSGroup, 0, []uint64{6, 7}, [][]byte{page(7), page(8)}, 0); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := d.WriteOperandOnPlane(1, 8, page(9), 0); err != nil {
+	if _, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{8}, [][]byte{page(9)}, 0); err != nil {
 		f.Fatal(err)
 	}
 	d.Crash()

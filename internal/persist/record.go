@@ -9,9 +9,10 @@ import (
 	"parabit/internal/binio"
 )
 
-// Op identifies which device write path a journaled record replays
-// through. The device owns the mapping from Op to its write methods;
-// the journal only guarantees the shape (operand count) per Op.
+// Op identifies the layout a journaled write placed its pages with. The
+// device owns the mapping from Op to its placement constraint, and live
+// writes and replay both go through it; the journal only guarantees the
+// shape (operand count) per Op.
 type Op uint8
 
 // Journaled operations.
@@ -23,7 +24,8 @@ const (
 	OpWriteOperand
 	// OpWritePair co-locates two operands in one wordline.
 	OpWritePair
-	// OpWriteLSBPair aligns two operands on LSB pages of one plane.
+	// OpWriteLSBPair aligns two operands on LSB pages of one plane. No
+	// longer written; older journals replay it as a two-page LSB group.
 	OpWriteLSBPair
 	// OpWriteLSBGroup aligns k operands on LSB pages of one plane.
 	OpWriteLSBGroup
@@ -88,10 +90,10 @@ const (
 	payloadCommit uint8 = 2
 )
 
-// shapeOK reports whether the record's operand count is legal for its
+// ShapeOK reports whether the record's operand count is legal for its
 // op. Deeper validation (page size, LPN range, geometry) is the
 // device's job during replay.
-func (r Record) shapeOK() bool {
+func (r Record) ShapeOK() bool {
 	switch r.Op {
 	case OpWrite, OpWriteOperand, OpWriteOnPlane:
 		return len(r.LPNs) == 1 && len(r.Pages) == 1
@@ -183,7 +185,7 @@ func decodePayload(payload []byte) (uint8, Record, error) {
 	if r.Len() != 0 {
 		return 0, Record{}, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, r.Len())
 	}
-	if typ == payloadIntent && !rec.shapeOK() {
+	if typ == payloadIntent && !rec.ShapeOK() {
 		return 0, Record{}, fmt.Errorf("%w: %s record with %d lpns / %d pages",
 			ErrCorrupt, rec.Op, len(rec.LPNs), len(rec.Pages))
 	}

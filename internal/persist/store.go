@@ -199,7 +199,7 @@ func (s *Store) AppendIntent(rec Record) (uint64, error) {
 	if s.cutLocked(PointPreJournal) {
 		return 0, ErrPowerCut
 	}
-	if !rec.shapeOK() {
+	if !rec.ShapeOK() {
 		return 0, fmt.Errorf("persist: malformed %s record: %d lpns / %d pages",
 			rec.Op, len(rec.LPNs), len(rec.Pages))
 	}

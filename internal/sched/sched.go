@@ -35,6 +35,7 @@ import (
 	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
+	"parabit/internal/persist"
 	"parabit/internal/plan"
 	"parabit/internal/sim"
 	"parabit/internal/ssd"
@@ -44,7 +45,8 @@ import (
 // Kind identifies what a Command asks the device to do.
 type Kind uint8
 
-// Command kinds. The write kinds mirror the device's operand layouts.
+// Command kinds. The write kinds name the device's page layouts; each
+// maps to the journal op (writeOps) the device places its pages by.
 const (
 	// KindWrite stores one page on the normal (scrambled) data path.
 	KindWrite Kind = iota
@@ -80,6 +82,17 @@ const (
 	numKinds = int(KindBarrier) + 1
 )
 
+// writeOps maps each write kind to the journal op naming its layout.
+var writeOps = [...]persist.Op{
+	KindWrite:         persist.OpWrite,
+	KindWriteOperand:  persist.OpWriteOperand,
+	KindWritePair:     persist.OpWritePair,
+	KindWriteGroup:    persist.OpWriteLSBGroup,
+	KindWriteOnPlane:  persist.OpWriteOnPlane,
+	KindWriteTriple:   persist.OpWriteTriple,
+	KindWriteMWSGroup: persist.OpWriteMWSGroup,
+}
+
 var kindNames = [numKinds]string{
 	"write", "write-operand", "write-pair", "write-group", "write-on-plane",
 	"write-triple", "write-mws-group", "read", "bitwise", "bitwise-triple",
@@ -98,7 +111,8 @@ func (k Kind) String() string {
 // callers may reuse their buffers immediately.
 type Command struct {
 	Kind Kind
-	// LPN addresses single-page commands (writes, read, on-plane write).
+	// LPN addresses single-page commands (read, and writes that leave
+	// LPNs empty).
 	LPN uint64
 	// LPNs addresses multi-operand commands: [first, second] for
 	// KindWritePair/KindBitwise, three entries for the triple kinds, k
@@ -442,22 +456,13 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 	switch c.Kind {
 	case KindBarrier:
 		// No device work: completes the moment its batch issues.
-	case KindWrite:
-		r.Done, r.Err = s.dev.Write(c.LPN, c.Data, issue)
-	case KindWriteOperand:
-		r.Done, r.Err = s.dev.WriteOperand(c.LPN, c.Data, issue)
-	case KindWritePair:
-		r.Done, r.Err = s.dev.WriteOperandPair(c.LPNs[0], c.LPNs[1], c.Pages[0], c.Pages[1], issue)
-	case KindWriteGroup:
-		r.Done, r.Err = s.dev.WriteOperandLSBGroup(c.LPNs, c.Pages, issue)
-	case KindWriteOnPlane:
-		r.Done, r.Err = s.dev.WriteOperandOnPlane(c.Plane, c.LPN, c.Data, issue)
-	case KindWriteTriple:
-		r.Done, r.Err = s.dev.WriteOperandTriple(
-			[3]uint64{c.LPNs[0], c.LPNs[1], c.LPNs[2]},
-			[3][]byte{c.Pages[0], c.Pages[1], c.Pages[2]}, issue)
-	case KindWriteMWSGroup:
-		r.Done, r.Err = s.dev.WriteOperandMWSGroup(c.LPNs, c.Pages, issue)
+	case KindWrite, KindWriteOperand, KindWritePair, KindWriteGroup,
+		KindWriteOnPlane, KindWriteTriple, KindWriteMWSGroup:
+		lpns, pages := c.LPNs, c.Pages
+		if len(lpns) == 0 {
+			lpns, pages = []uint64{c.LPN}, [][]byte{c.Data}
+		}
+		r.Done, r.Err = s.dev.WritePages(writeOps[c.Kind], c.Plane, lpns, pages, issue)
 	case KindRead:
 		if c.ToHost {
 			r.Data, r.HostDone, r.Err = s.dev.ReadToHost(c.LPN, issue)

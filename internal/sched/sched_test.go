@@ -10,6 +10,7 @@ import (
 
 	"parabit/internal/ftl"
 	"parabit/internal/latch"
+	"parabit/internal/persist"
 	"parabit/internal/sim"
 	"parabit/internal/ssd"
 )
@@ -42,7 +43,7 @@ func TestSequentialMatchesBareDevice(t *testing.T) {
 	}
 	m, n := pageOf(bare, 3), pageOf(bare, 5)
 
-	wantDone, err := bare.WriteOperandPair(0, 1, m, n, 0)
+	wantDone, err := bare.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{m, n}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

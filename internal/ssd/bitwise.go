@@ -60,41 +60,6 @@ func slotOp(op latch.Op, first flash.PageKind) latch.Op {
 	return op
 }
 
-// reallocate implements the Operands ReAllocation module (§4.3.2): read
-// both operands into the controller buffer (descrambling as needed) and
-// program them, unscrambled, into the LSB and MSB pages of one fresh
-// wordline. Returns the wordline, the data, and the completion time.
-func (d *Device) reallocate(lpnM, lpnN uint64, at sim.Time) (flash.WordlineAddr, []byte, []byte, sim.Time, error) {
-	dataM, doneM, err := d.readOperand(lpnM, at)
-	if err != nil {
-		return flash.WordlineAddr{}, nil, nil, 0, err
-	}
-	dataN, doneN, err := d.readOperand(lpnN, at)
-	if err != nil {
-		return flash.WordlineAddr{}, nil, nil, 0, err
-	}
-	ready := sim.Max(doneM, doneN)
-	newM, err := d.allocInternal()
-	if err != nil {
-		return flash.WordlineAddr{}, nil, nil, 0, err
-	}
-	newN, err := d.allocInternal()
-	if err != nil {
-		return flash.WordlineAddr{}, nil, nil, 0, err
-	}
-	wl, done, err := d.ftl.WritePairedRelocation(newM, newN, dataM, dataN, ready)
-	if err != nil {
-		return flash.WordlineAddr{}, nil, nil, 0, err
-	}
-	d.plain[newM] = true
-	d.plain[newN] = true
-	d.stats.Reallocations++
-	d.stats.ReallocPages += 2
-	d.tele.cRealloc.Add(1)
-	d.tele.cReallocPg.Add(2)
-	return wl, dataM, dataN, done, nil
-}
-
 // Bitwise executes one two-operand operation under the given scheme. The
 // first operand plays the paper's M (LSB or MSB depending on layout), the
 // second N. The result stays in the controller buffer.
@@ -177,26 +142,24 @@ func (d *Device) senseCoLocated(op latch.Op, a, b flash.PageAddr, at sim.Time) (
 	return BitwiseResult{Data: res.Data, Done: res.Ready}, nil
 }
 
-// senseAfterRealloc reallocates then senses.
+// senseAfterRealloc implements the Operands ReAllocation module
+// (§4.3.2): read both operands into the controller buffer (descrambling
+// as needed), program them unscrambled into the LSB and MSB pages of one
+// fresh wordline, and sense it.
 func (d *Device) senseAfterRealloc(op latch.Op, lpnM, lpnN uint64, at sim.Time) (BitwiseResult, error) {
-	wl, _, _, done, err := d.reallocate(lpnM, lpnN, at)
+	dataM, doneM, err := d.readOperand(lpnM, at)
 	if err != nil {
 		return BitwiseResult{}, err
 	}
-	res, err := d.array.BitwiseSense(op, wl, done)
-	if err != nil {
-		return BitwiseResult{}, err
-	}
-	d.stats.BitwiseOps++
-	d.noteOp(op, SchemeReAlloc, at, res.Ready)
-	return BitwiseResult{Data: res.Data, Done: res.Ready}, nil
+	return d.senseAfterReallocBuffered(op, dataM, doneM, int64(lpnN), nil, 0, at)
 }
 
-// senseAfterReallocBuffered is the chained-step variant: the first
-// operand's data already sits in the controller buffer (a previous step's
-// result), so reallocation reads only the flash-resident second operand
-// (or nothing, when that too is buffered) before the paired program and
-// sense. readLPN < 0 means bufN supplies the second operand.
+// senseAfterReallocBuffered is senseAfterRealloc with the first operand's
+// data already in the controller buffer (read by the caller, or a
+// previous chained step's result), so reallocation reads only the
+// flash-resident second operand (or nothing, when that too is buffered)
+// before the paired program and sense. readLPN < 0 means bufN supplies
+// the second operand.
 func (d *Device) senseAfterReallocBuffered(op latch.Op, bufM []byte, readyM sim.Time,
 	readLPN int64, bufN []byte, readyN sim.Time, at sim.Time) (BitwiseResult, error) {
 	dataN, ready := bufN, sim.Max(readyM, readyN)
@@ -217,7 +180,8 @@ func (d *Device) senseAfterReallocBuffered(op latch.Op, bufM []byte, readyM sim.
 	if err != nil {
 		return BitwiseResult{}, err
 	}
-	wl, done, err := d.ftl.WritePairedRelocation(newM, newN, bufM, dataN, ready)
+	done, err := d.ftl.Place(ftl.Layout{Shape: ftl.Shared, Extra: true},
+		[]uint64{newM, newN}, [][]byte{bufM, dataN}, ready)
 	if err != nil {
 		return BitwiseResult{}, err
 	}
@@ -227,7 +191,8 @@ func (d *Device) senseAfterReallocBuffered(op latch.Op, bufM []byte, readyM sim.
 	d.stats.ReallocPages += 2
 	d.tele.cRealloc.Add(1)
 	d.tele.cReallocPg.Add(2)
-	res, err := d.array.BitwiseSense(op, wl, done)
+	wl, _ := d.ftl.Lookup(newM)
+	res, err := d.array.BitwiseSense(op, wl.WordlineAddr, done)
 	if err != nil {
 		return BitwiseResult{}, err
 	}
@@ -244,7 +209,7 @@ func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error)
 	if err != nil {
 		return 0, 0, err
 	}
-	done, err := d.ftl.WriteRelocation(lpn, data, at)
+	done, err := d.ftl.Place(ftl.Layout{Extra: true}, []uint64{lpn}, [][]byte{data}, at)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -257,19 +222,19 @@ func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error)
 // segmentation, multi-image encryption).
 //
 //   - SchemePreAlloc assumes consecutive operand pairs are co-located
-//     (the layout WriteOperandPair produces): pairs sense directly and in
+//     (the persist.OpWritePair layout): pairs sense directly and in
 //     parallel, then pair results combine with serialized reallocation
 //     steps — the paper's "ParaBit" execution, which halves reallocations
 //     versus ReAlloc.
 //   - SchemeReAlloc reallocates at every step.
 //   - SchemeLocFree senses without reallocating. When all operands are
-//     aligned LSB pages on one plane (the WriteOperandLSBGroup layout),
+//     aligned LSB pages on one plane (the persist.OpWriteLSBGroup layout),
 //     the whole reduction is a single chained operation per §4.2: AND/OR
 //     accumulate in the latches at one extra sense per operand, the XOR
 //     family pays a buffer round-trip per step. Misaligned operands fall
 //     back to pairwise execution with plane-aligned result parking.
 //   - SchemeFlashCosmos collapses each block-colocated operand group (the
-//     WriteOperandMWSGroup layout) into one multi-wordline sense per
+//     persist.OpWriteMWSGroup layout) into one multi-wordline sense per
 //     sense-margin-sized chunk; same-plane chunk results chain through
 //     the latches, cross-plane partials combine with buffered
 //     reallocation steps, strays and the XOR family fall back to the
@@ -368,7 +333,8 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			_, done, err := d.ftl.WriteLSBOnPlane(r.plane, lpn, acc.Data, sim.Max(acc.Done, at), false)
+			park := ftl.Layout{Shape: ftl.LSBOnly, Fixed: true, Plane: d.cfg.Geometry.PlaneIndex(r.plane), Extra: true}
+			done, err := d.ftl.Place(park, []uint64{lpn}, [][]byte{acc.Data}, sim.Max(acc.Done, at))
 			if err != nil {
 				return BitwiseResult{}, err
 			}

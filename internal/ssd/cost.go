@@ -143,7 +143,7 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 			return p
 		}
 		// One multi-wordline sense per MaxMWSOperands-sized chunk. The
-		// group lays out in one block (WriteOperandMWSGroup), so chunk
+		// group lays out in one block (persist.OpWriteMWSGroup), so chunk
 		// results chain through the plane's latches: the senses serialize
 		// on the plane's sense unit but no program separates them. A lone
 		// leftover operand has no sense of its own: it folds in one extra

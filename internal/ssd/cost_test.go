@@ -7,6 +7,7 @@ import (
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
 	"parabit/internal/latch"
+	"parabit/internal/persist"
 	"parabit/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func TestAnalyticMatchesFunctionalPreAllocPair(t *testing.T) {
 	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
 		cfg := narrowConfig(1)
 		d := MustNew(cfg)
-		if _, err := d.WriteOperandPair(0, 1, randPage(d, 1), randPage(d, 2), 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{randPage(d, 1), randPage(d, 2)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		d.ResetTiming()
@@ -90,7 +91,7 @@ func TestAnalyticMatchesFunctionalPreAllocChain(t *testing.T) {
 		lpns := make([]uint64, k)
 		for i := 0; i < k; i += 2 {
 			lpns[i], lpns[i+1] = uint64(i), uint64(i+1)
-			if _, err := d.WriteOperandPair(lpns[i], lpns[i+1], randPage(d, int64(i)), randPage(d, int64(i+1)), 0); err != nil {
+			if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{lpns[i], lpns[i+1]}, [][]byte{randPage(d, int64(i)), randPage(d, int64(i+1))}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,7 +159,7 @@ func TestAnalyticMatchesFunctionalFlashCosmos(t *testing.T) {
 			lpns[i] = uint64(i)
 			data[i] = randPage(d, int64(i))
 		}
-		if _, err := d.WriteOperandMWSGroup(lpns, data, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWriteMWSGroup, 0, lpns, data, 0); err != nil {
 			t.Fatal(err)
 		}
 		d.ResetTiming()

@@ -145,33 +145,12 @@ func (d *Device) allocInternal() (uint64, error) {
 // ReclaimInternal trims stale internal pages. Reallocated operand
 // pages become garbage as soon as their operation completes; experiments
 // running many operations call this between phases. On a persistent
-// device the trim is journaled (self-contained: intent plus commit with
-// no payload) so replay reproduces the allocator state; if power is
-// already gone the trim is skipped — a dead device mutates nothing.
+// device the trim is journaled so replay reproduces the allocator state.
+// Errors are swallowed: if power is already gone the trim is skipped (a
+// dead device mutates nothing), and a failed compaction is not the
+// trim's problem — death is observed by whatever runs next.
 func (d *Device) ReclaimInternal() {
-	if d.store == nil {
-		d.reclaimInternalCore()
-		return
-	}
-	seq, err := d.store.AppendIntent(persist.Record{Op: persist.OpReclaimInternal})
-	if err != nil {
-		return
-	}
-	d.reclaimInternalCore()
-	if err := d.store.AppendCommit(seq); err != nil {
-		return
-	}
-	// Compaction errors are not the trim's problem; death is observed by
-	// whatever runs next.
-	_ = d.maybeSnapshot()
-}
-
-func (d *Device) reclaimInternalCore() {
-	for lpn := d.nextInternal + 1; lpn < uint64(d.ftl.LogicalPages()); lpn++ {
-		d.ftl.Trim(lpn)
-		delete(d.plain, lpn)
-	}
-	d.nextInternal = uint64(d.ftl.LogicalPages()) - 1
+	_, _ = d.journaled(persist.Record{Op: persist.OpReclaimInternal}, 0)
 }
 
 func (d *Device) checkUserLPN(lpn uint64) error {
@@ -182,185 +161,49 @@ func (d *Device) checkUserLPN(lpn uint64) error {
 	return nil
 }
 
-// Write stores host data at a logical page, scrambling it if the device
-// is configured to (normal data path). The journal records the
-// pre-scramble bytes; replay re-derives the keystream from the LPN.
-func (d *Device) Write(lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWrite, 0, []uint64{lpn}, [][]byte{data},
-		func() (sim.Time, error) { return d.writeCore(lpn, data, at) })
+// writeOps maps each journaled write op to the FTL layout its pages take
+// and whether they are scrambled: only the normal host data path is;
+// operand pages never are (§4.3.2).
+var writeOps = [...]struct {
+	layout    ftl.Layout
+	scrambled bool
+}{
+	persist.OpWrite:         {scrambled: true},
+	persist.OpWriteOperand:  {},
+	persist.OpWritePair:     {layout: ftl.Layout{Shape: ftl.Shared}},
+	persist.OpWriteLSBPair:  {layout: ftl.Layout{Shape: ftl.LSBOnly}},
+	persist.OpWriteLSBGroup: {layout: ftl.Layout{Shape: ftl.LSBOnly}},
+	persist.OpWriteMWSGroup: {layout: ftl.Layout{Shape: ftl.LSBOnly, OneBlock: true}},
+	persist.OpWriteOnPlane:  {layout: ftl.Layout{Shape: ftl.LSBOnly, Fixed: true}},
+	persist.OpWriteTriple:   {layout: ftl.Layout{Shape: ftl.Shared}},
 }
 
-func (d *Device) writeCore(lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	if err := d.checkUserLPN(lpn); err != nil {
-		return 0, err
+// WritePages stores pages at lpns in the layout op names (see writeOps)
+// and journals the write on a persistent device. lpns must have the
+// length op takes (persist.Record.ShapeOK). plane is the linear plane
+// index, modulo the plane count, that OpWriteOnPlane pins its page to;
+// other ops ignore it. Scrambled ops whiten each page with its LPN's
+// keystream; the journal records the pre-scramble bytes and replay
+// re-derives the keystream.
+func (d *Device) WritePages(op persist.Op, plane int, lpns []uint64, pages [][]byte, at sim.Time) (sim.Time, error) {
+	rec := persist.Record{Op: op, LPNs: lpns, Pages: pages}
+	if op == persist.OpWriteOnPlane {
+		rec.Plane = int64(plane)
 	}
-	buf := append([]byte(nil), data...)
-	if d.cfg.Scramble {
-		scrambleKeystream(lpn, buf)
-		delete(d.plain, lpn)
-	} else {
-		d.plain[lpn] = true
-	}
-	return d.ftl.Write(lpn, buf, at)
+	return d.journaled(rec, at)
 }
 
 // WriteOperand stores a bitwise operand page: never scrambled (§4.3.2),
 // normal striped placement.
 func (d *Device) WriteOperand(lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteOperand, 0, []uint64{lpn}, [][]byte{data},
-		func() (sim.Time, error) { return d.writeOperandCore(lpn, data, at) })
-}
-
-func (d *Device) writeOperandCore(lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	if err := d.checkUserLPN(lpn); err != nil {
-		return 0, err
-	}
-	d.plain[lpn] = true
-	return d.ftl.Write(lpn, data, at)
-}
-
-// WriteOperandPair stores two operand pages co-located in one wordline
-// (LSB page first operand, MSB page second), the pre-allocation layout
-// basic ParaBit computes on. Unscrambled.
-func (d *Device) WriteOperandPair(lpnL, lpnM uint64, dataL, dataM []byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWritePair, 0, []uint64{lpnL, lpnM}, [][]byte{dataL, dataM},
-		func() (sim.Time, error) { return d.writeOperandPairCore(lpnL, lpnM, dataL, dataM, at) })
-}
-
-func (d *Device) writeOperandPairCore(lpnL, lpnM uint64, dataL, dataM []byte, at sim.Time) (sim.Time, error) {
-	if err := d.checkUserLPN(lpnL); err != nil {
-		return 0, err
-	}
-	if err := d.checkUserLPN(lpnM); err != nil {
-		return 0, err
-	}
-	_, done, err := d.ftl.WritePaired(lpnL, lpnM, dataL, dataM, at)
-	if err != nil {
-		return 0, err
-	}
-	d.plain[lpnL] = true
-	d.plain[lpnM] = true
-	return done, nil
-}
-
-// WriteOperandLSBAligned stores two operand pages in LSB pages of aligned
-// wordlines on one plane — the location-free layout (§5.5). Unscrambled.
-func (d *Device) WriteOperandLSBAligned(lpnM, lpnN uint64, dataM, dataN []byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteLSBPair, 0, []uint64{lpnM, lpnN}, [][]byte{dataM, dataN},
-		func() (sim.Time, error) { return d.writeOperandLSBAlignedCore(lpnM, lpnN, dataM, dataN, at) })
-}
-
-func (d *Device) writeOperandLSBAlignedCore(lpnM, lpnN uint64, dataM, dataN []byte, at sim.Time) (sim.Time, error) {
-	if err := d.checkUserLPN(lpnM); err != nil {
-		return 0, err
-	}
-	if err := d.checkUserLPN(lpnN); err != nil {
-		return 0, err
-	}
-	_, _, done, err := d.ftl.WriteLSBPair(lpnM, lpnN, dataM, dataN, at)
-	if err != nil {
-		return 0, err
-	}
-	d.plain[lpnM] = true
-	d.plain[lpnN] = true
-	return done, nil
+	return d.WritePages(persist.OpWriteOperand, 0, []uint64{lpn}, [][]byte{data}, at)
 }
 
 // WriteOperandLSBGroup stores k operand pages in LSB pages of a single
 // plane, the layout a chained location-free reduction consumes in one
 // operation. Unscrambled.
 func (d *Device) WriteOperandLSBGroup(lpns []uint64, data [][]byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteLSBGroup, 0, lpns, data,
-		func() (sim.Time, error) { return d.writeOperandLSBGroupCore(lpns, data, at) })
-}
-
-func (d *Device) writeOperandLSBGroupCore(lpns []uint64, data [][]byte, at sim.Time) (sim.Time, error) {
-	for _, lpn := range lpns {
-		if err := d.checkUserLPN(lpn); err != nil {
-			return 0, err
-		}
-	}
-	_, done, err := d.ftl.WriteLSBGroup(lpns, data, at)
-	if err != nil {
-		return 0, err
-	}
-	for _, lpn := range lpns {
-		d.plain[lpn] = true
-	}
-	return done, nil
-}
-
-// WriteOperandMWSGroup stores k operand pages in LSB pages of a single
-// block, ESP-programmed — the Flash-Cosmos layout whose AND/OR reduction
-// is one multi-wordline sense. Unscrambled. The group must fit one block
-// (k <= WordlinesPerBlock; the per-sense cap latch.MaxMWSOperands is the
-// executor's concern, which chunks larger groups).
-func (d *Device) WriteOperandMWSGroup(lpns []uint64, data [][]byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteMWSGroup, 0, lpns, data,
-		func() (sim.Time, error) { return d.writeOperandMWSGroupCore(lpns, data, at) })
-}
-
-func (d *Device) writeOperandMWSGroupCore(lpns []uint64, data [][]byte, at sim.Time) (sim.Time, error) {
-	for _, lpn := range lpns {
-		if err := d.checkUserLPN(lpn); err != nil {
-			return 0, err
-		}
-	}
-	_, done, err := d.ftl.WriteMWSGroup(lpns, data, at)
-	if err != nil {
-		return 0, err
-	}
-	for _, lpn := range lpns {
-		d.plain[lpn] = true
-	}
-	return done, nil
-}
-
-// WriteOperandOnPlane stores an operand page in an LSB slot of the plane
-// with the given linear index (modulo the plane count). Column-oriented
-// clients use it to keep the i'th page of every column on one plane, so
-// cross-column reductions run location-free.
-func (d *Device) WriteOperandOnPlane(planeIdx int, lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteOnPlane, int64(planeIdx), []uint64{lpn}, [][]byte{data},
-		func() (sim.Time, error) { return d.writeOperandOnPlaneCore(planeIdx, lpn, data, at) })
-}
-
-func (d *Device) writeOperandOnPlaneCore(planeIdx int, lpn uint64, data []byte, at sim.Time) (sim.Time, error) {
-	if err := d.checkUserLPN(lpn); err != nil {
-		return 0, err
-	}
-	geo := d.cfg.Geometry
-	plane := geo.PlaneAt(((planeIdx % geo.Planes()) + geo.Planes()) % geo.Planes())
-	_, done, err := d.ftl.WriteLSBOnPlane(plane, lpn, data, at, true)
-	if err != nil {
-		return 0, err
-	}
-	d.plain[lpn] = true
-	return done, nil
-}
-
-// WriteOperandTriple stores three operand pages co-located in one TLC
-// wordline (LSB, CSB, TOP) — the §4.4.1 layout whose three-operand
-// operations are a single short sense. Unscrambled. TLC devices only.
-func (d *Device) WriteOperandTriple(lpns [3]uint64, data [3][]byte, at sim.Time) (sim.Time, error) {
-	return d.journaled(persist.OpWriteTriple, 0, lpns[:], data[:],
-		func() (sim.Time, error) { return d.writeOperandTripleCore(lpns, data, at) })
-}
-
-func (d *Device) writeOperandTripleCore(lpns [3]uint64, data [3][]byte, at sim.Time) (sim.Time, error) {
-	for _, lpn := range lpns {
-		if err := d.checkUserLPN(lpn); err != nil {
-			return 0, err
-		}
-	}
-	_, done, err := d.ftl.WriteTriple(lpns, data, at)
-	if err != nil {
-		return 0, err
-	}
-	for _, lpn := range lpns {
-		d.plain[lpn] = true
-	}
-	return done, nil
+	return d.WritePages(persist.OpWriteLSBGroup, 0, lpns, data, at)
 }
 
 // BitwiseTriple executes a three-operand operation over a co-located TLC

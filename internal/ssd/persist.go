@@ -153,22 +153,22 @@ func (d *Device) SetFaultInjector(fi flash.FaultInjector) {
 	}
 }
 
-// journaled runs one host write under the write-ahead protocol: intent
-// append, execution, commit append, then (maybe) a compaction snapshot.
-// The operation is acknowledged — journaled returns nil — only after
-// the commit record is durable, which is exactly the set of operations
+// journaled runs one journal record under the write-ahead protocol:
+// intent append, execution through applyRecord — the same path replay
+// takes — commit append, then (maybe) a compaction snapshot. The
+// operation is acknowledged — journaled returns nil — only after the
+// commit record is durable, which is exactly the set of operations
 // mount-time replay reapplies. A power cut during the compaction
 // snapshot does not fail the (already durable) write.
-func (d *Device) journaled(op persist.Op, plane int64, lpns []uint64, pages [][]byte,
-	fn func() (sim.Time, error)) (sim.Time, error) {
+func (d *Device) journaled(rec persist.Record, at sim.Time) (sim.Time, error) {
 	if d.store == nil {
-		return fn()
+		return d.applyRecord(rec, at)
 	}
-	seq, err := d.store.AppendIntent(persist.Record{Op: op, Plane: plane, LPNs: lpns, Pages: pages})
+	seq, err := d.store.AppendIntent(rec)
 	if err != nil {
 		return 0, err
 	}
-	done, err := fn()
+	done, err := d.applyRecord(rec, at)
 	if err != nil {
 		return 0, err
 	}
@@ -194,36 +194,56 @@ func (d *Device) maybeSnapshot() error {
 	return nil
 }
 
-// applyRecord re-executes one committed journal record during replay.
-// Record shapes were validated at decode time; everything deeper (LPN
-// ranges, page sizes, geometry fits) re-runs the same checks the
-// original execution passed, so any failure here means the journal does
-// not describe this device.
+// applyRecord executes one journal record: a live write or reclaim, or
+// a committed record during replay. Record shapes are checked here (and
+// at decode time for replay); everything deeper (LPN ranges, page sizes,
+// geometry fits) re-runs the checks the original execution passed, so a
+// replay failure means the journal does not describe this device. Pages
+// are marked plain or scrambled only once their write succeeded.
 func (d *Device) applyRecord(rec persist.Record, at sim.Time) (sim.Time, error) {
-	switch rec.Op {
-	case persist.OpWrite:
-		return d.writeCore(rec.LPNs[0], rec.Pages[0], at)
-	case persist.OpWriteOperand:
-		return d.writeOperandCore(rec.LPNs[0], rec.Pages[0], at)
-	case persist.OpWritePair:
-		return d.writeOperandPairCore(rec.LPNs[0], rec.LPNs[1], rec.Pages[0], rec.Pages[1], at)
-	case persist.OpWriteLSBPair:
-		return d.writeOperandLSBAlignedCore(rec.LPNs[0], rec.LPNs[1], rec.Pages[0], rec.Pages[1], at)
-	case persist.OpWriteLSBGroup:
-		return d.writeOperandLSBGroupCore(rec.LPNs, rec.Pages, at)
-	case persist.OpWriteMWSGroup:
-		return d.writeOperandMWSGroupCore(rec.LPNs, rec.Pages, at)
-	case persist.OpWriteOnPlane:
-		return d.writeOperandOnPlaneCore(int(rec.Plane), rec.LPNs[0], rec.Pages[0], at)
-	case persist.OpWriteTriple:
-		return d.writeOperandTripleCore(
-			[3]uint64{rec.LPNs[0], rec.LPNs[1], rec.LPNs[2]},
-			[3][]byte{rec.Pages[0], rec.Pages[1], rec.Pages[2]}, at)
-	case persist.OpReclaimInternal:
-		d.reclaimInternalCore()
+	if !rec.ShapeOK() {
+		return 0, fmt.Errorf("ssd: malformed %s write: %d lpns / %d pages", rec.Op, len(rec.LPNs), len(rec.Pages))
+	}
+	if rec.Op == persist.OpReclaimInternal {
+		for lpn := d.nextInternal + 1; lpn < uint64(d.ftl.LogicalPages()); lpn++ {
+			d.ftl.Trim(lpn)
+			delete(d.plain, lpn)
+		}
+		d.nextInternal = uint64(d.ftl.LogicalPages()) - 1
 		return at, nil
 	}
-	return 0, fmt.Errorf("ssd: unknown journal op %d", rec.Op)
+	w := writeOps[rec.Op]
+	for _, lpn := range rec.LPNs {
+		if err := d.checkUserLPN(lpn); err != nil {
+			return 0, err
+		}
+	}
+	scramble := w.scrambled && d.cfg.Scramble
+	pages := rec.Pages
+	if scramble {
+		pages = make([][]byte, len(rec.Pages))
+		for i, p := range rec.Pages {
+			pages[i] = append([]byte(nil), p...)
+			scrambleKeystream(rec.LPNs[i], pages[i])
+		}
+	}
+	l := w.layout
+	if l.Fixed {
+		n := int64(d.cfg.Geometry.Planes())
+		l.Plane = int((rec.Plane%n + n) % n)
+	}
+	done, err := d.ftl.Place(l, rec.LPNs, pages, at)
+	if err != nil {
+		return 0, err
+	}
+	for _, lpn := range rec.LPNs {
+		if scramble {
+			delete(d.plain, lpn)
+		} else {
+			d.plain[lpn] = true
+		}
+	}
+	return done, nil
 }
 
 // writeSnapshot serializes the complete device state: the configuration

@@ -28,7 +28,7 @@ func TestPersistRoundTrip(t *testing.T) {
 
 	written := map[uint64][]byte{}
 	host := randPage(d, 1)
-	if _, err := d.Write(0, host, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{0}, [][]byte{host}, 0); err != nil {
 		t.Fatal(err)
 	}
 	written[0] = host
@@ -38,7 +38,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	written[1] = op
 	a, b := randPage(d, 3), randPage(d, 4)
-	if _, err := d.WriteOperandPair(2, 3, a, b, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{2, 3}, [][]byte{a, b}, 0); err != nil {
 		t.Fatal(err)
 	}
 	written[2], written[3] = a, b
@@ -48,12 +48,12 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	written[4], written[5], written[6] = g0, g1, g2
 	m0, m1 := randPage(d, 8), randPage(d, 9)
-	if _, err := d.WriteOperandMWSGroup([]uint64{7, 8}, [][]byte{m0, m1}, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWriteMWSGroup, 0, []uint64{7, 8}, [][]byte{m0, m1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	written[7], written[8] = m0, m1
 	pl := randPage(d, 10)
-	if _, err := d.WriteOperandOnPlane(1, 9, pl, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{9}, [][]byte{pl}, 0); err != nil {
 		t.Fatal(err)
 	}
 	written[9] = pl
@@ -115,14 +115,14 @@ func TestPersistCrashReplaysJournal(t *testing.T) {
 	pages := map[uint64][]byte{}
 	for lpn := uint64(0); lpn < 6; lpn++ {
 		p := randPage(d, int64(lpn)+20)
-		if _, err := d.Write(lpn, p, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWrite, 0, []uint64{lpn}, [][]byte{p}, 0); err != nil {
 			t.Fatal(err)
 		}
 		pages[lpn] = p
 	}
 	// Overwrite one page so replay must preserve last-write-wins order.
 	over := randPage(d, 99)
-	if _, err := d.Write(2, over, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{2}, [][]byte{over}, 0); err != nil {
 		t.Fatal(err)
 	}
 	pages[2] = over
@@ -163,7 +163,7 @@ func TestPersistSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 19; i++ {
-		if _, err := d.Write(uint64(i%4), randPage(d, int64(i)), 0); err != nil {
+		if _, err := d.WritePages(persist.OpWrite, 0, []uint64{uint64(i % 4)}, [][]byte{randPage(d, int64(i))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestPersistSnapshotCompaction(t *testing.T) {
 		t.Fatalf("19 writes at SnapshotEvery=8 took %d snapshots, want >=2", st.Snapshots)
 	}
 	last := randPage(d, 77)
-	if _, err := d.Write(3, last, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{3}, [][]byte{last}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
@@ -205,7 +205,7 @@ func TestPersistTornJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := randPage(d, 5)
-	if _, err := d.Write(1, page, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{1}, [][]byte{page}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
@@ -244,7 +244,7 @@ func TestPersistOpenRejectsCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(0, randPage(d, 1), 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{0}, [][]byte{randPage(d, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -276,7 +276,7 @@ func TestPersistTLCTripleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0, p1, p2 := randPage(d, 1), randPage(d, 2), randPage(d, 3)
-	if _, err := d.WriteOperandTriple([3]uint64{0, 1, 2}, [3][]byte{p0, p1, p2}, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWriteTriple, 0, []uint64{0, 1, 2}, [][]byte{p0, p1, p2}, 0); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()

@@ -8,6 +8,7 @@ import (
 	"parabit/internal/faults"
 	"parabit/internal/flash"
 	"parabit/internal/latch"
+	"parabit/internal/persist"
 	"parabit/internal/plan"
 	"parabit/internal/sim"
 )
@@ -185,7 +186,7 @@ func fillPlaneForGC(t *testing.T, d *Device, planeIdx int, victimLPNs []uint64, 
 	write := func(lpn uint64, seed int64) {
 		t.Helper()
 		page := randPage(d, seed)
-		done, err := d.WriteOperandOnPlane(planeIdx, lpn, page, at)
+		done, err := d.WritePages(persist.OpWriteOnPlane, planeIdx, []uint64{lpn}, [][]byte{page}, at)
 		if err != nil {
 			t.Fatalf("fill write lpn %d: %v", lpn, err)
 		}
@@ -242,7 +243,7 @@ func TestQueryCacheInvalidatedByGC(t *testing.T) {
 	// One more write on the full plane opens a block and must collect —
 	// with the operands' block as victim, migrating them and erasing it.
 	page := randPage(d, 7777)
-	done, err := d.WriteOperandOnPlane(1, 90, page, at)
+	done, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{90}, [][]byte{page}, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestQueryCacheInvalidatedByProgramFaultRetirement(t *testing.T) {
 	content := map[uint64][]byte{}
 	for lpn := uint64(1); lpn <= 2; lpn++ {
 		content[lpn] = randPage(d, int64(20+lpn))
-		if _, err := d.WriteOperandOnPlane(0, lpn, content[lpn], 0); err != nil {
+		if _, err := d.WritePages(persist.OpWriteOnPlane, 0, []uint64{lpn}, [][]byte{content[lpn]}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +297,7 @@ func TestQueryCacheInvalidatedByProgramFaultRetirement(t *testing.T) {
 	}
 	d.Array().SetFaultInjector(eng)
 	page := randPage(d, 31)
-	done, err := d.WriteOperandOnPlane(0, 3, page, 0)
+	done, err := d.WritePages(persist.OpWriteOnPlane, 0, []uint64{3}, [][]byte{page}, 0)
 	if err != nil {
 		t.Fatalf("re-steered write failed: %v", err)
 	}
@@ -332,7 +333,7 @@ func TestReduceLocFreeGCMidReduce(t *testing.T) {
 	// Run 1 on plane 0.
 	for i, lpn := range []uint64{1, 2} {
 		page := randPage(d, int64(100+i))
-		if _, err := d.WriteOperandOnPlane(0, lpn, page, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWriteOnPlane, 0, []uint64{lpn}, [][]byte{page}, 0); err != nil {
 			t.Fatal(err)
 		}
 		content[lpn] = page
@@ -370,14 +371,14 @@ func TestReduceLocFreeRetirementMidReduce(t *testing.T) {
 	content := map[uint64][]byte{}
 	for i, lpn := range []uint64{1, 2} {
 		page := randPage(d, int64(200+i))
-		if _, err := d.WriteOperandOnPlane(0, lpn, page, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWriteOnPlane, 0, []uint64{lpn}, [][]byte{page}, 0); err != nil {
 			t.Fatal(err)
 		}
 		content[lpn] = page
 	}
 	for i, lpn := range []uint64{10, 11} {
 		page := randPage(d, int64(300+i))
-		if _, err := d.WriteOperandOnPlane(1, lpn, page, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{lpn}, [][]byte{page}, 0); err != nil {
 			t.Fatal(err)
 		}
 		content[lpn] = page

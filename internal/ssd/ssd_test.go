@@ -10,6 +10,7 @@ import (
 	"parabit/internal/bitvec"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
+	"parabit/internal/persist"
 	"parabit/internal/sim"
 )
 
@@ -57,7 +58,7 @@ func golden(op latch.Op, m, n []byte) []byte {
 func TestWriteReadScrambled(t *testing.T) {
 	d := newDevice(t)
 	data := randPage(d, 1)
-	if _, err := d.Write(3, data, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{3}, [][]byte{data}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Controller-level read returns descrambled data.
@@ -92,7 +93,7 @@ func TestOperandWritesAreUnscrambled(t *testing.T) {
 func TestBitwisePreAllocAllOps(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 3), randPage(d, 4)
-	if _, err := d.WriteOperandPair(0, 1, m, n, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{m, n}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range latch.Ops {
@@ -118,7 +119,7 @@ func TestBitwiseFirstOperandInMSB(t *testing.T) {
 		d := newDevice(t)
 		m, n := randPage(d, 21), randPage(d, 22)
 		// N goes to the LSB page, M to the MSB page of the same wordline.
-		if _, err := d.WriteOperandPair(1, 0, n, m, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{1, 0}, [][]byte{n, m}, 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, op := range latch.Ops {
@@ -139,7 +140,7 @@ func TestBitwiseFirstOperandInMSB(t *testing.T) {
 func TestBitwisePreAllocTiming(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 5), randPage(d, 6)
-	d.WriteOperandPair(0, 1, m, n, 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{m, n}, 0)
 	d.ResetTiming()
 	r, err := d.Bitwise(latch.OpXor, 0, 1, SchemePreAlloc, 0)
 	if err != nil {
@@ -160,10 +161,10 @@ func TestBitwiseReAllocAllOps(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 7), randPage(d, 8)
 	// Operands written independently (not co-located), scrambled even.
-	if _, err := d.Write(0, m, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{0}, [][]byte{m}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(1, n, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{1}, [][]byte{n}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range latch.Ops {
@@ -206,7 +207,7 @@ func TestBitwiseReAllocTiming(t *testing.T) {
 func TestBitwiseLocFree(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 11), randPage(d, 12)
-	if _, err := d.WriteOperandLSBAligned(0, 1, m, n, 0); err != nil {
+	if _, err := d.WriteOperandLSBGroup([]uint64{0, 1}, [][]byte{m, n}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range latch.BinaryOps {
@@ -229,7 +230,7 @@ func TestBitwiseLocFree(t *testing.T) {
 func TestLocFreeTiming(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 13), randPage(d, 14)
-	d.WriteOperandLSBAligned(0, 1, m, n, 0)
+	d.WriteOperandLSBGroup([]uint64{0, 1}, [][]byte{m, n}, 0)
 	d.ResetTiming()
 	r, _ := d.Bitwise(latch.OpAnd, 0, 1, SchemeLocFree, 0)
 	if r.Done != sim.Time(50*sim.Microsecond) {
@@ -286,18 +287,18 @@ func TestReduceCorrectAllSchemes(t *testing.T) {
 		switch scheme {
 		case SchemePreAlloc:
 			for i := 0; i+1 < k; i += 2 {
-				if _, err := d.WriteOperandPair(lpns[i], lpns[i+1], operands[i], operands[i+1], 0); err != nil {
+				if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{lpns[i], lpns[i+1]}, [][]byte{operands[i], operands[i+1]}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case SchemeLocFree:
 			for i := 0; i+1 < k; i += 2 {
-				if _, err := d.WriteOperandLSBAligned(lpns[i], lpns[i+1], operands[i], operands[i+1], 0); err != nil {
+				if _, err := d.WriteOperandLSBGroup([]uint64{lpns[i], lpns[i+1]}, [][]byte{operands[i], operands[i+1]}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case SchemeFlashCosmos:
-			if _, err := d.WriteOperandMWSGroup(lpns, operands, 0); err != nil {
+			if _, err := d.WritePages(persist.OpWriteMWSGroup, 0, lpns, operands, 0); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -341,11 +342,11 @@ func TestReduceSchemeCostOrdering(t *testing.T) {
 		switch scheme {
 		case SchemePreAlloc:
 			for i := 0; i+1 < k; i += 2 {
-				d.WriteOperandPair(lpns[i], lpns[i+1], pages[i], pages[i+1], 0)
+				d.WritePages(persist.OpWritePair, 0, []uint64{lpns[i], lpns[i+1]}, [][]byte{pages[i], pages[i+1]}, 0)
 			}
 		case SchemeLocFree:
 			for i := 0; i+1 < k; i += 2 {
-				d.WriteOperandLSBAligned(lpns[i], lpns[i+1], pages[i], pages[i+1], 0)
+				d.WriteOperandLSBGroup([]uint64{lpns[i], lpns[i+1]}, [][]byte{pages[i], pages[i+1]}, 0)
 			}
 		default:
 			for i := range lpns {
@@ -399,8 +400,8 @@ func TestExecuteFormula(t *testing.T) {
 	for i := range pages {
 		pages[i] = randPage(d, int64(300+i))
 	}
-	d.WriteOperandPair(0, 1, pages[0], pages[1], 0)
-	d.WriteOperandPair(2, 3, pages[2], pages[3], 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{pages[0], pages[1]}, 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{2, 3}, [][]byte{pages[2], pages[3]}, 0)
 	f := nvme.Formula{
 		Terms: []nvme.Term{
 			{M: nvme.Operand{LBA: 0, Length: d.PageSize()}, N: nvme.Operand{LBA: 1, Length: d.PageSize()}, Op: latch.OpAnd},
@@ -431,8 +432,8 @@ func TestExecuteFormulaMultiPage(t *testing.T) {
 	ps := d.PageSize()
 	m0, m1 := randPage(d, 400), randPage(d, 401)
 	n0, n1 := randPage(d, 402), randPage(d, 403)
-	d.WriteOperandPair(10, 12, m0, n0, 0)
-	d.WriteOperandPair(11, 13, m1, n1, 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{10, 12}, [][]byte{m0, n0}, 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{11, 13}, [][]byte{m1, n1}, 0)
 	f := nvme.Formula{Terms: []nvme.Term{{
 		M:  nvme.Operand{LBA: 10, Length: 2 * ps},
 		N:  nvme.Operand{LBA: 12, Length: 2 * ps},
@@ -454,7 +455,7 @@ func TestExecuteFormulaMultiPage(t *testing.T) {
 func TestShipToHost(t *testing.T) {
 	d := newDevice(t)
 	m, n := randPage(d, 20), randPage(d, 21)
-	d.WriteOperandPair(0, 1, m, n, 0)
+	d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{m, n}, 0)
 	r, _ := d.Bitwise(latch.OpAnd, 0, 1, SchemePreAlloc, 0)
 	d.ShipToHost(&r)
 	if r.HostDone <= r.Done {
@@ -486,7 +487,7 @@ func TestInternalPoolReclaim(t *testing.T) {
 func TestUserCannotTouchInternalRange(t *testing.T) {
 	d := newDevice(t)
 	data := randPage(d, 24)
-	if _, err := d.Write(d.UserPages(), data, 0); err == nil {
+	if _, err := d.WritePages(persist.OpWrite, 0, []uint64{d.UserPages()}, [][]byte{data}, 0); err == nil {
 		t.Fatal("write into controller-reserved range accepted")
 	}
 }
@@ -541,7 +542,7 @@ func TestParallelWaveAcrossPlanes(t *testing.T) {
 	lpn := uint64(0)
 	for i := 0; i < numPairs; i++ {
 		m, n := randPage(d, int64(i*2)), randPage(d, int64(i*2+1))
-		if _, err := d.WriteOperandPair(lpn, lpn+1, m, n, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{lpn, lpn + 1}, [][]byte{m, n}, 0); err != nil {
 			t.Fatal(err)
 		}
 		lpn += 2
@@ -575,7 +576,7 @@ func TestLocFreeBothOrientations(t *testing.T) {
 	// (first pair) and an LSB page (later pair) co-resident on one plane in
 	// different wordlines.
 	firstL, firstM := randPage(d, 41), randPage(d, 42)
-	if _, err := d.WriteOperandPair(0, 1, firstL, firstM, 0); err != nil {
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{firstL, firstM}, 0); err != nil {
 		t.Fatal(err)
 	}
 	msbAddr, _ := d.FTL().Lookup(1)
@@ -585,7 +586,7 @@ func TestLocFreeBothOrientations(t *testing.T) {
 	for i := 1; i <= d.cfg.Geometry.Planes(); i++ {
 		l, m := randPage(d, int64(100+2*i)), randPage(d, int64(101+2*i))
 		lpnL, lpnM := uint64(2*i), uint64(2*i+1)
-		if _, err := d.WriteOperandPair(lpnL, lpnM, l, m, 0); err != nil {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{lpnL, lpnM}, [][]byte{l, m}, 0); err != nil {
 			t.Fatal(err)
 		}
 		addr, _ := d.FTL().Lookup(lpnL)
