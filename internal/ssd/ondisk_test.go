@@ -1,0 +1,119 @@
+package ssd
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"parabit/internal/persist"
+)
+
+var updateOnDisk = flag.Bool("update-ondisk", false, "rewrite testdata/ondisk.golden from the current encoders")
+
+const onDiskGolden = "testdata/ondisk.golden"
+
+// onDiskOverwrites is how many single-page overwrites buildOnDisk pins to
+// plane 1 before its tail of one record per op. It is a multiple of the
+// default rotation length, so the tail lands in a fresh journal, and
+// large enough to fill the plane and run garbage collection.
+const onDiskOverwrites = 26 * persist.DefaultSnapshotEvery
+
+// buildOnDisk drives a TLC Small device (the Small geometry with three
+// pages per wordline, so the triple op can run) through a fixed
+// sequence under the default rotation length: onDiskOverwrites
+// overwrites of eight LPNs on one plane, which rotates the store many
+// times and forces GC, then one journaled record of every persist.Op,
+// ReclaimInternal included. It crashes the device so the last epoch's
+// snapshot and journal stay on disk as written.
+func buildOnDisk(t *testing.T, dir string) {
+	t.Helper()
+	d, err := Create(dir, SmallTLCConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := func(seed int64) []byte { return randPage(d, seed) }
+	for i := 0; i < onDiskOverwrites; i++ {
+		lpn := uint64(100 + i%8)
+		if _, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{lpn}, [][]byte{p(int64(1000 + i))}, 0); err != nil {
+			t.Fatalf("overwrite %d: %v", i, err)
+		}
+	}
+	if d.FTL().Stats().GCRuns == 0 {
+		t.Fatal("overwrites did not run GC; raise onDiskOverwrites")
+	}
+	tail := []struct {
+		op     persist.Op
+		plane  int
+		lpns   []uint64
+		nPages int
+	}{
+		{persist.OpWrite, 0, []uint64{0}, 1},
+		{persist.OpWriteOperand, 0, []uint64{1}, 1},
+		{persist.OpWritePair, 0, []uint64{2, 3}, 2},
+		{persist.OpWriteLSBPair, 0, []uint64{4, 5}, 2},
+		{persist.OpWriteLSBGroup, 0, []uint64{6, 7, 8}, 3},
+		{persist.OpWriteMWSGroup, 0, []uint64{9, 10}, 2},
+		{persist.OpWriteOnPlane, 3, []uint64{11}, 1},
+		{persist.OpWriteTriple, 0, []uint64{12, 13, 14}, 3},
+	}
+	seed := int64(1)
+	for _, w := range tail {
+		pages := make([][]byte, w.nPages)
+		for i := range pages {
+			pages[i] = p(seed)
+			seed++
+		}
+		if _, err := d.WritePages(w.op, w.plane, w.lpns, pages, 0); err != nil {
+			t.Fatalf("%s: %v", w.op, err)
+		}
+	}
+	d.ReclaimInternal()
+	d.Crash()
+}
+
+// renderOnDisk names the epoch CURRENT points at and the SHA-256 and
+// length of CURRENT, that epoch's snapshot file and its journal.
+func renderOnDisk(t *testing.T, dir string) string {
+	t.Helper()
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := strings.TrimSpace(string(cur))
+	var b strings.Builder
+	for _, name := range []string{"CURRENT", "snap-" + epoch + ".bin", "journal-" + epoch + ".log"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", name, len(raw), sha256.Sum256(raw))
+	}
+	return b.String()
+}
+
+// TestOnDiskBytesGolden pins the exact bytes the store writes: the
+// snapshot and journal of the last epoch of buildOnDisk must hash to
+// testdata/ondisk.golden. Any change to snapshot encoding, journal
+// framing or rotation points shows up here.
+// Regenerate with: go test ./internal/ssd -run TestOnDiskBytesGolden -update-ondisk
+func TestOnDiskBytesGolden(t *testing.T) {
+	dir := t.TempDir()
+	buildOnDisk(t, dir)
+	got := renderOnDisk(t, dir)
+	if *updateOnDisk {
+		if err := os.WriteFile(onDiskGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(onDiskGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("on-disk bytes drifted from %s:\n got\n%s\n want\n%s", onDiskGolden, got, want)
+	}
+}
