@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"parabit/internal/binio"
 	"parabit/internal/flash"
@@ -41,7 +41,7 @@ func (f *FTL) WriteState(w io.Writer) error {
 	for lpn := range f.l2p {
 		lpns = append(lpns, lpn)
 	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	slices.Sort(lpns)
 	b.U64(uint64(len(lpns)))
 	for _, lpn := range lpns {
 		b.U64(lpn)
@@ -52,7 +52,7 @@ func (f *FTL) WriteState(w io.Writer) error {
 	for lpn := range f.vers {
 		vlpns = append(vlpns, lpn)
 	}
-	sort.Slice(vlpns, func(i, j int) bool { return vlpns[i] < vlpns[j] })
+	slices.Sort(vlpns)
 	b.U64(uint64(len(vlpns)))
 	for _, lpn := range vlpns {
 		b.U64(lpn)

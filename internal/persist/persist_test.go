@@ -13,13 +13,17 @@ import (
 	"parabit/internal/telemetry"
 )
 
-// frames builds a raw journal from alternating intent/commit payloads.
-func frames(payloads ...[]byte) []byte {
-	var out []byte
-	for _, p := range payloads {
-		out = appendFrame(out, p)
-	}
-	return out
+// frames concatenates framed records into a raw journal.
+func frames(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
+
+func intentFrame(r Record) []byte { return appendIntent(nil, r) }
+
+func commitFrame(seq uint64) []byte { return appendCommit(nil, seq) }
+
+// rawFrame frames an arbitrary payload, for records the encoders never
+// produce.
+func rawFrame(payload []byte) []byte {
+	return sealFrame(append(make([]byte, frameHeader), payload...), 0)
 }
 
 func intentRec(seq uint64, lpn uint64, page []byte) Record {
@@ -30,11 +34,10 @@ func intentRec(seq uint64, lpn uint64, page []byte) Record {
 // back in order with the right commit status, and an uncommitted final
 // intent is reported but not committed.
 func TestScanJournalRoundTrip(t *testing.T) {
-	raw := frames(
-		encodeIntent(intentRec(1, 7, []byte("aaaa"))),
-		encodeCommit(1),
-		encodeIntent(intentRec(2, 9, []byte("bbbb"))),
-	)
+	// One buffer, appended to record by record, as the store frames them.
+	raw := appendIntent(nil, intentRec(1, 7, []byte("aaaa")))
+	raw = appendCommit(raw, 1)
+	raw = appendIntent(raw, intentRec(2, 9, []byte("bbbb")))
 	entries, used, err := ScanJournal(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +63,12 @@ func TestScanJournalRoundTrip(t *testing.T) {
 // checksum-failing final frame ends the scan without error, and the
 // offset reports exactly where the valid prefix ends.
 func TestScanJournalTornTail(t *testing.T) {
-	valid := frames(encodeIntent(intentRec(1, 3, []byte("page"))), encodeCommit(1))
+	valid := frames(intentFrame(intentRec(1, 3, []byte("page"))), commitFrame(1))
 	for name, tail := range map[string][]byte{
 		"truncated-header":  {0x01, 0x02},
 		"truncated-payload": append([]byte{0xff, 0x00, 0x00, 0x00}, 0, 0, 0, 0),
 		"bad-crc": func() []byte {
-			f := appendFrame(nil, encodeCommit(9))
+			f := commitFrame(9)
 			f[len(f)-1] ^= 0x40
 			return f
 		}(),
@@ -90,16 +93,16 @@ func TestScanJournalTornTail(t *testing.T) {
 // silently truncated.
 func TestScanJournalRejectsNonsense(t *testing.T) {
 	cases := map[string][]byte{
-		"commit-without-intent": frames(encodeCommit(5)),
+		"commit-without-intent": commitFrame(5),
 		"non-monotonic-seq": frames(
-			encodeIntent(intentRec(2, 1, []byte("x"))), encodeCommit(2),
-			encodeIntent(intentRec(2, 1, []byte("y"))),
+			intentFrame(intentRec(2, 1, []byte("x"))), commitFrame(2),
+			intentFrame(intentRec(2, 1, []byte("y"))),
 		),
-		"unknown-type": frames([]byte{0x7f, 0, 0}),
-		"bad-shape": frames(encodeIntent(Record{
+		"unknown-type": rawFrame([]byte{0x7f, 0, 0}),
+		"bad-shape": intentFrame(Record{
 			Op: OpWritePair, Seq: 1, LPNs: []uint64{1}, Pages: [][]byte{[]byte("z")},
-		})),
-		"trailing-bytes": frames(append(encodeCommit(1), 0xee)),
+		}),
+		"trailing-bytes": rawFrame(append(commitFrame(1)[frameHeader:], 0xee)),
 	}
 	for name, raw := range cases {
 		if _, _, err := ScanJournal(raw); !errors.Is(err, ErrCorrupt) {
@@ -437,5 +440,116 @@ func TestRecordShapes(t *testing.T) {
 	}
 	if len(rec.Entries()) != 0 {
 		t.Fatalf("clean close should compact to empty journal, got %d entries", len(rec.Entries()))
+	}
+}
+
+// TestAppendAllocFree pins the journal hot path: on a warm store, the
+// intent and commit of an 8-page group frame into the store's reused
+// buffer and allocate nothing.
+func TestAppendAllocFree(t *testing.T) {
+	s, err := Create(Config{Dir: t.TempDir()}, staticSnap([]byte("s")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{Op: OpWriteLSBGroup, LPNs: make([]uint64, 8), Pages: make([][]byte, 8)}
+	for i := range rec.Pages {
+		rec.LPNs[i] = uint64(i)
+		rec.Pages[i] = bytes.Repeat([]byte{byte(i)}, 256)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		seq, err := s.AppendIntent(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendCommit(seq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendIntent+AppendCommit of an 8-page group: %v allocs, want 0", allocs)
+	}
+	if err := s.Close(staticSnap([]byte("end"))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotFailureKeepsEpoch pins the buffered stream's error path: a
+// SnapshotWriter that fails after more than a buffer's worth of bytes
+// has reached the temp file surfaces its error and leaves no temp file,
+// and the store stays on its epoch, keeps appending and remounts. The
+// remounted store's buffer then streams a multi-buffer snapshot intact.
+func TestSnapshotFailureKeepsEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(Config{Dir: dir}, staticSnap([]byte("base")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne := func(s *Store, lpn uint64) {
+		t.Helper()
+		seq, err := s.AppendIntent(intentRec(0, lpn, []byte("page")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendCommit(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne(s, 1)
+	boom := errors.New("encoder failed")
+	chunk := make([]byte, 1<<10)
+	failing := func(w io.Writer) error {
+		for n := 0; n <= snapBufSize; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+		}
+		return boom
+	}
+	if err := s.Snapshot(failing); !errors.Is(err, boom) {
+		t.Fatalf("Snapshot with a failing writer: %v, want %v", err, boom)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed snapshot left %v behind", tmps)
+	}
+	if st := s.Stats(); st.Snapshots != 0 {
+		t.Fatalf("failed snapshot counted: %+v", st)
+	}
+	appendOne(s, 2)
+	s.Abandon()
+
+	rec, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Epoch() != 1 || !bytes.Equal(rec.Snapshot(), []byte("base")) {
+		t.Fatalf("remounted epoch %d snapshot %q, want epoch 1 %q", rec.Epoch(), rec.Snapshot(), "base")
+	}
+	if got := rec.Entries(); len(got) != 2 || !got[0].Committed || !got[1].Committed {
+		t.Fatalf("remounted entries %+v, want 2 committed", got)
+	}
+	s2, err := rec.Resume(Config{}, staticSnap([]byte("resumed")), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("0123456789abcdef"), 3*snapBufSize/16+5)
+	inPieces := func(w io.Writer) error {
+		for rest := big; len(rest) > 0; {
+			n := min(len(rest), 1000)
+			if _, err := w.Write(rest[:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
+	}
+	if err := s2.Close(inPieces); err != nil {
+		t.Fatal(err)
+	}
+	rec, err = OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Snapshot(), big) {
+		t.Fatalf("multi-buffer snapshot came back %d bytes, want %d", len(rec.Snapshot()), len(big))
 	}
 }

@@ -109,41 +109,41 @@ func (r Record) ShapeOK() bool {
 	return false
 }
 
-// encodeIntent serializes an intent payload.
-func encodeIntent(r Record) []byte {
-	var buf bytes.Buffer
-	b := binio.NewWriter(&buf)
-	b.U8(payloadIntent)
-	b.U8(uint8(r.Op))
-	b.U64(r.Seq)
-	b.I64(r.Plane)
-	b.U32(uint32(len(r.LPNs)))
+// appendIntent appends the framed intent record for r to dst.
+func appendIntent(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, payloadIntent, uint8(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Plane))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.LPNs)))
 	for _, lpn := range r.LPNs {
-		b.U64(lpn)
+		dst = binary.LittleEndian.AppendUint64(dst, lpn)
 	}
-	b.U32(uint32(len(r.Pages)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Pages)))
 	for _, p := range r.Pages {
-		b.Bytes(p)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+		dst = append(dst, p...)
 	}
-	return buf.Bytes()
+	return sealFrame(dst, start)
 }
 
-// encodeCommit serializes a commit payload for seq.
-func encodeCommit(seq uint64) []byte {
-	var buf bytes.Buffer
-	b := binio.NewWriter(&buf)
-	b.U8(payloadCommit)
-	b.U64(seq)
-	return buf.Bytes()
+// appendCommit appends the framed commit record for seq to dst.
+func appendCommit(dst []byte, seq uint64) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, payloadCommit)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return sealFrame(dst, start)
 }
 
-// appendFrame appends the CRC frame for payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// sealFrame fills in the header reserved at buf[start:] with the length
+// and CRC of the payload that follows it to the end of buf.
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // decodePayload parses one CRC-verified payload into its type tag and,

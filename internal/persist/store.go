@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -49,6 +51,15 @@ var (
 	snapEnd   = []byte("PBSNEND\n")
 )
 
+const (
+	// snapBufSize is the snapshot stream buffer: encoders write field by
+	// field, and the file sees one write per this many bytes.
+	snapBufSize = 64 << 10
+	// maxKeptFrame caps the journal frame buffer a Store keeps between
+	// appends, so one huge group write does not pin its size forever.
+	maxKeptFrame = 64 << 10
+)
+
 // Store is the live persistence handle of one mounted device: an open
 // journal plus the rotation machinery. One Store belongs to one device
 // and is driven under the scheduler's mutex, but it carries its own lock
@@ -68,12 +79,26 @@ type Store struct {
 	dead       bool        // power lost; guarded by mu
 	stats      Stats       // guarded by mu
 
+	// Reused I/O buffers: frame holds the journal record being appended,
+	// and snapBuf streams each rotation's snapshot body to its file.
+	frame   []byte        // guarded by mu
+	snapBuf *bufio.Writer // guarded by mu
+
 	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
 	cJournalBytes *telemetry.Counter // guarded by mu
 	cJournalRecs  *telemetry.Counter // guarded by mu
 	cSnapshots    *telemetry.Counter // guarded by mu
 	cReplayed     *telemetry.Counter // guarded by mu
 	gRecoveryUS   *telemetry.Gauge   // guarded by mu
+}
+
+func newStore(cfg Config, epoch uint64) *Store {
+	return &Store{
+		dir:     cfg.Dir,
+		every:   cfg.every(),
+		epoch:   epoch,
+		snapBuf: bufio.NewWriterSize(nil, snapBufSize),
+	}
 }
 
 func snapPath(dir string, epoch uint64) string {
@@ -97,7 +122,10 @@ func Create(cfg Config, snap SnapshotWriter) (*Store, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("persist: stat %s: %w", cur, err)
 	}
-	if err := writeSnapshotFile(snapPath(cfg.Dir, 1), snap); err != nil {
+	s := newStore(cfg, 1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writeSnapshotFileLocked(snapPath(cfg.Dir, 1), snap); err != nil {
 		return nil, err
 	}
 	jf, err := os.OpenFile(journalPath(cfg.Dir, 1), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -108,7 +136,12 @@ func Create(cfg Config, snap SnapshotWriter) (*Store, error) {
 		cerr := jf.Close()
 		return nil, errors.Join(err, cerr)
 	}
-	return &Store{dir: cfg.Dir, every: cfg.every(), epoch: 1, journal: jf}, nil
+	if err := syncDir(cfg.Dir); err != nil {
+		cerr := jf.Close()
+		return nil, errors.Join(err, cerr)
+	}
+	s.journal = jf
+	return s, nil
 }
 
 // SetCutInjector installs (or with nil removes) the power-cut decider.
@@ -170,15 +203,21 @@ func (s *Store) cutLocked(point string) bool {
 	return false
 }
 
-func (s *Store) appendLocked(payload []byte) error {
-	frame := appendFrame(nil, payload)
-	if _, err := s.journal.Write(frame); err != nil {
+// writeFrameLocked appends the record framed in s.frame to the journal
+// in one write.
+func (s *Store) writeFrameLocked() error {
+	n := int64(len(s.frame))
+	_, err := s.journal.Write(s.frame)
+	if cap(s.frame) > maxKeptFrame {
+		s.frame = nil
+	}
+	if err != nil {
 		return fmt.Errorf("persist: journal append: %w", err)
 	}
 	s.stats.JournalRecords++
-	s.stats.JournalBytes += int64(len(frame))
+	s.stats.JournalBytes += n
 	s.cJournalRecs.Add(1)
-	s.cJournalBytes.Add(int64(len(frame)))
+	s.cJournalBytes.Add(n)
 	return nil
 }
 
@@ -205,7 +244,8 @@ func (s *Store) AppendIntent(rec Record) (uint64, error) {
 	}
 	s.nextSeq++
 	rec.Seq = s.nextSeq
-	if err := s.appendLocked(encodeIntent(rec)); err != nil {
+	s.frame = appendIntent(s.frame[:0], rec)
+	if err := s.writeFrameLocked(); err != nil {
 		return 0, err
 	}
 	s.lastIntent, s.haveIntent = rec.Seq, true
@@ -236,7 +276,8 @@ func (s *Store) AppendCommit(seq uint64) error {
 	if !s.haveIntent || s.lastIntent != seq {
 		return fmt.Errorf("persist: commit %d without matching intent", seq)
 	}
-	if err := s.appendLocked(encodeCommit(seq)); err != nil {
+	s.frame = appendCommit(s.frame[:0], seq)
+	if err := s.writeFrameLocked(); err != nil {
 		return err
 	}
 	s.haveIntent = false
@@ -273,7 +314,7 @@ func (s *Store) Snapshot(snap SnapshotWriter) error {
 func (s *Store) rotateLocked(snap SnapshotWriter) error {
 	next := s.epoch + 1
 	tmp := snapPath(s.dir, next) + ".tmp"
-	if err := writeSnapshotFile(tmp, snap); err != nil {
+	if err := s.writeSnapshotFileLocked(tmp, snap); err != nil {
 		return err
 	}
 	if s.cutLocked(PointPreSnapshot) {
@@ -293,6 +334,9 @@ func (s *Store) rotateLocked(snap SnapshotWriter) error {
 		cerr := jf.Close()
 		return errors.Join(err, cerr)
 	}
+	// CURRENT now names the next epoch, so the store follows it even if
+	// the directory sync fails; the error is still reported.
+	syncErr := syncDir(s.dir)
 	old := s.epoch
 	var closeErr error
 	if s.journal != nil {
@@ -304,6 +348,11 @@ func (s *Store) rotateLocked(snap SnapshotWriter) error {
 	s.haveIntent = false
 	s.stats.Snapshots++
 	s.cSnapshots.Add(1)
+	if syncErr != nil {
+		// The swap may not be durable: keep the old epoch's files, which
+		// a host crash could make current again.
+		return errors.Join(closeErr, syncErr)
+	}
 	// Best-effort retirement of the superseded epoch; stray files are
 	// harmless and swept at the next mount.
 	_ = os.Remove(snapPath(s.dir, old))
@@ -423,7 +472,7 @@ func (r *Recovery) Resume(cfg Config, snap SnapshotWriter, horizon sim.Duration)
 	if cfg.Dir == "" {
 		cfg.Dir = r.dir
 	}
-	s := &Store{dir: cfg.Dir, every: cfg.every(), epoch: r.epoch}
+	s := newStore(cfg, r.epoch)
 	var replayed, skipped int64
 	for _, e := range r.entries {
 		if e.Committed {
@@ -475,35 +524,36 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeSnapshotFile writes magic | body | crc32(body) | end-magic to
-// path, syncing before returning so a subsequent rename publishes
-// complete bytes.
-func writeSnapshotFile(path string, snap SnapshotWriter) error {
+// writeSnapshotFileLocked writes magic | body | crc32(body) | end-magic
+// to path, streaming the body through s.snapBuf so the file sees whole
+// buffers and the CRC runs once per flushed chunk. It syncs before
+// returning so a subsequent rename publishes complete bytes, and removes
+// the file on any error.
+func (s *Store) writeSnapshotFileLocked(path string, snap SnapshotWriter) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: write snapshot: %w", err)
 	}
 	cw := &crcWriter{w: f}
+	s.snapBuf.Reset(cw)
 	err = func() error {
 		if _, err := f.Write(snapMagic); err != nil {
 			return err
 		}
-		if err := snap(cw); err != nil {
+		if err := snap(s.snapBuf); err != nil {
 			return err
 		}
-		var footer [4]byte
-		footer[0] = byte(cw.crc)
-		footer[1] = byte(cw.crc >> 8)
-		footer[2] = byte(cw.crc >> 16)
-		footer[3] = byte(cw.crc >> 24)
-		if _, err := f.Write(footer[:]); err != nil {
+		if err := s.snapBuf.Flush(); err != nil {
 			return err
 		}
-		if _, err := f.Write(snapEnd); err != nil {
+		var tail [4]byte
+		binary.LittleEndian.PutUint32(tail[:], cw.crc)
+		if _, err := f.Write(append(tail[:], snapEnd...)); err != nil {
 			return err
 		}
 		return f.Sync()
 	}()
+	s.snapBuf.Reset(nil)
 	cerr := f.Close()
 	if err != nil {
 		_ = os.Remove(path)
@@ -538,14 +588,42 @@ func readSnapshotFile(path string) ([]byte, error) {
 	return body, nil
 }
 
-// writeFileAtomic writes data to path via a temporary file and rename.
+// writeFileAtomic writes data to path via a synced temporary file and
+// rename. The caller syncs the directory (syncDir) to make the rename
+// itself survive a host crash.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
 		return fmt.Errorf("persist: write %s: %w", path, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("persist: publish %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeSynced creates path holding data and syncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+// syncDir syncs a directory, making the renames and creations in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("persist: sync %s: %w", dir, err)
+	}
+	if err := errors.Join(d.Sync(), d.Close()); err != nil {
+		return fmt.Errorf("persist: sync %s: %w", dir, err)
 	}
 	return nil
 }

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"parabit/internal/binio"
 	"parabit/internal/flash"
@@ -271,7 +271,7 @@ func (d *Device) writeSnapshot(w io.Writer) error {
 	for lpn := range d.plain {
 		plains = append(plains, lpn)
 	}
-	sort.Slice(plains, func(i, j int) bool { return plains[i] < plains[j] })
+	slices.Sort(plains)
 	b.U64(uint64(len(plains)))
 	for _, lpn := range plains {
 		b.U64(lpn)

@@ -297,3 +297,28 @@ func TestPersistTLCTripleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkDeviceSnapshot measures one snapshot rotation of a Small
+// device holding 14k written pages: encode, stream, sync and publish.
+func BenchmarkDeviceSnapshot(b *testing.B) {
+	d, err := Create(b.TempDir(), SmallConfig(), -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lpn := uint64(0); lpn < 14000; lpn++ {
+		if _, err := d.WriteOperand(lpn, randPage(d, int64(lpn)), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.store.Snapshot(d.writeSnapshot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
