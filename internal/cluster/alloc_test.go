@@ -22,8 +22,8 @@ func TestColocatedQueryAllocationCeiling(t *testing.T) {
 		route   Route
 		ceiling float64
 	}{
-		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 30},
-		{"and2", plan.And(k(1), k(2)), RouteWire, 60},
+		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 24},
+		{"and2", plan.And(k(1), k(2)), RouteWire, 50},
 	}
 	for _, tc := range cases {
 		res, err := c.Query("t", tc.e, ssd.SchemeLocFree)

@@ -43,9 +43,10 @@ type DisturbCorruptor interface {
 
 // wordline stores the CellBits pages of one row, indexed by PageKind.
 // nil slices mean erased: every cell in state E, so every page reads back
-// all ones. The parity slices model the out-of-band spare area where the
-// controller keeps ECC parity; entries exist only when the array has a
-// codec installed.
+// all ones. A stored page is never written after program — senses read it
+// in place — until an erase drops it. The parity slices model the
+// out-of-band spare area where the controller keeps ECC parity; the slice
+// and its entries exist only when the array has a codec installed.
 type wordline struct {
 	pages  [][]byte
 	parity [][]byte
@@ -95,6 +96,12 @@ type Array struct {
 	// decides bit errors. A nil injector is fault-free.
 	injector FaultInjector
 	stats    Stats
+	// erased is the one all-ones page every read of erased storage sees
+	// in place. Like a programmed page, nothing ever writes to it.
+	erased []byte
+	// views is the reusable operand list a multi-operand fold reads its
+	// pages through.
+	views [][]byte
 }
 
 // NewArray builds an erased array. It panics on invalid configuration:
@@ -111,6 +118,10 @@ func NewArray(geo Geometry, timing Timing) *Array {
 		timing: timing,
 		planes: make([]*plane, geo.Planes()),
 		buses:  make([]*sim.Resource, geo.Channels),
+		erased: make([]byte, geo.PageSize),
+	}
+	for i := range a.erased {
+		a.erased[i] = 0xFF
 	}
 	for i := range a.planes {
 		a.planes[i] = &plane{
@@ -211,22 +222,22 @@ func (a *Array) wordlineAt(w WordlineAddr) *wordline {
 	return &blk.wl[w.WL]
 }
 
-// pageBits returns the stored page content, treating erased storage as all
-// ones (cells in state E carry 1 in every page).
+// pageView returns the stored page content for reading in place: the
+// programmed page itself, or the shared erased page for erased storage
+// (cells in state E carry 1 in every page). Stored pages are immutable
+// once programmed, so callers only read the view and never hand it out.
+func (a *Array) pageView(w WordlineAddr, kind PageKind) []byte {
+	if wl := a.wordlineAt(w); wl != nil && wl.pages != nil && wl.pages[kind] != nil {
+		return wl.pages[kind]
+	}
+	return a.erased
+}
+
+// pageBits returns a caller-owned copy of the stored page content, for the
+// read paths whose noise injection and ECC correction mutate it.
 func (a *Array) pageBits(w WordlineAddr, kind PageKind) []byte {
 	out := make([]byte, a.geo.PageSize)
-	wl := a.wordlineAt(w)
-	var src []byte
-	if wl != nil && wl.pages != nil {
-		src = wl.pages[kind]
-	}
-	if src == nil {
-		for i := range out {
-			out[i] = 0xFF
-		}
-		return out
-	}
-	copy(out, src)
+	copy(out, a.pageView(w, kind))
 	return out
 }
 
@@ -412,7 +423,6 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 	wl := &blk.wl[p.WL]
 	if wl.pages == nil {
 		wl.pages = make([][]byte, a.geo.CellBits)
-		wl.parity = make([][]byte, a.geo.CellBits)
 	}
 	if wl.pages[p.Kind] != nil {
 		return 0, fmt.Errorf("%w: %v", ErrNotErased, p)
@@ -445,7 +455,12 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 		}
 	}
 	wl.pages[p.Kind] = buf
-	wl.parity[p.Kind] = par
+	if par != nil {
+		if wl.parity == nil {
+			wl.parity = make([][]byte, a.geo.CellBits)
+		}
+		wl.parity[p.Kind] = par
+	}
 	if esp {
 		if wl.esp == nil {
 			wl.esp = make([]bool, a.geo.CellBits)

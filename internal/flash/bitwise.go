@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,52 +13,113 @@ import (
 // (MLC sequences on a TLC array or vice versa).
 var ErrCellMode = errors.New("flash: operation not supported in this cell mode")
 
-// applyOp computes a ParaBit operation over whole pages with word-wide
-// kernels. The latch package proves per-bit equivalence between these
-// kernels and the actual control sequences (see TestKernelMatchesCircuit);
-// the array uses the kernels so an 8 KB page op is a few hundred machine
-// ops instead of 65536 circuit simulations.
-func applyOp(op latch.Op, lsb, msb []byte) []byte {
-	if len(lsb) != len(msb) {
-		panic(fmt.Sprintf("flash: operand pages differ in size: %d vs %d", len(lsb), len(msb)))
+// applyInto computes a ParaBit operation over whole pages into dst, 64 bits
+// at a time with a byte tail. dst may be the same slice as lsb, msb or
+// both — every word is loaded before it is stored — which is how a fold
+// accumulates in one result page. The latch package proves per-bit
+// equivalence between this kernel and the actual control sequences (see
+// TestKernelMatchesCircuit); the array uses the kernel so an 8 KB page op
+// is about a thousand word ops instead of 65536 circuit simulations.
+func applyInto(op latch.Op, dst, lsb, msb []byte) {
+	n := len(dst)
+	if len(lsb) != n || len(msb) != n {
+		panic(fmt.Sprintf("flash: page sizes differ: dst %d, lsb %d, msb %d", n, len(lsb), len(msb)))
 	}
-	out := make([]byte, len(lsb))
+	// Every op is AND, OR or XOR of its inputs, optionally inverted; a NOT
+	// is the inverted AND of its one input with itself.
+	base, inv := foldBase(op), uint64(0)
 	switch op {
-	case latch.OpAnd:
-		for i := range out {
-			out[i] = lsb[i] & msb[i]
-		}
-	case latch.OpOr:
-		for i := range out {
-			out[i] = lsb[i] | msb[i]
-		}
-	case latch.OpXnor:
-		for i := range out {
-			out[i] = ^(lsb[i] ^ msb[i])
-		}
-	case latch.OpNand:
-		for i := range out {
-			out[i] = ^(lsb[i] & msb[i])
-		}
-	case latch.OpNor:
-		for i := range out {
-			out[i] = ^(lsb[i] | msb[i])
-		}
-	case latch.OpXor:
-		for i := range out {
-			out[i] = lsb[i] ^ msb[i]
-		}
+	case latch.OpAnd, latch.OpOr, latch.OpXor:
+	case latch.OpNand, latch.OpNor, latch.OpXnor:
+		inv = ^uint64(0)
 	case latch.OpNotLSB:
-		for i := range out {
-			out[i] = ^lsb[i]
-		}
+		base, inv, msb = latch.OpAnd, ^uint64(0), lsb
 	case latch.OpNotMSB:
-		for i := range out {
-			out[i] = ^msb[i]
-		}
+		base, inv, lsb = latch.OpAnd, ^uint64(0), msb
 	default:
 		panic(fmt.Sprintf("flash: unknown op %v", op))
 	}
+	// Reslicing every operand to n, and each word to [i:i+8], lets the
+	// compiler drop the per-load bounds checks.
+	le := binary.LittleEndian
+	lsb, msb = lsb[:n], msb[:n]
+	i := 0
+	switch base {
+	case latch.OpAnd:
+		for ; i+8 <= n; i += 8 {
+			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
+			le.PutUint64(d, le.Uint64(l)&le.Uint64(m)^inv)
+		}
+		for ; i < n; i++ {
+			dst[i] = lsb[i]&msb[i] ^ byte(inv)
+		}
+	case latch.OpOr:
+		for ; i+8 <= n; i += 8 {
+			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
+			le.PutUint64(d, (le.Uint64(l)|le.Uint64(m))^inv)
+		}
+		for ; i < n; i++ {
+			dst[i] = (lsb[i] | msb[i]) ^ byte(inv)
+		}
+	case latch.OpXor:
+		for ; i+8 <= n; i += 8 {
+			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
+			le.PutUint64(d, le.Uint64(l)^le.Uint64(m)^inv)
+		}
+		for ; i < n; i++ {
+			dst[i] = lsb[i] ^ msb[i] ^ byte(inv)
+		}
+	}
+}
+
+// foldBase returns the associative operation a k-operand fold of op
+// accumulates with: a complementing op folds as its base and inverts once.
+func foldBase(op latch.Op) latch.Op {
+	switch op {
+	case latch.OpNand:
+		return latch.OpAnd
+	case latch.OpNor:
+		return latch.OpOr
+	case latch.OpXnor:
+		return latch.OpXor
+	}
+	return op
+}
+
+// foldPages folds two or more operand pages into one fresh page, which
+// every step after the first accumulates into in place. Each step but the
+// last applies op's base and the last applies op itself, so a
+// complementing op inverts in the same pass. The operand pages are only
+// read.
+func (a *Array) foldPages(op latch.Op, pages [][]byte) []byte {
+	out := make([]byte, a.geo.PageSize)
+	acc, base := pages[0], foldBase(op)
+	for i, p := range pages[1:] {
+		step := base
+		if i == len(pages)-2 {
+			step = op
+		}
+		applyInto(step, out, acc, p)
+		acc = out
+	}
+	return out
+}
+
+// foldLSB folds the LSB pages of every wordline in groups, in order, with
+// foldPages, reading each operand in place through the array's reusable
+// view list.
+func (a *Array) foldLSB(op latch.Op, groups ...[]WordlineAddr) []byte {
+	views := a.views[:0]
+	for _, wls := range groups {
+		for _, w := range wls {
+			views = append(views, a.pageView(w, LSBPage))
+		}
+	}
+	out := a.foldPages(op, views)
+	// Drop the page references so the scratch list does not keep an
+	// erased block's pages alive.
+	clear(views)
+	a.views = views[:0]
 	return out
 }
 
@@ -81,7 +143,8 @@ func (a *Array) BitwiseSense(op latch.Op, w WordlineAddr, at sim.Time) (SenseRes
 	}
 	pl := a.planeAt(w.PlaneAddr)
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(seq.SROs())*a.timing.SenseSRO+jitter, "bitwise")
-	out := applyOp(op, a.pageBits(w, LSBPage), a.pageBits(w, MSBPage))
+	out := make([]byte, a.geo.PageSize)
+	applyInto(op, out, a.pageView(w, LSBPage), a.pageView(w, MSBPage))
 	exposure := a.noteReads(w, seq.SROs())
 	res := SenseResult{Data: out, Ready: end}
 	if a.noise != nil {
@@ -131,9 +194,8 @@ func (a *Array) BitwiseSenseLocFree(op latch.Op, m, n WordlineAddr, at sim.Time)
 	pl := a.planeAt(m.PlaneAddr)
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(seq.SROs())*a.timing.SenseSRO+jitter, "bitwise")
 	// Operand order per §4.2: M from the MSB page, N from the LSB page.
-	msb := a.pageBits(m, MSBPage)
-	lsb := a.pageBits(n, LSBPage)
-	out := applyOp(op, lsb, msb)
+	out := make([]byte, a.geo.PageSize)
+	applyInto(op, out, a.pageView(n, LSBPage), a.pageView(m, MSBPage))
 	// Disturb attribution: the MSB operand is read with 2-SRO MSB reads
 	// (twice for the two-phase XOR family), the LSB operand with single
 	// senses.
@@ -185,20 +247,12 @@ func (a *Array) BitwiseSenseLocFreeLSB(op latch.Op, m, n WordlineAddr, at sim.Ti
 	}
 	pl := a.planeAt(m.PlaneAddr)
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(seq.SROs())*a.timing.SenseSRO+jitter, "bitwise")
-	mBits := a.pageBits(m, LSBPage)
-	nBits := a.pageBits(n, LSBPage)
-	// Binary ops are symmetric; the NOT pair maps to inverting the first
-	// (wordline m) or second (wordline n) operand, matching the LSB
-	// location-free sequences.
-	var out []byte
-	switch op {
-	case latch.OpNotLSB:
-		out = applyOp(latch.OpNotLSB, mBits, mBits)
-	case latch.OpNotMSB:
-		out = applyOp(latch.OpNotLSB, nBits, nBits)
-	default:
-		out = applyOp(op, nBits, mBits)
-	}
+	// Binary ops are symmetric, so m can take the kernel's LSB slot and n
+	// its MSB slot; the NOT pair then inverts the first (wordline m) or
+	// second (wordline n) operand, matching the LSB location-free
+	// sequences.
+	out := make([]byte, a.geo.PageSize)
+	applyInto(op, out, a.pageView(m, LSBPage), a.pageView(n, LSBPage))
 	// LSB-layout senses split evenly; the NOT variants touch only their
 	// own wordline.
 	mShare := seq.SROs() - seq.SROs()/2
@@ -330,23 +384,7 @@ func (a *Array) BitwiseChainLSB(op latch.Op, wls []WordlineAddr, at sim.Time) (S
 		a.stats.BytesIn += int64(a.geo.PageSize)
 	}
 	_, end := pl.sense.ReserveLabeled(at, dur, "chain")
-	// Fold the data.
-	acc := a.pageBits(wls[0], LSBPage)
-	for _, w := range wls[1:] {
-		next := a.pageBits(w, LSBPage)
-		switch op {
-		case latch.OpAnd, latch.OpNand:
-			acc = applyOp(latch.OpAnd, acc, next)
-		case latch.OpOr, latch.OpNor:
-			acc = applyOp(latch.OpOr, acc, next)
-		case latch.OpXor, latch.OpXnor:
-			acc = applyOp(latch.OpXor, acc, next)
-		}
-	}
-	switch op {
-	case latch.OpNand, latch.OpNor, latch.OpXnor:
-		acc = applyOp(latch.OpNotLSB, acc, acc)
-	}
+	acc := a.foldLSB(op, wls)
 	exposure := 0
 	for _, w := range wls {
 		if e := a.noteReads(w, 1); e > exposure {
@@ -392,9 +430,9 @@ func (a *Array) BitwiseSenseTLC(op latch.TLCOp3, w WordlineAddr, at sim.Time) (S
 	}
 	pl := a.planeAt(w.PlaneAddr)
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(seq.SROs())*a.timing.SenseSRO+jitter, "bitwise")
-	lsb := a.pageBits(w, LSBPage)
-	csb := a.pageBits(w, MSBPage) // kind 1 = the TLC centre page
-	top := a.pageBits(w, TopPage)
+	lsb := a.pageView(w, LSBPage)
+	csb := a.pageView(w, MSBPage) // kind 1 = the TLC centre page
+	top := a.pageView(w, TopPage)
 	out := make([]byte, a.geo.PageSize)
 	for i := range out {
 		var v byte

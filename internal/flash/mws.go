@@ -51,12 +51,15 @@ func (a *Array) BitwiseSenseMWS(op latch.Op, wls []WordlineAddr, at sim.Time) (S
 	if a.geo.CellBits != 2 {
 		return SenseResult{}, fmt.Errorf("%w: MLC op %v on %d-bit cells", ErrCellMode, op, a.geo.CellBits)
 	}
-	if !latch.MWSComputable(op) {
-		return SenseResult{}, fmt.Errorf("flash: op %v has no multi-wordline sense form", op)
-	}
+	// The control program comes from latch's validated MWS table, which
+	// refuses an op without an MWS form or a k outside 2..MaxMWSOperands.
+	// It keeps the MWS path under the same legality rails (latch.Validate
+	// and the latchseq analyzer) as every other sequence in the device and
+	// prices the sense in SROs; the word-wide kernel computes the data.
 	k := len(wls)
-	if k < 2 || k > latch.MaxMWSOperands {
-		return SenseResult{}, fmt.Errorf("flash: MWS of %d operands, want 2..%d", k, latch.MaxMWSOperands)
+	seq, err := latch.MWSProgram(op, k)
+	if err != nil {
+		return SenseResult{}, err
 	}
 	first := wls[0]
 	maxPE := 0
@@ -73,34 +76,13 @@ func (a *Array) BitwiseSenseMWS(op latch.Op, wls []WordlineAddr, at sim.Time) (S
 		}
 		esp = esp && a.IsESP(PageAddr{WordlineAddr: w, Kind: LSBPage})
 	}
-	// The control program is built and validated even though the fold below
-	// uses the word-wide kernel: it keeps the MWS path under the same
-	// legality rails (latch.Validate + the latchseq analyzer) as every
-	// other sequence in the device.
-	seq := latch.ForOpMWS(op, k)
-	if err := seq.Validate(); err != nil {
-		return SenseResult{}, err
-	}
 	jitter, ferr := a.checkFault(FaultSense, first.PlaneAddr, first.Block, at)
 	if ferr != nil {
 		return SenseResult{}, ferr
 	}
 	pl := a.planeAt(first.PlaneAddr)
 	_, end := pl.sense.ReserveLabeled(at, a.timing.MWSLatency(k)+jitter, "mws")
-	acc := a.pageBits(first, LSBPage)
-	for _, w := range wls[1:] {
-		next := a.pageBits(w, LSBPage)
-		switch op {
-		case latch.OpAnd, latch.OpNand:
-			acc = applyOp(latch.OpAnd, acc, next)
-		case latch.OpOr, latch.OpNor:
-			acc = applyOp(latch.OpOr, acc, next)
-		}
-	}
-	switch op {
-	case latch.OpNand, latch.OpNor:
-		acc = applyOp(latch.OpNotLSB, acc, acc)
-	}
+	acc := a.foldLSB(op, wls)
 	// One sense disturbs every selected wordline once; exposure is the
 	// block's read count before this operation.
 	exposure := 0
@@ -133,27 +115,19 @@ func (a *Array) BitwiseChainMWS(op latch.Op, chunks [][]WordlineAddr, at sim.Tim
 	if a.geo.CellBits != 2 {
 		return SenseResult{}, fmt.Errorf("%w: MLC MWS chain on %d-bit cells", ErrCellMode, a.geo.CellBits)
 	}
-	if !latch.MWSComputable(op) {
-		return SenseResult{}, fmt.Errorf("flash: op %v has no multi-wordline sense form", op)
-	}
 	if len(chunks) < 2 {
 		return SenseResult{}, fmt.Errorf("flash: MWS chain of %d chunks, want >= 2", len(chunks))
 	}
-	base := op
-	switch op {
-	case latch.OpNand:
-		base = latch.OpAnd
-	case latch.OpNor:
-		base = latch.OpOr
-	}
+	base := foldBase(op)
 	var plane PlaneAddr
 	var dur sim.Duration
 	maxPE, maxChunk, srOs := 0, 0, 0
 	esp := true
 	for ci, wls := range chunks {
 		k := len(wls)
-		if k < 2 || k > latch.MaxMWSOperands {
-			return SenseResult{}, fmt.Errorf("flash: MWS chunk of %d operands, want 2..%d", k, latch.MaxMWSOperands)
+		seq, err := latch.MWSProgram(base, k)
+		if err != nil {
+			return SenseResult{}, fmt.Errorf("flash: MWS chunk %d: %w", ci, err)
 		}
 		first := wls[0]
 		if ci == 0 {
@@ -174,10 +148,6 @@ func (a *Array) BitwiseChainMWS(op latch.Op, chunks [][]WordlineAddr, at sim.Tim
 			}
 			esp = esp && a.IsESP(PageAddr{WordlineAddr: w, Kind: LSBPage})
 		}
-		seq := latch.ForOpMWS(base, k)
-		if err := seq.Validate(); err != nil {
-			return SenseResult{}, err
-		}
 		srOs += seq.SROs()
 		dur += a.timing.MWSLatency(k)
 		if k > maxChunk {
@@ -190,22 +160,9 @@ func (a *Array) BitwiseChainMWS(op latch.Op, chunks [][]WordlineAddr, at sim.Tim
 	}
 	pl := a.planeAt(plane)
 	_, end := pl.sense.ReserveLabeled(at, dur+jitter, "mws")
-	var acc []byte
-	for _, wls := range chunks {
-		chunkAcc := a.pageBits(wls[0], LSBPage)
-		for _, w := range wls[1:] {
-			chunkAcc = applyOp(base, chunkAcc, a.pageBits(w, LSBPage))
-		}
-		if acc == nil {
-			acc = chunkAcc
-		} else {
-			acc = applyOp(base, acc, chunkAcc)
-		}
-	}
-	switch op {
-	case latch.OpNand, latch.OpNor:
-		acc = applyOp(latch.OpNotLSB, acc, acc)
-	}
+	// AND and OR are associative, so folding every chunk's operands into
+	// one page equals folding each chunk and then the chunk results.
+	acc := a.foldLSB(op, chunks...)
 	exposure := 0
 	for _, wls := range chunks {
 		for _, w := range wls {

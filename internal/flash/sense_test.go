@@ -1,0 +1,216 @@
+package flash
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"parabit/internal/latch"
+)
+
+// senseFixture is one MLC and one TLC array with operands programmed,
+// some operand pages left erased, and one case per sense entry point over
+// them.
+type senseFixture struct {
+	mlc, tlc *Array
+	// stored maps every programmed page to the bytes written there.
+	stored map[*Array]map[PageAddr][]byte
+	// erased lists operand pages the cases read while still erased.
+	erased map[*Array][]PageAddr
+	cases  []senseCase
+}
+
+type senseCase struct {
+	name string
+	a    *Array
+	run  func() (SenseResult, error)
+}
+
+func newSenseFixture(t testing.TB, mlc, tlc *Array) *senseFixture {
+	t.Helper()
+	f := &senseFixture{
+		mlc:    mlc,
+		tlc:    tlc,
+		stored: map[*Array]map[PageAddr][]byte{mlc: {}, tlc: {}},
+		erased: map[*Array][]PageAddr{},
+	}
+	seed := byte(1)
+	program := func(a *Array, p PageAddr) {
+		data := fillPattern(a.Geometry().PageSize, seed)
+		seed += 0x3B
+		if _, err := a.Program(p, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		f.stored[a][p] = data
+	}
+	wl := func(block, w int) WordlineAddr { return WordlineAddr{Block: block, WL: w} }
+	lsb := func(w WordlineAddr) PageAddr { return PageAddr{w, LSBPage} }
+
+	// MLC: a shared wordline, a lone LSB wordline (MSB erased), aligned
+	// LSB operands with an erased one among them, and two MWS blocks
+	// each holding an erased operand wordline.
+	pair, half := wl(1, 0), wl(7, 0)
+	program(mlc, lsb(pair))
+	program(mlc, PageAddr{pair, MSBPage})
+	program(mlc, lsb(half))
+	b2, b3, b4 := wl(2, 0), wl(3, 0), wl(4, 0)
+	program(mlc, lsb(b2))
+	program(mlc, lsb(b3))
+	m0, m1, m2 := wl(5, 0), wl(5, 1), wl(5, 2)
+	program(mlc, lsb(m0))
+	program(mlc, lsb(m1))
+	n0, n1 := wl(6, 0), wl(6, 1)
+	program(mlc, lsb(n0))
+	f.erased[mlc] = []PageAddr{{half, MSBPage}, lsb(b4), lsb(m2), lsb(n1)}
+
+	// TLC: LSB and CSB programmed, TOP erased.
+	tw := wl(1, 0)
+	program(tlc, lsb(tw))
+	program(tlc, PageAddr{tw, MSBPage})
+	f.erased[tlc] = []PageAddr{{tw, TopPage}}
+
+	f.cases = []senseCase{
+		{"MLC", mlc, func() (SenseResult, error) { return mlc.BitwiseSense(latch.OpXor, pair, 0) }},
+		{"MLC-erased-MSB", mlc, func() (SenseResult, error) { return mlc.BitwiseSense(latch.OpNotMSB, half, 0) }},
+		{"LocFree", mlc, func() (SenseResult, error) { return mlc.BitwiseSenseLocFree(latch.OpOr, pair, b2, 0) }},
+		{"LocFree-LSB", mlc, func() (SenseResult, error) { return mlc.BitwiseSenseLocFreeLSB(latch.OpNand, b2, b4, 0) }},
+		{"ChainLSB", mlc, func() (SenseResult, error) {
+			return mlc.BitwiseChainLSB(latch.OpXnor, []WordlineAddr{b2, b3, b4}, 0)
+		}},
+		{"MWS", mlc, func() (SenseResult, error) {
+			return mlc.BitwiseSenseMWS(latch.OpNor, []WordlineAddr{m0, m1, m2}, 0)
+		}},
+		{"ChainMWS", mlc, func() (SenseResult, error) {
+			return mlc.BitwiseChainMWS(latch.OpNand, [][]WordlineAddr{{m0, m1, m2}, {n0, n1}}, 0)
+		}},
+		{"TLC", tlc, func() (SenseResult, error) { return tlc.BitwiseSenseTLC(latch.TLCAnd3, tw, 0) }},
+		{"ReadSense", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(pair), 0) }},
+		{"ReadSense-erased", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(b4), 0) }},
+	}
+	return f
+}
+
+// TestSenseResultsDoNotAlias pins the buffer-ownership rule: senses read
+// stored pages and the shared erased page in place, yet every result is a
+// fresh page the caller owns. With a noise model writing into each result
+// and the caller then scribbling over it, every stored operand and the
+// erased page must read back unchanged.
+func TestSenseResultsDoNotAlias(t *testing.T) {
+	tlc := tlcArray()
+	tlc.SetCorruptor(&spreadCorruptor{})
+	f := newSenseFixture(t, eccArray(t, &spreadCorruptor{}), tlc)
+	for _, c := range f.cases {
+		res, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range res.Data {
+			res.Data[i] = 0xA5
+		}
+		for _, a := range []*Array{f.mlc, f.tlc} {
+			for p, want := range f.stored[a] {
+				if got, _, err := a.Read(p, 0); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: operand %v reads back changed (err %v)", c.name, p, err)
+				}
+			}
+			for _, p := range f.erased[a] {
+				got, _, err := a.Read(p, 0)
+				if err != nil || !bytes.Equal(got, a.erased) {
+					t.Fatalf("%s: erased page %v no longer reads back erased (err %v)", c.name, p, err)
+				}
+			}
+			if bytes.Count(a.erased, []byte{0xFF}) != len(a.erased) {
+				t.Fatalf("%s: the shared erased page was written", c.name)
+			}
+		}
+	}
+}
+
+// TestSenseAllocatesOnlyItsResult pins that, with no noise model, every
+// array sense allocates exactly one object: its result page. Operands are
+// read in place and multi-operand folds accumulate in the result.
+func TestSenseAllocatesOnlyItsResult(t *testing.T) {
+	f := newSenseFixture(t, testArray(), tlcArray())
+	for _, c := range f.cases {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s allocates %v objects per sense, want 1 (the result page)", c.name, allocs)
+		}
+	}
+}
+
+// chainBenchArray programs k aligned LSB operands of random data into one
+// block of a paper-geometry array, ESP-programmed so the same wordlines
+// also serve as one multi-wordline sense group.
+func chainBenchArray(b *testing.B, k int) (*Array, []WordlineAddr) {
+	b.Helper()
+	a := NewArray(Default(), DefaultTiming())
+	rng := rand.New(rand.NewSource(1))
+	wls := make([]WordlineAddr, k)
+	for i := range wls {
+		wls[i] = WordlineAddr{Block: 1, WL: i}
+		page := make([]byte, a.Geometry().PageSize)
+		rng.Read(page)
+		if _, err := a.ProgramESP(PageAddr{wls[i], LSBPage}, page, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return a, wls
+}
+
+// BenchmarkArrayChainLSB folds eight 8 KB operands with one chained
+// location-free sense.
+func BenchmarkArrayChainLSB(b *testing.B) {
+	a, wls := chainBenchArray(b, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.BitwiseChainLSB(latch.OpAnd, wls, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArraySenseMWS folds eight block-colocated 8 KB operands with
+// one Flash-Cosmos multi-wordline sense.
+func BenchmarkArraySenseMWS(b *testing.B) {
+	a, wls := chainBenchArray(b, latch.MaxMWSOperands)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.BitwiseSenseMWS(latch.OpNand, wls, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestMWSRefusals pins that the multi-wordline senses refuse what the MWS
+// program table refuses: an op without an MWS form and an operand count
+// outside 2..MaxMWSOperands, per sense and per chained chunk.
+func TestMWSRefusals(t *testing.T) {
+	a := testArray()
+	wls := make([]WordlineAddr, latch.MaxMWSOperands+1)
+	for i := range wls {
+		wls[i] = WordlineAddr{Block: 1, WL: i}
+	}
+	pair := wls[:2]
+	for name, run := range map[string]func() (SenseResult, error){
+		"MWS XOR":        func() (SenseResult, error) { return a.BitwiseSenseMWS(latch.OpXor, pair, 0) },
+		"MWS of 1":       func() (SenseResult, error) { return a.BitwiseSenseMWS(latch.OpAnd, wls[:1], 0) },
+		"MWS over cap":   func() (SenseResult, error) { return a.BitwiseSenseMWS(latch.OpAnd, wls, 0) },
+		"chain XNOR":     func() (SenseResult, error) { return a.BitwiseChainMWS(latch.OpXnor, [][]WordlineAddr{pair, pair}, 0) },
+		"chain of 1":     func() (SenseResult, error) { return a.BitwiseChainMWS(latch.OpOr, [][]WordlineAddr{pair}, 0) },
+		"chunk over cap": func() (SenseResult, error) { return a.BitwiseChainMWS(latch.OpOr, [][]WordlineAddr{pair, wls}, 0) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s: sensed, want a refusal", name)
+		}
+	}
+	if s := a.Stats(); s.MWSSenses != 0 || s.SROs != 0 {
+		t.Fatalf("refused senses still counted: %+v", s)
+	}
+}

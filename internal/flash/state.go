@@ -94,7 +94,9 @@ func (a *Array) ReadState(r io.Reader) error {
 					continue
 				}
 				wl.pages = make([][]byte, a.geo.CellBits)
-				wl.parity = make([][]byte, a.geo.CellBits)
+				if a.codec != nil {
+					wl.parity = make([][]byte, a.geo.CellBits)
+				}
 				if espMask != 0 {
 					wl.esp = make([]bool, a.geo.CellBits)
 				}

@@ -1,6 +1,9 @@
 package latch
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Flash-Cosmos multi-wordline sense (MWS) control programs. Where ParaBit
 // folds an N-operand reduction into N−1 pairwise latch combines — sense,
@@ -75,4 +78,55 @@ func ForOpMWS(op Op, k int) Sequence {
 		steps = []Step{initInv, senseMultiInv(k), m1, m3}
 	}
 	return Sequence{Name: name, Steps: steps, ESP: true}
+}
+
+// mwsProgram is one (op, k) entry of the MWS program table: the validated
+// control program, or the error refusing it.
+type mwsProgram struct {
+	seq Sequence
+	err error
+}
+
+// The MWS program table holds one entry per op and operand count k in
+// [0, MaxMWSOperands+1], so the refusals on either side of the legal range
+// are cached too. Like the paper's per-operation firmware programs, each
+// entry is built and validated once and every sense shares it read-only.
+var (
+	mwsOnce  sync.Once
+	mwsTable [numOps][MaxMWSOperands + 2]mwsProgram
+)
+
+func newMWSProgram(op Op, k int) mwsProgram {
+	if !MWSComputable(op) {
+		return mwsProgram{err: fmt.Errorf("latch: op %v has no multi-wordline sense form", op)}
+	}
+	if k < 2 || k > MaxMWSOperands {
+		return mwsProgram{err: fmt.Errorf("latch: multi-wordline sense of %d operands, want 2..%d", k, MaxMWSOperands)}
+	}
+	seq := ForOpMWS(op, k)
+	if err := seq.Validate(); err != nil {
+		return mwsProgram{err: err}
+	}
+	return mwsProgram{seq: seq}
+}
+
+// MWSProgram returns the validated Flash-Cosmos control program folding k
+// block-colocated LSB operands with op, or the error refusing it: an op
+// without an MWS form, a k outside [2, MaxMWSOperands], or a program the
+// validator rejects. Programs are built and validated once per (op, k);
+// combinations outside the table are refusals and are built fresh.
+func MWSProgram(op Op, k int) (Sequence, error) {
+	mwsOnce.Do(func() {
+		for o := range mwsTable {
+			for n := range mwsTable[o] {
+				mwsTable[o][n] = newMWSProgram(Op(o), n)
+			}
+		}
+	})
+	if op < numOps && k >= 0 && k < len(mwsTable[op]) {
+		p := &mwsTable[op][k]
+		return p.seq, p.err
+	}
+	p := newMWSProgram(op, k)
+	return p.seq, p.err
 }

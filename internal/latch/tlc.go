@@ -207,35 +207,37 @@ func (o TLCOp3) Eval(lsb, csb, msb bool) bool {
 //     TVREAD5 and TVREAD6 on the inverted initialization.
 //   - The N-variants invert via the initialization polarity, exactly as
 //     the MLC NAND/NOR sequences do.
+//
+// The sequences are built once; every call shares them read-only.
 func TLCForOp(op TLCOp3) Sequence {
-	switch op {
-	case TLCAnd3:
-		return Sequence{Name: "TLC-AND3", Steps: []Step{
-			init0, tsense(TVRead1), m2, m3,
-		}}
-	case TLCNand3:
-		return Sequence{Name: "TLC-NAND3", Steps: []Step{
-			initInv, tsense(TVRead1), m1, m3,
-		}}
-	case TLCOr3:
-		// OUT must be 0 only for S5. Shape of the MLC OR: gather
-		// [S5..S7] at C via TVREAD5, then clear [S6..S7] via TVREAD6;
-		// A ends NOT [S5] = OR3.
-		return Sequence{Name: "TLC-OR3", Steps: []Step{
-			init0,
-			tsense(TVRead5), m2, // A = [E..S4]
-			tsense(TVRead6), m1, // C = [S5], A = NOT [S5]
-			m3,
-		}}
-	case TLCNor3:
-		return Sequence{Name: "TLC-NOR3", Steps: []Step{
-			initInv,
-			tsense(TVRead5), m1, // C = [E..S4] ... A = [S5..S7]
-			tsense(TVRead6), m2, // A = [S5]
-			m3,
-		}}
+	if int(op) < len(tlcSeqs) {
+		return tlcSeqs[op]
 	}
 	panic(fmt.Sprintf("latch: invalid TLC op %v", op))
+}
+
+var tlcSeqs = [...]Sequence{
+	TLCAnd3: {Name: "TLC-AND3", Steps: []Step{
+		init0, tsense(TVRead1), m2, m3,
+	}},
+	TLCNand3: {Name: "TLC-NAND3", Steps: []Step{
+		initInv, tsense(TVRead1), m1, m3,
+	}},
+	// OUT must be 0 only for S5. Shape of the MLC OR: gather [S5..S7] at
+	// C via TVREAD5, then clear [S6..S7] via TVREAD6; A ends NOT [S5] =
+	// OR3.
+	TLCOr3: {Name: "TLC-OR3", Steps: []Step{
+		init0,
+		tsense(TVRead5), m2, // A = [E..S4]
+		tsense(TVRead6), m1, // C = [S5], A = NOT [S5]
+		m3,
+	}},
+	TLCNor3: {Name: "TLC-NOR3", Steps: []Step{
+		initInv,
+		tsense(TVRead5), m1, // C = [E..S4] ... A = [S5..S7]
+		tsense(TVRead6), m2, // A = [S5]
+		m3,
+	}},
 }
 
 // TLCRunOp executes a three-operand operation on a cell in the given

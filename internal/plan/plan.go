@@ -201,16 +201,11 @@ func FusedSequence(op latch.Op, k int) (latch.Sequence, error) {
 // folding k block-colocated operands in one sense, when the op's algebra
 // and the sense-margin cap admit one. Like FusedSequence it returns only
 // programs that pass latch.Sequence.Validate, so an illegal MWS can
-// never reach the device through a compiled plan.
+// never reach the device through a compiled plan. The program comes from
+// latch's MWS table, the same one the array's senses read.
 func MWSSequence(op latch.Op, k int) (latch.Sequence, bool) {
-	if !latch.MWSComputable(op) || k < 2 || k > latch.MaxMWSOperands {
-		return latch.Sequence{}, false
-	}
-	seq := latch.ForOpMWS(op, k)
-	if err := seq.Validate(); err != nil {
-		return latch.Sequence{}, false
-	}
-	return seq, true
+	seq, err := latch.MWSProgram(op, k)
+	return seq, err == nil
 }
 
 // MWSWins reports whether the single multi-wordline sense beats the

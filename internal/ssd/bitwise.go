@@ -286,11 +286,11 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 // pushed out of a run's chain (off-plane, or no longer LSB) fold through
 // the buffered reallocation path instead.
 func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (BitwiseResult, error) {
+	s := &d.red
 	// Pre-scan for run grouping and the fallback decision only; the
 	// wordline addresses seen here are NOT reused for sensing.
-	planes := make([]flash.PlaneAddr, len(lpns))
-	nruns := 0
-	for i, lpn := range lpns {
+	s.planes = s.planes[:0]
+	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
 			return BitwiseResult{}, err
@@ -300,29 +300,22 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			d.noteFallback(SchemeLocFree)
 			return d.reduceSerial(op, lpns, at)
 		}
-		planes[i] = addr.WordlineAddr.PlaneAddr
-		if i == 0 || planes[i] != planes[i-1] {
-			nruns++
-		}
+		s.planes = append(s.planes, addr.WordlineAddr.PlaneAddr)
 	}
 	// Split into same-plane runs of LPNs, chain each, then park run
 	// results aligned and chain again until one remains. Runs are
 	// contiguous, so each one is a window of lpns.
-	type run struct {
-		lpns  []uint64
-		plane flash.PlaneAddr
-	}
-	runs := make([]run, 0, nruns)
+	s.runs = s.runs[:0]
 	for start, i := 0, 1; i <= len(lpns); i++ {
-		if i == len(lpns) || planes[i] != planes[start] {
-			runs = append(runs, run{lpns: lpns[start:i], plane: planes[start]})
+		if i == len(lpns) || s.planes[i] != s.planes[start] {
+			s.runs = append(s.runs, lpnRun{start: start, end: i, plane: s.planes[start]})
 			start = i
 		}
 	}
 
 	var acc BitwiseResult
 	havePartial := false
-	for _, r := range runs {
+	for _, r := range s.runs {
 		ready := at
 		parked := false
 		var parkWL flash.WordlineAddr
@@ -351,32 +344,26 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 		// Resolve this run's layout NOW, after whatever maintenance the
 		// parking write triggered: still-aligned operands chain, migrated
 		// ones fold through the buffered path below.
-		type located struct {
-			lpn uint64
-			wl  flash.WordlineAddr
+		// The chain holds the parked partial, if any, then the aligned
+		// operands; alignedLPNs names the latter.
+		s.chain, s.alignedLPNs, s.strays = s.chain[:0], s.alignedLPNs[:0], s.strays[:0]
+		if parked {
+			s.chain = append(s.chain, parkWL)
 		}
-		aligned := make([]located, 0, len(r.lpns))
-		var strays []uint64
-		for _, lpn := range r.lpns {
+		for _, lpn := range lpns[r.start:r.end] {
 			addr, err := d.operandLoc(lpn)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
 			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == r.plane {
-				aligned = append(aligned, located{lpn, addr.WordlineAddr})
+				s.chain = append(s.chain, addr.WordlineAddr)
+				s.alignedLPNs = append(s.alignedLPNs, lpn)
 			} else {
-				strays = append(strays, lpn)
+				s.strays = append(s.strays, lpn)
 			}
 		}
-		chain := make([]flash.WordlineAddr, 0, len(aligned)+1)
-		if parked {
-			chain = append(chain, parkWL)
-		}
-		for _, a := range aligned {
-			chain = append(chain, a.wl)
-		}
-		if len(chain) >= 2 {
-			res, err := d.array.BitwiseChainLSB(op, chain, ready)
+		if len(s.chain) >= 2 {
+			res, err := d.array.BitwiseChainLSB(op, s.chain, ready)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
@@ -396,15 +383,13 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 		} else {
 			// Too short to chain: a lone aligned operand folds like a
 			// stray; a parked-but-alone partial is already in acc.
-			for _, a := range aligned {
-				strays = append(strays, a.lpn)
-			}
+			s.strays = append(s.strays, s.alignedLPNs...)
 		}
-		if len(strays) > 0 && havePartial {
+		if len(s.strays) > 0 && havePartial {
 			d.stats.Fallbacks++
 			d.noteFallback(SchemeLocFree)
 		}
-		for _, lpn := range strays {
+		for _, lpn := range s.strays {
 			if !havePartial {
 				data, done, err := d.Read(lpn, ready)
 				if err != nil {

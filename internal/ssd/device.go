@@ -53,6 +53,8 @@ type Device struct {
 	// device): host writes are journaled before they are acknowledged and
 	// the journal compacts into snapshots. See Create/Open/Close.
 	store *persist.Store
+	// red is the working memory the reduction paths reuse across calls.
+	red reduceScratch
 }
 
 // OpStats counts controller-level ParaBit activity.

@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"slices"
+
 	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/sim"
@@ -77,26 +79,28 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		d.noteFallback(SchemeFlashCosmos)
 		return d.reduceLocFree(op, lpns, at)
 	}
-	// Pre-scan: bucket operands by current block, preserving
-	// first-appearance order. Addresses seen here drive grouping only and
-	// are never sensed from.
-	var order []blockKey
-	groups := make(map[blockKey][]uint64)
-	var strays []uint64
+	s := &d.red
+	// Pre-scan: note each operand's current block (-1 for a non-LSB
+	// stray), keeping blocks in first-appearance order. Addresses seen
+	// here drive grouping only and are never sensed from.
+	s.keys, s.blockOf, s.strays = s.keys[:0], s.blockOf[:0], s.strays[:0]
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
 		if addr.Kind != flash.LSBPage {
-			strays = append(strays, lpn)
+			s.strays = append(s.strays, lpn)
+			s.blockOf = append(s.blockOf, -1)
 			continue
 		}
 		key := blockKey{addr.PlaneAddr, addr.Block}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		b := slices.Index(s.keys, key)
+		if b < 0 {
+			b = len(s.keys)
+			s.keys = append(s.keys, key)
 		}
-		groups[key] = append(groups[key], lpn)
+		s.blockOf = append(s.blockOf, b)
 	}
 
 	var acc BitwiseResult
@@ -118,84 +122,85 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		acc = r
 		return nil
 	}
-	// Split each block's group into sense-margin-sized chunks and gather
-	// the chunks into per-plane runs: every chunk of a run senses on the
-	// same plane, so its results can accumulate in that plane's latches.
-	type planeRun struct {
-		plane  flash.PlaneAddr
-		chunks [][]uint64
-	}
-	runIdx := make(map[flash.PlaneAddr]int)
-	var runs []*planeRun
-	for _, key := range order {
-		g := groups[key]
+	// Split each block's group, in operand order, into sense-margin-sized
+	// chunks. A chunk belongs to its block's plane run: every chunk of a
+	// run senses on the same plane, so its results can accumulate in that
+	// plane's latches. Runs take their planes' first-appearance order.
+	s.grouped, s.chunks, s.runPlanes = s.grouped[:0], s.chunks[:0], s.runPlanes[:0]
+	for b, key := range s.keys {
+		start := len(s.grouped)
+		for i, lpn := range lpns {
+			if s.blockOf[i] == b {
+				s.grouped = append(s.grouped, lpn)
+			}
+		}
+		g := s.grouped[start:]
 		if len(g) < 2 {
-			strays = append(strays, g...)
+			s.strays = append(s.strays, g...)
 			continue
 		}
-		idx, ok := runIdx[key.plane]
-		if !ok {
-			idx = len(runs)
-			runIdx[key.plane] = idx
-			runs = append(runs, &planeRun{plane: key.plane})
+		if !slices.Contains(s.runPlanes, key.plane) {
+			s.runPlanes = append(s.runPlanes, key.plane)
 		}
 		for len(g) > 0 {
-			n := len(g)
-			if n > latch.MaxMWSOperands {
-				n = latch.MaxMWSOperands
-			}
+			n := min(len(g), latch.MaxMWSOperands)
 			chunk := g[:n]
 			g = g[n:]
 			if n < 2 {
-				strays = append(strays, chunk...)
+				s.strays = append(s.strays, chunk...)
 				continue
 			}
-			runs[idx].chunks = append(runs[idx].chunks, chunk)
+			s.chunks = append(s.chunks, mwsChunk{plane: key.plane, lpns: chunk})
 		}
 	}
-	for _, r := range runs {
+	for _, run := range s.runPlanes {
 		// Re-resolve the run NOW, after whatever maintenance earlier
 		// cross-plane combines triggered: still-colocated chunks sense
 		// together, migrated operands fold through the buffered path.
 		// A migration may also have moved a whole chunk off this run's
 		// plane, so resolved chunks re-bucket by their actual plane.
-		chunkPlanes := make(map[flash.PlaneAddr][][]flash.WordlineAddr)
-		var planeOrder []flash.PlaneAddr
-		for _, chunk := range r.chunks {
-			wls := make([]flash.WordlineAddr, 0, len(chunk))
-			var moved []uint64
-			for i, lpn := range chunk {
+		s.wls, s.resolved, s.sensePlanes = s.wls[:0], s.resolved[:0], s.sensePlanes[:0]
+		for _, chunk := range s.chunks {
+			if chunk.plane != run {
+				continue
+			}
+			start, mark := len(s.wls), len(s.strays)
+			for i, lpn := range chunk.lpns {
 				addr, err := d.operandLoc(lpn)
 				if err != nil {
 					return BitwiseResult{}, err
 				}
-				if addr.Kind == flash.LSBPage && (i == 0 || (len(wls) > 0 &&
-					addr.PlaneAddr == wls[0].PlaneAddr && addr.Block == wls[0].Block)) {
-					wls = append(wls, addr.WordlineAddr)
+				if addr.Kind == flash.LSBPage && (i == 0 || (len(s.wls) > start &&
+					addr.PlaneAddr == s.wls[start].PlaneAddr && addr.Block == s.wls[start].Block)) {
+					s.wls = append(s.wls, addr.WordlineAddr)
 				} else {
-					moved = append(moved, lpn)
+					s.strays = append(s.strays, lpn)
 				}
 			}
-			if len(wls) < 2 {
+			if len(s.wls)-start < 2 {
 				// The chunk scattered: everything folds pairwise.
-				strays = append(strays, chunk...)
+				s.wls, s.strays = s.wls[:start], append(s.strays[:mark], chunk.lpns...)
 				continue
 			}
-			pl := wls[0].PlaneAddr
-			if _, ok := chunkPlanes[pl]; !ok {
-				planeOrder = append(planeOrder, pl)
+			pl := s.wls[start].PlaneAddr
+			if !slices.Contains(s.sensePlanes, pl) {
+				s.sensePlanes = append(s.sensePlanes, pl)
 			}
-			chunkPlanes[pl] = append(chunkPlanes[pl], wls)
-			strays = append(strays, moved...)
+			s.resolved = append(s.resolved, wlSpan{plane: pl, start: start, end: len(s.wls)})
 		}
-		for _, pl := range planeOrder {
-			chunks := chunkPlanes[pl]
+		for _, pl := range s.sensePlanes {
+			s.chunkWLs = s.chunkWLs[:0]
+			for _, r := range s.resolved {
+				if r.plane == pl {
+					s.chunkWLs = append(s.chunkWLs, s.wls[r.start:r.end])
+				}
+			}
 			var res flash.SenseResult
 			var err error
-			if len(chunks) == 1 {
-				res, err = d.array.BitwiseSenseMWS(op, chunks[0], at)
+			if len(s.chunkWLs) == 1 {
+				res, err = d.array.BitwiseSenseMWS(op, s.chunkWLs[0], at)
 			} else {
-				res, err = d.array.BitwiseChainMWS(op, chunks, at)
+				res, err = d.array.BitwiseChainMWS(op, s.chunkWLs, at)
 			}
 			if err != nil {
 				return BitwiseResult{}, err
@@ -209,11 +214,11 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 	}
 	// Strays missed the single-sense layout: the pairwise fallback, one
 	// buffered reallocation step each.
-	if len(strays) > 0 {
+	if len(s.strays) > 0 {
 		d.stats.Fallbacks++
 		d.noteFallback(SchemeFlashCosmos)
 	}
-	for _, lpn := range strays {
+	for _, lpn := range s.strays {
 		if !havePartial {
 			data, done, err := d.Read(lpn, at)
 			if err != nil {
@@ -230,4 +235,59 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		acc = res
 	}
 	return acc, nil
+}
+
+// reduceScratch is the working memory reduceLocFree and reduceFlashCosmos
+// reuse across calls, truncated on entry, so a reduction allocates only
+// the pages it produces. The device is single-threaded under the
+// scheduler, and the only nesting — reduceFlashCosmos handing a whole
+// reduction to reduceLocFree — happens before reduceFlashCosmos touches
+// the scratch. No field outlives the call that fills it.
+type reduceScratch struct {
+	// strays are the operands that fold through the buffered pairwise
+	// path, in fold order.
+	strays []uint64
+
+	// reduceLocFree: each operand's plane at pre-scan, the same-plane
+	// runs, and one run's chain and the LPNs of its aligned operands.
+	planes      []flash.PlaneAddr
+	runs        []lpnRun
+	chain       []flash.WordlineAddr
+	alignedLPNs []uint64
+
+	// reduceFlashCosmos: operand blocks in first-appearance order and each
+	// operand's index into them, the operands regrouped by block, the
+	// chunks and the planes of their runs; then one run's resolved
+	// wordlines, its chunks' windows of them, the planes those sense on,
+	// and one plane's chunks as handed to the array.
+	keys        []blockKey
+	blockOf     []int
+	grouped     []uint64
+	chunks      []mwsChunk
+	runPlanes   []flash.PlaneAddr
+	wls         []flash.WordlineAddr
+	resolved    []wlSpan
+	sensePlanes []flash.PlaneAddr
+	chunkWLs    [][]flash.WordlineAddr
+}
+
+// lpnRun is a window lpns[start:end] of a reduction's operands sharing a
+// plane.
+type lpnRun struct {
+	start, end int
+	plane      flash.PlaneAddr
+}
+
+// mwsChunk is up to MaxMWSOperands operands of one block, planned for one
+// multi-wordline sense on plane.
+type mwsChunk struct {
+	plane flash.PlaneAddr
+	lpns  []uint64
+}
+
+// wlSpan is a resolved chunk: the window wls[start:end] of wordlines
+// sensing together on plane.
+type wlSpan struct {
+	plane      flash.PlaneAddr
+	start, end int
 }
