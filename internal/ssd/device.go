@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"parabit/internal/binio"
 	"parabit/internal/ecc"
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
@@ -39,6 +40,8 @@ type Device struct {
 	// plain tracks LPNs stored without scrambling (operand pages and
 	// reallocation targets).
 	plain map[uint64]bool
+	// plainEnc orders plain by LPN for writeSnapshot.
+	plainEnc binio.Ordered[struct{}]
 	// Internal LPNs for reallocated operands and intermediate results
 	// grow downward from the top of the logical space.
 	nextInternal uint64
