@@ -63,6 +63,11 @@ type block struct {
 	// reads counts SROs issued against the block since its last erase:
 	// the read-disturb exposure the reliability model can consume.
 	reads int
+	// used counts the pages programmed since the last erase.
+	used int
+	// changed marks a block programmed or erased since the last
+	// ClearChanged: a delta state encoding must carry its contents.
+	changed bool
 }
 
 type plane struct {
@@ -420,6 +425,7 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 	if blk.wl == nil {
 		blk.wl = make([]wordline, a.geo.WordlinesPerBlock)
 	}
+	blk.changed = true
 	wl := &blk.wl[p.WL]
 	if wl.pages == nil {
 		wl.pages = make([][]byte, a.geo.CellBits)
@@ -455,6 +461,7 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 		}
 	}
 	wl.pages[p.Kind] = buf
+	blk.used++
 	if par != nil {
 		if wl.parity == nil {
 			wl.parity = make([][]byte, a.geo.CellBits)
@@ -491,6 +498,8 @@ func (a *Array) Erase(p PlaneAddr, blockIdx int, at sim.Time) (sim.Time, error) 
 	blk.wl = nil
 	blk.erases++
 	blk.reads = 0
+	blk.used = 0
+	blk.changed = true
 	a.stats.Erases++
 	return end, nil
 }

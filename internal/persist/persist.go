@@ -1,5 +1,5 @@
 // Package persist is the crash-consistent on-disk store for the
-// simulated SSD: a CRC-framed write-ahead journal plus periodic full
+// simulated SSD: a CRC-framed write-ahead journal plus periodic
 // snapshots, with a mount-time recovery path that replays the journal
 // tail on top of the last snapshot.
 //
@@ -18,12 +18,28 @@
 // # On-disk layout
 //
 // A store directory holds one current epoch: CURRENT (the epoch
-// number), snap-<epoch>.bin (a checksummed snapshot of the full device
-// state) and journal-<epoch>.log (records since that snapshot). When
-// the journal grows past the configured length the store writes the
-// next epoch's snapshot to a temporary file, atomically renames it and
-// CURRENT into place, and retires the old epoch — a crash at any point
-// leaves one complete, consistent epoch on disk.
+// number), snap-<epoch>.bin (a checksummed snapshot) and
+// journal-<epoch>.log (records since that snapshot). When the journal
+// grows past the configured length the store writes the next epoch's
+// snapshot to a temporary file, atomically renames it and CURRENT into
+// place, and retires what the new epoch no longer needs — a crash at any
+// point leaves one complete, consistent epoch on disk.
+//
+// A snapshot is either a full image or a delta: a PBSNAP2 file names
+// its parent epoch (0 for a full image), and the device leaves out of a
+// delta what it has not changed since that parent — the flash blocks it
+// has neither programmed nor erased. The current image is therefore a
+// chain: the current epoch's snapshot, its parent, and so on back to a
+// full image. Each file's metadata (configuration, translation state,
+// counters) is complete, so a mount takes it from the newest file and
+// only block contents from the older ones. A rotation writes a delta
+// unless the payload the chain's files hold but newer files superseded
+// exceeds the payload it still supplies; then it writes a full image,
+// which lets every older file go. Create, Close and the rotation that
+// ends a mount always write a full image. Retirement keeps every file
+// the current chain references, and a missing or corrupt chain member
+// fails the mount with ErrCorrupt. A PBSNAP1 file (no parent field) is
+// a full image.
 //
 // # Power-cut injection
 //
@@ -94,6 +110,8 @@ type Stats struct {
 	JournalRecords  int64 // records appended (intents + commits)
 	JournalBytes    int64 // bytes appended to the journal
 	Snapshots       int64 // snapshot rotations completed
+	FullSnapshots   int64 // rotations that wrote a full image
+	SnapshotBytes   int64 // snapshot file bytes rotations wrote
 	ReplayedRecords int64 // committed records replayed at mount
 	SkippedIntents  int64 // uncommitted intents skipped at mount
 	TornBytes       int64 // torn journal tail truncated at mount

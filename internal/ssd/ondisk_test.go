@@ -2,10 +2,12 @@ package ssd
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,9 +20,10 @@ const onDiskGolden = "testdata/ondisk.golden"
 
 // onDiskOverwrites is how many single-page overwrites buildOnDisk pins to
 // plane 1 before its tail of one record per op. It is a multiple of the
-// default rotation length, so the tail lands in a fresh journal, and
-// large enough to fill the plane and run garbage collection.
-const onDiskOverwrites = 26 * persist.DefaultSnapshotEvery
+// default rotation length, so the tail lands in a fresh journal, large
+// enough to fill the plane and run garbage collection, and two rotations
+// past a full image, so the last epoch's chain holds two deltas.
+const onDiskOverwrites = 28 * persist.DefaultSnapshotEvery
 
 // buildOnDisk drives a TLC Small device (the Small geometry with three
 // pages per wordline, so the triple op can run) through a fixed
@@ -75,17 +78,40 @@ func buildOnDisk(t *testing.T, dir string) {
 	d.Crash()
 }
 
-// renderOnDisk names the epoch CURRENT points at and the SHA-256 and
-// length of CURRENT, that epoch's snapshot file and its journal.
-func renderOnDisk(t *testing.T, dir string) string {
+// chainFiles returns the epoch CURRENT names and the snapshot files of
+// its chain, newest first: each PBSNAP2 file names its parent epoch in
+// the eight bytes after its magic, and 0 ends the chain at a full image.
+func chainFiles(t *testing.T, dir string) (string, []string) {
 	t.Helper()
 	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	epoch := strings.TrimSpace(string(cur))
+	var files []string
+	for e := epoch; e != "0"; {
+		name := "snap-" + e + ".bin"
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) < 16 || string(raw[:8]) != "PBSNAP2\n" {
+			t.Fatalf("%s is not a PBSNAP2 file", name)
+		}
+		files = append(files, name)
+		e = strconv.FormatUint(binary.LittleEndian.Uint64(raw[8:16]), 10)
+	}
+	return epoch, files
+}
+
+// renderOnDisk names the SHA-256 and length of CURRENT, every snapshot
+// file of the current chain (newest first) and the current journal.
+func renderOnDisk(t *testing.T, dir string) string {
+	t.Helper()
+	epoch, snaps := chainFiles(t, dir)
 	var b strings.Builder
-	for _, name := range []string{"CURRENT", "snap-" + epoch + ".bin", "journal-" + epoch + ".log"} {
+	names := append(append([]string{"CURRENT"}, snaps...), "journal-"+epoch+".log")
+	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -96,8 +122,8 @@ func renderOnDisk(t *testing.T, dir string) string {
 }
 
 // TestOnDiskBytesGolden pins the exact bytes the store writes: the
-// snapshot and journal of the last epoch of buildOnDisk must hash to
-// testdata/ondisk.golden. Any change to snapshot encoding, journal
+// snapshot chain and journal of the last epoch of buildOnDisk must hash
+// to testdata/ondisk.golden. Any change to snapshot encoding, journal
 // framing or rotation points shows up here.
 // Regenerate with: go test ./internal/ssd -run TestOnDiskBytesGolden -update-ondisk
 func TestOnDiskBytesGolden(t *testing.T) {

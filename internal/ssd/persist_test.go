@@ -3,6 +3,8 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -298,26 +300,72 @@ func TestPersistTLCTripleRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkDeviceSnapshot measures one snapshot rotation of a Small
-// device holding 14k written pages: encode, stream, sync and publish.
-func BenchmarkDeviceSnapshot(b *testing.B) {
-	d, err := Create(b.TempDir(), SmallConfig(), -1)
+// benchPreload is the number of pages the rotation benchmarks write
+// before timing: the durable-ingest working set, rounded up to a whole
+// number of default rotation lengths.
+const benchPreload = 55 * persist.DefaultSnapshotEvery
+
+// preloadedDevice creates a persistent Small device at the default
+// rotation length holding benchPreload written pages.
+func preloadedDevice(b *testing.B) *Device {
+	d, err := Create(b.TempDir(), SmallConfig(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for lpn := uint64(0); lpn < 14000; lpn++ {
+	for lpn := uint64(0); lpn < benchPreload; lpn++ {
 		if _, err := d.WriteOperand(lpn, randPage(d, int64(lpn)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return d
+}
+
+// BenchmarkDeviceSnapshot measures one full-image snapshot rotation of
+// a Small device holding benchPreload written pages: encode, stream,
+// sync and publish. The writer ignores the store's delta request, so
+// every rotation writes the whole image.
+func BenchmarkDeviceSnapshot(b *testing.B) {
+	d := preloadedDevice(b)
+	full := func(w io.Writer, _ bool) (persist.Payload, error) { return d.writeSnapshot(w, false) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.store.Snapshot(d.writeSnapshot); err != nil {
+		if err := d.store.Snapshot(full); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkDeviceRotation measures the steady-state persistence cost of
+// one rotation period: each iteration is one default rotation length of
+// Zipf-skewed single-page overwrites over the preloaded working set, the
+// last of which triggers the rotation. Full images come due under the
+// store's compaction rule, so their amortized cost is included.
+func BenchmarkDeviceRotation(b *testing.B) {
+	d := preloadedDevice(b)
+	rng := rand.New(rand.NewSource(1))
+	pick := rand.NewZipf(rng, 1.1, 1, benchPreload-1)
+	pages := make([][]byte, 64)
+	for i := range pages {
+		pages[i] = randPage(d, int64(-1-i))
+	}
+	before, _ := d.PersistStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < persist.DefaultSnapshotEvery; j++ {
+			if _, err := d.WriteOperand(pick.Uint64(), pages[j%len(pages)], 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	after, _ := d.PersistStats()
+	b.ReportMetric(float64(after.SnapshotBytes-before.SnapshotBytes)/float64(after.Snapshots-before.Snapshots), "B/rotation")
 	if err := d.Close(); err != nil {
 		b.Fatal(err)
 	}
