@@ -302,10 +302,11 @@ func TestBitwiseAllOpsCorrect(t *testing.T) {
 	wl := WordlineAddr{Block: 7, WL: 3}
 	writeOperands(t, a, wl, x, y)
 	for _, op := range latch.Ops {
-		got, _, err := a.Bitwise(op, wl, 0)
+		res, err := a.Sense(Sense{Kind: SensePair, Op: op, WLs: []WordlineAddr{wl}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
+		got := res.Data
 		for i := range got {
 			for b := 0; b < 8; b++ {
 				lsb := x[i]&(1<<b) != 0
@@ -336,7 +337,7 @@ func TestBitwiseLatencyMatchesSROs(t *testing.T) {
 	}
 	a := testArray()
 	wl := WordlineAddr{}
-	res, err := a.BitwiseSense(latch.OpXor, wl, 0)
+	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +361,11 @@ func TestBitwiseLocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range latch.BinaryOps {
-		got, _, err := a.BitwiseLocFree(op, wlM, wlN, 0)
+		res, err := a.Sense(Sense{Kind: SenseLocFree, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
+		got := res.Data
 		for i := range got {
 			for b := 0; b < 8; b++ {
 				lsb := nData[i]&(1<<b) != 0
@@ -381,7 +383,7 @@ func TestLocFreeRejectsCrossPlane(t *testing.T) {
 	a := testArray()
 	m := WordlineAddr{}
 	n := WordlineAddr{PlaneAddr: PlaneAddr{Plane: 1}}
-	if _, _, err := a.BitwiseLocFree(latch.OpAnd, m, n, 0); !errors.Is(err, ErrPlaneMismatch) {
+	if _, err := a.Sense(Sense{Kind: SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{m, n}}, 0); !errors.Is(err, ErrPlaneMismatch) {
 		t.Fatalf("err = %v, want ErrPlaneMismatch", err)
 	}
 }
@@ -410,7 +412,7 @@ func TestCorruptorHookApplied(t *testing.T) {
 	if _, err := a.Erase(wl.PlaneAddr, wl.Block, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.BitwiseSense(latch.OpXor, wl, 0)
+	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +570,8 @@ func TestStatsAccumulate(t *testing.T) {
 	a.Program(PageAddr{wl, LSBPage}, page, 0)
 	a.Program(PageAddr{wl, MSBPage}, page, 0)
 	a.Read(PageAddr{wl, LSBPage}, 0)
-	a.Bitwise(latch.OpAnd, wl, 0)
+	res, _ := a.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{wl}}, 0)
+	a.transferOut(wl.Channel, res.Ready, len(res.Data))
 	a.Erase(PlaneAddr{Channel: 1}, 0, 0)
 	s := a.Stats()
 	if s.Programs != 2 || s.Erases != 1 || s.BitwiseOps != 1 {
@@ -604,7 +607,7 @@ func TestDefaultGeometryConstructible(t *testing.T) {
 	// The paper-scale 512 GB geometry must be constructible in memory
 	// (lazy page storage) and usable for timing-only operations.
 	a := NewArray(Default(), DefaultTiming())
-	res, err := a.BitwiseSense(latch.OpAnd, WordlineAddr{Block: 100, WL: 10}, 0)
+	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{Block: 100, WL: 10}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +628,7 @@ func BenchmarkBitwisePage8KB(b *testing.B) {
 	a.Program(PageAddr{wl, MSBPage}, page, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.BitwiseSense(latch.OpXor, wl, 0); err != nil {
+		if _, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -645,10 +648,11 @@ func TestBitwiseLocFreeLSB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range latch.BinaryOps {
-		got, _, err := a.BitwiseLocFreeLSB(op, wlM, wlN, 0)
+		res, err := a.Sense(Sense{Kind: SenseLocFreeLSB, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
+		got := res.Data
 		for i := range got {
 			for b := 0; b < 8; b++ {
 				m := mData[i]&(1<<b) != 0
@@ -660,12 +664,12 @@ func TestBitwiseLocFreeLSB(t *testing.T) {
 		}
 	}
 	// NOT variants: NotLSB inverts M, NotMSB inverts N.
-	got, _, _ := a.BitwiseLocFreeLSB(latch.OpNotLSB, wlM, wlN, 0)
-	if got[0] != ^mData[0] {
+	res, _ := a.Sense(Sense{Kind: SenseLocFreeLSB, Op: latch.OpNotLSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
+	if res.Data[0] != ^mData[0] {
 		t.Fatal("NotLSB (first operand) wrong")
 	}
-	got, _, _ = a.BitwiseLocFreeLSB(latch.OpNotMSB, wlM, wlN, 0)
-	if got[0] != ^nData[0] {
+	res, _ = a.Sense(Sense{Kind: SenseLocFreeLSB, Op: latch.OpNotMSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
+	if res.Data[0] != ^nData[0] {
 		t.Fatal("NotMSB (second operand) wrong")
 	}
 }

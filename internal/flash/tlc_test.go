@@ -86,10 +86,11 @@ func TestTLCBitwiseAllOpsCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range []latch.TLCOp3{latch.TLCAnd3, latch.TLCOr3, latch.TLCNand3, latch.TLCNor3} {
-		got, _, err := a.BitwiseTLC(op, wl, 0)
+		res, err := a.Sense(Sense{Kind: SenseTLC, Op3: op, WLs: []WordlineAddr{wl}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
+		got := res.Data
 		for i := range got {
 			for b := 0; b < 8; b++ {
 				want := op.Eval(lsb[i]&(1<<b) != 0, csb[i]&(1<<b) != 0, top[i]&(1<<b) != 0)
@@ -104,7 +105,7 @@ func TestTLCBitwiseAllOpsCorrect(t *testing.T) {
 func TestTLCBitwiseTiming(t *testing.T) {
 	a := tlcArray()
 	wl := WordlineAddr{}
-	res, err := a.BitwiseSenseTLC(latch.TLCAnd3, wl, 0)
+	res, err := a.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestTLCBitwiseTiming(t *testing.T) {
 		t.Errorf("AND3 ready at %v, want 60µs (1 TLC sense)", res.Ready)
 	}
 	a.ResetTiming()
-	res, _ = a.BitwiseSenseTLC(latch.TLCOr3, wl, 0)
+	res, _ = a.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCOr3, WLs: []WordlineAddr{wl}}, 0)
 	if res.Ready != sim.Time(120*sim.Microsecond) {
 		t.Errorf("OR3 ready at %v, want 120µs (2 senses)", res.Ready)
 	}
@@ -120,17 +121,17 @@ func TestTLCBitwiseTiming(t *testing.T) {
 
 func TestCellModeGuards(t *testing.T) {
 	mlc := testArray()
-	if _, err := mlc.BitwiseSenseTLC(latch.TLCAnd3, WordlineAddr{}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := mlc.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("TLC op on MLC: %v", err)
 	}
 	tlc := tlcArray()
-	if _, err := tlc.BitwiseSense(latch.OpAnd, WordlineAddr{}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC op on TLC: %v", err)
 	}
-	if _, err := tlc.BitwiseSenseLocFree(latch.OpAnd, WordlineAddr{}, WordlineAddr{WL: 1}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC locfree on TLC: %v", err)
 	}
-	if _, err := tlc.BitwiseChainLSB(latch.OpAnd, []WordlineAddr{{}, {WL: 1}}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: SenseChainLSB, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC chain on TLC: %v", err)
 	}
 }

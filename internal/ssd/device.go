@@ -226,7 +226,7 @@ func (d *Device) BitwiseTriple(op latch.TLCOp3, lpns [3]uint64, at sim.Time) (Bi
 			return BitwiseResult{}, fmt.Errorf("%w: triple operands span wordlines", ErrNotCoLocated)
 		}
 	}
-	res, err := d.array.BitwiseSenseTLC(op, wl, at)
+	res, err := d.array.Sense(flash.Sense{Kind: flash.SenseTLC, Op3: op, WLs: []flash.WordlineAddr{wl}}, at)
 	if err != nil {
 		return BitwiseResult{}, err
 	}

@@ -39,14 +39,8 @@ func mwsPair(a, b flash.PageAddr) bool {
 func (d *Device) bitwiseFlashCosmos(op latch.Op, lpnM, lpnN uint64,
 	addrM, addrN flash.PageAddr, at sim.Time) (BitwiseResult, error) {
 	if d.cfg.Geometry.CellBits == 2 && latch.MWSComputable(op) && mwsPair(addrM, addrN) {
-		res, err := d.array.BitwiseSenseMWS(op,
-			[]flash.WordlineAddr{addrM.WordlineAddr, addrN.WordlineAddr}, at)
-		if err != nil {
-			return BitwiseResult{}, err
-		}
-		d.stats.BitwiseOps++
-		d.noteOp(op, SchemeFlashCosmos, at, res.Ready)
-		return BitwiseResult{Data: res.Data, Done: res.Ready}, nil
+		s := flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: []flash.WordlineAddr{addrM.WordlineAddr, addrN.WordlineAddr}}
+		return d.runSense(s, at, op, SchemeFlashCosmos, at)
 	}
 	// Colocation missed, or the op's algebra has no single-sense form:
 	// the documented fallback is the pairwise location-free execution.
@@ -195,19 +189,15 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 					s.chunkWLs = append(s.chunkWLs, s.wls[r.start:r.end])
 				}
 			}
-			var res flash.SenseResult
-			var err error
+			sense := flash.Sense{Kind: flash.SenseChainMWS, Op: op, Chunks: s.chunkWLs}
 			if len(s.chunkWLs) == 1 {
-				res, err = d.array.BitwiseSenseMWS(op, s.chunkWLs[0], at)
-			} else {
-				res, err = d.array.BitwiseChainMWS(op, s.chunkWLs, at)
+				sense = flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: s.chunkWLs[0]}
 			}
+			res, err := d.runSense(sense, at, op, SchemeFlashCosmos, at)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			d.stats.BitwiseOps++
-			d.noteOp(op, SchemeFlashCosmos, at, res.Ready)
-			if err := fold(res.Data, res.Ready); err != nil {
+			if err := fold(res.Data, res.Done); err != nil {
 				return BitwiseResult{}, err
 			}
 		}
