@@ -154,6 +154,60 @@ func TestPublicFormula(t *testing.T) {
 	}
 }
 
+// TestPublicFormulaSubPage pins that Device.Execute honours operand
+// offsets and lengths: operands at one offset, at different offsets, and
+// a two-term formula over sub-page ranges, each checked against the
+// host-side result over the named bytes.
+func TestPublicFormulaSubPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    Formula
+	}{
+		{"equal offsets", Formula{Terms: []Term{
+			{First: Operand{LPN: 0, Offset: 16, Length: 16}, Second: Operand{LPN: 1, Offset: 16, Length: 16}, Op: Xor}}}},
+		{"different offsets", Formula{Terms: []Term{
+			{First: Operand{LPN: 0, Offset: 16, Length: 32}, Second: Operand{LPN: 1, Offset: 64, Length: 32}, Op: And}}}},
+		{"two terms", Formula{Terms: []Term{
+			{First: Operand{LPN: 0, Offset: 32, Length: 32}, Second: Operand{LPN: 1, Offset: 32, Length: 32}, Op: And},
+			{First: Operand{LPN: 2, Offset: 0, Length: 32}, Second: Operand{LPN: 3, Offset: 96, Length: 32}, Op: Or}},
+			Combine: []Op{Xor}}},
+	} {
+		d := newTestDevice(t)
+		pages := make([][]byte, 4)
+		for i := range pages {
+			pages[i] = pageOf(d, int64(40+i))
+		}
+		d.WriteOperandPair(0, 1, pages[0], pages[1])
+		d.WriteOperandPair(2, 3, pages[2], pages[3])
+		res, err := d.Execute(tc.f, PreAllocated)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		eval := func(op Op, x, y byte) byte {
+			switch op {
+			case And:
+				return x & y
+			case Or:
+				return x | y
+			}
+			return x ^ y
+		}
+		term := func(tm Term, i int) byte {
+			return eval(tm.Op, pages[tm.First.LPN][tm.First.Offset+i], pages[tm.Second.LPN][tm.Second.Offset+i])
+		}
+		want := make([]byte, tc.f.Terms[0].First.Length)
+		for i := range want {
+			want[i] = term(tc.f.Terms[0], i)
+			for j, op := range tc.f.Combine {
+				want[i] = eval(op, want[i], term(tc.f.Terms[j+1], i))
+			}
+		}
+		if len(res.Pages) != 1 || !bytes.Equal(res.Pages[0], want) {
+			t.Fatalf("%s: got %x, want %x", tc.name, res.Pages, want)
+		}
+	}
+}
+
 func TestPublicWriteReadRoundTrip(t *testing.T) {
 	d := newTestDevice(t)
 	data := pageOf(d, 30)
