@@ -85,14 +85,13 @@ func dumpPlan(b *strings.Builder, p *Plan) {
 		fmt.Fprintf(b, "  step %d %s %v args=%s\n", i, s.Kind, s.Op, strings.Join(args, ","))
 		fmt.Fprintf(b, "    key=%s\n", s.Key)
 		fmt.Fprintf(b, "    leaves=%v\n", s.Leaves)
-		fmt.Fprintf(b, "    seq=%s/%d mws=%s/%d\n", s.Seq.Name, len(s.Seq.Steps), s.MWSSeq.Name, len(s.MWSSeq.Steps))
 	}
 	fmt.Fprintf(b, "  fused=%d operands=%d mws=%d\n", p.FusedChains, p.FusedOperands, p.MWSChains)
 }
 
 // TestCompileKeysGolden pins every Step.Key, Step.Leaves, argument list
-// and program name over a corpus of nested, split-chain, complemented and
-// shared-sub-expression queries against testdata/compile_keys.golden.
+// and fusion counter over a corpus of nested, split-chain, complemented
+// and shared-sub-expression queries against testdata/compile_keys.golden.
 // Regenerate only for a deliberate cache-key change:
 //
 //	go test ./internal/plan -run TestCompileKeysGolden -update-keys

@@ -61,16 +61,6 @@ type Step struct {
 	// Leaves are the de-duplicated logical pages this step's value
 	// transitively depends on — the cache entry's invalidation set.
 	Leaves []uint64
-	// Seq is the validated chained latch control program for StepFused
-	// steps (the correctness rail: it passed latch.Sequence.Validate and
-	// its sense count matches flash.ChainCostLSB). Empty for other kinds.
-	Seq latch.Sequence
-	// MWSSeq is the Flash-Cosmos single-sense control program for the same
-	// fold, present when the op and operand count admit one AND it beats
-	// the chained program (MWSWins) — the program a SchemeFlashCosmos
-	// execution realizes when the operands are block-colocated. Empty
-	// otherwise.
-	MWSSeq latch.Sequence
 }
 
 // Plan is a compiled query: steps in execution order, the last step
@@ -82,10 +72,10 @@ type Plan struct {
 	FusedChains int
 	// FusedOperands counts operands covered by fused chains.
 	FusedOperands int
-	// MWSChains counts fused steps that also carry a Flash-Cosmos
-	// multi-wordline program (MWSSeq) — folds a SchemeFlashCosmos
-	// execution can collapse to a single sense when the operands land in
-	// one block.
+	// MWSChains counts fused steps whose fold has a Flash-Cosmos
+	// multi-wordline program that beats the chain (MWSWins) — folds a
+	// SchemeFlashCosmos execution can collapse to a single sense when the
+	// operands land in one block.
 	MWSChains int
 }
 
@@ -225,30 +215,25 @@ func MWSWins(op latch.Op, k int) bool {
 	return mws.SROs() < chain.SROs()
 }
 
-// program is one (op, k) entry of the fused-program table: the validated
-// chained program (or the error refusing it) and, when MWSWins, the
-// Flash-Cosmos program for the same fold.
+// program is one (op, k) entry of the fused-program table: the error
+// refusing the chained program, if any, and whether the Flash-Cosmos
+// program beats it (MWSWins). The programs themselves are built and
+// validated to decide both, then dropped: the device runs its own.
 type program struct {
-	seq     latch.Sequence
 	err     error
-	mws     latch.Sequence
 	mwsWins bool
 }
 
 func newProgram(op latch.Op, k int) *program {
-	p := &program{}
-	p.seq, p.err = FusedSequence(op, k)
-	if p.mwsWins = MWSWins(op, k); p.mwsWins {
-		p.mws, _ = MWSSequence(op, k)
-	}
-	return p
+	_, err := FusedSequence(op, k)
+	return &program{err: err, mwsWins: MWSWins(op, k)}
 }
 
 // The fused-program table holds one entry per fusable op and operand count
 // k in [0, maxChainLen(op)+1], so the refusals on either side of the legal
 // range are cached too. Like the paper's per-operation firmware programs,
-// each entry is built and validated once, through FusedSequence, MWSWins
-// and MWSSequence, and every compiled step shares it read-only.
+// each entry is built and validated once, through FusedSequence and
+// MWSWins, and every compile shares it read-only.
 var (
 	programsOnce sync.Once
 	programTable map[latch.Op][]*program
@@ -551,10 +536,9 @@ func (c *compiler) fuseStep(op latch.Op, refs []Ref, key string) (Ref, error) {
 	}
 	c.plan.FusedChains++
 	c.plan.FusedOperands += len(refs)
-	// Prefer the single multi-wordline sense whenever it is legal and
-	// strictly cheaper than the chain; the chained program stays on the
-	// step as the fallback shape for schemes (or placements) that cannot
-	// realize the MWS.
+	// Count the folds a single multi-wordline sense realizes whenever it
+	// is legal and strictly cheaper than the chain; the chain stays the
+	// fallback shape for schemes (or placements) that cannot realize it.
 	if prog.mwsWins {
 		c.plan.MWSChains++
 	}
@@ -564,7 +548,5 @@ func (c *compiler) fuseStep(op latch.Op, refs []Ref, key string) (Ref, error) {
 		Args:   refs,
 		Key:    key,
 		Leaves: c.leavesOf(refs),
-		Seq:    prog.seq,
-		MWSSeq: prog.mws,
 	}), nil
 }

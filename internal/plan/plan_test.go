@@ -204,7 +204,7 @@ func TestMWSSelection(t *testing.T) {
 		t.Error("MWSWins(XOR) = true")
 	}
 
-	// Compiled plans carry the MWS program on eligible fused steps.
+	// Compiled plans count eligible fused steps as MWS chains.
 	args := make([]*Expr, 8)
 	for i := range args {
 		args[i] = Leaf(uint64(i))
@@ -213,23 +213,16 @@ func TestMWSSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Steps[p.Root()]
-	if len(st.MWSSeq.Steps) == 0 {
-		t.Fatal("8-wide AND fold compiled without an MWS program")
-	}
-	if err := st.MWSSeq.Validate(); err != nil {
-		t.Fatalf("compiled MWS program invalid: %v", err)
-	}
 	if p.MWSChains != 1 {
-		t.Fatalf("MWSChains = %d, want 1", p.MWSChains)
+		t.Fatalf("8-wide AND fold: MWSChains = %d, want 1", p.MWSChains)
 	}
 	// XOR folds stay chain-only.
 	px, err := Compile(Xor(Leaf(0), Leaf(1), Leaf(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx := px.Steps[px.Root()]; len(sx.MWSSeq.Steps) != 0 || px.MWSChains != 0 {
-		t.Fatalf("XOR fold carries an MWS program: %+v (MWSChains=%d)", sx.MWSSeq, px.MWSChains)
+	if px.MWSChains != 0 {
+		t.Fatalf("XOR fold counted as an MWS chain (MWSChains=%d)", px.MWSChains)
 	}
 }
 
@@ -280,8 +273,8 @@ func TestCompileSplitsOverlongChains(t *testing.T) {
 		if len(s.Args) > max {
 			t.Fatalf("step arity %d exceeds legal chain %d", len(s.Args), max)
 		}
-		if err := s.Seq.Validate(); err != nil {
-			t.Fatalf("emitted sequence invalid: %v", err)
+		if _, err := FusedSequence(s.Op, len(s.Args)); err != nil {
+			t.Fatalf("emitted chain has no legal program: %v", err)
 		}
 		for _, r := range s.Args {
 			if r.Leaf {

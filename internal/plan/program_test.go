@@ -11,8 +11,8 @@ import (
 )
 
 // TestProgramTableMatchesFreshBuild pins every shared table entry to what
-// the builders produce from scratch: the same validated chained program,
-// costed like flash.ChainCostLSB, and the same Flash-Cosmos choice.
+// the builders decide from scratch: a chain FusedSequence accepts, costed
+// like flash.ChainCostLSB, and the same Flash-Cosmos choice.
 func TestProgramTableMatchesFreshBuild(t *testing.T) {
 	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
 		for k := 2; k <= maxChainLen(op); k++ {
@@ -24,36 +24,18 @@ func TestProgramTableMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FusedSequence(%v, %d): %v", op, k, err)
 			}
-			if !reflect.DeepEqual(p.seq, fresh) {
-				t.Fatalf("table chain for %v/%d differs from a fresh FusedSequence", op, k)
-			}
-			if err := p.seq.Validate(); err != nil {
-				t.Fatalf("table chain for %v/%d invalid: %v", op, k, err)
-			}
 			cost, err := flash.ChainCostLSB(op, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.seq.SROs() != cost.SROs {
-				t.Fatalf("table chain for %v/%d senses %d times, cost model %d", op, k, p.seq.SROs(), cost.SROs)
+			if fresh.SROs() != cost.SROs {
+				t.Fatalf("chain for %v/%d senses %d times, cost model %d", op, k, fresh.SROs(), cost.SROs)
 			}
 			if p.mwsWins != MWSWins(op, k) {
 				t.Fatalf("table MWS choice for %v/%d = %v, MWSWins says otherwise", op, k, p.mwsWins)
 			}
-			freshMWS, ok := MWSSequence(op, k)
-			if k <= latch.MaxMWSOperands && ok != latch.MWSComputable(op) {
+			if _, ok := MWSSequence(op, k); k <= latch.MaxMWSOperands && ok != latch.MWSComputable(op) {
 				t.Fatalf("MWSSequence(%v, %d) ok=%v", op, k, ok)
-			}
-			if !p.mwsWins {
-				freshMWS = latch.Sequence{}
-			}
-			if !reflect.DeepEqual(p.mws, freshMWS) {
-				t.Fatalf("table MWS program for %v/%d differs from a fresh MWSSequence", op, k)
-			}
-			if p.mwsWins {
-				if err := p.mws.Validate(); err != nil {
-					t.Fatalf("table MWS program for %v/%d invalid: %v", op, k, err)
-				}
 			}
 		}
 		// Refusals on both sides of the legal range are cached and stay
