@@ -54,8 +54,8 @@ func (d *Device) QueryStats() QueryStats {
 //     validated latch control programs and shares structurally equal
 //     sub-queries (internal/plan).
 //  3. Steps execute in dependency order. Fused steps over flash-resident
-//     operands run as chained reductions; buffered intermediates fold via
-//     the reallocation path. Each non-trivial step result lands in the
+//     operands run as chained reductions; buffered intermediates join
+//     through reallocation steps (see computeStep). Each non-trivial step result lands in the
 //     controller-DRAM cache, priced by its measured recompute time, and
 //     later queries reuse it while the FTL mapping versions of every
 //     operand it depends on are unchanged.
@@ -135,89 +135,55 @@ func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, s
 	return r, nil
 }
 
-// computeStep executes one step on the flash path.
+// computeStep executes one step on the flash path. Step kind and leaf
+// count pick the part that senses in place: two or more leaves of a fused
+// step run as a chained reduction, the two leaves of a binary step as one
+// Bitwise, and a NOT's leaf against itself. Buffered results then join
+// the fold, and a lone leaf last, one reallocation step each. A read step
+// is a fold of its one leaf.
 func (d *Device) computeStep(results []BitwiseResult, st plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
-	argOf := func(r plan.Ref) BitwiseResult { return results[r.Step] }
-	switch st.Kind {
-	case plan.StepRead:
-		data, done, err := d.Read(st.Args[0].LPN, at)
+	args := st.Args
+	if st.Kind == plan.StepNot {
+		// A complement is its op applied to the operand twice.
+		twice := [2]plan.Ref{args[0], args[0]}
+		args = twice[:]
+	}
+	// Fused chains are at most MaxSteps/2 operands long (plan.maxChainLen).
+	var buf [latch.MaxSteps / 2]uint64
+	leaves := buf[:0]
+	for _, r := range args {
+		if r.Leaf {
+			leaves = append(leaves, r.LPN)
+		}
+	}
+	f := fold{d: d, op: st.Op}
+	if len(leaves) >= 2 {
+		var r BitwiseResult
+		var err error
+		if st.Kind == plan.StepFused {
+			r, err = d.Reduce(st.Op, leaves, scheme, at)
+			if err == nil && d.tele.sink != nil {
+				d.tele.qTrack.Span("fuse/"+st.Op.String(), at, r.Done)
+			}
+		} else {
+			r, err = d.Bitwise(st.Op, leaves[0], leaves[1], scheme, at)
+		}
 		if err != nil {
 			return BitwiseResult{}, err
 		}
-		return BitwiseResult{Data: data, Done: done}, nil
-
-	case plan.StepNot:
-		a := st.Args[0]
-		if a.Leaf {
-			return d.Bitwise(latch.OpNotLSB, a.LPN, a.LPN, scheme, at)
-		}
-		buf := argOf(a)
-		return d.senseAfterReallocBuffered(latch.OpNotLSB, buf.Data, buf.Done, -1, buf.Data, buf.Done, at)
-
-	case plan.StepOp:
-		a, b := st.Args[0], st.Args[1]
-		switch {
-		case a.Leaf && b.Leaf:
-			return d.Bitwise(st.Op, a.LPN, b.LPN, scheme, at)
-		case a.Leaf:
-			// The ops are commutative: fold the buffered side first.
-			buf := argOf(b)
-			return d.senseAfterReallocBuffered(st.Op, buf.Data, buf.Done, int64(a.LPN), nil, 0, at)
-		case b.Leaf:
-			buf := argOf(a)
-			return d.senseAfterReallocBuffered(st.Op, buf.Data, buf.Done, int64(b.LPN), nil, 0, at)
-		default:
-			ra, rb := argOf(a), argOf(b)
-			return d.senseAfterReallocBuffered(st.Op, ra.Data, ra.Done, -1, rb.Data, rb.Done, at)
-		}
-
-	case plan.StepFused:
-		var leaves []uint64
-		var bufs []BitwiseResult
-		for _, r := range st.Args {
-			if r.Leaf {
-				leaves = append(leaves, r.LPN)
-			} else {
-				bufs = append(bufs, argOf(r))
-			}
-		}
-		var acc BitwiseResult
-		haveAcc := false
-		if len(leaves) >= 2 {
-			// The fused chain proper: flash-resident operands fold in one
-			// chained operation (SchemeLocFree) or the scheme's chained
-			// reduction.
-			r, err := d.Reduce(st.Op, leaves, scheme, at)
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			if d.tele.sink != nil {
-				d.tele.qTrack.Span("fuse/"+st.Op.String(), at, r.Done)
-			}
-			acc, haveAcc = r, true
-			leaves = nil
-		}
-		for _, buf := range bufs {
-			if !haveAcc {
-				acc, haveAcc = buf, true
-				continue
-			}
-			r, err := d.senseAfterReallocBuffered(st.Op, acc.Data, acc.Done, -1, buf.Data, buf.Done, at)
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			acc = r
-		}
-		for _, lpn := range leaves {
-			// At most one flash-resident operand remains here (a lone leaf
-			// among buffered intermediates).
-			r, err := d.senseAfterReallocBuffered(st.Op, acc.Data, acc.Done, int64(lpn), nil, 0, at)
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			acc = r
-		}
-		return acc, nil
+		f.acc, f.started, leaves = r, true, nil
 	}
-	return BitwiseResult{}, fmt.Errorf("ssd: unknown plan step kind %v", st.Kind)
+	for _, r := range args {
+		if !r.Leaf {
+			if err := f.add(buffered(results[r.Step]), at); err != nil {
+				return BitwiseResult{}, err
+			}
+		}
+	}
+	for _, lpn := range leaves {
+		if err := f.add(onFlash(lpn), at); err != nil {
+			return BitwiseResult{}, err
+		}
+	}
+	return f.acc, nil
 }
