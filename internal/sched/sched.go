@@ -30,6 +30,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 
 	"parabit/internal/flash"
@@ -450,6 +451,16 @@ func (s *Scheduler) execRetryLocked(c *Command, issue sim.Time) Result {
 	return r
 }
 
+// needLPNs refuses a command carrying fewer than n operand LPNs, so a
+// malformed command fails on its own ticket instead of panicking with
+// the scheduler locked.
+func needLPNs(c *Command, n int) error {
+	if len(c.LPNs) < n {
+		return fmt.Errorf("sched: %v takes %d operands, got %d: %w", c.Kind, n, len(c.LPNs), ssd.ErrNeedOperands)
+	}
+	return nil
+}
+
 // execLocked runs one command against the device at the given issue time.
 func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 	r := Result{Start: issue, Done: issue}
@@ -471,6 +482,9 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 			r.Data, r.Done, r.Err = s.dev.Read(c.LPN, issue)
 		}
 	case KindBitwise:
+		if r.Err = needLPNs(c, 2); r.Err != nil {
+			break
+		}
 		br, err := s.dev.Bitwise(c.Op, c.LPNs[0], c.LPNs[1], c.Scheme, issue)
 		if err == nil && c.ToHost {
 			s.dev.ShipToHost(&br)
@@ -480,6 +494,9 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 			r.Done, r.HostDone = br.Done, br.HostDone
 		}
 	case KindBitwiseTriple:
+		if r.Err = needLPNs(c, 3); r.Err != nil {
+			break
+		}
 		br, err := s.dev.BitwiseTriple(c.Op3, [3]uint64{c.LPNs[0], c.LPNs[1], c.LPNs[2]}, issue)
 		r.Data, r.Err = br.Data, err
 		if err == nil {

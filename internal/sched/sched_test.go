@@ -186,6 +186,30 @@ func TestErrorsAreIsolated(t *testing.T) {
 	}
 }
 
+// TestShortOperandListFailsItsTicket pins that a pairwise or triple
+// command with too few LPNs fails on its own ticket with
+// ssd.ErrNeedOperands, and the valid command batched beside it still
+// completes.
+func TestShortOperandListFailsItsTicket(t *testing.T) {
+	for _, kind := range []Kind{KindBitwise, KindBitwiseTriple} {
+		s, dev := newSched(t)
+		if r := s.Submit(Command{Kind: KindWriteOperand, LPN: 4, Data: pageOf(dev, 4)}).Wait(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		bad := s.Submit(Command{Kind: kind, Op: latch.OpAnd, LPNs: []uint64{4}, Scheme: ssd.SchemeReAlloc})
+		good := s.Submit(Command{Kind: KindRead, LPN: 4})
+		if r := bad.Wait(); !errors.Is(r.Err, ssd.ErrNeedOperands) {
+			t.Fatalf("%v with one LPN: err = %v, want ErrNeedOperands", kind, r.Err)
+		}
+		if r := good.Wait(); r.Err != nil || !bytes.Equal(r.Data, pageOf(dev, 4)) {
+			t.Fatalf("read batched beside a short %v: err %v", kind, r.Err)
+		}
+		if st := s.Stats(); st.Queues[kind].Errors != 1 {
+			t.Fatalf("%v queue errors = %d, want 1", kind, st.Queues[kind].Errors)
+		}
+	}
+}
+
 // TestQueueStats checks per-kind submission accounting and depth
 // high-water marks.
 func TestQueueStats(t *testing.T) {
