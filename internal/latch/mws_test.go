@@ -6,9 +6,9 @@ import (
 )
 
 // TestMWSProgramTable pins the shared MWS program table: every legal
-// (op, k) yields exactly the program ForOpMWS builds, everything else —
-// inside the table or outside it — is refused, and a lookup allocates
-// nothing.
+// (op, k) yields exactly the program ForOpMWS builds, validated and
+// sensing once; everything else — inside the table or outside it — is
+// refused, and a lookup allocates nothing.
 func TestMWSProgramTable(t *testing.T) {
 	for op := Op(0); op <= numOps; op++ {
 		for k := -1; k <= MaxMWSOperands+3; k++ {
@@ -19,6 +19,9 @@ func TestMWSProgramTable(t *testing.T) {
 			}
 			if legal && !reflect.DeepEqual(seq, ForOpMWS(op, k)) {
 				t.Fatalf("MWSProgram(%v, %d) = %+v, want ForOpMWS's program", op, k, seq)
+			}
+			if legal && seq.SROs() != 1 {
+				t.Fatalf("MWSProgram(%v, %d) senses %d times, want 1", op, k, seq.SROs())
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func dumpPlan(b *strings.Builder, p *Plan) {
 		fmt.Fprintf(b, "    key=%s\n", s.Key)
 		fmt.Fprintf(b, "    leaves=%v\n", s.Leaves)
 	}
-	fmt.Fprintf(b, "  fused=%d operands=%d mws=%d\n", p.FusedChains, p.FusedOperands, p.MWSChains)
+	fmt.Fprintf(b, "  fused=%d operands=%d\n", p.FusedChains, p.FusedOperands)
 }
 
 // TestCompileKeysGolden pins every Step.Key, Step.Leaves, argument list

@@ -16,9 +16,8 @@ import (
 func TestProgramTableMatchesFreshBuild(t *testing.T) {
 	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
 		for k := 2; k <= maxChainLen(op); k++ {
-			p := programFor(op, k)
-			if p.err != nil {
-				t.Fatalf("programFor(%v, %d): %v", op, k, p.err)
+			if err := chainErr(op, k); err != nil {
+				t.Fatalf("chainErr(%v, %d): %v", op, k, err)
 			}
 			fresh, err := FusedSequence(op, k)
 			if err != nil {
@@ -31,18 +30,12 @@ func TestProgramTableMatchesFreshBuild(t *testing.T) {
 			if fresh.SROs() != cost.SROs {
 				t.Fatalf("chain for %v/%d senses %d times, cost model %d", op, k, fresh.SROs(), cost.SROs)
 			}
-			if p.mwsWins != MWSWins(op, k) {
-				t.Fatalf("table MWS choice for %v/%d = %v, MWSWins says otherwise", op, k, p.mwsWins)
-			}
-			if _, ok := MWSSequence(op, k); k <= latch.MaxMWSOperands && ok != latch.MWSComputable(op) {
-				t.Fatalf("MWSSequence(%v, %d) ok=%v", op, k, ok)
-			}
 		}
 		// Refusals on both sides of the legal range are cached and stay
 		// refusals.
 		for _, k := range []int{0, 1, maxChainLen(op) + 1, maxChainLen(op) + 40} {
-			if programFor(op, k).err == nil {
-				t.Fatalf("programFor(%v, %d) accepted an illegal chain length", op, k)
+			if chainErr(op, k) == nil {
+				t.Fatalf("chainErr(%v, %d) accepted an illegal chain length", op, k)
 			}
 		}
 	}
