@@ -239,6 +239,11 @@ func (d *Device) BitwiseTriple(op latch.TLCOp3, lpns [3]uint64, at sim.Time) (Bi
 	return BitwiseResult{Data: res.Data, Done: res.Ready}, nil
 }
 
+// scrambled reports whether lpn's page is stored scrambled: a normal host
+// write on a scrambling device. Such a page cannot sense as is (§4.3.2);
+// it must be read and descrambled first.
+func (d *Device) scrambled(lpn uint64) bool { return d.cfg.Scramble && !d.plain[lpn] }
+
 // Read returns the (descrambled) content of a logical page, without host
 // transfer: the controller-side view.
 func (d *Device) Read(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
@@ -246,7 +251,7 @@ func (d *Device) Read(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.cfg.Scramble && !d.plain[lpn] {
+	if d.scrambled(lpn) {
 		scrambleKeystream(lpn, data)
 	}
 	return data, done, nil
@@ -269,7 +274,7 @@ func (d *Device) readOperand(lpn uint64, at sim.Time) ([]byte, sim.Time, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.cfg.Scramble && !d.plain[lpn] {
+	if d.scrambled(lpn) {
 		scrambleKeystream(lpn, data)
 		d.stats.DescrambledOps++
 		d.tele.cDescramble.Add(1)
