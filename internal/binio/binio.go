@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 )
 
 // ErrTooLarge reports a length prefix beyond the reader's per-field cap.
@@ -161,45 +160,5 @@ func (b *Reader) Skip() {
 	}
 	if _, err := io.CopyN(io.Discard, b.r, int64(n)); err != nil {
 		b.err = fmt.Errorf("binio: short read: %w", err)
-	}
-}
-
-// Ordered visits the entries of a map with small integer keys in key
-// order without sorting them: Put scatters entries into key-indexed
-// slots and Drain walks the occupied ones. An encoder that keeps one
-// between calls allocates nothing for it in the steady state.
-type Ordered[V any] struct {
-	vals []V
-	set  []uint64 // occupancy bits, one per slot
-}
-
-// Reset empties o and sizes it for keys below n.
-func (o *Ordered[V]) Reset(n int) {
-	if len(o.vals) != n {
-		o.vals = make([]V, n)
-		o.set = make([]uint64, (n+63)/64)
-	}
-	clear(o.set)
-}
-
-// Put stores v under key k, reporting false for a key beyond the size
-// Reset gave.
-func (o *Ordered[V]) Put(k uint64, v V) bool {
-	if k >= uint64(len(o.vals)) {
-		return false
-	}
-	o.vals[k] = v
-	o.set[k/64] |= 1 << (k % 64)
-	return true
-}
-
-// Drain calls fn for every stored entry in ascending key order.
-func (o *Ordered[V]) Drain(fn func(k uint64, v V)) {
-	for w, word := range o.set {
-		for word != 0 {
-			k := uint64(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-			fn(k, o.vals[k])
-		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"parabit/internal/binio"
 	"parabit/internal/flash"
 	"parabit/internal/sim"
 	"parabit/internal/telemetry"
@@ -89,13 +88,20 @@ func (s Stats) WriteAmplification() float64 {
 
 type planeAlloc struct {
 	addr     flash.PlaneAddr
-	active   int // block being filled, -1 when none
-	nextWL   int // next wordline in the active block
+	base     uint64 // PPN of the plane's first page
+	active   int    // block being filled, -1 when none
+	nextWL   int    // next wordline in the active block
 	nextKind flash.PageKind
 	free     []int // erased block indexes
 	valid    []int // valid page count per block
 	full     []int // filled, non-free blocks (GC candidates)
 	bad      []int // retired blocks, permanently out of circulation
+	// owners is the plane's share of the reverse map, one leaf per
+	// block: a leaf's slot i holds LPN+1 of the page stored at slot i,
+	// 0 when that page is not valid. A block holds a leaf only while it
+	// holds valid pages, so the reverse map grows with live blocks, not
+	// with the physical space. nil until the plane's first mapping.
+	owners [][]uint32
 }
 
 // FTL maps logical page numbers to physical pages on a flash.Array.
@@ -109,22 +115,25 @@ type FTL struct {
 	cfg   Config
 	array *flash.Array
 	geo   flash.Geometry
-	l2p   map[uint64]uint64 // LPN -> PPN
-	p2l   map[uint64]uint64 // PPN -> LPN, for GC relocation
+	// perPlane and perBlock are the geometry's pages per plane and per
+	// block, kept so address decoding skips PageAt's division chain.
+	perPlane, perBlock uint64
+	l2p                table[uint32] // LPN -> PPN+1; planeAlloc.owners is the reverse
+	mapped             int           // LPNs with an l2p entry
+	spare              [][]uint32    // released reverse-map leaves, all zero
 	// vers counts mapping changes per LPN: every overwrite, trim,
 	// GC/reclaim/wear-leveling migration and bad-block retirement bumps
 	// the page's version. Cached derived results (the query planner's
 	// controller-DRAM cache) snapshot operand versions and revalidate
 	// against them, so any event that could have changed — or moved —
 	// an operand invalidates dependents.
-	vers   map[uint64]uint64
-	planes []*planeAlloc
-	order  []int // striping order: channel varies fastest
-	cursor int   // round-robin position in order
-	stats  Stats
-	// enc orders l2p and vers by LPN for WriteState, and encBuf holds
-	// the entries it writes out a chunk at a time.
-	enc    binio.Ordered[uint64]
+	vers      table[uint64]
+	versioned int // LPNs with a nonzero version
+	planes    []*planeAlloc
+	order     []int // striping order: channel varies fastest
+	cursor    int   // round-robin position in order
+	stats     Stats
+	// encBuf holds the entries WriteState writes out a chunk at a time.
 	encBuf [4096]byte
 
 	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
@@ -155,25 +164,30 @@ func (f *FTL) SetTelemetry(s *telemetry.Sink) {
 	f.cResteer = s.Counter("ftl.faults.resteered_writes")
 }
 
-// New builds an FTL over an erased array.
+// New builds an FTL over an erased array. It panics on a geometry
+// CheckGeometry refuses; device configs refuse such a geometry first.
 func New(array *flash.Array, cfg Config) *FTL {
 	geo := array.Geometry()
-	f := &FTL{
-		cfg:    cfg,
-		array:  array,
-		geo:    geo,
-		l2p:    make(map[uint64]uint64),
-		p2l:    make(map[uint64]uint64),
-		vers:   make(map[uint64]uint64),
-		planes: make([]*planeAlloc, geo.Planes()),
+	if err := CheckGeometry(geo); err != nil {
+		panic(err)
 	}
+	f := &FTL{
+		cfg:      cfg,
+		array:    array,
+		geo:      geo,
+		perPlane: uint64(geo.PagesPerPlane()),
+		perBlock: uint64(geo.PagesPerBlock()),
+		planes:   make([]*planeAlloc, geo.Planes()),
+	}
+	f.l2p = newTable[uint32](uint64(f.LogicalPages()))
+	f.vers = newTable[uint64](uint64(f.LogicalPages()))
 	for i := range f.planes {
-		pa := &planeAlloc{addr: geo.PlaneAt(i), active: -1}
+		pa := f.newPlane(i)
+		pa.active = -1
 		pa.free = make([]int, geo.BlocksPerPlane)
 		for b := range pa.free {
 			pa.free[b] = b
 		}
-		pa.valid = make([]int, geo.BlocksPerPlane)
 		f.planes[i] = pa
 	}
 	// Striping visits channels round-robin before reusing one, so
@@ -187,6 +201,16 @@ func New(array *flash.Array, cfg Config) *FTL {
 		f.order[i] = ch*perChannel + within
 	}
 	return f
+}
+
+// newPlane returns an allocator for plane i with every block on no list
+// and no valid pages.
+func (f *FTL) newPlane(i int) *planeAlloc {
+	return &planeAlloc{
+		addr:  f.geo.PlaneAt(i),
+		base:  uint64(i) * f.perPlane,
+		valid: make([]int, f.geo.BlocksPerPlane),
+	}
 }
 
 // Array returns the underlying flash array.
@@ -212,11 +236,43 @@ func (f *FTL) checkLPN(lpn uint64) error {
 
 // Lookup returns the physical location of a logical page.
 func (f *FTL) Lookup(lpn uint64) (flash.PageAddr, bool) {
-	ppn, ok := f.l2p[lpn]
-	if !ok {
+	v := f.l2p.get(lpn)
+	if v == 0 {
 		return flash.PageAddr{}, false
 	}
-	return f.geo.PageAt(ppn), true
+	return f.pageAt(uint64(v - 1)), true
+}
+
+// pageAt is geo.PageAt over the precomputed plane table.
+func (f *FTL) pageAt(ppn uint64) flash.PageAddr {
+	plane, blk, slot := f.split(ppn)
+	cb := uint64(f.geo.CellBits)
+	wl := slot / cb
+	return flash.PageAddr{
+		WordlineAddr: flash.WordlineAddr{PlaneAddr: f.planes[plane].addr, Block: int(blk), WL: int(wl)},
+		Kind:         flash.PageKind(slot - wl*cb),
+	}
+}
+
+// split decodes ppn into its plane index, its block there and its slot
+// in the block.
+func (f *FTL) split(ppn uint64) (plane, blk, slot uint64) {
+	plane = ppn / f.perPlane
+	in := ppn - plane*f.perPlane
+	blk = in / f.perBlock
+	return plane, blk, in - blk*f.perBlock
+}
+
+// slot is addr's page index within its block.
+func (f *FTL) slot(addr flash.PageAddr) int { return addr.WL*f.geo.CellBits + int(addr.Kind) }
+
+// owner returns the logical page mapped to slot of block blk, if any.
+func (pa *planeAlloc) owner(blk, slot int) (uint64, bool) {
+	if pa.owners == nil || pa.owners[blk] == nil {
+		return 0, false
+	}
+	v := pa.owners[blk][slot]
+	return uint64(v) - 1, v != 0
 }
 
 // Read returns the content of a logical page and the completion time.
@@ -268,7 +324,7 @@ func (f *FTL) reclaimBlock(plane flash.PlaneAddr, blockIdx int, at sim.Time) err
 				WordlineAddr: flash.WordlineAddr{PlaneAddr: plane, Block: blockIdx, WL: wl},
 				Kind:         kind,
 			}
-			lpn, ok := f.p2l[f.geo.PPN(addr)]
+			lpn, ok := pa.owner(addr.Block, f.slot(addr))
 			if !ok {
 				continue
 			}
@@ -316,25 +372,37 @@ func (f *FTL) reclaimBlock(plane flash.PlaneAddr, blockIdx int, at sim.Time) err
 
 // invalidate drops the mapping for lpn, if any, releasing the old page.
 func (f *FTL) invalidate(lpn uint64) {
-	ppn, ok := f.l2p[lpn]
-	if !ok {
+	v := f.l2p.get(lpn)
+	if v == 0 {
 		return
 	}
-	f.vers[lpn]++
-	delete(f.l2p, lpn)
-	delete(f.p2l, ppn)
-	addr := f.geo.PageAt(ppn)
-	pa := f.planes[f.geo.PlaneIndex(addr.PlaneAddr)]
-	pa.valid[addr.Block]--
+	f.bumpVersion(lpn)
+	f.l2p.set(lpn, 0)
+	f.mapped--
+	plane, blk, slot := f.split(uint64(v - 1))
+	pa := f.planes[plane]
+	pa.owners[blk][slot] = 0
+	if pa.valid[blk]--; pa.valid[blk] == 0 {
+		f.releaseLeaf(pa, int(blk))
+	}
 }
 
-func (f *FTL) mapPage(lpn uint64, addr flash.PageAddr) {
-	f.vers[lpn]++
-	ppn := f.geo.PPN(addr)
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
-	pa := f.planes[f.geo.PlaneIndex(addr.PlaneAddr)]
+// mapPage maps the unmapped lpn to addr, a page on pa.
+func (f *FTL) mapPage(pa *planeAlloc, lpn uint64, addr flash.PageAddr) {
+	f.bumpVersion(lpn)
+	slot := f.slot(addr)
+	f.l2p.set(lpn, uint32(pa.base+uint64(addr.Block)*f.perBlock+uint64(slot)+1))
+	f.leaf(pa, addr.Block)[slot] = uint32(lpn + 1)
+	f.mapped++
 	pa.valid[addr.Block]++
+}
+
+func (f *FTL) bumpVersion(lpn uint64) {
+	v := f.vers.get(lpn)
+	if v == 0 {
+		f.versioned++
+	}
+	f.vers.set(lpn, v+1)
 }
 
 // Version returns the mapping version of a logical page: 0 until the page
@@ -342,7 +410,7 @@ func (f *FTL) mapPage(lpn uint64, addr flash.PageAddr) {
 // migration (GC, read reclaim, static wear leveling, bad-block
 // retirement). Consumers caching results derived from the page compare
 // versions to detect both data changes and physical moves.
-func (f *FTL) Version(lpn uint64) uint64 { return f.vers[lpn] }
+func (f *FTL) Version(lpn uint64) uint64 { return f.vers.get(lpn) }
 
 // Trim invalidates a logical page without writing.
 func (f *FTL) Trim(lpn uint64) { f.invalidate(lpn) }
@@ -426,7 +494,7 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 			return err
 		}
 		f.invalidate(lpn)
-		f.mapPage(lpn, addr)
+		f.mapPage(pa, lpn, addr)
 		now = end
 		dst++
 		return nil
@@ -437,7 +505,7 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: cold, WL: wl},
 				Kind:         kind,
 			}
-			lpn, ok := f.p2l[f.geo.PPN(addr)]
+			lpn, ok := pa.owner(addr.Block, f.slot(addr))
 			if !ok {
 				// Invalid source pages migrate nowhere; the destination
 				// cursor stays put and the block compacts.
@@ -659,7 +727,7 @@ func (f *FTL) retireBlock(pa *planeAlloc, blk int, at sim.Time) (sim.Time, error
 				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: blk, WL: wl},
 				Kind:         kind,
 			}
-			lpn, ok := f.p2l[f.geo.PPN(addr)]
+			lpn, ok := pa.owner(addr.Block, f.slot(addr))
 			if !ok {
 				continue
 			}
@@ -914,7 +982,7 @@ func (f *FTL) program(pa *planeAlloc, l Layout, lpns []uint64, data [][]byte, at
 	}
 	for i, lpn := range lpns {
 		f.invalidate(lpn)
-		f.mapPage(lpn, addrs[i])
+		f.mapPage(pa, lpn, addrs[i])
 	}
 	return now, nil
 }
@@ -990,7 +1058,7 @@ func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: victim, WL: wl},
 				Kind:         kind,
 			}
-			lpn, ok := f.p2l[f.geo.PPN(addr)]
+			lpn, ok := pa.owner(addr.Block, f.slot(addr))
 			if !ok {
 				continue
 			}
@@ -1068,7 +1136,7 @@ func (f *FTL) FreeBlocks() int {
 }
 
 // MappedPages reports how many logical pages currently hold data.
-func (f *FTL) MappedPages() int { return len(f.l2p) }
+func (f *FTL) MappedPages() int { return f.mapped }
 
 // BadBlocks reports the total blocks retired from circulation.
 func (f *FTL) BadBlocks() int {
@@ -1084,7 +1152,10 @@ func (f *FTL) BadBlocks() int {
 // every allocation path (striped writes, paired writes, GC, read reclaim,
 // static wear leveling) must preserve:
 //
-//   - l2p and p2l are inverse maps of each other;
+//   - l2p and the reverse map (p2l, the planes' owner leaves) are
+//     inverses of each other, a block keeps a leaf only while it holds
+//     valid pages, and the mapped and versioned counters match the
+//     tables;
 //   - on every plane, each block appears in exactly one of the free list,
 //     the active slot, the full list, or the retired bad list (and never
 //     twice);
@@ -1094,26 +1165,24 @@ func (f *FTL) BadBlocks() int {
 // Tests — in particular the concurrent scheduler stress tests — call it
 // after hammering a device to prove the shared state stayed coherent.
 func (f *FTL) CheckInvariants() error {
-	for lpn, ppn := range f.l2p {
-		back, ok := f.p2l[ppn]
-		if !ok || back != lpn {
-			return fmt.Errorf("ftl: l2p[%d]=%d but p2l[%d]=%d (ok=%v)", lpn, ppn, ppn, back, ok)
+	// Entries hold page numbers off by one; a zero reads as unmapped.
+	var err error
+	mapped, versioned := 0, 0
+	f.l2p.each(func(lpn uint64, v uint32) {
+		mapped++
+		plane, blk, slot := f.split(uint64(v - 1))
+		if back, ok := f.planes[plane].owner(int(blk), int(slot)); err == nil && (!ok || back != lpn) {
+			err = fmt.Errorf("ftl: l2p[%d]=%d but the reverse map disagrees", lpn, v-1)
 		}
-	}
-	for ppn, lpn := range f.p2l {
-		fwd, ok := f.l2p[lpn]
-		if !ok || fwd != ppn {
-			return fmt.Errorf("ftl: p2l[%d]=%d but l2p[%d]=%d (ok=%v)", ppn, lpn, lpn, fwd, ok)
-		}
-	}
-	// Valid-page counts per (plane, block) from the reverse map.
-	counts := make(map[int][]int, len(f.planes))
-	for i := range f.planes {
-		counts[i] = make([]int, f.geo.BlocksPerPlane)
-	}
-	for ppn := range f.p2l {
-		addr := f.geo.PageAt(ppn)
-		counts[f.geo.PlaneIndex(addr.PlaneAddr)][addr.Block]++
+	})
+	f.vers.each(func(uint64, uint64) { versioned++ })
+	switch {
+	case err != nil:
+		return err
+	case mapped != f.mapped:
+		return fmt.Errorf("ftl: %d mapped pages counted as %d", mapped, f.mapped)
+	case versioned != f.versioned:
+		return fmt.Errorf("ftl: %d versioned pages counted as %d", versioned, f.versioned)
 	}
 	for i, pa := range f.planes {
 		where := make(map[int]string, f.geo.BlocksPerPlane)
@@ -1148,9 +1217,29 @@ func (f *FTL) CheckInvariants() error {
 			if _, ok := where[b]; !ok {
 				return fmt.Errorf("ftl: plane %d block %d on no list", i, b)
 			}
-			if pa.valid[b] != counts[i][b] {
+			// The valid count must match the block's reverse-map entries,
+			// each of which must point back through l2p.
+			var leaf []uint32
+			if pa.owners != nil {
+				leaf = pa.owners[b]
+			}
+			live := 0
+			for slot, v := range leaf {
+				if v == 0 {
+					continue
+				}
+				live++
+				ppn := pa.base + uint64(b)*f.perBlock + uint64(slot)
+				if fwd := f.l2p.get(uint64(v - 1)); fwd != uint32(ppn+1) {
+					return fmt.Errorf("ftl: p2l[%d]=%d but l2p[%d]=%d", ppn, v-1, v-1, int64(fwd)-1)
+				}
+			}
+			if leaf != nil && live == 0 {
+				return fmt.Errorf("ftl: plane %d block %d keeps an empty reverse-map leaf", i, b)
+			}
+			if pa.valid[b] != live {
 				return fmt.Errorf("ftl: plane %d block %d valid=%d but %d mapped pages",
-					i, b, pa.valid[b], counts[i][b])
+					i, b, pa.valid[b], live)
 			}
 			if (where[b] == "free" || where[b] == "bad") && pa.valid[b] != 0 {
 				return fmt.Errorf("ftl: plane %d %s block %d holds %d valid pages", i, where[b], b, pa.valid[b])

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -140,15 +139,8 @@ func runPlacement(t *testing.T, l placementLayout, sc placementScenario) string 
 		}
 		advance(l.write(f, i, lpns, data, at))
 	}
-	lpns := make([]uint64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	b.WriteString("\nl2p")
-	for _, lpn := range lpns {
-		fmt.Fprintf(&b, " %d:%d", lpn, f.l2p[lpn])
-	}
+	f.l2p.each(func(lpn uint64, v uint32) { fmt.Fprintf(&b, " %d:%d", lpn, v-1) })
 	fmt.Fprintf(&b, "\nstats %+v\nfree %d bad %d\ninvariants ", f.Stats(), f.FreeBlocks(), f.BadBlocks())
 	if err := f.CheckInvariants(); err != nil {
 		b.WriteString(err.Error())

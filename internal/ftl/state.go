@@ -28,7 +28,7 @@ func statsFields(s *Stats) []*int64 {
 }
 
 // WriteState serializes the translation state: the mapping table and
-// page versions (in LPN order, so the encoding is deterministic), the
+// page versions (in LPN order, so the encoding is canonical), the
 // round-robin cursor, wear/maintenance statistics, and each plane's
 // allocator position with its free/full/bad block lists. The reverse map
 // and per-block valid counts are derived from l2p on restore. Like every
@@ -37,27 +37,8 @@ func (f *FTL) WriteState(w io.Writer) error {
 	b := binio.NewWriter(w)
 	b.U32(stateMagic)
 
-	for _, m := range [...]map[uint64]uint64{f.l2p, f.vers} {
-		f.enc.Reset(int(f.LogicalPages()))
-		for lpn, v := range m {
-			if !f.enc.Put(lpn, v) {
-				return fmt.Errorf("%w: lpn %d beyond the logical space", ErrBadState, lpn)
-			}
-		}
-		b.U64(uint64(len(m)))
-		// Entries go out in whole chunks: one write per field would
-		// dominate the encode.
-		buf := f.encBuf[:0]
-		f.enc.Drain(func(lpn, v uint64) {
-			buf = binary.LittleEndian.AppendUint64(buf, lpn)
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-			if len(buf) == cap(buf) {
-				b.Raw(buf)
-				buf = buf[:0]
-			}
-		})
-		b.Raw(buf)
-	}
+	writeEntries(b, f.encBuf[:0], f.mapped, &f.l2p, 1)
+	writeEntries(b, f.encBuf[:0], f.versioned, &f.vers, 0)
 
 	b.U64(uint64(f.cursor))
 	st := f.stats
@@ -82,11 +63,29 @@ func (f *FTL) WriteState(w io.Writer) error {
 	return b.Err()
 }
 
+// writeEntries writes n, then t's n nonzero entries as (index, value-off)
+// pairs in index order. Entries go out through buf in whole chunks: one
+// write per field would dominate the encode.
+func writeEntries[T uint32 | uint64](b *binio.Writer, buf []byte, n int, t *table[T], off T) {
+	b.U64(uint64(n))
+	t.each(func(i uint64, v T) {
+		buf = binary.LittleEndian.AppendUint64(buf, i)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v-off))
+		if len(buf) == cap(buf) {
+			b.Raw(buf)
+			buf = buf[:0]
+		}
+	})
+	b.Raw(buf)
+}
+
 // ReadState restores a WriteState blob into a freshly constructed FTL
 // over the same geometry, replacing the all-blocks-free allocator New
 // set up. Every index is bounds-checked so a corrupt blob surfaces as an
 // error, never a panic; structural consistency beyond that is the
-// caller's CheckInvariants pass.
+// caller's CheckInvariants pass. Only the canonical encoding WriteState
+// produces is accepted — entries in strictly ascending LPN order and no
+// zero version — so a decoded blob re-encodes to the same bytes.
 func (f *FTL) ReadState(r io.Reader) error {
 	b := binio.NewReader(r, 1<<20)
 	if m := b.U32(); b.Err() == nil && m != stateMagic {
@@ -95,52 +94,43 @@ func (f *FTL) ReadState(r io.Reader) error {
 
 	totalPages := uint64(f.geo.TotalPages())
 	logical := uint64(f.LogicalPages())
-	maxEntries := totalPages + 1
-
-	n := b.U64()
-	if b.Err() != nil {
-		return b.Err()
+	// The allocator state comes later in the blob; the planes take the
+	// reverse map and the valid counts derived from l2p first.
+	planes := make([]*planeAlloc, len(f.planes))
+	for i := range planes {
+		planes[i] = f.newPlane(i)
 	}
-	if n > maxEntries {
-		return fmt.Errorf("%w: %d mapping entries", ErrBadState, n)
-	}
-	l2p := make(map[uint64]uint64, n)
-	p2l := make(map[uint64]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		lpn, ppn := b.U64(), b.U64()
-		if b.Err() != nil {
-			return b.Err()
-		}
-		if lpn >= logical || ppn >= totalPages {
+	l2p := newTable[uint32](logical)
+	mapped, versioned := 0, 0
+	err := readEntries(b, logical, "mapping", func(lpn, ppn uint64) error {
+		if ppn >= totalPages {
 			return fmt.Errorf("%w: mapping %d -> %d out of range", ErrBadState, lpn, ppn)
 		}
-		if _, dup := l2p[lpn]; dup {
-			return fmt.Errorf("%w: duplicate lpn %d", ErrBadState, lpn)
-		}
-		if _, dup := p2l[ppn]; dup {
+		plane, blk, slot := f.split(ppn)
+		pa := planes[plane]
+		if _, dup := pa.owner(int(blk), int(slot)); dup {
 			return fmt.Errorf("%w: ppn %d mapped twice", ErrBadState, ppn)
 		}
-		l2p[lpn] = ppn
-		p2l[ppn] = lpn
+		l2p.set(lpn, uint32(ppn+1))
+		f.leaf(pa, int(blk))[slot] = uint32(lpn + 1)
+		pa.valid[blk]++
+		mapped++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-
-	nv := b.U64()
-	if b.Err() != nil {
-		return b.Err()
-	}
-	if nv > maxEntries {
-		return fmt.Errorf("%w: %d version entries", ErrBadState, nv)
-	}
-	vers := make(map[uint64]uint64, nv)
-	for i := uint64(0); i < nv; i++ {
-		lpn, v := b.U64(), b.U64()
-		if b.Err() != nil {
-			return b.Err()
+	vers := newTable[uint64](logical)
+	err = readEntries(b, logical, "version", func(lpn, v uint64) error {
+		if v == 0 {
+			return fmt.Errorf("%w: zero version for lpn %d", ErrBadState, lpn)
 		}
-		if lpn >= logical {
-			return fmt.Errorf("%w: version for lpn %d out of range", ErrBadState, lpn)
-		}
-		vers[lpn] = v
+		vers.set(lpn, v)
+		versioned++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	cursor := b.U64()
@@ -174,9 +164,7 @@ func (f *FTL) ReadState(r io.Reader) error {
 		}
 		return out, nil
 	}
-	planes := make([]*planeAlloc, len(f.planes))
-	for i := range planes {
-		pa := &planeAlloc{addr: f.geo.PlaneAt(i), valid: make([]int, f.geo.BlocksPerPlane)}
+	for _, pa := range planes {
 		active := b.I64()
 		nextWL := b.U64()
 		nextKind := b.U8()
@@ -192,7 +180,6 @@ func (f *FTL) ReadState(r io.Reader) error {
 		pa.active = int(active)
 		pa.nextWL = int(nextWL)
 		pa.nextKind = flash.PageKind(nextKind)
-		var err error
 		if pa.free, err = intList(); err != nil {
 			return err
 		}
@@ -202,23 +189,46 @@ func (f *FTL) ReadState(r io.Reader) error {
 		if pa.bad, err = intList(); err != nil {
 			return err
 		}
-		planes[i] = pa
 	}
 	if b.Err() != nil {
 		return b.Err()
 	}
 
-	// Rebuild the derived valid counts from the restored mapping.
-	for ppn := range p2l {
-		addr := f.geo.PageAt(ppn)
-		planes[f.geo.PlaneIndex(addr.PlaneAddr)].valid[addr.Block]++
-	}
-
-	f.l2p = l2p
-	f.p2l = p2l
-	f.vers = vers
+	f.l2p, f.mapped = l2p, mapped
+	f.vers, f.versioned = vers, versioned
 	f.cursor = int(cursor)
 	f.stats = st
 	f.planes = planes
+	return nil
+}
+
+// readEntries reads a count and that many (lpn, value) pairs, in strictly
+// ascending LPN order below logical, handing each to put.
+func readEntries(b *binio.Reader, logical uint64, what string, put func(lpn, v uint64) error) error {
+	n := b.U64()
+	if b.Err() != nil {
+		return b.Err()
+	}
+	if n > logical {
+		return fmt.Errorf("%w: %d %s entries", ErrBadState, n, what)
+	}
+	for i, next := uint64(0), uint64(0); i < n; i++ {
+		lpn, v := b.U64(), b.U64()
+		if b.Err() != nil {
+			return b.Err()
+		}
+		switch {
+		case lpn >= logical:
+			return fmt.Errorf("%w: %s for lpn %d out of range", ErrBadState, what, lpn)
+		case i > 0 && lpn == next-1:
+			return fmt.Errorf("%w: duplicate %s for lpn %d", ErrBadState, what, lpn)
+		case lpn < next:
+			return fmt.Errorf("%w: %s for lpn %d after lpn %d", ErrBadState, what, lpn, next-1)
+		}
+		next = lpn + 1
+		if err := put(lpn, v); err != nil {
+			return err
+		}
+	}
 	return nil
 }

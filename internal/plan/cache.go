@@ -40,10 +40,9 @@ type entry struct {
 	// page the value derives from, parallel slices.
 	deps []uint64
 	vers []uint64
-	// costSeconds is the measured time the device spent computing the
-	// value — what a miss would pay again.
-	costSeconds float64
-	lastUse     uint64
+	// score is the retention value, fixed at Put (see Cache.score).
+	score   float64
+	lastUse uint64
 }
 
 // Cache is a capacity-bounded result store keyed by canonical expression
@@ -125,12 +124,12 @@ func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint6
 	}
 	c.clock++
 	e := &entry{
-		key:         key,
-		data:        append([]byte(nil), data...),
-		deps:        append([]uint64(nil), deps...),
-		vers:        vers,
-		costSeconds: costSeconds,
-		lastUse:     c.clock,
+		key:     key,
+		data:    append([]byte(nil), data...),
+		deps:    append([]uint64(nil), deps...),
+		vers:    vers,
+		score:   c.score(costSeconds, size),
+		lastUse: c.clock,
 	}
 	c.entries[key] = e
 	c.used += size
@@ -161,16 +160,18 @@ func (c *Cache) remove(e *entry) {
 	c.used -= int64(len(e.data))
 }
 
-// score is the entry's retention value: seconds saved per byte held. The
-// movement term prices what shipping the bytes back in would cost on the
+// score is the retention value of an entry of size bytes that took
+// costSeconds to compute: seconds saved per byte held. The movement term
+// prices what shipping the bytes back in would cost on the
 // Ambit-calibrated link, so big cheap pages lose to small expensive
-// intermediates.
-func (c *Cache) score(e *entry) float64 {
+// intermediates. Both inputs are fixed at Put, so Put scores each entry
+// once.
+func (c *Cache) score(costSeconds float64, size int64) float64 {
 	move := 0.0
 	if c.pricer != nil {
-		move = c.pricer.MovementSeconds(int64(len(e.data)))
+		move = c.pricer.MovementSeconds(size)
 	}
-	return (e.costSeconds + move) / float64(len(e.data))
+	return (costSeconds + move) / float64(size)
 }
 
 // evictOne removes the lowest-value entry (least-recently-used breaks
@@ -178,12 +179,10 @@ func (c *Cache) score(e *entry) float64 {
 // the cache is already empty.
 func (c *Cache) evictOne() bool {
 	var victim *entry
-	var victimScore float64
 	for _, e := range c.entries {
-		s := c.score(e)
-		if victim == nil || s < victimScore ||
-			(s == victimScore && e.lastUse < victim.lastUse) {
-			victim, victimScore = e, s
+		if victim == nil || e.score < victim.score ||
+			(e.score == victim.score && e.lastUse < victim.lastUse) {
+			victim = e
 		}
 	}
 	if victim == nil {

@@ -187,8 +187,8 @@ func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult,
 	if err != nil {
 		return BitwiseResult{}, err
 	}
-	d.plain[newM] = true
-	d.plain[newN] = true
+	d.plain.add(newM)
+	d.plain.add(newN)
 	d.stats.Reallocations++
 	d.stats.ReallocPages += 2
 	d.tele.cRealloc.Add(1)
@@ -237,7 +237,7 @@ func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error)
 	if err != nil {
 		return 0, 0, err
 	}
-	d.plain[lpn] = true
+	d.plain.add(lpn)
 	return lpn, done, nil
 }
 
@@ -355,7 +355,7 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			d.plain[lpn] = true
+			d.plain.add(lpn)
 			ready = done
 			// The write itself re-steers around program faults, but
 			// verify where the page actually landed rather than trusting

@@ -150,6 +150,9 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
+	if err := ftl.CheckGeometry(c.Geometry); err != nil {
+		return err
+	}
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}

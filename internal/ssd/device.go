@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"parabit/internal/binio"
 	"parabit/internal/ecc"
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
@@ -29,6 +28,10 @@ var (
 	ErrNeedOperands = errors.New("ssd: reduction needs at least one operand")
 	// ErrNoSpace reports internal LPN exhaustion for reallocation targets.
 	ErrNoSpace = errors.New("ssd: no internal pages for reallocation")
+	// ErrScrambled reports an operation that can only sense its operands
+	// in place, a TLC triple, finding one stored scrambled: sensing it
+	// would compute on whitened bits (§4.3.2).
+	ErrScrambled = errors.New("ssd: operand stored scrambled")
 )
 
 // Device is the simulated ParaBit SSD.
@@ -39,9 +42,7 @@ type Device struct {
 	host  *interconnect.Link
 	// plain tracks LPNs stored without scrambling (operand pages and
 	// reallocation targets).
-	plain map[uint64]bool
-	// plainEnc orders plain by LPN for writeSnapshot.
-	plainEnc binio.Ordered[struct{}]
+	plain plainSet
 	// Internal LPNs for reallocated operands and intermediate results
 	// grow downward from the top of the logical space.
 	nextInternal uint64
@@ -93,7 +94,7 @@ func New(cfg Config) (*Device, error) {
 		array:        array,
 		ftl:          f,
 		host:         cfg.hostLink(),
-		plain:        make(map[uint64]bool),
+		plain:        newPlainSet(logical),
 		nextInternal: logical - 1,
 		lowInternal:  low,
 	}
@@ -212,13 +213,18 @@ func (d *Device) WriteOperandLSBGroup(lpns []uint64, data [][]byte, at sim.Time)
 }
 
 // BitwiseTriple executes a three-operand operation over a co-located TLC
-// triple. All three logical pages must share a wordline.
+// triple. All three logical pages must share a wordline and be stored
+// unscrambled: there is no TLC reallocation path, so a scrambled operand
+// is refused with ErrScrambled.
 func (d *Device) BitwiseTriple(op latch.TLCOp3, lpns [3]uint64, at sim.Time) (BitwiseResult, error) {
 	var wl flash.WordlineAddr
 	for i, lpn := range lpns {
 		addr, ok := d.ftl.Lookup(lpn)
 		if !ok {
 			return BitwiseResult{}, fmt.Errorf("ssd: operand %d: %w", lpn, ftl.ErrUnmapped)
+		}
+		if d.scrambled(lpn) {
+			return BitwiseResult{}, fmt.Errorf("%w: operand %d", ErrScrambled, lpn)
 		}
 		if i == 0 {
 			wl = addr.WordlineAddr
@@ -242,7 +248,7 @@ func (d *Device) BitwiseTriple(op latch.TLCOp3, lpns [3]uint64, at sim.Time) (Bi
 // scrambled reports whether lpn's page is stored scrambled: a normal host
 // write on a scrambling device. Such a page cannot sense as is (§4.3.2);
 // it must be read and descrambled first.
-func (d *Device) scrambled(lpn uint64) bool { return d.cfg.Scramble && !d.plain[lpn] }
+func (d *Device) scrambled(lpn uint64) bool { return d.cfg.Scramble && !d.plain.has(lpn) }
 
 // Read returns the (descrambled) content of a logical page, without host
 // transfer: the controller-side view.

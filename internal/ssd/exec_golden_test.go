@@ -88,6 +88,7 @@ func execSentinel(err error) string {
 		{"ErrNotCoLocated", ErrNotCoLocated},
 		{"ErrNotAligned", ErrNotAligned},
 		{"ErrNoSpace", ErrNoSpace},
+		{"ErrScrambled", ErrScrambled},
 		{"ftl.ErrUnmapped", ftl.ErrUnmapped},
 	} {
 		if errors.Is(err, s.err) {
@@ -449,6 +450,35 @@ func TestExecGolden(t *testing.T) {
 		at = l.next()
 		r, err = d.Reduce(latch.OpOr, lpns[6:], scheme, at)
 		l.result(fmt.Sprintf("reduce OR 6..11 %v", scheme), at, r, err, true)
+	}
+
+	// TLC triples of host writes: striping lands lpns i, i+P and i+2P on
+	// one wordline of a fresh P-plane device. Host writes are stored
+	// scrambled, so triples holding one are refused; the plain triple is
+	// the control that the co-location holds.
+	d = MustNew(SmallTLCConfig())
+	planes := uint64(d.Config().Geometry.Planes())
+	for lpn := uint64(0); lpn < 3*planes; lpn++ {
+		op := persist.OpWriteOperand
+		if lpn%planes == 0 || lpn == 1 {
+			op = persist.OpWrite
+		}
+		if _, err := d.WritePages(op, 0, []uint64{lpn}, [][]byte{randPage(d, int64(lpn))}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.begin("tlc-scrambled", "", d)
+	for i := uint64(0); i < 3; i++ {
+		triple := [3]uint64{i, i + planes, i + 2*planes}
+		for _, lpn := range triple[1:] {
+			a, _ := d.FTL().Lookup(triple[0])
+			if b, _ := d.FTL().Lookup(lpn); a.WordlineAddr != b.WordlineAddr {
+				t.Fatalf("triple %v spans wordlines %v and %v", triple, a, b)
+			}
+		}
+		at := l.next()
+		r, err := d.BitwiseTriple(latch.TLCAnd3, triple, at)
+		l.result(fmt.Sprintf("triple AND3 %v", triple), at, r, err, true)
 	}
 
 	const golden = "testdata/exec.golden"

@@ -212,7 +212,7 @@ func (d *Device) applyRecord(rec persist.Record, at sim.Time) (sim.Time, error) 
 	if rec.Op == persist.OpReclaimInternal {
 		for lpn := d.nextInternal + 1; lpn < uint64(d.ftl.LogicalPages()); lpn++ {
 			d.ftl.Trim(lpn)
-			delete(d.plain, lpn)
+			d.plain.remove(lpn)
 		}
 		d.nextInternal = uint64(d.ftl.LogicalPages()) - 1
 		return at, nil
@@ -243,9 +243,9 @@ func (d *Device) applyRecord(rec persist.Record, at sim.Time) (sim.Time, error) 
 	}
 	for _, lpn := range rec.LPNs {
 		if scramble {
-			delete(d.plain, lpn)
+			d.plain.remove(lpn)
 		} else {
-			d.plain[lpn] = true
+			d.plain.add(lpn)
 		}
 	}
 	return done, nil
@@ -275,14 +275,8 @@ func (d *Device) writeSnapshot(w io.Writer, delta bool) (persist.Payload, error)
 	}
 	b.U32(deviceSectionMagic)
 	b.U64(d.nextInternal)
-	d.plainEnc.Reset(int(d.ftl.LogicalPages()))
-	for lpn := range d.plain {
-		if !d.plainEnc.Put(lpn, struct{}{}) {
-			return p, fmt.Errorf("ssd: plain lpn %d beyond the logical space", lpn)
-		}
-	}
-	b.U64(uint64(len(d.plain)))
-	d.plainEnc.Drain(func(lpn uint64, _ struct{}) { b.U64(lpn) })
+	b.U64(uint64(d.plain.n))
+	d.plain.each(func(lpn uint64) { b.U64(lpn) })
 	for _, v := range []int64{
 		d.stats.BitwiseOps, d.stats.Reallocations, d.stats.ReallocPages,
 		d.stats.Fallbacks, d.stats.ResultBytes, d.stats.DescrambledOps,
@@ -341,7 +335,7 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	if n > logical {
 		return nil, fmt.Errorf("%w: %d plain entries", persist.ErrCorrupt, n)
 	}
-	plain := make(map[uint64]bool, n)
+	plain := newPlainSet(logical)
 	for i := uint64(0); i < n; i++ {
 		lpn := b.U64()
 		if b.Err() != nil {
@@ -350,7 +344,7 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 		if lpn >= logical {
 			return nil, fmt.Errorf("%w: plain lpn %d", persist.ErrCorrupt, lpn)
 		}
-		plain[lpn] = true
+		plain.add(lpn)
 	}
 	var st OpStats
 	for _, p := range []*int64{

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -110,11 +109,8 @@ func renderReplay(t *testing.T) string {
 		}
 		fmt.Fprintf(&b, "lpn %d ppn %d crc %08x\n", lpn, geo.PPN(addr), crc32.ChecksumIEEE(data))
 	}
-	plains := make([]uint64, 0, len(d.plain))
-	for lpn := range d.plain {
-		plains = append(plains, lpn)
-	}
-	sort.Slice(plains, func(i, j int) bool { return plains[i] < plains[j] })
+	plains := make([]uint64, 0, d.plain.n)
+	d.plain.each(func(lpn uint64) { plains = append(plains, lpn) })
 	fmt.Fprintf(&b, "plain %v\nftl %+v\n", plains, d.FTL().Stats())
 	return b.String()
 }
