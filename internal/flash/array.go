@@ -41,24 +41,26 @@ type DisturbCorruptor interface {
 	CorruptWithReads(data []byte, peCycles, sros, blockReads int) int
 }
 
-// wordline stores the CellBits pages of one row, indexed by PageKind.
-// nil slices mean erased: every cell in state E, so every page reads back
-// all ones. A stored page is never written after program — senses read it
-// in place — until an erase drops it. The parity slices model the
+// wordline stores the CellBits pages of one row, indexed by PageKind;
+// Geometry.Validate admits at most three. nil pages mean erased: every
+// cell in state E, so every page reads back all ones. A stored page is
+// never written after program — senses read it in place — until an erase
+// returns it to the array's free list. The parity slices model the
 // out-of-band spare area where the controller keeps ECC parity; the slice
 // and its entries exist only when the array has a codec installed.
 type wordline struct {
-	pages  [][]byte
+	pages  [3][]byte
 	parity [][]byte
 	// esp marks pages written with enhanced SLC programming (Flash-Cosmos):
 	// slower programs with tighter threshold distributions, which is what
-	// gives a multi-wordline sense its margin. nil until a page of the
-	// wordline is ESP-programmed.
-	esp []bool
+	// gives a multi-wordline sense its margin.
+	esp [3]bool
 }
 
 type block struct {
-	wl     []wordline // nil until first program after (re-)erase
+	// wl is nil until the block's first program; an erase clears its
+	// wordlines but keeps the slice for the next program cycle.
+	wl     []wordline
 	erases int
 	// reads counts SROs issued against the block since its last erase:
 	// the read-disturb exposure the reliability model can consume.
@@ -107,7 +109,14 @@ type Array struct {
 	// views is the reusable operand list a multi-operand fold reads its
 	// pages through.
 	views [][]byte
+	// free holds page buffers erases released, for programs to reuse
+	// before allocating; it keeps at most freeCap of them.
+	free    [][]byte
+	freeCap int
 }
+
+// freeListBytes bounds the page buffers an array keeps for reuse.
+const freeListBytes = 1 << 20
 
 // NewArray builds an erased array. It panics on invalid configuration:
 // geometry and timing come from code, not user input.
@@ -124,6 +133,8 @@ func NewArray(geo Geometry, timing Timing) *Array {
 		planes: make([]*plane, geo.Planes()),
 		buses:  make([]*sim.Resource, geo.Channels),
 		erased: make([]byte, geo.PageSize),
+		// One block's pages per plane, within freeListBytes.
+		freeCap: min(geo.PagesPerBlock()*geo.Planes(), freeListBytes/geo.PageSize),
 	}
 	for i := range a.erased {
 		a.erased[i] = 0xFF
@@ -232,7 +243,7 @@ func (a *Array) wordlineAt(w WordlineAddr) *wordline {
 // (cells in state E carry 1 in every page). Stored pages are immutable
 // once programmed, so callers only read the view and never hand it out.
 func (a *Array) pageView(w WordlineAddr, kind PageKind) []byte {
-	if wl := a.wordlineAt(w); wl != nil && wl.pages != nil && wl.pages[kind] != nil {
+	if wl := a.wordlineAt(w); wl != nil && wl.pages[kind] != nil {
 		return wl.pages[kind]
 	}
 	return a.erased
@@ -410,7 +421,7 @@ func (a *Array) IsESP(p PageAddr) bool {
 		return false
 	}
 	wl := &blk.wl[p.WL]
-	return wl.esp != nil && int(p.Kind) < len(wl.esp) && wl.esp[p.Kind]
+	return int(p.Kind) < len(wl.esp) && wl.esp[p.Kind]
 }
 
 func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Time, error) {
@@ -427,9 +438,6 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 	}
 	blk.changed = true
 	wl := &blk.wl[p.WL]
-	if wl.pages == nil {
-		wl.pages = make([][]byte, a.geo.CellBits)
-	}
 	if wl.pages[p.Kind] != nil {
 		return 0, fmt.Errorf("%w: %v", ErrNotErased, p)
 	}
@@ -450,7 +458,7 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 	// Data crosses the channel into the register, then the plane programs.
 	xferEnd := a.transferIn(p.Channel, at, len(data))
 	_, end := pl.sense.ReserveLabeled(xferEnd, progTime+jitter, "program")
-	buf := make([]byte, len(data))
+	buf := a.newPage()
 	copy(buf, data)
 	var par []byte
 	if a.codec != nil {
@@ -468,18 +476,26 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 		}
 		wl.parity[p.Kind] = par
 	}
-	if esp {
-		if wl.esp == nil {
-			wl.esp = make([]bool, a.geo.CellBits)
-		}
-		wl.esp[p.Kind] = true
-	}
+	wl.esp[p.Kind] = esp
 	a.stats.Programs++
 	return end, nil
 }
 
+// newPage returns a page buffer for a program: one an erase released, or
+// a fresh one.
+func (a *Array) newPage() []byte {
+	if n := len(a.free); n > 0 {
+		buf := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		return buf
+	}
+	return make([]byte, a.geo.PageSize)
+}
+
 // Erase wipes a block, returning its wordlines to the erased (all ones)
-// state and bumping the P/E cycle count.
+// state and bumping the P/E cycle count. The block's page buffers go to
+// the free list programs draw from; a failed erase keeps them in place.
 func (a *Array) Erase(p PlaneAddr, blockIdx int, at sim.Time) (sim.Time, error) {
 	if err := a.geo.CheckPlane(p); err != nil {
 		return 0, err
@@ -495,7 +511,14 @@ func (a *Array) Erase(p PlaneAddr, blockIdx int, at sim.Time) (sim.Time, error) 
 		return 0, ferr
 	}
 	_, end := pl.sense.ReserveLabeled(at, a.timing.EraseBlock+jitter, "erase")
-	blk.wl = nil
+	for i := range blk.wl {
+		for _, page := range blk.wl[i].pages {
+			if page != nil && len(a.free) < a.freeCap {
+				a.free = append(a.free, page)
+			}
+		}
+	}
+	clear(blk.wl)
 	blk.erases++
 	blk.reads = 0
 	blk.used = 0
@@ -512,8 +535,5 @@ func (a *Array) EraseCount(p PlaneAddr, blockIdx int) int {
 // PageProgrammed reports whether the page currently holds data.
 func (a *Array) PageProgrammed(p PageAddr) bool {
 	wl := a.wordlineAt(p.WordlineAddr)
-	if wl == nil || wl.pages == nil {
-		return false
-	}
-	return wl.pages[p.Kind] != nil
+	return wl != nil && wl.pages[p.Kind] != nil
 }

@@ -209,6 +209,114 @@ func TestEraseResetsAndCounts(t *testing.T) {
 	}
 }
 
+// programBlock programs every page of one block, in kind order per
+// wordline, with pages derived from seed; page is the caller's scratch
+// buffer, so the helper allocates nothing itself.
+func programBlock(tb testing.TB, a *Array, blk int, page []byte, seed byte) {
+	tb.Helper()
+	for i := range page {
+		page[i] = seed ^ byte(i*7)
+	}
+	for w := 0; w < a.Geometry().WordlinesPerBlock; w++ {
+		for k := 0; k < a.Geometry().CellBits; k++ {
+			page[0] = seed + byte(w*3+k)
+			if _, err := a.Program(PageAddr{WordlineAddr{Block: blk, WL: w}, PageKind(k)}, page, 0); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// eraseFailer fails every erase with a program/erase-status fault.
+type eraseFailer struct{}
+
+func (eraseFailer) Inspect(op FaultOp, _ PlaneAddr, _ int, _ sim.Time) FaultOutcome {
+	if op == FaultErase {
+		return FaultOutcome{Err: &FaultError{Op: op, Kind: FaultEraseFail}}
+	}
+	return FaultOutcome{}
+}
+
+// TestEraseRecyclesPages pins that an erase hands the block's page
+// buffers back for its next program cycle: once warm, reprogramming an
+// erased block allocates nothing. A faulted erase keeps every page.
+func TestEraseRecyclesPages(t *testing.T) {
+	a := testArray()
+	const blk = 3
+	page := make([]byte, a.Geometry().PageSize)
+	programBlock(t, a, blk, page, 1)
+	if _, err := a.Erase(PlaneAddr{}, blk, 0); err != nil {
+		t.Fatal(err)
+	}
+	seed := byte(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		programBlock(t, a, blk, page, seed)
+		if _, err := a.Erase(PlaneAddr{}, blk, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("program+erase cycle of a warm block allocates %v objects, want 0", allocs)
+	}
+	programBlock(t, a, blk, page, 0x5A)
+	want := fillPattern(a.Geometry().PageSize, 0x5A)
+	want[0] = 0x5A + 3 // wordline 1, LSB
+	if got, _, err := a.Read(PageAddr{WordlineAddr{Block: blk, WL: 1}, LSBPage}, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recycled page reads back wrong (err %v)", err)
+	}
+	free := len(a.free)
+	a.SetFaultInjector(eraseFailer{})
+	if _, err := a.Erase(PlaneAddr{}, blk, 0); !IsEraseFault(err) {
+		t.Fatalf("erase under eraseFailer: %v", err)
+	}
+	if len(a.free) != free || !a.PageProgrammed(PageAddr{WordlineAddr{Block: blk}, MSBPage}) {
+		t.Fatal("a faulted erase released the block's pages")
+	}
+}
+
+// TestFreeListCap pins the free list's bound: one block per plane, and
+// at most 1 MiB of pages.
+func TestFreeListCap(t *testing.T) {
+	for _, c := range []struct {
+		geo  Geometry
+		want int
+	}{{Small(), 512}, {Default(), 128}} {
+		if got := NewArray(c.geo, DefaultTiming()).freeCap; got != c.want {
+			t.Errorf("%+v: free list holds %d pages, want %d", c.geo, got, c.want)
+		}
+	}
+	a := testArray()
+	page := make([]byte, a.Geometry().PageSize)
+	// Ten blocks of one plane hold more pages than the cap.
+	for blk := 0; blk < 10; blk++ {
+		programBlock(t, a, blk, page, byte(blk))
+	}
+	for blk := 0; blk < 10; blk++ {
+		if _, err := a.Erase(PlaneAddr{}, blk, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.free) != a.freeCap {
+		t.Fatalf("free list holds %d pages after erasing 10 blocks, want the cap %d", len(a.free), a.freeCap)
+	}
+}
+
+// BenchmarkProgramErase programs every page of one paper-geometry block
+// and erases it: one program/erase cycle per iteration.
+func BenchmarkProgramErase(b *testing.B) {
+	a := NewArray(Default(), DefaultTiming())
+	page := make([]byte, a.Geometry().PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		programBlock(b, a, 1, page, byte(i))
+		if _, err := a.Erase(PlaneAddr{}, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestBadAddressesRejected(t *testing.T) {
 	a := testArray()
 	bad := PageAddr{WordlineAddr: WordlineAddr{PlaneAddr: PlaneAddr{Channel: 99}}}

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,10 @@ func newSenseFixture(t testing.TB, mlc, tlc *Array) *senseFixture {
 // stored pages and the shared erased page in place, yet every result is a
 // fresh page the caller owns. With a noise model writing into each result
 // and the caller then scribbling over it, every stored operand and the
-// erased page must read back unchanged.
+// erased page must read back unchanged. In turn, erasing the operands'
+// blocks and reprogramming them with different bytes — which reuses the
+// released page buffers — must leave every result and Read page taken
+// before the erase unchanged.
 func TestSenseResultsDoNotAlias(t *testing.T) {
 	tlc := tlcArray()
 	tlc.SetCorruptor(&spreadCorruptor{})
@@ -131,6 +135,75 @@ func TestSenseResultsDoNotAlias(t *testing.T) {
 			}
 			if bytes.Count(a.erased, []byte{0xFF}) != len(a.erased) {
 				t.Fatalf("%s: the shared erased page was written", c.name)
+			}
+		}
+	}
+
+	type held struct {
+		name       string
+		data, want []byte
+	}
+	var kept []held
+	keep := func(name string, data []byte) {
+		kept = append(kept, held{name, data, append([]byte(nil), data...)})
+	}
+	for _, c := range f.cases {
+		res, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		keep(c.name, res.Data)
+	}
+	for _, a := range []*Array{f.mlc, f.tlc} {
+		for p := range f.stored[a] {
+			got, _, err := a.Read(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep(fmt.Sprintf("Read %v", p), got)
+		}
+	}
+	for _, a := range []*Array{f.mlc, f.tlc} {
+		blocks := map[WordlineAddr]bool{}
+		for p := range f.stored[a] {
+			blocks[WordlineAddr{PlaneAddr: p.PlaneAddr, Block: p.Block}] = true
+		}
+		for b := range blocks {
+			if _, err := a.Erase(b.PlaneAddr, b.Block, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < a.Geometry().CellBits; k++ {
+			for p, data := range f.stored[a] {
+				if int(p.Kind) != k {
+					continue
+				}
+				flipped := make([]byte, len(data))
+				for i := range data {
+					flipped[i] = ^data[i]
+				}
+				if _, err := a.Program(p, flipped, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, h := range kept {
+		if !bytes.Equal(h.data, h.want) {
+			t.Fatalf("%s: taken before an erase, changed by the reprogram after it", h.name)
+		}
+	}
+	for _, a := range []*Array{f.mlc, f.tlc} {
+		for p, data := range f.stored[a] {
+			got, _, err := a.Read(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				got[i] = ^got[i]
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("reprogrammed page %v does not read back its new bytes", p)
 			}
 		}
 	}

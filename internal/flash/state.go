@@ -48,7 +48,7 @@ func (a *Array) WriteState(w io.Writer, delta bool) (written, live int64, err er
 			case delta && !blk.changed:
 				b.U8(blockFromParent)
 				continue
-			case blk.wl == nil:
+			case blk.used == 0:
 				b.U8(blockErased)
 				continue
 			}
@@ -58,10 +58,10 @@ func (a *Array) WriteState(w io.Writer, delta bool) (written, live int64, err er
 				wl := &blk.wl[wi]
 				var pageMask, espMask uint8
 				for k := 0; k < a.geo.CellBits; k++ {
-					if wl.pages != nil && wl.pages[k] != nil {
+					if wl.pages[k] != nil {
 						pageMask |= 1 << k
 					}
-					if wl.esp != nil && wl.esp[k] {
+					if wl.esp[k] {
 						espMask |= 1 << k
 					}
 				}
@@ -199,12 +199,8 @@ func (a *Array) readBlock(b *binio.Reader, blk *block, keep bool) error {
 			continue
 		}
 		wl := &blk.wl[wi]
-		wl.pages = make([][]byte, a.geo.CellBits)
 		if a.codec != nil {
 			wl.parity = make([][]byte, a.geo.CellBits)
-		}
-		if espMask != 0 {
-			wl.esp = make([]bool, a.geo.CellBits)
 		}
 		for k := 0; k < a.geo.CellBits; k++ {
 			if espMask&(1<<k) != 0 {

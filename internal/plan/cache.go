@@ -1,5 +1,7 @@
 package plan
 
+import "container/heap"
+
 // The planner's result cache models the controller's DRAM holding hot
 // intermediate query results. A hit replaces a chained flash operation
 // (tens of microseconds of sensing plus reallocation programs) with a
@@ -43,6 +45,39 @@ type entry struct {
 	// score is the retention value, fixed at Put (see Cache.score).
 	score   float64
 	lastUse uint64
+	// index is the entry's position in Cache.order.
+	index int
+}
+
+// entryHeap orders entries by eviction preference: lowest score first,
+// least recently used among equal scores.
+type entryHeap []*entry
+
+func (h entryHeap) Len() int { return len(h) }
+
+func (h entryHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.score < b.score || (a.score == b.score && a.lastUse < b.lastUse)
+}
+
+func (h entryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+func (h *entryHeap) Push(x any) {
+	e := x.(*entry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+
+func (h *entryHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // Cache is a capacity-bounded result store keyed by canonical expression
@@ -51,9 +86,11 @@ type Cache struct {
 	capacity int64
 	used     int64
 	entries  map[string]*entry
-	clock    uint64
-	pricer   Pricer
-	stats    CacheStats
+	// order heaps the entries by eviction preference, root first.
+	order  entryHeap
+	clock  uint64
+	pricer Pricer
+	stats  CacheStats
 }
 
 // NewCache builds a cache bounded to capacity bytes of simulated
@@ -97,6 +134,7 @@ func (c *Cache) Get(key string, verOf func(lpn uint64) uint64) ([]byte, bool) {
 	}
 	c.clock++
 	e.lastUse = c.clock
+	heap.Fix(&c.order, e.index)
 	c.stats.Hits++
 	return append([]byte(nil), e.data...), true
 }
@@ -132,6 +170,7 @@ func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint6
 		lastUse: c.clock,
 	}
 	c.entries[key] = e
+	heap.Push(&c.order, e)
 	c.used += size
 }
 
@@ -157,6 +196,7 @@ func (c *Cache) Invalidate(lpn uint64) int {
 
 func (c *Cache) remove(e *entry) {
 	delete(c.entries, e.key)
+	heap.Remove(&c.order, e.index)
 	c.used -= int64(len(e.data))
 }
 
@@ -174,21 +214,14 @@ func (c *Cache) score(costSeconds float64, size int64) float64 {
 	return (costSeconds + move) / float64(size)
 }
 
-// evictOne removes the lowest-value entry (least-recently-used breaks
-// ties deterministically: lastUse values are unique). Returns false when
-// the cache is already empty.
+// evictOne removes the lowest-value entry, the heap's root
+// (least-recently-used breaks ties deterministically: lastUse values are
+// unique). Returns false when the cache is already empty.
 func (c *Cache) evictOne() bool {
-	var victim *entry
-	for _, e := range c.entries {
-		if victim == nil || e.score < victim.score ||
-			(e.score == victim.score && e.lastUse < victim.lastUse) {
-			victim = e
-		}
-	}
-	if victim == nil {
+	if len(c.order) == 0 {
 		return false
 	}
-	c.remove(victim)
+	c.remove(c.order[0])
 	c.stats.Evictions++
 	return true
 }

@@ -30,8 +30,11 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"parabit/internal/flash"
 	"parabit/internal/latch"
@@ -100,6 +103,10 @@ var kindNames = [numKinds]string{
 	"reduce", "formula", "query", "barrier",
 }
 
+// ErrUnknownKind fails a command whose Kind names no command kind. Submit
+// reports it on the ticket at once; such a command never queues.
+var ErrUnknownKind = errors.New("sched: unknown command kind")
+
 func (k Kind) String() string {
 	if int(k) < numKinds {
 		return kindNames[k]
@@ -108,8 +115,8 @@ func (k Kind) String() string {
 }
 
 // Command describes one device operation. Which fields matter depends on
-// Kind; unused fields are ignored. Data and Pages are copied at Submit, so
-// callers may reuse their buffers immediately.
+// Kind; unused fields are ignored. LPNs, Data and Pages are copied at
+// Submit, so callers may reuse their buffers immediately.
 type Command struct {
 	Kind Kind
 	// LPN addresses single-page commands (read, and writes that leave
@@ -172,25 +179,22 @@ func (r Result) end() sim.Time {
 // executed and returns its Result; it may be called from any goroutine,
 // any number of times.
 type Ticket struct {
-	s    *Scheduler
-	cmd  Command
-	done chan struct{}
-	// res is written exactly once, under s.mu, before done closes.
-	res Result
+	s *Scheduler
+	// res is written exactly once, under s.mu, before done is set.
+	res  Result
+	done atomic.Bool
 }
 
 // Wait returns the command's result, dispatching the pending queue if the
-// command has not executed yet.
+// command has not executed yet. Commands execute only under the scheduler
+// mutex and a dispatch drains the whole queue, so once the dispatch below
+// returns, the ticket's batch has run.
 func (t *Ticket) Wait() Result {
-	select {
-	case <-t.done:
-		return t.res
-	default:
+	if !t.done.Load() {
+		t.s.mu.Lock()
+		t.s.dispatchLocked()
+		t.s.mu.Unlock()
 	}
-	t.s.mu.Lock()
-	t.s.dispatchLocked()
-	t.s.mu.Unlock()
-	<-t.done
 	return t.res
 }
 
@@ -292,12 +296,31 @@ type Scheduler struct {
 	mu      sync.Mutex
 	dev     *ssd.Device   // immutable after New
 	now     sim.Time      // issue cursor for the next batch; guarded by mu
-	pending []*Ticket     // guarded by mu
+	pending []queued      // guarded by mu
+	spare   []queued      // the last batch's emptied backing array; guarded by mu
 	depth   [numKinds]int // pending commands per kind; guarded by mu
 	retry   RetryPolicy   // guarded by mu
 	stats   Stats         // guarded by mu
 	tele    schedTele     // guarded by mu
+	// The arenas hold the pending commands' copies of LPNs, payload bytes
+	// and page lists. Each dispatch resets them, so steady-state traffic
+	// reuses one backing array per arena.
+	lpnArena  []uint64 // guarded by mu
+	byteArena []byte   // guarded by mu
+	pageArena [][]byte // guarded by mu
 }
+
+// queued is one pending command and the ticket its result goes to. The
+// command lives here, not on the ticket, so a ticket the caller holds
+// pins no payload.
+type queued struct {
+	t   *Ticket
+	cmd Command
+}
+
+// arenaKeep bounds, in bytes, the backing array a dispatch keeps per
+// arena: one grown past it by a huge batch is dropped, not held.
+const arenaKeep = 64 << 10
 
 // schedTele holds the scheduler's telemetry handles; the zero value (all
 // nil) is the disabled state and every call through it is a free no-op.
@@ -349,23 +372,20 @@ func (s *Scheduler) SetRetryPolicy(p RetryPolicy) {
 
 // Submit enqueues a command. It never blocks on device work; the command
 // executes when any ticket of the current queue is waited on, or at the
-// next Flush/Exclusive. Payload buffers are copied.
+// next Flush/Exclusive. LPNs and payload buffers are copied. A command of
+// unknown Kind is not queued: its ticket fails at once with
+// ErrUnknownKind.
 func (s *Scheduler) Submit(cmd Command) *Ticket {
-	cmd.Data = copyPage(cmd.Data)
-	if cmd.Pages != nil {
-		pages := make([][]byte, len(cmd.Pages))
-		for i, p := range cmd.Pages {
-			pages[i] = copyPage(p)
-		}
-		cmd.Pages = pages
-	}
-	if cmd.LPNs != nil {
-		cmd.LPNs = append([]uint64(nil), cmd.LPNs...)
-	}
-	t := &Ticket{s: s, cmd: cmd, done: make(chan struct{})}
-	s.mu.Lock()
-	s.pending = append(s.pending, t)
 	k := cmd.Kind
+	t := &Ticket{s: s}
+	if int(k) >= numKinds {
+		t.res.Err = fmt.Errorf("%w: %d", ErrUnknownKind, k)
+		t.done.Store(true)
+		return t
+	}
+	s.mu.Lock()
+	s.copyInLocked(&cmd)
+	s.pending = append(s.pending, queued{t, cmd})
 	s.stats.Queues[k].Submitted++
 	s.depth[k]++
 	if s.depth[k] > s.stats.Queues[k].MaxDepth {
@@ -376,11 +396,51 @@ func (s *Scheduler) Submit(cmd Command) *Ticket {
 	return t
 }
 
-func copyPage(p []byte) []byte {
+// copyInLocked points c's LPNs, Data and Pages at copies in the arenas.
+// Each copy is capped at its length, so nothing appending to one can
+// reach a neighbour's.
+func (s *Scheduler) copyInLocked(c *Command) {
+	if c.LPNs != nil {
+		n := len(s.lpnArena)
+		s.lpnArena = append(s.lpnArena, c.LPNs...)
+		c.LPNs = s.lpnArena[n:len(s.lpnArena):len(s.lpnArena)]
+	}
+	c.Data = s.copyBytesLocked(c.Data)
+	if c.Pages != nil {
+		n := len(s.pageArena)
+		for _, p := range c.Pages {
+			s.pageArena = append(s.pageArena, s.copyBytesLocked(p))
+		}
+		c.Pages = s.pageArena[n:len(s.pageArena):len(s.pageArena)]
+	}
+}
+
+func (s *Scheduler) copyBytesLocked(p []byte) []byte {
 	if p == nil {
 		return nil
 	}
-	return append([]byte(nil), p...)
+	n := len(s.byteArena)
+	s.byteArena = append(s.byteArena, p...)
+	return s.byteArena[n:len(s.byteArena):len(s.byteArena)]
+}
+
+// resetArenasLocked empties the arenas once their batch has executed,
+// dropping any grown past arenaKeep bytes.
+func (s *Scheduler) resetArenasLocked() {
+	s.lpnArena = keepArena(s.lpnArena)
+	s.byteArena = keepArena(s.byteArena)
+	clear(s.pageArena)
+	s.pageArena = keepArena(s.pageArena)
+}
+
+// keepArena empties an arena, or drops it when its backing array
+// exceeds arenaKeep bytes.
+func keepArena[T any](a []T) []T {
+	var zero T
+	if cap(a)*int(unsafe.Sizeof(zero)) > arenaKeep {
+		return nil
+	}
+	return a[:0]
 }
 
 // dispatchLocked executes every pending command as one batch. All commands
@@ -391,16 +451,17 @@ func (s *Scheduler) dispatchLocked() {
 		return
 	}
 	batch := s.pending
-	s.pending = nil
+	s.pending = s.spare
 	issue := s.now
 	horizon := issue
 	s.stats.Batches++
 	if len(batch) > s.stats.MaxBatch {
 		s.stats.MaxBatch = len(batch)
 	}
-	for _, t := range batch {
-		t.res = s.execRetryLocked(&t.cmd, issue)
-		k := t.cmd.Kind
+	for i := range batch {
+		t, c := batch[i].t, &batch[i].cmd
+		k := c.Kind
+		t.res = s.execRetryLocked(c, issue)
 		s.depth[k]--
 		s.stats.Queues[k].Completed++
 		if t.res.Err != nil {
@@ -413,8 +474,11 @@ func (s *Scheduler) dispatchLocked() {
 		s.tele.depthGauges[k].Set(int64(s.depth[k]))
 		s.tele.latency[k].Observe(t.res.end().Sub(issue))
 		s.tele.queueTracks[k].Span(kindNames[k], issue, t.res.end())
-		close(t.done)
+		t.done.Store(true)
 	}
+	clear(batch)
+	s.spare = keepArena(batch)
+	s.resetArenasLocked()
 	s.now = horizon
 	s.stats.Horizon = horizon
 	s.tele.cBatches.Add(1)
@@ -526,8 +590,6 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 		if err == nil {
 			r.Done, r.HostDone = br.Done, br.HostDone
 		}
-	default:
-		panic("sched: unknown command kind")
 	}
 	return r
 }

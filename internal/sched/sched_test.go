@@ -158,9 +158,7 @@ func TestBarrierCompletesWithBatch(t *testing.T) {
 	if r := b.Wait(); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	select {
-	case <-w.done:
-	default:
+	if !w.done.Load() {
 		t.Fatal("barrier wait did not drain the preceding write")
 	}
 }
@@ -400,5 +398,189 @@ func TestSubmitCopiesBuffers(t *testing.T) {
 	}
 	if !bytes.Equal(r.Data, want) {
 		t.Fatal("scheduler did not copy the payload at Submit")
+	}
+}
+
+// TestUnknownKindFailsItsTicket pins that a command of unknown Kind fails
+// its own ticket with ErrUnknownKind at Submit, never reaches the queue,
+// and leaves the scheduler usable.
+func TestUnknownKindFailsItsTicket(t *testing.T) {
+	s, dev := newSched(t)
+	good := s.Submit(Command{Kind: KindWriteOperand, LPN: 4, Data: pageOf(dev, 4)})
+	bad := s.Submit(Command{Kind: Kind(200), LPN: 4})
+	if r := bad.Wait(); !errors.Is(r.Err, ErrUnknownKind) {
+		t.Fatalf("unknown kind: err = %v, want ErrUnknownKind", r.Err)
+	}
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("%d commands pending, want only the write", n)
+	}
+	s.Flush()
+	if r := good.Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if st := s.Stats(); st.Submitted() != 1 || st.Completed() != 1 {
+		t.Fatalf("submitted %d, completed %d, want 1 and 1", st.Submitted(), st.Completed())
+	}
+}
+
+// newReduceSched returns a scheduler over a device holding one aligned
+// LSB group of k operand pages at LPNs 0..k-1, and those LPNs.
+func newReduceSched(tb testing.TB, k int) (*Scheduler, []uint64) {
+	tb.Helper()
+	dev, err := ssd.New(ssd.SmallConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := New(dev)
+	lpns := make([]uint64, k)
+	pages := make([][]byte, k)
+	for i := range lpns {
+		lpns[i] = uint64(i)
+		pages[i] = pageOf(dev, byte(i))
+	}
+	if r := s.Submit(Command{Kind: KindWriteGroup, LPNs: lpns, Pages: pages}).Wait(); r.Err != nil {
+		tb.Fatal(r.Err)
+	}
+	return s, lpns
+}
+
+// TestSubmitWaitAllocations pins the request path's allocations: on a
+// warm device, Submit plus Wait of a location-free reduction over its LSB
+// group allocates the Ticket and the caller-owned result page, nothing
+// else.
+func TestSubmitWaitAllocations(t *testing.T) {
+	s, lpns := newReduceSched(t, 4)
+	cmd := Command{Kind: KindReduce, LPNs: lpns, Op: latch.OpAnd, Scheme: ssd.SchemeLocFree}
+	for i := 0; i < 4; i++ {
+		if r := s.Submit(cmd).Wait(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r := s.Submit(cmd).Wait(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("Submit+Wait allocates %v objects, want 2 (the ticket and the result page)", allocs)
+	}
+}
+
+// TestWaitAcrossGoroutines races the channel-free Wait: submitters on 8
+// goroutines hand their tickets to waiters that wait on each twice,
+// interleaved with Flush and Exclusive from other goroutines. Every
+// result must be its own command's. Run under -race.
+func TestWaitAcrossGoroutines(t *testing.T) {
+	s, dev := newSched(t)
+	const (
+		submitters = 8
+		perWorker  = 40
+		operands   = 8
+	)
+	data := make([][]byte, operands)
+	for i := range data {
+		data[i] = pageOf(dev, byte(0x40+i))
+		if r := s.Submit(Command{Kind: KindWriteOperand, LPN: uint64(i), Data: data[i]}).Wait(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	type job struct {
+		tk   *Ticket
+		want []byte
+	}
+	jobs := make(chan job, submitters*perWorker)
+	errs := make(chan error, 2*submitters*perWorker)
+	var submit, wait sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		submit.Add(1)
+		go func(w int) {
+			defer submit.Done()
+			for i := 0; i < perWorker; i++ {
+				a, b := (w+i)%operands, (w*3+i)%operands
+				if i%2 == 0 {
+					jobs <- job{s.Submit(Command{Kind: KindRead, LPN: uint64(a)}), data[a]}
+					continue
+				}
+				want := make([]byte, len(data[a]))
+				for j := range want {
+					want[j] = data[a][j] ^ data[b][j]
+				}
+				lpns := []uint64{uint64(a), uint64(b)}
+				tk := s.Submit(Command{Kind: KindBitwise, LPNs: lpns, Op: latch.OpXor, Scheme: ssd.SchemeReAlloc})
+				lpns[0], lpns[1] = 1<<40, 1<<40 // reused at once: Submit copied them
+				jobs <- job{tk, want}
+			}
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		wait.Add(1)
+		go func() {
+			defer wait.Done()
+			for j := range jobs {
+				for n := 0; n < 2; n++ {
+					if r := j.tk.Wait(); r.Err != nil || !bytes.Equal(r.Data, j.want) {
+						errs <- fmt.Errorf("wait %d: err %v, data matches %v", n, r.Err, bytes.Equal(r.Data, j.want))
+					}
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var drain sync.WaitGroup
+	drain.Add(2)
+	go func() {
+		defer drain.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Flush()
+			}
+		}
+	}()
+	go func() {
+		defer drain.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Exclusive(func(*ssd.Device, sim.Time) {})
+			}
+		}
+	}()
+	submit.Wait()
+	close(jobs)
+	wait.Wait()
+	close(stop)
+	drain.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.Completed() != st.Submitted() {
+		t.Fatalf("completed %d of %d submitted", st.Completed(), st.Submitted())
+	}
+}
+
+// BenchmarkSubmitWait submits a burst of 8 location-free reductions on a
+// warm device and waits for them: one batch per iteration.
+func BenchmarkSubmitWait(b *testing.B) {
+	const burst = 8
+	s, lpns := newReduceSched(b, 4)
+	cmd := Command{Kind: KindReduce, LPNs: lpns, Op: latch.OpAnd, Scheme: ssd.SchemeLocFree}
+	var tickets [burst]*Ticket
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range tickets {
+			tickets[j] = s.Submit(cmd)
+		}
+		for _, tk := range tickets {
+			if r := tk.Wait(); r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
 	}
 }
