@@ -129,6 +129,9 @@ func (b *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (b *Reader) I64() int64 { return int64(b.U64()) }
 
+// Raw fills p, reading exactly len(p) bytes without a length prefix.
+func (b *Reader) Raw(p []byte) { b.read(p) }
+
 // Bytes reads a u32 length prefix and that many bytes, bounded by the
 // reader's limit.
 func (b *Reader) Bytes() []byte {

@@ -249,12 +249,15 @@ func (a *Array) pageView(w WordlineAddr, kind PageKind) []byte {
 	return a.erased
 }
 
-// pageBits returns a caller-owned copy of the stored page content, for the
-// read paths whose noise injection and ECC correction mutate it.
-func (a *Array) pageBits(w WordlineAddr, kind PageKind) []byte {
-	out := make([]byte, a.geo.PageSize)
-	copy(out, a.pageView(w, kind))
-	return out
+// pageBits copies the stored page content into dst, or into a fresh page
+// when dst is nil, for the read paths whose noise injection and ECC
+// correction mutate it.
+func (a *Array) pageBits(dst []byte, w WordlineAddr, kind PageKind) []byte {
+	if dst == nil {
+		dst = make([]byte, a.geo.PageSize)
+	}
+	copy(dst, a.pageView(w, kind))
+	return dst
 }
 
 // peCycles returns the erase count of the block holding w.
@@ -316,6 +319,12 @@ func (a *Array) parityOf(p PageAddr) []byte {
 // use (§4.4.3). A correction failure surfaces as a read error, like a
 // real drive's uncorrectable-ECC status.
 func (a *Array) ReadSense(p PageAddr, at sim.Time) (SenseResult, error) {
+	return a.readSense(p, nil, at)
+}
+
+// readSense is ReadSense sensing into dst, or into a fresh page when dst
+// is nil.
+func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, error) {
 	if err := a.geo.CheckPage(p); err != nil {
 		return SenseResult{}, err
 	}
@@ -328,7 +337,7 @@ func (a *Array) ReadSense(p PageAddr, at sim.Time) (SenseResult, error) {
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(sros)*a.timing.SenseSRO+jitter, "sense")
 	a.stats.SROs += int64(sros)
 	exposure := a.noteReads(p.WordlineAddr, sros)
-	res := SenseResult{Data: a.pageBits(p.WordlineAddr, p.Kind), Ready: end}
+	res := SenseResult{Data: a.pageBits(dst, p.WordlineAddr, p.Kind), Ready: end}
 	if a.noisyBaseline && a.noise != nil {
 		par := a.parityOf(p)
 		if par == nil {
@@ -348,7 +357,7 @@ func (a *Array) ReadSense(p PageAddr, at sim.Time) (SenseResult, error) {
 			_, end = pl.sense.ReserveLabeled(end, a.timing.SenseSRO, "sense")
 			a.stats.SROs++
 			a.noteReads(p.WordlineAddr, 1)
-			res.Data = a.pageBits(p.WordlineAddr, p.Kind)
+			res.Data = a.pageBits(res.Data, p.WordlineAddr, p.Kind)
 			// Calibrated sensing quarters the effective error exposure
 			// per attempt.
 			res.FlipCount = a.corrupt(res.Data, a.peCycles(p.WordlineAddr), 1, exposure>>(2*uint(retries)))
@@ -371,7 +380,23 @@ func (a *Array) ReadSense(p PageAddr, at sim.Time) (SenseResult, error) {
 // cache register holds the outgoing data while the next sense proceeds.
 // Without it, the plane stays busy until the transfer drains.
 func (a *Array) Read(p PageAddr, at sim.Time) ([]byte, sim.Time, error) {
-	res, err := a.ReadSense(p, at)
+	return a.read(p, nil, at)
+}
+
+// ReadInto is Read into the caller's page dst, which must be one page
+// long: the same sensing, noise, ECC and transfer, without allocating
+// the result. dst holds the page once ReadInto returns without error.
+func (a *Array) ReadInto(dst []byte, p PageAddr, at sim.Time) (sim.Time, error) {
+	if len(dst) != a.geo.PageSize {
+		return 0, fmt.Errorf("%w: %d bytes, page is %d", ErrPageSize, len(dst), a.geo.PageSize)
+	}
+	_, done, err := a.read(p, dst, at)
+	return done, err
+}
+
+// read is Read sensing into dst, or into a fresh page when dst is nil.
+func (a *Array) read(p PageAddr, dst []byte, at sim.Time) ([]byte, sim.Time, error) {
+	res, err := a.readSense(p, dst, at)
 	if err != nil {
 		return nil, 0, err
 	}

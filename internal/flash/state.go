@@ -107,14 +107,16 @@ func (a *Array) ChangedBlocks() int {
 // (fully erased) array with the same geometry. The counters come from r;
 // a block r defers to its parent is taken from the first of parents —
 // the older encodings, newest first — that holds it. A deferred block no
-// parent resolves is an error. Parity for programmed pages is recomputed
-// against the currently installed codec, so SetECC must run before
-// ReadState exactly as it runs before first program.
+// parent resolves is an error. Every parent is read through, resolving
+// blocks or not, so each reader is left where its array section ends,
+// like r. Parity for programmed pages is recomputed against the
+// currently installed codec, so SetECC must run before ReadState exactly
+// as it runs before first program.
 func (a *Array) ReadState(r io.Reader, parents ...io.Reader) error {
 	pending := make([]bool, len(a.planes)*a.geo.BlocksPerPlane)
 	left, err := a.readSection(r, pending, true)
 	for _, p := range parents {
-		if err != nil || left == 0 {
+		if err != nil {
 			break
 		}
 		left, err = a.readSection(p, pending, false)

@@ -1,7 +1,9 @@
 package ftl
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"parabit/internal/faults"
@@ -259,5 +261,75 @@ func TestDeviceFullStillDistinctFromFault(t *testing.T) {
 	}
 	if flash.AsFaultError(lastErr) != nil {
 		t.Fatal("capacity exhaustion misreported as a hardware fault")
+	}
+}
+
+// relocationFault fails the first program garbage collection issues to
+// relocate a page into a block that already holds valid pages. With
+// read reclaim and static wear leveling off, a write senses a page only
+// to relocate it, and the next program carries that page.
+type relocationFault struct {
+	f             *FTL
+	sensed, fired bool
+}
+
+func (r *relocationFault) Inspect(op flash.FaultOp, plane flash.PlaneAddr, block int, at sim.Time) flash.FaultOutcome {
+	switch op {
+	case flash.FaultSense:
+		r.sensed = true
+		return flash.FaultOutcome{}
+	case flash.FaultProgram:
+		relocating := r.sensed
+		r.sensed = false
+		if !relocating || r.fired {
+			return flash.FaultOutcome{}
+		}
+	default:
+		return flash.FaultOutcome{}
+	}
+	for _, pa := range r.f.planes {
+		if pa.addr == plane && pa.valid[block] == 0 {
+			return flash.FaultOutcome{}
+		}
+	}
+	r.fired = true
+	return flash.FaultOutcome{Err: &flash.FaultError{Op: op, Kind: flash.FaultProgramFail, Plane: plane, Block: block}}
+}
+
+// TestGCRelocationProgramFailLandsItsPage fails a relocation's program
+// mid-GC. The failed block's retirement moves its own valid pages before
+// the relocation is re-issued, and must not disturb the page the
+// relocation carries: every page reads back what was last written.
+func TestGCRelocationProgramFailLandsItsPage(t *testing.T) {
+	f := newFTL()
+	inj := &relocationFault{f: f}
+	f.Array().SetFaultInjector(inj)
+	rng := rand.New(rand.NewSource(9))
+	hot := int(f.LogicalPages() / 2)
+	golden := map[uint64]byte{}
+	for i := 0; !inj.fired || i%512 != 0; i++ {
+		lpn, seed := uint64(rng.Intn(hot)), byte(rng.Intn(256))
+		if _, err := f.Write(lpn, page(f, seed), 0); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		golden[lpn] = seed
+	}
+	f.Array().SetFaultInjector(nil)
+	st := f.Stats()
+	if st.ProgramFails != 1 || st.BlocksRetired != 1 || st.RetirePagesMoved == 0 || st.GCPagesMoved == 0 {
+		t.Fatalf("program fails %d, retired %d moving %d pages, GC moved %d: want one retirement that moved pages during GC",
+			st.ProgramFails, st.BlocksRetired, st.RetirePagesMoved, st.GCPagesMoved)
+	}
+	for lpn, seed := range golden {
+		data, _, err := f.Read(lpn, 0)
+		if err != nil {
+			t.Fatalf("lpn %d: %v", lpn, err)
+		}
+		if !bytes.Equal(data, page(f, seed)) {
+			t.Fatalf("lpn %d reads back wrong bytes", lpn)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -133,8 +133,17 @@ type FTL struct {
 	order     []int // striping order: channel varies fastest
 	cursor    int   // round-robin position in order
 	stats     Stats
+	// dirty holds one bit per LPN, 64 to a word, set when the LPN's l2p
+	// or vers entry changes and cleared by ClearDirty: the entries a
+	// delta WriteState lists.
+	dirty table[uint64]
 	// encBuf holds the entries WriteState writes out a chunk at a time.
-	encBuf [4096]byte
+	encBuf [204 * entryLen]byte
+	// gcPage is the page garbage collection relocates through: the
+	// program copies it, so one page serves every move. Retirement, which
+	// a relocation's program fault can start mid-move, reads into pages
+	// of its own and never touches it.
+	gcPage []byte
 
 	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
 	gcTrack, reclaimTrack, wlTrack, retireTrack                 *telemetry.Track
@@ -181,6 +190,7 @@ func New(array *flash.Array, cfg Config) *FTL {
 	}
 	f.l2p = newTable[uint32](uint64(f.LogicalPages()))
 	f.vers = newTable[uint64](uint64(f.LogicalPages()))
+	f.dirty = newTable[uint64]((uint64(f.LogicalPages()) + 63) / 64)
 	for i := range f.planes {
 		pa := f.newPlane(i)
 		pa.active = -1
@@ -403,6 +413,7 @@ func (f *FTL) bumpVersion(lpn uint64) {
 		f.versioned++
 	}
 	f.vers.set(lpn, v+1)
+	*f.dirty.at(lpn / 64) |= 1 << (lpn % 64)
 }
 
 // Version returns the mapping version of a logical page: 0 until the page
@@ -1062,7 +1073,10 @@ func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 			if !ok {
 				continue
 			}
-			data, readDone, err := f.array.Read(addr, now)
+			if f.gcPage == nil {
+				f.gcPage = make([]byte, f.geo.PageSize)
+			}
+			readDone, err := f.array.ReadInto(f.gcPage, addr, now)
 			if err != nil {
 				return now, fmt.Errorf("ftl: gc read: %w", err)
 			}
@@ -1070,7 +1084,7 @@ func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 			if target == nil {
 				return now, ErrDeviceFull
 			}
-			done, err := f.writeTo(target, lpn, data, readDone, false)
+			done, err := f.writeTo(target, lpn, f.gcPage, readDone, false)
 			if err != nil {
 				return now, fmt.Errorf("ftl: gc write: %w", err)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parabit/internal/flash"
+	"parabit/internal/sim"
 )
 
 func newFTL() *FTL {
@@ -768,5 +769,37 @@ func TestPlaceRejectsGroupsItsLayoutCannotHold(t *testing.T) {
 	}
 	if f.MappedPages() != 0 || f.Stats() != (Stats{}) {
 		t.Fatalf("a rejected group left state behind: %d mapped, %+v", f.MappedPages(), f.Stats())
+	}
+}
+
+// TestGCRelocationAllocations pins a warm garbage-collection pass to
+// fewer allocations than pages it moves: relocation reads into one
+// FTL-owned page, and erased blocks recycle their page buffers.
+func TestGCRelocationAllocations(t *testing.T) {
+	f := newFTL()
+	rng := rand.New(rand.NewSource(3))
+	hot := int(f.LogicalPages() / 2)
+	data := page(f, 1)
+	var at sim.Time
+	for i := 0; f.Stats().GCPagesMoved == 0 || i < 4000; i++ {
+		done, err := f.Write(uint64(rng.Intn(hot)), data, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = done
+	}
+	pa := f.planes[0]
+	moved := f.Stats().GCPagesMoved
+	allocs := testing.AllocsPerRun(20, func() {
+		done, err := f.collectPlane(pa, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = done
+	})
+	perPass := float64(f.Stats().GCPagesMoved-moved) / 21
+	t.Logf("%.1f allocs per pass moving %.1f pages", allocs, perPass)
+	if perPass < 8 || allocs > perPass/8 {
+		t.Fatalf("%.1f allocs per GC pass moving %.1f pages", allocs, perPass)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func newTinyFTL() *FTL {
 func stateOf(t testing.TB, f *FTL) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.WriteState(&buf); err != nil {
+	if err := f.WriteState(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -92,59 +93,205 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadStateIsCanonical patches the version section of a two-page
-// state: every blob ReadState accepts must re-encode to itself, so it
-// refuses what WriteState never writes.
-func TestReadStateIsCanonical(t *testing.T) {
-	f := newTinyFTL()
-	for _, lpn := range []uint64{3, 9} {
-		if _, err := f.Write(lpn, page(f, 1), 0); err != nil {
+// v1State encodes f in the FTL1 layout older stores hold: a (lpn, ppn)
+// list, a (lpn, version) list, then the tail FTL2 shares.
+func v1State(t testing.TB, f *FTL) []byte {
+	t.Helper()
+	full := stateOf(t, f)
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, stateMagicV1)
+	b = le.AppendUint64(b, uint64(f.mapped))
+	f.l2p.each(func(lpn uint64, v uint32) {
+		b = le.AppendUint64(le.AppendUint64(b, lpn), uint64(v-1))
+	})
+	b = le.AppendUint64(b, uint64(f.versioned))
+	f.vers.each(func(lpn, v uint64) {
+		b = le.AppendUint64(le.AppendUint64(b, lpn), v)
+	})
+	return append(b, full[entriesAt+entryLen*f.versioned:]...)
+}
+
+// entriesAt is where an FTL2 blob's entries start: magic, flag, count.
+const entriesAt = 4 + 1 + 8
+
+// deltaOf returns f's delta encoding against the last ClearDirty.
+func deltaOf(t testing.TB, f *FTL) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteState(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// churn overwrites and trims random pages of f's hot first half.
+func churn(t testing.TB, f *FTL, rng *rand.Rand, n int) {
+	t.Helper()
+	hot := int(f.LogicalPages() / 2)
+	for i := 0; i < n; i++ {
+		if _, err := f.Write(uint64(rng.Intn(hot)), page(f, byte(i)), 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	blob := stateOf(t, f)
-	// magic, two mapping entries, then the version count and entries.
-	const versions = 4 + 8 + 2*16 + 8
-	entry := func(b []byte, i int, lpn, v uint64) {
-		binary.LittleEndian.PutUint64(b[versions+16*i:], lpn)
-		binary.LittleEndian.PutUint64(b[versions+16*i+8:], v)
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(b []byte)
-	}{
-		{"duplicate version", func(b []byte) { entry(b, 1, 3, 2) }},
-		{"zero version", func(b []byte) { entry(b, 1, 9, 0) }},
-		{"versions out of order", func(b []byte) { entry(b, 0, 9, 1); entry(b, 1, 3, 1) }},
-	} {
-		b := bytes.Clone(blob)
-		tc.mutate(b)
-		if err := newTinyFTL().ReadState(bytes.NewReader(b)); !errors.Is(err, ErrBadState) {
-			t.Errorf("%s: ReadState = %v, want ErrBadState", tc.name, err)
+		if i%7 == 0 {
+			f.Trim(uint64(rng.Intn(hot)))
 		}
-	}
-	if err := newTinyFTL().ReadState(bytes.NewReader(blob)); err != nil {
-		t.Fatalf("unpatched blob: %v", err)
 	}
 }
 
-// FuzzFTLState feeds arbitrary bytes to ReadState. Nothing may panic:
-// not the decode, not CheckInvariants on what it accepted. An accepted
-// blob must re-encode to exactly the bytes ReadState consumed.
+// readChain restores a chain of encodings, newest first, into a fresh
+// FTL.
+func readChain(chain ...[]byte) (*FTL, error) {
+	f := newTinyFTL()
+	parents := make([]io.Reader, len(chain)-1)
+	for i, p := range chain[1:] {
+		parents[i] = bytes.NewReader(p)
+	}
+	return f, f.ReadState(bytes.NewReader(chain[0]), parents...)
+}
+
+// TestStateDeltaChain restores a full encoding and two deltas over it,
+// each taken after churn that runs garbage collection, and an FTL1
+// encoding: every restore encodes exactly like the FTL it was taken
+// from. A delta lists only what changed since ClearDirty.
+func TestStateDeltaChain(t *testing.T) {
+	f := newTinyFTL()
+	rng := rand.New(rand.NewSource(11))
+	churn(t, f, rng, 400)
+	full := stateOf(t, f)
+	f.ClearDirty()
+	if got := deltaOf(t, f); len(got) >= len(full) || binary.LittleEndian.Uint64(got[5:]) != 0 {
+		t.Fatalf("delta of a clean FTL lists %d entries", binary.LittleEndian.Uint64(got[5:]))
+	}
+	gc := f.Stats().GCRuns
+	churn(t, f, rng, 60)
+	d1 := deltaOf(t, f)
+	f.ClearDirty()
+	churn(t, f, rng, 60)
+	d2 := deltaOf(t, f)
+	if f.Stats().GCRuns == gc {
+		t.Fatal("churn between deltas ran no garbage collection")
+	}
+	want := stateOf(t, f)
+	for name, chain := range map[string][][]byte{
+		"delta-delta-full": {d2, d1, full},
+		"full":             {want},
+		"v1":               {v1State(t, f)},
+	} {
+		got, err := readChain(chain...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(stateOf(t, got), want) {
+			t.Fatalf("%s: restored state differs from the live FTL", name)
+		}
+	}
+	// A full encoding ends the walk: parents past it are never read.
+	if _, err := readChain(d2, d1, full, []byte("not a state")); err != nil {
+		t.Fatalf("chain with a stray parent past its full image: %v", err)
+	}
+}
+
+// TestReadStateIsCanonical patches the entries of a two-page state:
+// every full blob ReadState accepts must re-encode to itself, so it
+// refuses what WriteState never writes. Deltas keep the same rules and
+// must reach a full ancestor, FTL1 or FTL2.
+func TestReadStateIsCanonical(t *testing.T) {
+	f := newTinyFTL()
+	write := func(lpns ...uint64) {
+		for _, lpn := range lpns {
+			if _, err := f.Write(lpn, page(f, 1), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(3, 9)
+	blob := stateOf(t, f)
+	v1 := v1State(t, f)
+	f.ClearDirty()
+	write(5, 9)
+	delta := deltaOf(t, f)
+	live := stateOf(t, f)
+	entry := func(b []byte, i int, lpn, v uint64) {
+		binary.LittleEndian.PutUint64(b[entriesAt+entryLen*i:], lpn)
+		binary.LittleEndian.PutUint64(b[entriesAt+entryLen*i+12:], v)
+	}
+	for _, tc := range []struct {
+		name    string
+		chain   [][]byte
+		mutate  func(b []byte)
+		wantErr bool
+	}{
+		{"unpatched", [][]byte{blob}, nil, false},
+		{"duplicate entry", [][]byte{blob}, func(b []byte) { entry(b, 1, 3, 2) }, true},
+		{"zero version", [][]byte{blob}, func(b []byte) { entry(b, 1, 9, 0) }, true},
+		{"entries out of order", [][]byte{blob}, func(b []byte) { entry(b, 0, 9, 1); entry(b, 1, 3, 1) }, true},
+		{"unknown list flag", [][]byte{blob}, func(b []byte) { b[4] = 2 }, true},
+		{"delta", [][]byte{delta, blob}, nil, false},
+		{"delta out of order", [][]byte{delta, blob}, func(b []byte) { entry(b, 0, 9, 2); entry(b, 1, 5, 1) }, true},
+		{"delta zero version", [][]byte{delta, blob}, func(b []byte) { entry(b, 0, 5, 0) }, true},
+		{"delta with no full ancestor", [][]byte{delta}, nil, true},
+		{"delta over a delta only", [][]byte{delta, delta}, nil, true},
+		{"delta over FTL1", [][]byte{delta, v1}, nil, false},
+	} {
+		chain := append([][]byte(nil), tc.chain...)
+		if tc.mutate != nil {
+			chain[0] = bytes.Clone(chain[0])
+			tc.mutate(chain[0])
+		}
+		got, err := readChain(chain...)
+		// An accepted full blob re-encodes to itself, a chain to the
+		// live FTL it was taken from.
+		want := live
+		if len(chain) == 1 {
+			want = chain[0]
+		}
+		switch {
+		case tc.wantErr && !errors.Is(err, ErrBadState):
+			t.Errorf("%s: ReadState = %v, want ErrBadState", tc.name, err)
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: ReadState = %v", tc.name, err)
+		case !tc.wantErr && !bytes.Equal(stateOf(t, got), want):
+			t.Errorf("%s: restored state re-encodes differently", tc.name)
+		}
+	}
+}
+
+// FuzzFTLState feeds arbitrary bytes to ReadState as a newest encoding
+// and one parent. Nothing may panic: not the decode, not CheckInvariants
+// on what it accepted. An accepted full FTL2 blob must re-encode to
+// exactly the bytes ReadState consumed; any other accepted chain must
+// re-encode to a full blob that does.
 func FuzzFTLState(f *testing.F) {
 	for _, blob := range stateSeeds(f) {
-		f.Add(blob)
+		f.Add(blob, []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	base := newTinyFTL()
+	churn(f, base, rand.New(rand.NewSource(2)), 300)
+	full := stateOf(f, base)
+	f.Add(v1State(f, base), []byte(nil))
+	base.ClearDirty()
+	churn(f, base, rand.New(rand.NewSource(3)), 40)
+	f.Add(deltaOf(f, base), full)
+	f.Fuzz(func(t *testing.T, newest, parent []byte) {
 		ftl := newTinyFTL()
-		r := bytes.NewReader(blob)
-		if err := ftl.ReadState(r); err != nil {
+		r := bytes.NewReader(newest)
+		if err := ftl.ReadState(r, bytes.NewReader(parent)); err != nil {
 			return
 		}
 		_ = ftl.CheckInvariants()
-		consumed := blob[:len(blob)-r.Len()]
-		if got := stateOf(t, ftl); !bytes.Equal(got, consumed) {
-			t.Fatalf("re-encoded state differs:\n got  %x\n want %x", got, consumed)
+		got := stateOf(t, ftl)
+		if len(newest) > entriesAt && binary.LittleEndian.Uint32(newest) == stateMagic && newest[4] == entriesFull {
+			if consumed := newest[:len(newest)-r.Len()]; !bytes.Equal(got, consumed) {
+				t.Fatalf("re-encoded state differs:\n got  %x\n want %x", got, consumed)
+			}
+			return
+		}
+		again, err := readChain(got)
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if !bytes.Equal(stateOf(t, again), got) {
+			t.Fatal("re-encoded state is not canonical")
 		}
 	})
 }

@@ -43,13 +43,17 @@ func (t *table[T]) get(i uint64) T {
 
 // set stores v at i, allocating i's page on first use. i must lie below
 // the table's size.
-func (t *table[T]) set(i uint64, v T) {
+func (t *table[T]) set(i uint64, v T) { *t.at(i) = v }
+
+// at returns i's entry, allocating i's page on first use. i must lie
+// below the table's size.
+func (t *table[T]) at(i uint64) *T {
 	p := t.pages[i>>tablePageBits]
 	if p == nil {
 		p = new([tablePageLen]T)
 		t.pages[i>>tablePageBits] = p
 	}
-	p[i&tablePageMask] = v
+	return &p[i&tablePageMask]
 }
 
 // each calls fn for every nonzero entry in ascending index order.

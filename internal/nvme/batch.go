@@ -146,8 +146,10 @@ func ParseBatches(cmds []Command, pageSize int) ([]Batch, error) {
 				return nil, fmt.Errorf("%w: batch %d intra op: %v", ErrBadCommand, order, err)
 			}
 			b = &Batch{Order: order, Op: op}
-			if extraOp, err := second.ExtraOp.Op(); err == nil {
-				b.Extra = extraOp
+			// The last batch carries OpNone; test it first so its absent
+			// extra op costs no error value.
+			if second.ExtraOp < OpNone {
+				b.Extra = latch.Op(second.ExtraOp)
 			}
 			byOrder[order] = b
 			orders = append(orders, order)

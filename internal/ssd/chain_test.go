@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"parabit/internal/binio"
 	"parabit/internal/flash"
+	"parabit/internal/latch"
 	"parabit/internal/persist"
 )
 
@@ -336,4 +338,84 @@ func TestChainBrokenMountFails(t *testing.T) {
 			t.Fatalf("delta decoded without its parents: %v", err)
 		}
 	})
+}
+
+// ftlAndPlain returns d's full FTL encoding and its plain-set encoding.
+func ftlAndPlain(t *testing.T, d *Device) ([]byte, []byte) {
+	t.Helper()
+	var fb, pb bytes.Buffer
+	if err := d.ftl.WriteState(&fb, false); err != nil {
+		t.Fatal(err)
+	}
+	b := binio.NewWriter(&pb)
+	writePlainSet(b, &d.plain)
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return fb.Bytes(), pb.Bytes()
+}
+
+// TestDeltaChainMatchesLive drives a persistent Small device through
+// overwrites pinned to one plane (so garbage collection runs),
+// scrambled writes that leave the plain set, operand writes,
+// reallocating bitwise operations and the trims of ReclaimInternal, at
+// a rotation every seven writes. After every durable rotation the FTL
+// and plain set restored from the on-disk chain encode exactly like the
+// live device's.
+func TestDeltaChainMatchesLive(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Create(dir, SmallConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	page := func() []byte { return randPage(d, rng.Int63()) }
+	write := func(op persist.Op, plane int, lpn uint64) {
+		t.Helper()
+		if _, err := d.WritePages(op, plane, []uint64{lpn}, [][]byte{page()}, 0); err != nil {
+			t.Fatalf("%s of lpn %d: %v", op, lpn, err)
+		}
+	}
+	// Operands the bitwise operations read; never overwritten scrambled.
+	for lpn := uint64(64); lpn < 96; lpn++ {
+		write(persist.OpWriteOperand, 0, lpn)
+	}
+	st, _ := d.PersistStats()
+	rotations, deltas := st.Snapshots, int64(0)
+	for i := 0; i < 4000; i++ {
+		switch k := rng.Intn(20); {
+		case k < 11:
+			write(persist.OpWriteOnPlane, 1, uint64(rng.Intn(64)))
+		case k < 14:
+			write(persist.OpWrite, 0, uint64(rng.Intn(64)))
+		case k < 16:
+			write(persist.OpWriteOperand, 0, 96+uint64(rng.Intn(4000)))
+		case k < 19:
+			m, n := 64+uint64(rng.Intn(32)), 64+uint64(rng.Intn(32))
+			if _, err := d.Bitwise(latch.OpXor, m, n, SchemeReAlloc, 0); err != nil {
+				t.Fatalf("bitwise %d^%d: %v", m, n, err)
+			}
+		default:
+			d.ReclaimInternal()
+		}
+		if st, _ = d.PersistStats(); st.Snapshots == rotations {
+			continue
+		}
+		rotations = st.Snapshots
+		deltas = st.Snapshots - st.FullSnapshots
+		m := mountChain(t, dir)
+		gotFTL, gotPlain := ftlAndPlain(t, m)
+		wantFTL, wantPlain := ftlAndPlain(t, d)
+		if !bytes.Equal(gotFTL, wantFTL) || !bytes.Equal(gotPlain, wantPlain) {
+			_, files := chainFiles(t, dir)
+			t.Fatalf("rotation %d: FTL or plain set mounted from chain %v differs from the live device", rotations, files)
+		}
+	}
+	if gc := d.FTL().Stats().GCRuns; gc == 0 || deltas == 0 || d.Stats().Reallocations == 0 {
+		t.Fatalf("%d GC runs, %d deltas, %d reallocations: the run must collect, chain deltas and reallocate",
+			gc, deltas, d.Stats().Reallocations)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

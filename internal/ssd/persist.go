@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"parabit/internal/binio"
 	"parabit/internal/flash"
@@ -14,7 +15,10 @@ import (
 )
 
 // deviceSection tags the device-level part of a snapshot body.
-const deviceSectionMagic = 0x31564453 // "SDV1"
+const (
+	deviceSectionMagic   = 0x32564453 // "SDV2": plain set as bitset pages
+	deviceSectionMagicV1 = 0x31564453 // "SDV1": plain set as LPNs; read only
+)
 
 // RecoveryInfo summarizes what Open did to bring a device back.
 type RecoveryInfo struct {
@@ -98,6 +102,7 @@ func Open(dir string, snapshotEvery int) (*Device, RecoveryInfo, error) {
 		return nil, info, err
 	}
 	d.array.ClearChanged()
+	d.ftl.ClearDirty()
 	d.store = st
 	return d, info, nil
 }
@@ -183,9 +188,10 @@ func (d *Device) journaled(rec persist.Record, at sim.Time) (sim.Time, error) {
 
 // maybeSnapshot compacts the journal once it crosses the configured
 // length. Only a durable snapshot clears the array's changed-block
-// flags: after a failed or cut rotation the next delta carries those
-// blocks again. ErrPowerCut is swallowed: the triggering write is
-// already durable, and the death is observed by whatever runs next.
+// flags and the FTL's dirty entries: after a failed or cut rotation the
+// next delta carries them again. ErrPowerCut is swallowed: the
+// triggering write is already durable, and the death is observed by
+// whatever runs next.
 func (d *Device) maybeSnapshot() error {
 	if !d.store.ShouldSnapshot() {
 		return nil
@@ -193,6 +199,7 @@ func (d *Device) maybeSnapshot() error {
 	switch err := d.store.Snapshot(d.writeSnapshot); {
 	case err == nil:
 		d.array.ClearChanged()
+		d.ftl.ClearDirty()
 	case !errors.Is(err, persist.ErrPowerCut):
 		return err
 	}
@@ -252,10 +259,10 @@ func (d *Device) applyRecord(rec persist.Record, at sim.Time) (sim.Time, error) 
 }
 
 // writeSnapshot serializes the device state: the configuration (so
-// Open needs no out-of-band config), the flash array contents — with
-// delta set only the blocks changed since the last durable snapshot —
-// the FTL translation state, and the controller's own bookkeeping. The
-// payload it reports is page bytes.
+// Open needs no out-of-band config), the flash array contents and the
+// FTL translation state — with delta set only the blocks and mapping
+// entries changed since the last durable snapshot — and the
+// controller's own bookkeeping. The payload it reports is page bytes.
 func (d *Device) writeSnapshot(w io.Writer, delta bool) (persist.Payload, error) {
 	var p persist.Payload
 	cfgJSON, err := json.Marshal(d.cfg)
@@ -270,13 +277,12 @@ func (d *Device) writeSnapshot(w io.Writer, delta bool) (persist.Payload, error)
 	if p.Written, p.Live, err = d.array.WriteState(w, delta); err != nil {
 		return p, err
 	}
-	if err := d.ftl.WriteState(w); err != nil {
+	if err := d.ftl.WriteState(w, delta); err != nil {
 		return p, err
 	}
 	b.U32(deviceSectionMagic)
 	b.U64(d.nextInternal)
-	b.U64(uint64(d.plain.n))
-	d.plain.each(func(lpn uint64) { b.U64(lpn) })
+	writePlainSet(b, &d.plain)
 	for _, v := range []int64{
 		d.stats.BitwiseOps, d.stats.Reallocations, d.stats.ReallocPages,
 		d.stats.Fallbacks, d.stats.ResultBytes, d.stats.DescrambledOps,
@@ -287,9 +293,9 @@ func (d *Device) writeSnapshot(w io.Writer, delta bool) (persist.Payload, error)
 }
 
 // deviceFromSnapshot rebuilds a device from a verified snapshot chain,
-// newest body first. Everything but block contents comes from the
-// newest body; blocks it defers are resolved through the older ones,
-// whose configuration must match.
+// newest body first. Everything but block contents and mapping entries
+// comes from the newest body; the blocks and entries it defers are
+// resolved through the older ones, whose configuration must match.
 func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	r := bytes.NewReader(chain[0])
 	b := binio.NewReader(r, 1<<24)
@@ -317,10 +323,11 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	if err := d.array.ReadState(r, parents...); err != nil {
 		return nil, fmt.Errorf("%w: array: %v", persist.ErrCorrupt, err)
 	}
-	if err := d.ftl.ReadState(r); err != nil {
+	if err := d.ftl.ReadState(r, parents...); err != nil {
 		return nil, fmt.Errorf("%w: ftl: %v", persist.ErrCorrupt, err)
 	}
-	if m := b.U32(); b.Err() != nil || m != deviceSectionMagic {
+	m := b.U32()
+	if b.Err() != nil || m != deviceSectionMagic && m != deviceSectionMagicV1 {
 		return nil, fmt.Errorf("%w: device section magic", persist.ErrCorrupt)
 	}
 	logical := uint64(d.ftl.LogicalPages())
@@ -328,23 +335,13 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	if b.Err() == nil && (next >= logical || next+1 < d.lowInternal) {
 		return nil, fmt.Errorf("%w: internal cursor %d", persist.ErrCorrupt, next)
 	}
-	n := b.U64()
-	if b.Err() != nil {
-		return nil, fmt.Errorf("%w: device section: %v", persist.ErrCorrupt, b.Err())
+	read := readPlainSet
+	if m == deviceSectionMagicV1 {
+		read = readPlainSetV1
 	}
-	if n > logical {
-		return nil, fmt.Errorf("%w: %d plain entries", persist.ErrCorrupt, n)
-	}
-	plain := newPlainSet(logical)
-	for i := uint64(0); i < n; i++ {
-		lpn := b.U64()
-		if b.Err() != nil {
-			return nil, fmt.Errorf("%w: device section: %v", persist.ErrCorrupt, b.Err())
-		}
-		if lpn >= logical {
-			return nil, fmt.Errorf("%w: plain lpn %d", persist.ErrCorrupt, lpn)
-		}
-		plain.add(lpn)
+	plain, err := read(b, logical)
+	if err != nil {
+		return nil, fmt.Errorf("%w: device section: %v", persist.ErrCorrupt, err)
 	}
 	var st OpStats
 	for _, p := range []*int64{
@@ -363,4 +360,74 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	d.plain = plain
 	d.stats = st
 	return d, nil
+}
+
+// writePlainSet encodes s whole for SDV2: the page count, then per page
+// a presence byte and, for a present page, its words.
+func writePlainSet(b *binio.Writer, s *plainSet) {
+	b.U64(uint64(len(s.pages)))
+	for _, pg := range s.pages {
+		if pg == nil {
+			b.U8(0)
+			continue
+		}
+		b.U8(1)
+		for _, word := range pg {
+			b.U64(word)
+		}
+	}
+}
+
+// readPlainSet decodes what writePlainSet encodes, refusing bits at or
+// beyond logical.
+func readPlainSet(b *binio.Reader, logical uint64) (plainSet, error) {
+	plain := newPlainSet(logical)
+	if n := b.U64(); b.Err() == nil && n != uint64(len(plain.pages)) {
+		return plain, fmt.Errorf("%d plain-set pages, want %d", n, len(plain.pages))
+	}
+	for hi := range plain.pages {
+		switch present := b.U8(); {
+		case b.Err() != nil:
+			return plain, b.Err()
+		case present == 0:
+			continue
+		case present != 1:
+			return plain, fmt.Errorf("plain-set page %d presence byte %d", hi, present)
+		}
+		pg := new([plainPageWords]uint64)
+		for i := range pg {
+			word := b.U64()
+			if base := uint64(hi)*plainPageBits + uint64(i)*64; word != 0 && base+uint64(bits.Len64(word)) > logical {
+				return plain, fmt.Errorf("plain lpn beyond %d logical pages", logical)
+			}
+			pg[i] = word
+			plain.n += bits.OnesCount64(word)
+		}
+		plain.pages[hi] = pg
+	}
+	return plain, b.Err()
+}
+
+// readPlainSetV1 decodes an SDV1 plain set: a count, then that many
+// LPNs.
+func readPlainSetV1(b *binio.Reader, logical uint64) (plainSet, error) {
+	plain := newPlainSet(logical)
+	n := b.U64()
+	if b.Err() != nil {
+		return plain, b.Err()
+	}
+	if n > logical {
+		return plain, fmt.Errorf("%d plain entries", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		lpn := b.U64()
+		if b.Err() != nil {
+			return plain, b.Err()
+		}
+		if lpn >= logical {
+			return plain, fmt.Errorf("plain lpn %d", lpn)
+		}
+		plain.add(lpn)
+	}
+	return plain, nil
 }
