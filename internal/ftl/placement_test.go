@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"strings"
@@ -59,6 +60,7 @@ type placementScenario struct {
 	plan    *faults.Plan
 	ops     int
 	working int // logical pages the run overwrites
+	reads   int // reads of random working pages after each write
 }
 
 func placementScenarios(tlc bool) []placementScenario {
@@ -80,10 +82,33 @@ func placementScenarios(tlc bool) []placementScenario {
 	}
 }
 
+// readReclaimScenario is the read-heavy run TestPlacementGolden appends
+// after the write-only ones. Reads after every write push sealed blocks
+// past the read-reclaim threshold while a seeded plan fails some erases
+// and programs, so reclaims move pages, retire blocks and resteer writes.
+func readReclaimScenario(tlc bool) placementScenario {
+	geo := flash.Geometry{
+		Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
+		BlocksPerPlane: 16, WordlinesPerBlock: 4, PageSize: 16, CellBits: 2,
+	}
+	if tlc {
+		geo.CellBits = 3
+	}
+	cfg := DefaultConfig()
+	cfg.ReadReclaimThreshold = 12
+	return placementScenario{name: "read-reclaim", geo: geo, cfg: cfg, ops: 80, working: 32, reads: 6,
+		plan: &faults.Plan{Seed: 5, Rules: []faults.Rule{
+			{Type: faults.RuleEraseFail, Rate: 0.1},
+			{Type: faults.RuleProgramFail, Rate: 0.005},
+		}}}
+}
+
 func placementErrClass(err error) string {
 	switch {
 	case errors.Is(err, ErrDeviceFull):
 		return "E:full"
+	case errors.Is(err, ErrUnmapped):
+		return "E:unmapped"
 	case flash.AsFaultError(err) != nil:
 		return "E:fault"
 	case errors.Is(err, ErrLogicalRange):
@@ -96,7 +121,9 @@ func placementErrClass(err error) string {
 // observable the placement path decides: each write's completion time
 // (or error class), the final logical-to-physical map, the counters and
 // the invariant audit. Every fourth write is preceded by a dense write so
-// the grouped layouts also start from a half-filled wordline.
+// the grouped layouts also start from a half-filled wordline. A scenario
+// with reads also renders each read's completion time and a checksum of
+// the bytes it returned.
 func runPlacement(t *testing.T, l placementLayout, sc placementScenario) string {
 	t.Helper()
 	arr := flash.NewArray(sc.geo, flash.DefaultTiming())
@@ -125,6 +152,7 @@ func runPlacement(t *testing.T, l placementLayout, sc placementScenario) string 
 			at = done
 		}
 	}
+	var reads strings.Builder
 	for i := 0; i < sc.ops; i++ {
 		if i%4 == 3 {
 			lpn := uint64(rng.Intn(sc.working))
@@ -138,6 +166,18 @@ func runPlacement(t *testing.T, l placementLayout, sc placementScenario) string 
 			data[j] = placementPage(f, i, j)
 		}
 		advance(l.write(f, i, lpns, data, at))
+		for r := 0; r < sc.reads; r++ {
+			data, done, err := f.Read(uint64(rng.Intn(sc.working)), at)
+			if err != nil {
+				reads.WriteString(" " + placementErrClass(err))
+				continue
+			}
+			fmt.Fprintf(&reads, " %d:%04x", done, crc32.ChecksumIEEE(data)&0xffff)
+			at = max(at, done)
+		}
+	}
+	if sc.reads > 0 {
+		b.WriteString("\nread" + reads.String())
 	}
 	b.WriteString("\nl2p")
 	f.l2p.each(func(lpn uint64, v uint32) { fmt.Fprintf(&b, " %d:%d", lpn, v-1) })
@@ -160,8 +200,9 @@ func placementPage(f *FTL, i, j int) []byte {
 }
 
 // TestPlacementGolden pins every operand layout's placements, completion
-// times and counters — fault-free, under garbage-collection pressure and
-// under a seeded program-fault plan — against testdata/placement.golden.
+// times and counters — fault-free, under garbage-collection pressure,
+// under a seeded program-fault plan and, last, read-heavy under read
+// reclaim with erase and program faults — against testdata/placement.golden.
 // Regenerate with: go test ./internal/ftl -run TestPlacementGolden -update-placement
 func TestPlacementGolden(t *testing.T) {
 	var b strings.Builder
@@ -169,6 +210,9 @@ func TestPlacementGolden(t *testing.T) {
 		for _, sc := range placementScenarios(l.tlc) {
 			b.WriteString(runPlacement(t, l, sc))
 		}
+	}
+	for _, l := range placementLayouts() {
+		b.WriteString(runPlacement(t, l, readReclaimScenario(l.tlc)))
 	}
 	const golden = "testdata/placement.golden"
 	if *updatePlacement {
