@@ -15,6 +15,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"parabit/internal/flash"
 	"parabit/internal/sim"
@@ -139,11 +140,11 @@ type FTL struct {
 	dirty table[uint64]
 	// encBuf holds the entries WriteState writes out a chunk at a time.
 	encBuf [204 * entryLen]byte
-	// gcPage is the page garbage collection relocates through: the
+	// relocPage is the page GC and read reclaim relocate through: the
 	// program copies it, so one page serves every move. Retirement, which
 	// a relocation's program fault can start mid-move, reads into pages
 	// of its own and never touches it.
-	gcPage []byte
+	relocPage []byte
 
 	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
 	gcTrack, reclaimTrack, wlTrack, retireTrack                 *telemetry.Track
@@ -276,6 +277,14 @@ func (f *FTL) split(ppn uint64) (plane, blk, slot uint64) {
 // slot is addr's page index within its block.
 func (f *FTL) slot(addr flash.PageAddr) int { return addr.WL*f.geo.CellBits + int(addr.Kind) }
 
+// pageIn is the address of page slot in block blk on pa.
+func (f *FTL) pageIn(pa *planeAlloc, blk, slot int) flash.PageAddr {
+	return flash.PageAddr{
+		WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: blk, WL: slot / f.geo.CellBits},
+		Kind:         flash.PageKind(slot % f.geo.CellBits),
+	}
+}
+
 // owner returns the logical page mapped to slot of block blk, if any.
 func (pa *planeAlloc) owner(blk, slot int) (uint64, bool) {
 	if pa.owners == nil || pa.owners[blk] == nil {
@@ -315,69 +324,98 @@ func (f *FTL) reclaimBlock(plane flash.PlaneAddr, blockIdx int, at sim.Time) err
 	pa := f.planes[f.geo.PlaneIndex(plane)]
 	// Only full (sealed) blocks are reclaimable; an active block's
 	// exposure resolves when it seals and later collects.
-	idx := -1
-	for i, b := range pa.full {
-		if b == blockIdx {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if !slices.Contains(pa.full, blockIdx) {
 		return fmt.Errorf("ftl: block %d not reclaimable", blockIdx)
 	}
 	f.stats.ReadReclaims++
 	f.cReclaims.Add(1)
-	now := at
-	for wl := 0; wl < f.geo.WordlinesPerBlock && pa.valid[blockIdx] > 0; wl++ {
-		for kind := flash.LSBPage; int(kind) < f.geo.CellBits; kind++ {
-			addr := flash.PageAddr{
-				WordlineAddr: flash.WordlineAddr{PlaneAddr: plane, Block: blockIdx, WL: wl},
-				Kind:         kind,
-			}
-			lpn, ok := pa.owner(addr.Block, f.slot(addr))
-			if !ok {
-				continue
-			}
-			data, readDone, err := f.array.Read(addr, now)
-			if err != nil {
-				return fmt.Errorf("ftl: reclaim read: %w", err)
-			}
-			target := f.relocationTarget(pa)
-			if target == nil {
-				return ErrDeviceFull
-			}
-			done, err := f.writeTo(target, lpn, data, readDone, false)
-			if err != nil {
-				return fmt.Errorf("ftl: reclaim write: %w", err)
-			}
-			now = done
-			f.stats.ExtraPagesWritten++
-			f.stats.ReclaimPagesMoved++
-			f.cReclaimPages.Add(1)
-		}
-	}
-	pa.full = append(pa.full[:idx], pa.full[idx+1:]...)
-	end, err := f.array.Erase(plane, blockIdx, now)
+	now, moved, err := f.relocate(pa, blockIdx, at, f.sharedPage(), "reclaim")
+	f.stats.ExtraPagesWritten += moved
+	f.stats.ReclaimPagesMoved += moved
+	f.cReclaimPages.Add(moved)
 	if err != nil {
-		if flash.IsEraseFault(err) {
-			// Worn out rather than wedged: the data is already refreshed
-			// elsewhere, so the block retires and the reclaim succeeded.
-			f.stats.EraseFails++
-			f.cEraseFails.Add(1)
-			if _, rerr := f.retireBlock(pa, blockIdx, now); rerr != nil {
-				return fmt.Errorf("ftl: reclaim retire: %w", rerr)
-			}
-			f.reclaimTrack.Span("read-reclaim", at, now)
-			return nil
-		}
-		// Transient failure: seal the drained block again so the next
-		// reclaim or GC pass retries the erase.
-		pa.full = append(pa.full, blockIdx)
-		return fmt.Errorf("ftl: reclaim erase: %w", err)
+		return err
 	}
-	pa.free = append(pa.free, blockIdx)
-	f.reclaimTrack.Span("read-reclaim", at, end)
+	pa.full = without(pa.full, blockIdx)
+	if now, err = f.eraseOrRetire(pa, blockIdx, now, "reclaim"); err != nil {
+		return err
+	}
+	f.reclaimTrack.Span("read-reclaim", at, now)
 	return nil
+}
+
+// relocate moves the valid pages of block blk on pa to other blocks, in
+// slot order, and returns when the last program completes and how many
+// pages moved. Each page is read into buf. A nil buf reads each into a
+// fresh page, which retirement needs: a relocation whose program faults
+// retires that block mid-move, and the retirement must not overwrite the
+// page the relocation still carries. op names the caller in errors.
+func (f *FTL) relocate(pa *planeAlloc, blk int, at sim.Time, buf []byte, op string) (sim.Time, int64, error) {
+	now, moved := at, int64(0)
+	for slot := 0; slot < int(f.perBlock) && pa.valid[blk] > 0; slot++ {
+		lpn, ok := pa.owner(blk, slot)
+		if !ok {
+			continue
+		}
+		data := buf
+		if data == nil {
+			data = make([]byte, f.geo.PageSize)
+		}
+		readDone, err := f.array.ReadInto(data, f.pageIn(pa, blk, slot), now)
+		if err != nil {
+			return now, moved, fmt.Errorf("ftl: %s read: %w", op, err)
+		}
+		target := f.relocationTarget(pa)
+		if target == nil {
+			return now, moved, ErrDeviceFull
+		}
+		done, err := f.writeTo(target, lpn, data, readDone, false)
+		if err != nil {
+			return now, moved, fmt.Errorf("ftl: %s write: %w", op, err)
+		}
+		now = done
+		moved++
+	}
+	return now, moved, nil
+}
+
+// sharedPage returns relocPage, allocating it on first use.
+func (f *FTL) sharedPage() []byte {
+	if f.relocPage == nil {
+		f.relocPage = make([]byte, f.geo.PageSize)
+	}
+	return f.relocPage
+}
+
+// eraseOrRetire erases blk, a drained block on no list, into the free
+// list and returns when it is usable. An erase fault retires it instead:
+// its pages already live elsewhere, so the plane loses a block, not its
+// data. Any other failure seals it back into the full list so the next
+// GC or reclaim pass retries the erase. op names the caller in errors.
+func (f *FTL) eraseOrRetire(pa *planeAlloc, blk int, at sim.Time, op string) (sim.Time, error) {
+	end, err := f.array.Erase(pa.addr, blk, at)
+	switch {
+	case err == nil:
+		pa.free = append(pa.free, blk)
+		return end, nil
+	case flash.IsEraseFault(err):
+		f.stats.EraseFails++
+		f.cEraseFails.Add(1)
+		if end, err = f.retireBlock(pa, blk, at); err != nil {
+			return end, fmt.Errorf("ftl: %s retire: %w", op, err)
+		}
+		return end, nil
+	}
+	pa.full = append(pa.full, blk)
+	return at, fmt.Errorf("ftl: %s erase: %w", op, err)
+}
+
+// without returns list with its entry b, if any, removed.
+func without(list []int, b int) []int {
+	if i := slices.Index(list, b); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // invalidate drops the mapping for lpn, if any, releasing the old page.
@@ -463,7 +501,7 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 		return
 	}
 	// Migrate the cold block's valid pages into the worn block directly.
-	pa.free = append(pa.free[:wornIdx], pa.free[wornIdx+1:]...)
+	pa.free = slices.Delete(pa.free, wornIdx, wornIdx+1)
 	now := at
 	dst := 0 // next page slot (linear) in the worn block
 	// abort restores the plane lists after a mid-migration failure: the
@@ -488,66 +526,65 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 		}
 		if pa.valid[cold] == 0 {
 			if _, err := f.array.Erase(pa.addr, cold, now); err == nil {
-				pa.full = append(pa.full[:coldIdx], pa.full[coldIdx+1:]...)
+				pa.full = slices.Delete(pa.full, coldIdx, coldIdx+1)
 				pa.free = append(pa.free, cold)
 			}
 		}
 	}
-	writeSlot := func(lpn uint64, data []byte) error {
-		kind := flash.PageKind(dst % f.geo.CellBits)
-		wl := dst / f.geo.CellBits
-		addr := flash.PageAddr{
-			WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: worn, WL: wl},
-			Kind:         kind,
+	// put programs data into the worn block's next slot and maps it to
+	// lpn; nil data programs a filler page instead.
+	put := func(lpn uint64, data []byte) error {
+		addr := f.pageIn(pa, worn, dst)
+		pad := data == nil
+		if pad {
+			data = make([]byte, f.geo.PageSize)
 		}
 		end, err := f.array.Program(addr, data, now)
 		if err != nil {
 			return err
 		}
-		f.invalidate(lpn)
-		f.mapPage(pa, lpn, addr)
 		now = end
 		dst++
+		if pad {
+			f.stats.PaddedPages++
+			f.cPad.Add(1)
+			return nil
+		}
+		f.invalidate(lpn)
+		f.mapPage(pa, lpn, addr)
 		return nil
 	}
-	for wl := 0; wl < f.geo.WordlinesPerBlock && pa.valid[cold] > 0; wl++ {
-		for kind := flash.LSBPage; int(kind) < f.geo.CellBits; kind++ {
-			addr := flash.PageAddr{
-				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: cold, WL: wl},
-				Kind:         kind,
-			}
-			lpn, ok := pa.owner(addr.Block, f.slot(addr))
-			if !ok {
-				// Invalid source pages migrate nowhere; the destination
-				// cursor stays put and the block compacts.
-				continue
-			}
-			// Pad only to keep the page kind aligned: an LSB-resident
-			// page must land in an LSB slot (and so on), both to respect
-			// LSB-before-MSB program order for the data and to keep
-			// ParaBit's aligned-LSB operand layouts intact across the
-			// migration. Because the source walks slots in linear order,
-			// dst never overtakes the source cursor, so the worn block
-			// always has room.
-			for dst%f.geo.CellBits != int(kind) {
-				if err := writeSlotPad(f, pa, worn, &dst, &now); err != nil {
-					abort(err)
-					return
-				}
-			}
-			data, readDone, err := f.array.Read(addr, now)
-			if err != nil {
-				abort(err)
-				return
-			}
-			now = readDone
-			if err := writeSlot(lpn, data); err != nil {
-				abort(err)
-				return
-			}
-			f.stats.ExtraPagesWritten++
-			f.stats.WLPagesMoved++
+	for slot := 0; slot < int(f.perBlock) && pa.valid[cold] > 0; slot++ {
+		lpn, ok := pa.owner(cold, slot)
+		if !ok {
+			// Invalid source pages migrate nowhere; the destination
+			// cursor stays put and the block compacts.
+			continue
 		}
+		// Pad only to keep the page kind aligned: an LSB-resident page
+		// must land in an LSB slot (and so on), both to respect
+		// LSB-before-MSB program order for the data and to keep ParaBit's
+		// aligned-LSB operand layouts intact across the migration.
+		// Because the source walks slots in linear order, dst never
+		// overtakes the source cursor, so the worn block always has room.
+		for dst%f.geo.CellBits != slot%f.geo.CellBits {
+			if err := put(0, nil); err != nil {
+				abort(err)
+				return
+			}
+		}
+		data, readDone, err := f.array.Read(f.pageIn(pa, cold, slot), now)
+		if err != nil {
+			abort(err)
+			return
+		}
+		now = readDone
+		if err := put(lpn, data); err != nil {
+			abort(err)
+			return
+		}
+		f.stats.ExtraPagesWritten++
+		f.stats.WLPagesMoved++
 	}
 	// The worn block now holds the cold data (sealed, unless the cold
 	// block turned out to hold none and the worn block is still erased);
@@ -557,7 +594,7 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 	if dst == 0 {
 		pa.free = append(pa.free, worn)
 		if _, err := f.array.Erase(pa.addr, cold, now); err == nil {
-			pa.full = append(pa.full[:coldIdx], pa.full[coldIdx+1:]...)
+			pa.full = slices.Delete(pa.full, coldIdx, coldIdx+1)
 			pa.free = append(pa.free, cold)
 		}
 		return
@@ -571,25 +608,6 @@ func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
 	f.stats.StaticWLMoves++
 	f.cWLMoves.Add(1)
 	f.wlTrack.Span("static-wl", at, now)
-}
-
-// writeSlotPad programs a filler page to keep destination program order.
-func writeSlotPad(f *FTL, pa *planeAlloc, worn int, dst *int, now *sim.Time) error {
-	kind := flash.PageKind(*dst % f.geo.CellBits)
-	wl := *dst / f.geo.CellBits
-	addr := flash.PageAddr{
-		WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: worn, WL: wl},
-		Kind:         kind,
-	}
-	end, err := f.array.Program(addr, make([]byte, f.geo.PageSize), *now)
-	if err != nil {
-		return err
-	}
-	*now = end
-	*dst++
-	f.stats.PaddedPages++
-	f.cPad.Add(1)
-	return nil
 }
 
 // takeFreeBlock removes and returns the free block with the lowest erase
@@ -606,7 +624,7 @@ func (f *FTL) takeFreeBlock(pa *planeAlloc) int {
 		}
 	}
 	blk := pa.free[best]
-	pa.free = append(pa.free[:best], pa.free[best+1:]...)
+	pa.free = slices.Delete(pa.free, best, best+1)
 	return blk
 }
 
@@ -692,12 +710,7 @@ func (f *FTL) padToFreshWordline(pa *planeAlloc, at sim.Time) error {
 func (f *FTL) undoAlloc(pa *planeAlloc, addr flash.PageAddr) {
 	if pa.active != addr.Block {
 		// The failed slot sealed the block; un-seal it.
-		for i, b := range pa.full {
-			if b == addr.Block {
-				pa.full = append(pa.full[:i], pa.full[i+1:]...)
-				break
-			}
-		}
+		pa.full = without(pa.full, addr.Block)
 		pa.active = addr.Block
 	}
 	pa.nextWL = addr.WL
@@ -711,56 +724,20 @@ func (f *FTL) undoAlloc(pa *planeAlloc, addr flash.PageAddr) {
 // the block is sealed back into the full list so every page stays
 // reachable and GC can retry later. Idempotent for already-bad blocks.
 func (f *FTL) retireBlock(pa *planeAlloc, blk int, at sim.Time) (sim.Time, error) {
-	for _, b := range pa.bad {
-		if b == blk {
-			return at, nil
-		}
+	if slices.Contains(pa.bad, blk) {
+		return at, nil
 	}
 	if pa.active == blk {
 		pa.active = -1
 	}
-	for i, b := range pa.free {
-		if b == blk {
-			pa.free = append(pa.free[:i], pa.free[i+1:]...)
-			break
-		}
-	}
-	for i, b := range pa.full {
-		if b == blk {
-			pa.full = append(pa.full[:i], pa.full[i+1:]...)
-			break
-		}
-	}
-	now := at
-	for wl := 0; wl < f.geo.WordlinesPerBlock && pa.valid[blk] > 0; wl++ {
-		for kind := flash.LSBPage; int(kind) < f.geo.CellBits; kind++ {
-			addr := flash.PageAddr{
-				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: blk, WL: wl},
-				Kind:         kind,
-			}
-			lpn, ok := pa.owner(addr.Block, f.slot(addr))
-			if !ok {
-				continue
-			}
-			data, readDone, err := f.array.Read(addr, now)
-			if err != nil {
-				pa.full = append(pa.full, blk)
-				return now, fmt.Errorf("ftl: retire read: %w", err)
-			}
-			target := f.relocationTarget(pa)
-			if target == nil {
-				pa.full = append(pa.full, blk)
-				return now, ErrDeviceFull
-			}
-			done, err := f.writeTo(target, lpn, data, readDone, false)
-			if err != nil {
-				pa.full = append(pa.full, blk)
-				return now, fmt.Errorf("ftl: retire write: %w", err)
-			}
-			now = done
-			f.stats.ExtraPagesWritten++
-			f.stats.RetirePagesMoved++
-		}
+	pa.free = without(pa.free, blk)
+	pa.full = without(pa.full, blk)
+	now, moved, err := f.relocate(pa, blk, at, nil, "retire")
+	f.stats.ExtraPagesWritten += moved
+	f.stats.RetirePagesMoved += moved
+	if err != nil {
+		pa.full = append(pa.full, blk)
+		return now, err
 	}
 	pa.bad = append(pa.bad, blk)
 	f.stats.BlocksRetired++
@@ -1057,67 +1034,21 @@ func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 		}
 	}
 	victim := pa.full[vi]
-	pa.full = append(pa.full[:vi], pa.full[vi+1:]...)
+	pa.full = slices.Delete(pa.full, vi, vi+1)
 	f.stats.GCRuns++
 	f.cGCRuns.Add(1)
-
-	now := at
-	// Relocate valid pages. Walk the victim's pages via the reverse map.
-	for wl := 0; wl < f.geo.WordlinesPerBlock && pa.valid[victim] > 0; wl++ {
-		for kind := flash.LSBPage; int(kind) < f.geo.CellBits; kind++ {
-			addr := flash.PageAddr{
-				WordlineAddr: flash.WordlineAddr{PlaneAddr: pa.addr, Block: victim, WL: wl},
-				Kind:         kind,
-			}
-			lpn, ok := pa.owner(addr.Block, f.slot(addr))
-			if !ok {
-				continue
-			}
-			if f.gcPage == nil {
-				f.gcPage = make([]byte, f.geo.PageSize)
-			}
-			readDone, err := f.array.ReadInto(f.gcPage, addr, now)
-			if err != nil {
-				return now, fmt.Errorf("ftl: gc read: %w", err)
-			}
-			target := f.relocationTarget(pa)
-			if target == nil {
-				return now, ErrDeviceFull
-			}
-			done, err := f.writeTo(target, lpn, f.gcPage, readDone, false)
-			if err != nil {
-				return now, fmt.Errorf("ftl: gc write: %w", err)
-			}
-			now = done
-			f.stats.ExtraPagesWritten++
-			f.stats.GCPagesMoved++
-			f.cGCPages.Add(1)
-		}
-	}
-	end, err := f.array.Erase(pa.addr, victim, now)
+	now, moved, err := f.relocate(pa, victim, at, f.sharedPage(), "gc")
+	f.stats.ExtraPagesWritten += moved
+	f.stats.GCPagesMoved += moved
+	f.cGCPages.Add(moved)
 	if err != nil {
-		if flash.IsEraseFault(err) {
-			// The victim wore out: its valid pages are already relocated,
-			// so retire it and report the pass as successful — the plane
-			// lost a block, not its data.
-			f.stats.EraseFails++
-			f.cEraseFails.Add(1)
-			now, err = f.retireBlock(pa, victim, now)
-			if err != nil {
-				return now, fmt.Errorf("ftl: gc retire: %w", err)
-			}
-			f.gcTrack.Span("gc", at, now)
-			return now, nil
-		}
-		// A transient (or otherwise non-retiring) erase failure leaves the
-		// drained victim sealed so nothing dangles; the next GC pass
-		// retries the erase.
-		pa.full = append(pa.full, victim)
-		return now, fmt.Errorf("ftl: gc erase: %w", err)
+		return now, err
 	}
-	pa.free = append(pa.free, victim)
-	f.gcTrack.Span("gc", at, end)
-	return end, nil
+	if now, err = f.eraseOrRetire(pa, victim, now, "gc"); err != nil {
+		return now, err
+	}
+	f.gcTrack.Span("gc", at, now)
+	return now, nil
 }
 
 // relocationTarget picks a plane for a GC-relocated page: preferably not

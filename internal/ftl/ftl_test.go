@@ -803,3 +803,47 @@ func TestGCRelocationAllocations(t *testing.T) {
 		t.Fatalf("%.1f allocs per GC pass moving %.1f pages", allocs, perPass)
 	}
 }
+
+// TestReclaimRelocationAllocations pins a warm read-reclaim pass to zero
+// allocations: reclaim relocates through the same FTL-owned page as GC.
+func TestReclaimRelocationAllocations(t *testing.T) {
+	f := newFTL()
+	g := f.Array().Geometry()
+	data := page(f, 1)
+	for lpn := 0; lpn < g.PagesPerBlock()*g.Planes()*8; lpn++ {
+		if _, err := f.Write(uint64(lpn), data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fullest returns the sealed block with the most valid pages.
+	fullest := func() (*planeAlloc, int) {
+		var best *planeAlloc
+		blk := -1
+		for _, pa := range f.planes {
+			for _, b := range pa.full {
+				if best == nil || pa.valid[b] > best.valid[blk] {
+					best, blk = pa, b
+				}
+			}
+		}
+		return best, blk
+	}
+	pass := func() {
+		pa, blk := fullest()
+		if err := f.reclaimBlock(pa.addr, blk, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up: the first passes open blocks on every other plane, each
+	// taking a fresh reverse-map leaf and growing the sealed lists.
+	for i := 0; i < 16; i++ {
+		pass()
+	}
+	moved := f.Stats().ReclaimPagesMoved
+	allocs := testing.AllocsPerRun(20, pass)
+	perPass := float64(f.Stats().ReclaimPagesMoved-moved) / 21
+	t.Logf("%.1f allocs per pass moving %.1f pages", allocs, perPass)
+	if perPass < 8 || allocs != 0 {
+		t.Fatalf("%.1f allocs per read-reclaim pass moving %.1f pages", allocs, perPass)
+	}
+}
