@@ -51,23 +51,6 @@ import (
 // defaultHammerClients is the client count a bare -hammer flag uses.
 const defaultHammerClients = 8
 
-// parseSchemeArg resolves a -scheme value: the short command-line aliases
-// first, then the scheme registry's full names.
-func parseSchemeArg(s string) (parabit.Scheme, bool) {
-	switch s {
-	case "prealloc":
-		return parabit.PreAllocated, true
-	case "realloc":
-		return parabit.Reallocated, true
-	case "locfree":
-		return parabit.LocationFree, true
-	case "flashcosmos", "fc":
-		return parabit.FlashCosmos, true
-	}
-	sc, err := parabit.ParseScheme(s)
-	return sc, err == nil
-}
-
 // defaultClusterShards is the shard count a bare -cluster flag uses.
 const defaultClusterShards = 4
 
@@ -152,9 +135,9 @@ func main() {
 	flag.Parse()
 
 	if *planner {
-		scheme, ok := parseSchemeArg(*schemeName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeName)
+		scheme, err := parabit.ParseScheme(*schemeName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		if err := runPlanner(scheme, *plannerOut, *plannerCheck, os.Stdout); err != nil {

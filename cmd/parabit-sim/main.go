@@ -23,7 +23,7 @@ import (
 
 func main() {
 	opName := flag.String("op", "AND", "operation: AND OR XOR XNOR NAND NOR NOT-LSB NOT-MSB")
-	schemeName := flag.String("scheme", "prealloc", "scheme: prealloc, realloc, locfree")
+	schemeName := flag.String("scheme", "prealloc", "scheme: prealloc, realloc, locfree, fc, or a registry name")
 	xHex := flag.String("x", "a5", "first operand bytes (hex, repeated to fill a page)")
 	yHex := flag.String("y", "3c", "second operand bytes (hex, repeated to fill a page)")
 	explain := flag.Bool("explain", false, "print the latching-circuit control sequence")
@@ -49,9 +49,9 @@ func main() {
 		return
 	}
 
-	scheme, ok := parseScheme(*schemeName)
-	if !ok {
-		fail("unknown scheme %q", *schemeName)
+	scheme, err := parabit.ParseScheme(*schemeName)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	dev, err := openDevice(*persistDir)
@@ -129,23 +129,6 @@ func parseOp(s string) (parabit.Op, bool) {
 		}
 	}
 	return 0, false
-}
-
-func parseScheme(s string) (parabit.Scheme, bool) {
-	// Short aliases for the command line; full names resolve through the
-	// scheme registry, so a new scheme is parseable here without edits.
-	switch strings.ToLower(s) {
-	case "prealloc":
-		return parabit.PreAllocated, true
-	case "realloc":
-		return parabit.Reallocated, true
-	case "locfree":
-		return parabit.LocationFree, true
-	case "flashcosmos", "fc":
-		return parabit.FlashCosmos, true
-	}
-	sc, err := parabit.ParseScheme(s)
-	return sc, err == nil
 }
 
 func fillPage(hexStr string, ps int) ([]byte, error) {

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"parabit"
+)
 
 func TestParseOp(t *testing.T) {
 	for _, name := range []string{"AND", "and", "XOR", "NOT-LSB", "not-msb"} {
@@ -13,6 +17,8 @@ func TestParseOp(t *testing.T) {
 	}
 }
 
+// TestParseScheme checks the -scheme spellings the CLI accepts: the
+// registry names and their short aliases, in any case.
 func TestParseScheme(t *testing.T) {
 	cases := map[string]bool{
 		"prealloc": true, "parabit": true, "realloc": true,
@@ -21,8 +27,8 @@ func TestParseScheme(t *testing.T) {
 		"ParaBit-LocFree": true,
 	}
 	for name, want := range cases {
-		if _, ok := parseScheme(name); ok != want {
-			t.Errorf("parseScheme(%q) = %v, want %v", name, ok, want)
+		if _, err := parabit.ParseScheme(name); (err == nil) != want {
+			t.Errorf("ParseScheme(%q) = %v, want ok=%v", name, err, want)
 		}
 	}
 }

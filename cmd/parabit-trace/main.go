@@ -259,7 +259,7 @@ func execute(dev *parabit.Device, line string) error {
 		if len(fields) < 3 {
 			return fmt.Errorf("query wants <scheme> <expr>")
 		}
-		scheme, err := parseScheme(fields[1])
+		scheme, err := parabit.ParseScheme(fields[1])
 		if err != nil {
 			return err
 		}
@@ -309,23 +309,11 @@ func parseOpScheme(opStr, schemeStr string) (parabit.Op, parabit.Scheme, error) 
 	if !found {
 		return 0, 0, fmt.Errorf("unknown op %q", opStr)
 	}
-	scheme, err := parseScheme(schemeStr)
+	scheme, err := parabit.ParseScheme(schemeStr)
 	if err != nil {
 		return 0, 0, err
 	}
 	return op, scheme, nil
-}
-
-func parseScheme(s string) (parabit.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "prealloc", "parabit":
-		return parabit.PreAllocated, nil
-	case "realloc":
-		return parabit.Reallocated, nil
-	case "locfree":
-		return parabit.LocationFree, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 func parseLPNs(s string) ([]uint64, error) {

@@ -77,6 +77,8 @@ func TestTraceSequencesCompose(t *testing.T) {
 		"bitwise AND prealloc 0 1",
 		"group 4,5,6 ff,f0,cc",
 		"reduce AND locfree 4,5,6",
+		"reduce AND fc 4,5,6",
+		"reduce OR Flash-Cosmos 4,5,6",
 	}
 	for _, line := range script {
 		if err := execute(d, line); err != nil {

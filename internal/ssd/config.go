@@ -72,14 +72,28 @@ var Schemes = func() []Scheme {
 	return out
 }()
 
-// ParseScheme resolves a scheme by its String() name, case-insensitively;
-// bench flags and config files use it so scheme spellings live in one
-// place.
+// schemeAliases are the short command-line names ParseScheme also
+// accepts, lower-case.
+var schemeAliases = map[string]Scheme{
+	"prealloc":    SchemePreAlloc,
+	"realloc":     SchemeReAlloc,
+	"locfree":     SchemeLocFree,
+	"flashcosmos": SchemeFlashCosmos,
+	"fc":          SchemeFlashCosmos,
+}
+
+// ParseScheme resolves a scheme by its String() name or its short alias
+// (prealloc, realloc, locfree, flashcosmos, fc), case-insensitively; the
+// CLIs, bench flags and config files use it so scheme spellings live in
+// one place.
 func ParseScheme(name string) (Scheme, error) {
 	for i, n := range schemeNames {
 		if strings.EqualFold(name, n) {
 			return Scheme(i), nil
 		}
+	}
+	if s, ok := schemeAliases[strings.ToLower(name)]; ok {
+		return s, nil
 	}
 	return 0, fmt.Errorf("ssd: unknown scheme %q (want one of %s)", name, strings.Join(schemeNames[:], ", "))
 }

@@ -587,6 +587,11 @@ func TestSchemeRegistryRoundTrip(t *testing.T) {
 			t.Errorf("ParseScheme upper-case of %q = %v, %v", sc.String(), got, err)
 		}
 	}
+	for alias, want := range schemeAliases {
+		if got, err := ParseScheme(strings.ToUpper(alias)); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v, want %v", alias, got, err, want)
+		}
+	}
 	if _, err := ParseScheme("no-such-scheme"); err == nil {
 		t.Error("unknown scheme name accepted")
 	}

@@ -104,8 +104,10 @@ var Schemes = func() []Scheme {
 
 func (s Scheme) String() string { return s.ssd().String() }
 
-// ParseScheme resolves a scheme by its String() name, case-insensitively
-// ("ParaBit", "ParaBit-ReAlloc", "ParaBit-LocFree", "Flash-Cosmos").
+// ParseScheme resolves a scheme by its String() name ("ParaBit",
+// "ParaBit-ReAlloc", "ParaBit-LocFree", "Flash-Cosmos") or its short
+// alias ("prealloc", "realloc", "locfree", "flashcosmos", "fc"),
+// case-insensitively.
 func ParseScheme(name string) (Scheme, error) {
 	s, err := ssd.ParseScheme(name)
 	if err != nil {
@@ -381,14 +383,14 @@ func wait(t *sched.Ticket) (Result, error) {
 
 // Write stores a page of ordinary (scrambled) data.
 func (d *Device) Write(lpn uint64, data []byte) error {
-	_, err := wait(d.sched.Submit(sched.Command{Kind: sched.KindWrite, LPN: lpn, Data: data}))
+	_, err := d.WriteAsync(lpn, data).Wait()
 	return err
 }
 
 // WriteOperand stores a bitwise operand page (unscrambled, normal
 // placement). Usable by Reallocated-scheme operations.
 func (d *Device) WriteOperand(lpn uint64, data []byte) error {
-	_, err := wait(d.sched.Submit(sched.Command{Kind: sched.KindWriteOperand, LPN: lpn, Data: data}))
+	_, err := d.WriteOperandAsync(lpn, data).Wait()
 	return err
 }
 
@@ -424,50 +426,37 @@ func (d *Device) WriteOperandMWSGroup(lpns []uint64, data [][]byte) error {
 
 // Read returns a logical page's content (descrambled).
 func (d *Device) Read(lpn uint64) ([]byte, error) {
-	r, err := wait(d.sched.Submit(sched.Command{Kind: sched.KindRead, LPN: lpn}))
-	if err != nil {
-		return nil, err
-	}
-	return r.Data, nil
+	r, err := d.ReadAsync(lpn).Wait()
+	return r.Data, err
 }
 
 // Bitwise executes one two-operand operation in flash under the scheme
 // and returns the result with its modeled latency.
 func (d *Device) Bitwise(op Op, first, second uint64, scheme Scheme) (Result, error) {
-	return wait(d.sched.Submit(sched.Command{
-		Kind:   sched.KindBitwise,
-		LPNs:   []uint64{first, second},
-		Op:     op.latch(),
-		Scheme: scheme.ssd(),
-	}))
+	return d.BitwiseAsync(op, first, second, scheme).Wait()
 }
 
 // Reduce folds operand pages with an associative operation (And, Or or
 // Xor), using the scheme's chained execution (§4.2, §5.3).
 func (d *Device) Reduce(op Op, lpns []uint64, scheme Scheme) (Result, error) {
-	switch op {
-	case And, Or, Xor:
-	default:
-		return Result{}, errors.New("parabit: Reduce requires And, Or or Xor")
-	}
-	return wait(d.sched.Submit(sched.Command{
-		Kind:   sched.KindReduce,
-		LPNs:   lpns,
-		Op:     op.latch(),
-		Scheme: scheme.ssd(),
-	}))
+	return d.ReduceAsync(op, lpns, scheme).Wait()
 }
 
 // BitwiseToHost executes Bitwise and ships the result over the host
 // link, filling HostLatency.
 func (d *Device) BitwiseToHost(op Op, first, second uint64, scheme Scheme) (Result, error) {
-	return wait(d.sched.Submit(sched.Command{
+	return d.bitwise(op, first, second, scheme, true).Wait()
+}
+
+// bitwise submits one two-operand operation.
+func (d *Device) bitwise(op Op, first, second uint64, scheme Scheme, toHost bool) *Pending {
+	return &Pending{t: d.sched.Submit(sched.Command{
 		Kind:   sched.KindBitwise,
 		LPNs:   []uint64{first, second},
 		Op:     op.latch(),
 		Scheme: scheme.ssd(),
-		ToHost: true,
-	}))
+		ToHost: toHost,
+	})}
 }
 
 // Query is a bitmap-query expression tree over operand LPNs. Build one
@@ -540,28 +529,26 @@ var errInvalidQuery = errors.New("parabit: invalid (zero) Query")
 // The result is bit-exact with evaluating the expression over the current
 // page contents.
 func (d *Device) Query(q Query, scheme Scheme) (Result, error) {
-	if q.e == nil {
-		return Result{}, errInvalidQuery
-	}
-	return wait(d.sched.Submit(sched.Command{
-		Kind:   sched.KindQuery,
-		Query:  q.e,
-		Scheme: scheme.ssd(),
-	}))
+	return d.QueryAsync(q, scheme).Wait()
 }
 
 // QueryToHost executes Query and ships the result over the host link,
 // filling HostLatency.
 func (d *Device) QueryToHost(q Query, scheme Scheme) (Result, error) {
+	return d.query(q, scheme, true).Wait()
+}
+
+// query submits q, or refuses the zero Query without reaching the device.
+func (d *Device) query(q Query, scheme Scheme, toHost bool) *Pending {
 	if q.e == nil {
-		return Result{}, errInvalidQuery
+		return &Pending{err: errInvalidQuery}
 	}
-	return wait(d.sched.Submit(sched.Command{
+	return &Pending{t: d.sched.Submit(sched.Command{
 		Kind:   sched.KindQuery,
 		Query:  q.e,
 		Scheme: scheme.ssd(),
-		ToHost: true,
-	}))
+		ToHost: toHost,
+	})}
 }
 
 // QueryStats reports query-planner activity: how much fusion and result
@@ -614,50 +601,55 @@ func (d *Device) QueryStats() QueryStats {
 // Submitting several operations before waiting on any of them queues them
 // into one dispatch batch: they share a virtual issue instant, so
 // independent page operations overlap on the device's planes exactly as
-// outstanding commands do in a real SSD's queues.
-type Pending struct{ t *sched.Ticket }
+// outstanding commands do in a real SSD's queues. A call refused before
+// it reaches the device carries only its error.
+type Pending struct {
+	t   *sched.Ticket
+	err error
+}
 
 // Wait blocks until the operation executes and returns its result. It may
 // be called from any goroutine, any number of times.
-func (p *Pending) Wait() (Result, error) { return wait(p.t) }
+func (p *Pending) Wait() (Result, error) {
+	if p.err != nil {
+		return Result{}, p.err
+	}
+	return wait(p.t)
+}
 
 // WriteAsync queues a Write without waiting for it.
 func (d *Device) WriteAsync(lpn uint64, data []byte) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{Kind: sched.KindWrite, LPN: lpn, Data: data})}
+	return &Pending{t: d.sched.Submit(sched.Command{Kind: sched.KindWrite, LPN: lpn, Data: data})}
 }
 
 // WriteOperandAsync queues a WriteOperand without waiting for it.
 func (d *Device) WriteOperandAsync(lpn uint64, data []byte) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{Kind: sched.KindWriteOperand, LPN: lpn, Data: data})}
+	return &Pending{t: d.sched.Submit(sched.Command{Kind: sched.KindWriteOperand, LPN: lpn, Data: data})}
 }
 
 // ReadAsync queues a Read; the page content arrives in Result.Data.
 func (d *Device) ReadAsync(lpn uint64) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{Kind: sched.KindRead, LPN: lpn})}
+	return &Pending{t: d.sched.Submit(sched.Command{Kind: sched.KindRead, LPN: lpn})}
 }
 
 // BitwiseAsync queues a Bitwise without waiting for it.
 func (d *Device) BitwiseAsync(op Op, first, second uint64, scheme Scheme) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{
-		Kind:   sched.KindBitwise,
-		LPNs:   []uint64{first, second},
-		Op:     op.latch(),
-		Scheme: scheme.ssd(),
-	})}
+	return d.bitwise(op, first, second, scheme, false)
 }
 
 // QueryAsync queues a Query without waiting for it.
-func (d *Device) QueryAsync(q Query, scheme Scheme) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{
-		Kind:   sched.KindQuery,
-		Query:  q.e,
-		Scheme: scheme.ssd(),
-	})}
-}
+func (d *Device) QueryAsync(q Query, scheme Scheme) *Pending { return d.query(q, scheme, false) }
+
+var errReduceOp = errors.New("parabit: Reduce requires And, Or or Xor")
 
 // ReduceAsync queues a Reduce without waiting for it.
 func (d *Device) ReduceAsync(op Op, lpns []uint64, scheme Scheme) *Pending {
-	return &Pending{d.sched.Submit(sched.Command{
+	switch op {
+	case And, Or, Xor:
+	default:
+		return &Pending{err: errReduceOp}
+	}
+	return &Pending{t: d.sched.Submit(sched.Command{
 		Kind:   sched.KindReduce,
 		LPNs:   lpns,
 		Op:     op.latch(),

@@ -450,3 +450,61 @@ func TestInstallFaultPlanPublicAPI(t *testing.T) {
 		t.Errorf("disarmed plan kept injecting: %d -> %d", before, after)
 	}
 }
+
+// TestSyncAndAsyncRefuseAlike checks that each blocking call returns the
+// same error as its Async form followed by Wait, for every bad input: the
+// blocking call is that pair, so each command is checked in one place.
+// Each form runs on a fresh device, as a refused write still moves the
+// striping cursor and with it the address the error names.
+func TestSyncAndAsyncRefuseAlike(t *testing.T) {
+	short := []byte{1}
+	const unmapped = 7
+	cases := []struct {
+		name        string
+		sync, async func(d *Device) error
+	}{
+		{"write short page",
+			func(d *Device) error { return d.Write(0, short) },
+			func(d *Device) error { _, err := d.WriteAsync(0, short).Wait(); return err }},
+		{"write beyond capacity",
+			func(d *Device) error { return d.Write(d.UserPages(), pageOf(d, 1)) },
+			func(d *Device) error { _, err := d.WriteAsync(d.UserPages(), pageOf(d, 1)).Wait(); return err }},
+		{"operand short page",
+			func(d *Device) error { return d.WriteOperand(0, short) },
+			func(d *Device) error { _, err := d.WriteOperandAsync(0, short).Wait(); return err }},
+		{"read unmapped",
+			func(d *Device) error { _, err := d.Read(unmapped); return err },
+			func(d *Device) error { _, err := d.ReadAsync(unmapped).Wait(); return err }},
+		{"bitwise unmapped",
+			func(d *Device) error { _, err := d.Bitwise(And, unmapped, unmapped+1, LocationFree); return err },
+			func(d *Device) error {
+				_, err := d.BitwiseAsync(And, unmapped, unmapped+1, LocationFree).Wait()
+				return err
+			}},
+		{"reduce non-fold op",
+			func(d *Device) error { _, err := d.Reduce(Xnor, []uint64{1, 2}, LocationFree); return err },
+			func(d *Device) error { _, err := d.ReduceAsync(Xnor, []uint64{1, 2}, LocationFree).Wait(); return err }},
+		{"reduce unmapped",
+			func(d *Device) error {
+				_, err := d.Reduce(Or, []uint64{unmapped, unmapped + 1}, FlashCosmos)
+				return err
+			},
+			func(d *Device) error {
+				_, err := d.ReduceAsync(Or, []uint64{unmapped, unmapped + 1}, FlashCosmos).Wait()
+				return err
+			}},
+		{"zero query",
+			func(d *Device) error { _, err := d.Query(Query{}, LocationFree); return err },
+			func(d *Device) error { _, err := d.QueryAsync(Query{}, LocationFree).Wait(); return err }},
+		{"query unmapped",
+			func(d *Device) error { _, err := d.Query(QueryLPN(unmapped), LocationFree); return err },
+			func(d *Device) error { _, err := d.QueryAsync(QueryLPN(unmapped), LocationFree).Wait(); return err }},
+	}
+	for _, c := range cases {
+		serr := c.sync(newTestDevice(t, WithSmallGeometry()))
+		aerr := c.async(newTestDevice(t, WithSmallGeometry()))
+		if serr == nil || aerr == nil || serr.Error() != aerr.Error() {
+			t.Errorf("%s: blocking call %v, Async+Wait %v: want the same refusal", c.name, serr, aerr)
+		}
+	}
+}
