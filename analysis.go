@@ -51,8 +51,8 @@ func OpLatencyLocFree(op Op) time.Duration {
 	return flash.DefaultTiming().BitwiseLatencyLocFreeLSB(op.latch()).Std()
 }
 
-// Experiments lists the available experiment IDs with their titles, in
-// ID order (fig4, fig13a, ... endurance, compression, crossover).
+// Experiments lists the available experiment IDs with their titles,
+// sorted lexically by ID (compression, crossover, ... fig17, fig4).
 func Experiments() []string {
 	var out []string
 	for _, d := range experiments.Drivers() {

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +22,7 @@ import (
 // multi-device cluster two ways:
 //
 //   - deterministic (-cluster): one serial query stream over a seeded
-//     bitmap, producing the BENCH_cluster.json report CI diffs — overall
+//     bitmap, producing the BENCH_cluster.json report — overall
 //     and per-shard latency percentiles, route mix (shard-local, wire,
 //     scatter/gather) and read skew;
 //   - hammer (-hammer -cluster N): concurrent multi-tenant load with
@@ -38,13 +35,28 @@ import (
 
 const (
 	clusterSeed = 1
-	// clusterP99Tolerance is the CI gate: measured overall p99 may exceed
-	// the checked-in report's by at most this factor.
-	clusterP99Tolerance = 1.10
 	// clusterReclaimEvery bounds controller-internal page growth during
 	// long query streams.
 	clusterReclaimEvery = 64
 )
+
+// clusterSpec is the cluster's shape and the deterministic mode's query
+// count.
+type clusterSpec struct {
+	shards, replicas int
+	users            int64
+	days             int
+	skew             float64
+	queries          int
+}
+
+// defaultClusterSpec holds the flag defaults, which BENCH_cluster.json
+// records.
+var defaultClusterSpec = clusterSpec{
+	shards: defaultClusterShards, replicas: 2,
+	users: 2_000_000, days: 6, skew: 1.2,
+	queries: 240,
+}
 
 // clusterShardReport is one shard's lane in the JSON report.
 type clusterShardReport struct {
@@ -80,11 +92,11 @@ type clusterReport struct {
 // benchCluster builds a chunk-placed cluster serving the generated
 // bitmap, with telemetry attached to sink (trace lanes register at
 // SetTelemetry time, so enable tracing on the sink before calling).
-func benchCluster(sink *telemetry.Sink, shards, replicas int, users int64, days int, skew float64) (*cluster.Cluster, *cluster.BitmapService, error) {
-	spec := workload.CustomBitmap(users, days, skew)
+func benchCluster(sink *telemetry.Sink, cs clusterSpec) (*cluster.Cluster, *cluster.BitmapService, error) {
+	spec := workload.CustomBitmap(cs.users, cs.days, cs.skew)
 	c, err := cluster.New(cluster.Config{
-		Shards:      shards,
-		Replicas:    replicas,
+		Shards:      cs.shards,
+		Replicas:    cs.replicas,
 		PlacementOf: cluster.PlacementByChunk,
 	})
 	if err != nil {
@@ -120,18 +132,6 @@ func pickDays(sample func() int, days, k int) []int {
 	return out
 }
 
-func simSide(lats []sim.Duration) (p50, p95, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]sim.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		return sorted[int(q*float64(len(sorted)-1))].Micros()
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
 // shardReports reads the per-shard lanes out of the scoped telemetry.
 func shardReports(c *cluster.Cluster, sink *telemetry.Sink) ([]clusterShardReport, float64) {
 	var out []clusterShardReport
@@ -165,19 +165,19 @@ func shardReports(c *cluster.Cluster, sink *telemetry.Sink) ([]clusterShardRepor
 
 // runClusterBench is the deterministic mode: a serial seeded query stream
 // whose JSON report is byte-stable run over run.
-func runClusterBench(shards, replicas int, users int64, days int, skew float64, queries int, outPath, checkPath string, w io.Writer) error {
+func runClusterBench(cs clusterSpec, w io.Writer) (clusterReport, error) {
 	scheme := ssd.SchemeLocFree
 	sink := telemetry.New()
-	c, svc, err := benchCluster(sink, shards, replicas, users, days, skew)
+	c, svc, err := benchCluster(sink, cs)
 	if err != nil {
-		return err
+		return clusterReport{}, err
 	}
 	rng := rand.New(rand.NewSource(clusterSeed))
-	sample := workload.CustomBitmap(users, days, skew).DaySampler(rng)
+	sample := workload.CustomBitmap(cs.users, cs.days, cs.skew).DaySampler(rng)
 	chunks := svc.Chunks()
 
-	lats := make([]sim.Duration, 0, queries)
-	for i := 0; i < queries; i++ {
+	lats := make([]time.Duration, 0, cs.queries)
+	for i := 0; i < cs.queries; i++ {
 		// Every fifth query runs under Flash-Cosmos: columns are placed by
 		// the normal write path, so these exercise the FC colocation-miss
 		// fallback end to end through the serving layer and NVMe wire.
@@ -193,14 +193,14 @@ func runClusterBench(shards, replicas int, users int64, days int, skew float64, 
 			for b == a {
 				b = rng.Intn(chunks)
 			}
-			d := pickDays(sample, days, 2)
+			d := pickDays(sample, cs.days, 2)
 			q = plan.Or(
 				plan.Leaf(cluster.ColumnKey(a, d[0])),
 				plan.Leaf(cluster.ColumnKey(b, d[1])))
 		} else {
 			// Chunk-local cross-day reduction, the serving hot path.
 			chunk := rng.Intn(chunks)
-			ds := pickDays(sample, days, 2+rng.Intn(3))
+			ds := pickDays(sample, cs.days, 2+rng.Intn(3))
 			leaves := make([]*plan.Expr, len(ds))
 			for j, d := range ds {
 				leaves[j] = plan.Leaf(cluster.ColumnKey(chunk, d))
@@ -209,35 +209,38 @@ func runClusterBench(shards, replicas int, users int64, days int, skew float64, 
 		}
 		res, err := c.Query("bench", q, qScheme)
 		if err != nil {
-			return fmt.Errorf("cluster bench query %d: %w", i, err)
+			return clusterReport{}, fmt.Errorf("cluster bench query %d: %w", i, err)
 		}
-		lats = append(lats, res.Elapsed)
+		lats = append(lats, res.Elapsed.Std())
 		if (i+1)%clusterReclaimEvery == 0 {
 			c.Reclaim()
 		}
 	}
 
+	ps := percentiles(lats, 0.50, 0.95, 0.99)
 	rep := clusterReport{
-		Shards:       shards,
-		Replicas:     replicas,
-		Users:        users,
-		Days:         days,
+		Shards:       cs.shards,
+		Replicas:     cs.replicas,
+		Users:        cs.users,
+		Days:         cs.days,
 		Chunks:       chunks,
-		Queries:      queries,
+		Queries:      cs.queries,
 		Seed:         clusterSeed,
-		Skew:         skew,
+		Skew:         cs.skew,
 		Scheme:       fmt.Sprintf("%v+%v", scheme, ssd.SchemeFlashCosmos),
+		P50US:        micros(ps[0]),
+		P95US:        micros(ps[1]),
+		P99US:        micros(ps[2]),
 		RouteLocal:   sink.Counter("cluster.route.local").Value(),
 		RouteWire:    sink.Counter("cluster.route.wire").Value(),
 		RouteScatter: sink.Counter("cluster.route.scatter").Value(),
 	}
-	rep.P50US, rep.P95US, rep.P99US = simSide(lats)
 	rep.PerShard, rep.ReadSkew = shardReports(c, sink)
 
 	fmt.Fprintf(w, "cluster: %d shards x%d replicas, %d users, %d day columns in %d chunks\n",
-		shards, replicas, users, days, chunks)
+		cs.shards, cs.replicas, cs.users, cs.days, chunks)
 	fmt.Fprintf(w, "  %d queries (skew %.2f): p50 %.1fus p95 %.1fus p99 %.1fus\n",
-		queries, skew, rep.P50US, rep.P95US, rep.P99US)
+		cs.queries, cs.skew, rep.P50US, rep.P95US, rep.P99US)
 	fmt.Fprintf(w, "  routes: %d local, %d wire, %d scatter; read skew %.2fx\n",
 		rep.RouteLocal, rep.RouteWire, rep.RouteScatter, rep.ReadSkew)
 	fmt.Fprintln(w, "  per-shard: id reads writes p50 p95 p99")
@@ -245,54 +248,7 @@ func runClusterBench(shards, replicas int, users int64, days int, skew float64, 
 		fmt.Fprintf(w, "    %2d %8d %8d %9.1fus %9.1fus %9.1fus\n",
 			s.ID, s.Reads, s.Writes, s.P50US, s.P95US, s.P99US)
 	}
-
-	if outPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", outPath)
-	}
-	if checkPath != "" {
-		if err := checkClusterReport(rep, checkPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report matches %s (within %.0f%% on p99)\n",
-			checkPath, (clusterP99Tolerance-1)*100)
-	}
-	return nil
-}
-
-// checkClusterReport is the CI gate: same workload parameters, overall
-// p99 within tolerance, and both shard-local and scatter routing still
-// exercised.
-func checkClusterReport(got clusterReport, path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var want clusterReport
-	if err := json.Unmarshal(blob, &want); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if got.Shards != want.Shards || got.Replicas != want.Replicas ||
-		got.Users != want.Users || got.Days != want.Days ||
-		got.Queries != want.Queries || got.Seed != want.Seed ||
-		got.Skew != want.Skew || got.Scheme != want.Scheme {
-		return fmt.Errorf("workload drifted from %s (regenerate with -cluster -cluster-out)", path)
-	}
-	if limit := want.P99US * clusterP99Tolerance; got.P99US > limit {
-		return fmt.Errorf("cluster p99 regressed: %.1fus measured vs %.1fus recorded (limit %.1fus)",
-			got.P99US, want.P99US, limit)
-	}
-	if got.RouteLocal+got.RouteWire == 0 || got.RouteScatter == 0 {
-		return fmt.Errorf("routing degenerated: %d local, %d wire, %d scatter — both shard-local and scatter paths must stay exercised",
-			got.RouteLocal, got.RouteWire, got.RouteScatter)
-	}
-	return nil
+	return rep, nil
 }
 
 // clusterOutcome indexes the hammer's per-kind outcome counters.
@@ -331,13 +287,13 @@ func classify(err error) clusterOutcome {
 // over several tenants, half of them QoS-capped, against millions of
 // simulated users. Outcome counts are per kind and separate from the
 // latency percentiles, which come from the per-shard telemetry lanes.
-func runClusterHammer(n, ops, shards, replicas, tenants int, users int64, days int, skew float64, tracePath string, metrics bool, w io.Writer) error {
+func runClusterHammer(n, ops, tenants int, cs clusterSpec, tracePath string, metrics bool, w io.Writer) error {
 	scheme := ssd.SchemeLocFree
 	sink := telemetry.New()
 	if tracePath != "" {
 		sink.EnableTrace()
 	}
-	c, svc, err := benchCluster(sink, shards, replicas, users, days, skew)
+	c, svc, err := benchCluster(sink, cs)
 	if err != nil {
 		return err
 	}
@@ -373,11 +329,11 @@ func runClusterHammer(n, ops, shards, replicas, tenants int, users int64, days i
 				scheme = ssd.SchemeFlashCosmos
 			}
 			rng := rand.New(rand.NewSource(int64(1000 + cl)))
-			sample := workload.CustomBitmap(users, days, skew).DaySampler(rng)
+			sample := workload.CustomBitmap(cs.users, cs.days, cs.skew).DaySampler(rng)
 			// Skew the chunk axis with the same Zipf: days of one chunk
 			// are colocated, so only hot *chunks* make hot replica sets —
 			// the hot-shard effect the EXPERIMENTS recipe measures.
-			chunkPick := workload.CustomBitmap(users, chunks, skew).DaySampler(rng)
+			chunkPick := workload.CustomBitmap(cs.users, chunks, cs.skew).DaySampler(rng)
 			page := make([]byte, c.PageSize())
 			for i := 0; i < ops; i++ {
 				var kind int
@@ -386,7 +342,7 @@ func runClusterHammer(n, ops, shards, replicas, tenants int, users int64, days i
 				case 0, 1:
 					kind = 0
 					chunk := chunkPick()
-					ds := pickDays(sample, days, 2)
+					ds := pickDays(sample, cs.days, 2)
 					_, err = c.Query(tenant, plan.And(
 						plan.Leaf(cluster.ColumnKey(chunk, ds[0])),
 						plan.Leaf(cluster.ColumnKey(chunk, ds[1]))), scheme)
@@ -415,9 +371,9 @@ func runClusterHammer(n, ops, shards, replicas, tenants int, users int64, days i
 	wall := wallStart.Elapsed()
 
 	fmt.Fprintf(w, "cluster hammer: %d clients x %d ops over %d tenants, %d shards x%d replicas in %v wall\n",
-		n, ops, tenants, shards, replicas, wall.Round(time.Millisecond))
+		n, ops, tenants, cs.shards, cs.replicas, wall.Round(time.Millisecond))
 	fmt.Fprintf(w, "  bitmap             %d users, %d day columns in %d chunks (skew %.2f)\n",
-		users, days, chunks, skew)
+		cs.users, cs.days, chunks, cs.skew)
 	fmt.Fprintf(w, "  virtual clock      %v\n", sim.Duration(c.Now()).Std())
 	fmt.Fprintln(w, "  per-kind outcomes: kind ok rejected-rate rejected-queue unavailable error")
 	for k, name := range kindNames {
@@ -447,15 +403,7 @@ func runClusterHammer(n, ops, shards, replicas, tenants int, users int64, days i
 		sink.WriteMetrics(w)
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := sink.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTraceFile(tracePath, sink.WriteTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\ntrace written to %s (one lane set per shard)\n", tracePath)

@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"time"
 
 	"parabit"
-	"parabit/internal/latch"
 )
 
 // The Flash-Cosmos benchmark sweeps reduction width k and measures the
@@ -25,29 +22,12 @@ import (
 // Every reduction's bytes are cross-checked against a software fold, so
 // the latency table can only come from executions that produced correct
 // results. The run is deterministic: the same binary emits the same JSON
-// report every time, which is what lets CI diff it against the
-// checked-in BENCH_fc.json.
+// report every time, which TestBenchRecordsGolden compares with
+// BENCH_fc.json.
 
 const (
 	fcSeed   = 1
 	fcRounds = 24
-	// fcP99Tolerance is the CI gate: each sweep point's measured
-	// Flash-Cosmos p99 may exceed the checked-in report's by at most this
-	// factor.
-	fcP99Tolerance = 1.10
-	// fcMinSpeedup and fcMinSpeedupK are the acceptance floor: at
-	// full-chunk widths from fcMinSpeedupK up (k a multiple of the
-	// per-sense cap), the MWS fold must beat the chained LocFree
-	// reduction at the tail by at least fcMinSpeedup. Remainder widths
-	// (e.g. 12 = 8+4) sit slightly below the full-chunk curve — the
-	// trailing sub-cap chunk pays nearly a full sense base — and are
-	// held by the per-point regression tolerance instead.
-	fcMinSpeedup  = 5.0
-	fcMinSpeedupK = 8
-	// fcFallbackSlack bounds fallback-rate drift: a colocated layout that
-	// starts degenerating into pairwise fallbacks fails the gate even if
-	// its latency happens to stay inside tolerance.
-	fcFallbackSlack = 0.02
 )
 
 // fcWidths is the operand-count sweep: below, at, and past the 8-operand
@@ -117,19 +97,19 @@ func fcMeasure(k int, scheme parabit.Scheme, rng *rand.Rand) ([]time.Duration, *
 	return lats, dev, nil
 }
 
-// runFC measures the sweep, prints the comparison, and optionally writes
-// the JSON report or gates against a checked-in one.
-func runFC(outPath, checkPath string, w io.Writer) error {
+// runFC measures the sweep, prints the comparison and returns the JSON
+// report.
+func runFC(w io.Writer) (fcReport, error) {
 	rep := fcReport{Seed: fcSeed, Rounds: fcRounds, Op: "AND"}
 	for _, k := range fcWidths {
 		// Both sides reduce identical bytes: one seed per (k, side) pair.
 		fcLats, fcDev, err := fcMeasure(k, parabit.FlashCosmos, rand.New(rand.NewSource(fcSeed+int64(k))))
 		if err != nil {
-			return err
+			return fcReport{}, err
 		}
 		lfLats, _, err := fcMeasure(k, parabit.LocationFree, rand.New(rand.NewSource(fcSeed+int64(k))))
 		if err != nil {
-			return err
+			return fcReport{}, err
 		}
 		st := fcDev.Stats()
 		p := fcPoint{
@@ -151,61 +131,5 @@ func runFC(outPath, checkPath string, w io.Writer) error {
 		fmt.Fprintf(w, "  %3d %10.1fus %10.1fus %8.2fx %8.1f%% %6d\n",
 			p.K, p.FlashCosmos.P99US, p.LocFree.P99US, p.P99SpeedupX, p.FallbackRate*100, p.MWSSenses)
 	}
-
-	if outPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", outPath)
-	}
-	if checkPath != "" {
-		if err := checkFCReport(rep, checkPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report matches %s (within %.0f%% on fc p99, >=%.0fx at k>=%d)\n",
-			checkPath, (fcP99Tolerance-1)*100, fcMinSpeedup, fcMinSpeedupK)
-	}
-	return nil
-}
-
-// checkFCReport is the CI gate: the sweep shape must match the recorded
-// report, each point's Flash-Cosmos p99 must hold within tolerance, the
-// colocated layout must not degenerate into pairwise fallbacks, and the
-// headline multi-operand win must stay above the acceptance floor.
-func checkFCReport(got fcReport, path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var want fcReport
-	if err := json.Unmarshal(blob, &want); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if got.Seed != want.Seed || got.Rounds != want.Rounds || got.Op != want.Op || len(got.Sweep) != len(want.Sweep) {
-		return fmt.Errorf("workload drifted from %s (regenerate with -fc -fc-out)", path)
-	}
-	for i, g := range got.Sweep {
-		w := want.Sweep[i]
-		if g.K != w.K {
-			return fmt.Errorf("sweep drifted from %s: k=%d at row %d, recorded k=%d (regenerate with -fc -fc-out)",
-				path, g.K, i, w.K)
-		}
-		if limit := w.FlashCosmos.P99US * fcP99Tolerance; g.FlashCosmos.P99US > limit {
-			return fmt.Errorf("flash-cosmos p99 regressed at k=%d: %.1fus measured vs %.1fus recorded (limit %.1fus)",
-				g.K, g.FlashCosmos.P99US, w.FlashCosmos.P99US, limit)
-		}
-		if g.FallbackRate > w.FallbackRate+fcFallbackSlack {
-			return fmt.Errorf("flash-cosmos fallbacks degenerated at k=%d: rate %.2f measured vs %.2f recorded — the colocated layout is no longer realizing MWS folds",
-				g.K, g.FallbackRate, w.FallbackRate)
-		}
-		if g.K >= fcMinSpeedupK && g.K%latch.MaxMWSOperands == 0 && g.P99SpeedupX < fcMinSpeedup {
-			return fmt.Errorf("flash-cosmos win collapsed at k=%d: %.2fx p99 speedup over LocFree, floor is %.1fx",
-				g.K, g.P99SpeedupX, fcMinSpeedup)
-		}
-	}
-	return nil
+	return rep, nil
 }

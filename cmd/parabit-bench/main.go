@@ -1,10 +1,13 @@
-// parabit-bench regenerates the paper's evaluation tables and figures.
+// parabit-bench regenerates the paper's evaluation tables and figures,
+// drives the simulated SSD under load, writes the BENCH_*.json records
+// and replays operation scripts.
 //
 // Usage:
 //
 //	parabit-bench -list             list available experiments
 //	parabit-bench -run fig13a      regenerate one experiment
-//	parabit-bench -run all         regenerate everything
+//	parabit-bench -run all -format csv
+//	                                regenerate everything, as CSV
 //	parabit-bench -hammer=16       drive one device from 16 concurrent clients
 //	parabit-bench -hammer -trace out.json -metrics
 //	                                hammer with telemetry: write a Chrome
@@ -12,37 +15,48 @@
 //	parabit-bench -hammer -faults plan.json
 //	                                hammer with a fault-injection plan armed;
 //	                                ends with a fault/recovery summary
-//	parabit-bench -planner          query-planner benchmark: the same query
+//	parabit-bench -planner -out BENCH_planner.json
+//	                                query-planner benchmark: the same query
 //	                                workload fused (planner + cache) and
 //	                                unfused (op-by-op with write-backs)
-//	parabit-bench -planner -planner-check BENCH_planner.json
-//	                                CI gate: fail on >10% fused-p99 regression
-//	parabit-bench -cluster=4        deterministic sharded-cluster benchmark:
+//	parabit-bench -fc -out BENCH_fc.json
+//	                                Flash-Cosmos benchmark: MWS vs chained
+//	                                LocFree reductions over a k sweep
+//	parabit-bench -cluster=4 -out BENCH_cluster.json
+//	                                deterministic sharded-cluster benchmark:
 //	                                a seeded query stream over a chunk-placed
 //	                                bitmap, with per-shard latency lanes and
 //	                                the route mix (local/wire/scatter)
-//	parabit-bench -cluster=4 -cluster-check BENCH_cluster.json
-//	                                CI gate: fail on >10% cluster-p99 regression
 //	parabit-bench -hammer=8 -cluster=4
 //	                                concurrent multi-tenant cluster hammer with
 //	                                QoS armed; reports per-kind outcome counts
 //	                                (ok/rejected/unavailable) separately from
 //	                                the latency percentiles
+//	parabit-bench -replay script.txt
+//	parabit-bench -replay demo     replay an operation script (see replay.go
+//	                                for the language; "-" reads stdin) and
+//	                                report per-op latencies
+//
+// The -out records are deterministic; TestBenchRecordsGolden regenerates
+// them and compares them byte for byte with the checked-in files.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"parabit"
+	"parabit/internal/experiments"
 	"parabit/internal/flash"
 	"parabit/internal/sched"
 	"parabit/internal/wallclock"
@@ -54,17 +68,19 @@ const defaultHammerClients = 8
 // defaultClusterShards is the shard count a bare -cluster flag uses.
 const defaultClusterShards = 4
 
-// clusterFlag accepts -cluster (bare, meaning defaultClusterShards) and
-// -cluster=N.
-type clusterFlag struct{ n int }
+// countFlag is a bool-style flag that takes a count: bare -name means
+// bare, -name=N means N and -name=false means 0. A bare -hammer followed
+// by a count ("-hammer 16") is rescued from the positional arguments
+// after parsing.
+type countFlag struct{ n, bare int }
 
-func (c *clusterFlag) String() string   { return strconv.Itoa(c.n) }
-func (c *clusterFlag) IsBoolFlag() bool { return true }
+func (c *countFlag) String() string   { return strconv.Itoa(c.n) }
+func (c *countFlag) IsBoolFlag() bool { return true }
 
-func (c *clusterFlag) Set(v string) error {
+func (c *countFlag) Set(v string) error {
 	switch v {
 	case "true":
-		c.n = defaultClusterShards
+		c.n = c.bare
 		return nil
 	case "false":
 		c.n = 0
@@ -72,34 +88,9 @@ func (c *clusterFlag) Set(v string) error {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 1 {
-		return fmt.Errorf("want a positive shard count, got %q", v)
+		return fmt.Errorf("want a positive count, got %q", v)
 	}
 	c.n = n
-	return nil
-}
-
-// hammerFlag accepts -hammer (bare, meaning defaultHammerClients),
-// -hammer=N, and — rescued from the positional arguments after parsing —
-// the historical two-token "-hammer N" form.
-type hammerFlag struct{ n int }
-
-func (h *hammerFlag) String() string   { return strconv.Itoa(h.n) }
-func (h *hammerFlag) IsBoolFlag() bool { return true }
-
-func (h *hammerFlag) Set(v string) error {
-	switch v {
-	case "true":
-		h.n = defaultHammerClients
-		return nil
-	case "false":
-		h.n = 0
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return fmt.Errorf("want a positive client count, got %q", v)
-	}
-	h.n = n
 	return nil
 }
 
@@ -107,121 +98,165 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "", "experiment id to run, or \"all\"")
 	format := flag.String("format", "table", "output format: table or csv")
-	var hammer hammerFlag
+	hammer := countFlag{bare: defaultHammerClients}
 	flag.Var(&hammer, "hammer", "drive one device from N concurrent clients (bare flag: 8) and report scheduler stats")
 	hammerOps := flag.Int("hammer-ops", 200, "operations per hammer client")
-	tracePath := flag.String("trace", "", "hammer mode: write a Chrome trace-event JSON file here")
+	tracePath := flag.String("trace", "", "hammer and replay modes: write a Chrome trace-event JSON file here")
 	metrics := flag.Bool("metrics", false, "hammer mode: print the telemetry metrics summary")
 	faultsPath := flag.String("faults", "", "hammer mode: arm this JSON fault-injection plan")
-	persistDir := flag.String("persist", "", "hammer mode: back the device with an on-disk store here; after the run, remount and report recovery")
+	persistDir := flag.String("persist", "", "hammer and replay modes: back the device with an on-disk store here (hammer: remount and report recovery afterwards; replay: recover the store if one exists)")
 	snapEvery := flag.Int("snapshot-every", 0, "with -persist: compact the journal after this many committed records (0 = default, negative disables)")
+	replay := flag.String("replay", "", "replay an operation script: a file, \"demo\" for the built-in one, or \"-\" for stdin")
 	planner := flag.Bool("planner", false, "run the query-planner benchmark: fused vs unfused p99")
-	plannerOut := flag.String("planner-out", "", "planner mode: write the JSON report here (the BENCH_planner.json format)")
-	plannerCheck := flag.String("planner-check", "", "planner mode: compare against this JSON report; fail on >10% fused-p99 regression")
 	schemeName := flag.String("scheme", "locfree", "planner mode: placement scheme (prealloc, realloc, locfree, fc, or a registry name)")
 	fc := flag.Bool("fc", false, "run the Flash-Cosmos benchmark: MWS vs chained-LocFree reduction sweep")
-	fcOut := flag.String("fc-out", "", "fc mode: write the JSON report here (the BENCH_fc.json format)")
-	fcCheck := flag.String("fc-check", "", "fc mode: compare against this JSON report; fail on >10% p99 regression, degenerate fallbacks, or a collapsed multi-operand win")
-	var clusterShards clusterFlag
+	clusterShards := countFlag{bare: defaultClusterShards}
 	flag.Var(&clusterShards, "cluster", "cluster mode: shard count (bare flag: 4); combine with -hammer for the concurrent multi-tenant hammer")
-	users := flag.Int64("users", 2_000_000, "cluster mode: bitmap user count (column bits)")
-	days := flag.Int("days", 6, "cluster mode: bitmap day-column count")
-	skew := flag.Float64("skew", 1.2, "cluster mode: Zipf day-access skew (<=1 for uniform)")
+	spec := defaultClusterSpec
+	flag.Int64Var(&spec.users, "users", spec.users, "cluster mode: bitmap user count (column bits)")
+	flag.IntVar(&spec.days, "days", spec.days, "cluster mode: bitmap day-column count")
+	flag.Float64Var(&spec.skew, "skew", spec.skew, "cluster mode: Zipf day-access skew (<=1 for uniform)")
+	flag.IntVar(&spec.replicas, "replicas", spec.replicas, "cluster mode: replicas per column")
+	flag.IntVar(&spec.queries, "cluster-queries", spec.queries, "cluster mode: deterministic query count")
 	tenants := flag.Int("tenants", 4, "cluster hammer: tenant count (odd tenants run QoS-capped)")
-	replicas := flag.Int("replicas", 2, "cluster mode: replicas per column")
-	clusterQueries := flag.Int("cluster-queries", 240, "cluster mode: deterministic query count")
-	clusterOut := flag.String("cluster-out", "", "cluster mode: write the JSON report here (the BENCH_cluster.json format)")
-	clusterCheck := flag.String("cluster-check", "", "cluster mode: compare against this JSON report; fail on >10% p99 regression")
+	out := flag.String("out", "", "planner, fc and cluster modes: write the mode's JSON record here (the BENCH_*.json format)")
 	flag.Parse()
 
-	if *planner {
-		scheme, err := parabit.ParseScheme(*schemeName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	// Rescue "-hammer 16": the bool-style flag left the count as a
+	// positional argument, which also stopped flag parsing — consume the
+	// count and re-parse whatever followed it.
+	if hammer.n > 0 && flag.NArg() > 0 {
+		if v, err := strconv.Atoi(flag.Arg(0)); err == nil && v > 0 {
+			hammer.n = v
+			if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
+				os.Exit(2)
+			}
+		}
+	}
+	spec.shards = clusterShards.n
+
+	var rec any
+	var err error
+	switch {
+	case *replay != "":
+		err = runReplay(*replay, *tracePath, *persistDir, *snapEvery, os.Stdout)
+	case *planner:
+		scheme, perr := parabit.ParseScheme(*schemeName)
+		if perr != nil {
+			fmt.Fprintln(os.Stderr, perr)
 			os.Exit(2)
 		}
-		if err := runPlanner(scheme, *plannerOut, *plannerCheck, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fc {
-		if err := runFC(*fcOut, *fcCheck, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if hammer.n > 0 {
-		n := hammer.n
-		// Rescue "-hammer 16": the bool-style flag left the count as a
-		// positional argument, which also stopped flag parsing — consume
-		// the count and re-parse whatever followed it.
-		if flag.NArg() > 0 {
-			if v, err := strconv.Atoi(flag.Arg(0)); err == nil && v > 0 {
-				n = v
-				if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-					os.Exit(2)
-				}
-			}
-		}
-		if clusterShards.n > 0 {
-			err := runClusterHammer(n, *hammerOps, clusterShards.n, *replicas, *tenants,
-				*users, *days, *skew, *tracePath, *metrics, os.Stdout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runHammer(n, *hammerOps, *tracePath, *faultsPath, *persistDir, *snapEvery, *metrics, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if clusterShards.n > 0 {
-		err := runClusterBench(clusterShards.n, *replicas, *users, *days, *skew,
-			*clusterQueries, *clusterOut, *clusterCheck, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	render := parabit.RunExperiment
-	if *format == "csv" {
-		render = parabit.RunExperimentCSV
-	} else if *format != "table" {
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		os.Exit(2)
-	}
-
-	switch {
+		rec, err = runPlanner(scheme, os.Stdout)
+	case *fc:
+		rec, err = runFC(os.Stdout)
+	case hammer.n > 0 && spec.shards > 0:
+		err = runClusterHammer(hammer.n, *hammerOps, *tenants, spec, *tracePath, *metrics, os.Stdout)
+	case hammer.n > 0:
+		err = runHammer(hammer.n, *hammerOps, *tracePath, *faultsPath, *persistDir, *snapEvery, *metrics, os.Stdout)
+	case spec.shards > 0:
+		rec, err = runClusterBench(spec, os.Stdout)
 	case *list:
 		fmt.Println("available experiments:")
 		for _, e := range parabit.Experiments() {
 			fmt.Println("  " + e)
 		}
-	case *run == "all":
-		fmt.Print(parabit.RunAllExperiments())
 	case *run != "":
-		out, err := render(*run)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
+		err = runExperiments(*run, *format, os.Stdout)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if *out != "" {
+		if rec == nil {
+			fmt.Fprintln(os.Stderr, "-out: only -planner, -fc and -cluster (without -hammer) write a record")
+			os.Exit(2)
+		}
+		blob, err := encodeRecord(rec)
+		if err == nil {
+			err = os.WriteFile(*out, blob, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("report written to %s\n", *out)
+	}
 }
+
+// runExperiments renders one experiment, or with id "all" every one in
+// ID order, as a table or as CSV.
+func runExperiments(id, format string, w io.Writer) error {
+	render := parabit.RunExperiment
+	switch format {
+	case "table":
+	case "csv":
+		render = parabit.RunExperimentCSV
+	default:
+		return fmt.Errorf("unknown format %q", format)
+	}
+	ids := []string{id}
+	if id == "all" {
+		ids = ids[:0]
+		for _, d := range experiments.Drivers() {
+			ids = append(ids, d.ID)
+		}
+	}
+	for _, id := range ids {
+		out, err := render(id)
+		if err != nil {
+			return err
+		}
+		if len(ids) > 1 {
+			out += "\n"
+		}
+		fmt.Fprint(w, out)
+	}
+	return nil
+}
+
+// encodeRecord is the BENCH_*.json byte format: indented JSON and a
+// trailing newline.
+func encodeRecord(rec any) ([]byte, error) {
+	blob, err := json.MarshalIndent(rec, "", "  ")
+	return append(blob, '\n'), err
+}
+
+// writeTraceFile creates path and fills it with a Chrome trace-event
+// export; the file opens in chrome://tracing or ui.perfetto.dev.
+func writeTraceFile(path string, export func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := export(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// percentiles returns the qs-quantiles of lats: for each q, the element
+// at index int(q·(n−1)) of a sorted copy. It returns zeros for no
+// samples.
+func percentiles(lats []time.Duration, qs ...float64) []time.Duration {
+	out := make([]time.Duration, len(qs))
+	if len(lats) == 0 {
+		return out
+	}
+	sorted := slices.Clone(lats)
+	slices.Sort(sorted)
+	for i, q := range qs {
+		out[i] = sorted[int(q*float64(len(sorted)-1))]
+	}
+	return out
+}
+
+// micros converts a duration to the records' floating-point µs.
+func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // runHammer drives one device from n concurrent clients with a mixed
 // write/read/bitwise/reduce workload and reports how the command
@@ -385,15 +420,7 @@ func runHammer(n, ops int, tracePath, faultsPath, persistDir string, snapEvery i
 		dev.WriteMetrics(w)
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := dev.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeTraceFile(tracePath, dev.WriteTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\ntrace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", tracePath)

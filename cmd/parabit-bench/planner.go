@@ -2,12 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"sort"
 	"time"
 
 	"parabit"
@@ -27,7 +24,7 @@ import (
 // Both runs execute the identical query list on identically loaded
 // devices, so the p99 gap is the planner's doing. The simulation is
 // deterministic: the same binary produces the same JSON report every run,
-// which is what lets CI diff it against the checked-in BENCH_planner.json.
+// which TestBenchRecordsGolden compares with BENCH_planner.json.
 
 const (
 	plannerSeed    = 1
@@ -39,9 +36,6 @@ const (
 	// plannerScratchBase is where the unfused baseline parks write-back
 	// intermediates, clear of the operand groups.
 	plannerScratchBase = 1000
-	// plannerP99Tolerance is the CI gate: the measured fused p99 may
-	// exceed the checked-in report's by at most this factor.
-	plannerP99Tolerance = 1.10
 )
 
 // qnode is the benchmark's own expression shape, convertible both to a
@@ -232,42 +226,31 @@ type plannerReport struct {
 	CacheHits     int64       `json:"cache_hits"`
 }
 
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 func side(lats []time.Duration) plannerSide {
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var sum time.Duration
-	for _, l := range sorted {
+	for _, l := range lats {
 		sum += l
 	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	ps := percentiles(lats, 0.50, 0.99)
 	return plannerSide{
-		MeanUS: us(sum / time.Duration(len(sorted))),
-		P50US:  us(quantile(sorted, 0.50)),
-		P99US:  us(quantile(sorted, 0.99)),
+		MeanUS: micros(sum / time.Duration(len(lats))),
+		P50US:  micros(ps[0]),
+		P99US:  micros(ps[1]),
 	}
 }
 
 // runPlanner measures the workload both ways, cross-checks the results
-// bit-for-bit, prints the comparison, and optionally writes the JSON
-// report or gates against a checked-in one.
-func runPlanner(scheme parabit.Scheme, outPath, checkPath string, w io.Writer) error {
+// bit-for-bit, prints the comparison and returns the JSON report.
+func runPlanner(scheme parabit.Scheme, w io.Writer) (plannerReport, error) {
 	queries := plannerWorkload(rand.New(rand.NewSource(plannerSeed)))
 
 	fusedDev, err := plannerDevice(rand.New(rand.NewSource(plannerSeed+1)), scheme)
 	if err != nil {
-		return err
+		return plannerReport{}, err
 	}
 	unfusedDev, err := plannerDevice(rand.New(rand.NewSource(plannerSeed+1)), scheme)
 	if err != nil {
-		return err
+		return plannerReport{}, err
 	}
 	baseline := &unfusedRunner{dev: unfusedDev, scratch: plannerScratchBase}
 
@@ -276,14 +259,14 @@ func runPlanner(scheme parabit.Scheme, outPath, checkPath string, w io.Writer) e
 	for i, q := range queries {
 		fr, err := fusedDev.Query(q.query(), scheme)
 		if err != nil {
-			return fmt.Errorf("fused query %d: %w", i, err)
+			return plannerReport{}, fmt.Errorf("fused query %d: %w", i, err)
 		}
 		ud, ul, err := baseline.eval(q, scheme)
 		if err != nil {
-			return fmt.Errorf("unfused query %d: %w", i, err)
+			return plannerReport{}, fmt.Errorf("unfused query %d: %w", i, err)
 		}
 		if !bytes.Equal(fr.Data, ud) {
-			return fmt.Errorf("query %d: fused and unfused runs disagree (%q)", i, q.query())
+			return plannerReport{}, fmt.Errorf("query %d: fused and unfused runs disagree (%q)", i, q.query())
 		}
 		fusedLats = append(fusedLats, fr.Latency)
 		unfusedLats = append(unfusedLats, ul)
@@ -310,50 +293,5 @@ func runPlanner(scheme parabit.Scheme, outPath, checkPath string, w io.Writer) e
 	fmt.Fprintf(w, "  %-8s %9.1fus %9.1fus %9.1fus\n", "unfused", rep.Unfused.MeanUS, rep.Unfused.P50US, rep.Unfused.P99US)
 	fmt.Fprintf(w, "  p99 speedup %.2fx; %d fused chains over %d operands, %d cache hits\n",
 		rep.P99SpeedupX, rep.FusedChains, rep.FusedOperands, rep.CacheHits)
-
-	if outPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", outPath)
-	}
-	if checkPath != "" {
-		if err := checkPlannerReport(rep, checkPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report matches %s (within %.0f%% on fused p99)\n",
-			checkPath, (plannerP99Tolerance-1)*100)
-	}
-	return nil
-}
-
-// checkPlannerReport is the CI gate: the fused p99 must not regress more
-// than the tolerance over the checked-in report, and fusion must still be
-// a win over the unfused baseline at the tail.
-func checkPlannerReport(got plannerReport, path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var want plannerReport
-	if err := json.Unmarshal(blob, &want); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if got.Queries != want.Queries || got.Seed != want.Seed || got.Scheme != want.Scheme {
-		return fmt.Errorf("workload drifted from %s: %d queries seed %d scheme %s vs recorded %d queries seed %d scheme %s (regenerate with -planner -planner-out)",
-			path, got.Queries, got.Seed, got.Scheme, want.Queries, want.Seed, want.Scheme)
-	}
-	if limit := want.Fused.P99US * plannerP99Tolerance; got.Fused.P99US > limit {
-		return fmt.Errorf("fused p99 regressed: %.1fus measured vs %.1fus recorded (limit %.1fus)",
-			got.Fused.P99US, want.Fused.P99US, limit)
-	}
-	if got.Fused.P99US >= got.Unfused.P99US {
-		return fmt.Errorf("fusion no longer wins at the tail: fused p99 %.1fus vs unfused %.1fus",
-			got.Fused.P99US, got.Unfused.P99US)
-	}
-	return nil
+	return rep, nil
 }
