@@ -378,27 +378,29 @@ func BenchmarkAblationCacheRead(b *testing.B) {
 	b.Run("no-cache-read", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkColumnStoreQuery measures the public column-store API: a
-// 3-way AND over 64Kbit columns, all in-flash.
-func BenchmarkColumnStoreQuery(b *testing.B) {
-	d := benchDevice(b)
-	cs, err := NewColumnStore(d, 64*1024)
+// BenchmarkDeviceQuery measures the public query path end to end: a
+// 3-way AND over an aligned LSB group under LocationFree, planned and
+// run as one fused chain. The result cache is off, so every iteration
+// plans and senses.
+func BenchmarkDeviceQuery(b *testing.B) {
+	d, err := NewDevice(WithSmallGeometry(), WithQueryCache(-1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for _, name := range []string{"a", "b", "c"} {
-		col := make([]byte, 64*1024/8)
-		rng.Read(col)
-		if err := cs.Put(name, col); err != nil {
-			b.Fatal(err)
-		}
+	lpns := []uint64{0, 1, 2}
+	pages := make([][]byte, len(lpns))
+	for i := range pages {
+		pages[i] = pageOf(d, int64(11+i))
 	}
-	b.SetBytes(3 * 64 * 1024 / 8)
+	if err := d.WriteOperandGroup(lpns, pages); err != nil {
+		b.Fatal(err)
+	}
+	q := QueryAnd(QueryLPN(0), QueryLPN(1), QueryLPN(2))
+	b.SetBytes(int64(len(lpns) * d.PageSize()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.And("a", "b", "c"); err != nil {
+		if _, err := d.Query(q, LocationFree); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,8 +263,6 @@ const (
 	numOutcomes
 )
 
-var outcomeNames = [numOutcomes]string{"ok", "rejected-rate", "rejected-queue", "unavailable", "error"}
-
 // classify maps an operation error to its outcome bucket.
 func classify(err error) clusterOutcome {
 	if err == nil {

@@ -175,29 +175,27 @@ func TestAsyncBurstBatches(t *testing.T) {
 	}
 }
 
-// TestColumnStoreConcurrentClients runs concurrent Puts and queries
-// against one store; queries batch their per-plane reductions and must
-// return exact results throughout.
-func TestColumnStoreConcurrentClients(t *testing.T) {
+// TestQueryConcurrentClients runs concurrent group writes and bitmap
+// queries against one device; queries batch with the writes and must
+// return exact results throughout, and every written group must read
+// back.
+func TestQueryConcurrentClients(t *testing.T) {
 	d := newTestDevice(t)
-	const width = 4096
-	cs, err := NewColumnStore(d, width)
-	if err != nil {
+	// Seed columns on aligned LSB slots, so queries always have operands.
+	seed := [][]byte{pageOf(d, 0), pageOf(d, 1), pageOf(d, 2), pageOf(d, 3)}
+	if err := d.WriteOperandGroup([]uint64{0, 1, 2, 3}, seed); err != nil {
 		t.Fatal(err)
 	}
-	colBytes := width / 8
-	mkCol := func(seed int64) []byte {
-		b := make([]byte, colBytes)
-		rand.New(rand.NewSource(seed)).Read(b)
-		return b
+	want := make([]byte, d.PageSize())
+	for i := range want {
+		want[i] = seed[0][i] & seed[1][i] & seed[2][i]
 	}
-	// Seed columns so queries always have operands.
-	base := map[string][]byte{}
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("seed%d", i)
-		base[name] = mkCol(int64(i))
-		if err := cs.Put(name, base[name]); err != nil {
-			t.Fatal(err)
+	q := QueryAnd(QueryLPN(0), QueryLPN(1), QueryLPN(2))
+	// Even workers write a private two-page group at LPN 100*w.
+	written := make(map[uint64][]byte)
+	for w := 0; w < 8; w += 2 {
+		for i := 0; i < 2; i++ {
+			written[uint64(100*w+i)] = pageOf(d, int64(100*w+i))
 		}
 	}
 	var wg sync.WaitGroup
@@ -207,25 +205,17 @@ func TestColumnStoreConcurrentClients(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			if w%2 == 0 {
-				// Writer: adds private columns.
-				for i := 0; i < 4; i++ {
-					name := fmt.Sprintf("w%d-%d", w, i)
-					if err := cs.Put(name, mkCol(int64(100*w+i))); err != nil {
-						errs <- fmt.Errorf("put %s: %w", name, err)
-						return
-					}
+				lpns := []uint64{uint64(100 * w), uint64(100*w + 1)}
+				if err := d.WriteOperandGroup(lpns, [][]byte{written[lpns[0]], written[lpns[1]]}); err != nil {
+					errs <- fmt.Errorf("worker %d write: %w", w, err)
 				}
 				return
 			}
-			// Reader: intersects two seed columns, checks exact bits.
-			want := make([]byte, colBytes)
-			for i := range want {
-				want[i] = base["seed0"][i] & base["seed1"][i]
-			}
+			// Reader: intersects three seed columns, checks exact bits.
 			for i := 0; i < 4; i++ {
-				r, err := cs.And("seed0", "seed1")
+				r, err := d.Query(q, LocationFree)
 				if err != nil {
-					errs <- fmt.Errorf("query: %w", err)
+					errs <- fmt.Errorf("worker %d query %d: %w", w, i, err)
 					return
 				}
 				if !bytes.Equal(r.Data, want) {
@@ -240,8 +230,10 @@ func TestColumnStoreConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := len(cs.Columns()); got != 4+4*4 {
-		t.Fatalf("store holds %d columns, want %d", got, 4+4*4)
+	for lpn, page := range written {
+		if got, err := d.Read(lpn); err != nil || !bytes.Equal(got, page) {
+			t.Errorf("page %d did not read back: %v", lpn, err)
+		}
 	}
 	if err := d.dev.FTL().CheckInvariants(); err != nil {
 		t.Errorf("FTL invariants violated: %v", err)

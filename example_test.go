@@ -54,24 +54,29 @@ func ExampleDevice_Reduce() {
 	// Output: AND of 4 pages = 0xf0 in 100µs
 }
 
-// The column store: bitmap-index queries that execute inside the SSD.
-func ExampleColumnStore() {
+// A bitmap-index query: three feature columns on aligned LSB pages of
+// one plane, intersected in one fused location-free chain.
+func ExampleDevice_Query() {
 	dev, err := parabit.NewDevice(parabit.WithSmallGeometry())
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs, err := parabit.NewColumnStore(dev, 16)
+	lpns := []uint64{0, 1, 2}
+	pages := make([][]byte, len(lpns))
+	for i, b := range []byte{0b11110000, 0b11001100, 0b10101010} {
+		pages[i] = make([]byte, dev.PageSize())
+		pages[i][0] = b
+	}
+	if err := dev.WriteOperandGroup(lpns, pages); err != nil {
+		log.Fatal(err)
+	}
+	q := parabit.QueryAnd(parabit.QueryLPN(0), parabit.QueryLPN(1), parabit.QueryLPN(2))
+	r, err := dev.Query(q, parabit.LocationFree)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs.Put("even", []byte{0b01010101, 0b01010101})
-	cs.Put("low", []byte{0xFF, 0x00})
-	r, err := cs.And("even", "low")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("even AND low: %d users, bits %08b\n", r.Count, r.Data[0])
-	// Output: even AND low: 4 users, bits 01010101
+	fmt.Printf("%v = %08b in %v\n", q, r.Data[0], r.Latency)
+	// Output: 0 & 1 & 2 = 10000000 in 75.3µs
 }
 
 // TLC mode (§4.4.1): three operands in one cell, AND3 in a single sense.

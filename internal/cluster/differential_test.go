@@ -61,10 +61,7 @@ func singleDeviceGolden(t *testing.T, pages [][]byte, e *plan.Expr, scheme ssd.S
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	shifted, err := rewriteLeaves(local, func(key uint64) uint64 { return key - 1 })
-	if err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
+	shifted := local.MapLeaves(func(key uint64) uint64 { return key - 1 })
 	res, err := dev.ExecuteQuery(shifted, scheme, 0)
 	if err != nil {
 		t.Fatalf("golden query: %v", err)

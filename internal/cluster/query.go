@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"parabit/internal/latch"
 	"parabit/internal/nvme"
 	"parabit/internal/plan"
 	"parabit/internal/sched"
@@ -136,39 +135,6 @@ func (c *Cluster) colocatedShard(keys []uint64) (*Shard, error) {
 	return sh, nil
 }
 
-// rewriteLeaves rebuilds an expression with every leaf key mapped through f.
-func rewriteLeaves(e *plan.Expr, f func(uint64) uint64) (*plan.Expr, error) {
-	if e.IsLeaf() {
-		return plan.Leaf(f(e.LPN)), nil
-	}
-	args := make([]*plan.Expr, len(e.Args))
-	for i, a := range e.Args {
-		ra, err := rewriteLeaves(a, f)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ra
-	}
-	switch e.Op {
-	case latch.OpAnd:
-		return plan.And(args...), nil
-	case latch.OpOr:
-		return plan.Or(args...), nil
-	case latch.OpXor:
-		return plan.Xor(args...), nil
-	case latch.OpXnor:
-		return plan.Xnor(args[0], args[1]), nil
-	case latch.OpNand:
-		return plan.Nand(args[0], args[1]), nil
-	case latch.OpNor:
-		return plan.Nor(args[0], args[1]), nil
-	case latch.OpNotLSB, latch.OpNotMSB:
-		return plan.Not(args[0]), nil
-	default:
-		return nil, fmt.Errorf("%w: op %s", plan.ErrBadExpr, e.Op)
-	}
-}
-
 // route executes a (normalized) expression, preferring shard-local
 // execution and recursing into scatter/gather otherwise.
 func (c *Cluster) route(e *plan.Expr, scheme ssd.Scheme) (QueryResult, error) {
@@ -239,16 +205,13 @@ func (c *Cluster) routeLeaf(key uint64) (QueryResult, error) {
 // shapes cross the shard's queue pair first — encode, bounded submit,
 // device-side parse — so what executes is exactly what survived the wire.
 func (c *Cluster) execLocal(sh *Shard, e *plan.Expr, lpns []uint64, scheme ssd.Scheme) (QueryResult, error) {
-	// rewriteLeaves visits leaves in the same left-to-right order as
-	// Leaves, so the i-th visit takes lpns[i].
+	// MapLeaves visits leaves in Leaves order, so the i-th visit takes
+	// lpns[i].
 	next := 0
-	le, err := rewriteLeaves(e, func(uint64) uint64 {
+	le := e.MapLeaves(func(uint64) uint64 {
 		next++
 		return lpns[next-1]
 	})
-	if err != nil {
-		return QueryResult{}, err
-	}
 	route := RouteLocal
 	if f, ok := plan.ToFormula(le, c.PageSize()); ok {
 		// The scheme rides DWord 14 of every command, so on the wire route

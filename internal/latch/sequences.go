@@ -36,13 +36,12 @@ func senseWL(wl int, v Vref) Step  { return Step{Kind: StepSense, V: v, WL: wl} 
 func senseInv(wl int, v Vref) Step { return Step{Kind: StepSense, V: v, WL: wl, Inverted: true} }
 
 var (
-	init0     = Step{Kind: StepInit}
-	initInv   = Step{Kind: StepInitInv}
-	reinit    = Step{Kind: StepReinitL1}
-	reinitInv = Step{Kind: StepReinitL1Inv}
-	m1        = Step{Kind: StepM1}
-	m2        = Step{Kind: StepM2}
-	m3        = Step{Kind: StepM3}
+	init0   = Step{Kind: StepInit}
+	initInv = Step{Kind: StepInitInv}
+	reinit  = Step{Kind: StepReinitL1}
+	m1      = Step{Kind: StepM1}
+	m2      = Step{Kind: StepM2}
+	m3      = Step{Kind: StepM3}
 )
 
 // ReadLSB is the baseline LSB page read (paper Fig. 3 top): one sense at

@@ -83,7 +83,6 @@ const (
 	VRead1
 	VRead2
 	VRead3
-	numVrefs = 4
 )
 
 func (v Vref) String() string { return fmt.Sprintf("VREAD%d", uint8(v)) }

@@ -88,8 +88,8 @@ func FinalOut(seq Sequence, lsb2 bool) Vec4 {
 }
 
 // FormatTable renders symbolic rows in the paper's table layout, one line
-// per step with the node vectors. Used by cmd/parabit-sim's "explain" mode
-// and by test failure output.
+// per step with the node vectors. Used by the latch directive of
+// parabit-bench -replay and by test failure output.
 func FormatTable(seq Sequence, rows []SymbolicRow) string {
 	var b strings.Builder
 	b.WriteString(seq.Name)

@@ -174,26 +174,6 @@ func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint6
 	c.used += size
 }
 
-// Invalidate drops every entry depending on the given logical page.
-// Callers with version tracking normally rely on Get's revalidation; this
-// is the eager path for events that bypass the FTL (e.g. test hooks).
-func (c *Cache) Invalidate(lpn uint64) int {
-	var victims []*entry
-	for _, e := range c.entries {
-		for _, dep := range e.deps {
-			if dep == lpn {
-				victims = append(victims, e)
-				break
-			}
-		}
-	}
-	for _, e := range victims {
-		c.remove(e)
-		c.stats.Invalidations++
-	}
-	return len(victims)
-}
-
 func (c *Cache) remove(e *entry) {
 	delete(c.entries, e.key)
 	heap.Remove(&c.order, e.index)

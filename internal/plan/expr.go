@@ -132,6 +132,20 @@ func (e *Expr) Leaves() []uint64 {
 	return out
 }
 
+// MapLeaves returns a copy of e whose leaves read f(lpn) instead, with f
+// called once per leaf in Leaves order. Interior nodes keep their
+// operation and arity.
+func (e *Expr) MapLeaves(f func(lpn uint64) uint64) *Expr {
+	if e.leaf {
+		return Leaf(f(e.LPN))
+	}
+	args := make([]*Expr, len(e.Args))
+	for i, a := range e.Args {
+		args[i] = a.MapLeaves(f)
+	}
+	return node(e.Op, args...)
+}
+
 // Eval computes the expression in software over the pages returned by
 // read — the golden reference the differential tests compare device
 // results against.

@@ -581,6 +581,30 @@ func TestExprKeyOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestMapLeavesKeepsShape checks that MapLeaves calls its function once
+// per leaf in Leaves order and rebuilds every operation as it was.
+func TestMapLeavesKeepsShape(t *testing.T) {
+	e, err := Parse("!(1 ^ 2) | (5 ~& 6) | (3 ~| 3) ~^ 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []uint64
+	m := e.MapLeaves(func(lpn uint64) uint64 {
+		seen = append(seen, lpn)
+		return lpn + 10
+	})
+	if got, want := fmt.Sprint(seen), fmt.Sprint(e.Leaves()); got != want {
+		t.Fatalf("visited %s, want Leaves order %s", got, want)
+	}
+	want, err := Parse("!(11 ^ 12) | (15 ~& 16) | (13 ~| 13) ~^ 14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.String() != want.String() {
+		t.Fatalf("MapLeaves = %q, want %q", m, want)
+	}
+}
+
 func ExampleParse() {
 	e, _ := Parse("(1 & 2) | !(3 ^ 4)")
 	n, _ := Normalize(e)

@@ -122,9 +122,6 @@ func (d *Device) Array() *flash.Array { return d.array }
 // FTL exposes the translation layer (for endurance accounting).
 func (d *Device) FTL() *ftl.FTL { return d.ftl }
 
-// HostLink exposes the SSD-to-host link.
-func (d *Device) HostLink() *interconnect.Link { return d.host }
-
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 

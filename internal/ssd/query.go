@@ -28,8 +28,10 @@ type QueryStats struct {
 	PlanSteps     int64
 	FusedChains   int64
 	FusedOperands int64
-	// NVMeRoundTrips counts queries that travelled the §4.3.1 command
-	// encoding (wire-expressible shapes).
+	// NVMeRoundTrips is always 0: the device compiles the tree it is
+	// given, and a query crosses the §4.3.1 wire only at the host
+	// boundary (the cluster's wire route). The field stays until the
+	// benchmark stops reading it.
 	NVMeRoundTrips int64
 	// Cache is the controller-DRAM result cache's counters.
 	Cache plan.CacheStats
@@ -45,15 +47,15 @@ func (d *Device) QueryStats() QueryStats {
 }
 
 // ExecuteQuery plans and runs a bitmap-query expression (§4.2's chained
-// operations generalized to whole expression trees):
+// operations generalized to whole expression trees). The expression is
+// the one the host handed over: a query that travelled the §4.3.1 NVMe
+// encoding was parsed at the host boundary, and the device does not
+// encode it again.
 //
-//  1. Wire-expressible queries ride the §4.3.1 NVMe Formula encoding —
-//     encode, device-side parse, lift back — so the executed query is the
-//     one that survived the command round-trip.
-//  2. The plan compiler flattens and fuses associative chains into
-//     validated latch control programs and shares structurally equal
-//     sub-queries (internal/plan).
-//  3. Steps execute in dependency order. Fused steps over flash-resident
+//  1. The plan compiler normalizes the tree, flattens and fuses
+//     associative chains into validated latch control programs and
+//     shares structurally equal sub-queries (internal/plan).
+//  2. Steps execute in dependency order. Fused steps over flash-resident
 //     operands run as chained reductions; buffered intermediates join
 //     through reallocation steps (see computeStep). Each non-trivial step result lands in the
 //     controller-DRAM cache, priced by its measured recompute time, and
@@ -66,16 +68,9 @@ func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (Bitwise
 	if e == nil {
 		return BitwiseResult{}, fmt.Errorf("ssd: nil query expression")
 	}
-	// RoundTrip and Compile each normalize their input. Normalization
-	// returns a canonical tree as is, so a tree the caller already
-	// normalized (the cluster path) is never rebuilt.
-	if wired, ok, err := plan.RoundTrip(e, d.PageSize()); err != nil {
-		return BitwiseResult{}, err
-	} else if ok {
-		d.qstats.NVMeRoundTrips++
-		d.tele.cQRoundTrip.Add(1)
-		e = wired
-	}
+	// Compile normalizes its input. Normalization returns a canonical tree
+	// as is, so a tree the caller already normalized (the cluster path) is
+	// never rebuilt.
 	p, err := plan.Compile(e)
 	if err != nil {
 		return BitwiseResult{}, err

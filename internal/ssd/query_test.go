@@ -77,8 +77,10 @@ func TestQueryMatchesSoftwareReference(t *testing.T) {
 	if st.FusedChains == 0 {
 		t.Error("no fused chains across chained queries")
 	}
-	if st.NVMeRoundTrips == 0 {
-		t.Error("no query travelled the NVMe encoding")
+	// The device compiles the tree it is given: a query crosses the
+	// NVMe encoding only at the host boundary, never inside the device.
+	if st.NVMeRoundTrips != 0 {
+		t.Errorf("NVMeRoundTrips = %d, want 0: the device re-encoded a query", st.NVMeRoundTrips)
 	}
 }
 

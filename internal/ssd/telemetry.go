@@ -55,7 +55,6 @@ type devTele struct {
 	cQCacheHit   *telemetry.Counter
 	cQCacheMiss  *telemetry.Counter
 	cQCacheEvict *telemetry.Counter
-	cQRoundTrip  *telemetry.Counter
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry sink to the
@@ -82,7 +81,6 @@ func (d *Device) SetTelemetry(s *telemetry.Sink) {
 		cQCacheHit:   s.Counter("ssd.query.cache.hits"),
 		cQCacheMiss:  s.Counter("ssd.query.cache.misses"),
 		cQCacheEvict: s.Counter("ssd.query.cache.evictions"),
-		cQRoundTrip:  s.Counter("ssd.query.nvme_roundtrips"),
 	}
 	tr := s.Trace()
 	if tr == nil {

@@ -33,9 +33,6 @@ func (s EncryptionSpec) ImageBytes() int64 {
 // InputBytes returns the original-image working set.
 func (s EncryptionSpec) InputBytes() int64 { return int64(s.NumImages) * s.ImageBytes() }
 
-// XORBits returns total single-bit XOR operations (one per data bit).
-func (s EncryptionSpec) XORBits() int64 { return s.InputBytes() * 8 }
-
 // EncryptionData is a functional instance: images, the key image, and
 // golden ciphertexts.
 type EncryptionData struct {

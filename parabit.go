@@ -560,9 +560,6 @@ type QueryStats struct {
 	PlanSteps     int64
 	FusedChains   int64
 	FusedOperands int64
-	// NVMeRoundTrips counts queries that travelled the NVMe command
-	// encoding (wire-expressible shapes).
-	NVMeRoundTrips int64
 	// Result-cache activity. Invalidations are entries dropped because an
 	// operand page changed (overwrite, GC migration, block retirement)
 	// between queries.
@@ -585,7 +582,6 @@ func (d *Device) QueryStats() QueryStats {
 			PlanSteps:          st.PlanSteps,
 			FusedChains:        st.FusedChains,
 			FusedOperands:      st.FusedOperands,
-			NVMeRoundTrips:     st.NVMeRoundTrips,
 			CacheHits:          st.Cache.Hits,
 			CacheMisses:        st.Cache.Misses,
 			CacheEvictions:     st.Cache.Evictions,
