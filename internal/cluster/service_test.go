@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"parabit/internal/sim"
 	"parabit/internal/ssd"
 	"parabit/internal/telemetry"
 	"parabit/internal/workload"
@@ -96,5 +97,55 @@ func TestBitmapServiceRoutesShardLocally(t *testing.T) {
 	local := sink.Counter("cluster.route.local").Value() + sink.Counter("cluster.route.wire").Value()
 	if local != int64(svc.Chunks()) {
 		t.Fatalf("%d shard-local chunk reductions, want %d", local, svc.Chunks())
+	}
+}
+
+// TestBitmapServiceFlashCosmosSensesInPlace: the bitmap columns land with
+// KindWriteOnPlane, so a chunk's day columns are LSB pages of one plane,
+// and with four wordlines per block each day's pass moves them into
+// blocks of their own. No multi-wordline sense can take them, and
+// Flash-Cosmos must serve the count as the location-free chain does: the
+// same count and service time as LocFree, and no shard reallocating.
+func TestBitmapServiceFlashCosmosSensesInPlace(t *testing.T) {
+	days := []int{0, 1, 2, 3, 4}
+	counts := map[ssd.Scheme]int{}
+	elapsed := map[ssd.Scheme]sim.Duration{}
+	for _, scheme := range []ssd.Scheme{ssd.SchemeLocFree, ssd.SchemeFlashCosmos} {
+		dev := ssd.SmallConfig()
+		dev.Geometry.WordlinesPerBlock = 4
+		c := MustNew(Config{Shards: 2, Replicas: 2, PlacementOf: PlacementByChunk, Device: dev})
+		defer c.Close()
+		spec := workload.CustomBitmap(int64(c.PageSize()*8*48), len(days), 0)
+		data, err := workload.GenerateBitmap(spec, 42)
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		svc, err := NewBitmapService(c, spec)
+		if err != nil {
+			t.Fatalf("service: %v", err)
+		}
+		if err := svc.Load("app", data); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		counts[scheme], elapsed[scheme], err = svc.ActiveAcrossDays("app", days, scheme)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if counts[scheme] != data.ActiveCount {
+			t.Fatalf("%v: served count %d, golden %d", scheme, counts[scheme], data.ActiveCount)
+		}
+		c.EachShard(func(sh *Shard) {
+			sh.Scheduler().Exclusive(func(d *ssd.Device, _ sim.Time) {
+				if n := d.Stats().Reallocations; n != 0 {
+					t.Errorf("%v: shard %d counts %d reallocations, want 0", scheme, sh.ID(), n)
+				}
+			})
+		})
+	}
+	if counts[ssd.SchemeFlashCosmos] != counts[ssd.SchemeLocFree] {
+		t.Errorf("Flash-Cosmos count %d, LocFree %d", counts[ssd.SchemeFlashCosmos], counts[ssd.SchemeLocFree])
+	}
+	if elapsed[ssd.SchemeFlashCosmos] != elapsed[ssd.SchemeLocFree] {
+		t.Errorf("Flash-Cosmos served in %v, LocFree in %v", elapsed[ssd.SchemeFlashCosmos], elapsed[ssd.SchemeLocFree])
 	}
 }

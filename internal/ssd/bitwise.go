@@ -75,7 +75,6 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 	if scheme != SchemeReAlloc && (d.scrambled(lpnM) || d.scrambled(lpnN)) {
 		// A scrambled operand cannot sense in place under any scheme: it
 		// is read, descrambled and reallocated.
-		d.stats.Fallbacks++
 		d.noteFallback(scheme)
 		return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
 	}
@@ -86,7 +85,6 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 		}
 		// Pre-allocation missed (operands arrived unpaired): fall back to
 		// reallocation, as the controller must.
-		d.stats.Fallbacks++
 		d.noteFallback(SchemePreAlloc)
 		return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
 	case SchemeReAlloc:
@@ -98,6 +96,11 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 		switch {
 		case lsbAligned(addrM, addrN):
 			s.Kind = flash.SenseLocFreeLSB
+		case addrM == addrN && (op == latch.OpNotLSB || op == latch.OpNotMSB):
+			// A complement of one page against itself is that page
+			// inverted: its own wordline senses it, with the op naming
+			// the slot the page sits in.
+			s = flash.Sense{Kind: flash.SensePair, Op: slotOp(latch.OpNotLSB, addrM.Kind), WLs: wls[:1]}
 		case samePlane && addrM.Kind == flash.MSBPage && addrN.Kind == flash.LSBPage:
 			s.Op = slotOp(op, addrM.Kind)
 		case samePlane && addrM.Kind == flash.LSBPage && addrN.Kind == flash.MSBPage:
@@ -110,7 +113,6 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 			// reallocation is needed.
 			wls[0], wls[1] = wls[1], wls[0]
 		default:
-			d.stats.Fallbacks++
 			d.noteFallback(SchemeLocFree)
 			return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
 		}
@@ -261,8 +263,8 @@ func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error)
 //     persist.OpWriteMWSGroup layout) into one multi-wordline sense per
 //     sense-margin-sized chunk; same-plane chunk results chain through
 //     the latches, cross-plane partials combine with buffered
-//     reallocation steps, strays and the XOR family fall back to the
-//     pairwise paths.
+//     reallocation steps, and strays and the XOR family fall back to the
+//     location-free paths.
 func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	if len(lpns) == 0 {
 		return BitwiseResult{}, ErrNeedOperands
@@ -321,7 +323,6 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			return BitwiseResult{}, err
 		}
 		if addr.Kind != flash.LSBPage || d.scrambled(lpn) {
-			d.stats.Fallbacks++
 			d.noteFallback(SchemeLocFree)
 			return d.reduceSerial(op, lpns, at)
 		}
@@ -405,7 +406,6 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			s.strays = append(s.strays, s.alignedLPNs...)
 		}
 		if len(s.strays) > 0 && f.started {
-			d.stats.Fallbacks++
 			d.noteFallback(SchemeLocFree)
 		}
 		for _, lpn := range s.strays {

@@ -66,7 +66,7 @@ type OpStats struct {
 	BitwiseOps     int64 // two-operand operations executed
 	Reallocations  int64 // operand reallocations performed
 	ReallocPages   int64 // pages written by reallocation
-	Fallbacks      int64 // scheme preconditions unmet, realloc fallback
+	Fallbacks      int64 // scheme preconditions unmet, a degraded path ran
 	ResultBytes    int64 // result bytes returned to the host
 	DescrambledOps int64 // operand reads that needed descrambling
 }

@@ -16,7 +16,9 @@ import (
 // operand. Whenever the single sense is ruled out — the op's algebra has
 // no MWS form, operands missed colocation, the operand count exceeds the
 // per-sense cap, or maintenance migrated pages mid-reduction — execution
-// degrades to the pairwise paths below instead of erroring.
+// degrades to the location-free paths instead of erroring: without
+// colocation the operands are ordinary pages, which ParaBit senses in
+// place wherever they are LSB pages of one plane.
 
 // blockKey identifies the NAND block an MWS selects wordlines of.
 type blockKey struct {
@@ -44,7 +46,6 @@ func (d *Device) bitwiseFlashCosmos(op latch.Op, lpnM, lpnN uint64,
 	}
 	// Colocation missed, or the op's algebra has no single-sense form:
 	// the documented fallback is the pairwise location-free execution.
-	d.stats.Fallbacks++
 	d.noteFallback(SchemeFlashCosmos)
 	return d.Bitwise(op, lpnM, lpnN, SchemeLocFree, at)
 }
@@ -56,8 +57,13 @@ func (d *Device) bitwiseFlashCosmos(op latch.Op, lpnM, lpnN uint64,
 // costs ceil(k/MaxMWSOperands) serialized senses; only cross-plane
 // partials combine with buffered reallocation steps. Operands outside
 // any viable chunk (lone residents of a block, non-LSB pages, pages a
-// mid-reduction migration moved) join the fold one reallocation step
-// each, counted as scheme fallbacks.
+// mid-reduction migration moved) are strays, counted as one scheme
+// fallback: two or more reduce together through reduceLocFree, so
+// same-plane LSB strays cost one chained sense and no program, and that
+// result joins the fold through one reallocation step; a lone stray
+// joins it directly, one reallocation step that reads it from flash
+// (the leftover PlanReduce prices). When no chunk forms at all, the
+// whole reduction is reduceLocFree's.
 //
 // Like reduceLocFree, placement is resolved twice: a pre-scan buckets
 // operands by their current block, and every plane run re-resolves its
@@ -69,7 +75,6 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 	if !latch.MWSComputable(op) || d.cfg.Geometry.CellBits != 2 {
 		// The XOR family has no multi-wordline sense form (and only MLC
 		// strings have the MWS mode here): whole-reduction fallback.
-		d.stats.Fallbacks++
 		d.noteFallback(SchemeFlashCosmos)
 		return d.reduceLocFree(op, lpns, at)
 	}
@@ -78,14 +83,14 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 	// non-LSB or scrambled page), keeping blocks in first-appearance
 	// order. Addresses seen here drive grouping only and are never sensed
 	// from.
-	s.keys, s.blockOf, s.strays = s.keys[:0], s.blockOf[:0], s.strays[:0]
+	s.keys, s.blockOf, s.fcStrays = s.keys[:0], s.blockOf[:0], s.fcStrays[:0]
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
 		if addr.Kind != flash.LSBPage || d.scrambled(lpn) {
-			s.strays = append(s.strays, lpn)
+			s.fcStrays = append(s.fcStrays, lpn)
 			s.blockOf = append(s.blockOf, -1)
 			continue
 		}
@@ -116,7 +121,7 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		}
 		g := s.grouped[start:]
 		if len(g) < 2 {
-			s.strays = append(s.strays, g...)
+			s.fcStrays = append(s.fcStrays, g...)
 			continue
 		}
 		if !slices.Contains(s.runPlanes, key.plane) {
@@ -127,11 +132,18 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 			chunk := g[:n]
 			g = g[n:]
 			if n < 2 {
-				s.strays = append(s.strays, chunk...)
+				s.fcStrays = append(s.fcStrays, chunk...)
 				continue
 			}
 			s.chunks = append(s.chunks, mwsChunk{plane: key.plane, lpns: chunk})
 		}
+	}
+	if len(s.chunks) == 0 {
+		// No block holds two of the operands: without colocation they are
+		// ordinary pages, and the whole reduction is location-free, as the
+		// XOR family's is.
+		d.noteFallback(SchemeFlashCosmos)
+		return d.reduceLocFree(op, lpns, at)
 	}
 	for _, run := range s.runPlanes {
 		// Re-resolve the run NOW, after whatever maintenance earlier
@@ -144,7 +156,7 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 			if chunk.plane != run {
 				continue
 			}
-			start, mark := len(s.wls), len(s.strays)
+			start, mark := len(s.wls), len(s.fcStrays)
 			for i, lpn := range chunk.lpns {
 				addr, err := d.operandLoc(lpn)
 				if err != nil {
@@ -154,12 +166,12 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 					addr.PlaneAddr == s.wls[start].PlaneAddr && addr.Block == s.wls[start].Block)) {
 					s.wls = append(s.wls, addr.WordlineAddr)
 				} else {
-					s.strays = append(s.strays, lpn)
+					s.fcStrays = append(s.fcStrays, lpn)
 				}
 			}
 			if len(s.wls)-start < 2 {
-				// The chunk scattered: everything folds pairwise.
-				s.wls, s.strays = s.wls[:start], append(s.strays[:mark], chunk.lpns...)
+				// The chunk scattered: all of it joins the strays.
+				s.wls, s.fcStrays = s.wls[:start], append(s.fcStrays[:mark], chunk.lpns...)
 				continue
 			}
 			pl := s.wls[start].PlaneAddr
@@ -188,16 +200,24 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 			}
 		}
 	}
-	// Strays missed the single-sense layout: the pairwise fallback, one
-	// reallocation step each.
-	if len(s.strays) > 0 {
-		d.stats.Fallbacks++
-		d.noteFallback(SchemeFlashCosmos)
+	// Strays missed the single-sense layout, so they are ordinary pages:
+	// two or more reduce as one location-free reduction (same-plane LSB
+	// strays chain in place, cross-plane ones park), whose buffered result
+	// joins the MWS partials. A lone stray folds in one reallocation step.
+	if len(s.fcStrays) == 0 {
+		return f.acc, nil
 	}
-	for _, lpn := range s.strays {
-		if err := f.add(onFlash(lpn), sim.Max(at, f.acc.Done)); err != nil {
+	d.noteFallback(SchemeFlashCosmos)
+	o := onFlash(s.fcStrays[0])
+	if len(s.fcStrays) > 1 {
+		res, err := d.reduceLocFree(op, s.fcStrays, at)
+		if err != nil {
 			return BitwiseResult{}, err
 		}
+		o = buffered(res)
+	}
+	if err := f.add(o, sim.Max(sim.Max(at, f.acc.Done), o.ready)); err != nil {
+		return BitwiseResult{}, err
 	}
 	return f.acc, nil
 }
@@ -205,26 +225,28 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 // reduceScratch is the working memory reduceLocFree and reduceFlashCosmos
 // reuse across calls, truncated on entry, so a reduction allocates only
 // the pages it produces. The device is single-threaded under the
-// scheduler, and the only nesting — reduceFlashCosmos handing a whole
-// reduction to reduceLocFree — happens before reduceFlashCosmos touches
-// the scratch. No field outlives the call that fills it.
+// scheduler. Its one nesting is reduceFlashCosmos calling reduceLocFree,
+// wholesale or for its strays. reduceLocFree writes only the fields
+// under its name, never fcStrays, which it may be handed as its operand
+// list, and reduceFlashCosmos reads none of its fields after that call.
+// No field outlives the call that fills it.
 type reduceScratch struct {
-	// strays are the operands that join the fold one reallocation step
-	// each, in fold order.
-	strays []uint64
-
 	// reduceLocFree: each operand's plane at pre-scan, the same-plane
-	// runs, and one run's chain and the LPNs of its aligned operands.
+	// runs, one run's chain and the LPNs of its aligned operands, and the
+	// run's strays, which join the fold one reallocation step each.
 	planes      []flash.PlaneAddr
 	runs        []lpnRun
 	chain       []flash.WordlineAddr
 	alignedLPNs []uint64
+	strays      []uint64
 
 	// reduceFlashCosmos: operand blocks in first-appearance order and each
 	// operand's index into them, the operands regrouped by block, the
 	// chunks and the planes of their runs; then one run's resolved
 	// wordlines, its chunks' windows of them, the planes those sense on,
-	// and one plane's chunks as handed to the array.
+	// and one plane's chunks as handed to the array; and the strays, in
+	// the order they left the chunks.
+	fcStrays    []uint64
 	keys        []blockKey
 	blockOf     []int
 	grouped     []uint64

@@ -117,8 +117,9 @@ func (d *Device) noteOp(op latch.Op, scheme Scheme, start, done sim.Time) {
 	d.tele.opTrack.Span(opSchemeSpan[op][scheme], start, done)
 }
 
-// noteFallback tags one scheme-precondition miss.
+// noteFallback counts and tags one scheme-precondition miss.
 func (d *Device) noteFallback(scheme Scheme) {
+	d.stats.Fallbacks++
 	if d.tele.sink == nil || int(scheme) >= teleSchemes {
 		return
 	}
