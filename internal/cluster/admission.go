@@ -69,16 +69,14 @@ type tenant struct {
 //parabit:lockorder tenant.mu < admitter.mu
 type admitter struct {
 	mu          sync.Mutex
-	def         QoS                // guarded by mu
 	tenants     map[string]*tenant // guarded by mu
 	rejectRate  *telemetry.Counter // guarded by mu
 	rejectQueue *telemetry.Counter // guarded by mu
 }
 
-func (a *admitter) init(def QoS) {
+func (a *admitter) init() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.def = def
 	a.tenants = make(map[string]*tenant)
 }
 
@@ -95,12 +93,14 @@ func (a *admitter) set(name string, q QoS) {
 	a.tenants[name] = &tenant{qos: q, tokens: q.burst()}
 }
 
+// get returns the tenant's bucket. A tenant that never called
+// SetTenantQoS gets the zero QoS: admitted without limit.
 func (a *admitter) get(name string) *tenant {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t, ok := a.tenants[name]
 	if !ok {
-		t = &tenant{qos: a.def, tokens: a.def.burst()}
+		t = &tenant{}
 		a.tenants[name] = t
 	}
 	return t

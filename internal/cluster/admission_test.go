@@ -11,7 +11,7 @@ import (
 
 func TestAdmissionRateLimit(t *testing.T) {
 	var a admitter
-	a.init(QoS{})
+	a.init()
 	a.set("limited", QoS{OpsPerSec: 2, Burst: 2})
 
 	// Burst admits two, then the bucket is dry.
@@ -44,7 +44,7 @@ func TestAdmissionRateLimit(t *testing.T) {
 
 func TestAdmissionQueueDepth(t *testing.T) {
 	var a admitter
-	a.init(QoS{})
+	a.init()
 	a.set("bounded", QoS{MaxInFlight: 2})
 
 	r1, err := a.admit("bounded", 0)
@@ -74,7 +74,7 @@ func TestAdmissionQueueDepth(t *testing.T) {
 // not double-penalize the tenant.
 func TestQueueRejectionDoesNotChargeRateToken(t *testing.T) {
 	var a admitter
-	a.init(QoS{})
+	a.init()
 	a.set("both", QoS{OpsPerSec: 1, Burst: 2, MaxInFlight: 1})
 	r1, err := a.admit("both", 0)
 	if err != nil {
@@ -102,7 +102,8 @@ func TestQueueRejectionDoesNotChargeRateToken(t *testing.T) {
 // rejection must charge exactly one of them.
 func TestRejectionCountingRacesTelemetryRebind(t *testing.T) {
 	var a admitter
-	a.init(QoS{MaxInFlight: 1})
+	a.init()
+	a.set("tenant", QoS{MaxInFlight: 1})
 	sink := telemetry.New()
 	rateA, queueA := sink.Counter("a.rate"), sink.Counter("a.queue")
 	rateB, queueB := sink.Counter("b.rate"), sink.Counter("b.queue")
@@ -149,25 +150,6 @@ func TestRejectionCountingRacesTelemetryRebind(t *testing.T) {
 	if got := rateA.Value() + rateB.Value(); got != 0 {
 		t.Fatalf("rate rejections counted = %d, want 0", got)
 	}
-}
-
-func TestAdmissionDefaultQoSAppliesToUnknownTenants(t *testing.T) {
-	var a admitter
-	a.init(QoS{MaxInFlight: 1})
-	r1, err := a.admit("anyone", 0)
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	if _, err := a.admit("anyone", 0); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("default QoS not applied: %v", err)
-	}
-	// Tenants are isolated: another name has its own bucket.
-	r2, err := a.admit("other", 0)
-	if err != nil {
-		t.Fatalf("isolated tenant rejected: %v", err)
-	}
-	r2()
-	r1()
 }
 
 func TestClusterEndToEndAdmission(t *testing.T) {

@@ -48,23 +48,23 @@ var (
 	ErrTooLarge = errors.New("cluster: column exceeds page size")
 )
 
+// Every shard projects virtualNodes points onto the placement ring, and
+// its NVMe submission queue holds queueDepth entries.
+const (
+	virtualNodes = 64
+	queueDepth   = 1024
+)
+
 // Config parameterizes a cluster.
 type Config struct {
 	// Shards is the initial shard count.
 	Shards int
-	// VirtualNodes is the number of ring points per shard (default 64).
-	VirtualNodes int
 	// Replicas is the number of shards each column is stored on
 	// (default 1; 2+ survives shard loss).
 	Replicas int
 	// Device configures every shard's SSD. The zero value means
 	// ssd.SmallConfig().
 	Device ssd.Config
-	// QueueDepth bounds each shard's NVMe submission queue (default 1024).
-	QueueDepth int
-	// DefaultQoS admits tenants that never called SetTenantQoS. The zero
-	// value admits everything.
-	DefaultQoS QoS
 	// PlacementOf maps a column key to its placement group: keys with
 	// equal groups hash to the same replica set and the same plane, so
 	// cross-column operations over one group run shard-locally and
@@ -83,17 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.VirtualNodes < 1 {
-		c.VirtualNodes = 64
-	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
 	}
 	if c.Device.Geometry.PageSize == 0 {
 		c.Device = ssd.SmallConfig()
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 1024
 	}
 	if c.PlacementOf == nil {
 		c.PlacementOf = func(key uint64) uint64 { return key }
@@ -253,11 +247,11 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:     cfg,
-		ring:    newRing(cfg.VirtualNodes),
+		ring:    newRing(virtualNodes),
 		shards:  make(map[int]*Shard),
 		columns: make(map[uint64]*column),
 	}
-	c.adm.init(cfg.DefaultQoS)
+	c.adm.init()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < cfg.Shards; i++ {
@@ -330,7 +324,7 @@ func (c *Cluster) addShardLocked() (*Shard, error) {
 		id:     c.nextID,
 		dev:    dev,
 		sched:  sched.New(dev),
-		qp:     nvme.NewQueuePair(c.cfg.QueueDepth),
+		qp:     nvme.NewQueuePair(queueDepth),
 		maxLPN: dev.UserPages(),
 	}
 	sh.alive.Store(true)
@@ -647,7 +641,7 @@ func (c *Cluster) RestartShard(id int) (ssd.RecoveryInfo, error) {
 	}
 	sh.dev = dev
 	sh.sched = sched.New(dev)
-	sh.qp = nvme.NewQueuePair(c.cfg.QueueDepth)
+	sh.qp = nvme.NewQueuePair(queueDepth)
 	if c.tele.sink != nil {
 		sh.sched.SetTelemetry(c.tele.sink.Scope(fmt.Sprintf("shard%d", id)))
 	}

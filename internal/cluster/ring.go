@@ -3,7 +3,7 @@ package cluster
 import "sort"
 
 // The placement ring is a consistent-hash ring with virtual nodes: each
-// shard projects VirtualNodes points onto a 64-bit circle, and a key
+// shard projects virtualNodes points onto a 64-bit circle, and a key
 // belongs to the first shard points clockwise of its hash. Adding or
 // removing a shard moves only the keys between its points and their
 // predecessors — roughly 1/N of the space — which is what keeps
@@ -20,12 +20,7 @@ type ring struct {
 	points []ringPoint // sorted by hash, ties broken by shard id
 }
 
-func newRing(vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 64
-	}
-	return &ring{vnodes: vnodes}
-}
+func newRing(vnodes int) *ring { return &ring{vnodes: vnodes} }
 
 // hash64 is the splitmix64 finalizer: a full-avalanche mix, so the small
 // sequential integers columns and vnodes use spread evenly on the circle.

@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -13,95 +12,11 @@ import (
 // (MLC sequences on a TLC array or vice versa).
 var ErrCellMode = errors.New("flash: operation not supported in this cell mode")
 
-// applyInto computes a ParaBit operation over whole pages into dst, 64 bits
-// at a time with a byte tail. dst may be the same slice as lsb, msb or
-// both — every word is loaded before it is stored — which is how a fold
-// accumulates in one result page. The latch package proves per-bit
-// equivalence between this kernel and the actual control sequences (see
-// TestKernelMatchesCircuit); the array uses the kernel so an 8 KB page op
-// is about a thousand word ops instead of 65536 circuit simulations.
-func applyInto(op latch.Op, dst, lsb, msb []byte) {
-	n := len(dst)
-	if len(lsb) != n || len(msb) != n {
-		panic(fmt.Sprintf("flash: page sizes differ: dst %d, lsb %d, msb %d", n, len(lsb), len(msb)))
-	}
-	// Every op is AND, OR or XOR of its inputs, optionally inverted; a NOT
-	// is the inverted AND of its one input with itself.
-	base, inv := foldBase(op), uint64(0)
-	switch op {
-	case latch.OpAnd, latch.OpOr, latch.OpXor:
-	case latch.OpNand, latch.OpNor, latch.OpXnor:
-		inv = ^uint64(0)
-	case latch.OpNotLSB:
-		base, inv, msb = latch.OpAnd, ^uint64(0), lsb
-	case latch.OpNotMSB:
-		base, inv, lsb = latch.OpAnd, ^uint64(0), msb
-	default:
-		panic(fmt.Sprintf("flash: unknown op %v", op))
-	}
-	// Reslicing every operand to n, and each word to [i:i+8], lets the
-	// compiler drop the per-load bounds checks.
-	le := binary.LittleEndian
-	lsb, msb = lsb[:n], msb[:n]
-	i := 0
-	switch base {
-	case latch.OpAnd:
-		for ; i+8 <= n; i += 8 {
-			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
-			le.PutUint64(d, le.Uint64(l)&le.Uint64(m)^inv)
-		}
-		for ; i < n; i++ {
-			dst[i] = lsb[i]&msb[i] ^ byte(inv)
-		}
-	case latch.OpOr:
-		for ; i+8 <= n; i += 8 {
-			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
-			le.PutUint64(d, (le.Uint64(l)|le.Uint64(m))^inv)
-		}
-		for ; i < n; i++ {
-			dst[i] = (lsb[i] | msb[i]) ^ byte(inv)
-		}
-	case latch.OpXor:
-		for ; i+8 <= n; i += 8 {
-			d, l, m := dst[i:i+8], lsb[i:i+8], msb[i:i+8]
-			le.PutUint64(d, le.Uint64(l)^le.Uint64(m)^inv)
-		}
-		for ; i < n; i++ {
-			dst[i] = lsb[i] ^ msb[i] ^ byte(inv)
-		}
-	}
-}
-
-// foldBase returns the associative operation a k-operand fold of op
-// accumulates with: a complementing op folds as its base and inverts once.
-func foldBase(op latch.Op) latch.Op {
-	switch op {
-	case latch.OpNand:
-		return latch.OpAnd
-	case latch.OpNor:
-		return latch.OpOr
-	case latch.OpXnor:
-		return latch.OpXor
-	}
-	return op
-}
-
-// foldPages folds two or more operand pages into one fresh page, which
-// every step after the first accumulates into in place. Each step but the
-// last applies op's base and the last applies op itself, so a
-// complementing op inverts in the same pass. The operand pages are only
-// read.
+// foldPages folds two or more operand pages into one fresh page with the
+// latch package's word-wide kernel. The operand pages are only read.
 func (a *Array) foldPages(op latch.Op, pages [][]byte) []byte {
 	out := make([]byte, a.geo.PageSize)
-	acc, base := pages[0], foldBase(op)
-	for i, p := range pages[1:] {
-		step := base
-		if i == len(pages)-2 {
-			step = op
-		}
-		applyInto(step, out, acc, p)
-		acc = out
-	}
+	op.Fold(out, pages)
 	return out
 }
 
@@ -229,7 +144,8 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 			// legality rails (latch.Validate and the latchseq analyzer) as
 			// every other sequence in the device and prices the sense in
 			// SROs; the word-wide kernel computes the data.
-			seq, err := latch.MWSProgram(foldBase(op), len(wls))
+			base, _ := op.Base()
+			seq, err := latch.MWSProgram(base, len(wls))
 			if err != nil {
 				if s.Kind == SenseChainMWS {
 					err = fmt.Errorf("flash: MWS chunk %d: %w", ci, err)

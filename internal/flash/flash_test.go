@@ -545,132 +545,6 @@ func TestCorruptorHookApplied(t *testing.T) {
 	}
 }
 
-// TestKernelMatchesCircuit is the bridge between the fast word-wide
-// kernels used on page data and the actual latching-circuit sequences:
-// for random operand bytes and every op, each result bit must equal the
-// circuit's OUT after running the real control sequence on that bit's cell.
-func TestKernelMatchesCircuit(t *testing.T) {
-	f := func(x, y byte, opIdx uint8) bool {
-		op := latch.Ops[int(opIdx)%len(latch.Ops)]
-		out := kernelOut(op, []byte{x}, []byte{y})[0]
-		for b := 0; b < 8; b++ {
-			cell := latch.FromBits(x&(1<<b) != 0, y&(1<<b) != 0)
-			c := latch.NewCircuit(latch.CellSensor{cell})
-			if c.Run(latch.ForOp(op)) != (out&(1<<b) != 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range latch.Ops {
-		checkKernelWide(t, op, circuitTable(latch.ForOp(op), func(l, m bool) latch.CellSensor {
-			return latch.CellSensor{latch.FromBits(l, m)}
-		}))
-	}
-}
-
-// Same bridge for the location-free sequences.
-func TestKernelMatchesLocFreeCircuit(t *testing.T) {
-	f := func(nByte, mByte byte, opIdx uint8) bool {
-		op := latch.BinaryOps[int(opIdx)%len(latch.BinaryOps)]
-		out := kernelOut(op, []byte{nByte}, []byte{mByte})[0]
-		for b := 0; b < 8; b++ {
-			n := nByte&(1<<b) != 0
-			m := mByte&(1<<b) != 0
-			// Cell 0 holds M in its MSB; cell 1 holds N in its LSB.
-			cells := latch.CellSensor{latch.FromBits(false, m), latch.FromBits(n, false)}
-			c := latch.NewCircuit(cells)
-			if c.Run(latch.ForOpLocFree(op)) != (out&(1<<b) != 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range latch.BinaryOps {
-		checkKernelWide(t, op, circuitTable(latch.ForOpLocFree(op), func(n, m bool) latch.CellSensor {
-			return latch.CellSensor{latch.FromBits(false, m), latch.FromBits(n, false)}
-		}))
-	}
-}
-
-// kernelOut runs applyInto into a fresh page.
-func kernelOut(op latch.Op, lsb, msb []byte) []byte {
-	out := make([]byte, len(lsb))
-	applyInto(op, out, lsb, msb)
-	return out
-}
-
-// circuitTable runs seq on the latching circuit once per operand-bit pair:
-// table[l][m] is OUT when the kernel's LSB operand bit is l and its MSB
-// operand bit is m, with the cells built by cells.
-func circuitTable(seq latch.Sequence, cells func(l, m bool) latch.CellSensor) (table [2][2]bool) {
-	for l := 0; l < 2; l++ {
-		for m := 0; m < 2; m++ {
-			table[l][m] = latch.NewCircuit(cells(l == 1, m == 1)).Run(seq)
-		}
-	}
-	return table
-}
-
-// checkKernelWide checks applyInto bit for bit against a circuit truth
-// table on random pages that reach the word-wide body: one word, a word
-// plus a byte tail, and a 256-byte page, besides the tail-only single
-// byte. Each width runs out of place and in place with dst aliasing the
-// LSB operand, the MSB operand, or both.
-func checkKernelWide(t *testing.T, op latch.Op, table [2][2]bool) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(op) + 1))
-	bit := func(p []byte, i int) int { return int(p[i/8]>>(i%8)) & 1 }
-	clone := func(p []byte) []byte { return append([]byte(nil), p...) }
-	for _, width := range []int{1, 8, 13, 256} {
-		for round := 0; round < 8; round++ {
-			lsb, msb := make([]byte, width), make([]byte, width)
-			rng.Read(lsb)
-			rng.Read(msb)
-			lsb0, msb0 := clone(lsb), clone(msb)
-			cases := []struct {
-				name string
-				run  func() []byte
-				l, m []byte // the operands the result must be computed from
-			}{
-				{"fresh", func() []byte { return kernelOut(op, lsb, msb) }, lsb0, msb0},
-				{"dst=lsb", func() []byte {
-					d := clone(lsb)
-					applyInto(op, d, d, msb)
-					return d
-				}, lsb0, msb0},
-				{"dst=msb", func() []byte {
-					d := clone(msb)
-					applyInto(op, d, lsb, d)
-					return d
-				}, lsb0, msb0},
-				{"dst=lsb=msb", func() []byte {
-					d := clone(lsb)
-					applyInto(op, d, d, d)
-					return d
-				}, lsb0, lsb0},
-			}
-			for _, c := range cases {
-				got := c.run()
-				for i := 0; i < 8*width; i++ {
-					if want := table[bit(c.l, i)][bit(c.m, i)]; (bit(got, i) == 1) != want {
-						t.Fatalf("%v %s width %d: bit %d = %d, circuit says %v", op, c.name, width, i, bit(got, i), want)
-					}
-				}
-			}
-			if !bytes.Equal(lsb, lsb0) || !bytes.Equal(msb, msb0) {
-				t.Fatalf("%v width %d: the kernel wrote to an operand it only reads", op, width)
-			}
-		}
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	a := testArray()
 	page := make([]byte, a.Geometry().PageSize)
@@ -789,34 +663,6 @@ func TestLocFreeLSBTiming(t *testing.T) {
 	}
 	if got := tm.BitwiseLatencyLocFreeLSB(latch.OpXor); got != 100*sim.Microsecond {
 		t.Errorf("LSB locfree XOR = %v, want 100µs (4 SROs)", got)
-	}
-}
-
-// Bridge: LSB location-free kernels equal the circuit per bit. The array
-// passes wordline m in the kernel's LSB slot and n in its MSB slot, so the
-// NOT pair inverts m (NOT-LSB) or n (NOT-MSB) as the sequences do.
-func TestKernelMatchesLocFreeLSBCircuit(t *testing.T) {
-	f := func(mByte, nByte byte, opIdx uint8) bool {
-		op := latch.Ops[int(opIdx)%len(latch.Ops)]
-		out := kernelOut(op, []byte{mByte}, []byte{nByte})[0]
-		for b := 0; b < 8; b++ {
-			m := mByte&(1<<b) != 0
-			nn := nByte&(1<<b) != 0
-			cells := latch.CellSensor{latch.FromBits(m, false), latch.FromBits(nn, false)}
-			c := latch.NewCircuit(cells)
-			if c.Run(latch.ForOpLocFreeLSB(op)) != (out&(1<<b) != 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range latch.Ops {
-		checkKernelWide(t, op, circuitTable(latch.ForOpLocFreeLSB(op), func(m, n bool) latch.CellSensor {
-			return latch.CellSensor{latch.FromBits(m, false), latch.FromBits(n, false)}
-		}))
 	}
 }
 

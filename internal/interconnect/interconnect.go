@@ -18,11 +18,9 @@ import (
 // Link is a one-direction-at-a-time transfer channel with an effective
 // sustained bandwidth and a fixed per-transfer setup latency.
 type Link struct {
-	name       string
 	bytesPerNs float64
 	setup      sim.Duration
 	bus        *sim.Resource
-	moved      int64
 }
 
 // PCIeGen3x4ToDRAM returns the SSD->DRAM link of the PIM configuration,
@@ -47,15 +45,11 @@ func NewLink(name string, gbPerSec float64, setup sim.Duration) *Link {
 		panic("interconnect: negative setup latency")
 	}
 	return &Link{
-		name:       name,
 		bytesPerNs: gbPerSec,
 		setup:      setup,
 		bus:        sim.NewResource(name),
 	}
 }
-
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
 
 // BytesPerSecond returns the effective bandwidth in bytes/second.
 func (l *Link) BytesPerSecond() float64 { return l.bytesPerNs * 1e9 }
@@ -77,21 +71,11 @@ func (l *Link) InstrumentBus(obs sim.ReserveObserver) { l.bus.SetObserver(obs) }
 // returns when the transfer completes. Concurrent requests serialize.
 func (l *Link) Transfer(n int64, at sim.Time) sim.Time {
 	_, end := l.bus.ReserveLabeled(at, l.TransferTime(n), "transfer")
-	l.moved += n
 	return end
 }
 
-// Moved returns total bytes transferred over the link's lifetime.
-func (l *Link) Moved() int64 { return l.moved }
-
-// FreeAt returns when the link next goes idle.
-func (l *Link) FreeAt() sim.Time { return l.bus.FreeAt() }
-
-// Reset returns the link to idle at t=0 and clears the byte counter.
-func (l *Link) Reset() {
-	l.bus.Reset()
-	l.moved = 0
-}
+// Reset returns the link to idle at t=0.
+func (l *Link) Reset() { l.bus.Reset() }
 
 // BulkSeconds is the analytic helper the paper-scale experiments use:
 // the time in seconds to stream n bytes at the link's sustained rate,

@@ -44,9 +44,6 @@ func TestTransfersSerialize(t *testing.T) {
 	if d1 != sim.Time(1000) || d2 != sim.Time(2000) {
 		t.Fatalf("transfers completed at %v, %v", d1, d2)
 	}
-	if l.Moved() != 2000 {
-		t.Fatalf("moved = %d", l.Moved())
-	}
 }
 
 func TestTransferAfterIdle(t *testing.T) {
@@ -61,8 +58,10 @@ func TestReset(t *testing.T) {
 	l := NewLink("test", 2.0, 0)
 	l.Transfer(100, 0)
 	l.Reset()
-	if l.Moved() != 0 || l.FreeAt() != 0 {
-		t.Fatal("reset incomplete")
+	// An idle link at t=0 starts the next transfer at once: 100 B at
+	// 2 B/ns completes at 50 ns.
+	if done := l.Transfer(100, 0); done != sim.Time(50) {
+		t.Fatalf("post-reset transfer done at %v, want 50ns", done)
 	}
 }
 

@@ -204,11 +204,6 @@ func RoundTrip(f Formula, pageSize int) ([]Batch, error) {
 	wire := make([]Command, len(cmds))
 	for i, c := range cmds {
 		wire[i] = Decode(c.LBA, c.Encode())
-		// OpNone cannot cross the 3-bit wire field; restore it from the
-		// formula's shape the way real firmware would (final batch).
-		if wire[i].OperandTag == 1 && c.ExtraOp == OpNone {
-			wire[i].ExtraOp = OpNone
-		}
 	}
 	return ParseBatches(wire, pageSize)
 }

@@ -150,9 +150,9 @@ func (c Command) Encode() DWords {
 }
 
 // opFromWire reads a 3-bit field that, with the paper's "8 types" packing,
-// cannot represent OpNone explicitly; absence is signaled by context (a
-// tag-1 command of the final batch clears PointerValid and the field is
-// ignored). Decode restores OpNone for those.
+// cannot represent OpNone explicitly. Absence is signaled by context
+// instead: ParseBatches marks the final batch HasNext=false, and every
+// consumer ignores that batch's extra op.
 func opFromWire(v uint32) OpCode { return OpCode(v & opMask) }
 
 // Decode unpacks reserved DWords into a command with the given LBA.

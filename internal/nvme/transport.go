@@ -18,13 +18,6 @@ import (
 // depth: the serving layer's back-pressure signal.
 var ErrQueueFull = errors.New("nvme: submission queue full")
 
-// WireCommand is one submission-queue entry as it crosses the host/device
-// boundary.
-type WireCommand struct {
-	LBA uint64
-	DW  DWords
-}
-
 // QueuePairStats counts transport activity.
 type QueuePairStats struct {
 	// Submitted counts entries accepted onto the submission queue,
@@ -44,7 +37,6 @@ type QueuePairStats struct {
 type QueuePair struct {
 	mu    sync.Mutex
 	depth int            // immutable after NewQueuePair
-	sq    []WireCommand  // guarded by mu
 	stats QueuePairStats // guarded by mu
 }
 
@@ -57,9 +49,6 @@ func NewQueuePair(depth int) *QueuePair {
 	return &QueuePair{depth: depth}
 }
 
-// Depth returns the submission queue's capacity.
-func (q *QueuePair) Depth() int { return q.depth }
-
 // Stats returns a snapshot of transport counters.
 func (q *QueuePair) Stats() QueuePairStats {
 	q.mu.Lock()
@@ -67,64 +56,28 @@ func (q *QueuePair) Stats() QueuePairStats {
 	return q.stats
 }
 
-// submitLocked encodes commands onto the submission queue.
-func (q *QueuePair) submitLocked(cmds []Command) error {
-	if len(cmds) > q.depth-len(q.sq) {
-		q.stats.Rejected += int64(len(cmds))
-		return fmt.Errorf("%w: %d entries for %d free slots",
-			ErrQueueFull, len(cmds), q.depth-len(q.sq))
-	}
-	for _, c := range cmds {
-		q.sq = append(q.sq, WireCommand{LBA: c.LBA, DW: c.Encode()})
-	}
-	q.stats.Submitted += int64(len(cmds))
-	if len(q.sq) > q.stats.MaxDepth {
-		q.stats.MaxDepth = len(q.sq)
-	}
-	return nil
-}
-
-// drainLocked consumes and decodes every queued entry.
-func (q *QueuePair) drainLocked() []Command {
-	out := make([]Command, len(q.sq))
-	for i, wc := range q.sq {
-		out[i] = Decode(wc.LBA, wc.DW)
-	}
-	q.stats.Drained += int64(len(out))
-	q.sq = q.sq[:0]
-	return out
-}
-
-// Submit encodes the host-side commands onto the submission queue,
-// failing with ErrQueueFull when the stream does not fit the free slots.
-func (q *QueuePair) Submit(cmds []Command) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.submitLocked(cmds)
-}
-
-// Drain is the device side: it consumes every queued entry, decoding the
-// wire form back into commands in submission order.
-func (q *QueuePair) Drain() []Command {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.drainLocked()
-}
-
 // Exchange pushes one command stream across the boundary atomically:
-// submit, device-side drain, decode. The returned commands are what the
-// device firmware sees — everything that did not survive the wire
-// encoding is gone. Concurrent exchanges never interleave their streams.
+// encode onto the submission queue, device-side drain, decode. The
+// returned commands are what the device firmware sees — everything that
+// did not survive the wire encoding is gone. A stream longer than the
+// queue's depth fails with ErrQueueFull. Concurrent exchanges never
+// interleave their streams.
 func (q *QueuePair) Exchange(cmds []Command) ([]Command, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.sq) != 0 {
-		// A plain Submit left entries pending; drain them first so the
-		// exchange returns only its own stream.
-		return nil, fmt.Errorf("nvme: exchange with %d entries pending", len(q.sq))
+	if len(cmds) > q.depth {
+		q.stats.Rejected += int64(len(cmds))
+		return nil, fmt.Errorf("%w: %d entries for %d free slots",
+			ErrQueueFull, len(cmds), q.depth)
 	}
-	if err := q.submitLocked(cmds); err != nil {
-		return nil, err
+	out := make([]Command, len(cmds))
+	for i, c := range cmds {
+		out[i] = Decode(c.LBA, c.Encode())
 	}
-	return q.drainLocked(), nil
+	q.stats.Submitted += int64(len(cmds))
+	q.stats.Drained += int64(len(cmds))
+	if len(cmds) > q.stats.MaxDepth {
+		q.stats.MaxDepth = len(cmds)
+	}
+	return out, nil
 }

@@ -68,29 +68,6 @@ func TestQueuePairBoundsDepth(t *testing.T) {
 	}
 }
 
-func TestQueuePairSubmitDrain(t *testing.T) {
-	const pageSize = 256
-	cmds := testFormula(t, pageSize)
-	qp := NewQueuePair(16)
-	if err := qp.Submit(cmds); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if qp.Depth() != 16 {
-		t.Fatalf("depth = %d", qp.Depth())
-	}
-	// Exchange refuses to interleave with pending entries.
-	if _, err := qp.Exchange(cmds); err == nil {
-		t.Fatal("exchange over pending entries should fail")
-	}
-	got := qp.Drain()
-	if len(got) != len(cmds) {
-		t.Fatalf("drained %d, want %d", len(got), len(cmds))
-	}
-	if again := qp.Drain(); len(again) != 0 {
-		t.Fatalf("second drain returned %d entries", len(again))
-	}
-}
-
 func TestQueuePairConcurrentExchangesDoNotShear(t *testing.T) {
 	const pageSize = 256
 	cmds := testFormula(t, pageSize)

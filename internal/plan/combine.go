@@ -10,46 +10,27 @@ import (
 // in host software: the gather half of a scatter/gather query, where
 // sub-expressions executed on different devices and only their result
 // bytes are available. NOT takes exactly one page; the associative ops
-// fold left to right with the same base-op/complement decomposition the
-// in-flash chains use, so the bytes match a device execution of the same
-// node exactly.
+// fold left to right. Both run the latch package's page kernel, the one
+// the flash array computes sense results with, so the bytes match a
+// device execution of the same node exactly.
 func Combine(op latch.Op, pages [][]byte) ([]byte, error) {
 	if op == latch.OpNotLSB || op == latch.OpNotMSB {
 		if len(pages) != 1 {
 			return nil, fmt.Errorf("%w: NOT over %d pages", ErrBadExpr, len(pages))
 		}
-		out := append([]byte(nil), pages[0]...)
-		for i := range out {
-			out[i] = ^out[i]
-		}
+		out := make([]byte, len(pages[0]))
+		op.Apply(out, pages[0], pages[0])
 		return out, nil
 	}
 	if len(pages) < 2 {
 		return nil, fmt.Errorf("%w: %s over %d pages", ErrBadExpr, op, len(pages))
 	}
-	base, invert := baseOp(op)
-	acc := append([]byte(nil), pages[0]...)
 	for _, p := range pages[1:] {
-		if len(p) != len(acc) {
-			return nil, fmt.Errorf("%w: page sizes %d vs %d", ErrBadExpr, len(p), len(acc))
-		}
-		for i := range acc {
-			switch base {
-			case latch.OpAnd:
-				acc[i] &= p[i]
-			case latch.OpOr:
-				acc[i] |= p[i]
-			case latch.OpXor:
-				acc[i] ^= p[i]
-			default:
-				return nil, fmt.Errorf("%w: %s is not an associative base op", ErrBadExpr, base)
-			}
+		if len(p) != len(pages[0]) {
+			return nil, fmt.Errorf("%w: page sizes %d vs %d", ErrBadExpr, len(p), len(pages[0]))
 		}
 	}
-	if invert {
-		for i := range acc {
-			acc[i] = ^acc[i]
-		}
-	}
-	return acc, nil
+	out := make([]byte, len(pages[0]))
+	op.Fold(out, pages)
+	return out, nil
 }

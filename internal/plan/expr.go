@@ -171,7 +171,7 @@ func (e *Expr) Eval(read func(lpn uint64) ([]byte, error)) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, invert := baseOp(e.Op)
+	base, invert := e.Op.Base()
 	for _, a := range e.Args[1:] {
 		p, err := a.Eval(read)
 		if err != nil {
@@ -197,22 +197,6 @@ func (e *Expr) Eval(read func(lpn uint64) ([]byte, error)) ([]byte, error) {
 		}
 	}
 	return acc, nil
-}
-
-// baseOp splits an operation into its associative accumulator and a final
-// complement: NAND folds as AND-then-invert, NOR as OR-then-invert, XNOR
-// as XOR-then-invert — the same decomposition the chained latch sequences
-// use (flash.ChainCostLSB).
-func baseOp(op latch.Op) (latch.Op, bool) {
-	switch op {
-	case latch.OpNand:
-		return latch.OpAnd, true
-	case latch.OpNor:
-		return latch.OpOr, true
-	case latch.OpXnor:
-		return latch.OpXor, true
-	}
-	return op, false
 }
 
 // String renders the expression in the parser's infix syntax.

@@ -531,7 +531,7 @@ func TestCompileEvalMatchesPlanSemantics(t *testing.T) {
 				results[i] = d
 			default:
 				acc := argData(st.Args[0])
-				base, invert := baseOp(st.Op)
+				base, invert := st.Op.Base()
 				for _, r := range st.Args[1:] {
 					d := argData(r)
 					for j := range acc {

@@ -550,31 +550,16 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 			break
 		}
 		br, err := s.dev.Bitwise(c.Op, c.LPNs[0], c.LPNs[1], c.Scheme, issue)
-		if err == nil && c.ToHost {
-			s.dev.ShipToHost(&br)
-		}
-		r.Data, r.Err = br.Data, err
-		if err == nil {
-			r.Done, r.HostDone = br.Done, br.HostDone
-		}
+		s.deliver(&r, br, err, c.ToHost)
 	case KindBitwiseTriple:
 		if r.Err = needLPNs(c, 3); r.Err != nil {
 			break
 		}
 		br, err := s.dev.BitwiseTriple(c.Op3, [3]uint64{c.LPNs[0], c.LPNs[1], c.LPNs[2]}, issue)
-		r.Data, r.Err = br.Data, err
-		if err == nil {
-			r.Done, r.HostDone = br.Done, br.HostDone
-		}
+		s.deliver(&r, br, err, false)
 	case KindReduce:
 		br, err := s.dev.Reduce(c.Op, c.LPNs, c.Scheme, issue)
-		if err == nil && c.ToHost {
-			s.dev.ShipToHost(&br)
-		}
-		r.Data, r.Err = br.Data, err
-		if err == nil {
-			r.Done, r.HostDone = br.Done, br.HostDone
-		}
+		s.deliver(&r, br, err, c.ToHost)
 	case KindFormula:
 		fr, err := s.dev.ExecuteFormula(c.Formula, c.Scheme, issue)
 		r.Pages, r.Err = fr.Pages, err
@@ -583,15 +568,23 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 		}
 	case KindQuery:
 		br, err := s.dev.ExecuteQuery(c.Query, c.Scheme, issue)
-		if err == nil && c.ToHost {
-			s.dev.ShipToHost(&br)
-		}
-		r.Data, r.Err = br.Data, err
-		if err == nil {
-			r.Done, r.HostDone = br.Done, br.HostDone
-		}
+		s.deliver(&r, br, err, c.ToHost)
 	}
 	return r
+}
+
+// deliver hands one computation's outcome to its result: on success it
+// ships the result page to the host first when toHost asks for it, then
+// takes the completion times. A failed computation keeps r's times at
+// issue.
+func (s *Scheduler) deliver(r *Result, br ssd.BitwiseResult, err error, toHost bool) {
+	if err == nil && toHost {
+		s.dev.ShipToHost(&br)
+	}
+	r.Data, r.Err = br.Data, err
+	if err == nil {
+		r.Done, r.HostDone = br.Done, br.HostDone
+	}
 }
 
 // Flush dispatches every pending command and returns the virtual clock

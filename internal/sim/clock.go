@@ -1,19 +1,15 @@
-// Package sim provides a minimal discrete-event simulation kernel used by
-// the flash, SSD, PIM and ISC models. Time is virtual and measured in
-// nanoseconds; nothing in this package sleeps or touches the wall clock.
+// Package sim provides the virtual time the flash, SSD, PIM and ISC models
+// compute in. Time is measured in nanoseconds; nothing in this package
+// sleeps or touches the wall clock.
 //
-// The kernel is deliberately small: device models in this repository are
-// mostly resource-occupancy models (a plane is busy for 25 µs, a channel
-// transfers a page for 5 µs, ...), so the two primitives offered here are a
-// virtual clock with an event queue and a Resource that serializes busy
-// intervals.
+// Device models in this repository are resource-occupancy models (a plane
+// is busy for 25 µs, a channel transfers a page for 5 µs, ...): they only
+// track operation durations under SSD parallelism. So the package offers
+// two primitives, virtual Time/Duration values and a Resource that
+// serializes busy intervals, and no event queue.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -57,95 +53,3 @@ func Max(a, b Time) Time {
 	}
 	return b
 }
-
-// event is a scheduled callback.
-type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among simultaneous events
-	fire func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine owns a virtual clock and an event queue. It is not safe for
-// concurrent use; device models are single-threaded over the engine.
-type Engine struct {
-	now    Time
-	queue  eventQueue
-	nextID uint64
-}
-
-// NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
-
-// Schedule registers fn to run at absolute virtual time at. Scheduling in
-// the past panics: it always indicates a modeling bug rather than a
-// recoverable condition.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.nextID++
-	heap.Push(&e.queue, &event{at: at, seq: e.nextID, fire: fn})
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func()) {
-	e.Schedule(e.now.Add(d), fn)
-}
-
-// Step fires the earliest pending event, advancing the clock to its time.
-// It reports whether an event was fired.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.at
-	ev.fire()
-	return true
-}
-
-// Run fires events until the queue is empty and returns the final time.
-func (e *Engine) Run() Time {
-	for e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil fires events with timestamps <= deadline, leaving later events
-// queued, and advances the clock to deadline if it ends earlier.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -6,17 +6,12 @@ package sim
 // serialized in arrival order, which is how command queuing behaves in the
 // devices being modeled.
 //
-// Resource performs no callback scheduling itself — it is pure occupancy
-// bookkeeping, usable both inside an Engine-driven model and in analytic
-// code that just wants to know when a pipeline stage would drain.
+// Resource performs no callback scheduling — it is pure occupancy
+// bookkeeping: a reservation returns when the work would start and end.
 type Resource struct {
 	name string
 	// freeAt is the first instant the resource is idle.
 	freeAt Time
-	// busy accumulates total occupied time, for utilization reporting.
-	busy Duration
-	// ops counts reservations.
-	ops int64
 	// obs, when set, receives every reservation (telemetry tracing).
 	obs ReserveObserver
 }
@@ -49,8 +44,6 @@ func (r *Resource) ReserveLabeled(at Time, d Duration, label string) (start, end
 	start = Max(at, r.freeAt)
 	end = start.Add(d)
 	r.freeAt = end
-	r.busy += d
-	r.ops++
 	if r.obs != nil {
 		r.obs(label, start, end)
 	}
@@ -63,96 +56,5 @@ func (r *Resource) SetObserver(obs ReserveObserver) { r.obs = obs }
 // FreeAt returns the earliest instant at which new work could start.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
-// BusyTime returns total reserved time.
-func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Ops returns the number of reservations made.
-func (r *Resource) Ops() int64 { return r.ops }
-
-// Reset returns the resource to idle at time zero, clearing statistics.
-func (r *Resource) Reset() {
-	r.freeAt = 0
-	r.busy = 0
-	r.ops = 0
-}
-
-// Utilization reports busy time as a fraction of the window [0, horizon].
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}
-
-// Pool is a set of identical resources with round-robin-free dispatch:
-// work goes to the resource that frees earliest, matching how a controller
-// issues page operations to the least-loaded plane.
-type Pool struct {
-	members []*Resource
-}
-
-// NewPool creates n resources named prefix-0 .. prefix-(n-1).
-func NewPool(prefix string, n int) *Pool {
-	p := &Pool{members: make([]*Resource, n)}
-	for i := range p.members {
-		p.members[i] = NewResource(poolName(prefix, i))
-	}
-	return p
-}
-
-func poolName(prefix string, i int) string {
-	return prefix + "-" + itoa(i)
-}
-
-// itoa avoids importing strconv for two call sites; resource construction
-// is not hot, but keeping sim dependency-free keeps it trivially portable.
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
-}
-
-// Size returns the number of members in the pool.
-func (p *Pool) Size() int { return len(p.members) }
-
-// Member returns the i'th resource.
-func (p *Pool) Member(i int) *Resource { return p.members[i] }
-
-// Reserve books duration d on the member that can start earliest.
-func (p *Pool) Reserve(at Time, d Duration) (r *Resource, start, end Time) {
-	best := p.members[0]
-	for _, m := range p.members[1:] {
-		if m.freeAt < best.freeAt {
-			best = m
-		}
-	}
-	start, end = best.Reserve(at, d)
-	return best, start, end
-}
-
-// DrainTime returns the latest FreeAt across members — when all queued
-// work completes.
-func (p *Pool) DrainTime() Time {
-	var t Time
-	for _, m := range p.members {
-		if m.freeAt > t {
-			t = m.freeAt
-		}
-	}
-	return t
-}
-
-// Reset resets every member.
-func (p *Pool) Reset() {
-	for _, m := range p.members {
-		m.Reset()
-	}
-}
+// Reset returns the resource to idle at time zero.
+func (r *Resource) Reset() { r.freeAt = 0 }

@@ -5,87 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Fatalf("final time = %v, want 30ns", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events fired in order %v", order)
-	}
-}
-
-func TestEngineFIFOAmongSimultaneous(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events reordered: %v", order)
-		}
-	}
-}
-
-func TestEngineAfterChains(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.After(5, func() {
-		fired = append(fired, e.Now())
-		e.After(7, func() { fired = append(fired, e.Now()) })
-	})
-	e.Run()
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 12 {
-		t.Fatalf("chained events at %v, want [5 12]", fired)
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(5, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(10, func() { count++ })
-	e.Schedule(20, func() { count++ })
-	e.Schedule(30, func() { count++ })
-	e.RunUntil(20)
-	if count != 2 {
-		t.Fatalf("fired %d events by t=20, want 2", count)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock at %v, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("%d pending, want 1", e.Pending())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(500)
-	if e.Now() != 500 {
-		t.Fatalf("idle clock at %v, want 500", e.Now())
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	r := NewResource("plane")
 	s1, e1 := r.Reserve(0, 100)
@@ -101,59 +20,6 @@ func TestResourceSerializes(t *testing.T) {
 	s3, _ := r.Reserve(1000, 10)
 	if s3 != 1000 {
 		t.Fatalf("post-gap reservation starts at %v, want 1000", s3)
-	}
-	if r.BusyTime() != 140 {
-		t.Fatalf("busy time %v, want 140", r.BusyTime())
-	}
-	if r.Ops() != 3 {
-		t.Fatalf("ops %d, want 3", r.Ops())
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	r := NewResource("bus")
-	r.Reserve(0, 250)
-	if got := r.Utilization(1000); got != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("utilization with zero horizon = %v, want 0", got)
-	}
-}
-
-func TestPoolPicksEarliestFree(t *testing.T) {
-	p := NewPool("plane", 2)
-	r1, _, _ := p.Reserve(0, 100)
-	r2, _, _ := p.Reserve(0, 50)
-	if r1 == r2 {
-		t.Fatal("two concurrent reservations landed on the same member")
-	}
-	// Member busy until 50 frees first; third op should land there.
-	r3, start, _ := p.Reserve(0, 10)
-	if r3 != r2 || start != 50 {
-		t.Fatalf("third op on %s at %v, want earliest-free member at 50", r3.Name(), start)
-	}
-	if p.DrainTime() != 100 {
-		t.Fatalf("drain time %v, want 100", p.DrainTime())
-	}
-}
-
-func TestPoolNames(t *testing.T) {
-	p := NewPool("chip", 12)
-	if got := p.Member(0).Name(); got != "chip-0" {
-		t.Fatalf("member 0 named %q", got)
-	}
-	if got := p.Member(11).Name(); got != "chip-11" {
-		t.Fatalf("member 11 named %q", got)
-	}
-}
-
-func TestPoolReset(t *testing.T) {
-	p := NewPool("die", 3)
-	p.Reserve(0, 100)
-	p.Reset()
-	if p.DrainTime() != 0 {
-		t.Fatal("reset pool still busy")
 	}
 }
 

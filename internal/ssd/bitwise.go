@@ -18,7 +18,6 @@ type BitwiseResult struct {
 	// ResultLPN is where the result was persisted when the caller asked
 	// for a stored result (chained operations); 0 when not stored.
 	ResultLPN uint64
-	Stored    bool
 	Done      sim.Time // result in controller buffer
 	HostDone  sim.Time // result delivered to host (0 if not shipped)
 }
@@ -212,7 +211,8 @@ type fold struct {
 }
 
 // add joins o to the fold, issuing its reads and reallocation at at. A
-// first operand still on flash is read as is.
+// first operand still on flash is read into the buffer, descrambling as
+// needed.
 func (f *fold) add(o operand, at sim.Time) error {
 	var err error
 	switch {
@@ -221,7 +221,7 @@ func (f *fold) add(o operand, at sim.Time) error {
 	case o.data != nil:
 		f.acc = BitwiseResult{Data: o.data, Done: o.ready}
 	default:
-		f.acc.Data, f.acc.Done, err = f.d.Read(o.lpn, at)
+		f.acc.Data, f.acc.Done, err = f.d.readOperand(o.lpn, at)
 	}
 	f.started = true
 	return err
@@ -278,7 +278,7 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 		// A fold over one operand is the operand: planner-generated
 		// degenerate expressions (e.g. a chain whose other arms were
 		// cached) resolve to a plain read, not an error.
-		data, done, err := d.Read(lpns[0], at)
+		data, done, err := d.readOperand(lpns[0], at)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
@@ -439,7 +439,7 @@ func (d *Device) reducePreAlloc(op latch.Op, lpns []uint64, at sim.Time) (Bitwis
 		parts = append(parts, buffered(r))
 	}
 	if i < len(lpns) {
-		data, done, err := d.Read(lpns[i], at)
+		data, done, err := d.readOperand(lpns[i], at)
 		if err != nil {
 			return BitwiseResult{}, err
 		}

@@ -270,8 +270,9 @@ func (d *Device) ReadToHost(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 	return data, done, nil
 }
 
-// readOperand reads an operand page for reallocation, descrambling if the
-// page was stored scrambled (the firmware path §4.3.2 describes).
+// readOperand reads an operand page into the controller buffer for a
+// computation, descrambling if the page was stored scrambled (the firmware
+// path §4.3.2 describes) and counting each descramble.
 func (d *Device) readOperand(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 	data, done, err := d.ftl.Read(lpn, at)
 	if err != nil {

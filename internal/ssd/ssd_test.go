@@ -322,6 +322,32 @@ func TestReduceCorrectAllSchemes(t *testing.T) {
 	}
 }
 
+// TestReduceCountsEveryDescramble pins the descramble count: a reduction
+// over k scrambled operands descrambles each one once, whichever scheme
+// and whichever read path (the fold's first operand, PreAlloc's odd
+// leftover, the one-operand shortcut) brings it into the buffer.
+func TestReduceCountsEveryDescramble(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		for _, scheme := range Schemes {
+			d := newDevice(t)
+			lpns, pages := make([]uint64, k), make([][]byte, k)
+			for i := range lpns {
+				lpns[i], pages[i] = uint64(i), randPage(d, int64(200+i))
+				if _, err := d.WritePages(persist.OpWrite, 0, lpns[i:i+1], pages[i:i+1], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := d.Stats().DescrambledOps
+			if _, err := d.Reduce(latch.OpAnd, lpns, scheme, 0); err != nil {
+				t.Fatalf("%v k=%d: %v", scheme, k, err)
+			}
+			if got := d.Stats().DescrambledOps - before; got != int64(k) {
+				t.Errorf("%v k=%d: %d descrambles, want %d", scheme, k, got, k)
+			}
+		}
+	}
+}
+
 func TestReduceSchemeCostOrdering(t *testing.T) {
 	// The §5.3.2 ordering on a k-ary AND reduction:
 	// LocFree < PreAlloc < ReAlloc in completion time, and
