@@ -33,12 +33,6 @@ const (
 	RouteScatter Route = "scatter"
 )
 
-// hostCombineCost models the front end folding result pages in host
-// memory: a conservative 4 bytes per simulated nanosecond per input page.
-func hostCombineCost(pages, bytes int) sim.Duration {
-	return sim.Duration(pages * bytes / 4)
-}
-
 // QueryResult is a routed query's outcome.
 type QueryResult struct {
 	// Data is the result page, byte-identical to a single-device
@@ -169,7 +163,7 @@ func (c *Cluster) route(e *plan.Expr, scheme ssd.Scheme) (QueryResult, error) {
 	}
 	return QueryResult{
 		Data:    out,
-		Elapsed: slowest + hostCombineCost(len(pages), len(out)),
+		Elapsed: slowest + plan.CombineCost(len(pages), len(out)),
 		Route:   RouteScatter,
 	}, nil
 }

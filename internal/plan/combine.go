@@ -4,7 +4,15 @@ import (
 	"fmt"
 
 	"parabit/internal/latch"
+	"parabit/internal/sim"
 )
+
+// CombineCost models folding result pages in a buffer outside the flash
+// array, in the controller or on the host: a conservative 4 bytes per
+// simulated nanosecond per input page.
+func CombineCost(pages, bytes int) sim.Duration {
+	return sim.Duration(pages * bytes / 4)
+}
 
 // Combine applies one operation across already-materialized result pages
 // in host software: the gather half of a scatter/gather query, where

@@ -14,7 +14,9 @@ import (
 // operands of one plane that share no block, which it hands whole to the
 // location-free chain. The senses allocate only their result pages and
 // the reductions reuse device-owned scratch, so one reduction allocates
-// one object: the result page its single chained sense returns.
+// one object: the result page its single chained sense returns. Over two
+// planes it allocates one page per plane's partial and nothing for the
+// controller combine that joins them.
 func TestReduceAllocationCeiling(t *testing.T) {
 	group := func(op persist.Op) func(*testing.T, *Device, []uint64, [][]byte) {
 		return func(t *testing.T, d *Device, lpns []uint64, pages [][]byte) {
@@ -25,6 +27,23 @@ func TestReduceAllocationCeiling(t *testing.T) {
 	}
 	spread := func(t *testing.T, d *Device, lpns []uint64, pages [][]byte) {
 		writeSpread(t, d, 0, lpns, pages)
+	}
+	alternating := func(t *testing.T, d *Device, lpns []uint64, pages [][]byte) {
+		for i := range lpns {
+			if _, err := d.WritePages(persist.OpWriteOnPlane, i%2, lpns[i:i+1], pages[i:i+1], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	twoGroups := func(t *testing.T, d *Device, lpns []uint64, pages [][]byte) {
+		half := len(lpns) / 2
+		group(persist.OpWriteMWSGroup)(t, d, lpns[:half], pages[:half])
+		group(persist.OpWriteMWSGroup)(t, d, lpns[half:], pages[half:])
+		a, _ := d.FTL().Lookup(lpns[0])
+		b, _ := d.FTL().Lookup(lpns[half])
+		if a.PlaneAddr == b.PlaneAddr {
+			t.Fatalf("both block groups landed on plane %v", a.PlaneAddr)
+		}
 	}
 	const runs = 100
 	cases := []struct {
@@ -40,6 +59,10 @@ func TestReduceAllocationCeiling(t *testing.T) {
 		{"locfree-lsb-group", SchemeLocFree, group(persist.OpWriteLSBGroup), 8, 1, 0},
 		{"fc-block-group", SchemeFlashCosmos, group(persist.OpWriteMWSGroup), 12, 1, 0},
 		{"fc-on-plane-strays", SchemeFlashCosmos, spread, 8, 1, runs + 1},
+		// Across planes, one page per plane's partial: the combine folds
+		// in place into the first.
+		{"locfree-cross-plane", SchemeLocFree, alternating, 8, 2, 0},
+		{"fc-cross-plane-chunks", SchemeFlashCosmos, twoGroups, 12, 2, 0},
 	}
 	for _, tc := range cases {
 		d := newDevice(t)

@@ -2,11 +2,13 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
+	"parabit/internal/plan"
 	"parabit/internal/sim"
 )
 
@@ -201,8 +203,9 @@ func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult,
 
 // fold combines operands left to right with one op, as §4.2's chained
 // use does: the first operand becomes the running result acc, and each
-// later one joins it through one reallocation step. Every reduction and
-// query step that combines results outside one sense goes through it.
+// later one joins it through one reallocation step. The reallocating
+// reductions and every query step that combines results outside one
+// sense go through it; the sense-only reductions combine instead.
 type fold struct {
 	d       *Device
 	op      latch.Op
@@ -225,6 +228,39 @@ func (f *fold) add(o operand, at sim.Time) error {
 	}
 	f.started = true
 	return err
+}
+
+// combine folds the partial pages of one reduction in the controller
+// buffer, in place into the first partial, with the page kernel: the
+// partials never go back to flash. The result is ready once the latest
+// partial is, plus the combine itself (plan.CombineCost). A lone partial
+// is the result as it stands.
+type combine struct {
+	d     *Device
+	op    latch.Op // AND, OR or XOR: its own associative base
+	acc   BitwiseResult
+	parts int
+}
+
+// add folds one partial page, in the buffer since done, into the result.
+func (c *combine) add(data []byte, done sim.Time) {
+	if c.parts == 0 {
+		c.acc = BitwiseResult{Data: data, Done: done}
+	} else {
+		c.op.Apply(c.acc.Data, c.acc.Data, data)
+		c.acc.Done = sim.Max(c.acc.Done, done)
+	}
+	c.parts++
+}
+
+// result returns the combined page, charging the combine when there was
+// more than one partial.
+func (c *combine) result() BitwiseResult {
+	if c.parts > 1 {
+		c.acc.Done = c.acc.Done.Add(plan.CombineCost(c.parts, len(c.acc.Data)))
+		c.d.tele.cCombine.Add(1)
+	}
+	return c.acc
 }
 
 // storeResult persists a controller-buffer result page into the internal
@@ -257,13 +293,15 @@ func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error)
 //     aligned LSB pages on one plane (the persist.OpWriteLSBGroup layout),
 //     the whole reduction is a single chained operation per §4.2: AND/OR
 //     accumulate in the latches at one extra sense per operand, the XOR
-//     family pays a buffer round-trip per step. Misaligned operands fall
-//     back to pairwise execution with plane-aligned result parking.
+//     family pays a buffer round-trip per step. Operands on several
+//     planes chain per plane, in parallel, and the partial pages combine
+//     in the controller buffer; an MSB or scrambled operand falls back to
+//     ReAlloc.
 //   - SchemeFlashCosmos collapses each block-colocated operand group (the
 //     persist.OpWriteMWSGroup layout) into one multi-wordline sense per
 //     sense-margin-sized chunk; same-plane chunk results chain through
-//     the latches, cross-plane partials combine with buffered
-//     reallocation steps, and strays and the XOR family fall back to the
+//     the latches, cross-plane partials combine in the controller
+//     buffer, and strays and the XOR family fall back to the
 //     location-free paths.
 func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	if len(lpns) == 0 {
@@ -297,26 +335,24 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 	return BitwiseResult{}, fmt.Errorf("ssd: unknown scheme %v", scheme)
 }
 
-// reduceLocFree reduces via chained location-free sensing. If all
-// operands sit in LSB pages of one plane, one chained operation does the
-// whole fold; otherwise same-plane runs chain and the partial results are
-// parked aligned with the next run. An MSB or scrambled operand sends the
-// whole reduction down the reallocating path.
+// reduceLocFree reduces via chained location-free sensing, without
+// reallocation. Operands group by plane, in first-appearance order: a
+// group of two or more aligned LSB operands is one chained sense, a lone
+// operand one read, and every group issues at at, so planes run in
+// parallel. One group's chained sense is the result; across planes the
+// partial pages combine in the controller buffer. An MSB or scrambled
+// operand sends the whole reduction down the reallocating path.
 //
-// Layouts are resolved per run, immediately before sensing. The parking
-// writes between runs go through the FTL's fault-aware program path, and
-// a program fault (bad-block retirement), garbage collection, or block
-// reclaim triggered there migrates mapped pages — including this
-// reduction's own operands. A WordlineAddr captured before such a
-// migration is stale: the victim block is erased after its valid pages
-// move, so folding against it senses erased cells. Operands a migration
-// pushed out of a run's chain (off-plane, or no longer LSB) join the
-// fold through a reallocation step instead.
+// Each group resolves its operands immediately before its own sense: a
+// lone operand's read can cross the read-reclaim threshold, and the
+// reclaim migrates mapped pages, including this reduction's own
+// operands. An operand that has left its group's plane is read rather
+// than sensed.
 func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (BitwiseResult, error) {
 	s := &d.red
-	// Pre-scan for run grouping and the fallback decision only; the
-	// wordline addresses seen here are NOT reused for sensing.
-	s.planes = s.planes[:0]
+	// Pre-scan for grouping and the fallback decision only; the wordline
+	// addresses seen here are NOT reused for sensing.
+	s.planes, s.groups = s.planes[:0], s.groups[:0]
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
@@ -326,61 +362,24 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			d.noteFallback(SchemeLocFree)
 			return d.reduceSerial(op, lpns, at)
 		}
-		s.planes = append(s.planes, addr.WordlineAddr.PlaneAddr)
-	}
-	// Split into same-plane runs of LPNs, chain each, then park run
-	// results aligned and chain again until one remains. Runs are
-	// contiguous, so each one is a window of lpns.
-	s.runs = s.runs[:0]
-	for start, i := 0, 1; i <= len(lpns); i++ {
-		if i == len(lpns) || s.planes[i] != s.planes[start] {
-			s.runs = append(s.runs, lpnRun{start: start, end: i, plane: s.planes[start]})
-			start = i
+		pl := addr.WordlineAddr.PlaneAddr
+		s.planes = append(s.planes, pl)
+		if !slices.Contains(s.groups, pl) {
+			s.groups = append(s.groups, pl)
 		}
 	}
-
-	f := fold{d: d, op: op}
-	for _, r := range s.runs {
-		ready := at
-		parked := false
-		var parkWL flash.WordlineAddr
-		if f.started {
-			// Park the running result on this run's plane so it joins
-			// the chain.
-			lpn, err := d.allocInternal()
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			park := ftl.Layout{Shape: ftl.LSBOnly, Fixed: true, Plane: d.cfg.Geometry.PlaneIndex(r.plane), Extra: true}
-			done, err := d.ftl.Place(park, []uint64{lpn}, [][]byte{f.acc.Data}, sim.Max(f.acc.Done, at))
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			d.plain.add(lpn)
-			ready = done
-			// The write itself re-steers around program faults, but
-			// verify where the page actually landed rather than trusting
-			// the requested plane.
-			if addr, ok := d.ftl.Lookup(lpn); ok &&
-				addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == r.plane {
-				parked, parkWL = true, addr.WordlineAddr
-			}
-		}
-		// Resolve this run's layout NOW, after whatever maintenance the
-		// parking write triggered: still-aligned operands chain, migrated
-		// ones join the fold below.
-		// The chain holds the parked partial, if any, then the aligned
-		// operands; alignedLPNs names the latter.
+	c := combine{d: d, op: op}
+	for _, g := range s.groups {
 		s.chain, s.alignedLPNs, s.strays = s.chain[:0], s.alignedLPNs[:0], s.strays[:0]
-		if parked {
-			s.chain = append(s.chain, parkWL)
-		}
-		for _, lpn := range lpns[r.start:r.end] {
+		for i, lpn := range lpns {
+			if s.planes[i] != g {
+				continue
+			}
 			addr, err := d.operandLoc(lpn)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == r.plane {
+			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == g {
 				s.chain = append(s.chain, addr.WordlineAddr)
 				s.alignedLPNs = append(s.alignedLPNs, lpn)
 			} else {
@@ -388,33 +387,25 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			}
 		}
 		if len(s.chain) >= 2 {
-			res, err := d.runSense(flash.Sense{Kind: flash.SenseChainLSB, Op: op, WLs: s.chain}, ready, op, SchemeLocFree, ready)
+			res, err := d.runSense(flash.Sense{Kind: flash.SenseChainLSB, Op: op, WLs: s.chain}, at, op, SchemeLocFree, at)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			// A chain that holds the parked partial replaces it; otherwise
-			// the result starts the fold, or joins a partial whose parked
-			// page landed off-plane.
-			if parked {
-				f.acc = res
-			} else if err := f.add(buffered(res), ready); err != nil {
-				return BitwiseResult{}, err
-			}
+			c.add(res.Data, res.Done)
 		} else {
-			// Too short to chain: a lone aligned operand folds like a
-			// stray; a parked-but-alone partial is already in the fold.
+			// Too short to chain: a lone aligned operand is read like a
+			// stray.
 			s.strays = append(s.strays, s.alignedLPNs...)
 		}
-		if len(s.strays) > 0 && f.started {
-			d.noteFallback(SchemeLocFree)
-		}
 		for _, lpn := range s.strays {
-			if err := f.add(onFlash(lpn), sim.Max(ready, f.acc.Done)); err != nil {
+			data, done, err := d.readOperand(lpn, at)
+			if err != nil {
 				return BitwiseResult{}, err
 			}
+			c.add(data, done)
 		}
 	}
-	return f.acc, nil
+	return c.result(), nil
 }
 
 // reducePreAlloc senses pre-paired operands in parallel, then serially

@@ -3,6 +3,7 @@ package ssd
 import (
 	"parabit/internal/flash"
 	"parabit/internal/latch"
+	"parabit/internal/plan"
 	"parabit/internal/sim"
 )
 
@@ -73,7 +74,8 @@ type ReducePlan struct {
 	// SenseSeconds is the parallel-sense phase (pre-allocated pairs or
 	// location-free chains).
 	SenseSeconds float64
-	// CombineSeconds is the serial combine phase (reallocation steps).
+	// CombineSeconds is the serial combine phase: reallocation steps, or
+	// a read and a controller combine.
 	CombineSeconds float64
 	// TotalSeconds is the in-SSD compute time.
 	TotalSeconds float64
@@ -98,8 +100,9 @@ type ReducePlan struct {
 //     read 1), each `waves` waves.
 //   - LocFree: `waves` chained waves, no reallocation.
 //   - FlashCosmos: one multi-wordline sense per MaxMWSOperands-sized
-//     chunk plus buffered combine steps between chunks; the XOR family
-//     (no MWS form) is priced as its LocFree fallback.
+//     chunk, chained on the plane, plus a read and a controller combine
+//     for a lone leftover operand; the XOR family (no MWS form) is priced
+//     as its LocFree fallback.
 func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, k int, columnBytes int64) ReducePlan {
 	waves := float64(columnBytes) / float64(geo.WaveBytes())
 	if waves < 1 {
@@ -146,8 +149,8 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 		// group lays out in one block (persist.OpWriteMWSGroup), so chunk
 		// results chain through the plane's latches: the senses serialize
 		// on the plane's sense unit but no program separates them. A lone
-		// leftover operand has no sense of its own: it folds in one extra
-		// realloc step that reads it from flash.
+		// leftover operand has no sense of its own: it is read after the
+		// chunks and joins their result in one controller combine.
 		var sense sim.Duration
 		lone := false
 		for rem := k; rem > 0; {
@@ -164,8 +167,8 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 		}
 		p.SenseSeconds = waves * sense.Seconds()
 		if lone {
-			p.CombineSeconds = waves * ReallocStepLatency(t, op, 1, geo.PageSize).Seconds()
-			p.Reallocations = 1
+			read := t.ReadLatency(flash.LSBPage) + t.Transfer(geo.PageSize)
+			p.CombineSeconds = waves * (read + plan.CombineCost(2, geo.PageSize)).Seconds()
 		}
 	}
 	p.TotalSeconds = p.SenseSeconds + p.CombineSeconds

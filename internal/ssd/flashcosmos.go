@@ -14,9 +14,9 @@ import (
 // latency is one (slightly longer) read regardless of operand count,
 // where the pairwise schemes pay one sense or one reallocation per
 // operand. Whenever the single sense is ruled out — the op's algebra has
-// no MWS form, operands missed colocation, the operand count exceeds the
-// per-sense cap, or maintenance migrated pages mid-reduction — execution
-// degrades to the location-free paths instead of erroring: without
+// no MWS form, operands missed colocation, or the operand count leaves
+// one over the per-sense cap — execution degrades to the location-free
+// paths instead of erroring: without
 // colocation the operands are ordinary pages, which ParaBit senses in
 // place wherever they are LSB pages of one plane.
 
@@ -54,23 +54,14 @@ func (d *Device) bitwiseFlashCosmos(op latch.Op, lpnM, lpnN uint64,
 // by block, one MWS per MaxMWSOperands-sized chunk. Chunks that share a
 // plane chain through the plane's latches in one array call (no program
 // between chunks, like the location-free chain), so a k-operand group
-// costs ceil(k/MaxMWSOperands) serialized senses; only cross-plane
-// partials combine with buffered reallocation steps. Operands outside
-// any viable chunk (lone residents of a block, non-LSB pages, pages a
-// mid-reduction migration moved) are strays, counted as one scheme
-// fallback: two or more reduce together through reduceLocFree, so
-// same-plane LSB strays cost one chained sense and no program, and that
-// result joins the fold through one reallocation step; a lone stray
-// joins it directly, one reallocation step that reads it from flash
-// (the leftover PlanReduce prices). When no chunk forms at all, the
-// whole reduction is reduceLocFree's.
-//
-// Like reduceLocFree, placement is resolved twice: a pre-scan buckets
-// operands by their current block, and every plane run re-resolves its
-// operands immediately before sensing — the cross-plane combine writes
-// between runs go through the FTL's fault-aware program path, and the
-// garbage collection or bad-block retirement they trigger migrates
-// mapped pages, including this reduction's own operands.
+// costs ceil(k/MaxMWSOperands) serialized senses. Operands outside any
+// viable chunk (lone residents of a block, non-LSB pages) are strays,
+// counted as one scheme fallback: two or more reduce together through
+// reduceLocFree, so same-plane LSB strays cost one chained sense and no
+// program, and a lone stray is read. Every plane's partial, the strays'
+// result among them, issues at at and joins in one controller combine;
+// nothing goes back to flash. When no chunk forms at all, the whole
+// reduction is reduceLocFree's.
 func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (BitwiseResult, error) {
 	if !latch.MWSComputable(op) || d.cfg.Geometry.CellBits != 2 {
 		// The XOR family has no multi-wordline sense form (and only MLC
@@ -79,10 +70,10 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		return d.reduceLocFree(op, lpns, at)
 	}
 	s := &d.red
-	// Pre-scan: note each operand's current block (-1 for a stray: a
-	// non-LSB or scrambled page), keeping blocks in first-appearance
-	// order. Addresses seen here drive grouping only and are never sensed
-	// from.
+	// Note each operand's block (-1 for a stray: a non-LSB or scrambled
+	// page), keeping blocks in first-appearance order. Nothing between
+	// here and the senses migrates a page, so these addresses are the
+	// ones sensed.
 	s.keys, s.blockOf, s.fcStrays = s.keys[:0], s.blockOf[:0], s.fcStrays[:0]
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
@@ -103,39 +94,31 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		s.blockOf = append(s.blockOf, b)
 	}
 
-	// Chunk results fold as they come: the first starts the fold, later
-	// ones join it through a reallocation step (partials cannot rejoin an
-	// MWS — a sealed operand block has no room for them).
-	f := fold{d: d, op: op}
 	// Split each block's group, in operand order, into sense-margin-sized
-	// chunks. A chunk belongs to its block's plane run: every chunk of a
-	// run senses on the same plane, so its results can accumulate in that
-	// plane's latches. Runs take their planes' first-appearance order.
-	s.grouped, s.chunks, s.runPlanes = s.grouped[:0], s.chunks[:0], s.runPlanes[:0]
+	// chunks, windows of wls. Every chunk of a plane senses in one call, so
+	// its results accumulate in that plane's latches. Planes take their
+	// first-appearance order.
+	s.grouped, s.wls, s.chunks, s.runPlanes = s.grouped[:0], s.wls[:0], s.chunks[:0], s.runPlanes[:0]
 	for b, key := range s.keys {
-		start := len(s.grouped)
+		start := len(s.wls)
 		for i, lpn := range lpns {
 			if s.blockOf[i] == b {
+				addr, _ := d.ftl.Lookup(lpn)
 				s.grouped = append(s.grouped, lpn)
+				s.wls = append(s.wls, addr.WordlineAddr)
 			}
 		}
-		g := s.grouped[start:]
-		if len(g) < 2 {
-			s.fcStrays = append(s.fcStrays, g...)
-			continue
-		}
-		if !slices.Contains(s.runPlanes, key.plane) {
-			s.runPlanes = append(s.runPlanes, key.plane)
-		}
-		for len(g) > 0 {
-			n := min(len(g), latch.MaxMWSOperands)
-			chunk := g[:n]
-			g = g[n:]
-			if n < 2 {
-				s.fcStrays = append(s.fcStrays, chunk...)
-				continue
+		for start < len(s.wls) {
+			end := min(len(s.wls), start+latch.MaxMWSOperands)
+			if end-start < 2 {
+				s.fcStrays = append(s.fcStrays, s.grouped[start:end]...)
+			} else {
+				s.chunks = append(s.chunks, wlSpan{plane: key.plane, start: start, end: end})
+				if !slices.Contains(s.runPlanes, key.plane) {
+					s.runPlanes = append(s.runPlanes, key.plane)
+				}
 			}
-			s.chunks = append(s.chunks, mwsChunk{plane: key.plane, lpns: chunk})
+			start = end
 		}
 	}
 	if len(s.chunks) == 0 {
@@ -145,81 +128,42 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		d.noteFallback(SchemeFlashCosmos)
 		return d.reduceLocFree(op, lpns, at)
 	}
-	for _, run := range s.runPlanes {
-		// Re-resolve the run NOW, after whatever maintenance earlier
-		// cross-plane combines triggered: still-colocated chunks sense
-		// together, migrated operands join the fold as strays.
-		// A migration may also have moved a whole chunk off this run's
-		// plane, so resolved chunks re-bucket by their actual plane.
-		s.wls, s.resolved, s.sensePlanes = s.wls[:0], s.resolved[:0], s.sensePlanes[:0]
-		for _, chunk := range s.chunks {
-			if chunk.plane != run {
-				continue
-			}
-			start, mark := len(s.wls), len(s.fcStrays)
-			for i, lpn := range chunk.lpns {
-				addr, err := d.operandLoc(lpn)
-				if err != nil {
-					return BitwiseResult{}, err
-				}
-				if addr.Kind == flash.LSBPage && (i == 0 || (len(s.wls) > start &&
-					addr.PlaneAddr == s.wls[start].PlaneAddr && addr.Block == s.wls[start].Block)) {
-					s.wls = append(s.wls, addr.WordlineAddr)
-				} else {
-					s.fcStrays = append(s.fcStrays, lpn)
-				}
-			}
-			if len(s.wls)-start < 2 {
-				// The chunk scattered: all of it joins the strays.
-				s.wls, s.fcStrays = s.wls[:start], append(s.fcStrays[:mark], chunk.lpns...)
-				continue
-			}
-			pl := s.wls[start].PlaneAddr
-			if !slices.Contains(s.sensePlanes, pl) {
-				s.sensePlanes = append(s.sensePlanes, pl)
-			}
-			s.resolved = append(s.resolved, wlSpan{plane: pl, start: start, end: len(s.wls)})
-		}
-		for _, pl := range s.sensePlanes {
-			s.chunkWLs = s.chunkWLs[:0]
-			for _, r := range s.resolved {
-				if r.plane == pl {
-					s.chunkWLs = append(s.chunkWLs, s.wls[r.start:r.end])
-				}
-			}
-			sense := flash.Sense{Kind: flash.SenseChainMWS, Op: op, Chunks: s.chunkWLs}
-			if len(s.chunkWLs) == 1 {
-				sense = flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: s.chunkWLs[0]}
-			}
-			res, err := d.runSense(sense, at, op, SchemeFlashCosmos, at)
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			if err := f.add(buffered(res), sim.Max(f.acc.Done, res.Done)); err != nil {
-				return BitwiseResult{}, err
+	c := combine{d: d, op: op}
+	for _, pl := range s.runPlanes {
+		s.chunkWLs = s.chunkWLs[:0]
+		for _, ch := range s.chunks {
+			if ch.plane == pl {
+				s.chunkWLs = append(s.chunkWLs, s.wls[ch.start:ch.end])
 			}
 		}
-	}
-	// Strays missed the single-sense layout, so they are ordinary pages:
-	// two or more reduce as one location-free reduction (same-plane LSB
-	// strays chain in place, cross-plane ones park), whose buffered result
-	// joins the MWS partials. A lone stray folds in one reallocation step.
-	if len(s.fcStrays) == 0 {
-		return f.acc, nil
-	}
-	d.noteFallback(SchemeFlashCosmos)
-	o := onFlash(s.fcStrays[0])
-	if len(s.fcStrays) > 1 {
-		res, err := d.reduceLocFree(op, s.fcStrays, at)
+		sense := flash.Sense{Kind: flash.SenseChainMWS, Op: op, Chunks: s.chunkWLs}
+		if len(s.chunkWLs) == 1 {
+			sense = flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: s.chunkWLs[0]}
+		}
+		res, err := d.runSense(sense, at, op, SchemeFlashCosmos, at)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
-		o = buffered(res)
+		c.add(res.Data, res.Done)
 	}
-	if err := f.add(o, sim.Max(sim.Max(at, f.acc.Done), o.ready)); err != nil {
-		return BitwiseResult{}, err
+	// Strays missed the single-sense layout, so they are ordinary pages:
+	// two or more reduce as one location-free reduction, a lone one is
+	// read, and either joins the MWS partials in the combine.
+	if len(s.fcStrays) > 0 {
+		d.noteFallback(SchemeFlashCosmos)
+		var r BitwiseResult
+		var err error
+		if len(s.fcStrays) == 1 {
+			r.Data, r.Done, err = d.readOperand(s.fcStrays[0], at)
+		} else {
+			r, err = d.reduceLocFree(op, s.fcStrays, at)
+		}
+		if err != nil {
+			return BitwiseResult{}, err
+		}
+		c.add(r.Data, r.Done)
 	}
-	return f.acc, nil
+	return c.result(), nil
 }
 
 // reduceScratch is the working memory reduceLocFree and reduceFlashCosmos
@@ -231,49 +175,32 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 // list, and reduceFlashCosmos reads none of its fields after that call.
 // No field outlives the call that fills it.
 type reduceScratch struct {
-	// reduceLocFree: each operand's plane at pre-scan, the same-plane
-	// runs, one run's chain and the LPNs of its aligned operands, and the
-	// run's strays, which join the fold one reallocation step each.
+	// reduceLocFree: each operand's plane at pre-scan and the planes in
+	// first-appearance order (its groups); then one group's chain, the
+	// LPNs of its aligned operands, and its strays, which are read.
 	planes      []flash.PlaneAddr
-	runs        []lpnRun
+	groups      []flash.PlaneAddr
 	chain       []flash.WordlineAddr
 	alignedLPNs []uint64
 	strays      []uint64
 
 	// reduceFlashCosmos: operand blocks in first-appearance order and each
-	// operand's index into them, the operands regrouped by block, the
-	// chunks and the planes of their runs; then one run's resolved
-	// wordlines, its chunks' windows of them, the planes those sense on,
-	// and one plane's chunks as handed to the array; and the strays, in
-	// the order they left the chunks.
-	fcStrays    []uint64
-	keys        []blockKey
-	blockOf     []int
-	grouped     []uint64
-	chunks      []mwsChunk
-	runPlanes   []flash.PlaneAddr
-	wls         []flash.WordlineAddr
-	resolved    []wlSpan
-	sensePlanes []flash.PlaneAddr
-	chunkWLs    [][]flash.WordlineAddr
+	// operand's index into them; the operands regrouped by block with
+	// their wordlines, the chunks (windows of those wordlines) and the
+	// planes they sense on; one plane's chunks as handed to the array; and
+	// the strays, in the order they left the chunks.
+	fcStrays  []uint64
+	keys      []blockKey
+	blockOf   []int
+	grouped   []uint64
+	wls       []flash.WordlineAddr
+	chunks    []wlSpan
+	runPlanes []flash.PlaneAddr
+	chunkWLs  [][]flash.WordlineAddr
 }
 
-// lpnRun is a window lpns[start:end] of a reduction's operands sharing a
-// plane.
-type lpnRun struct {
-	start, end int
-	plane      flash.PlaneAddr
-}
-
-// mwsChunk is up to MaxMWSOperands operands of one block, planned for one
-// multi-wordline sense on plane.
-type mwsChunk struct {
-	plane flash.PlaneAddr
-	lpns  []uint64
-}
-
-// wlSpan is a resolved chunk: the window wls[start:end] of wordlines
-// sensing together on plane.
+// wlSpan is a chunk: the window wls[start:end] of wordlines of one block
+// on plane, sensing together.
 type wlSpan struct {
 	plane      flash.PlaneAddr
 	start, end int

@@ -8,6 +8,7 @@ import (
 	"parabit/internal/latch"
 	"parabit/internal/persist"
 	"parabit/internal/sim"
+	"parabit/internal/telemetry"
 )
 
 // writeSpread writes each page to plane alone and fills the rest of its
@@ -101,11 +102,14 @@ func TestFlashCosmosStraysSenseLocationFree(t *testing.T) {
 }
 
 // TestFlashCosmosChunkPlusStrays: one multi-wordline chunk beside three
-// strays on one plane. The chunk is one MWS, the strays one location-free
-// chain, and the two partials join in exactly one reallocation step.
+// strays on another plane. The chunk is one MWS, the strays one
+// location-free chain, and the two partials join in exactly one
+// controller combine: no reallocation, no program.
 func TestFlashCosmosChunkPlusStrays(t *testing.T) {
 	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr} {
 		d := newDevice(t)
+		sink := telemetry.New()
+		d.SetTelemetry(sink)
 		group, groupPages := spreadOperands(d, 0, 4)
 		if _, err := d.WritePages(persist.OpWriteMWSGroup, 0, group, groupPages, 0); err != nil {
 			t.Fatal(err)
@@ -124,8 +128,14 @@ func TestFlashCosmosChunkPlusStrays(t *testing.T) {
 			t.Fatalf("%v: result differs from the software fold", op)
 		}
 		after := d.Array().Stats()
-		if n := d.Stats().Reallocations; n != 1 {
-			t.Errorf("%v: %d reallocations, want 1", op, n)
+		if n := d.Stats().Reallocations; n != 0 {
+			t.Errorf("%v: %d reallocations, want 0", op, n)
+		}
+		if n := after.Programs - before.Programs; n != 0 {
+			t.Errorf("%v: %d programs, want 0", op, n)
+		}
+		if n := sink.Counter("ssd.combine.controller").Value(); n != 1 {
+			t.Errorf("%v: %d controller combines, want 1", op, n)
 		}
 		if n := after.MWSSenses - before.MWSSenses; n != 1 {
 			t.Errorf("%v: %d multi-wordline senses, want 1", op, n)

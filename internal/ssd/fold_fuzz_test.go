@@ -44,11 +44,13 @@ const (
 	numFuzzModes
 )
 
-// fuzzConfig is tinyConfig with 16 blocks of 8 wordlines: room for a
-// twelve-operand reallocating reduction and a full-width MWS group, small
-// enough that a primed plane collects garbage mid-reduction.
-func fuzzConfig() Config {
+// fuzzConfig is tinyConfig with 16 blocks of 8 wordlines on planes
+// planes: room for a twelve-operand reallocating reduction and a
+// full-width MWS group, small enough that a primed plane collects garbage
+// mid-reduction.
+func fuzzConfig(planes int) Config {
 	cfg := tinyConfig()
+	cfg.Geometry.PlanesPerDie = planes
 	cfg.Geometry.BlocksPerPlane = 16
 	cfg.Geometry.WordlinesPerBlock = 8
 	return cfg
@@ -101,11 +103,14 @@ func fuzzTree(in *fuzzBytes, lpns []uint64, depth int) *plan.Expr {
 	return fuzzOpExpr(op, fuzzTree(in, lpns, depth-1), fuzzTree(in, lpns, depth-1))
 }
 
-// fuzzPlace writes the operands in the placements the input draws. With
-// prime set, the last two operands are written first as the victims of a
-// plane primed so that the next block-opening write there collects them
-// (see fillPlaneForGC).
+// fuzzPlace writes the operands in the placements the input draws. A
+// fuzzPlane1 operand goes to plane 1 on two planes and, with more, to one
+// of planes 1 and up by its position, so runs of them spread one operand
+// per plane. With prime set, the last two operands are written first as
+// the victims of a plane primed so that the next block-opening write
+// there collects them (see fillPlaneForGC).
 func fuzzPlace(t *testing.T, d *Device, in *fuzzBytes, lpns []uint64, prime bool, content map[uint64][]byte) {
+	planes := d.cfg.Geometry.Planes()
 	if prime && len(lpns) >= 2 {
 		fillPlaneForGC(t, d, 1, lpns[len(lpns)-2:], content)
 		lpns = lpns[:len(lpns)-2]
@@ -119,8 +124,10 @@ func fuzzPlace(t *testing.T, d *Device, in *fuzzBytes, lpns []uint64, prime bool
 			op = persist.OpWriteOperand
 		case fuzzScrambled:
 			op = persist.OpWrite
-		case fuzzPlane0, fuzzPlane1:
-			op, plane = persist.OpWriteOnPlane, layout-fuzzPlane0
+		case fuzzPlane0:
+			op = persist.OpWriteOnPlane
+		case fuzzPlane1:
+			op, plane = persist.OpWriteOnPlane, 1+i%(planes-1)
 		case fuzzPair:
 			op, run = persist.OpWritePair, 2
 		case fuzzLSBGroup:
@@ -152,11 +159,14 @@ func fuzzPlace(t *testing.T, d *Device, in *fuzzBytes, lpns []uint64, prime bool
 // checks the result against plan.Expr.Eval over the written pages. A
 // query runs twice, the second time from the result cache. The only
 // refusals accepted are running out of space: the internal pool or the
-// device. The seed corpus covers each mode, every placement, and garbage
-// collection in the middle of a reduction.
+// device. The seed corpus covers each mode, every placement, garbage
+// collection in the middle of a reduction, and reductions spread over
+// two to four planes.
 //
-// Input layout: mode, scheme, op, operand count, GC-priming flag, then
-// the placement draws, then the operand order or the query tree.
+// Input layout: mode, scheme, op, operand count, a flags byte (bit 0
+// primes garbage collection; the byte halved, mod 3, adds planes to the
+// two), then the placement draws, then the operand order or the query
+// tree.
 func FuzzDeviceFold(f *testing.F) {
 	f.Add([]byte{fuzzBitwise, 0, 0, 2, 0, fuzzPair})
 	f.Add([]byte{fuzzBitwise, 2, 6, 2, 0, fuzzPlane1, fuzzPlane1})
@@ -174,6 +184,18 @@ func FuzzDeviceFold(f *testing.F) {
 		f.Add([]byte{fuzzReduce, scheme, 5, 4, 1, fuzzPlane0, fuzzPlane0})
 		f.Add([]byte{fuzzQuery, scheme, 0, 4, 1, fuzzPlane0, fuzzPlane0, 1, 0, 0, 1, 2, 2, 3})
 	}
+	// Location-free and Flash-Cosmos reductions over three and four
+	// planes (flags 2 and 4): lone operands per plane, chains beside lone
+	// operands, and block groups beside spread strays, each combining
+	// its partials in the controller buffer.
+	for _, scheme := range []byte{2, 3} {
+		for _, op := range []byte{0, 1, 5} { // AND, OR, XOR
+			f.Add([]byte{fuzzReduce, scheme, op, 3, 4, fuzzPlane0, fuzzPlane1, fuzzPlane1, fuzzPlane1})
+			f.Add([]byte{fuzzReduce, scheme, op, 6, 2, fuzzPlane1, fuzzPlane0, fuzzPlane1, fuzzPlane1, fuzzPlane0, fuzzPlane1, fuzzPlane0})
+			f.Add([]byte{fuzzReduce, scheme, op, 10, 4, fuzzMWSGroup, 2, fuzzPlane1, fuzzMWSGroup, 1, fuzzPlane1, fuzzLSBGroup, 0})
+			f.Add([]byte{fuzzReduce, scheme, op, 11, 2, fuzzMWSGroup, 4, fuzzMWSGroup, 4})
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		mode := in.next(numFuzzModes)
@@ -183,8 +205,9 @@ func FuzzDeviceFold(f *testing.F) {
 		if mode == fuzzBitwise {
 			k = 2
 		}
-		prime := in.next(2) == 1
-		d := MustNew(fuzzConfig())
+		flags := in.next(256)
+		prime := flags%2 == 1
+		d := MustNew(fuzzConfig(2 + flags/2%3))
 		lpns := make([]uint64, k)
 		for i := range lpns {
 			lpns[i] = uint64(i)

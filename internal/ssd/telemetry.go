@@ -46,6 +46,7 @@ type devTele struct {
 	cReallocPg  *telemetry.Counter
 	cDescramble *telemetry.Counter
 	cResult     *telemetry.Counter
+	cCombine    *telemetry.Counter
 	// Query-planner stages: the qTrack lane carries plan spans, fuse
 	// spans and cache hit/evict instants.
 	qTrack       *telemetry.Track
@@ -75,6 +76,7 @@ func (d *Device) SetTelemetry(s *telemetry.Sink) {
 		cReallocPg:   s.Counter("ssd.realloc.pages"),
 		cDescramble:  s.Counter("ssd.descrambled_reads"),
 		cResult:      s.Counter("ssd.result_bytes"),
+		cCombine:     s.Counter("ssd.combine.controller"),
 		cQPlans:      s.Counter("ssd.query.plans"),
 		cQSteps:      s.Counter("ssd.query.steps"),
 		cQFused:      s.Counter("ssd.query.fused_chains"),
