@@ -63,12 +63,18 @@ type FormulaResult struct {
 	HostLatency time.Duration // last result byte delivered to the host
 }
 
-// Execute runs the formula on the device under the scheme. Results ship
-// to the host.
+// Execute runs the formula on the device under the scheme: the host
+// lowers it to the NVMe command stream, the stream crosses the wire and
+// parses back into batches, and the batches execute. Results ship to the
+// host.
 func (d *Device) Execute(f Formula, scheme Scheme) (FormulaResult, error) {
+	batches, err := nvme.RoundTrip(f.wire(d.PageSize()), d.PageSize())
+	if err != nil {
+		return FormulaResult{}, err
+	}
 	r := d.sched.Submit(sched.Command{
 		Kind:    sched.KindFormula,
-		Formula: f.wire(d.PageSize()),
+		Batches: batches,
 		Scheme:  scheme.ssd(),
 	}).Wait()
 	if r.Err != nil {

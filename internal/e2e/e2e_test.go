@@ -251,7 +251,7 @@ func TestScrambledFormulaEndToEnd(t *testing.T) {
 		},
 		Combine: []latch.Op{latch.OpOr},
 	}
-	res, err := d.ExecuteFormula(f, ssd.SchemeReAlloc, 0)
+	res, err := d.ExecuteFormula(mustBatches(t, f, ps), ssd.SchemeReAlloc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestFormulaFuzz(t *testing.T) {
 				f.Combine = append(f.Combine, binary[rng.Intn(len(binary))])
 			}
 		}
-		res, err := d.ExecuteFormula(f, scheme, 0)
+		res, err := d.ExecuteFormula(mustBatches(t, f, ps), scheme, 0)
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, scheme, err)
 		}
@@ -404,4 +404,15 @@ func TestReadDisturbReachesParaBitResults(t *testing.T) {
 	if m.BitErrorProbabilityWithReads(0, 1, exposure) <= 0 {
 		t.Fatal("disturb exposure not reflected in error probability")
 	}
+}
+
+// mustBatches carries f across the host boundary: encoded to wire
+// commands and parsed back into the batches ExecuteFormula takes.
+func mustBatches(t *testing.T, f nvme.Formula, pageSize int) []nvme.Batch {
+	t.Helper()
+	batches, err := nvme.RoundTrip(f, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batches
 }

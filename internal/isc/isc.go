@@ -111,9 +111,9 @@ func (d *Device) OpLatency(op latch.Op, n int64) sim.Duration {
 	return sim.Duration(cycles) * d.CycleTime()
 }
 
-// MovementSeconds returns the time to stream n bytes from flash to the
+// movementSeconds returns the time to stream n bytes from flash to the
 // FPGA.
-func (d *Device) MovementSeconds(n int64) float64 { return d.link.BulkSeconds(n) }
+func (d *Device) movementSeconds(n int64) float64 { return d.link.BulkSeconds(n) }
 
 // Plan mirrors pim.Plan for the ISC execution of a bulk workload.
 type Plan struct {
@@ -135,7 +135,7 @@ func (d *Device) PlanBulk(op latch.Op, numOps int64, operandBytes int64, moveByt
 	staging := sim.Duration(chunks) * d.cfg.ChunkSetup
 	p := Plan{
 		MoveBytes:   moveBytes,
-		MoveSeconds: d.MovementSeconds(moveBytes),
+		MoveSeconds: d.movementSeconds(moveBytes),
 		ComputeSecs: (fabric + staging).Seconds(),
 	}
 	p.TotalSeconds = p.MoveSeconds + p.ComputeSecs

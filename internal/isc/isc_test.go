@@ -68,7 +68,7 @@ func TestBitsPerCycle(t *testing.T) {
 func TestMovementCalibration(t *testing.T) {
 	// Fig. 4: 140 GB to the FPGA in ≈41.8 s.
 	d := dev()
-	if got := d.MovementSeconds(140e9); math.Abs(got-41.8) > 0.1 {
+	if got := d.movementSeconds(140e9); math.Abs(got-41.8) > 0.1 {
 		t.Errorf("movement = %.2f s", got)
 	}
 }
@@ -79,7 +79,7 @@ func TestMotivationRatio(t *testing.T) {
 	// the 140 GB working set through BRAM-sized chunks.
 	d := dev()
 	p := d.PlanBulk(latch.OpAnd, 1, 140e9, 140e9)
-	implied := d.MovementSeconds(140e9) / 60.2
+	implied := d.movementSeconds(140e9) / 60.2
 	if math.Abs(p.ComputeSecs-implied) > 0.1 {
 		t.Errorf("bulk compute %.3fs, paper-implied %.3fs", p.ComputeSecs, implied)
 	}

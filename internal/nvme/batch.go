@@ -191,10 +191,9 @@ func ParseBatches(cmds []Command, pageSize int) ([]Batch, error) {
 	return out, nil
 }
 
-// RoundTrip is a convenience used by tests and the SSD front end: encode a
-// formula to wire commands (including the DWord pack/unpack) and parse
-// them back into batches, exactly as host firmware and device firmware
-// would.
+// RoundTrip is the host boundary of a formula: encode it to wire
+// commands (including the DWord pack/unpack) and parse them back into
+// batches, exactly as host firmware and device firmware would.
 func RoundTrip(f Formula, pageSize int) ([]Batch, error) {
 	cmds, err := EncodeFormula(f, pageSize)
 	if err != nil {

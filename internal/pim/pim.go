@@ -139,9 +139,9 @@ func (d *Device) OpLatency(op latch.Op, n int64) sim.Duration {
 	return sim.Duration(d.Chunks(n)) * d.ChunkLatency(op)
 }
 
-// MovementSeconds returns the time to move n bytes from the SSD into
+// movementSeconds returns the time to move n bytes from the SSD into
 // DRAM over the host link.
-func (d *Device) MovementSeconds(n int64) float64 { return d.link.BulkSeconds(n) }
+func (d *Device) movementSeconds(n int64) float64 { return d.link.BulkSeconds(n) }
 
 // Plan describes a PIM execution of a bulk bitwise workload: how much data
 // must move from the SSD and how long the in-DRAM compute takes.
@@ -161,7 +161,7 @@ func (d *Device) PlanBulk(op latch.Op, numOps int64, operandBytes int64, moveByt
 	compute := sim.Duration(numOps) * d.OpLatency(op, operandBytes)
 	p := Plan{
 		MoveBytes:   moveBytes,
-		MoveSeconds: d.MovementSeconds(moveBytes),
+		MoveSeconds: d.movementSeconds(moveBytes),
 		ComputeOps:  numOps * d.Chunks(operandBytes),
 		ComputeSecs: compute.Seconds(),
 	}

@@ -94,7 +94,7 @@ func TestPIM8MBSlowerThanParaBitForAnd(t *testing.T) {
 func TestMovementCalibration(t *testing.T) {
 	// Fig. 4: 140 GB to DRAM in ≈43.9 s.
 	d := dev()
-	if got := d.MovementSeconds(140e9); math.Abs(got-43.9) > 0.1 {
+	if got := d.movementSeconds(140e9); math.Abs(got-43.9) > 0.1 {
 		t.Errorf("movement = %.2f s", got)
 	}
 }

@@ -6,10 +6,8 @@ import "container/heap"
 // intermediate query results. A hit replaces a chained flash operation
 // (tens of microseconds of sensing plus reallocation programs) with a
 // DRAM fetch; the eviction policy keeps the entries whose loss would cost
-// the most to repair, priced the way the paper's Ambit comparison prices
-// data movement (internal/pim): a victim's retention value is its
-// measured recompute time plus the movement cost of its bytes, per byte
-// of DRAM it occupies.
+// the most to repair: a victim's retention value is its measured
+// recompute time per byte of DRAM it occupies.
 //
 // Correctness comes from FTL mapping versions: every entry snapshots the
 // version of each logical page its value was derived from, and a lookup
@@ -17,12 +15,6 @@ import "container/heap"
 // reclaim, wear-leveling move or bad-block retirement bumps a version
 // (ftl.FTL.Version), so a stale intermediate can never be served — at
 // worst a content-preserving migration costs a spurious recompute.
-
-// Pricer prices data movement; *pim.Device satisfies it with the
-// Ambit-calibrated link model.
-type Pricer interface {
-	MovementSeconds(n int64) float64
-}
 
 // CacheStats counts cache activity.
 type CacheStats struct {
@@ -42,7 +34,9 @@ type entry struct {
 	// page the value derives from, parallel slices.
 	deps []uint64
 	vers []uint64
-	// score is the retention value, fixed at Put (see Cache.score).
+	// score is the retention value, fixed at Put: the seconds its
+	// computation took per byte held, so big cheap values lose to small
+	// expensive ones.
 	score   float64
 	lastUse uint64
 	// index is the entry's position in Cache.order.
@@ -87,21 +81,18 @@ type Cache struct {
 	used     int64
 	entries  map[string]*entry
 	// order heaps the entries by eviction preference, root first.
-	order  entryHeap
-	clock  uint64
-	pricer Pricer
-	stats  CacheStats
+	order entryHeap
+	clock uint64
+	stats CacheStats
 }
 
 // NewCache builds a cache bounded to capacity bytes of simulated
-// controller DRAM. A nil pricer prices movement at zero (pure
-// recompute-time eviction). capacity <= 0 disables the cache: every
-// lookup misses and stores are dropped.
-func NewCache(capacity int64, pricer Pricer) *Cache {
+// controller DRAM. capacity <= 0 disables the cache: every lookup misses
+// and stores are dropped.
+func NewCache(capacity int64) *Cache {
 	return &Cache{
 		capacity: capacity,
 		entries:  map[string]*entry{},
-		pricer:   pricer,
 	}
 }
 
@@ -166,7 +157,7 @@ func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint6
 		data:    append([]byte(nil), data...),
 		deps:    append([]uint64(nil), deps...),
 		vers:    vers,
-		score:   c.score(costSeconds, size),
+		score:   costSeconds / float64(size),
 		lastUse: c.clock,
 	}
 	c.entries[key] = e
@@ -178,20 +169,6 @@ func (c *Cache) remove(e *entry) {
 	delete(c.entries, e.key)
 	heap.Remove(&c.order, e.index)
 	c.used -= int64(len(e.data))
-}
-
-// score is the retention value of an entry of size bytes that took
-// costSeconds to compute: seconds saved per byte held. The movement term
-// prices what shipping the bytes back in would cost on the
-// Ambit-calibrated link, so big cheap pages lose to small expensive
-// intermediates. Both inputs are fixed at Put, so Put scores each entry
-// once.
-func (c *Cache) score(costSeconds float64, size int64) float64 {
-	move := 0.0
-	if c.pricer != nil {
-		move = c.pricer.MovementSeconds(size)
-	}
-	return (costSeconds + move) / float64(size)
 }
 
 // evictOne removes the lowest-value entry, the heap's root

@@ -288,7 +288,7 @@ func TestCompileTopoOrder(t *testing.T) {
 func TestCacheHitMissInvalidate(t *testing.T) {
 	vers := map[uint64]uint64{1: 1, 2: 1}
 	verOf := func(lpn uint64) uint64 { return vers[lpn] }
-	c := NewCache(1024, nil)
+	c := NewCache(1024)
 	if _, ok := c.Get("and(1,2)", verOf); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -313,13 +313,9 @@ func TestCacheHitMissInvalidate(t *testing.T) {
 	}
 }
 
-type flatPricer float64
-
-func (p flatPricer) MovementSeconds(n int64) float64 { return float64(p) * float64(n) }
-
 func TestCacheEvictsCheapestPerByte(t *testing.T) {
 	verOf := func(uint64) uint64 { return 0 }
-	c := NewCache(2048, flatPricer(0)) // pure recompute pricing
+	c := NewCache(2048)
 	cheap := make([]byte, 1024)
 	dear := make([]byte, 1024)
 	c.Put("cheap", cheap, nil, verOf, 1e-6)
@@ -337,36 +333,10 @@ func TestCacheEvictsCheapestPerByte(t *testing.T) {
 	}
 }
 
-func TestCacheMovementPricing(t *testing.T) {
-	verOf := func(uint64) uint64 { return 0 }
-	// With a dominant movement price, the larger entry is worth more per
-	// byte only through recompute cost; equal costs make scores equal per
-	// byte, so LRU decides. Check the pricer is actually consulted by
-	// giving the small entry a huge movement value.
-	c := NewCache(1536, flatPricer(1e-3))
-	c.Put("small", make([]byte, 512), nil, verOf, 0)
-	c.Put("big", make([]byte, 1024), nil, verOf, 0)
-	// Both score identically per byte under a linear pricer; the small
-	// one is older, so it evicts first.
-	c.Put("next", make([]byte, 1024), nil, verOf, 0)
-	if _, ok := c.Get("big", verOf); ok {
-		t.Fatal("LRU tiebreak evicted the newer entry")
-	}
-	if _, ok := c.Get("next", verOf); !ok {
-		t.Fatal("inserted entry missing")
-	}
-}
-
-// curvedPricer prices movement with a setup cost and a superlinear
-// term, so scores differ by size as well as by cost.
-type curvedPricer struct{}
-
-func (curvedPricer) MovementSeconds(n int64) float64 { return 2e-6 + 1e-12*float64(n*n) }
-
 // TestCacheEvictionOrderUnchanged replays a random Put/Get sequence and
 // checks every victim against a model that rescores every entry on every
-// eviction with (costSeconds + MovementSeconds(len)) / len — the formula
-// Put now evaluates once per entry.
+// eviction with costSeconds / len — the score Put evaluates once per
+// entry.
 func TestCacheEvictionOrderUnchanged(t *testing.T) {
 	type modelEntry struct {
 		size    int64
@@ -374,77 +344,69 @@ func TestCacheEvictionOrderUnchanged(t *testing.T) {
 		lastUse uint64
 	}
 	verOf := func(uint64) uint64 { return 0 }
-	for _, pricer := range []Pricer{nil, flatPricer(1e-9), curvedPricer{}} {
-		rng := rand.New(rand.NewSource(7))
-		const capacity = 4096
-		c := NewCache(capacity, pricer)
-		model := map[string]*modelEntry{}
-		var used int64
-		var clock uint64
-		var victims []string
-		oldScore := func(e *modelEntry) float64 {
-			move := 0.0
-			if pricer != nil {
-				move = pricer.MovementSeconds(e.size)
+	rng := rand.New(rand.NewSource(7))
+	const capacity = 4096
+	c := NewCache(capacity)
+	model := map[string]*modelEntry{}
+	var used int64
+	var clock uint64
+	var victims []string
+	oldScore := func(e *modelEntry) float64 { return e.cost / float64(e.size) }
+	for i := 0; i < 4000; i++ {
+		key := fmt.Sprintf("k%d", rng.Intn(40))
+		if rng.Intn(3) == 0 {
+			_, got := c.Get(key, verOf)
+			e, want := model[key]
+			if got != want {
+				t.Fatalf("op %d: Get(%s) = %v, model %v", i, key, got, want)
 			}
-			return (e.cost + move) / float64(e.size)
+			if want {
+				clock++
+				e.lastUse = clock
+			}
+			continue
 		}
-		for i := 0; i < 4000; i++ {
-			key := fmt.Sprintf("k%d", rng.Intn(40))
-			if rng.Intn(3) == 0 {
-				_, got := c.Get(key, verOf)
-				e, want := model[key]
-				if got != want {
-					t.Fatalf("op %d: Get(%s) = %v, model %v", i, key, got, want)
+		size := int64(64 << rng.Intn(6))
+		// Costs from a small set, so equal scores exercise the LRU
+		// tiebreak.
+		cost := float64(1+rng.Intn(4)) * 1e-5
+		c.Put(key, make([]byte, size), nil, verOf, cost)
+		if old, ok := model[key]; ok {
+			used -= old.size
+			delete(model, key)
+		}
+		for used+size > capacity {
+			var victim string
+			for k, e := range model {
+				v := model[victim]
+				if victim == "" || oldScore(e) < oldScore(v) ||
+					(oldScore(e) == oldScore(v) && e.lastUse < v.lastUse) {
+					victim = k
 				}
-				if want {
-					clock++
-					e.lastUse = clock
-				}
-				continue
 			}
-			size := int64(64 << rng.Intn(6))
-			// Costs from a small set, so equal scores exercise the LRU
-			// tiebreak.
-			cost := float64(1+rng.Intn(4)) * 1e-5
-			c.Put(key, make([]byte, size), nil, verOf, cost)
-			if old, ok := model[key]; ok {
-				used -= old.size
-				delete(model, key)
-			}
-			for used+size > capacity {
-				var victim string
-				for k, e := range model {
-					v := model[victim]
-					if victim == "" || oldScore(e) < oldScore(v) ||
-						(oldScore(e) == oldScore(v) && e.lastUse < v.lastUse) {
-						victim = k
-					}
-				}
-				victims = append(victims, victim)
-				used -= model[victim].size
-				delete(model, victim)
-			}
-			clock++
-			model[key] = &modelEntry{size: size, cost: cost, lastUse: clock}
-			used += size
-			if len(c.entries) != len(model) {
-				t.Fatalf("op %d: cache holds %d entries, model %d", i, len(c.entries), len(model))
-			}
-			for k := range model {
-				if _, ok := c.entries[k]; !ok {
-					t.Fatalf("op %d: cache evicted %s, model kept it (model victims %v)", i, k, victims[max(0, len(victims)-3):])
-				}
+			victims = append(victims, victim)
+			used -= model[victim].size
+			delete(model, victim)
+		}
+		clock++
+		model[key] = &modelEntry{size: size, cost: cost, lastUse: clock}
+		used += size
+		if len(c.entries) != len(model) {
+			t.Fatalf("op %d: cache holds %d entries, model %d", i, len(c.entries), len(model))
+		}
+		for k := range model {
+			if _, ok := c.entries[k]; !ok {
+				t.Fatalf("op %d: cache evicted %s, model kept it (model victims %v)", i, k, victims[max(0, len(victims)-3):])
 			}
 		}
-		if st := c.Stats(); st.Evictions != int64(len(victims)) || len(victims) < 100 {
-			t.Fatalf("%T: %d evictions, model %d", pricer, st.Evictions, len(victims))
-		}
+	}
+	if st := c.Stats(); st.Evictions != int64(len(victims)) || len(victims) < 100 {
+		t.Fatalf("%d evictions, model %d", st.Evictions, len(victims))
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0)
 	verOf := func(uint64) uint64 { return 0 }
 	c.Put("k", []byte{1}, nil, verOf, 1)
 	if _, ok := c.Get("k", verOf); ok {

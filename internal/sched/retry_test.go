@@ -69,7 +69,7 @@ func TestRetryExhaustsOnLongOutage(t *testing.T) {
 		t.Fatalf("err = %v, want transient fault after exhausted retries", r.Err)
 	}
 	st := s.Stats()
-	if want := int64(DefaultRetryPolicy().MaxAttempts - 1); st.Retries != want {
+	if want := int64(retryAttempts - 1); st.Retries != want {
 		t.Errorf("Retries = %d, want %d", st.Retries, want)
 	}
 	if st.RetriesExhausted != 1 {
@@ -91,21 +91,5 @@ func TestPermanentFaultDoesNotRetry(t *testing.T) {
 	}
 	if st := s.Stats(); st.Retries != 0 || st.RetriesExhausted != 0 {
 		t.Errorf("dead plane consumed retries: %+v", st)
-	}
-}
-
-// TestRetryDisabled proves MaxAttempts 1 (or less) turns the feature off.
-func TestRetryDisabled(t *testing.T) {
-	s, dev := newSched(t)
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
-	installPlan(t, dev, faults.Plan{Rules: []faults.Rule{
-		{Type: faults.RulePlaneTransient, Plane: -1, FromUS: 0, ToUS: 150},
-	}})
-	r := s.Submit(Command{Kind: KindWrite, LPN: 0, Data: pageOf(dev, 1)}).Wait()
-	if !flash.IsTransientFault(r.Err) {
-		t.Fatalf("err = %v, want unretried transient fault", r.Err)
-	}
-	if st := s.Stats(); st.Retries != 0 {
-		t.Errorf("Retries = %d with retries disabled", st.Retries)
 	}
 }

@@ -141,8 +141,8 @@ type Command struct {
 	// ToHost additionally ships the result over the host link, filling
 	// Result.HostDone (KindBitwise, KindReduce, KindQuery).
 	ToHost bool
-	// Formula is the command stream for KindFormula.
-	Formula nvme.Formula
+	// Batches are the parsed formula for KindFormula, one per term.
+	Batches []nvme.Batch
 	// Query is the expression tree for KindQuery. Expressions are
 	// immutable after construction, so they are not copied at Submit.
 	Query *plan.Expr
@@ -228,30 +228,20 @@ type Stats struct {
 	RetriesExhausted int64
 }
 
-// RetryPolicy bounds the scheduler's automatic re-execution of commands
-// that fail with a transient device fault (flash.IsTransientFault). All
-// waiting happens in simulated time: each retry re-issues the command at
-// the previous issue instant plus the current backoff, so a transient
-// plane outage costs virtual latency, never host-visible errors — unless
-// the outage outlasts every attempt, in which case the transient fault
-// surfaces to the caller.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of executions allowed, including
-	// the first. Values below 1 mean 1 (no retries).
-	MaxAttempts int
-	// Backoff is the simulated delay before the first retry.
-	Backoff sim.Duration
-	// Multiplier grows the backoff after each retry. Values below 1
-	// mean 1 (constant backoff).
-	Multiplier int
-}
-
-// DefaultRetryPolicy retries three times over roughly 6 ms of simulated
-// time (200 µs, 1 ms, 5 ms) — long enough to ride out the short plane
-// outages fault plans script, short enough not to mask a dead plane.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Backoff: 200 * sim.Microsecond, Multiplier: 5}
-}
+// The scheduler re-executes a command that fails with a transient device
+// fault (flash.IsTransientFault). All waiting happens in simulated time:
+// each retry re-issues the command at the previous issue instant plus the
+// current backoff, so a transient plane outage costs virtual latency,
+// never host-visible errors, unless it outlasts every attempt, in which
+// case the transient fault surfaces to the caller. Three retries span
+// roughly 6 ms of simulated time (200 µs, 1 ms, 5 ms): long enough to
+// ride out the short plane outages fault plans script, short enough not
+// to mask a dead plane.
+const (
+	retryAttempts   = 4 // executions, the first included
+	retryBackoff    = 200 * sim.Microsecond
+	retryMultiplier = 5 // backoff growth per retry
+)
 
 // Submitted totals accepted commands across queues.
 func (s Stats) Submitted() int64 {
@@ -299,7 +289,6 @@ type Scheduler struct {
 	pending []queued      // guarded by mu
 	spare   []queued      // the last batch's emptied backing array; guarded by mu
 	depth   [numKinds]int // pending commands per kind; guarded by mu
-	retry   RetryPolicy   // guarded by mu
 	stats   Stats         // guarded by mu
 	tele    schedTele     // guarded by mu
 	// The arenas hold the pending commands' copies of LPNs, payload bytes
@@ -360,14 +349,7 @@ func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 // New wraps a device. The scheduler assumes sole ownership: bypassing it
 // with direct device calls while commands are in flight races.
 func New(dev *ssd.Device) *Scheduler {
-	return &Scheduler{dev: dev, retry: DefaultRetryPolicy()}
-}
-
-// SetRetryPolicy replaces the transient-fault retry policy.
-func (s *Scheduler) SetRetryPolicy(p RetryPolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retry = p
+	return &Scheduler{dev: dev}
 }
 
 // Submit enqueues a command. It never blocks on device work; the command
@@ -486,25 +468,23 @@ func (s *Scheduler) dispatchLocked() {
 }
 
 // execRetryLocked runs one command, re-issuing it after a simulated backoff
-// while it keeps failing with a transient fault and the retry policy has
-// attempts left. Permanent faults (a dead plane, an exhausted device)
-// surface immediately: only flash.IsTransientFault errors retry. The
-// returned result's Start is the first issue instant, so service-time
-// accounting includes the backoff the command sat out.
+// while it keeps failing with a transient fault and attempts are left.
+// Permanent faults (a dead plane, an exhausted device) surface
+// immediately: only flash.IsTransientFault errors retry. The returned
+// result's Start is the first issue instant, so service-time accounting
+// includes the backoff the command sat out.
 func (s *Scheduler) execRetryLocked(c *Command, issue sim.Time) Result {
 	r := s.execLocked(c, issue)
-	backoff := s.retry.Backoff
+	backoff := retryBackoff
 	at := issue
-	for attempt := 1; attempt < s.retry.MaxAttempts && flash.IsTransientFault(r.Err); attempt++ {
+	for attempt := 1; attempt < retryAttempts && flash.IsTransientFault(r.Err); attempt++ {
 		retryAt := at.Add(backoff)
 		s.stats.Retries++
 		s.tele.cRetries.Add(1)
 		s.tele.retryTrack.Span("backoff-"+kindNames[c.Kind], at, retryAt)
 		r = s.execLocked(c, retryAt)
 		at = retryAt
-		if s.retry.Multiplier > 1 {
-			backoff *= sim.Duration(s.retry.Multiplier)
-		}
+		backoff *= retryMultiplier
 	}
 	if flash.IsTransientFault(r.Err) {
 		s.stats.RetriesExhausted++
@@ -561,7 +541,7 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 		br, err := s.dev.Reduce(c.Op, c.LPNs, c.Scheme, issue)
 		s.deliver(&r, br, err, c.ToHost)
 	case KindFormula:
-		fr, err := s.dev.ExecuteFormula(c.Formula, c.Scheme, issue)
+		fr, err := s.dev.ExecuteFormula(c.Batches, c.Scheme, issue)
 		r.Pages, r.Err = fr.Pages, err
 		if err == nil {
 			r.Done, r.HostDone = fr.Done, fr.HostDone

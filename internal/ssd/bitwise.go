@@ -16,12 +16,9 @@ import (
 // page in the controller buffer, when it became available, and when it
 // finished crossing the host link (if requested).
 type BitwiseResult struct {
-	Data []byte
-	// ResultLPN is where the result was persisted when the caller asked
-	// for a stored result (chained operations); 0 when not stored.
-	ResultLPN uint64
-	Done      sim.Time // result in controller buffer
-	HostDone  sim.Time // result delivered to host (0 if not shipped)
+	Data     []byte
+	Done     sim.Time // result in controller buffer
+	HostDone sim.Time // result delivered to host (0 if not shipped)
 }
 
 // operandLoc resolves an operand's physical placement.
@@ -169,8 +166,12 @@ func (d *Device) load(o *operand, at sim.Time) (err error) {
 // realloc implements the Operands ReAllocation module (§4.3.2): read
 // whichever operands are still on flash into the controller buffer, a
 // first, then program both unscrambled into the LSB and MSB pages of one
-// fresh wordline and sense it.
+// fresh wordline and sense it. The pair sense is MLC-only, so on any
+// other array it refuses before anything is read or programmed.
 func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult, error) {
+	if bits := d.cfg.Geometry.CellBits; bits != 2 {
+		return BitwiseResult{}, fmt.Errorf("%w: %v sense on %d-bit cells", flash.ErrCellMode, flash.SensePair, bits)
+	}
 	if err := d.load(&a, at); err != nil {
 		return BitwiseResult{}, err
 	}
@@ -201,11 +202,12 @@ func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult,
 		done, op, SchemeReAlloc, at)
 }
 
-// fold combines operands left to right with one op, as §4.2's chained
-// use does: the first operand becomes the running result acc, and each
-// later one joins it through one reallocation step. The reallocating
-// reductions and every query step that combines results outside one
-// sense go through it; the sense-only reductions combine instead.
+// fold combines operands left to right, as §4.2's chained use does: the
+// first operand becomes the running result acc, and each later one joins
+// it through one reallocation step with op. The reallocating reductions,
+// every query step that combines results outside one sense and a
+// formula's term results go through it; the sense-only reductions
+// combine instead.
 type fold struct {
 	d       *Device
 	op      latch.Op
@@ -261,22 +263,6 @@ func (c *combine) result() BitwiseResult {
 		c.d.tele.cCombine.Add(1)
 	}
 	return c.acc
-}
-
-// storeResult persists a controller-buffer result page into the internal
-// pool (unscrambled), so it can serve as an operand for a chained
-// operation. Returns the LPN and program completion time.
-func (d *Device) storeResult(data []byte, at sim.Time) (uint64, sim.Time, error) {
-	lpn, err := d.allocInternal()
-	if err != nil {
-		return 0, 0, err
-	}
-	done, err := d.ftl.Place(ftl.Layout{Extra: true}, []uint64{lpn}, [][]byte{data}, at)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.plain.add(lpn)
-	return lpn, done, nil
 }
 
 // Reduce folds k operand pages with one associative operation (AND, OR
@@ -340,8 +326,10 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 // group of two or more aligned LSB operands is one chained sense, a lone
 // operand one read, and every group issues at at, so planes run in
 // parallel. One group's chained sense is the result; across planes the
-// partial pages combine in the controller buffer. An MSB or scrambled
-// operand sends the whole reduction down the reallocating path.
+// partial pages combine in the controller buffer. The LSB chain senses
+// MLC cells only: on a TLC array every operand is read and combined. An
+// MSB or scrambled operand sends the whole reduction down the
+// reallocating path.
 //
 // Each group resolves its operands immediately before its own sense: a
 // lone operand's read can cross the read-reclaim threshold, and the
@@ -386,15 +374,15 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 				s.strays = append(s.strays, lpn)
 			}
 		}
-		if len(s.chain) >= 2 {
+		if len(s.chain) >= 2 && d.cfg.Geometry.CellBits == 2 {
 			res, err := d.runSense(flash.Sense{Kind: flash.SenseChainLSB, Op: op, WLs: s.chain}, at, op, SchemeLocFree, at)
 			if err != nil {
 				return BitwiseResult{}, err
 			}
 			c.add(res.Data, res.Done)
 		} else {
-			// Too short to chain: a lone aligned operand is read like a
-			// stray.
+			// Too short to chain, or on cells the LSB chain cannot sense:
+			// the aligned operands are read like strays.
 			s.strays = append(s.strays, s.alignedLPNs...)
 		}
 		for _, lpn := range s.strays {
@@ -483,70 +471,56 @@ type FormulaResult struct {
 	HostDone sim.Time
 }
 
-// ExecuteFormula runs a parsed bitwise formula end to end: each term's
-// sub-operations execute under the scheme, term results combine with the
-// extra-batch operations (always via reallocation, per Fig. 12), and the
-// final pages ship to the host. A sub-page sub-operation yields the
-// Length bytes its operands name; every term must span the same bytes
-// per sub-operation.
-func (d *Device) ExecuteFormula(f nvme.Formula, scheme Scheme, at sim.Time) (FormulaResult, error) {
-	batches, err := nvme.RoundTrip(f, d.PageSize())
-	if err != nil {
-		return FormulaResult{}, err
+// ExecuteFormula runs a formula's parsed batches end to end. Every
+// term's sub-operations issue at at under the scheme (planes provide the
+// parallelism); then each sub-operation's term results fold left to right
+// with the extra-batch operations, one reallocation from the controller
+// buffer per join (Fig. 12), and the final pages ship to the host. A
+// sub-page sub-operation yields the Length bytes its operands name; every
+// batch must have as many sub-operations as the first, each spanning the
+// same bytes.
+func (d *Device) ExecuteFormula(batches []nvme.Batch, scheme Scheme, at sim.Time) (FormulaResult, error) {
+	if len(batches) == 0 {
+		return FormulaResult{}, fmt.Errorf("%w: no batches", nvme.ErrBadFormula)
 	}
-	// Execute term batches; all sub-operations are independent and issue
-	// at the start time (planes provide the parallelism). With more than
-	// one batch, each result is stored to serve as a combine operand.
-	results := make([][]BitwiseResult, len(batches))
+	subs := batches[0].Subs
+	for bi, b := range batches[1:] {
+		if len(b.Subs) != len(subs) {
+			return FormulaResult{}, fmt.Errorf("ssd: batch %d has %d sub-ops, batch 0 has %d",
+				bi+1, len(b.Subs), len(subs))
+		}
+		for si, sub := range b.Subs {
+			if sub.Length != subs[si].Length {
+				return FormulaResult{}, fmt.Errorf("ssd: batch %d sub-op %d spans %d bytes, batch 0 %d",
+					bi+1, si, sub.Length, subs[si].Length)
+			}
+		}
+	}
+	// Term results, batch by batch: sub-operation si of batch bi is
+	// terms[bi*len(subs)+si].
+	terms := make([]operand, 0, len(batches)*len(subs))
 	for bi, b := range batches {
-		results[bi] = make([]BitwiseResult, len(b.Subs))
 		for si, sub := range b.Subs {
 			r, err := d.formulaSub(b.Op, sub, scheme, at)
 			if err != nil {
 				return FormulaResult{}, fmt.Errorf("batch %d sub %d: %w", bi, si, err)
 			}
-			if len(batches) > 1 {
-				if r.ResultLPN, r.Done, err = d.storeResult(r.Data, r.Done); err != nil {
-					return FormulaResult{}, err
-				}
-			}
-			results[bi][si] = r
+			terms = append(terms, buffered(r))
 		}
 	}
-	// Combine batch results left-to-right with the extra-batch ops. A
-	// result's first Length bytes, per its batch-0 sub-operation, are the
-	// sub-operation's result.
-	acc, spans := results[0], batches[0].Subs
-	for bi := 1; bi < len(batches); bi++ {
-		combineOp := batches[bi-1].Extra
-		next := results[bi]
-		if len(next) != len(acc) {
-			return FormulaResult{}, fmt.Errorf("ssd: batch %d has %d sub-ops, accumulator has %d",
-				bi, len(next), len(acc))
-		}
-		merged := make([]BitwiseResult, len(acc))
-		for si := range acc {
-			if n := batches[bi].Subs[si].Length; n != spans[si].Length {
-				return FormulaResult{}, fmt.Errorf("ssd: batch %d sub-op %d spans %d bytes, accumulator %d",
-					bi, si, n, spans[si].Length)
+	out := FormulaResult{Pages: make([][]byte, len(subs))}
+	for si, sub := range subs {
+		f := fold{d: d}
+		for bi := range batches {
+			if bi > 0 {
+				f.op = batches[bi-1].Extra
 			}
-			start := sim.Max(acc[si].Done, next[si].Done)
-			r, err := d.Bitwise(combineOp, acc[si].ResultLPN, next[si].ResultLPN, SchemeReAlloc, start)
-			if err != nil {
+			if err := f.add(terms[bi*len(subs)+si], at); err != nil {
 				return FormulaResult{}, fmt.Errorf("combine %d sub %d: %w", bi, si, err)
 			}
-			if bi < len(batches)-1 {
-				if r.ResultLPN, r.Done, err = d.storeResult(r.Data, r.Done); err != nil {
-					return FormulaResult{}, err
-				}
-			}
-			merged[si] = r
 		}
-		acc = merged
-	}
-	out := FormulaResult{Pages: make([][]byte, len(acc))}
-	for si, r := range acc {
-		r.Data = r.Data[:spans[si].Length]
+		r := f.acc
+		r.Data = r.Data[:sub.Length]
 		d.ShipToHost(&r)
 		out.Pages[si] = r.Data
 		out.Done = sim.Max(out.Done, r.Done)

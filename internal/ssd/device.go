@@ -10,7 +10,6 @@ import (
 	"parabit/internal/interconnect"
 	"parabit/internal/latch"
 	"parabit/internal/persist"
-	"parabit/internal/pim"
 	"parabit/internal/plan"
 	"parabit/internal/sim"
 )
@@ -99,10 +98,7 @@ func New(cfg Config) (*Device, error) {
 		lowInternal:  low,
 	}
 	if bytes := cfg.queryCacheBytes(); bytes > 0 {
-		// Eviction is priced with the Ambit-calibrated movement model:
-		// what a victim's bytes would cost to ship back over the link,
-		// plus its measured recompute time (see internal/plan).
-		d.qcache = plan.NewCache(bytes, pim.New(pim.DefaultConfig(), nil))
+		d.qcache = plan.NewCache(bytes)
 	}
 	return d, nil
 }

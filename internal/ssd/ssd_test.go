@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parabit/internal/bitvec"
+	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
 	"parabit/internal/persist"
@@ -494,7 +495,7 @@ func TestExecuteFormula(t *testing.T) {
 		},
 		Combine: []latch.Op{latch.OpXor},
 	}
-	res, err := d.ExecuteFormula(f, SchemePreAlloc, 0)
+	res, err := d.ExecuteFormula(batchesOf(t, f, d.PageSize()), SchemePreAlloc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +525,7 @@ func TestExecuteFormulaMultiPage(t *testing.T) {
 		N:  nvme.Operand{LBA: 12, Length: 2 * ps},
 		Op: latch.OpXor,
 	}}}
-	res, err := d.ExecuteFormula(f, SchemePreAlloc, 0)
+	res, err := d.ExecuteFormula(batchesOf(t, f, d.PageSize()), SchemePreAlloc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,6 +713,26 @@ func TestLocFreeBothOrientations(t *testing.T) {
 	}
 }
 
+// TestTLCReallocRefusesFirst pins that a reallocation on TLC cells,
+// whose pair sense is MLC-only, refuses before it reads, allocates or
+// programs anything: no flash, FTL or device counter moves.
+func TestTLCReallocRefusesFirst(t *testing.T) {
+	d := MustNew(SmallTLCConfig())
+	for lpn := uint64(0); lpn < 2; lpn++ {
+		if _, err := d.WriteOperand(lpn, randPage(d, int64(lpn)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops, tl, fl, next := d.Stats(), d.FTL().Stats(), d.Array().Stats(), d.nextInternal
+	if _, err := d.Bitwise(latch.OpAnd, 0, 1, SchemeReAlloc, d.DrainTime()); !errors.Is(err, flash.ErrCellMode) {
+		t.Fatalf("TLC reallocation: got %v, want flash.ErrCellMode", err)
+	}
+	if d.Stats() != ops || d.FTL().Stats() != tl || d.Array().Stats() != fl || d.nextInternal != next {
+		t.Fatalf("refused reallocation moved counters: op %+v -> %+v, ftl %+v -> %+v, flash %+v -> %+v, internal %d -> %d",
+			ops, d.Stats(), tl, d.FTL().Stats(), fl, d.Array().Stats(), next, d.nextInternal)
+	}
+}
+
 // TestExecuteFormulaSubPage pins that a sub-page formula yields the bytes
 // its operands name, under every scheme: operands at one offset, at
 // different offsets, and a two-term formula combining sub-page terms at
@@ -743,7 +764,7 @@ func TestExecuteFormulaSubPage(t *testing.T) {
 			}
 			d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, pages[:2], 0)
 			d.WritePages(persist.OpWritePair, 0, []uint64{2, 3}, pages[2:], 0)
-			res, err := d.ExecuteFormula(tc.f, scheme, 0)
+			res, err := d.ExecuteFormula(batchesOf(t, tc.f, d.PageSize()), scheme, 0)
 			if err != nil {
 				t.Fatalf("%v %s: %v", scheme, tc.name, err)
 			}
@@ -766,7 +787,23 @@ func TestExecuteFormulaSubPage(t *testing.T) {
 		{M: operand(0, 1), N: operand(1, 1), Op: latch.OpAnd},
 		{M: short, N: nvme.Operand{LBA: 1, Length: sector}, Op: latch.OpAnd}},
 		Combine: []latch.Op{latch.OpOr}}
-	if _, err := d.ExecuteFormula(f, SchemePreAlloc, 0); err == nil {
+	ops, fl := d.Stats(), d.Array().Stats()
+	if _, err := d.ExecuteFormula(batchesOf(t, f, d.PageSize()), SchemePreAlloc, 0); err == nil {
 		t.Fatal("terms of 2 and 1 sectors combined without an error")
 	}
+	// The shapes are checked before any flash work issues.
+	if d.Stats() != ops || d.Array().Stats() != fl {
+		t.Fatalf("refused formula moved counters: op %+v -> %+v, flash %+v -> %+v", ops, d.Stats(), fl, d.Array().Stats())
+	}
+}
+
+// batchesOf carries f across the host boundary: encoded to wire commands
+// and parsed back into the batches ExecuteFormula takes.
+func batchesOf(t testing.TB, f nvme.Formula, pageSize int) []nvme.Batch {
+	t.Helper()
+	batches, err := nvme.RoundTrip(f, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batches
 }
