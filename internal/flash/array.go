@@ -70,6 +70,14 @@ type block struct {
 	// changed marks a block programmed or erased since the last
 	// ClearChanged: a delta state encoding must carry its contents.
 	changed bool
+	// programmed and sensed are when the block's booked programs (or its
+	// erase) and its booked senses end. Resources order work by virtual
+	// time, not call order, so these keep data dependences in order: a
+	// sense starts after the programs it reads, a program after the
+	// block's earlier programs and erase, and an erase after the senses
+	// and programs of the data it wipes. They are timing state, cleared
+	// by ResetTiming and never encoded.
+	programmed, sensed sim.Time
 }
 
 type plane struct {
@@ -79,10 +87,14 @@ type plane struct {
 
 // Array is the NAND flash device: storage plus occupancy-based timing.
 // Methods take an "at" time (when the controller issues the command) and
-// return the command's completion time; queueing on busy planes and
-// channels is resolved by the embedded resources. Array is not safe for
-// concurrent use — the controller above it is single-threaded over
-// simulated time.
+// return the command's completion time. Queueing on busy planes and
+// channels is resolved by the embedded resources in virtual-time order:
+// an operation issued at an earlier instant fills an idle gap before work
+// already booked for a later one, so call order does not decide who
+// waits. A block's data dependences still hold: a sense waits for the
+// programs of its block, an erase for the block's senses and programs.
+// Array is not safe for concurrent use — the controller above it is
+// single-threaded over simulated time.
 type Array struct {
 	geo    Geometry
 	timing Timing
@@ -218,10 +230,14 @@ func (a *Array) DrainTime() sim.Time {
 }
 
 // ResetTiming returns every plane and channel to idle without touching
-// stored data, so successive experiments on one array start from t=0.
+// stored data, so successive experiments on one array start from t=0:
+// stored pages count as programmed long ago.
 func (a *Array) ResetTiming() {
 	for _, p := range a.planes {
 		p.sense.Reset()
+		for bi := range p.blocks {
+			p.blocks[bi].programmed, p.blocks[bi].sensed = 0, 0
+		}
 	}
 	for _, b := range a.buses {
 		b.Reset()
@@ -270,12 +286,14 @@ func (a *Array) ReadCount(p PlaneAddr, blockIdx int) int {
 	return a.planeAt(p).blocks[blockIdx].reads
 }
 
-// noteReads charges sensing disturb to a block and returns its exposure
-// before this operation.
-func (a *Array) noteReads(w WordlineAddr, sros int) int {
+// noteSense charges a sense of sros SROs ending at end to the block
+// holding w: its read disturb, and the time its erase must wait for. It
+// returns the block's disturb exposure before this sense.
+func (a *Array) noteSense(w WordlineAddr, sros int, end sim.Time) int {
 	blk := &a.planeAt(w.PlaneAddr).blocks[w.Block]
 	before := blk.reads
 	blk.reads += sros
+	blk.sensed = sim.Max(blk.sensed, end)
 	return before
 }
 
@@ -334,9 +352,11 @@ func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, err
 	}
 	pl := a.planeAt(p.PlaneAddr)
 	sros := a.geo.ReadSROs(p.Kind)
+	// A page reads only once the block's programs have ended.
+	at = sim.Max(at, pl.blocks[p.Block].programmed)
 	_, end := pl.sense.ReserveLabeled(at, sim.Duration(sros)*a.timing.SenseSRO+jitter, "sense")
 	a.stats.SROs += int64(sros)
-	exposure := a.noteReads(p.WordlineAddr, sros)
+	exposure := a.noteSense(p.WordlineAddr, sros, end)
 	res := SenseResult{Data: a.pageBits(dst, p.WordlineAddr, p.Kind), Ready: end}
 	if a.noisyBaseline && a.noise != nil {
 		par := a.parityOf(p)
@@ -356,7 +376,7 @@ func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, err
 			a.stats.ReadRetries++
 			_, end = pl.sense.ReserveLabeled(end, a.timing.SenseSRO, "sense")
 			a.stats.SROs++
-			a.noteReads(p.WordlineAddr, 1)
+			a.noteSense(p.WordlineAddr, 1, end)
 			res.Data = a.pageBits(res.Data, p.WordlineAddr, p.Kind)
 			// Calibrated sensing quarters the effective error exposure
 			// per attempt.
@@ -477,12 +497,14 @@ func (a *Array) program(p PageAddr, data []byte, at sim.Time, esp bool) (sim.Tim
 	}
 	jitter, ferr := a.checkFault(FaultProgram, p.PlaneAddr, p.Block, at)
 	if ferr != nil {
-		a.failOp(pl, at, progTime, jitter, ferr)
+		a.failOp(pl, sim.Max(at, blk.programmed), progTime, jitter, ferr)
 		return 0, ferr
 	}
-	// Data crosses the channel into the register, then the plane programs.
+	// Data crosses the channel into the register, then the plane programs
+	// once the block's earlier programs and erase have ended.
 	xferEnd := a.transferIn(p.Channel, at, len(data))
-	_, end := pl.sense.ReserveLabeled(xferEnd, progTime+jitter, "program")
+	_, end := pl.sense.ReserveLabeled(sim.Max(xferEnd, blk.programmed), progTime+jitter, "program")
+	blk.programmed = end
 	buf := a.newPage()
 	copy(buf, data)
 	var par []byte
@@ -531,11 +553,15 @@ func (a *Array) Erase(p PlaneAddr, blockIdx int, at sim.Time) (sim.Time, error) 
 	pl := a.planeAt(p)
 	blk := &pl.blocks[blockIdx]
 	jitter, ferr := a.checkFault(FaultErase, p, blockIdx, at)
+	// The erase wipes what the block's booked programs write and its
+	// booked senses read, so it starts after both.
+	ready := sim.Max(at, sim.Max(blk.programmed, blk.sensed))
 	if ferr != nil {
-		a.failOp(pl, at, a.timing.EraseBlock, jitter, ferr)
+		a.failOp(pl, ready, a.timing.EraseBlock, jitter, ferr)
 		return 0, ferr
 	}
-	_, end := pl.sense.ReserveLabeled(at, a.timing.EraseBlock+jitter, "erase")
+	_, end := pl.sense.ReserveLabeled(ready, a.timing.EraseBlock+jitter, "erase")
+	blk.programmed = end
 	for i := range blk.wl {
 		for _, page := range blk.wl[i].pages {
 			if page != nil && len(a.free) < a.freeCap {

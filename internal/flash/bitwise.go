@@ -98,8 +98,9 @@ var tlcFold = [...]latch.Op{
 // cache register. It validates the operands against the kind, prices the
 // sense from the kind's latch program (SROs times the sense latency, or
 // the MWS latency), consults the fault injector about the first
-// operand's block, reserves the plane, and computes the result with the
-// word-wide fold kernel. Each operand wordline's block absorbs its share
+// operand's block, reserves the plane once the programs of every operand
+// block have ended, and computes the result with the word-wide fold
+// kernel. Each operand wordline's block absorbs its share
 // of the senses as read disturb. Read noise, if a Corruptor is installed,
 // applies to the result — ParaBit results bypass ECC (paper §4.4.3).
 func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
@@ -135,7 +136,7 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 	case s.Kind == SenseChainMWS && len(chunks) < 2:
 		return SenseResult{}, fmt.Errorf("flash: MWS chain of %d chunks, want >= 2", len(chunks))
 	}
-	pe, esp := 0, true
+	pe, esp, start := 0, true, at
 	for ci, wls := range chunks {
 		if mws {
 			// The control program comes from latch's validated MWS table,
@@ -173,6 +174,8 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 				esp = esp && a.IsESP(PageAddr{WordlineAddr: w, Kind: LSBPage})
 			}
 			pe = max(pe, a.peCycles(w))
+			// The sense reads its operands once their programs end.
+			start = sim.Max(start, a.planeAt(w.PlaneAddr).blocks[w.Block].programmed)
 		}
 	}
 	label := "bitwise"
@@ -201,12 +204,12 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 	// Register reloads cross the channel bus into the plane register.
 	dur += sim.Duration(loads) * a.timing.Transfer(a.geo.PageSize)
 	a.stats.BytesIn += int64(loads * a.geo.PageSize)
-	_, end := a.planeAt(first.PlaneAddr).sense.ReserveLabeled(at, dur+jitter, label)
+	_, end := a.planeAt(first.PlaneAddr).sense.ReserveLabeled(start, dur+jitter, label)
 	res := SenseResult{Data: a.foldSense(s.Kind, op, chunks), Ready: end}
 	exposure := 0
 	for _, wls := range chunks {
 		for i, w := range wls {
-			exposure = max(exposure, a.noteReads(w, senseShare(s.Kind, op, sros, i)))
+			exposure = max(exposure, a.noteSense(w, senseShare(s.Kind, op, sros, i), end))
 		}
 	}
 	if a.noise != nil {

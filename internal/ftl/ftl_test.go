@@ -804,6 +804,65 @@ func TestGCRelocationAllocations(t *testing.T) {
 	}
 }
 
+// TestGCEraseWaitsForBookedSense runs a GC pass at a batch's issue
+// instant after an earlier command of the batch booked a read of the
+// victim block for a later instant, as a later step of a multi-sense
+// command does. The pass relocates the block's pages, and its erase,
+// though issued long before that read, must not start until the read's
+// sense has ended.
+func TestGCEraseWaitsForBookedSense(t *testing.T) {
+	f := newFTL()
+	g := f.Array().Geometry()
+	data := page(f, 1)
+	for lpn := 0; lpn < g.PagesPerBlock()*g.Planes()*2; lpn++ {
+		if _, err := f.Write(uint64(lpn), data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	issue := f.Array().DrainTime()
+	// Trim all but one page of a sealed block, making it collectPlane's
+	// victim and its relocation short.
+	pa := f.planes[0]
+	victim := pa.full[0]
+	lpn, ok := pa.owner(victim, 0)
+	if !ok {
+		t.Fatalf("block %d holds no page in slot 0", victim)
+	}
+	for slot := 1; slot < g.PagesPerBlock(); slot++ {
+		if other, ok := pa.owner(victim, slot); ok {
+			f.Trim(other)
+		}
+	}
+	erases := f.Array().EraseCount(pa.addr, victim)
+	var sensed, erase sim.Time
+	f.Array().InstrumentResources(func(name string) sim.ReserveObserver {
+		if name != "plane-0" {
+			return nil
+		}
+		return func(label string, start, end sim.Time) {
+			switch label {
+			case "sense":
+				sensed = max(sensed, end)
+			case "erase":
+				erase = start
+			}
+		}
+	})
+	if _, _, err := f.Read(lpn, issue.Add(20*sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	booked := sensed
+	if _, err := f.collectPlane(pa, issue); err != nil {
+		t.Fatal(err)
+	}
+	if f.Array().EraseCount(pa.addr, victim) != erases+1 {
+		t.Fatalf("GC did not erase block %d", victim)
+	}
+	if erase < booked {
+		t.Fatalf("GC erased block %d at %v, before a booked sense of it ended at %v", victim, erase, booked)
+	}
+}
+
 // TestReclaimRelocationAllocations pins a warm read-reclaim pass to zero
 // allocations: reclaim relocates through the same FTL-owned page as GC.
 func TestReclaimRelocationAllocations(t *testing.T) {

@@ -68,7 +68,8 @@ func (l *Link) TransferTime(n int64) sim.Duration {
 func (l *Link) InstrumentBus(obs sim.ReserveObserver) { l.bus.SetObserver(obs) }
 
 // Transfer books n bytes on the link starting no earlier than at and
-// returns when the transfer completes. Concurrent requests serialize.
+// returns when the transfer completes. Transfers never overlap: each takes
+// the link's earliest idle gap at or after at that fits it.
 func (l *Link) Transfer(n int64, at sim.Time) sim.Time {
 	_, end := l.bus.ReserveLabeled(at, l.TransferTime(n), "transfer")
 	return end

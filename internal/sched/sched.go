@@ -11,9 +11,15 @@
 //   - Ticket.Wait dispatches every command queued so far as one batch,
 //     under the scheduler mutex, all sharing the batch's issue instant.
 //     Commands in one batch therefore overlap in virtual time exactly the
-//     way independent page operations overlap on real hardware: the plane,
-//     channel and die resources serialize only where they genuinely
-//     conflict, and the batch completes at the latest per-command finish.
+//     way independent page operations overlap on real hardware. The
+//     commands run one after another, but the plane and channel
+//     resources order their work by virtual time, not by that call
+//     order: a command's sense issued at the batch instant fills an idle
+//     gap ahead of programs an earlier command booked for later, even on
+//     the same plane. Commands wait for each other only where they
+//     genuinely conflict — on a busy resource, or on a block whose
+//     programs, senses or erase they depend on — and the batch completes
+//     at the latest per-command finish.
 //   - The issue cursor then advances to that horizon, so the next batch
 //     observes the device drained — a full barrier between batches.
 //

@@ -126,6 +126,67 @@ func TestBatchSharesIssueInstant(t *testing.T) {
 	}
 }
 
+// TestBatchReadWaitsForItsWrite submits a write and a read of one LPN in
+// one batch. Transfers for other planes crowd the write's channel first,
+// so its program starts late while its plane idles: the read, issued at
+// the same instant, would fit its sense into that gap if the plane did
+// not wait for the block's program to end.
+func TestBatchReadWaitsForItsWrite(t *testing.T) {
+	s, dev := newSched(t)
+	geo := dev.Array().Geometry()
+	const target = 0
+	type booking struct {
+		label      string
+		start, end sim.Time
+	}
+	var spans []booking
+	dev.Array().InstrumentResources(func(name string) sim.ReserveObserver {
+		if name != fmt.Sprintf("plane-%d", target) {
+			return nil
+		}
+		return func(label string, start, end sim.Time) {
+			spans = append(spans, booking{label, start, end})
+		}
+	})
+	// Another plane on the write's channel takes enough pages that their
+	// transfers outlast one sense.
+	crowd := target + 1
+	if geo.PlaneAt(crowd).Channel != geo.PlaneAt(target).Channel {
+		t.Fatal("planes 0 and 1 do not share a channel")
+	}
+	for i := 0; i < 64; i++ {
+		s.Submit(Command{Kind: KindWriteOnPlane, Plane: crowd, LPN: uint64(100 + i), Data: pageOf(dev, byte(i))})
+	}
+	w := s.Submit(Command{Kind: KindWriteOnPlane, Plane: target, LPN: 7, Data: pageOf(dev, 7)})
+	r := s.Submit(Command{Kind: KindRead, LPN: 7})
+	rr, wr := r.Wait(), w.Wait()
+	if rr.Err != nil || wr.Err != nil {
+		t.Fatalf("write: %v, read: %v", wr.Err, rr.Err)
+	}
+	if rr.Start != wr.Start {
+		t.Fatalf("read issued at %v, write at %v: not one batch", rr.Start, wr.Start)
+	}
+	var programEnd sim.Time
+	senses := 0
+	for _, sp := range spans {
+		switch sp.label {
+		case "program":
+			programEnd = sp.end
+		case "sense":
+			senses++
+			if programEnd == 0 || sp.start < programEnd {
+				t.Fatalf("read sensed at %v, before the write's program ended (%v); plane bookings %v", sp.start, programEnd, spans)
+			}
+		}
+	}
+	if senses != 1 || programEnd != wr.Done {
+		t.Fatalf("plane %d booked %d senses and a program ending at %v (write done %v): %v", target, senses, programEnd, wr.Done, spans)
+	}
+	if !bytes.Equal(rr.Data, pageOf(dev, 7)) {
+		t.Fatal("read returned other data than the batch wrote")
+	}
+}
+
 // TestFlushDrains checks Flush executes queued commands without a Wait.
 func TestFlushDrains(t *testing.T) {
 	s, dev := newSched(t)

@@ -5,8 +5,8 @@
 // Device models in this repository are resource-occupancy models (a plane
 // is busy for 25 µs, a channel transfers a page for 5 µs, ...): they only
 // track operation durations under SSD parallelism. So the package offers
-// two primitives, virtual Time/Duration values and a Resource that
-// serializes busy intervals, and no event queue.
+// two primitives, virtual Time/Duration values and a Resource that books
+// busy intervals in virtual-time order, and no event queue.
 package sim
 
 import "time"
