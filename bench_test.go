@@ -288,9 +288,6 @@ func BenchmarkAblationECCRealloc(b *testing.B) {
 					b.Fatal(err)
 				}
 				modeled = float64(r.Latency.Microseconds())
-				if i%512 == 0 {
-					d.Reclaim()
-				}
 			}
 			b.ReportMetric(modeled, "modeled-µs/op")
 		})

@@ -33,12 +33,7 @@ import (
 // Both load the bitmap chunk-placed, so cross-day reductions route
 // shard-locally while cross-chunk queries must scatter.
 
-const (
-	clusterSeed = 1
-	// clusterReclaimEvery bounds controller-internal page growth during
-	// long query streams.
-	clusterReclaimEvery = 64
-)
+const clusterSeed = 1
 
 // clusterSpec is the cluster's shape and the deterministic mode's query
 // count.
@@ -212,9 +207,6 @@ func runClusterBench(cs clusterSpec, w io.Writer) (clusterReport, error) {
 			return clusterReport{}, fmt.Errorf("cluster bench query %d: %w", i, err)
 		}
 		lats = append(lats, res.Elapsed.Std())
-		if (i+1)%clusterReclaimEvery == 0 {
-			c.Reclaim()
-		}
 	}
 
 	ps := percentiles(lats, 0.50, 0.95, 0.99)

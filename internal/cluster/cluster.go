@@ -755,19 +755,10 @@ func (c *Cluster) copyToLocked(col *column, id int, group uint64, data []byte) e
 	return nil
 }
 
-// Reclaim trims stale controller-internal pages on every live shard —
-// the between-phases maintenance a long query stream needs, since
-// reallocation targets become garbage once their operation completes.
-func (c *Cluster) Reclaim() {
-	c.EachShard(func(sh *Shard) {
-		if !sh.Alive() {
-			return
-		}
-		sh.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-			dev.ReclaimInternal()
-		})
-	})
-}
+// Reclaim does nothing: every reallocation trims its own pages once its
+// sense returns, so no shard accumulates controller-internal pages. It
+// stays for callers written when they had to be reclaimed.
+func (c *Cluster) Reclaim() {}
 
 // Repair restores the replication factor after shard loss: every column
 // with fewer live replicas than configured is copied from a survivor to

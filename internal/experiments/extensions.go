@@ -72,7 +72,8 @@ func ExtGC(env *Env) Result {
 			continue
 		}
 		// Steady overwrite traffic across half the logical space plus
-		// continuous ReAlloc operations churning the internal pool.
+		// continuous ReAlloc operations, each programming a pair that it
+		// trims again.
 		rng := rand.New(rand.NewSource(42))
 		page := make([]byte, dev.PageSize())
 		hot := int(dev.UserPages() / 2)
@@ -90,9 +91,6 @@ func ExtGC(env *Env) Result {
 					// Operands may be unmapped early on; ignore those.
 					_, _ = dev.Bitwise(latch.OpXor, a, b, ssd.SchemeReAlloc, 0)
 				}
-			}
-			if i%2048 == 0 {
-				dev.ReclaimInternal()
 			}
 		}
 		s := dev.FTL().Stats()

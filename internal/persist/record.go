@@ -35,7 +35,9 @@ const (
 	OpWriteOnPlane
 	// OpWriteTriple co-locates three operands in one TLC wordline.
 	OpWriteTriple
-	// OpReclaimInternal trims the controller's internal page pool.
+	// OpReclaimInternal trimmed the controller's internal page pool.
+	// Nothing writes it any more; old journals still hold it, and the
+	// device replays it as a no-op.
 	OpReclaimInternal
 	numOps
 )

@@ -72,9 +72,9 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 	}
 	if scheme != SchemeReAlloc && (d.scrambled(lpnM) || d.scrambled(lpnN)) {
 		// A scrambled operand cannot sense in place under any scheme: it
-		// is read, descrambled and reallocated.
+		// is read and descrambled, then reallocated or combined.
 		d.noteFallback(scheme)
-		return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
+		return d.pairUp(op, scheme, onFlash(lpnM), onFlash(lpnN), at)
 	}
 	switch scheme {
 	case SchemePreAlloc:
@@ -112,7 +112,7 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 			wls[0], wls[1] = wls[1], wls[0]
 		default:
 			d.noteFallback(SchemeLocFree)
-			return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
+			return d.join(op, onFlash(lpnM), onFlash(lpnN), at)
 		}
 		return d.runSense(s, at, op, SchemeLocFree, at)
 	case SchemeFlashCosmos:
@@ -140,8 +140,8 @@ func (d *Device) runSense(s flash.Sense, issue sim.Time, op latch.Op, scheme Sch
 	return BitwiseResult{Data: res.Data, Done: res.Ready}, nil
 }
 
-// operand is one input of a reallocation step: a page still on flash at
-// lpn (data nil), or a page in the controller buffer since ready.
+// operand is one input of a join: a page still on flash at lpn (data
+// nil), or a page in the controller buffer since ready.
 type operand struct {
 	lpn   uint64
 	data  []byte
@@ -154,75 +154,98 @@ func onFlash(lpn uint64) operand { return operand{lpn: lpn} }
 // buffered names a result already in the controller buffer.
 func buffered(r BitwiseResult) operand { return operand{data: r.Data, ready: r.Done} }
 
-// load reads o into the controller buffer at at if it is still on flash,
-// descrambling as needed.
-func (d *Device) load(o *operand, at sim.Time) (err error) {
-	if o.data == nil {
-		o.data, o.ready, err = d.readOperand(o.lpn, at)
+// load reads each operand still on flash into the controller buffer at
+// at, in order, descrambling as needed.
+func (d *Device) load(at sim.Time, ops ...*operand) (err error) {
+	for _, o := range ops {
+		if o.data == nil {
+			if o.data, o.ready, err = d.readOperand(o.lpn, at); err != nil {
+				return err
+			}
+		}
 	}
-	return err
+	return nil
+}
+
+// pairUp joins two operands that no in-place sense can pair. ParaBit and
+// ParaBit-ReAlloc reallocate them, as the paper prices it (§4.3.2); the
+// location-free schemes read them and combine in the controller buffer.
+func (d *Device) pairUp(op latch.Op, scheme Scheme, a, b operand, at sim.Time) (BitwiseResult, error) {
+	if scheme == SchemePreAlloc || scheme == SchemeReAlloc {
+		return d.realloc(op, a, b, at)
+	}
+	return d.join(op, a, b, at)
+}
+
+// join reads whichever operands are still on flash into the controller
+// buffer, a first, and applies op with a in the LSB slot, charging one
+// controller combine. The result is a fresh page: a buffered operand may
+// be a result another step still holds.
+func (d *Device) join(op latch.Op, a, b operand, at sim.Time) (BitwiseResult, error) {
+	if err := d.load(at, &a, &b); err != nil {
+		return BitwiseResult{}, err
+	}
+	out := make([]byte, len(a.data))
+	op.Apply(out, a.data, b.data)
+	d.tele.cCombine.Add(1)
+	return BitwiseResult{Data: out, Done: sim.Max(a.ready, b.ready).Add(plan.CombineCost(2, len(out)))}, nil
 }
 
 // realloc implements the Operands ReAllocation module (§4.3.2): read
 // whichever operands are still on flash into the controller buffer, a
 // first, then program both unscrambled into the LSB and MSB pages of one
-// fresh wordline and sense it. The pair sense is MLC-only, so on any
-// other array it refuses before anything is read or programmed.
+// fresh wordline and sense it. The pair takes the top two LPNs of the
+// controller-reserved range and is trimmed once the sense returns: the
+// device runs one operation at a time, so at most one reallocation is
+// live. The pair sense is MLC-only, so on any other array it refuses
+// before anything is read or programmed.
 func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult, error) {
 	if bits := d.cfg.Geometry.CellBits; bits != 2 {
 		return BitwiseResult{}, fmt.Errorf("%w: %v sense on %d-bit cells", flash.ErrCellMode, flash.SensePair, bits)
 	}
-	if err := d.load(&a, at); err != nil {
+	if err := d.load(at, &a, &b); err != nil {
 		return BitwiseResult{}, err
 	}
-	if err := d.load(&b, at); err != nil {
-		return BitwiseResult{}, err
-	}
-	newM, err := d.allocInternal()
+	top := uint64(d.ftl.LogicalPages())
+	pair := []uint64{top - 1, top - 2}
+	defer d.ftl.Trim(pair[0])
+	defer d.ftl.Trim(pair[1])
+	done, err := d.ftl.Place(ftl.Layout{Shape: ftl.Shared, Extra: true}, pair, [][]byte{a.data, b.data}, sim.Max(a.ready, b.ready))
 	if err != nil {
 		return BitwiseResult{}, err
 	}
-	newN, err := d.allocInternal()
-	if err != nil {
-		return BitwiseResult{}, err
-	}
-	done, err := d.ftl.Place(ftl.Layout{Shape: ftl.Shared, Extra: true},
-		[]uint64{newM, newN}, [][]byte{a.data, b.data}, sim.Max(a.ready, b.ready))
-	if err != nil {
-		return BitwiseResult{}, err
-	}
-	d.plain.add(newM)
-	d.plain.add(newN)
 	d.stats.Reallocations++
 	d.stats.ReallocPages += 2
 	d.tele.cRealloc.Add(1)
 	d.tele.cReallocPg.Add(2)
-	wl, _ := d.ftl.Lookup(newM)
+	wl, _ := d.ftl.Lookup(pair[0])
 	return d.runSense(flash.Sense{Kind: flash.SensePair, Op: op, WLs: []flash.WordlineAddr{wl.WordlineAddr}},
 		done, op, SchemeReAlloc, at)
 }
 
 // fold combines operands left to right, as §4.2's chained use does: the
 // first operand becomes the running result acc, and each later one joins
-// it through one reallocation step with op. The reallocating reductions,
-// every query step that combines results outside one sense and a
-// formula's term results go through it; the sense-only reductions
-// combine instead.
+// it through pairUp with op: one reallocation under ParaBit and
+// ParaBit-ReAlloc, reads and a controller combine under the location-free
+// schemes. The reallocating reductions, every query step that combines
+// results outside one sense and a formula's term results go through it;
+// the sense-only reductions combine instead.
 type fold struct {
 	d       *Device
 	op      latch.Op
+	scheme  Scheme
 	acc     BitwiseResult
 	started bool // acc holds a result
 }
 
-// add joins o to the fold, issuing its reads and reallocation at at. A
-// first operand still on flash is read into the buffer, descrambling as
+// add joins o to the fold, issuing its reads and join at at. A first
+// operand still on flash is read into the buffer, descrambling as
 // needed.
 func (f *fold) add(o operand, at sim.Time) error {
 	var err error
 	switch {
 	case f.started:
-		f.acc, err = f.d.realloc(f.op, buffered(f.acc), o, at)
+		f.acc, err = f.d.pairUp(f.op, f.scheme, buffered(f.acc), o, at)
 	case o.data != nil:
 		f.acc = BitwiseResult{Data: o.data, Done: o.ready}
 	default:
@@ -281,8 +304,8 @@ func (c *combine) result() BitwiseResult {
 //     accumulate in the latches at one extra sense per operand, the XOR
 //     family pays a buffer round-trip per step. Operands on several
 //     planes chain per plane, in parallel, and the partial pages combine
-//     in the controller buffer; an MSB or scrambled operand falls back to
-//     ReAlloc.
+//     in the controller buffer; an MSB or scrambled operand is read and
+//     joins its plane's partial.
 //   - SchemeFlashCosmos collapses each block-colocated operand group (the
 //     persist.OpWriteMWSGroup layout) into one multi-wordline sense per
 //     sense-margin-sized chunk; same-plane chunk results chain through
@@ -328,8 +351,8 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 // parallel. One group's chained sense is the result; across planes the
 // partial pages combine in the controller buffer. The LSB chain senses
 // MLC cells only: on a TLC array every operand is read and combined. An
-// MSB or scrambled operand sends the whole reduction down the
-// reallocating path.
+// MSB or scrambled operand cannot chain: it is a stray of its plane's
+// group and is read, and the reduction counts one scheme fallback.
 //
 // Each group resolves its operands immediately before its own sense: a
 // lone operand's read can cross the read-reclaim threshold, and the
@@ -338,23 +361,24 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 // than sensed.
 func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (BitwiseResult, error) {
 	s := &d.red
-	// Pre-scan for grouping and the fallback decision only; the wordline
+	// Pre-scan for grouping and the fallback count only; the wordline
 	// addresses seen here are NOT reused for sensing.
 	s.planes, s.groups = s.planes[:0], s.groups[:0]
+	fallback := false
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
-		if addr.Kind != flash.LSBPage || d.scrambled(lpn) {
-			d.noteFallback(SchemeLocFree)
-			return d.reduceSerial(op, lpns, at)
-		}
+		fallback = fallback || addr.Kind != flash.LSBPage || d.scrambled(lpn)
 		pl := addr.WordlineAddr.PlaneAddr
 		s.planes = append(s.planes, pl)
 		if !slices.Contains(s.groups, pl) {
 			s.groups = append(s.groups, pl)
 		}
+	}
+	if fallback {
+		d.noteFallback(SchemeLocFree)
 	}
 	c := combine{d: d, op: op}
 	for _, g := range s.groups {
@@ -367,7 +391,7 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			if err != nil {
 				return BitwiseResult{}, err
 			}
-			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == g {
+			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == g && !d.scrambled(lpn) {
 				s.chain = append(s.chain, addr.WordlineAddr)
 				s.alignedLPNs = append(s.alignedLPNs, lpn)
 			} else {
@@ -426,7 +450,7 @@ func (d *Device) reducePreAlloc(op latch.Op, lpns []uint64, at sim.Time) (Bitwis
 	}
 	// Phase 2: fold the partials, each join a program-pair-then-sense
 	// reallocation step.
-	f := fold{d: d, op: op}
+	f := fold{d: d, op: op, scheme: SchemePreAlloc}
 	for _, p := range parts {
 		if err := f.add(p, at); err != nil {
 			return BitwiseResult{}, err
@@ -445,7 +469,7 @@ func (d *Device) reduceSerial(op latch.Op, lpns []uint64, at sim.Time) (BitwiseR
 	if err != nil {
 		return BitwiseResult{}, err
 	}
-	f := fold{d: d, op: op, acc: r, started: true}
+	f := fold{d: d, op: op, scheme: SchemeReAlloc, acc: r, started: true}
 	for _, next := range lpns[2:] {
 		if err := f.add(onFlash(next), f.acc.Done); err != nil {
 			return BitwiseResult{}, err
@@ -474,11 +498,12 @@ type FormulaResult struct {
 // ExecuteFormula runs a formula's parsed batches end to end. Every
 // term's sub-operations issue at at under the scheme (planes provide the
 // parallelism); then each sub-operation's term results fold left to right
-// with the extra-batch operations, one reallocation from the controller
-// buffer per join (Fig. 12), and the final pages ship to the host. A
-// sub-page sub-operation yields the Length bytes its operands name; every
-// batch must have as many sub-operations as the first, each spanning the
-// same bytes.
+// with the extra-batch operations from the controller buffer, one
+// reallocation per join under ParaBit and ParaBit-ReAlloc (Fig. 12) and
+// one controller combine under the location-free schemes, and the final
+// pages ship to the host. A sub-page sub-operation yields the Length
+// bytes its operands name; every batch must have as many sub-operations
+// as the first, each spanning the same bytes.
 func (d *Device) ExecuteFormula(batches []nvme.Batch, scheme Scheme, at sim.Time) (FormulaResult, error) {
 	if len(batches) == 0 {
 		return FormulaResult{}, fmt.Errorf("%w: no batches", nvme.ErrBadFormula)
@@ -510,7 +535,7 @@ func (d *Device) ExecuteFormula(batches []nvme.Batch, scheme Scheme, at sim.Time
 	}
 	out := FormulaResult{Pages: make([][]byte, len(subs))}
 	for si, sub := range subs {
-		f := fold{d: d}
+		f := fold{d: d, scheme: scheme}
 		for bi := range batches {
 			if bi > 0 {
 				f.op = batches[bi-1].Extra
@@ -534,7 +559,7 @@ func (d *Device) ExecuteFormula(batches []nvme.Batch, scheme Scheme, at sim.Time
 // name. Operands at one offset sense in place under the scheme, and the
 // result slides to the page start. Operands at different offsets cannot
 // share a sense: both are read into the controller buffer, aligned at
-// offset 0 and computed through the reallocation path.
+// offset 0 and joined as pairUp joins for the scheme.
 func (d *Device) formulaSub(op latch.Op, sub nvme.SubOp, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	if sub.SectorOffset == sub.NSectorOffset {
 		r, err := d.Bitwise(op, sub.M, sub.N, scheme, at)
@@ -544,13 +569,10 @@ func (d *Device) formulaSub(op latch.Op, sub nvme.SubOp, scheme Scheme, at sim.T
 		return r, err
 	}
 	m, n := onFlash(sub.M), onFlash(sub.N)
-	if err := d.load(&m, at); err != nil {
-		return BitwiseResult{}, err
-	}
-	if err := d.load(&n, at); err != nil {
+	if err := d.load(at, &m, &n); err != nil {
 		return BitwiseResult{}, err
 	}
 	copy(m.data, m.data[sub.SectorOffset:][:sub.Length])
 	copy(n.data, n.data[sub.NSectorOffset:][:sub.Length])
-	return d.realloc(op, m, n, at)
+	return d.pairUp(op, scheme, m, n, at)
 }

@@ -357,9 +357,9 @@ func ftlAndPlain(t *testing.T, d *Device) ([]byte, []byte) {
 
 // TestDeltaChainMatchesLive drives a persistent Small device through
 // overwrites pinned to one plane (so garbage collection runs),
-// scrambled writes that leave the plain set, operand writes,
-// reallocating bitwise operations and the trims of ReclaimInternal, at
-// a rotation every seven writes. After every durable rotation the FTL
+// scrambled writes that leave the plain set, operand writes and
+// reallocating bitwise operations, which trim their own pages, at a
+// rotation every seven writes. After every durable rotation the FTL
 // and plain set restored from the on-disk chain encode exactly like the
 // live device's.
 func TestDeltaChainMatchesLive(t *testing.T) {
@@ -390,13 +390,11 @@ func TestDeltaChainMatchesLive(t *testing.T) {
 			write(persist.OpWrite, 0, uint64(rng.Intn(64)))
 		case k < 16:
 			write(persist.OpWriteOperand, 0, 96+uint64(rng.Intn(4000)))
-		case k < 19:
+		default:
 			m, n := 64+uint64(rng.Intn(32)), 64+uint64(rng.Intn(32))
 			if _, err := d.Bitwise(latch.OpXor, m, n, SchemeReAlloc, 0); err != nil {
 				t.Fatalf("bitwise %d^%d: %v", m, n, err)
 			}
-		default:
-			d.ReclaimInternal()
 		}
 		if st, _ = d.PersistStats(); st.Snapshots == rotations {
 			continue

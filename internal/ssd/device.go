@@ -19,14 +19,9 @@ var (
 	// ErrNotCoLocated reports a pre-allocation-scheme operation whose
 	// operands do not share a wordline.
 	ErrNotCoLocated = errors.New("ssd: operands not co-located")
-	// ErrNotAligned reports a location-free operation whose operands are
-	// not aligned LSB pages on one plane.
-	ErrNotAligned = errors.New("ssd: operands not plane-aligned LSB pages")
 	// ErrNeedOperands reports a reduction with no operands. (A
 	// single-operand reduction is legal: it resolves to a plain read.)
 	ErrNeedOperands = errors.New("ssd: reduction needs at least one operand")
-	// ErrNoSpace reports internal LPN exhaustion for reallocation targets.
-	ErrNoSpace = errors.New("ssd: no internal pages for reallocation")
 	// ErrScrambled reports an operation that can only sense its operands
 	// in place, a TLC triple, finding one stored scrambled: sensing it
 	// would compute on whitened bits (§4.3.2).
@@ -39,15 +34,13 @@ type Device struct {
 	array *flash.Array
 	ftl   *ftl.FTL
 	host  *interconnect.Link
-	// plain tracks LPNs stored without scrambling (operand pages and
-	// reallocation targets).
+	// plain tracks LPNs stored without scrambling (operand pages).
 	plain plainSet
-	// Internal LPNs for reallocated operands and intermediate results
-	// grow downward from the top of the logical space.
-	nextInternal uint64
-	lowInternal  uint64
-	stats        OpStats
-	tele         devTele
+	// lowInternal starts the controller-reserved top of the logical
+	// space; a reallocation programs its pair at the top two LPNs.
+	lowInternal uint64
+	stats       OpStats
+	tele        devTele
 	// qcache is the query planner's controller-DRAM result cache (nil
 	// when disabled); qstats counts planner activity.
 	qcache *plan.Cache
@@ -85,17 +78,15 @@ func New(cfg Config) (*Device, error) {
 	}
 	f := ftl.New(array, cfg.FTL)
 	logical := uint64(f.LogicalPages())
-	// The top eighth of the logical space is the controller's private
-	// pool for reallocated operands and intermediate results.
-	low := logical - logical/8
+	// The top eighth of the logical space is reserved for the
+	// controller's reallocation targets.
 	d := &Device{
-		cfg:          cfg,
-		array:        array,
-		ftl:          f,
-		host:         cfg.hostLink(),
-		plain:        newPlainSet(logical),
-		nextInternal: logical - 1,
-		lowInternal:  low,
+		cfg:         cfg,
+		array:       array,
+		ftl:         f,
+		host:        cfg.hostLink(),
+		plain:       newPlainSet(logical),
+		lowInternal: logical - logical/8,
 	}
 	if bytes := cfg.queryCacheBytes(); bytes > 0 {
 		d.qcache = plan.NewCache(bytes)
@@ -128,29 +119,13 @@ func (d *Device) Stats() OpStats { return d.stats }
 func (d *Device) PageSize() int { return d.cfg.Geometry.PageSize }
 
 // UserPages returns the number of logical pages available to the host
-// (excluding the controller's internal pool).
+// (excluding the controller-reserved range).
 func (d *Device) UserPages() uint64 { return d.lowInternal }
 
-// allocInternal hands out a controller-private LPN.
-func (d *Device) allocInternal() (uint64, error) {
-	if d.nextInternal < d.lowInternal {
-		return 0, ErrNoSpace
-	}
-	lpn := d.nextInternal
-	d.nextInternal--
-	return lpn, nil
-}
-
-// ReclaimInternal trims stale internal pages. Reallocated operand
-// pages become garbage as soon as their operation completes; experiments
-// running many operations call this between phases. On a persistent
-// device the trim is journaled so replay reproduces the allocator state.
-// Errors are swallowed: if power is already gone the trim is skipped (a
-// dead device mutates nothing), and a failed compaction is not the
-// trim's problem — death is observed by whatever runs next.
-func (d *Device) ReclaimInternal() {
-	_, _ = d.journaled(persist.Record{Op: persist.OpReclaimInternal}, 0)
-}
+// ReclaimInternal does nothing: a reallocation trims its own pages once
+// its sense returns, so no internal page outlives its operation. It
+// stays for callers written when reallocated pages had to be reclaimed.
+func (d *Device) ReclaimInternal() {}
 
 func (d *Device) checkUserLPN(lpn uint64) error {
 	if lpn >= d.lowInternal {

@@ -88,8 +88,6 @@ func execSentinel(err error) string {
 	}{
 		{"ErrNeedOperands", ErrNeedOperands},
 		{"ErrNotCoLocated", ErrNotCoLocated},
-		{"ErrNotAligned", ErrNotAligned},
-		{"ErrNoSpace", ErrNoSpace},
 		{"ErrScrambled", ErrScrambled},
 		{"ftl.ErrUnmapped", ftl.ErrUnmapped},
 	} {
@@ -300,7 +298,6 @@ func execAll(t *testing.T, l *execLog, lpns []uint64, scheme Scheme) {
 	r, err = d.Reduce(latch.OpOr, []uint64{lpns[0], 99}, scheme, at)
 	l.result("reduce OR unmapped", at, r, err, false)
 
-	d.ReclaimInternal()
 	execQueryRuns(t, l, scheme, 2)
 	for _, fc := range execFormulas(d.PageSize()) {
 		at := l.next()

@@ -158,8 +158,7 @@ func fuzzPlace(t *testing.T, d *Device, in *fuzzBytes, lpns []uint64, prime bool
 // and a scheme; runs Bitwise, Reduce or a random ExecuteQuery tree; and
 // checks the result against plan.Expr.Eval over the written pages. A
 // query runs twice, the second time from the result cache. The only
-// refusals accepted are running out of space: the internal pool or the
-// device. The seed corpus covers each mode, every placement, garbage
+// refusal accepted is a full device. The seed corpus covers each mode, every placement, garbage
 // collection in the middle of a reduction, and reductions spread over
 // two to four planes.
 //
@@ -250,7 +249,7 @@ func FuzzDeviceFold(f *testing.F) {
 				}
 			}
 		}
-		if errors.Is(err, ErrNoSpace) || errors.Is(err, ftl.ErrDeviceFull) {
+		if errors.Is(err, ftl.ErrDeviceFull) {
 			t.Skipf("%v %v: out of space: %v", scheme, e, err)
 		}
 		if err != nil {

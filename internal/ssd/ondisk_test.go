@@ -29,9 +29,9 @@ const onDiskOverwrites = 28 * persist.DefaultSnapshotEvery
 // pages per wordline, so the triple op can run) through a fixed
 // sequence under the default rotation length: onDiskOverwrites
 // overwrites of eight LPNs on one plane, which rotates the store many
-// times and forces GC, then one journaled record of every persist.Op,
-// ReclaimInternal included. It crashes the device so the last epoch's
-// snapshot and journal stay on disk as written.
+// times and forces GC, then one journaled record of every write op. It
+// crashes the device so the last epoch's snapshot and journal stay on
+// disk as written.
 func buildOnDisk(t *testing.T, dir string) {
 	t.Helper()
 	d, err := Create(dir, SmallTLCConfig(), 0)
@@ -74,7 +74,6 @@ func buildOnDisk(t *testing.T, dir string) {
 			t.Fatalf("%s: %v", w.op, err)
 		}
 	}
-	d.ReclaimInternal()
 	d.Crash()
 }
 

@@ -206,9 +206,9 @@ func (d *Device) maybeSnapshot() error {
 	return nil
 }
 
-// applyRecord executes one journal record: a live write or reclaim, or
-// a committed record during replay. Record shapes are checked here (and
-// at decode time for replay); everything deeper (LPN ranges, page sizes,
+// applyRecord executes one journal record: a live write, or a committed
+// record during replay. Record shapes are checked here (and at decode
+// time for replay); everything deeper (LPN ranges, page sizes,
 // geometry fits) re-runs the checks the original execution passed, so a
 // replay failure means the journal does not describe this device. Pages
 // are marked plain or scrambled only once their write succeeded.
@@ -217,11 +217,8 @@ func (d *Device) applyRecord(rec persist.Record, at sim.Time) (sim.Time, error) 
 		return 0, fmt.Errorf("ssd: malformed %s write: %d lpns / %d pages", rec.Op, len(rec.LPNs), len(rec.Pages))
 	}
 	if rec.Op == persist.OpReclaimInternal {
-		for lpn := d.nextInternal + 1; lpn < uint64(d.ftl.LogicalPages()); lpn++ {
-			d.ftl.Trim(lpn)
-			d.plain.remove(lpn)
-		}
-		d.nextInternal = uint64(d.ftl.LogicalPages()) - 1
+		// Reallocations trim their own pages, so an old journal's
+		// reclaim has nothing left to do.
 		return at, nil
 	}
 	w := writeOps[rec.Op]
@@ -281,7 +278,8 @@ func (d *Device) writeSnapshot(w io.Writer, delta bool) (persist.Payload, error)
 		return p, err
 	}
 	b.U32(deviceSectionMagic)
-	b.U64(d.nextInternal)
+	// The retired internal-pool cursor, always at the empty pool's mark.
+	b.U64(uint64(d.ftl.LogicalPages()) - 1)
 	writePlainSet(b, &d.plain)
 	for _, v := range []int64{
 		d.stats.BitwiseOps, d.stats.Reallocations, d.stats.ReallocPages,
@@ -331,10 +329,7 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 		return nil, fmt.Errorf("%w: device section magic", persist.ErrCorrupt)
 	}
 	logical := uint64(d.ftl.LogicalPages())
-	next := b.U64()
-	if b.Err() == nil && (next >= logical || next+1 < d.lowInternal) {
-		return nil, fmt.Errorf("%w: internal cursor %d", persist.ErrCorrupt, next)
-	}
+	b.U64() // the retired internal-pool cursor, which nothing reads
 	read := readPlainSet
 	if m == deviceSectionMagicV1 {
 		read = readPlainSetV1
@@ -356,7 +351,12 @@ func deviceFromSnapshot(chain [][]byte) (*Device, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", persist.ErrCorrupt, r.Len())
 	}
-	d.nextInternal = next
+	// A store written before reallocations trimmed their own pages may
+	// still map internal LPNs; nothing reads them, so they go.
+	for lpn := d.lowInternal; lpn < logical; lpn++ {
+		d.ftl.Trim(lpn)
+		plain.remove(lpn)
+	}
 	d.plain = plain
 	d.stats = st
 	return d, nil

@@ -14,6 +14,40 @@ import (
 	"parabit/internal/persist"
 )
 
+// TestOpenTrimsInternalPages mounts a snapshot that still maps a
+// controller-reserved LPN, as stores did while reallocated pages waited
+// for a reclaim: the mount trims it and drops its plain bit, and the FTL
+// audit passes.
+func TestOpenTrimsInternalPages(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Create(dir, SmallConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpn := uint64(d.FTL().LogicalPages()) - 1
+	if _, err := d.ftl.Place(ftl.Layout{}, []uint64{lpn}, [][]byte{randPage(d, 1)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.plain.add(lpn)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, ok := re.FTL().Lookup(lpn); ok {
+		t.Fatalf("internal lpn %d still mapped after mount", lpn)
+	}
+	if re.plain.has(lpn) {
+		t.Fatalf("internal lpn %d still in the plain set", lpn)
+	}
+	if err := re.FTL().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPersistRoundTrip writes through every journaled layout, closes
 // cleanly, remounts and requires byte-identical reads, identical
 // controller counters and a clean FTL audit. Clean close compacts, so
@@ -59,12 +93,10 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	written[9] = pl
-	// A bitwise op (reallocation path) populates the controller stats and
-	// internal pool, then the reclaim gets journaled too.
+	// A bitwise op (reallocation path) populates the controller stats.
 	if _, err := d.Bitwise(latch.OpAnd, 1, 4, SchemeReAlloc, 0); err != nil {
 		t.Fatal(err)
 	}
-	d.ReclaimInternal()
 	preStats := d.Stats()
 
 	if err := d.Close(); err != nil {

@@ -57,7 +57,7 @@ func (d *Device) QueryStats() QueryStats {
 //     shares structurally equal sub-queries (internal/plan).
 //  2. Steps execute in dependency order. Fused steps over flash-resident
 //     operands run as chained reductions; buffered intermediates join
-//     through reallocation steps (see computeStep). Each non-trivial step result lands in the
+//     through fold joins (see computeStep). Each non-trivial step result lands in the
 //     controller-DRAM cache, priced by its measured recompute time, and
 //     later queries reuse it while the FTL mapping versions of every
 //     operand it depends on are unchanged.
@@ -134,8 +134,8 @@ func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, s
 // count pick the part that senses in place: two or more leaves of a fused
 // step run as a chained reduction, the two leaves of a binary step as one
 // Bitwise, and a NOT's leaf against itself. Buffered results then join
-// the fold, and a lone leaf last, one reallocation step each. A read step
-// is a fold of its one leaf.
+// the fold, and a lone leaf last, one fold join each. A read step is a
+// fold of its one leaf.
 func (d *Device) computeStep(results []BitwiseResult, st plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	args := st.Args
 	if st.Kind == plan.StepNot {
@@ -151,7 +151,7 @@ func (d *Device) computeStep(results []BitwiseResult, st plan.Step, scheme Schem
 			leaves = append(leaves, r.LPN)
 		}
 	}
-	f := fold{d: d, op: st.Op}
+	f := fold{d: d, op: st.Op, scheme: scheme}
 	if len(leaves) >= 2 {
 		var r BitwiseResult
 		var err error

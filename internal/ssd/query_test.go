@@ -324,10 +324,10 @@ func TestQueryCacheInvalidatedByProgramFaultRetirement(t *testing.T) {
 // location-free reduction on stale wordline addresses. With plane 1 one
 // block-opening write from collecting the block under operands 10 and
 // 11, a sense-only reduction programs nothing, so it runs no GC and its
-// operands stay put. An MSB operand hands the same reduction to the
-// serial reallocation chain, whose first program there collects that
-// block mid-reduce; operand 11, which it migrates before the chain reaches
-// it, is read where it now is.
+// operands stay put. ParaBit-ReAlloc's serial reallocation chain, the
+// only one left (here with operand 2 on an MSB page), has its first
+// program there collect that block mid-reduce; operand 11, which GC
+// migrates before the chain reaches it, is read where it now is.
 func TestReduceLocFreeGCMidReduce(t *testing.T) {
 	for _, handOff := range []bool{false, true} {
 		d := MustNew(tinyConfig())
@@ -355,8 +355,12 @@ func TestReduceLocFreeGCMidReduce(t *testing.T) {
 		addr, _ := d.FTL().Lookup(11)
 		lpns := []uint64{1, 2, 10, 11}
 
+		scheme := SchemeLocFree
+		if handOff {
+			scheme = SchemeReAlloc
+		}
 		gc, programs := d.FTL().Stats().GCRuns, d.Array().Stats().Programs
-		res, err := d.Reduce(latch.OpAnd, lpns, SchemeLocFree, at)
+		res, err := d.Reduce(latch.OpAnd, lpns, scheme, at)
 		if err != nil {
 			t.Fatalf("hand-off %v: %v", handOff, err)
 		}

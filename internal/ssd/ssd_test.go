@@ -13,6 +13,7 @@ import (
 	"parabit/internal/nvme"
 	"parabit/internal/persist"
 	"parabit/internal/sim"
+	"parabit/internal/telemetry"
 )
 
 func newDevice(t *testing.T) *Device {
@@ -239,12 +240,19 @@ func TestLocFreeTiming(t *testing.T) {
 	}
 }
 
+// TestLocFreeFallbackWhenMisaligned: two operands on different planes
+// share no sense, so LocFree reads both and combines them in the
+// controller buffer: one fallback and one controller combine, no
+// reallocation and no program.
 func TestLocFreeFallbackWhenMisaligned(t *testing.T) {
 	d := newDevice(t)
+	sink := telemetry.New()
+	d.SetTelemetry(sink)
 	m, n := randPage(d, 15), randPage(d, 16)
 	// Striped single writes land on different planes.
 	d.WriteOperand(0, m, 0)
 	d.WriteOperand(1, n, 0)
+	programs := d.Array().Stats().Programs
 	r, err := d.Bitwise(latch.OpAnd, 0, 1, SchemeLocFree, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +260,84 @@ func TestLocFreeFallbackWhenMisaligned(t *testing.T) {
 	if !bytes.Equal(r.Data, golden(latch.OpAnd, m, n)) {
 		t.Fatal("fallback result wrong")
 	}
-	if d.Stats().Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", d.Stats().Fallbacks)
+	if s := d.Stats(); s.Fallbacks != 1 || s.Reallocations != 0 {
+		t.Fatalf("fallbacks = %d, reallocations = %d, want 1 and 0", s.Fallbacks, s.Reallocations)
+	}
+	if n := d.Array().Stats().Programs - programs; n != 0 {
+		t.Fatalf("%d programs, want 0", n)
+	}
+	if n := sink.Counter("ssd.combine.controller").Value(); n != 1 {
+		t.Fatalf("%d controller combines, want 1", n)
+	}
+}
+
+// TestTLCLocationFreeBitwiseMiss: on TLC cells, which have no pair
+// sense, a LocFree or Flash-Cosmos pairwise op over two striped operands
+// answers with the page kernel's result over the two pages, the first
+// in the LSB slot, where a reallocation would refuse.
+func TestTLCLocationFreeBitwiseMiss(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeLocFree, SchemeFlashCosmos} {
+		d := MustNew(SmallTLCConfig())
+		m, n := randPage(d, 31), randPage(d, 32)
+		for lpn, p := range [][]byte{m, n} {
+			if _, err := d.WriteOperand(uint64(lpn), p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, op := range latch.Ops {
+			r, err := d.Bitwise(op, 0, 1, scheme, d.DrainTime())
+			if err != nil {
+				t.Fatalf("%v %v: %v", scheme, op, err)
+			}
+			want := make([]byte, len(m))
+			op.Apply(want, m, n)
+			if !bytes.Equal(r.Data, want) {
+				t.Fatalf("%v %v: result differs from the page kernel", scheme, op)
+			}
+		}
+		if s := d.Stats(); s.Reallocations != 0 {
+			t.Fatalf("%v: %d reallocations, want 0", scheme, s.Reallocations)
+		}
+	}
+}
+
+// TestReduceLocFreeReadsMSBAndScrambled: an MSB or scrambled operand
+// cannot join the LSB chain, so LocFree reads it beside its plane
+// group's chain. The reduction counts one fallback however many such
+// operands it has, and reallocates and programs nothing.
+func TestReduceLocFreeReadsMSBAndScrambled(t *testing.T) {
+	d := newDevice(t)
+	lpns, pages := spreadOperands(d, 0, 6)
+	// 0..2 an aligned LSB group, 3 and 4 a pair (4 on the MSB page), 5 a
+	// scrambled host write.
+	if _, err := d.WriteOperandLSBGroup(lpns[:3], pages[:3], 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WritePages(persist.OpWritePair, 0, lpns[3:5], pages[3:5], 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WritePages(persist.OpWrite, 0, lpns[5:], pages[5:], 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
+		before, programs := d.Stats(), d.Array().Stats().Programs
+		r, err := d.Reduce(op, lpns, SchemeLocFree, d.DrainTime())
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		if !bytes.Equal(r.Data, softwareFold(op, pages)) {
+			t.Fatalf("%v: result differs from the software fold", op)
+		}
+		s := d.Stats()
+		if n := s.Fallbacks - before.Fallbacks; n != 1 {
+			t.Errorf("%v: %d fallbacks, want 1", op, n)
+		}
+		if n := s.Reallocations - before.Reallocations; n != 0 {
+			t.Errorf("%v: %d reallocations, want 0", op, n)
+		}
+		if n := d.Array().Stats().Programs - programs; n != 0 {
+			t.Errorf("%v: %d programs, want 0", op, n)
+		}
 	}
 }
 
@@ -552,21 +636,43 @@ func TestShipToHost(t *testing.T) {
 	}
 }
 
-func TestInternalPoolReclaim(t *testing.T) {
-	d := newDevice(t)
+// TestReallocTrimsItsPages runs ten times as many reallocations as the
+// controller-reserved range has LPNs, with no reclaim between them: each
+// must succeed and answer correctly, and afterwards no reserved LPN is
+// mapped, since every reallocation trims its pair once its sense returns.
+func TestReallocTrimsItsPages(t *testing.T) {
+	d := MustNew(tinyConfig())
 	m, n := randPage(d, 22), randPage(d, 23)
-	d.WriteOperand(0, m, 0)
-	d.WriteOperand(1, n, 0)
-	before := d.nextInternal
-	if _, err := d.Bitwise(latch.OpAnd, 0, 1, SchemeReAlloc, 0); err != nil {
+	for lpn, p := range [][]byte{m, n} {
+		if _, err := d.WriteOperand(uint64(lpn), p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := golden(latch.OpAnd, m, n)
+	logical := uint64(d.FTL().LogicalPages())
+	ops := 10 * (logical - d.UserPages())
+	for i := uint64(0); i < ops; i++ {
+		r, err := d.Bitwise(latch.OpAnd, 0, 1, SchemeReAlloc, d.DrainTime())
+		if err != nil {
+			t.Fatalf("reallocation %d of %d: %v", i, ops, err)
+		}
+		if !bytes.Equal(r.Data, want) {
+			t.Fatalf("reallocation %d: wrong result", i)
+		}
+	}
+	if got := d.Stats().Reallocations; got != int64(ops) {
+		t.Fatalf("%d reallocations, want %d", got, ops)
+	}
+	if d.FTL().Stats().GCRuns == 0 {
+		t.Fatal("no garbage collection ran; the trimmed pairs were never collected")
+	}
+	for lpn := d.UserPages(); lpn < logical; lpn++ {
+		if _, ok := d.FTL().Lookup(lpn); ok {
+			t.Fatalf("reserved lpn %d still mapped", lpn)
+		}
+	}
+	if err := d.FTL().CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	if d.nextInternal == before {
-		t.Fatal("realloc did not consume internal pages")
-	}
-	d.ReclaimInternal()
-	if d.nextInternal != uint64(d.FTL().LogicalPages())-1 {
-		t.Fatal("reclaim did not reset the pool")
 	}
 }
 
@@ -723,13 +829,13 @@ func TestTLCReallocRefusesFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ops, tl, fl, next := d.Stats(), d.FTL().Stats(), d.Array().Stats(), d.nextInternal
+	ops, tl, fl := d.Stats(), d.FTL().Stats(), d.Array().Stats()
 	if _, err := d.Bitwise(latch.OpAnd, 0, 1, SchemeReAlloc, d.DrainTime()); !errors.Is(err, flash.ErrCellMode) {
 		t.Fatalf("TLC reallocation: got %v, want flash.ErrCellMode", err)
 	}
-	if d.Stats() != ops || d.FTL().Stats() != tl || d.Array().Stats() != fl || d.nextInternal != next {
-		t.Fatalf("refused reallocation moved counters: op %+v -> %+v, ftl %+v -> %+v, flash %+v -> %+v, internal %d -> %d",
-			ops, d.Stats(), tl, d.FTL().Stats(), fl, d.Array().Stats(), next, d.nextInternal)
+	if d.Stats() != ops || d.FTL().Stats() != tl || d.Array().Stats() != fl {
+		t.Fatalf("refused reallocation moved counters: op %+v -> %+v, ftl %+v -> %+v, flash %+v -> %+v",
+			ops, d.Stats(), tl, d.FTL().Stats(), fl, d.Array().Stats())
 	}
 }
 

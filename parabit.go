@@ -658,13 +658,6 @@ func (d *Device) ReduceAsync(op Op, lpns []uint64, scheme Scheme) *Pending {
 // them. The time all of them completed is reflected by Elapsed.
 func (d *Device) Flush() { d.sched.Flush() }
 
-// Reclaim trims the controller's internal reallocation pool. Call
-// between large batches of Reallocated-scheme operations. It drains the
-// command queue first.
-func (d *Device) Reclaim() {
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) { dev.ReclaimInternal() })
-}
-
 // CheckInvariants drains the command queue and audits the FTL's internal
 // bookkeeping: every block accounted exactly once across active, full,
 // free, reallocation-pool and retired-bad lists, and valid-page counts

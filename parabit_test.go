@@ -309,7 +309,6 @@ func TestPublicStats(t *testing.T) {
 	if d.Elapsed() <= 0 {
 		t.Fatal("no virtual time elapsed")
 	}
-	d.Reclaim()
 }
 
 func TestPublicErrorModel(t *testing.T) {
