@@ -239,7 +239,7 @@ func TestRunHammerWithTraceAndMetrics(t *testing.T) {
 		"queue-write-group", "queue-write-on-plane", "queue-write-triple",
 		"queue-read", "queue-bitwise", "queue-bitwise-triple",
 		"queue-reduce", "queue-formula", "queue-query", "queue-barrier",
-		"gc", "read-reclaim", "static-wl", "batches", "bitwise",
+		"gc", "retirement", "batches", "bitwise",
 	} {
 		if !lanes[want] {
 			t.Errorf("trace is missing lane %q (have %v)", want, lanes)

@@ -309,10 +309,9 @@ func execute(dev *parabit.Device, line string, w io.Writer) error {
 func printStats(dev *parabit.Device, w io.Writer) {
 	s := dev.Stats()
 	fmt.Fprintf(w, "stats   %d bitwise (%d fallbacks, %d reallocs), %d SROs, %d programs, "+
-		"gc %d runs/%d pages, reclaim %d/%d, wl %d/%d, WA %.3f\n",
+		"gc %d runs/%d pages, WA %.3f\n",
 		s.BitwiseOps, s.Fallbacks, s.Reallocations, s.SROs, s.Programs,
-		s.GCRuns, s.GCPagesMoved, s.ReadReclaims, s.ReclaimPagesMoved,
-		s.StaticWLMoves, s.WLPagesMoved, s.WriteAmplification)
+		s.GCRuns, s.GCPagesMoved, s.WriteAmplification)
 	if fs := dev.FaultStats(); fs.Injected > 0 || fs.JitterEvents > 0 {
 		fmt.Fprintf(w, "faults  %d injected (%d transient, %d dead, %d program, %d erase, %d stuck), "+
 			"%d jitter, %d retries (%d exhausted), %d blocks retired (%d pages rescued, %d re-steered)\n",

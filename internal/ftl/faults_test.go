@@ -142,51 +142,6 @@ func TestEraseFailRetiresDuringGC(t *testing.T) {
 	}
 }
 
-// TestEraseFailRetiresDuringReclaim fails the erase that ends a read
-// reclaim. The block's pages already moved, so it retires, the reclaim
-// counts as done and every page still reads back.
-func TestEraseFailRetiresDuringReclaim(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadReclaimThreshold = 50
-	f := New(flash.NewArray(flash.Small(), flash.DefaultTiming()), cfg)
-	g := f.Array().Geometry()
-	n := uint64(g.PagesPerBlock() * g.Planes())
-	for lpn := uint64(0); lpn < n; lpn++ {
-		if _, err := f.Write(lpn, page(f, byte(lpn)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr, _ := f.Lookup(0)
-	f.Array().SetFaultInjector(&scriptInjector{failErases: 1})
-	for i := 0; i < cfg.ReadReclaimThreshold; i++ {
-		if _, _, err := f.Read(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Array().SetFaultInjector(nil)
-	st := f.Stats()
-	if st.ReadReclaims != 1 || st.ReclaimPagesMoved != int64(g.PagesPerBlock()) || st.EraseFails != 1 || st.BlocksRetired != 1 {
-		t.Fatalf("reclaims %d moving %d pages, erase fails %d, retired %d: want one reclaim of a full block that retires it",
-			st.ReadReclaims, st.ReclaimPagesMoved, st.EraseFails, st.BlocksRetired)
-	}
-	pa := f.planes[f.geo.PlaneIndex(addr.PlaneAddr)]
-	if len(pa.bad) != 1 || pa.bad[0] != addr.Block {
-		t.Fatalf("bad blocks %v, want the reclaimed block %d", pa.bad, addr.Block)
-	}
-	for lpn := uint64(0); lpn < n; lpn++ {
-		data, _, err := f.Read(lpn, 0)
-		if err != nil {
-			t.Fatalf("read %d: %v", lpn, err)
-		}
-		if !bytes.Equal(data, page(f, byte(lpn))) {
-			t.Fatalf("lpn %d reads back wrong bytes", lpn)
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStuckBlockRetiredViaPlan(t *testing.T) {
 	geo := flash.Small()
 	f := New(flash.NewArray(geo, flash.DefaultTiming()), DefaultConfig())
@@ -311,9 +266,8 @@ func TestDeviceFullStillDistinctFromFault(t *testing.T) {
 
 // relocationFault fails the first program that relocates a page into a
 // block that already holds valid pages. It takes a program right after a
-// sense for a relocation: with read reclaim and static wear leveling
-// off, a write senses a page only for GC to relocate it, and in a run of
-// reads only, every program that follows a sense is read reclaim's.
+// sense for a relocation: a write senses a page only for GC to relocate
+// it.
 type relocationFault struct {
 	f             *FTL
 	sensed, fired bool
@@ -365,54 +319,6 @@ func TestGCRelocationProgramFailLandsItsPage(t *testing.T) {
 	if st.ProgramFails != 1 || st.BlocksRetired != 1 || st.RetirePagesMoved == 0 || st.GCPagesMoved == 0 {
 		t.Fatalf("program fails %d, retired %d moving %d pages, GC moved %d: want one retirement that moved pages during GC",
 			st.ProgramFails, st.BlocksRetired, st.RetirePagesMoved, st.GCPagesMoved)
-	}
-	for lpn, seed := range golden {
-		data, _, err := f.Read(lpn, 0)
-		if err != nil {
-			t.Fatalf("lpn %d: %v", lpn, err)
-		}
-		if !bytes.Equal(data, page(f, seed)) {
-			t.Fatalf("lpn %d reads back wrong bytes", lpn)
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReclaimRelocationProgramFailLandsItsPage is the read-reclaim twin
-// of TestGCRelocationProgramFailLandsItsPage: a relocation's program
-// fails mid-reclaim, the failed block retires, and its retirement must
-// not disturb the page the reclaim carries. Every page reads back what
-// was last written.
-func TestReclaimRelocationProgramFailLandsItsPage(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadReclaimThreshold = 8
-	f := New(flash.NewArray(flash.Small(), flash.DefaultTiming()), cfg)
-	g := f.Array().Geometry()
-	n := uint64(g.PagesPerBlock() * g.Planes() * 4)
-	rng := rand.New(rand.NewSource(9))
-	golden := map[uint64]byte{}
-	for lpn := uint64(0); lpn < n; lpn++ {
-		seed := byte(rng.Intn(256))
-		if _, err := f.Write(lpn, page(f, seed), 0); err != nil {
-			t.Fatalf("write %d: %v", lpn, err)
-		}
-		golden[lpn] = seed
-	}
-	// Only reads follow, so every program is a reclaim relocation.
-	inj := &relocationFault{f: f}
-	f.Array().SetFaultInjector(inj)
-	for lpn := uint64(0); !inj.fired; lpn = (lpn + 1) % n {
-		if _, _, err := f.Read(lpn, 0); err != nil {
-			t.Fatalf("read %d: %v", lpn, err)
-		}
-	}
-	f.Array().SetFaultInjector(nil)
-	st := f.Stats()
-	if st.ProgramFails != 1 || st.BlocksRetired != 1 || st.RetirePagesMoved == 0 || st.ReclaimPagesMoved == 0 {
-		t.Fatalf("program fails %d, retired %d moving %d pages, reclaim moved %d: want one retirement that moved pages during reclaim",
-			st.ProgramFails, st.BlocksRetired, st.RetirePagesMoved, st.ReclaimPagesMoved)
 	}
 	for lpn, seed := range golden {
 		data, _, err := f.Read(lpn, 0)

@@ -1,7 +1,9 @@
 // Package ftl implements the flash translation layer of the simulated SSD:
 // a page-mapping table, channel-striped data allocation, greedy garbage
-// collection, erase-count wear leveling, and the write accounting that the
-// paper's endurance study (§5.4) draws on.
+// collection, erase-count wear leveling (every new block is the
+// least-erased free one), bad-block retirement, and the write accounting
+// that the paper's endurance study (§5.4) draws on. Only GC and
+// retirement move pages; a read never does.
 //
 // Beyond a standard FTL, every write goes through Place under a Layout,
 // the placement constraint ParaBit's schemes differ by: shared wordlines
@@ -30,16 +32,6 @@ type Config struct {
 	// GCFreeBlockLow triggers garbage collection on a plane when its free
 	// block count drops below this value.
 	GCFreeBlockLow int
-	// ReadReclaimThreshold migrates a block's valid pages once it has
-	// absorbed this many senses since its last erase, bounding read
-	// disturb (the refresh policy real MLC management pairs with the
-	// §5.8 error behaviour). Zero disables read reclaim.
-	ReadReclaimThreshold int
-	// StaticWLDelta triggers static wear leveling: when a plane's
-	// erase-count spread (max sealed block vs min free block) exceeds
-	// this, the coldest sealed block migrates into the most-worn free
-	// block so cold data stops pinning young blocks. Zero disables it.
-	StaticWLDelta int
 }
 
 // DefaultConfig returns a 7 % overprovisioned FTL that collects garbage
@@ -59,18 +51,14 @@ var (
 )
 
 // Stats tracks write-amplification inputs and the maintenance-event
-// counters (GC, read reclaim, static wear leveling) the telemetry layer
-// surfaces as gauges.
+// counters (GC, fault handling, retirement) the telemetry layer surfaces
+// as gauges.
 type Stats struct {
 	HostPagesWritten  int64 // pages written on behalf of the host
 	ExtraPagesWritten int64 // pages written for GC relocation or ParaBit reallocation
 	GCRuns            int64
 	GCPagesMoved      int64
 	PaddedPages       int64 // MSB slots skipped to keep paired writes aligned
-	ReadReclaims      int64 // blocks refreshed for read-disturb exposure
-	ReclaimPagesMoved int64 // valid pages migrated by read reclaim
-	StaticWLMoves     int64 // cold blocks migrated by static wear leveling
-	WLPagesMoved      int64 // valid pages migrated by static wear leveling
 	ProgramFails      int64 // program-status failures absorbed
 	EraseFails        int64 // erase-status failures absorbed
 	BlocksRetired     int64 // blocks pulled from circulation as bad
@@ -122,12 +110,12 @@ type FTL struct {
 	l2p                table[uint32] // LPN -> PPN+1; planeAlloc.owners is the reverse
 	mapped             int           // LPNs with an l2p entry
 	spare              [][]uint32    // released reverse-map leaves, all zero
-	// vers counts mapping changes per LPN: every overwrite, trim,
-	// GC/reclaim/wear-leveling migration and bad-block retirement bumps
-	// the page's version. Cached derived results (the query planner's
-	// controller-DRAM cache) snapshot operand versions and revalidate
-	// against them, so any event that could have changed — or moved —
-	// an operand invalidates dependents.
+	// vers counts mapping changes per LPN: every overwrite, trim, GC
+	// migration and bad-block retirement bumps the page's version.
+	// Cached derived results (the query planner's controller-DRAM cache)
+	// snapshot operand versions and revalidate against them, so any
+	// event that could have changed — or moved — an operand invalidates
+	// dependents.
 	vers      table[uint64]
 	versioned int // LPNs with a nonzero version
 	planes    []*planeAlloc
@@ -140,32 +128,27 @@ type FTL struct {
 	dirty table[uint64]
 	// encBuf holds the entries WriteState writes out a chunk at a time.
 	encBuf [204 * entryLen]byte
-	// relocPage is the page GC and read reclaim relocate through: the
-	// program copies it, so one page serves every move. Retirement, which
-	// a relocation's program fault can start mid-move, reads into pages
-	// of its own and never touches it.
+	// relocPage is the page GC relocates through: the program copies it,
+	// so one page serves every move. Retirement, which a relocation's
+	// program fault can start mid-move, reads into pages of its own and
+	// never touches it.
 	relocPage []byte
 
 	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
-	gcTrack, reclaimTrack, wlTrack, retireTrack                 *telemetry.Track
-	cGCRuns, cGCPages, cReclaims, cReclaimPages, cWLMoves, cPad *telemetry.Counter
-	cProgFails, cEraseFails, cRetired, cResteer                 *telemetry.Counter
+	gcTrack, retireTrack                        *telemetry.Track
+	cGCRuns, cGCPages, cPad                     *telemetry.Counter
+	cProgFails, cEraseFails, cRetired, cResteer *telemetry.Counter
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry sink. GC
-// runs, read reclaims and static wear-leveling migrations become spans on
-// their own lanes when the sink records a trace, and the maintenance
-// counters mirror into the sink's registry.
+// runs and block retirements become spans on their own lanes when the
+// sink records a trace, and the maintenance counters mirror into the
+// sink's registry.
 func (f *FTL) SetTelemetry(s *telemetry.Sink) {
 	tr := s.Trace()
 	f.gcTrack = tr.Track("ftl", "gc")
-	f.reclaimTrack = tr.Track("ftl", "read-reclaim")
-	f.wlTrack = tr.Track("ftl", "static-wl")
 	f.cGCRuns = s.Counter("ftl.gc.runs")
 	f.cGCPages = s.Counter("ftl.gc.pages_moved")
-	f.cReclaims = s.Counter("ftl.read_reclaim.runs")
-	f.cReclaimPages = s.Counter("ftl.read_reclaim.pages_moved")
-	f.cWLMoves = s.Counter("ftl.static_wl.moves")
 	f.cPad = s.Counter("ftl.padded_pages")
 	f.retireTrack = tr.Track("ftl", "retirement")
 	f.cProgFails = s.Counter("ftl.faults.program_fails")
@@ -295,8 +278,6 @@ func (pa *planeAlloc) owner(blk, slot int) (uint64, bool) {
 }
 
 // Read returns the content of a logical page and the completion time.
-// When read reclaim is configured and the page's block has crossed the
-// disturb threshold, the block's valid pages migrate after the read.
 func (f *FTL) Read(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 	if err := f.checkLPN(lpn); err != nil {
 		return nil, 0, err
@@ -305,43 +286,7 @@ func (f *FTL) Read(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnmapped, lpn)
 	}
-	data, done, err := f.array.Read(addr, at)
-	if err != nil {
-		return nil, 0, err
-	}
-	if f.cfg.ReadReclaimThreshold > 0 &&
-		f.array.ReadCount(addr.PlaneAddr, addr.Block) >= f.cfg.ReadReclaimThreshold {
-		// Reclaim failure is not a read failure: the data is valid and
-		// the next read retries the refresh.
-		_ = f.reclaimBlock(addr.PlaneAddr, addr.Block, done)
-	}
-	return data, done, nil
-}
-
-// reclaimBlock migrates a block's valid pages and erases it, resetting
-// its read-disturb exposure.
-func (f *FTL) reclaimBlock(plane flash.PlaneAddr, blockIdx int, at sim.Time) error {
-	pa := f.planes[f.geo.PlaneIndex(plane)]
-	// Only full (sealed) blocks are reclaimable; an active block's
-	// exposure resolves when it seals and later collects.
-	if !slices.Contains(pa.full, blockIdx) {
-		return fmt.Errorf("ftl: block %d not reclaimable", blockIdx)
-	}
-	f.stats.ReadReclaims++
-	f.cReclaims.Add(1)
-	now, moved, err := f.relocate(pa, blockIdx, at, f.sharedPage(), "reclaim")
-	f.stats.ExtraPagesWritten += moved
-	f.stats.ReclaimPagesMoved += moved
-	f.cReclaimPages.Add(moved)
-	if err != nil {
-		return err
-	}
-	pa.full = without(pa.full, blockIdx)
-	if now, err = f.eraseOrRetire(pa, blockIdx, now, "reclaim"); err != nil {
-		return err
-	}
-	f.reclaimTrack.Span("read-reclaim", at, now)
-	return nil
+	return f.array.Read(addr, at)
 }
 
 // relocate moves the valid pages of block blk on pa to other blocks, in
@@ -377,37 +322,6 @@ func (f *FTL) relocate(pa *planeAlloc, blk int, at sim.Time, buf []byte, op stri
 		moved++
 	}
 	return now, moved, nil
-}
-
-// sharedPage returns relocPage, allocating it on first use.
-func (f *FTL) sharedPage() []byte {
-	if f.relocPage == nil {
-		f.relocPage = make([]byte, f.geo.PageSize)
-	}
-	return f.relocPage
-}
-
-// eraseOrRetire erases blk, a drained block on no list, into the free
-// list and returns when it is usable. An erase fault retires it instead:
-// its pages already live elsewhere, so the plane loses a block, not its
-// data. Any other failure seals it back into the full list so the next
-// GC or reclaim pass retries the erase. op names the caller in errors.
-func (f *FTL) eraseOrRetire(pa *planeAlloc, blk int, at sim.Time, op string) (sim.Time, error) {
-	end, err := f.array.Erase(pa.addr, blk, at)
-	switch {
-	case err == nil:
-		pa.free = append(pa.free, blk)
-		return end, nil
-	case flash.IsEraseFault(err):
-		f.stats.EraseFails++
-		f.cEraseFails.Add(1)
-		if end, err = f.retireBlock(pa, blk, at); err != nil {
-			return end, fmt.Errorf("ftl: %s retire: %w", op, err)
-		}
-		return end, nil
-	}
-	pa.full = append(pa.full, blk)
-	return at, fmt.Errorf("ftl: %s erase: %w", op, err)
 }
 
 // without returns list with its entry b, if any, removed.
@@ -456,9 +370,9 @@ func (f *FTL) bumpVersion(lpn uint64) {
 
 // Version returns the mapping version of a logical page: 0 until the page
 // is first mapped, then incremented on every overwrite, trim or internal
-// migration (GC, read reclaim, static wear leveling, bad-block
-// retirement). Consumers caching results derived from the page compare
-// versions to detect both data changes and physical moves.
+// migration (GC, bad-block retirement). Reads never move a page. Consumers
+// caching results derived from the page compare versions to detect both
+// data changes and physical moves.
 func (f *FTL) Version(lpn uint64) uint64 { return f.vers.get(lpn) }
 
 // Trim invalidates a logical page without writing.
@@ -469,145 +383,6 @@ func (f *FTL) nextPlane() *planeAlloc {
 	pa := f.planes[f.order[f.cursor]]
 	f.cursor = (f.cursor + 1) % len(f.order)
 	return pa
-}
-
-// maybeStaticWL runs static wear leveling on a plane: if the wear spread
-// between the most-worn free block and the least-worn sealed block
-// exceeds the configured delta, the cold block's pages migrate into the
-// worn block, and the cold (young) block joins the free pool where the
-// dynamic allocator will reuse it. This is what keeps write-once data
-// from permanently sheltering young blocks.
-func (f *FTL) maybeStaticWL(pa *planeAlloc, at sim.Time) {
-	if f.cfg.StaticWLDelta <= 0 || len(pa.free) == 0 || len(pa.full) == 0 {
-		return
-	}
-	// Most-worn free block.
-	wornIdx := 0
-	for i, b := range pa.free {
-		if f.array.EraseCount(pa.addr, b) > f.array.EraseCount(pa.addr, pa.free[wornIdx]) {
-			wornIdx = i
-		}
-	}
-	// Coldest (least-worn) sealed block.
-	coldIdx := 0
-	for i, b := range pa.full {
-		if f.array.EraseCount(pa.addr, b) < f.array.EraseCount(pa.addr, pa.full[coldIdx]) {
-			coldIdx = i
-		}
-	}
-	worn := pa.free[wornIdx]
-	cold := pa.full[coldIdx]
-	if f.array.EraseCount(pa.addr, worn)-f.array.EraseCount(pa.addr, cold) < f.cfg.StaticWLDelta {
-		return
-	}
-	// Migrate the cold block's valid pages into the worn block directly.
-	pa.free = slices.Delete(pa.free, wornIdx, wornIdx+1)
-	now := at
-	dst := 0 // next page slot (linear) in the worn block
-	// abort restores the plane lists after a mid-migration failure: the
-	// worn block is sealed only if it absorbed any programs (it is still
-	// erased otherwise and can rejoin the free pool), and the cold block
-	// leaves pa.full once it holds no valid data — a failure must not
-	// leave a drained cold block sealed alongside the half-sealed worn
-	// block. A program-status failure retires the worn destination
-	// outright (migrating back whatever already landed on it) instead of
-	// returning a known-bad block to circulation.
-	abort := func(err error) {
-		if flash.IsProgramFault(err) {
-			f.stats.ProgramFails++
-			f.cProgFails.Add(1)
-			// retireBlock seals worn back into full itself if the
-			// retirement cannot complete.
-			_, _ = f.retireBlock(pa, worn, now)
-		} else if dst > 0 {
-			pa.full = append(pa.full, worn)
-		} else {
-			pa.free = append(pa.free, worn)
-		}
-		if pa.valid[cold] == 0 {
-			if _, err := f.array.Erase(pa.addr, cold, now); err == nil {
-				pa.full = slices.Delete(pa.full, coldIdx, coldIdx+1)
-				pa.free = append(pa.free, cold)
-			}
-		}
-	}
-	// put programs data into the worn block's next slot and maps it to
-	// lpn; nil data programs a filler page instead.
-	put := func(lpn uint64, data []byte) error {
-		addr := f.pageIn(pa, worn, dst)
-		pad := data == nil
-		if pad {
-			data = make([]byte, f.geo.PageSize)
-		}
-		end, err := f.array.Program(addr, data, now)
-		if err != nil {
-			return err
-		}
-		now = end
-		dst++
-		if pad {
-			f.stats.PaddedPages++
-			f.cPad.Add(1)
-			return nil
-		}
-		f.invalidate(lpn)
-		f.mapPage(pa, lpn, addr)
-		return nil
-	}
-	for slot := 0; slot < int(f.perBlock) && pa.valid[cold] > 0; slot++ {
-		lpn, ok := pa.owner(cold, slot)
-		if !ok {
-			// Invalid source pages migrate nowhere; the destination
-			// cursor stays put and the block compacts.
-			continue
-		}
-		// Pad only to keep the page kind aligned: an LSB-resident page
-		// must land in an LSB slot (and so on), both to respect
-		// LSB-before-MSB program order for the data and to keep ParaBit's
-		// aligned-LSB operand layouts intact across the migration.
-		// Because the source walks slots in linear order, dst never
-		// overtakes the source cursor, so the worn block always has room.
-		for dst%f.geo.CellBits != slot%f.geo.CellBits {
-			if err := put(0, nil); err != nil {
-				abort(err)
-				return
-			}
-		}
-		data, readDone, err := f.array.Read(f.pageIn(pa, cold, slot), now)
-		if err != nil {
-			abort(err)
-			return
-		}
-		now = readDone
-		if err := put(lpn, data); err != nil {
-			abort(err)
-			return
-		}
-		f.stats.ExtraPagesWritten++
-		f.stats.WLPagesMoved++
-	}
-	// The worn block now holds the cold data (sealed, unless the cold
-	// block turned out to hold none and the worn block is still erased);
-	// the young cold block is erased into the free pool. If the erase
-	// fails the cold block stays sealed — it is all garbage now, so GC
-	// will retry.
-	if dst == 0 {
-		pa.free = append(pa.free, worn)
-		if _, err := f.array.Erase(pa.addr, cold, now); err == nil {
-			pa.full = slices.Delete(pa.full, coldIdx, coldIdx+1)
-			pa.free = append(pa.free, cold)
-		}
-		return
-	}
-	if _, err := f.array.Erase(pa.addr, cold, now); err == nil {
-		pa.full[coldIdx] = worn
-		pa.free = append(pa.free, cold)
-	} else {
-		pa.full = append(pa.full, worn)
-	}
-	f.stats.StaticWLMoves++
-	f.cWLMoves.Add(1)
-	f.wlTrack.Span("static-wl", at, now)
 }
 
 // takeFreeBlock removes and returns the free block with the lowest erase
@@ -661,7 +436,6 @@ func (f *FTL) allocSlot(pa *planeAlloc, at sim.Time, allowGC bool) (flash.PageAd
 				}
 				return flash.PageAddr{}, 0, ErrDeviceFull
 			}
-			f.maybeStaticWL(pa, ready)
 		}
 		blk := f.takeFreeBlock(pa)
 		if blk < 0 {
@@ -1037,18 +811,35 @@ func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 	pa.full = slices.Delete(pa.full, vi, vi+1)
 	f.stats.GCRuns++
 	f.cGCRuns.Add(1)
-	now, moved, err := f.relocate(pa, victim, at, f.sharedPage(), "gc")
+	if f.relocPage == nil {
+		f.relocPage = make([]byte, f.geo.PageSize)
+	}
+	now, moved, err := f.relocate(pa, victim, at, f.relocPage, "gc")
 	f.stats.ExtraPagesWritten += moved
 	f.stats.GCPagesMoved += moved
 	f.cGCPages.Add(moved)
 	if err != nil {
 		return now, err
 	}
-	if now, err = f.eraseOrRetire(pa, victim, now, "gc"); err != nil {
-		return now, err
+	// An erase fault retires the drained victim: its pages already live
+	// elsewhere, so the plane loses a block, not its data. Any other
+	// failure seals it back into the full list so the next pass retries.
+	end, err := f.array.Erase(pa.addr, victim, now)
+	switch {
+	case err == nil:
+		pa.free = append(pa.free, victim)
+	case flash.IsEraseFault(err):
+		f.stats.EraseFails++
+		f.cEraseFails.Add(1)
+		if end, err = f.retireBlock(pa, victim, now); err != nil {
+			return end, fmt.Errorf("ftl: gc retire: %w", err)
+		}
+	default:
+		pa.full = append(pa.full, victim)
+		return now, fmt.Errorf("ftl: gc erase: %w", err)
 	}
-	f.gcTrack.Span("gc", at, now)
-	return now, nil
+	f.gcTrack.Span("gc", at, end)
+	return end, nil
 }
 
 // relocationTarget picks a plane for a GC-relocated page: preferably not
@@ -1094,8 +885,8 @@ func (f *FTL) BadBlocks() int {
 
 // CheckInvariants verifies the FTL's internal bookkeeping and returns the
 // first violation found, or nil. The invariants it asserts are the ones
-// every allocation path (striped writes, paired writes, GC, read reclaim,
-// static wear leveling) must preserve:
+// every allocation path (striped writes, paired writes, GC, bad-block
+// retirement) must preserve:
 //
 //   - l2p and the reverse map (p2l, the planes' owner leaves) are
 //     inverses of each other, a block keeps a leaf only while it holds

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"parabit/internal/flash"
@@ -438,236 +440,66 @@ func TestTLCFTLGCIntegrity(t *testing.T) {
 	}
 }
 
-func TestReadReclaimRefreshesHotBlock(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadReclaimThreshold = 50
-	f := New(flash.NewArray(flash.Small(), flash.DefaultTiming()), cfg)
-	g := f.Array().Geometry()
-
-	// Fill one plane's first block completely so it seals.
-	pagesPerBlock := g.PagesPerBlock()
-	planes := g.Planes()
-	for i := 0; i < pagesPerBlock*planes; i++ {
-		if _, err := f.Write(uint64(i), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hammer one LPN until its block crosses the threshold.
-	addr, ok := f.Lookup(0)
-	if !ok {
-		t.Fatal("lpn 0 unmapped")
-	}
-	for i := 0; i < cfg.ReadReclaimThreshold+5; i++ {
-		if _, _, err := f.Read(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Stats().ReadReclaims == 0 {
-		t.Fatal("hot block never reclaimed")
-	}
-	// The page moved and still reads back correctly.
-	newAddr, ok := f.Lookup(0)
-	if !ok {
-		t.Fatal("lpn 0 lost")
-	}
-	if newAddr == addr {
-		t.Fatal("reclaim did not move the page")
-	}
-	data, _, err := f.Read(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != page(f, 0)[0] {
-		t.Fatal("data corrupted by reclaim")
-	}
-	// The old block's exposure was reset by the erase.
-	if f.Array().ReadCount(addr.PlaneAddr, addr.Block) != 0 {
-		t.Fatal("reclaimed block still carries exposure")
-	}
-}
-
-func TestReadReclaimDisabledByDefault(t *testing.T) {
-	f := newFTL()
-	f.Write(0, page(f, 1), 0)
-	for i := 0; i < 500; i++ {
-		if _, _, err := f.Read(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Stats().ReadReclaims != 0 {
-		t.Fatal("reclaim ran with zero threshold")
-	}
-}
-
-func TestStaticWearLeveling(t *testing.T) {
-	geo := flash.Geometry{
-		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
-		BlocksPerPlane: 16, WordlinesPerBlock: 8, PageSize: 64, CellBits: 2,
-	}
-	cfg := Config{OverprovisionPct: 0.25, GCFreeBlockLow: 2, StaticWLDelta: 4}
-	f := New(flash.NewArray(geo, flash.DefaultTiming()), cfg)
-
-	// Cold data: fill the first block's worth of LPNs once, never touch
-	// them again.
-	coldLPNs := geo.PagesPerBlock()
-	for i := 0; i < coldLPNs; i++ {
-		if _, err := f.Write(uint64(i), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hot churn on a different LPN range racks up erases elsewhere.
-	rng := rand.New(rand.NewSource(99))
-	hotBase := uint64(coldLPNs)
-	for i := 0; i < int(geo.TotalPages())*12; i++ {
-		lpn := hotBase + uint64(rng.Intn(coldLPNs))
-		if _, err := f.Write(lpn, page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Stats().StaticWLMoves == 0 {
-		t.Fatal("static wear leveling never ran despite heavy skewed churn")
-	}
-	// Cold data must survive migration intact.
-	for i := 0; i < coldLPNs; i++ {
-		data, _, err := f.Read(uint64(i), 0)
-		if err != nil {
-			t.Fatalf("cold lpn %d: %v", i, err)
-		}
-		if data[0] != page(f, byte(i))[0] {
-			t.Fatalf("cold lpn %d corrupted by static WL", i)
-		}
-	}
-}
-
-func TestStaticWLDisabledByDefault(t *testing.T) {
+// TestReadsMoveNoPage reads every page of a sealed block hundreds of
+// times. A read never migrates a page, so every version, the allocator's
+// free, full and bad lists and the array's program and erase counts stay
+// as they were, while the block's read count (the error model's
+// read-disturb input) grows.
+func TestReadsMoveNoPage(t *testing.T) {
 	f := newFTL()
 	g := f.Array().Geometry()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < int(g.TotalPages()); i++ {
-		if _, err := f.Write(uint64(rng.Intn(64)), page(f, byte(i)), 0); err != nil {
+	n := g.PagesPerBlock() * g.Planes() * 2
+	for lpn := 0; lpn < n; lpn++ {
+		if _, err := f.Write(uint64(lpn), page(f, byte(lpn)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f.Stats().StaticWLMoves != 0 {
-		t.Fatal("static WL ran with zero delta")
+	addr, _ := f.Lookup(0)
+	pa := f.planes[g.PlaneIndex(addr.PlaneAddr)]
+	if !slices.Contains(pa.full, addr.Block) {
+		t.Fatalf("block %d of lpn 0 is not sealed", addr.Block)
 	}
-}
-
-// TestStaticWLCompactsWithoutPadding proves static wear leveling no longer
-// burns a padded program for every invalid source page: a cold block whose
-// invalid pages come in whole wordlines compacts into the worn block with
-// zero pads, and every surviving page keeps its page kind (LSB data stays
-// LSB-resident), preserving LSB-before-MSB program order and ParaBit's
-// aligned layouts.
-func TestStaticWLCompactsWithoutPadding(t *testing.T) {
-	geo := flash.Geometry{
-		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
-		BlocksPerPlane: 16, WordlinesPerBlock: 8, PageSize: 64, CellBits: 2,
+	type state struct {
+		vers             []uint64
+		free, full, bad  [][]int
+		programs, erases int64
 	}
-	cfg := Config{OverprovisionPct: 0.25, GCFreeBlockLow: 2, StaticWLDelta: 4}
-	f := New(flash.NewArray(geo, flash.DefaultTiming()), cfg)
-
-	// Cold block: one block's worth of pages, then trim alternate whole
-	// wordlines so half the block is invalid but the valid half keeps
-	// LSB/MSB pairs together.
-	coldLPNs := geo.PagesPerBlock()
-	for i := 0; i < coldLPNs; i++ {
-		if _, err := f.Write(uint64(i), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
+	snap := func() state {
+		var st state
+		for lpn := 0; lpn < n; lpn++ {
+			st.vers = append(st.vers, f.Version(uint64(lpn)))
 		}
+		for _, p := range f.planes {
+			st.free = append(st.free, slices.Clone(p.free))
+			st.full = append(st.full, slices.Clone(p.full))
+			st.bad = append(st.bad, slices.Clone(p.bad))
+		}
+		fs := f.Array().Stats()
+		st.programs, st.erases = fs.Programs, fs.Erases
+		return st
 	}
-	kept := make(map[uint64]flash.PageKind)
-	for i := 0; i < coldLPNs; i++ {
-		if (i/int(geo.CellBits))%2 == 1 { // odd wordlines of the cold block
-			f.Trim(uint64(i))
-			continue
-		}
-		addr, ok := f.Lookup(uint64(i))
-		if !ok {
-			t.Fatalf("cold lpn %d unmapped", i)
-		}
-		kept[uint64(i)] = addr.Kind
-	}
-	// Hot churn elsewhere racks up erase counts until static WL triggers.
-	rng := rand.New(rand.NewSource(7))
-	hotBase := uint64(coldLPNs)
-	for i := 0; f.Stats().StaticWLMoves == 0; i++ {
-		if i > int(geo.TotalPages())*40 {
-			t.Fatal("static wear leveling never triggered")
-		}
-		lpn := hotBase + uint64(rng.Intn(coldLPNs))
-		if _, err := f.Write(lpn, page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
+	before := snap()
+	const rounds = 300
+	for r := 0; r < rounds; r++ {
+		for slot := 0; slot < g.PagesPerBlock(); slot++ {
+			lpn, ok := pa.owner(addr.Block, slot)
+			if !ok {
+				t.Fatalf("round %d: slot %d of the block lost its page", r, slot)
+			}
+			data, _, err := f.Read(lpn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[0] != page(f, byte(lpn))[0] {
+				t.Fatalf("round %d: lpn %d reads back corrupted", r, lpn)
+			}
 		}
 	}
-	if pads := f.Stats().PaddedPages; pads != 0 {
-		t.Fatalf("static WL burned %d padded programs; whole-wordline gaps need none", pads)
+	if after := snap(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("reads changed the FTL:\nbefore %+v\nafter  %+v", before, after)
 	}
-	for lpn, kind := range kept {
-		addr, ok := f.Lookup(lpn)
-		if !ok {
-			t.Fatalf("cold lpn %d lost by migration", lpn)
-		}
-		if addr.Kind != kind {
-			t.Fatalf("cold lpn %d migrated from %v to %v slot; page kind must survive", lpn, kind, addr.Kind)
-		}
-		data, _, err := f.Read(lpn, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[0] != page(f, byte(lpn))[0] {
-			t.Fatalf("cold lpn %d corrupted by migration", lpn)
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStaticWLPadsOnlyForKindAlignment checks the complementary case: when
-// the cold block's valid pages sit in MSB slots only, the migration pads
-// exactly one LSB slot per moved page — the minimum required to keep MSB
-// data in MSB slots — instead of one pad per invalid page plus overflow.
-func TestStaticWLPadsOnlyForKindAlignment(t *testing.T) {
-	geo := flash.Geometry{
-		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
-		BlocksPerPlane: 16, WordlinesPerBlock: 8, PageSize: 64, CellBits: 2,
-	}
-	cfg := Config{OverprovisionPct: 0.25, GCFreeBlockLow: 2, StaticWLDelta: 4}
-	f := New(flash.NewArray(geo, flash.DefaultTiming()), cfg)
-
-	coldLPNs := geo.PagesPerBlock()
-	for i := 0; i < coldLPNs; i++ {
-		if _, err := f.Write(uint64(i), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	valid := 0
-	for i := 0; i < coldLPNs; i++ {
-		addr, ok := f.Lookup(uint64(i))
-		if !ok {
-			t.Fatalf("cold lpn %d unmapped", i)
-		}
-		if addr.Kind == flash.LSBPage {
-			f.Trim(uint64(i))
-		} else {
-			valid++
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	hotBase := uint64(coldLPNs)
-	for i := 0; f.Stats().StaticWLMoves == 0; i++ {
-		if i > int(geo.TotalPages())*40 {
-			t.Fatal("static wear leveling never triggered")
-		}
-		lpn := hotBase + uint64(rng.Intn(coldLPNs))
-		if _, err := f.Write(lpn, page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pads := f.Stats().PaddedPages; pads != int64(valid) {
-		t.Fatalf("static WL padded %d pages, want exactly %d (one LSB filler per migrated MSB page)",
-			pads, valid)
+	if got := f.Array().ReadCount(addr.PlaneAddr, addr.Block); got < rounds*g.PagesPerBlock() {
+		t.Fatalf("block read count %d after %d reads", got, rounds*g.PagesPerBlock())
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -719,10 +551,10 @@ func TestWriteRetriesPastWedgedPlane(t *testing.T) {
 }
 
 // TestCheckInvariantsAfterChurn exercises the bookkeeping checker across a
-// GC- and wear-leveling-heavy workload.
+// GC-heavy workload.
 func TestCheckInvariantsAfterChurn(t *testing.T) {
 	f := New(flash.NewArray(flash.Small(), flash.DefaultTiming()),
-		Config{OverprovisionPct: 0.2, GCFreeBlockLow: 2, StaticWLDelta: 6})
+		Config{OverprovisionPct: 0.2, GCFreeBlockLow: 2})
 	rng := rand.New(rand.NewSource(3))
 	logical := uint64(f.LogicalPages())
 	for i := 0; i < 6000; i++ {
@@ -860,49 +692,5 @@ func TestGCEraseWaitsForBookedSense(t *testing.T) {
 	}
 	if erase < booked {
 		t.Fatalf("GC erased block %d at %v, before a booked sense of it ended at %v", victim, erase, booked)
-	}
-}
-
-// TestReclaimRelocationAllocations pins a warm read-reclaim pass to zero
-// allocations: reclaim relocates through the same FTL-owned page as GC.
-func TestReclaimRelocationAllocations(t *testing.T) {
-	f := newFTL()
-	g := f.Array().Geometry()
-	data := page(f, 1)
-	for lpn := 0; lpn < g.PagesPerBlock()*g.Planes()*8; lpn++ {
-		if _, err := f.Write(uint64(lpn), data, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// fullest returns the sealed block with the most valid pages.
-	fullest := func() (*planeAlloc, int) {
-		var best *planeAlloc
-		blk := -1
-		for _, pa := range f.planes {
-			for _, b := range pa.full {
-				if best == nil || pa.valid[b] > best.valid[blk] {
-					best, blk = pa, b
-				}
-			}
-		}
-		return best, blk
-	}
-	pass := func() {
-		pa, blk := fullest()
-		if err := f.reclaimBlock(pa.addr, blk, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm up: the first passes open blocks on every other plane, each
-	// taking a fresh reverse-map leaf and growing the sealed lists.
-	for i := 0; i < 16; i++ {
-		pass()
-	}
-	moved := f.Stats().ReclaimPagesMoved
-	allocs := testing.AllocsPerRun(20, pass)
-	perPass := float64(f.Stats().ReclaimPagesMoved-moved) / 21
-	t.Logf("%.1f allocs per pass moving %.1f pages", allocs, perPass)
-	if perPass < 8 || allocs != 0 {
-		t.Fatalf("%.1f allocs per read-reclaim pass moving %.1f pages", allocs, perPass)
 	}
 }

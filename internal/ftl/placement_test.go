@@ -72,21 +72,19 @@ func placementScenarios(tlc bool) []placementScenario {
 	if tlc {
 		small.CellBits, tiny.CellBits = 3, 3
 	}
-	pressure := DefaultConfig()
-	pressure.StaticWLDelta = 3
 	return []placementScenario{
 		{name: "fault-free", geo: small, cfg: DefaultConfig(), ops: 40, working: 64},
-		{name: "gc-pressure", geo: tiny, cfg: pressure, ops: 150, working: 40},
+		{name: "gc-pressure", geo: tiny, cfg: DefaultConfig(), ops: 150, working: 40},
 		{name: "program-faults", geo: small, cfg: DefaultConfig(), ops: 60, working: 64,
 			plan: &faults.Plan{Seed: 11, Rules: []faults.Rule{{Type: faults.RuleProgramFail, Rate: 0.03}}}},
 	}
 }
 
-// readReclaimScenario is the read-heavy run TestPlacementGolden appends
-// after the write-only ones. Reads after every write push sealed blocks
-// past the read-reclaim threshold while a seeded plan fails some erases
-// and programs, so reclaims move pages, retire blocks and resteer writes.
-func readReclaimScenario(tlc bool) placementScenario {
+// readsScenario is the read-heavy run TestPlacementGolden appends after
+// the write-only ones: reads follow every write while a seeded plan fails
+// some erases and programs, so GC retires blocks and writes resteer
+// between reads that move nothing.
+func readsScenario(tlc bool) placementScenario {
 	geo := flash.Geometry{
 		Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
 		BlocksPerPlane: 16, WordlinesPerBlock: 4, PageSize: 16, CellBits: 2,
@@ -94,9 +92,7 @@ func readReclaimScenario(tlc bool) placementScenario {
 	if tlc {
 		geo.CellBits = 3
 	}
-	cfg := DefaultConfig()
-	cfg.ReadReclaimThreshold = 12
-	return placementScenario{name: "read-reclaim", geo: geo, cfg: cfg, ops: 80, working: 32, reads: 6,
+	return placementScenario{name: "reads", geo: geo, cfg: DefaultConfig(), ops: 80, working: 32, reads: 6,
 		plan: &faults.Plan{Seed: 5, Rules: []faults.Rule{
 			{Type: faults.RuleEraseFail, Rate: 0.1},
 			{Type: faults.RuleProgramFail, Rate: 0.005},
@@ -201,8 +197,8 @@ func placementPage(f *FTL, i, j int) []byte {
 
 // TestPlacementGolden pins every operand layout's placements, completion
 // times and counters — fault-free, under garbage-collection pressure,
-// under a seeded program-fault plan and, last, read-heavy under read
-// reclaim with erase and program faults — against testdata/placement.golden.
+// under a seeded program-fault plan and, last, read-heavy with erase and
+// program faults — against testdata/placement.golden.
 // Regenerate with: go test ./internal/ftl -run TestPlacementGolden -update-placement
 func TestPlacementGolden(t *testing.T) {
 	var b strings.Builder
@@ -212,7 +208,7 @@ func TestPlacementGolden(t *testing.T) {
 		}
 	}
 	for _, l := range placementLayouts() {
-		b.WriteString(runPlacement(t, l, readReclaimScenario(l.tlc)))
+		b.WriteString(runPlacement(t, l, readsScenario(l.tlc)))
 	}
 	const golden = "testdata/placement.golden"
 	if *updatePlacement {

@@ -30,13 +30,15 @@ const (
 // entry.
 const entryLen = 20
 
-// statsFields flattens Stats in a fixed order for serialization; keep in
-// sync with the struct.
+// statsFields flattens Stats in the fixed slot order of an FTL2 blob; keep
+// in sync with the struct. A nil entry is a retired slot (the four
+// counters of the removed read reclaim and static wear leveling): it is
+// written as 0, and only 0 is read back, so the encoding stays canonical.
 func statsFields(s *Stats) []*int64 {
 	return []*int64{
 		&s.HostPagesWritten, &s.ExtraPagesWritten, &s.GCRuns, &s.GCPagesMoved,
-		&s.PaddedPages, &s.ReadReclaims, &s.ReclaimPagesMoved, &s.StaticWLMoves,
-		&s.WLPagesMoved, &s.ProgramFails, &s.EraseFails, &s.BlocksRetired,
+		&s.PaddedPages, nil, nil, nil,
+		nil, &s.ProgramFails, &s.EraseFails, &s.BlocksRetired,
 		&s.RetirePagesMoved, &s.ResteeredWrites,
 	}
 }
@@ -85,7 +87,11 @@ func (f *FTL) WriteState(w io.Writer, delta bool) error {
 	b.U64(uint64(f.cursor))
 	st := f.stats
 	for _, p := range statsFields(&st) {
-		b.I64(*p)
+		if p == nil {
+			b.I64(0)
+		} else {
+			b.I64(*p)
+		}
 	}
 
 	intList := func(list []int) {
@@ -180,8 +186,13 @@ func (f *FTL) ReadState(r io.Reader, parents ...io.Reader) error {
 		return fmt.Errorf("%w: cursor %d", ErrBadState, cursor)
 	}
 	var st Stats
-	for _, p := range statsFields(&st) {
-		*p = b.I64()
+	for i, p := range statsFields(&st) {
+		switch v := b.I64(); {
+		case p != nil:
+			*p = v
+		case v != 0:
+			return fmt.Errorf("%w: retired stats slot %d holds %d", ErrBadState, i, v)
+		}
 	}
 
 	blocks := uint64(f.geo.BlocksPerPlane)

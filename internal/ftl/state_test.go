@@ -215,6 +215,11 @@ func TestReadStateIsCanonical(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[entriesAt+entryLen*i:], lpn)
 		binary.LittleEndian.PutUint64(b[entriesAt+entryLen*i+12:], v)
 	}
+	// stat sets stats slot i of blob's layout (two entries, then the
+	// cursor) to v.
+	stat := func(b []byte, i int, v int64) {
+		binary.LittleEndian.PutUint64(b[entriesAt+2*entryLen+8+8*i:], uint64(v))
+	}
 	for _, tc := range []struct {
 		name    string
 		chain   [][]byte
@@ -226,6 +231,9 @@ func TestReadStateIsCanonical(t *testing.T) {
 		{"zero version", [][]byte{blob}, func(b []byte) { entry(b, 1, 9, 0) }, true},
 		{"entries out of order", [][]byte{blob}, func(b []byte) { entry(b, 0, 9, 1); entry(b, 1, 3, 1) }, true},
 		{"unknown list flag", [][]byte{blob}, func(b []byte) { b[4] = 2 }, true},
+		{"live stats slot", [][]byte{blob}, func(b []byte) { stat(b, 4, 7) }, false},
+		{"first retired stats slot", [][]byte{blob}, func(b []byte) { stat(b, 5, 1) }, true},
+		{"last retired stats slot", [][]byte{blob}, func(b []byte) { stat(b, 8, -1) }, true},
 		{"delta", [][]byte{delta, blob}, nil, false},
 		{"delta out of order", [][]byte{delta, blob}, func(b []byte) { entry(b, 0, 9, 2); entry(b, 1, 5, 1) }, true},
 		{"delta zero version", [][]byte{delta, blob}, func(b []byte) { entry(b, 0, 5, 0) }, true},

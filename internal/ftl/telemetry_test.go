@@ -4,17 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"parabit/internal/flash"
 	"parabit/internal/telemetry"
 )
 
-// TestTelemetryMirrorsMaintenanceStats forces garbage collection and read
-// reclaim with a sink attached and checks that the telemetry counters
-// track Stats exactly and that the maintenance lanes recorded spans.
+// TestTelemetryMirrorsMaintenanceStats forces garbage collection with a
+// sink attached and checks that the telemetry counters track Stats
+// exactly and that the maintenance lanes recorded spans.
 func TestTelemetryMirrorsMaintenanceStats(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadReclaimThreshold = 50
-	f := New(flash.NewArray(flash.Small(), flash.DefaultTiming()), cfg)
+	f := newFTL()
 	sink := telemetry.New()
 	tr := sink.EnableTrace()
 	f.SetTelemetry(sink)
@@ -30,26 +27,12 @@ func TestTelemetryMirrorsMaintenanceStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Read-hammer one page past the disturb threshold to force reclaim.
-	for i := 0; i < cfg.ReadReclaimThreshold+5; i++ {
-		if _, _, err := f.Read(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	st := f.Stats()
-	if st.GCRuns == 0 || st.ReadReclaims == 0 {
-		t.Fatalf("scenario did not exercise maintenance: %+v", st)
-	}
-	if st.ReclaimPagesMoved == 0 {
-		t.Error("reclaim moved no pages")
-	}
 	for name, want := range map[string]int64{
-		"ftl.gc.runs":                  st.GCRuns,
-		"ftl.gc.pages_moved":           st.GCPagesMoved,
-		"ftl.read_reclaim.runs":        st.ReadReclaims,
-		"ftl.read_reclaim.pages_moved": st.ReclaimPagesMoved,
-		"ftl.padded_pages":             st.PaddedPages,
+		"ftl.gc.runs":        st.GCRuns,
+		"ftl.gc.pages_moved": st.GCPagesMoved,
+		"ftl.padded_pages":   st.PaddedPages,
 	} {
 		if got := sink.Counter(name).Value(); got != want {
 			t.Errorf("%s: counter %d, stats %d", name, got, want)
@@ -57,43 +40,6 @@ func TestTelemetryMirrorsMaintenanceStats(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Error("maintenance recorded no spans")
-	}
-}
-
-// TestTelemetryStaticWL mirrors the wear-leveling scenario and checks the
-// new WLPagesMoved accounting alongside its counter.
-func TestTelemetryStaticWL(t *testing.T) {
-	geo := flash.Geometry{
-		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
-		BlocksPerPlane: 16, WordlinesPerBlock: 8, PageSize: 64, CellBits: 2,
-	}
-	cfg := Config{OverprovisionPct: 0.25, GCFreeBlockLow: 2, StaticWLDelta: 4}
-	f := New(flash.NewArray(geo, flash.DefaultTiming()), cfg)
-	sink := telemetry.New()
-	f.SetTelemetry(sink)
-
-	coldLPNs := geo.PagesPerBlock()
-	for i := 0; i < coldLPNs; i++ {
-		if _, err := f.Write(uint64(i), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(99))
-	hotBase := uint64(coldLPNs)
-	for i := 0; i < int(geo.TotalPages())*12; i++ {
-		if _, err := f.Write(hotBase+uint64(rng.Intn(coldLPNs)), page(f, byte(i)), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := f.Stats()
-	if st.StaticWLMoves == 0 {
-		t.Fatal("static wear leveling never ran")
-	}
-	if st.WLPagesMoved == 0 {
-		t.Error("wear leveling moved no pages")
-	}
-	if got := sink.Counter("ftl.static_wl.moves").Value(); got != st.StaticWLMoves {
-		t.Errorf("counter %d, stats %d", got, st.StaticWLMoves)
 	}
 }
 

@@ -11,10 +11,10 @@ import "container/heap"
 //
 // Correctness comes from FTL mapping versions: every entry snapshots the
 // version of each logical page its value was derived from, and a lookup
-// revalidates the snapshot. Any overwrite, trim, GC migration, read
-// reclaim, wear-leveling move or bad-block retirement bumps a version
-// (ftl.FTL.Version), so a stale intermediate can never be served — at
-// worst a content-preserving migration costs a spurious recompute.
+// revalidates the snapshot. Any overwrite, trim, GC migration or
+// bad-block retirement bumps a version (ftl.FTL.Version), so a stale
+// intermediate can never be served — at worst a content-preserving
+// migration costs a spurious recompute.
 
 // CacheStats counts cache activity.
 type CacheStats struct {

@@ -87,8 +87,17 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 		return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
 	case SchemeReAlloc:
 		return d.realloc(op, onFlash(lpnM), onFlash(lpnN), at)
-	case SchemeLocFree:
+	case SchemeLocFree, SchemeFlashCosmos:
 		wls := []flash.WordlineAddr{addrM.WordlineAddr, addrN.WordlineAddr}
+		if scheme == SchemeFlashCosmos {
+			if d.cfg.Geometry.CellBits == 2 && latch.MWSComputable(op) && mwsPair(addrM, addrN) {
+				return d.runSense(flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: wls}, at, op, SchemeFlashCosmos, at)
+			}
+			// Colocation missed, or the op's algebra has no single-sense
+			// form: the call runs the location-free cases below, counted
+			// as one Flash-Cosmos fallback whichever of them serves it.
+			d.noteFallback(SchemeFlashCosmos)
+		}
 		s := flash.Sense{Kind: flash.SenseLocFree, Op: op, WLs: wls}
 		samePlane := addrM.PlaneAddr == addrN.PlaneAddr
 		switch {
@@ -111,12 +120,12 @@ func (d *Device) Bitwise(op latch.Op, lpnM, lpnN uint64, scheme Scheme, at sim.T
 			// reallocation is needed.
 			wls[0], wls[1] = wls[1], wls[0]
 		default:
-			d.noteFallback(SchemeLocFree)
+			if scheme == SchemeLocFree {
+				d.noteFallback(SchemeLocFree)
+			}
 			return d.join(op, onFlash(lpnM), onFlash(lpnN), at)
 		}
 		return d.runSense(s, at, op, SchemeLocFree, at)
-	case SchemeFlashCosmos:
-		return d.bitwiseFlashCosmos(op, lpnM, lpnN, addrM, addrN, at)
 	}
 	return BitwiseResult{}, fmt.Errorf("ssd: unknown scheme %v", scheme)
 }
@@ -337,7 +346,7 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 	case SchemeReAlloc:
 		return d.reduceSerial(op, lpns, at)
 	case SchemeLocFree:
-		return d.reduceLocFree(op, lpns, at)
+		return d.reduceLocFree(op, lpns, SchemeLocFree, at)
 	case SchemeFlashCosmos:
 		return d.reduceFlashCosmos(op, lpns, at)
 	}
@@ -352,18 +361,12 @@ func (d *Device) Reduce(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) 
 // partial pages combine in the controller buffer. The LSB chain senses
 // MLC cells only: on a TLC array every operand is read and combined. An
 // MSB or scrambled operand cannot chain: it is a stray of its plane's
-// group and is read, and the reduction counts one scheme fallback.
-//
-// Each group resolves its operands immediately before its own sense: a
-// lone operand's read can cross the read-reclaim threshold, and the
-// reclaim migrates mapped pages, including this reduction's own
-// operands. An operand that has left its group's plane is read rather
-// than sensed.
-func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (BitwiseResult, error) {
+// group and is read, and the reduction counts one fallback when it runs
+// for SchemeLocFree. Under SchemeFlashCosmos the caller has counted its
+// own. Reads and senses move no page, so each operand resolves once.
+func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	s := &d.red
-	// Pre-scan for grouping and the fallback count only; the wordline
-	// addresses seen here are NOT reused for sensing.
-	s.planes, s.groups = s.planes[:0], s.groups[:0]
+	s.addrs, s.groups = s.addrs[:0], s.groups[:0]
 	fallback := false
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
@@ -371,27 +374,23 @@ func (d *Device) reduceLocFree(op latch.Op, lpns []uint64, at sim.Time) (Bitwise
 			return BitwiseResult{}, err
 		}
 		fallback = fallback || addr.Kind != flash.LSBPage || d.scrambled(lpn)
-		pl := addr.WordlineAddr.PlaneAddr
-		s.planes = append(s.planes, pl)
-		if !slices.Contains(s.groups, pl) {
-			s.groups = append(s.groups, pl)
+		s.addrs = append(s.addrs, addr)
+		if !slices.Contains(s.groups, addr.PlaneAddr) {
+			s.groups = append(s.groups, addr.PlaneAddr)
 		}
 	}
-	if fallback {
+	if fallback && scheme == SchemeLocFree {
 		d.noteFallback(SchemeLocFree)
 	}
 	c := combine{d: d, op: op}
 	for _, g := range s.groups {
 		s.chain, s.alignedLPNs, s.strays = s.chain[:0], s.alignedLPNs[:0], s.strays[:0]
 		for i, lpn := range lpns {
-			if s.planes[i] != g {
+			addr := s.addrs[i]
+			if addr.PlaneAddr != g {
 				continue
 			}
-			addr, err := d.operandLoc(lpn)
-			if err != nil {
-				return BitwiseResult{}, err
-			}
-			if addr.Kind == flash.LSBPage && addr.WordlineAddr.PlaneAddr == g && !d.scrambled(lpn) {
+			if addr.Kind == flash.LSBPage && !d.scrambled(lpn) {
 				s.chain = append(s.chain, addr.WordlineAddr)
 				s.alignedLPNs = append(s.alignedLPNs, lpn)
 			} else {

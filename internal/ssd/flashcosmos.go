@@ -34,22 +34,6 @@ func mwsPair(a, b flash.PageAddr) bool {
 		a.WordlineAddr != b.WordlineAddr
 }
 
-// bitwiseFlashCosmos executes one two-operand operation under the
-// Flash-Cosmos scheme: a two-wordline MWS when the operands are
-// colocated and the op has an MWS form, the LocFree pairwise path
-// otherwise.
-func (d *Device) bitwiseFlashCosmos(op latch.Op, lpnM, lpnN uint64,
-	addrM, addrN flash.PageAddr, at sim.Time) (BitwiseResult, error) {
-	if d.cfg.Geometry.CellBits == 2 && latch.MWSComputable(op) && mwsPair(addrM, addrN) {
-		s := flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: []flash.WordlineAddr{addrM.WordlineAddr, addrN.WordlineAddr}}
-		return d.runSense(s, at, op, SchemeFlashCosmos, at)
-	}
-	// Colocation missed, or the op's algebra has no single-sense form:
-	// the documented fallback is the pairwise location-free execution.
-	d.noteFallback(SchemeFlashCosmos)
-	return d.Bitwise(op, lpnM, lpnN, SchemeLocFree, at)
-}
-
 // reduceFlashCosmos reduces via multi-wordline senses: operands bucketed
 // by block, one MWS per MaxMWSOperands-sized chunk. Chunks that share a
 // plane chain through the plane's latches in one array call (no program
@@ -67,19 +51,19 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		// The XOR family has no multi-wordline sense form (and only MLC
 		// strings have the MWS mode here): whole-reduction fallback.
 		d.noteFallback(SchemeFlashCosmos)
-		return d.reduceLocFree(op, lpns, at)
+		return d.reduceLocFree(op, lpns, SchemeFlashCosmos, at)
 	}
 	s := &d.red
-	// Note each operand's block (-1 for a stray: a non-LSB or scrambled
-	// page), keeping blocks in first-appearance order. Nothing between
-	// here and the senses migrates a page, so these addresses are the
-	// ones sensed.
-	s.keys, s.blockOf, s.fcStrays = s.keys[:0], s.blockOf[:0], s.fcStrays[:0]
+	// Note each operand's wordline and block (-1 for a stray: a non-LSB or
+	// scrambled page), keeping blocks in first-appearance order. Senses
+	// move no page, so these addresses are the ones sensed.
+	s.keys, s.blockOf, s.wlOf, s.fcStrays = s.keys[:0], s.blockOf[:0], s.wlOf[:0], s.fcStrays[:0]
 	for _, lpn := range lpns {
 		addr, err := d.operandLoc(lpn)
 		if err != nil {
 			return BitwiseResult{}, err
 		}
+		s.wlOf = append(s.wlOf, addr.WordlineAddr)
 		if addr.Kind != flash.LSBPage || d.scrambled(lpn) {
 			s.fcStrays = append(s.fcStrays, lpn)
 			s.blockOf = append(s.blockOf, -1)
@@ -103,9 +87,8 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		start := len(s.wls)
 		for i, lpn := range lpns {
 			if s.blockOf[i] == b {
-				addr, _ := d.ftl.Lookup(lpn)
 				s.grouped = append(s.grouped, lpn)
-				s.wls = append(s.wls, addr.WordlineAddr)
+				s.wls = append(s.wls, s.wlOf[i])
 			}
 		}
 		for start < len(s.wls) {
@@ -126,7 +109,7 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		// ordinary pages, and the whole reduction is location-free, as the
 		// XOR family's is.
 		d.noteFallback(SchemeFlashCosmos)
-		return d.reduceLocFree(op, lpns, at)
+		return d.reduceLocFree(op, lpns, SchemeFlashCosmos, at)
 	}
 	c := combine{d: d, op: op}
 	for _, pl := range s.runPlanes {
@@ -156,7 +139,7 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 		if len(s.fcStrays) == 1 {
 			r.Data, r.Done, err = d.readOperand(s.fcStrays[0], at)
 		} else {
-			r, err = d.reduceLocFree(op, s.fcStrays, at)
+			r, err = d.reduceLocFree(op, s.fcStrays, SchemeFlashCosmos, at)
 		}
 		if err != nil {
 			return BitwiseResult{}, err
@@ -175,23 +158,25 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 // list, and reduceFlashCosmos reads none of its fields after that call.
 // No field outlives the call that fills it.
 type reduceScratch struct {
-	// reduceLocFree: each operand's plane at pre-scan and the planes in
+	// reduceLocFree: each operand's address and the planes in
 	// first-appearance order (its groups); then one group's chain, the
 	// LPNs of its aligned operands, and its strays, which are read.
-	planes      []flash.PlaneAddr
+	addrs       []flash.PageAddr
 	groups      []flash.PlaneAddr
 	chain       []flash.WordlineAddr
 	alignedLPNs []uint64
 	strays      []uint64
 
-	// reduceFlashCosmos: operand blocks in first-appearance order and each
-	// operand's index into them; the operands regrouped by block with
-	// their wordlines, the chunks (windows of those wordlines) and the
-	// planes they sense on; one plane's chunks as handed to the array; and
-	// the strays, in the order they left the chunks.
+	// reduceFlashCosmos: operand blocks in first-appearance order, each
+	// operand's index into them and its wordline; the operands regrouped
+	// by block with their wordlines, the chunks (windows of those
+	// wordlines) and the planes they sense on; one plane's chunks as
+	// handed to the array; and the strays, in the order they left the
+	// chunks.
 	fcStrays  []uint64
 	keys      []blockKey
 	blockOf   []int
+	wlOf      []flash.WordlineAddr
 	grouped   []uint64
 	wls       []flash.WordlineAddr
 	chunks    []wlSpan

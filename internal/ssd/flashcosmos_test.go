@@ -193,3 +193,64 @@ func TestComplementSensesInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestFlashCosmosCountsOneFallbackPerCall: a Flash-Cosmos call that
+// misses its multi-wordline sense and runs location-free counts one
+// fallback, as the same call under LocFree does, not one per path it
+// passes through. The calls are a pairwise op over two planes and a
+// reduction whose strays, one of them an MSB page, reduce location-free
+// beside a multi-wordline chunk.
+func TestFlashCosmosCountsOneFallbackPerCall(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeFlashCosmos, SchemeLocFree} {
+		d := newDevice(t)
+		pages := make([][]byte, 7)
+		for i := range pages {
+			pages[i] = randPage(d, int64(900+i))
+		}
+		write := func(op persist.Op, plane int, lpns ...uint64) {
+			t.Helper()
+			data := make([][]byte, len(lpns))
+			for i, lpn := range lpns {
+				data[i] = pages[lpn]
+			}
+			if _, err := d.WritePages(op, plane, lpns, data, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(persist.OpWriteOnPlane, 0, 0)
+		write(persist.OpWriteOnPlane, 1, 1)
+		write(persist.OpWriteMWSGroup, 0, 2, 3, 4)
+		write(persist.OpWritePair, 0, 5, 6)
+		if addr, _ := d.FTL().Lookup(6); addr.Kind != flash.MSBPage {
+			t.Fatalf("operand 6 at %v, want an MSB page", addr)
+		}
+		for _, c := range []struct {
+			name string
+			run  func() (BitwiseResult, error)
+			want []byte
+			mws  int64 // multi-wordline senses under Flash-Cosmos
+		}{
+			{"cross-plane pair", func() (BitwiseResult, error) {
+				return d.Bitwise(latch.OpAnd, 0, 1, scheme, 0)
+			}, golden(latch.OpAnd, pages[0], pages[1]), 0},
+			{"reduce with an MSB stray", func() (BitwiseResult, error) {
+				return d.Reduce(latch.OpAnd, []uint64{2, 3, 4, 5, 6}, scheme, 0)
+			}, softwareFold(latch.OpAnd, pages[2:]), 1},
+		} {
+			fallbacks, mws := d.Stats().Fallbacks, d.Array().Stats().MWSSenses
+			r, err := c.run()
+			if err != nil {
+				t.Fatalf("%v %s: %v", scheme, c.name, err)
+			}
+			if !bytes.Equal(r.Data, c.want) {
+				t.Errorf("%v %s: wrong result", scheme, c.name)
+			}
+			if n := d.Stats().Fallbacks - fallbacks; n != 1 {
+				t.Errorf("%v %s: %d fallbacks, want 1", scheme, c.name, n)
+			}
+			if want := map[Scheme]int64{SchemeFlashCosmos: c.mws}[scheme]; d.Array().Stats().MWSSenses-mws != want {
+				t.Errorf("%v %s: %d multi-wordline senses, want %d", scheme, c.name, d.Array().Stats().MWSSenses-mws, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"hash/crc32"
@@ -8,68 +9,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"parabit/internal/persist"
 )
 
-var updateJournal = flag.Bool("update-journal", false, "rebuild testdata/journal and testdata/journal.golden from the current device")
+var updateJournal = flag.Bool("update-journal", false, "rewrite testdata/journal.golden from the current replay of testdata/journal")
 
 const (
 	journalDir    = "testdata/journal"
 	journalGolden = "testdata/journal.golden"
 )
-
-// buildJournal writes one journaled record of every write op — the
-// retired lsb-pair op included — into a fresh TLC store in dir and
-// crashes it, so the directory holds the journal uncompacted. Two
-// overwrites flip pages between the scrambled and plain paths. The
-// checked-in testdata/journal predates reallocations that trim their own
-// pages: it also holds an OpReclaimInternal, which replay must still
-// decode and apply as a no-op, so rebuild it only to retire that record.
-func buildJournal(t *testing.T, dir string) {
-	t.Helper()
-	d, err := Create(dir, SmallTLCConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := func(seed int64) []byte { return randPage(d, seed) }
-	steps := []func() (err error){
-		func() error { _, err := d.WritePages(persist.OpWrite, 0, []uint64{0}, [][]byte{p(1)}, 0); return err },
-		func() error { _, err := d.WriteOperand(1, p(2), 0); return err },
-		func() error {
-			_, err := d.WritePages(persist.OpWritePair, 0, []uint64{2, 3}, [][]byte{p(3), p(4)}, 0)
-			return err
-		},
-		func() error {
-			_, err := d.WritePages(persist.OpWriteLSBPair, 0, []uint64{4, 5}, [][]byte{p(5), p(6)}, 0)
-			return err
-		},
-		func() error {
-			_, err := d.WriteOperandLSBGroup([]uint64{6, 7, 8}, [][]byte{p(7), p(8), p(9)}, 0)
-			return err
-		},
-		func() error {
-			_, err := d.WritePages(persist.OpWriteMWSGroup, 0, []uint64{9, 10}, [][]byte{p(10), p(11)}, 0)
-			return err
-		},
-		func() error {
-			_, err := d.WritePages(persist.OpWriteOnPlane, 1, []uint64{11}, [][]byte{p(12)}, 0)
-			return err
-		},
-		func() error {
-			_, err := d.WritePages(persist.OpWriteTriple, 0, []uint64{12, 13, 14}, [][]byte{p(13), p(14), p(15)}, 0)
-			return err
-		},
-		func() error { _, err := d.WriteOperand(0, p(16), 0); return err },
-		func() error { _, err := d.WritePages(persist.OpWrite, 0, []uint64{1}, [][]byte{p(17)}, 0); return err },
-	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	d.Crash()
-}
 
 // renderReplay mounts a copy of the checked-in journal and renders what
 // replay rebuilt: every LPN's physical page and content checksum, the
@@ -117,17 +64,28 @@ func renderReplay(t *testing.T) string {
 	return b.String()
 }
 
-// TestJournalReplayGolden mounts a journal holding one record of every
-// op (testdata/journal) and requires replay to rebuild the same page
-// contents, L2P map, plain set and counters as testdata/journal.golden.
-// Regenerate both with: go test ./internal/ssd -run TestJournalReplayGolden -update-journal
+// TestJournalReplayGolden mounts testdata/journal and requires replay to
+// rebuild the page contents, L2P map, plain set and counters of
+// testdata/journal.golden. The store is a frozen fixture that the current
+// device cannot write: its snapshot is a PBSNAP1 file, and its journal
+// holds one record of every write op (the retired lsb-pair op included)
+// and an OpReclaimInternal, which replay must still decode and apply as a
+// no-op, 11 records in all. Regenerate the golden only with:
+// go test ./internal/ssd -run TestJournalReplayGolden -update-journal
 func TestJournalReplayGolden(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join(journalDir, "snap-1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(snap, []byte("PBSNAP1\n")) {
+		t.Fatalf("%s/snap-1.bin starts %q, want the PBSNAP1 framing", journalDir, snap[:min(len(snap), 8)])
+	}
+	got := renderReplay(t)
+	if !strings.HasPrefix(got, "replayed 11 ") {
+		t.Fatalf("%s no longer replays 11 records: %.40s", journalDir, got)
+	}
 	if *updateJournal {
-		if err := os.RemoveAll(journalDir); err != nil {
-			t.Fatal(err)
-		}
-		buildJournal(t, journalDir)
-		if err := os.WriteFile(journalGolden, []byte(renderReplay(t)), 0o644); err != nil {
+		if err := os.WriteFile(journalGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +93,7 @@ func TestJournalReplayGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderReplay(t); got != string(want) {
+	if got != string(want) {
 		t.Fatalf("journal replay drifted from %s:\n got\n%s\n want\n%s", journalGolden, got, want)
 	}
 }

@@ -109,7 +109,9 @@ func (d *Device) SetTelemetry(s *telemetry.Sink) {
 // noteOp tags one completed bitwise operation with its op and execution
 // scheme: a per-combination counter (registered lazily, so the summary
 // shows only combinations that actually ran) and a span on the device's
-// bitwise lane. A fallback executes as SchemeReAlloc and is tagged so.
+// bitwise lane. A fallback is tagged with the scheme whose path ran it:
+// ParaBit's reallocation as SchemeReAlloc, a Flash-Cosmos miss's
+// location-free sense as SchemeLocFree.
 func (d *Device) noteOp(op latch.Op, scheme Scheme, start, done sim.Time) {
 	d.tele.cOps.Add(1)
 	if d.tele.sink == nil || int(op) >= teleOps || int(scheme) >= teleSchemes {

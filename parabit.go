@@ -844,16 +844,11 @@ type Stats struct {
 	// InjectedFaults counts structural faults (failed programs/erases,
 	// plane outages) injected by an installed fault plan.
 	InjectedFaults int64
-	// FTL maintenance activity: garbage collection, read reclaim and
-	// static wear leveling runs, with the pages each migrated, plus MSB
-	// slots padded to keep paired writes aligned.
-	GCRuns            int64
-	GCPagesMoved      int64
-	ReadReclaims      int64
-	ReclaimPagesMoved int64
-	StaticWLMoves     int64
-	WLPagesMoved      int64
-	PaddedPages       int64
+	// FTL maintenance activity: garbage collection runs and the pages
+	// they migrated, plus MSB slots padded to keep paired writes aligned.
+	GCRuns       int64
+	GCPagesMoved int64
+	PaddedPages  int64
 	// WriteAmplification is (host+internal writes)/host writes.
 	WriteAmplification float64
 	// Commands counts scheduler commands executed; Batches how many
@@ -888,10 +883,6 @@ func (d *Device) Stats() Stats {
 			InjectedFaults:     fl.InjectedFaults,
 			GCRuns:             ft.GCRuns,
 			GCPagesMoved:       ft.GCPagesMoved,
-			ReadReclaims:       ft.ReadReclaims,
-			ReclaimPagesMoved:  ft.ReclaimPagesMoved,
-			StaticWLMoves:      ft.StaticWLMoves,
-			WLPagesMoved:       ft.WLPagesMoved,
 			PaddedPages:        ft.PaddedPages,
 			WriteAmplification: ft.WriteAmplification(),
 		}
