@@ -2,9 +2,6 @@
 // a multichecker over the analyzers in internal/analysis that enforces
 // the invariants ordinary go vet cannot see.
 //
-//   - latchseq: latch control sequences follow the ParaBit circuit
-//     contract (init first, sense before combine, no M3 before init, no
-//     unknown step kinds, per-op table shapes).
 //   - simtime: no wall-clock time in internal simulation packages; all
 //     latency flows through internal/sim's virtual clock.
 //   - errdrop: no discarded error returns from the device stack
@@ -18,6 +15,10 @@
 //   - lockorder: the package lock-acquisition graph is free of cycles,
 //     same-instance re-acquisition, and inversions of declared
 //     //parabit:lockorder pragmas.
+//
+// The latch circuit contract is not checked here. latch.Sequence.Validate
+// is its one checker: MWSProgram and plan.FusedSequence run it on every
+// program they build, and the latch tests run it over every fixed table.
 //
 // Usage:
 //
@@ -46,7 +47,6 @@ import (
 	"parabit/internal/analysis"
 	"parabit/internal/analysis/errdrop"
 	"parabit/internal/analysis/guardedby"
-	"parabit/internal/analysis/latchseq"
 	"parabit/internal/analysis/lockorder"
 	"parabit/internal/analysis/nocopylock"
 	"parabit/internal/analysis/simtime"
@@ -54,11 +54,10 @@ import (
 
 // version participates in the go vet tool-identity handshake; bump it
 // when analyzer behavior changes so go vet's result cache invalidates.
-const version = "v1.1.0"
+const version = "v1.2.0"
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		latchseq.Analyzer,
 		simtime.Analyzer,
 		errdrop.Analyzer,
 		nocopylock.Analyzer,

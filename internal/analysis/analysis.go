@@ -9,9 +9,9 @@
 // information, and //lint:ignore suppression. Facts, SSA, and result
 // dependencies between analyzers are intentionally out of scope.
 //
-// The concrete analyzers live in the subpackages latchseq, simtime,
-// errdrop and nocopylock; see the README's "Static analysis" section for
-// what each one enforces.
+// The concrete analyzers live in the subpackages simtime, errdrop,
+// nocopylock, guardedby and lockorder; see the README's "Static analysis"
+// section for what each one enforces.
 package analysis
 
 import (
@@ -31,7 +31,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run applies the analyzer to one package. It reports findings
-	// through pass.Report / pass.Reportf.
+	// through pass.Reportf.
 	Run func(*Pass) error
 }
 
@@ -57,18 +57,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Report records a diagnostic at the given syntax position.
-func (p *Pass) Report(pos token.Pos, msg string) {
-	p.report(Diagnostic{Pos: p.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: msg})
-}
-
 // Reportf records a formatted diagnostic at the given syntax position.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(pos, fmt.Sprintf(format, args...))
-}
-
-func (p *Pass) report(d Diagnostic) {
-	*p.diagnostics = append(*p.diagnostics, d)
+	*p.diagnostics = append(*p.diagnostics, Diagnostic{
+		Pos:      p.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
+		Message:  fmt.Sprintf(format, args...),
+	})
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.

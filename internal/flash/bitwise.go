@@ -142,9 +142,9 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 			// The control program comes from latch's validated MWS table,
 			// which refuses an op without an MWS form or a k outside
 			// 2..MaxMWSOperands. It keeps the MWS path under the same
-			// legality rails (latch.Validate and the latchseq analyzer) as
-			// every other sequence in the device and prices the sense in
-			// SROs; the word-wide kernel computes the data.
+			// legality rail (latch.Sequence.Validate) as every other
+			// sequence in the device and prices the sense in SROs; the
+			// word-wide kernel computes the data.
 			base, _ := op.Base()
 			seq, err := latch.MWSProgram(base, len(wls))
 			if err != nil {

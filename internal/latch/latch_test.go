@@ -183,16 +183,31 @@ func TestNotSequencesTable5(t *testing.T) {
 	expectRow(t, msb, rows, 5, "", "1001", "0110", "1001", "0110")
 }
 
+// TestSROCounts pins the shape of the paper's tables (Fig. 3, Figs. 5–7,
+// Tables 2–5): each basic sequence's step count and SRO count. The SRO
+// counts drive the latency model: 25 µs per SRO gives the paper's "XNOR
+// and XOR take 100 µs" (§5.2).
 func TestSROCounts(t *testing.T) {
-	// These counts drive the latency model: 25 µs per SRO gives the
-	// paper's "XNOR and XOR take 100 µs" (§5.2).
-	want := map[Op]int{
-		OpAnd: 1, OpOr: 2, OpXnor: 4, OpNand: 1,
-		OpNor: 2, OpXor: 4, OpNotLSB: 1, OpNotMSB: 2,
-	}
-	for op, n := range want {
-		if got := ForOp(op).SROs(); got != n {
-			t.Errorf("%v: %d SROs, want %d", op, got, n)
+	for _, tc := range []struct {
+		seq         Sequence
+		steps, sros int
+	}{
+		{ReadLSB, 4, 1},
+		{ReadMSB, 6, 2},
+		{ForOp(OpAnd), 4, 1},
+		{ForOp(OpOr), 6, 2},
+		{ForOp(OpXnor), 11, 4},
+		{ForOp(OpNand), 4, 1},
+		{ForOp(OpNor), 6, 2},
+		{ForOp(OpXor), 11, 4},
+		{ForOp(OpNotLSB), 4, 1},
+		{ForOp(OpNotMSB), 6, 2},
+	} {
+		if got := len(tc.seq.Steps); got != tc.steps {
+			t.Errorf("%s: %d steps, want %d", tc.seq.Name, got, tc.steps)
+		}
+		if got := tc.seq.SROs(); got != tc.sros {
+			t.Errorf("%s: %d SROs, want %d", tc.seq.Name, got, tc.sros)
 		}
 	}
 }

@@ -2,13 +2,14 @@ package latch
 
 import "fmt"
 
-// MaxSteps bounds any single control sequence. The longest legal program
-// (location-free XOR) has 11 steps; anything past this is a construction
-// bug, not a bigger circuit.
+// MaxSteps bounds any single control sequence. The longest fixed programs
+// (location-free XOR and XNOR) have 16 steps, and the planner splits its
+// fused chains to stay within this cap; anything past it is a
+// construction bug, not a bigger circuit.
 const MaxSteps = 64
 
 // Validate checks the circuit-ordering invariants every legal control
-// program must satisfy, mirroring the static latchseq analyzer:
+// program must satisfy:
 //
 //   - the sequence is non-empty and at most MaxSteps long;
 //   - every step kind is one the circuit defines (StepInit..StepSenseMulti);
@@ -26,9 +27,9 @@ const MaxSteps = 64
 //     sense chain would combine against an already-collapsed SO.
 //
 // It returns nil for legal sequences and a descriptive error naming the
-// first violation otherwise. The static analyzer proves these properties
-// for sequences it can resolve at compile time; Validate covers
-// sequences assembled at run time (e.g. TLC builders or fuzzers).
+// first violation otherwise. It is the one checker of this contract:
+// MWSProgram and plan.FusedSequence run it on every program they build,
+// and the package tests run it over every fixed table.
 func (s Sequence) Validate() error {
 	if len(s.Steps) == 0 {
 		return fmt.Errorf("sequence %q is empty: a control program must initialize the latches", s.Name)
