@@ -346,35 +346,6 @@ func BenchmarkScrambler(b *testing.B) {
 
 var _ = fmt.Sprintf // keep fmt for debug printing in table dumps
 
-// BenchmarkAblationCacheRead quantifies the cache-register pipeline
-// (§2.1): a read burst with and without cache read.
-func BenchmarkAblationCacheRead(b *testing.B) {
-	run := func(b *testing.B, noCache bool) {
-		geo := flash.Small()
-		geo.PageSize = 8192
-		tm := flash.DefaultTiming()
-		tm.NoCacheRead = noCache
-		array := flash.NewArray(geo, tm)
-		addr := flash.PageAddr{Kind: flash.LSBPage}
-		var modeled float64
-		for i := 0; i < b.N; i++ {
-			array.ResetTiming()
-			var last float64
-			for r := 0; r < 16; r++ {
-				_, done, err := array.Read(addr, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = float64(done)
-			}
-			modeled = last / 1e3
-		}
-		b.ReportMetric(modeled, "modeled-µs/burst16")
-	}
-	b.Run("cache-read", func(b *testing.B) { run(b, false) })
-	b.Run("no-cache-read", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkDeviceQuery measures the public query path end to end: a
 // 3-way AND over an aligned LSB group under LocationFree, planned and
 // run as one fused chain. The result cache is off, so every iteration

@@ -395,10 +395,10 @@ func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, err
 }
 
 // Read senses a page and transfers it over the channel to the controller.
-// The returned time is when the controller holds the data. With cache
-// read (the default), the plane frees as soon as sensing completes — the
-// cache register holds the outgoing data while the next sense proceeds.
-// Without it, the plane stays busy until the transfer drains.
+// The returned time is when the controller holds the data. Reads use the
+// cache register (§2.1): the plane frees as soon as sensing completes,
+// and the cache register holds the outgoing data while the next sense
+// proceeds.
 func (a *Array) Read(p PageAddr, at sim.Time) ([]byte, sim.Time, error) {
 	return a.read(p, nil, at)
 }
@@ -420,13 +420,7 @@ func (a *Array) read(p PageAddr, dst []byte, at sim.Time) ([]byte, sim.Time, err
 	if err != nil {
 		return nil, 0, err
 	}
-	done := a.transferOut(p.Channel, res.Ready, len(res.Data))
-	if a.timing.NoCacheRead && done > res.Ready {
-		// Hold the single data register (and with it the plane's sense
-		// path) until the transfer completes.
-		a.planeAt(p.PlaneAddr).sense.ReserveLabeled(res.Ready, done.Sub(res.Ready), "hold")
-	}
-	return res.Data, done, nil
+	return res.Data, a.transferOut(p.Channel, res.Ready, len(res.Data)), nil
 }
 
 // transferOut books the channel for a plane->controller page transfer.

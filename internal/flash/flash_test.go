@@ -667,41 +667,24 @@ func TestLocFreeLSBTiming(t *testing.T) {
 }
 
 func TestCacheReadPipelines(t *testing.T) {
-	// With cache read, successive reads of the same plane pipeline: the
-	// second sense starts as soon as the first finishes, while the first
-	// transfer drains concurrently. Without it, each read's transfer
-	// blocks the next sense.
+	// Successive reads of the same plane pipeline through the cache
+	// register: the second sense starts as soon as the first finishes,
+	// while the first transfer drains concurrently.
 	geo := Small()
 	geo.PageSize = 8192 // make transfers significant (≈20.7µs)
-	read4 := func(noCache bool) sim.Time {
-		tm := DefaultTiming()
-		tm.NoCacheRead = noCache
-		a := NewArray(geo, tm)
-		addr := PageAddr{WordlineAddr{}, LSBPage}
-		var last sim.Time
-		for i := 0; i < 4; i++ {
-			_, done, err := a.Read(addr, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last = done
-		}
-		return last
-	}
-	withCache := read4(false)
-	withoutCache := read4(true)
-	if withoutCache <= withCache {
-		t.Fatalf("no-cache (%v) not slower than cache read (%v)", withoutCache, withCache)
-	}
 	tm := DefaultTiming()
-	// Cache read: 4 senses back to back + one final transfer.
-	wantCache := sim.Time(4*tm.SenseSRO + tm.Transfer(geo.PageSize))
-	if withCache != wantCache {
-		t.Errorf("cache-read burst done at %v, want %v", withCache, wantCache)
+	a := NewArray(geo, tm)
+	addr := PageAddr{WordlineAddr{}, LSBPage}
+	var last sim.Time
+	for i := 0; i < 4; i++ {
+		_, done, err := a.Read(addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = done
 	}
-	// No cache read: each read serializes sense+transfer.
-	wantNo := sim.Time(4 * (tm.SenseSRO + tm.Transfer(geo.PageSize)))
-	if withoutCache != wantNo {
-		t.Errorf("no-cache burst done at %v, want %v", withoutCache, wantNo)
+	// 4 senses back to back + one final transfer.
+	if want := sim.Time(4*tm.SenseSRO + tm.Transfer(geo.PageSize)); last != want {
+		t.Errorf("cache-read burst done at %v, want %v", last, want)
 	}
 }

@@ -46,12 +46,6 @@ type Timing struct {
 	// attempts when ECC reports an uncorrectable sector (§5.8's "voltage
 	// calibration read"). Each retry costs one extra SRO.
 	MaxReadRetries int
-	// NoCacheRead disables the cache-register pipeline (§2.1): without
-	// it, a plane cannot start its next sense until the previous read's
-	// data has fully drained over the channel, because the single data
-	// register is still occupied. Modern flash ships with cache read, so
-	// the default (false) keeps it on; the ablation benches flip it.
-	NoCacheRead bool
 }
 
 // DefaultTiming returns the paper's MLC timing with a 400 MB/s ONFI
