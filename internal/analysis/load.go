@@ -69,9 +69,6 @@ func NewLoader(dir string) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load lists the packages matching the patterns and returns them fully
 // type-checked, with syntax and type info, in go list order.
 //

@@ -96,6 +96,7 @@ type checker struct {
 	order map[class]map[class]bool
 	// classLabels resolves pragma names back to classes.
 	classLabels map[string]class
+	flow        lockutil.Flow[held]
 }
 
 func run(pass *analysis.Pass) error {
@@ -106,6 +107,14 @@ func run(pass *analysis.Pass) error {
 		edges:       make(map[edge]site),
 		order:       make(map[class]map[class]bool),
 		classLabels: make(map[string]class),
+	}
+	c.flow = lockutil.Flow[held]{
+		Info:  pass.TypesInfo,
+		Clone: held.clone,
+		Join:  intersect,
+		Expr:  c.walkExpr,
+		Write: c.walkExpr,
+		Go:    c.goCall,
 	}
 	c.index()
 	if len(c.funcs) == 0 {
@@ -274,7 +283,7 @@ func (c *checker) walkFunc(fn *types.Func, fd *ast.FuncDecl) {
 		// the very object it is about to lock as a parameter.
 		c.assume(h, fd.Recv)
 	}
-	c.walkBody(fd.Body, h)
+	c.flow.Block(fd.Body.List, h)
 }
 
 // assume marks every mutex field class of the receiver's / parameters'
@@ -298,171 +307,7 @@ func (c *checker) assume(h held, fl *ast.FieldList) {
 	}
 }
 
-// walkBody walks statements in order; like the guardedby tracker it
-// approximates branches by analyzing each arm from a copy of the
-// current state and merging survivors (intersection of held sets).
-func (c *checker) walkBody(body *ast.BlockStmt, h held) {
-	if body == nil {
-		return
-	}
-	c.walkStmts(body.List, h)
-}
-
-func (c *checker) walkStmts(list []ast.Stmt, h held) bool {
-	for _, s := range list {
-		if c.walkStmt(s, h) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) walkStmt(s ast.Stmt, h held) bool {
-	switch s := s.(type) {
-	case nil:
-		return false
-	case *ast.BlockStmt:
-		return c.walkStmts(s.List, h)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.walkExpr(r, h)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.LabeledStmt:
-		return c.walkStmt(s.Stmt, h)
-	case *ast.DeferStmt:
-		if op, _ := lockutil.ClassifyLockCall(c.pass.TypesInfo, s.Call); op == lockutil.OpUnlock || op == lockutil.OpRUnlock {
-			return false // held to function end
-		}
-		c.walkCall(s.Call, h.clone())
-	case *ast.GoStmt:
-		// Runs concurrently: no hold ordering with this path. The body of
-		// a literal is still analyzed (fresh) via walkExpr below.
-		for _, a := range s.Call.Args {
-			c.walkExpr(a, h)
-		}
-		c.walkExpr(s.Call.Fun, h)
-	case *ast.ExprStmt:
-		c.walkExpr(s.X, h)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			c.walkExpr(e, h)
-		}
-		for _, e := range s.Lhs {
-			c.walkExpr(e, h)
-		}
-	case *ast.IncDecStmt:
-		c.walkExpr(s.X, h)
-	case *ast.SendStmt:
-		c.walkExpr(s.Chan, h)
-		c.walkExpr(s.Value, h)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						c.walkExpr(v, h)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		c.walkStmt(s.Init, h)
-		c.walkExpr(s.Cond, h)
-		then := h.clone()
-		thenTerm := c.walkStmts(s.Body.List, then)
-		if s.Else != nil {
-			els := h.clone()
-			elseTerm := c.walkStmt(s.Else, els)
-			switch {
-			case thenTerm && !elseTerm:
-				replace(h, els)
-			case elseTerm && !thenTerm:
-				replace(h, then)
-			case !thenTerm && !elseTerm:
-				replace(h, intersect(then, els))
-			}
-			return thenTerm && elseTerm
-		}
-		if !thenTerm {
-			replace(h, intersect(h, then))
-		}
-	case *ast.ForStmt:
-		c.walkStmt(s.Init, h)
-		c.walkExpr(s.Cond, h)
-		body := h.clone()
-		c.walkStmts(s.Body.List, body)
-		c.walkStmt(s.Post, body)
-		replace(h, intersect(h, body))
-	case *ast.RangeStmt:
-		c.walkExpr(s.X, h)
-		body := h.clone()
-		c.walkStmts(s.Body.List, body)
-		replace(h, intersect(h, body))
-	case *ast.SwitchStmt:
-		c.walkStmt(s.Init, h)
-		c.walkExpr(s.Tag, h)
-		c.walkClauses(s.Body.List, h)
-	case *ast.TypeSwitchStmt:
-		c.walkStmt(s.Init, h)
-		c.walkStmt(s.Assign, h)
-		c.walkClauses(s.Body.List, h)
-	case *ast.SelectStmt:
-		c.walkClauses(s.Body.List, h)
-	}
-	return false
-}
-
-func (c *checker) walkClauses(list []ast.Stmt, h held) {
-	var results []held
-	hasDefault := false
-	for _, cl := range list {
-		var body []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				c.walkExpr(e, h)
-			}
-			if cl.List == nil {
-				hasDefault = true
-			}
-			body = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			}
-			c.walkStmt(cl.Comm, h)
-			body = cl.Body
-		}
-		branch := h.clone()
-		if !c.walkStmts(body, branch) {
-			results = append(results, branch)
-		}
-	}
-	if !hasDefault {
-		results = append(results, h.clone())
-	}
-	if len(results) == 0 {
-		return
-	}
-	acc := results[0]
-	for _, r := range results[1:] {
-		acc = intersect(acc, r)
-	}
-	replace(h, acc)
-}
-
-func replace(dst, src held) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
+// intersect joins two paths: a class stays held only if both hold it.
 func intersect(a, b held) held {
 	out := make(held)
 	for cls, ia := range a {
@@ -493,7 +338,7 @@ func (c *checker) walkExpr(e ast.Expr, h held) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			c.walkBody(n.Body, make(held))
+			c.flow.Block(n.Body.List, make(held))
 			return false
 		case *ast.CallExpr:
 			c.walkCall(n, h)
@@ -501,6 +346,17 @@ func (c *checker) walkExpr(e ast.Expr, h held) {
 		}
 		return true
 	})
+}
+
+// goCall walks a go statement's call: its operands are evaluated on this
+// path, but the call runs concurrently, so it orders no acquisition
+// after the locks held here. A literal's body is analyzed fresh by
+// walkExpr.
+func (c *checker) goCall(call *ast.CallExpr, h held) {
+	for _, a := range call.Args {
+		c.walkExpr(a, h)
+	}
+	c.walkExpr(call.Fun, h)
 }
 
 func (c *checker) walkCall(call *ast.CallExpr, h held) {

@@ -1,9 +1,10 @@
-// Package lockutil holds the mutex-shaped primitives the concurrency
-// analyzers (guardedby, lockorder) share: recognizing sync.Mutex and
-// sync.RWMutex fields, classifying Lock/RLock/Unlock/RUnlock call sites,
-// canonicalizing the base expression a lock hangs off, and the *Locked
-// helper-suffix convention for functions that require a lock already
-// held.
+// Package lockutil holds what the concurrency analyzers (guardedby,
+// lockorder) share: recognizing sync.Mutex and sync.RWMutex fields,
+// classifying Lock/RLock/Unlock/RUnlock call sites, canonicalizing the
+// base expression a lock hangs off, the *Locked helper-suffix convention
+// for functions that require a lock already held, and Flow, the walk of
+// a function body's control flow that carries each analyzer's lock
+// state from statement to statement.
 package lockutil
 
 import (
@@ -167,31 +168,4 @@ func MutexFields(named *types.Named) []string {
 		}
 	}
 	return out
-}
-
-// Terminates reports whether a statement unconditionally leaves the
-// enclosing block: a return, a branch (break/continue/goto), or a call
-// to panic / os.Exit. Used by the analyzers to decide whether a branch's
-// lock-state changes can reach the code after it.
-func Terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			return fun.Name == "panic"
-		case *ast.SelectorExpr:
-			if id, ok := fun.X.(*ast.Ident); ok {
-				return id.Name == "os" && fun.Sel.Name == "Exit"
-			}
-		}
-	case *ast.BlockStmt:
-		return len(s.List) > 0 && Terminates(s.List[len(s.List)-1])
-	}
-	return false
 }
