@@ -36,7 +36,7 @@ func TestAnalyzerNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 5 {
-		t.Errorf("expected at least 5 analyzers, got %d", len(seen))
+	if len(seen) < 4 {
+		t.Errorf("expected at least 4 analyzers, got %d", len(seen))
 	}
 }

@@ -10,8 +10,8 @@
 // dependencies between analyzers are intentionally out of scope.
 //
 // The concrete analyzers live in the subpackages simtime, errdrop,
-// nocopylock, guardedby and lockorder; see the README's "Static analysis"
-// section for what each one enforces.
+// guardedby and lockorder; see the README's "Static analysis" section for
+// what each one enforces.
 package analysis
 
 import (
