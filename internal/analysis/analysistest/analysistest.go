@@ -19,7 +19,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -191,8 +190,8 @@ func matchWant(wants []*expectation, d analysis.Diagnostic) bool {
 	return false
 }
 
-// splitQuoted extracts the quoted strings from a want comment's payload:
-// double-quoted Go string literals (with escape sequences) and
+// splitQuoted extracts the Go string literals from a want comment's
+// payload: double-quoted strings (with escape sequences) and
 // backtick-quoted raw strings, in any mix.
 func splitQuoted(s string) []string {
 	var out []string
@@ -201,41 +200,12 @@ func splitQuoted(s string) []string {
 		if i < 0 {
 			return out
 		}
-		s = s[i:]
-		if s[0] == '`' {
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				return out
-			}
-			out = append(out, s[1:1+end])
-			s = s[end+2:]
-			continue
-		}
-		prefix, err := scanString(s)
+		lit, err := strconv.QuotedPrefix(s[i:])
 		if err != nil {
 			return out
 		}
-		unq, err := strconv.Unquote(prefix)
-		if err != nil {
-			return out
-		}
+		unq, _ := strconv.Unquote(lit) // a quoted prefix always unquotes
 		out = append(out, unq)
-		s = s[len(prefix):]
+		s = s[i+len(lit):]
 	}
-}
-
-// scanString returns the leading double-quoted Go string literal of s.
-func scanString(s string) (string, error) {
-	if len(s) == 0 || s[0] != '"' {
-		return "", fmt.Errorf("no opening quote")
-	}
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			return s[:i+1], nil
-		}
-	}
-	return "", fmt.Errorf("unterminated string")
 }
