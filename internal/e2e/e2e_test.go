@@ -173,9 +173,6 @@ func TestFullStackWithECCAndNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Array().SetCorruptor(reliability.NewModel(9))
-	if err := d.Array().SetNoisyBaseline(true); err != nil {
-		t.Fatal(err)
-	}
 	x := bytes.Repeat([]byte{0xAB}, d.PageSize())
 	y := bytes.Repeat([]byte{0x14}, d.PageSize())
 	if _, err := d.WriteOperand(0, x, 0); err != nil {

@@ -102,14 +102,12 @@ type Array struct {
 	buses  []*sim.Resource // per channel
 	noise  Corruptor
 	// codec, when set, protects baseline reads: programs store parity in
-	// the OOB area and reads correct raw errors. ParaBit sense results
-	// never pass through it (§4.4.3).
+	// the OOB area, and reads of parity-bearing pages see the
+	// Corruptor's raw bit errors, which the codec then corrects — the
+	// §5.8 configuration. Without a codec, baseline reads are ideal, so
+	// raw errors never reach the host. ParaBit sense results never pass
+	// through it (§4.4.3).
 	codec *ecc.Codec
-	// noisyBaseline applies the Corruptor to baseline reads too (raw bit
-	// errors on ordinary reads), which the codec then corrects — the
-	// §5.8 configuration. Without a codec, raw errors would reach the
-	// host, so enabling this without a codec is rejected.
-	noisyBaseline bool
 	// injector, when set, decides per-operation structural faults
 	// (program/erase failures, dead planes, latency jitter) the way noise
 	// decides bit errors. A nil injector is fault-free.
@@ -176,18 +174,9 @@ func (a *Array) Stats() Stats { return a.stats }
 func (a *Array) SetCorruptor(c Corruptor) { a.noise = c }
 
 // SetECC installs a baseline-read codec. Pages programmed afterwards
-// carry parity; reads of parity-bearing pages correct raw errors.
+// carry parity; reads of parity-bearing pages experience the Corruptor's
+// raw errors and correct them.
 func (a *Array) SetECC(c *ecc.Codec) { a.codec = c }
-
-// SetNoisyBaseline makes ordinary reads experience raw bit errors too
-// (corrected by the codec). Requires SetECC first.
-func (a *Array) SetNoisyBaseline(on bool) error {
-	if on && a.codec == nil {
-		return errors.New("flash: noisy baseline reads require an ECC codec")
-	}
-	a.noisyBaseline = on
-	return nil
-}
 
 // InstrumentResources installs a reservation observer on every plane's
 // sense path and every channel bus. mk is called once per resource with
@@ -358,7 +347,7 @@ func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, err
 	a.stats.SROs += int64(sros)
 	exposure := a.noteSense(p.WordlineAddr, sros, end)
 	res := SenseResult{Data: a.pageBits(dst, p.WordlineAddr, p.Kind), Ready: end}
-	if a.noisyBaseline && a.noise != nil {
+	if a.codec != nil && a.noise != nil {
 		par := a.parityOf(p)
 		if par == nil {
 			return res, nil

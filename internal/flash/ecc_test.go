@@ -42,9 +42,6 @@ func eccArray(t *testing.T, c Corruptor) *Array {
 	}
 	a.SetECC(codec)
 	a.SetCorruptor(c)
-	if err := a.SetNoisyBaseline(true); err != nil {
-		t.Fatal(err)
-	}
 	return a
 }
 
@@ -132,13 +129,6 @@ func TestErasedPagesSkipNoise(t *testing.T) {
 	}
 	if a.Stats().InjectedFlips != 0 {
 		t.Fatal("noise injected into erased read")
-	}
-}
-
-func TestNoisyBaselineRequiresCodec(t *testing.T) {
-	a := NewArray(Small(), DefaultTiming())
-	if err := a.SetNoisyBaseline(true); err == nil {
-		t.Fatal("noisy baseline without codec accepted")
 	}
 }
 

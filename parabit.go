@@ -193,11 +193,13 @@ func WithQueryCache(bytes int64) Option {
 }
 
 // WithECC installs a SEC-DED codec over 512-byte sectors (or the page
-// size, when pages are smaller) on the baseline read path and makes
-// ordinary reads experience the raw errors of the noise model — which
-// the codec then corrects. ParaBit results still bypass correction
-// (§4.4.3): the asymmetry the paper's reliability study measures.
-// Requires WithErrorModel for the errors to exist.
+// size, when pages are smaller) on the baseline read path, so ordinary
+// reads experience the raw errors of the noise model — which the codec
+// then corrects. ParaBit results still bypass correction (§4.4.3): the
+// asymmetry the paper's reliability study measures. Requires
+// WithErrorModel for the errors to exist. The codec is part of a
+// persistent store's configuration: a store created with WithECC reads
+// through it whenever it is opened with an error model.
 func WithECC() Option {
 	return func(c *config) { c.wantECC = true }
 }
@@ -257,15 +259,15 @@ func NewDevice(opts ...Option) (*Device, error) {
 }
 
 // finish applies the post-construction options shared by NewDevice and
-// Open: the read-noise model and the noisy-ECC baseline.
+// Open: the read-noise model, which a device with an ECC codec also
+// applies to its baseline reads. Open refuses WithECC for a store
+// created without a codec.
 func (c *config) finish(dev *ssd.Device) error {
+	if c.wantECC && dev.Config().ECCSectorBytes == 0 {
+		return errors.New("parabit: WithECC needs a store created with WithECC")
+	}
 	if c.noise != nil {
 		dev.Array().SetCorruptor(c.noise)
-	}
-	if c.wantECC {
-		if err := dev.Array().SetNoisyBaseline(true); err != nil {
-			return err
-		}
 	}
 	return nil
 }

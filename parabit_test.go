@@ -575,3 +575,43 @@ func TestSyncAndAsyncRefuseAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenKeepsStoredECC pins how WithECC meets a persistent store: the
+// codec is part of the stored configuration, so a store created with
+// WithECC reads through it when opened with an error model alone, and
+// WithECC cannot add a codec to a store created without one.
+func TestOpenKeepsStoredECC(t *testing.T) {
+	plain := t.TempDir()
+	if err := newTestDevice(t, WithPersistence(plain)).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(plain, WithECC()); err == nil {
+		t.Fatal("WithECC accepted for a store created without a codec")
+	}
+
+	dir := t.TempDir()
+	d := newTestDevice(t, WithPersistence(dir), WithECC())
+	data := pageOf(d, 5)
+	for lpn := uint64(0); lpn < 8; lpn++ {
+		if err := d.Write(lpn, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := Open(dir, WithErrorModel(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for lpn := uint64(0); lpn < 8; lpn++ {
+		got, err := re.Read(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("LPN %d read back wrong after reopening", lpn)
+		}
+	}
+}
