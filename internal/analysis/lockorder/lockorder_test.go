@@ -12,6 +12,13 @@ func TestOrderingViolationsFlagged(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "orderbad")
 }
 
+// TestEdgeReportedAtLowestSite pins the report of an edge two functions
+// create to the lower site, whatever order the functions are walked in
+// (run it with -count=20 to see it hold).
+func TestEdgeReportedAtLowestSite(t *testing.T) {
+	analysistest.Run(t, lockorder.Analyzer, "ordertwice")
+}
+
 func TestConsistentOrderClean(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "orderok")
 }
