@@ -126,11 +126,7 @@ func TestDeviceConcurrentClients(t *testing.T) {
 	if st.Fallbacks != 0 {
 		t.Errorf("pre-allocated operands caused %d fallbacks", st.Fallbacks)
 	}
-	// The telemetry mirror of the op counter must agree with the device,
-	// and the trace must have recorded real spans.
-	if got := sink.Counter("ssd.bitwise.ops").Value(); got != st.BitwiseOps {
-		t.Errorf("telemetry counted %d bitwise ops, device %d", got, st.BitwiseOps)
-	}
+	// The trace must have recorded real spans.
 	if sink.Trace().Len() == 0 {
 		t.Error("trace recorded no spans")
 	}

@@ -214,21 +214,9 @@ type Engine struct {
 
 	stats Stats // guarded by mu
 
-	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
-	faultTrack *telemetry.Track                          // guarded by mu
-	counters   [len(faultKindCounter)]*telemetry.Counter // guarded by mu
-	cJitter    *telemetry.Counter                        // guarded by mu
-}
-
-// faultKindCounter names the per-kind telemetry counters, indexed by
-// flash.FaultKind.
-var faultKindCounter = [...]string{
-	"faults.plane_transient",
-	"faults.plane_dead",
-	"faults.program_fail",
-	"faults.erase_fail",
-	"faults.stuck_block",
-	"faults.power_cut",
+	// faultTrack is the trace lane; nil (a free no-op) until
+	// SetTelemetry runs.
+	faultTrack *telemetry.Track // guarded by mu
 }
 
 // cutRule is a compiled power-cut rule: the boundary it watches and the
@@ -297,17 +285,27 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// SetTelemetry attaches (or, with nil, detaches) a telemetry sink: one
-// counter per fault class and an instant event on the "faults" lane per
-// injection, so every fault is visible in an exported trace.
+// SetTelemetry attaches (or, with nil, detaches) a telemetry sink: an
+// instant event on the "faults" lane per injection, so every fault is
+// visible in an exported trace. The counts stay in Stats;
+// PublishMetrics writes them into a sink.
 func (e *Engine) SetTelemetry(s *telemetry.Sink) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k := range faultKindCounter {
-		e.counters[k] = s.Counter(faultKindCounter[k])
-	}
-	e.cJitter = s.Counter("faults.jitter_events")
 	e.faultTrack = s.Trace().Track("faults", "injected")
+}
+
+// PublishMetrics writes the injection counts into sink: one counter per
+// fault class and faults.jitter_events. A nil sink is a no-op.
+func (e *Engine) PublishMetrics(sink *telemetry.Sink) {
+	st := e.Stats()
+	sink.Counter("faults.plane_transient").Set(st.PlaneTransient)
+	sink.Counter("faults.plane_dead").Set(st.PlaneDead)
+	sink.Counter("faults.program_fail").Set(st.ProgramFails)
+	sink.Counter("faults.erase_fail").Set(st.EraseFails)
+	sink.Counter("faults.stuck_block").Set(st.StuckBlock)
+	sink.Counter("faults.power_cut").Set(st.PowerCuts)
+	sink.Counter("faults.jitter_events").Set(st.JitterEvents)
 }
 
 // failLocked records and returns one injected failure.
@@ -325,9 +323,6 @@ func (e *Engine) failLocked(op flash.FaultOp, kind flash.FaultKind, plane flash.
 		e.stats.StuckBlock++
 	case flash.FaultPowerCut:
 		e.stats.PowerCuts++
-	}
-	if int(kind) < len(e.counters) {
-		e.counters[kind].Add(1)
 	}
 	e.faultTrack.Instant(kind.String()+"/"+op.String(), at)
 	return flash.FaultOutcome{Err: &flash.FaultError{Op: op, Kind: kind, Plane: plane, Block: block}}
@@ -380,7 +375,6 @@ func (e *Engine) Inspect(op flash.FaultOp, plane flash.PlaneAddr, block int, at 
 	if delay > 0 {
 		e.stats.JitterEvents++
 		e.stats.JitterTotal += delay
-		e.cJitter.Add(1)
 		e.faultTrack.Instant("jitter/"+op.String(), at)
 	}
 	return flash.FaultOutcome{Delay: delay}
@@ -417,9 +411,6 @@ func (e *Engine) CutAtBoundary(point string) bool {
 	}
 	e.dead = true
 	e.stats.PowerCuts++
-	if int(flash.FaultPowerCut) < len(e.counters) {
-		e.counters[flash.FaultPowerCut].Add(1)
-	}
 	return true
 }
 

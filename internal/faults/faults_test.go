@@ -176,6 +176,7 @@ func TestTelemetryCounters(t *testing.T) {
 	sink.EnableTrace()
 	e.SetTelemetry(sink)
 	e.Inspect(flash.FaultProgram, geo.PlaneAt(0), 0, 0)
+	e.PublishMetrics(sink)
 	if got := sink.Counter("faults.stuck_block").Value(); got != 1 {
 		t.Errorf("faults.stuck_block = %d, want 1", got)
 	}

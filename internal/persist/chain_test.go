@@ -9,11 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"testing"
-
-	"parabit/internal/telemetry"
 )
 
 // sizedSnap writes body and reports written payload bytes for a delta
@@ -62,16 +59,13 @@ func parentOf(t *testing.T, dir string, epoch uint64) uint64 {
 // image of 100 payload bytes and deltas of 40, three deltas stack up
 // (superseded 40, 80, 120) and the rotation after the third writes a
 // full image, which retires the whole old chain. A mount reads the
-// chain newest first, and the stats and telemetry lanes count bytes and
-// full images.
+// chain newest first, and the stats count bytes and full images.
 func TestChainCompactionRule(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(Config{Dir: dir, SnapshotEvery: -1}, sizedSnap([]byte("e1"), 0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := telemetry.New()
-	s.SetTelemetry(sink)
 	for e := uint64(2); e <= 4; e++ {
 		if err := s.Snapshot(sizedSnap([]byte(fmt.Sprintf("e%d", e)), 40, 100)); err != nil {
 			t.Fatal(err)
@@ -109,13 +103,6 @@ func TestChainCompactionRule(t *testing.T) {
 	fileSize := int64(len(snapMagic) + snapParentSize + 2 + 4 + len(snapEnd))
 	if st.Snapshots != 4 || st.FullSnapshots != 1 || st.SnapshotBytes != 4*fileSize {
 		t.Fatalf("stats %+v, want 4 rotations, 1 full, %d bytes", st, 4*fileSize)
-	}
-	var buf bytes.Buffer
-	sink.WriteMetrics(&buf)
-	for _, lane := range []string{fmt.Sprintf(`persist\.snapshot\.bytes\s+%d\b`, 4*fileSize), `persist\.snapshots\.full\s+1\b`} {
-		if !regexp.MustCompile(lane).Match(buf.Bytes()) {
-			t.Errorf("metrics lack %q:\n%s", lane, buf.String())
-		}
 	}
 	if err := s.Close(sizedSnap([]byte("end"), 40, 100)); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,13 @@
 // not fatal: by construction it can only belong to an unacknowledged
 // operation.
 //
+// The contract covers a process crash, which the injected power cuts
+// model: every append made before the crash is in the journal file.
+// Journal appends are written but never fsynced, so a host crash or
+// power loss can drop acknowledged appends still in the operating
+// system's page cache. Snapshots, CURRENT and the store directory are
+// fsynced.
+//
 // # On-disk layout
 //
 // A store directory holds one current epoch: CURRENT (the epoch

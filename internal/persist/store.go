@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"parabit/internal/sim"
-	"parabit/internal/telemetry"
 )
 
 // Config parameterizes a store.
@@ -114,15 +113,6 @@ type Store struct {
 	// and snapBuf streams each rotation's snapshot body to its file.
 	frame   []byte        // guarded by mu
 	snapBuf *bufio.Writer // guarded by mu
-
-	// Telemetry handles; all nil (free no-ops) until SetTelemetry runs.
-	cJournalBytes *telemetry.Counter // guarded by mu
-	cJournalRecs  *telemetry.Counter // guarded by mu
-	cSnapshots    *telemetry.Counter // guarded by mu
-	cSnapBytes    *telemetry.Counter // guarded by mu
-	cFullSnaps    *telemetry.Counter // guarded by mu
-	cReplayed     *telemetry.Counter // guarded by mu
-	gRecoveryUS   *telemetry.Gauge   // guarded by mu
 }
 
 // journalFile is the journal handle a Store appends through; *os.File
@@ -197,28 +187,6 @@ func (s *Store) SetCutInjector(ci CutInjector) {
 	s.cut = ci
 }
 
-// SetTelemetry attaches (or, with nil sink handles, detaches) the
-// persist.* telemetry lanes and seeds them with the activity so far, so
-// enabling telemetry after mount still shows the recovery that happened.
-func (s *Store) SetTelemetry(sink *telemetry.Sink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cJournalBytes = sink.Counter("persist.journal.bytes")
-	s.cJournalRecs = sink.Counter("persist.journal.records")
-	s.cSnapshots = sink.Counter("persist.snapshots")
-	s.cSnapBytes = sink.Counter("persist.snapshot.bytes")
-	s.cFullSnaps = sink.Counter("persist.snapshots.full")
-	s.cReplayed = sink.Counter("persist.replay.records")
-	s.gRecoveryUS = sink.Gauge("persist.recovery_us")
-	s.cJournalBytes.Add(s.stats.JournalBytes)
-	s.cJournalRecs.Add(s.stats.JournalRecords)
-	s.cSnapshots.Add(s.stats.Snapshots)
-	s.cSnapBytes.Add(s.stats.SnapshotBytes)
-	s.cFullSnaps.Add(s.stats.FullSnapshots)
-	s.cReplayed.Add(s.stats.ReplayedRecords)
-	s.gRecoveryUS.Set(int64(s.stats.RecoveryTime / sim.Microsecond))
-}
-
 // Stats returns a copy of the persistence counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -274,8 +242,6 @@ func (s *Store) writeFrameLocked() error {
 	s.journalLen += n
 	s.stats.JournalRecords++
 	s.stats.JournalBytes += n
-	s.cJournalRecs.Add(1)
-	s.cJournalBytes.Add(n)
 	return nil
 }
 
@@ -453,13 +419,10 @@ func (s *Store) rotateLocked(snap SnapshotWriter, delta bool) error {
 		s.chain = append(s.chain[:0], next)
 		s.chainPayload = p.Written
 		s.stats.FullSnapshots++
-		s.cFullSnaps.Add(1)
 	}
 	s.live = p.Live
 	s.stats.Snapshots++
 	s.stats.SnapshotBytes += size
-	s.cSnapshots.Add(1)
-	s.cSnapBytes.Add(size)
 	return errors.Join(closeErr, syncErr)
 }
 
@@ -502,7 +465,7 @@ func (s *Store) Abandon() {
 }
 
 // noteRecovery folds mount-time replay accounting into the store's
-// stats (Resume calls it; the telemetry lanes pick it up on attach).
+// stats (Resume calls it).
 func (s *Store) noteRecovery(replayed, skipped, torn int64, horizon sim.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -597,7 +560,7 @@ func (r *Recovery) Epoch() uint64 { return r.epoch }
 // replayed, it rotates immediately to a fresh epoch holding a full image
 // (compacting the replayed journal and the snapshot chain, discarding
 // any torn tail) and returns the live store. replayed/skipped counts
-// and the recovery horizon feed the persist.* telemetry lanes.
+// and the recovery horizon land in the store's Stats.
 func (r *Recovery) Resume(cfg Config, snap SnapshotWriter, horizon sim.Duration) (*Store, error) {
 	if cfg.Dir == "" {
 		cfg.Dir = r.dir

@@ -1,0 +1,59 @@
+package sched
+
+import (
+	"parabit/internal/sim"
+	"parabit/internal/telemetry"
+)
+
+// PublishMetrics writes into sink, under their metric names, the event
+// counts the scheduler and the layers below it keep in their Stats:
+// scheduler, controller, query planner, FTL, flash and, on a persistent
+// device, the store. Telemetry keeps no second count of these events, so
+// an export calls this first, with the sink (or shard scope) the
+// scheduler's telemetry goes to. It does not dispatch. A nil sink is a
+// no-op.
+func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
+	if sink == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	count := func(name string, v int64) { sink.Counter(name).Set(v) }
+	level := func(name string, v int64) { sink.Gauge(name).Set(v) }
+	st, op, q := s.stats, s.dev.Stats(), s.dev.QueryStats()
+	count("sched.batches", st.Batches)
+	count("sched.retries", st.Retries)
+	count("sched.retries_exhausted", st.RetriesExhausted)
+	count("ssd.bitwise.ops", op.BitwiseOps)
+	count("ssd.reallocations", op.Reallocations)
+	count("ssd.realloc.pages", op.ReallocPages)
+	count("ssd.descrambled_reads", op.DescrambledOps)
+	count("ssd.result_bytes", op.ResultBytes)
+	count("ssd.query.plans", q.Queries)
+	count("ssd.query.steps", q.PlanSteps)
+	count("ssd.query.fused_chains", q.FusedChains)
+	count("ssd.query.cache.hits", q.Cache.Hits)
+	count("ssd.query.cache.misses", q.Cache.Misses)
+	count("ssd.query.cache.evictions", q.Cache.Evictions)
+	ft, fl := s.dev.FTL().Stats(), s.dev.Array().Stats()
+	count("ftl.gc.runs", ft.GCRuns)
+	count("ftl.gc.pages_moved", ft.GCPagesMoved)
+	count("ftl.padded_pages", ft.PaddedPages)
+	count("ftl.faults.program_fails", ft.ProgramFails)
+	count("ftl.faults.erase_fails", ft.EraseFails)
+	count("ftl.bad_blocks.retired", ft.BlocksRetired)
+	count("ftl.faults.resteered_writes", ft.ResteeredWrites)
+	level("flash.sros", fl.SROs)
+	level("flash.programs", fl.Programs)
+	level("flash.erases", fl.Erases)
+	level("ftl.write_amp_milli", int64(ft.WriteAmplification()*1000))
+	if ps, ok := s.dev.PersistStats(); ok {
+		count("persist.journal.bytes", ps.JournalBytes)
+		count("persist.journal.records", ps.JournalRecords)
+		count("persist.snapshots", ps.Snapshots)
+		count("persist.snapshot.bytes", ps.SnapshotBytes)
+		count("persist.snapshots.full", ps.FullSnapshots)
+		count("persist.replay.records", ps.ReplayedRecords)
+		level("persist.recovery_us", int64(ps.RecoveryTime/sim.Microsecond))
+	}
+}

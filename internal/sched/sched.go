@@ -325,17 +325,15 @@ type schedTele struct {
 	latency     [numKinds]*telemetry.Histogram
 	batchTrack  *telemetry.Track
 	retryTrack  *telemetry.Track
-	cBatches    *telemetry.Counter
-	cRetries    *telemetry.Counter
-	cExhausted  *telemetry.Counter
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry sink. Every
 // command kind gets a queue lane (spans run from batch issue to command
 // completion), a pending-depth gauge and a service-latency histogram;
-// batches get their own lane. All numKinds lanes register eagerly so an
-// exported trace shows one lane per queue even for kinds that saw no
-// traffic.
+// batches and retries get their own lanes. All numKinds lanes register
+// eagerly so an exported trace shows one lane per queue even for kinds
+// that saw no traffic. Batch and retry counts stay in Stats;
+// PublishMetrics writes them into a sink.
 func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,9 +345,6 @@ func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 	}
 	s.tele.batchTrack = tr.Track("sched", "batches")
 	s.tele.retryTrack = tr.Track("sched", "retries")
-	s.tele.cBatches = sink.Counter("sched.batches")
-	s.tele.cRetries = sink.Counter("sched.retries")
-	s.tele.cExhausted = sink.Counter("sched.retries_exhausted")
 }
 
 // New wraps a device. The scheduler assumes sole ownership: bypassing it
@@ -469,7 +464,6 @@ func (s *Scheduler) dispatchLocked() {
 	s.resetArenasLocked()
 	s.now = horizon
 	s.stats.Horizon = horizon
-	s.tele.cBatches.Add(1)
 	s.tele.batchTrack.Span("batch", issue, horizon)
 }
 
@@ -486,7 +480,6 @@ func (s *Scheduler) execRetryLocked(c *Command, issue sim.Time) Result {
 	for attempt := 1; attempt < retryAttempts && flash.IsTransientFault(r.Err); attempt++ {
 		retryAt := at.Add(backoff)
 		s.stats.Retries++
-		s.tele.cRetries.Add(1)
 		s.tele.retryTrack.Span("backoff-"+kindNames[c.Kind], at, retryAt)
 		r = s.execLocked(c, retryAt)
 		at = retryAt
@@ -494,7 +487,6 @@ func (s *Scheduler) execRetryLocked(c *Command, issue sim.Time) Result {
 	}
 	if flash.IsTransientFault(r.Err) {
 		s.stats.RetriesExhausted++
-		s.tele.cExhausted.Add(1)
 		s.tele.retryTrack.Instant("exhausted-"+kindNames[c.Kind], at)
 	}
 	r.Start = issue

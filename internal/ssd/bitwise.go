@@ -225,8 +225,6 @@ func (d *Device) realloc(op latch.Op, a, b operand, at sim.Time) (BitwiseResult,
 	}
 	d.stats.Reallocations++
 	d.stats.ReallocPages += 2
-	d.tele.cRealloc.Add(1)
-	d.tele.cReallocPg.Add(2)
 	wl, _ := d.ftl.Lookup(pair[0])
 	return d.runSense(flash.Sense{Kind: flash.SensePair, Op: op, WLs: []flash.WordlineAddr{wl.WordlineAddr}},
 		done, op, SchemeReAlloc, at)
@@ -481,7 +479,6 @@ func (d *Device) reduceSerial(op latch.Op, lpns []uint64, at sim.Time) (BitwiseR
 func (d *Device) ShipToHost(r *BitwiseResult) {
 	r.HostDone = d.host.Transfer(int64(len(r.Data)), r.Done)
 	d.stats.ResultBytes += int64(len(r.Data))
-	d.tele.cResult.Add(int64(len(r.Data)))
 }
 
 // FormulaResult is the outcome of ExecuteFormula.

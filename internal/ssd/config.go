@@ -1,8 +1,8 @@
 // Package ssd assembles the ParaBit SSD: the flash array, the FTL, the
 // host link, the data scrambler, and the controller modules of the
 // paper's Fig. 9 — command parsing (via internal/nvme), operand
-// reallocation, and parallel read. It exposes the three evaluated
-// schemes:
+// reallocation, and parallel read. It exposes four schemes, the
+// paper's three evaluated ones and the Flash-Cosmos extension:
 //
 //   - ParaBit (pre-allocation): operands were written co-located into the
 //     LSB and MSB pages of shared wordlines, so the first operation of a
@@ -12,6 +12,9 @@
 //   - ParaBit-LocFree: operands live in LSB pages of aligned wordlines on
 //     one plane; operations sense both wordlines through the (slightly
 //     extended) latching circuit and never reallocate.
+//   - Flash-Cosmos: AND/OR reductions over operands colocated in one
+//     block sense every operand in one multi-wordline sense; anything
+//     else runs location-free.
 package ssd
 
 import (

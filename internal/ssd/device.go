@@ -205,7 +205,6 @@ func (d *Device) BitwiseTriple(op latch.TLCOp3, lpns [3]uint64, at sim.Time) (Bi
 		return BitwiseResult{}, err
 	}
 	d.stats.BitwiseOps++
-	d.tele.cOps.Add(1)
 	if d.tele.sink != nil {
 		d.tele.sink.Counter(tripleOpName).Add(1)
 		d.tele.opTrack.Span("triple/"+op.String(), at, res.Ready)
@@ -252,7 +251,6 @@ func (d *Device) readOperand(lpn uint64, at sim.Time) ([]byte, sim.Time, error) 
 	if d.scrambled(lpn) {
 		scrambleKeystream(lpn, data)
 		d.stats.DescrambledOps++
-		d.tele.cDescramble.Add(1)
 	}
 	return data, done, nil
 }

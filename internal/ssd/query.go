@@ -79,9 +79,6 @@ func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (Bitwise
 	d.qstats.PlanSteps += int64(len(p.Steps))
 	d.qstats.FusedChains += int64(p.FusedChains)
 	d.qstats.FusedOperands += int64(p.FusedOperands)
-	d.tele.cQPlans.Add(1)
-	d.tele.cQSteps.Add(int64(len(p.Steps)))
-	d.tele.cQFused.Add(int64(p.FusedChains))
 
 	// Planning runs in controller firmware before any flash work issues.
 	start := at.Add(sim.Duration(len(p.Steps)) * planStepCost)
@@ -105,13 +102,9 @@ func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, s
 	cacheable := d.qcache != nil && st.Kind != plan.StepRead
 	if cacheable {
 		if data, ok := d.qcache.Get(st.Key, d.ftl.Version); ok {
-			d.tele.cQCacheHit.Add(1)
-			if d.tele.sink != nil {
-				d.tele.qTrack.Instant("cache-hit", at)
-			}
+			d.tele.qTrack.Instant("cache-hit", at)
 			return BitwiseResult{Data: data, Done: at.Add(cacheFetchCost)}, nil
 		}
-		d.tele.cQCacheMiss.Add(1)
 	}
 	r, err := d.computeStep(results, st, scheme, at)
 	if err != nil {
@@ -120,11 +113,8 @@ func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, s
 	if cacheable {
 		before := d.qcache.Stats().Evictions
 		d.qcache.Put(st.Key, r.Data, st.Leaves, d.ftl.Version, r.Done.Sub(at).Seconds())
-		if evicted := d.qcache.Stats().Evictions - before; evicted > 0 {
-			d.tele.cQCacheEvict.Add(evicted)
-			if d.tele.sink != nil {
-				d.tele.qTrack.Instant("cache-evict", r.Done)
-			}
+		if d.qcache.Stats().Evictions > before {
+			d.tele.qTrack.Instant("cache-evict", r.Done)
 		}
 	}
 	return r, nil

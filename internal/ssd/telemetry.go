@@ -16,11 +16,10 @@ const (
 // opSchemeName / fallbackName are built once at init so that tagging a
 // bitwise operation never concatenates strings on the hot path.
 var (
-	opSchemeName   [teleOps][teleSchemes]string
-	opSchemeSpan   [teleOps][teleSchemes]string
-	fallbackName   [teleSchemes]string
-	tripleOpName   = "ssd.bitwise.triple"
-	bitwiseOpsName = "ssd.bitwise.ops"
+	opSchemeName [teleOps][teleSchemes]string
+	opSchemeSpan [teleOps][teleSchemes]string
+	fallbackName [teleSchemes]string
+	tripleOpName = "ssd.bitwise.triple"
 )
 
 func init() {
@@ -39,50 +38,26 @@ func init() {
 // is the disabled state: every handle method is a free no-op, and noteOp
 // bails on the nil sink before building anything.
 type devTele struct {
-	sink        *telemetry.Sink
-	opTrack     *telemetry.Track
-	cOps        *telemetry.Counter
-	cRealloc    *telemetry.Counter
-	cReallocPg  *telemetry.Counter
-	cDescramble *telemetry.Counter
-	cResult     *telemetry.Counter
-	cCombine    *telemetry.Counter
-	// Query-planner stages: the qTrack lane carries plan spans, fuse
-	// spans and cache hit/evict instants.
-	qTrack       *telemetry.Track
-	cQPlans      *telemetry.Counter
-	cQSteps      *telemetry.Counter
-	cQFused      *telemetry.Counter
-	cQCacheHit   *telemetry.Counter
-	cQCacheMiss  *telemetry.Counter
-	cQCacheEvict *telemetry.Counter
+	sink     *telemetry.Sink
+	opTrack  *telemetry.Track
+	cCombine *telemetry.Counter
+	// qTrack is the query planner's lane: plan spans, fuse spans and
+	// cache hit/evict instants.
+	qTrack *telemetry.Track
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry sink to the
 // device and everything below it: the FTL's maintenance events, every
 // plane's sense path, every channel bus, and the host link each get their
-// own trace lane when the sink records a trace, and controller-level
-// counters (bitwise ops tagged by op and scheme, scheme fallbacks,
-// reallocations, descrambles) mirror into the sink's registry.
+// own trace lane when the sink records a trace. The live counters are
+// the ones no Stats field holds: bitwise ops tagged by op and scheme,
+// scheme fallbacks, controller combines and TLC triples. Everything the
+// device's Stats count reaches the sink through sched's PublishMetrics.
 func (d *Device) SetTelemetry(s *telemetry.Sink) {
 	d.ftl.SetTelemetry(s)
-	if d.store != nil {
-		d.store.SetTelemetry(s)
-	}
 	d.tele = devTele{
-		sink:         s,
-		cOps:         s.Counter(bitwiseOpsName),
-		cRealloc:     s.Counter("ssd.reallocations"),
-		cReallocPg:   s.Counter("ssd.realloc.pages"),
-		cDescramble:  s.Counter("ssd.descrambled_reads"),
-		cResult:      s.Counter("ssd.result_bytes"),
-		cCombine:     s.Counter("ssd.combine.controller"),
-		cQPlans:      s.Counter("ssd.query.plans"),
-		cQSteps:      s.Counter("ssd.query.steps"),
-		cQFused:      s.Counter("ssd.query.fused_chains"),
-		cQCacheHit:   s.Counter("ssd.query.cache.hits"),
-		cQCacheMiss:  s.Counter("ssd.query.cache.misses"),
-		cQCacheEvict: s.Counter("ssd.query.cache.evictions"),
+		sink:     s,
+		cCombine: s.Counter("ssd.combine.controller"),
 	}
 	tr := s.Trace()
 	if tr == nil {
@@ -113,7 +88,6 @@ func (d *Device) SetTelemetry(s *telemetry.Sink) {
 // ParaBit's reallocation as SchemeReAlloc, a Flash-Cosmos miss's
 // location-free sense as SchemeLocFree.
 func (d *Device) noteOp(op latch.Op, scheme Scheme, start, done sim.Time) {
-	d.tele.cOps.Add(1)
 	if d.tele.sink == nil || int(op) >= teleOps || int(scheme) >= teleSchemes {
 		return
 	}

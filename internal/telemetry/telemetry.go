@@ -230,6 +230,15 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
+// Set replaces the count with a total another record keeps: a layer's
+// Stats field, published at export. No-op on a nil handle.
+func (c *Counter) Set(v int64) {
+	if c == nil {
+		return
+	}
+	c.v.Store(v)
+}
+
 // Value returns the current count; 0 on a nil handle.
 func (c *Counter) Value() int64 {
 	if c == nil {

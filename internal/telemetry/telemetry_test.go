@@ -121,6 +121,7 @@ func TestNilSinkNoAllocations(t *testing.T) {
 	tk := s.Trace().Track("p", "l")
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(1)
+		c.Set(3)
 		g.Set(7)
 		h.Observe(123)
 		tk.Span("op", 0, 10)

@@ -7,9 +7,11 @@
 //
 //   - Device: a functional, cycle-accounted simulated SSD. Write operand
 //     data with the ParaBit-friendly layouts (co-located pairs, aligned
-//     LSB groups), then execute bitwise operations, reductions and whole
-//     formulas under any of the paper's three schemes. Every result is
-//     bit-exact and carries the modeled latency.
+//     LSB groups, block-colocated groups), then execute bitwise
+//     operations, reductions and whole formulas under any of four
+//     schemes: the paper's three and the Flash-Cosmos multi-wordline
+//     extension. Every result is bit-exact and carries the modeled
+//     latency.
 //   - Analytic planning: PlanReduce and the case-study planners compute
 //     paper-scale execution times (hundreds of GB) from the same cost
 //     model the functional device implements.
@@ -213,9 +215,12 @@ var ErrPowerCut = persist.ErrPowerCut
 
 // WithPersistence backs the device with an on-disk journal+snapshot
 // store in dir (created if absent; must not already hold a store when
-// used with NewDevice). Every acknowledged write is durable before its
-// call returns; Open recovers the device from dir after a crash or a
-// clean Close. See internal/persist for the on-disk formats.
+// used with NewDevice). Every acknowledged write is journaled before its
+// call returns, so it survives a process crash; Open recovers the device
+// from dir after such a crash or a clean Close. Journal appends are not
+// fsynced: a host crash or power loss can drop the appends still in the
+// operating system's page cache. See internal/persist for the on-disk
+// formats.
 func WithPersistence(dir string) Option {
 	return func(c *config) { c.persistDir = dir }
 }
@@ -783,8 +788,10 @@ func (d *Device) FaultStats() FaultStats {
 // device: scheduler queues, controller bitwise paths, FTL maintenance,
 // plane/channel occupancy, and the host link. With trace true the sink
 // also records spans for export as Chrome trace-event JSON (WriteTrace);
-// metrics (counters, gauges, latency histograms) are always on. Safe to
-// call on a device with in-flight commands — it drains the queue first.
+// metrics (counters, gauges, latency histograms) are always on. The
+// counts the layers keep in their Stats reach the sink when WriteMetrics
+// publishes them. Safe to call on a device with in-flight commands — it
+// drains the queue first.
 func (d *Device) EnableTelemetry(trace bool) *telemetry.Sink {
 	sink := telemetry.New()
 	if trace {
@@ -802,20 +809,6 @@ func (d *Device) EnableTelemetry(trace bool) *telemetry.Sink {
 // Telemetry returns the sink attached by EnableTelemetry, or nil.
 func (d *Device) Telemetry() *telemetry.Sink { return d.sink }
 
-// SyncTelemetryGauges refreshes the sink's device-level gauges (flash
-// operation totals and write amplification) from the current counters.
-// Call before exporting metrics; a nil or absent sink is a no-op.
-func (d *Device) SyncTelemetryGauges() {
-	if d.sink == nil {
-		return
-	}
-	st := d.Stats()
-	d.sink.Gauge("flash.sros").Set(st.SROs)
-	d.sink.Gauge("flash.programs").Set(st.Programs)
-	d.sink.Gauge("flash.erases").Set(st.Erases)
-	d.sink.Gauge("ftl.write_amp_milli").Set(int64(st.WriteAmplification * 1000))
-}
-
 // WriteTrace exports the recorded trace as Chrome trace-event JSON (open
 // in chrome://tracing or ui.perfetto.dev). Valid, possibly empty, output
 // even when telemetry or tracing is disabled.
@@ -824,10 +817,21 @@ func (d *Device) WriteTrace(w io.Writer) error {
 	return d.sink.WriteTrace(w)
 }
 
-// WriteMetrics writes the expvar-style metrics summary; it syncs the
-// device-level gauges first. No output when telemetry is disabled.
+// WriteMetrics drains the command queue and writes the expvar-style
+// metrics summary. The counts every layer keeps in its Stats (scheduler,
+// controller, FTL, flash, persistence and the fault engine) are
+// published into the sink first, so they read as of this call; the
+// live counters, gauges and histograms read as they stand. No output
+// when telemetry is disabled.
 func (d *Device) WriteMetrics(w io.Writer) {
-	d.SyncTelemetryGauges()
+	if d.sink == nil {
+		return
+	}
+	d.Flush()
+	d.sched.PublishMetrics(d.sink)
+	if d.faults != nil {
+		d.faults.PublishMetrics(d.sink)
+	}
 	d.sink.WriteMetrics(w)
 }
 
