@@ -116,8 +116,8 @@ func runFC(w io.Writer) (fcReport, error) {
 			K:            k,
 			FlashCosmos:  side(fcLats),
 			LocFree:      side(lfLats),
-			FallbackRate: float64(st.Fallbacks) / float64(fcRounds),
-			MWSSenses:    st.MWSSenses,
+			FallbackRate: float64(st.Op.Fallbacks) / float64(fcRounds),
+			MWSSenses:    st.Flash.MWSSenses,
 		}
 		if p.FlashCosmos.P99US > 0 {
 			p.P99SpeedupX = p.LocFree.P99US / p.FlashCosmos.P99US

@@ -59,6 +59,7 @@ import (
 	"parabit/internal/experiments"
 	"parabit/internal/flash"
 	"parabit/internal/sched"
+	"parabit/internal/telemetry"
 	"parabit/internal/wallclock"
 )
 
@@ -378,41 +379,28 @@ func runHammer(n, ops int, tracePath, faultsPath, persistDir string, snapEvery i
 	dev.Flush()
 	wall := wallStart.Elapsed()
 	st := dev.Stats()
-	ss := dev.SchedulerStats()
+	ss := st.Sched
 	fmt.Fprintf(w, "hammer: %d clients x %d ops in %v wall\n", n, ops, wall.Round(time.Millisecond))
 	fmt.Fprintf(w, "  virtual elapsed    %v\n", dev.Elapsed())
-	fmt.Fprintf(w, "  commands           %d in %d batches (max batch %d)\n", st.Commands, st.Batches, st.MaxBatch)
-	fmt.Fprintf(w, "  plane overlap      %.2fx (summed service / makespan)\n", st.Utilization)
+	fmt.Fprintf(w, "  commands           %d in %d batches (max batch %d)\n", ss.Completed(), ss.Batches, ss.MaxBatch)
+	fmt.Fprintf(w, "  plane overlap      %.2fx (summed service / makespan)\n", ss.Utilization())
 	fmt.Fprintf(w, "  bitwise ops        %d (%d fallbacks, %d reallocations)\n",
-		st.BitwiseOps, st.Fallbacks, st.Reallocations)
-	if qs := dev.QueryStats(); qs.Queries > 0 {
+		st.Op.BitwiseOps, st.Op.Fallbacks, st.Op.Reallocations)
+	if qs := st.Query; qs.Queries > 0 {
 		fmt.Fprintf(w, "  queries            %d (%d plan steps, %d fused chains, %d cache hits, %d invalidations)\n",
-			qs.Queries, qs.PlanSteps, qs.FusedChains, qs.CacheHits, qs.CacheInvalidations)
+			qs.Queries, qs.PlanSteps, qs.FusedChains, qs.Cache.Hits, qs.Cache.Invalidations)
 	}
-	fmt.Fprintf(w, "  write amplification %.3f\n", st.WriteAmplification)
-	fmt.Fprintln(w, "  per-queue: kind submitted errors maxdepth busy p50 p95 p99")
-	for k, q := range ss.Queues {
-		if q.Submitted == 0 {
-			continue
-		}
-		kind := sched.Kind(k).String()
-		// Errors count rejected/failed submissions per kind, reported
-		// apart from the latency percentiles: a queue that sheds load
-		// fast would otherwise look healthy on latency alone.
-		lat := sink.Histogram("sched.latency."+kind).Quantiles(0.50, 0.95, 0.99)
-		fmt.Fprintf(w, "    %-14s %9d %6d %8d %12v %9.1fus %9.1fus %9.1fus\n",
-			kind, q.Submitted, q.Errors, q.MaxDepth, q.Busy.Std(),
-			lat[0].Micros(), lat[1].Micros(), lat[2].Micros())
-	}
+	fmt.Fprintf(w, "  write amplification %.3f\n", st.FTL.WriteAmplification())
+	writeQueues(w, ss, sink)
 	if faultsPath != "" {
-		fs := dev.FaultStats()
+		fs := st.Faults
 		fmt.Fprintf(w, "fault injection (%s):\n", faultsPath)
 		fmt.Fprintf(w, "  injected           %d (%d transient, %d dead-plane, %d program, %d erase, %d stuck-block, %d power-cut)\n",
-			fs.Injected, fs.PlaneTransient, fs.PlaneDead, fs.ProgramFails, fs.EraseFails, fs.StuckBlock, fs.PowerCuts)
+			fs.Faults(), fs.PlaneTransient, fs.PlaneDead, fs.ProgramFails, fs.EraseFails, fs.StuckBlock, fs.PowerCuts)
 		fmt.Fprintf(w, "  jitter events      %d\n", fs.JitterEvents)
-		fmt.Fprintf(w, "  sched retries      %d (%d exhausted)\n", fs.Retries, fs.RetriesExhausted)
+		fmt.Fprintf(w, "  sched retries      %d (%d exhausted)\n", ss.Retries, ss.RetriesExhausted)
 		fmt.Fprintf(w, "  blocks retired     %d (%d pages rescued, %d writes re-steered)\n",
-			fs.BlocksRetired, fs.RetirePagesMoved, fs.ResteeredWrites)
+			st.FTL.BlocksRetired, st.FTL.RetirePagesMoved, st.FTL.ResteeredWrites)
 		fmt.Fprintf(w, "  surfaced errors    %d\n", surfacedFaults.Load())
 	}
 	if metrics {
@@ -426,10 +414,10 @@ func runHammer(n, ops int, tracePath, faultsPath, persistDir string, snapEvery i
 		fmt.Fprintf(w, "\ntrace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", tracePath)
 	}
 	if persistDir != "" {
-		if ps, ok := dev.PersistStats(); ok {
+		if st.Persistent {
 			fmt.Fprintf(w, "persistence (%s):\n", persistDir)
 			fmt.Fprintf(w, "  journal            %d records, %d bytes, %d snapshots\n",
-				ps.JournalRecords, ps.JournalBytes, ps.Snapshots)
+				st.Persist.JournalRecords, st.Persist.JournalBytes, st.Persist.Snapshots)
 		}
 		// Close (or, after a power cut, abandon) the store and remount:
 		// the recovery summary proves the journal covered everything the
@@ -450,4 +438,23 @@ func runHammer(n, ops int, tracePath, faultsPath, persistDir string, snapEvery i
 		return re.Close()
 	}
 	return nil
+}
+
+// writeQueues prints the scheduler's per-queue table: one row per
+// command kind that saw traffic, with its latency percentiles from sink.
+func writeQueues(w io.Writer, ss sched.Stats, sink *telemetry.Sink) {
+	fmt.Fprintln(w, "  per-queue: kind submitted errors maxdepth busy p50 p95 p99")
+	for k, q := range ss.Queues {
+		if q.Submitted == 0 {
+			continue
+		}
+		kind := sched.Kind(k).String()
+		// Errors count rejected/failed submissions per kind, reported
+		// apart from the latency percentiles: a queue that sheds load
+		// fast would otherwise look healthy on latency alone.
+		lat := sink.Histogram("sched.latency."+kind).Quantiles(0.50, 0.95, 0.99)
+		fmt.Fprintf(w, "    %-14s %9d %6d %8d %12v %9.1fus %9.1fus %9.1fus\n",
+			kind, q.Submitted, q.Errors, q.MaxDepth, q.Busy.Std(),
+			lat[0].Micros(), lat[1].Micros(), lat[2].Micros())
+	}
 }

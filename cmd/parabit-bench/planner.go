@@ -272,7 +272,7 @@ func runPlanner(scheme parabit.Scheme, w io.Writer) (plannerReport, error) {
 		unfusedLats = append(unfusedLats, ul)
 	}
 
-	qs := fusedDev.QueryStats()
+	qs := fusedDev.Stats().Query
 	rep := plannerReport{
 		Queries:       len(queries),
 		Scheme:        scheme.String(),
@@ -281,7 +281,7 @@ func runPlanner(scheme parabit.Scheme, w io.Writer) (plannerReport, error) {
 		Unfused:       side(unfusedLats),
 		FusedChains:   qs.FusedChains,
 		FusedOperands: qs.FusedOperands,
-		CacheHits:     qs.CacheHits,
+		CacheHits:     qs.Cache.Hits,
 	}
 	if rep.Fused.P99US > 0 {
 		rep.P99SpeedupX = rep.Unfused.P99US / rep.Fused.P99US

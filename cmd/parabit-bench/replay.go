@@ -84,7 +84,7 @@ func runReplay(src, tracePath, persistDir string, snapEvery int, w io.Writer) er
 	}
 	s := dev.Stats()
 	fmt.Fprintf(w, "\nreplayed %d trace lines: %d bitwise ops, %d SROs, %d reallocations, elapsed %v\n",
-		n, s.BitwiseOps, s.SROs, s.Reallocations, dev.Elapsed())
+		n, s.Op.BitwiseOps, s.Flash.SROs, s.Op.Reallocations, dev.Elapsed())
 	printBreakdown(w, sink)
 	if tracePath != "" {
 		if err := writeTraceFile(tracePath, dev.WriteTrace); err != nil {
@@ -256,9 +256,9 @@ func execute(dev *parabit.Device, line string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		qs := dev.QueryStats()
+		qs := dev.Stats().Query
 		fmt.Fprintf(w, "query   %-16v %s -> %x... in %v (%d fused chains, %d cache hits so far)\n",
-			scheme, q, r.Data[:4], r.Latency, qs.FusedChains, qs.CacheHits)
+			scheme, q, r.Data[:4], r.Latency, qs.FusedChains, qs.Cache.Hits)
 	case "latch":
 		if len(f) < 2 || len(f) > 3 || (len(f) == 3 && f[2] != "locfree") {
 			return fmt.Errorf("latch wants <op> [locfree]")
@@ -310,16 +310,16 @@ func printStats(dev *parabit.Device, w io.Writer) {
 	s := dev.Stats()
 	fmt.Fprintf(w, "stats   %d bitwise (%d fallbacks, %d reallocs), %d SROs, %d programs, "+
 		"gc %d runs/%d pages, WA %.3f\n",
-		s.BitwiseOps, s.Fallbacks, s.Reallocations, s.SROs, s.Programs,
-		s.GCRuns, s.GCPagesMoved, s.WriteAmplification)
-	if fs := dev.FaultStats(); fs.Injected > 0 || fs.JitterEvents > 0 {
+		s.Op.BitwiseOps, s.Op.Fallbacks, s.Op.Reallocations, s.Flash.SROs, s.Flash.Programs,
+		s.FTL.GCRuns, s.FTL.GCPagesMoved, s.FTL.WriteAmplification())
+	if fs := s.Faults; fs.Faults() > 0 || fs.JitterEvents > 0 {
 		fmt.Fprintf(w, "faults  %d injected (%d transient, %d dead, %d program, %d erase, %d stuck), "+
 			"%d jitter, %d retries (%d exhausted), %d blocks retired (%d pages rescued, %d re-steered)\n",
-			fs.Injected, fs.PlaneTransient, fs.PlaneDead, fs.ProgramFails, fs.EraseFails,
-			fs.StuckBlock, fs.JitterEvents, fs.Retries, fs.RetriesExhausted,
-			fs.BlocksRetired, fs.RetirePagesMoved, fs.ResteeredWrites)
+			fs.Faults(), fs.PlaneTransient, fs.PlaneDead, fs.ProgramFails, fs.EraseFails,
+			fs.StuckBlock, fs.JitterEvents, s.Sched.Retries, s.Sched.RetriesExhausted,
+			s.FTL.BlocksRetired, s.FTL.RetirePagesMoved, s.FTL.ResteeredWrites)
 	}
-	if ps, ok := dev.PersistStats(); ok {
+	if ps := s.Persist; s.Persistent {
 		fmt.Fprintf(w, "persist %d journal records (%d bytes), %d snapshots, %d replayed at mount\n",
 			ps.JournalRecords, ps.JournalBytes, ps.Snapshots, ps.ReplayedRecords)
 	}

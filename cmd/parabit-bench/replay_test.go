@@ -34,7 +34,7 @@ func TestExecuteDemoTraceLines(t *testing.T) {
 	}
 	// The demo runs 2 bitwise + 2 reduce; reductions count as single
 	// chained ops under LocFree.
-	if d.Stats().BitwiseOps == 0 {
+	if d.Stats().Op.BitwiseOps == 0 {
 		t.Fatal("no ops recorded")
 	}
 }
@@ -112,11 +112,11 @@ func TestQueryDirective(t *testing.T) {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	qs := d.QueryStats()
+	qs := d.Stats().Query
 	if qs.Queries != 2 || qs.FusedChains == 0 {
 		t.Errorf("query directive bypassed the planner: %+v", qs)
 	}
-	if qs.CacheHits == 0 {
+	if qs.Cache.Hits == 0 {
 		t.Errorf("repeated query never hit the cache: %+v", qs)
 	}
 
@@ -140,7 +140,7 @@ func TestFlushAndStatsDirectives(t *testing.T) {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	if d.Stats().BitwiseOps != 1 {
+	if d.Stats().Op.BitwiseOps != 1 {
 		t.Errorf("stats after directives: %+v", d.Stats())
 	}
 	bad := []string{"flush now", "stats all"}
@@ -171,8 +171,8 @@ func TestFaultsDirective(t *testing.T) {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	if fs := d.FaultStats(); fs.StuckBlock == 0 || fs.BlocksRetired == 0 {
-		t.Errorf("stuck block never hit or retired: %+v", fs)
+	if st := d.Stats(); st.Faults.StuckBlock == 0 || st.FTL.BlocksRetired == 0 {
+		t.Errorf("stuck block never hit (%+v) or retired (%+v)", st.Faults, st.FTL)
 	}
 	bad := []string{
 		"faults",

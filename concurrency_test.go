@@ -116,15 +116,15 @@ func TestDeviceConcurrentClients(t *testing.T) {
 	}
 	d.Flush()
 	st := d.Stats()
-	if st.Commands == 0 || st.Batches == 0 {
+	if st.Sched.Completed() == 0 || st.Sched.Batches == 0 {
 		t.Fatalf("scheduler saw no work: %+v", st)
 	}
 	if err := d.dev.FTL().CheckInvariants(); err != nil {
 		t.Errorf("FTL invariants violated: %v", err)
 	}
 	// Every pre-paired bitwise op should have sensed directly.
-	if st.Fallbacks != 0 {
-		t.Errorf("pre-allocated operands caused %d fallbacks", st.Fallbacks)
+	if st.Op.Fallbacks != 0 {
+		t.Errorf("pre-allocated operands caused %d fallbacks", st.Op.Fallbacks)
 	}
 	// The trace must have recorded real spans.
 	if sink.Trace().Len() == 0 {
@@ -166,7 +166,7 @@ func TestAsyncBurstBatches(t *testing.T) {
 			}
 		}
 	}
-	if ss := d.SchedulerStats(); ss.MaxBatch < pairs {
+	if ss := d.Stats().Sched; ss.MaxBatch < pairs {
 		t.Errorf("burst of %d dispatched with max batch %d; want a single batch", pairs, ss.MaxBatch)
 	}
 }

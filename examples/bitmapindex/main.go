@@ -79,7 +79,7 @@ func main() {
 			log.Fatalf("%v: wrong count", scheme)
 		}
 		fmt.Printf("%-18s latency %v, reallocations %d\n",
-			scheme, r2.Latency, d2.Stats().Reallocations)
+			scheme, r2.Latency, d2.Stats().Op.Reallocations)
 	}
 
 	// Paper scale: 800M users, 12 months.

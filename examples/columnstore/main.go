@@ -104,5 +104,5 @@ func main() {
 	fmt.Println("verified against host-side computation")
 
 	s := dev.Stats()
-	fmt.Printf("\ndevice: %d bitwise ops, %d reallocations\n", s.BitwiseOps, s.Reallocations)
+	fmt.Printf("\ndevice: %d bitwise ops, %d reallocations\n", s.Op.BitwiseOps, s.Op.Reallocations)
 }

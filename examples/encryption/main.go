@@ -74,7 +74,7 @@ func main() {
 
 	s := dev.Stats()
 	fmt.Printf("device: %d bitwise ops, %d SROs, %d injected bit flips (fresh cells)\n",
-		s.BitwiseOps, s.SROs, s.InjectedFlips)
+		s.Op.BitwiseOps, s.Flash.SROs, s.Flash.InjectedFlips)
 
 	// Paper scale.
 	fmt.Println("\npaper scale (100,000 images, 144 GB):")

@@ -60,5 +60,5 @@ func main() {
 
 	s := dev.Stats()
 	fmt.Printf("\ndevice: %d bitwise ops, %d SROs, %d programs, elapsed %v\n",
-		s.BitwiseOps, s.SROs, s.Programs, dev.Elapsed())
+		s.Op.BitwiseOps, s.Flash.SROs, s.Flash.Programs, dev.Elapsed())
 }

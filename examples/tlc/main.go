@@ -61,7 +61,7 @@ func main() {
 	}
 
 	s := dev.Stats()
-	fmt.Printf("\nAND3 is one sense: %d SROs across the four ops (1+2+1+2)\n", s.SROs)
+	fmt.Printf("\nAND3 is one sense: %d SROs across the four ops (1+2+1+2)\n", s.Flash.SROs)
 
 	// The paper-scale comparison.
 	out, err := parabit.RunExperiment("ext-tlc")

@@ -278,9 +278,11 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) PageSize() int { return c.cfg.Device.Geometry.PageSize }
 
 // SetTelemetry attaches a sink: the front end gets routing counters and a
-// query latency histogram, and every shard gets its own scoped lane set
-// ("shard<N>.sched" trace processes, "shard<N>.sched.*" series), so hot
-// shards are visible per lane.
+// query latency histogram, and every shard's scheduler and device get
+// their own scoped lane set ("shard<N>.sched" and "shard<N>.flash" trace
+// processes, "shard<N>.sched.*" and "shard<N>.ssd.*" series), so hot
+// shards are visible per lane. Shards added or restarted later attach
+// to the same sink.
 func (c *Cluster) SetTelemetry(sink *telemetry.Sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -299,8 +301,14 @@ func (c *Cluster) SetTelemetry(sink *telemetry.Sink) {
 	}
 	c.adm.setTelemetry(c.tele.cRejectRate, c.tele.cRejectQueue)
 	for _, id := range c.order {
-		c.shards[id].sched.SetTelemetry(sink.Scope(fmt.Sprintf("shard%d", id)))
+		c.attachShardLocked(c.shards[id])
 	}
+}
+
+// attachShardLocked points a shard's scheduler and device at the shard's
+// scope of the cluster sink; with no sink attached it detaches them.
+func (c *Cluster) attachShardLocked(sh *Shard) {
+	sh.sched.SetTelemetry(c.tele.sink.Scope(fmt.Sprintf("shard%d", sh.id)))
 }
 
 // shardDir is the on-disk store directory for one shard id.
@@ -332,9 +340,7 @@ func (c *Cluster) addShardLocked() (*Shard, error) {
 	c.shards[sh.id] = sh
 	c.order = append(c.order, sh.id)
 	c.ring.add(sh.id)
-	if c.tele.sink != nil {
-		sh.sched.SetTelemetry(c.tele.sink.Scope(fmt.Sprintf("shard%d", sh.id)))
-	}
+	c.attachShardLocked(sh)
 	return sh, nil
 }
 
@@ -642,9 +648,7 @@ func (c *Cluster) RestartShard(id int) (ssd.RecoveryInfo, error) {
 	sh.dev = dev
 	sh.sched = sched.New(dev)
 	sh.qp = nvme.NewQueuePair(queueDepth)
-	if c.tele.sink != nil {
-		sh.sched.SetTelemetry(c.tele.sink.Scope(fmt.Sprintf("shard%d", id)))
-	}
+	c.attachShardLocked(sh)
 	sh.alive.Store(true)
 	c.ring.add(id)
 	return info, nil

@@ -3,10 +3,16 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"parabit/internal/plan"
+	"parabit/internal/ssd"
+	"parabit/internal/telemetry"
 )
 
 // TestClusterShardKillRestart proves the restart-from-disk path: with
@@ -92,4 +98,71 @@ func TestClusterRestartRefusesLiveShard(t *testing.T) {
 	if _, err := c.RestartShard(0); err == nil {
 		t.Fatal("RestartShard on a live shard must fail")
 	}
+}
+
+// TestRestartedShardKeepsTelemetry checks that a shard's device, not only
+// its scheduler, reports into the cluster sink, also after RestartShard
+// rebuilds it from disk: a query on the restarted shard moves its
+// "shard<N>.ssd.op.*" counter and records spans on its flash lanes.
+func TestRestartedShardKeepsTelemetry(t *testing.T) {
+	c := MustNew(Config{Shards: 2, Replicas: 1, PersistDir: t.TempDir()})
+	defer c.Close()
+	sink := telemetry.New()
+	sink.EnableTrace()
+	c.SetTelemetry(sink)
+	data := make([]byte, c.PageSize())
+	for key := uint64(1); key <= 16; key++ {
+		data[0] = byte(key)
+		if _, err := c.WriteColumn("t", key, data); err != nil {
+			t.Fatalf("write %d: %v", key, err)
+		}
+	}
+	const victim = 0
+	if err := c.KillShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	var dark []uint64
+	for key := uint64(1); key <= 16; key++ {
+		if _, _, err := c.ReadColumn("t", key); errors.Is(err, ErrUnavailable) {
+			dark = append(dark, key)
+		}
+	}
+	if len(dark) < 2 {
+		t.Fatalf("victim shard owns %d columns; the query needs two", len(dark))
+	}
+	if _, err := c.RestartShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	scope := fmt.Sprintf("shard%d.", victim)
+	before := flashSpans(sink, scope+"flash")
+	if _, err := c.Query("t", plan.And(plan.Leaf(dark[0]), plan.Leaf(dark[1])), ssd.SchemeReAlloc); err != nil {
+		t.Fatal(err)
+	}
+	var ops int64
+	sink.EachCounter(func(name string, v int64) {
+		if strings.HasPrefix(name, scope+"ssd.op.") {
+			ops += v
+		}
+	})
+	if ops == 0 {
+		t.Errorf("no %sssd.op.* counter moved after a query on the restarted shard", scope)
+	}
+	if after := flashSpans(sink, scope+"flash"); after <= before {
+		t.Errorf("%sflash lanes recorded %d spans before the query and %d after", scope, before, after)
+	}
+}
+
+// flashSpans counts the spans recorded on the trace process named proc.
+func flashSpans(sink *telemetry.Sink, proc string) int {
+	pid := -1
+	n := 0
+	for _, ev := range sink.Trace().Events() {
+		switch {
+		case ev.Name == "process_name" && ev.Args["name"] == proc:
+			pid = ev.PID
+		case ev.Ph == "X" && ev.PID == pid:
+			n++
+		}
+	}
+	return n
 }

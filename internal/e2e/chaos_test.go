@@ -167,15 +167,15 @@ func TestChaosDifferentialAllOpsAllSchemes(t *testing.T) {
 	// The plan must actually have fired, and the degradation machinery
 	// must have responded: injections, FTL retirements with re-steered
 	// writes, and scheduler retries over the startup outage.
-	fs := d.FaultStats()
-	if fs.Injected == 0 || fs.ProgramFails == 0 {
-		t.Errorf("chaos plan never injected: %+v", fs)
+	st := d.Stats()
+	if st.Faults.Faults() == 0 || st.Faults.ProgramFails == 0 {
+		t.Errorf("chaos plan never injected: %+v", st.Faults)
 	}
-	if fs.ResteeredWrites == 0 || fs.BlocksRetired == 0 {
-		t.Errorf("FTL degradation never engaged: %+v", fs)
+	if st.FTL.ResteeredWrites == 0 || st.FTL.BlocksRetired == 0 {
+		t.Errorf("FTL degradation never engaged: %+v", st.FTL)
 	}
-	if fs.Retries == 0 {
-		t.Errorf("scheduler never retried the transient outage: %+v", fs)
+	if st.Sched.Retries == 0 {
+		t.Errorf("scheduler never retried the transient outage: %+v", st.Sched)
 	}
 
 	// And the same story must be visible through telemetry once an
@@ -243,7 +243,7 @@ func replayWorkload(t *testing.T, d *parabit.Device) {
 // same simulated clock. This is the property that makes every chaos
 // failure reproducible from its plan file.
 func TestChaosDeterministicReplay(t *testing.T) {
-	run := func() (string, parabit.FaultStats, int64) {
+	run := func() (string, parabit.Stats, int64) {
 		d, err := parabit.NewDevice(parabit.WithSmallGeometry(), parabit.WithErrorModel(5), parabit.WithECC())
 		if err != nil {
 			t.Fatal(err)
@@ -255,13 +255,13 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		replayWorkload(t, d)
 		var buf bytes.Buffer
 		d.WriteMetrics(&buf)
-		return buf.String(), d.FaultStats(), int64(d.Elapsed())
+		return buf.String(), d.Stats(), int64(d.Elapsed())
 	}
 
 	m1, f1, e1 := run()
 	m2, f2, e2 := run()
 	if f1 != f2 {
-		t.Errorf("fault counters diverged between identical runs:\n  run1: %+v\n  run2: %+v", f1, f2)
+		t.Errorf("counters diverged between identical runs:\n  run1: %+v\n  run2: %+v", f1, f2)
 	}
 	if e1 != e2 {
 		t.Errorf("simulated clock diverged: %d vs %d ns", e1, e2)
@@ -269,7 +269,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	if m1 != m2 {
 		t.Errorf("metrics export diverged between identical runs:\n--- run1 ---\n%s\n--- run2 ---\n%s", m1, m2)
 	}
-	if f1.Injected == 0 {
-		t.Errorf("replay workload never tripped the plan: %+v", f1)
+	if f1.Faults.Faults() == 0 {
+		t.Errorf("replay workload never tripped the plan: %+v", f1.Faults)
 	}
 }

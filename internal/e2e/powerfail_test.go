@@ -145,7 +145,7 @@ func TestPowerFailMatrix(t *testing.T) {
 			wg.Wait()
 			d.Flush()
 
-			fs := d.FaultStats()
+			fs := d.Stats().Faults
 			if fs.PowerCuts == 0 {
 				t.Fatalf("plan never cut the power: %+v", fs)
 			}
@@ -285,7 +285,7 @@ func TestPowerFailTornTail(t *testing.T) {
 // reproducible from its plan and seed.
 func TestPowerFailDeterministicReplay(t *testing.T) {
 	const lpns = 24
-	run := func(dir string) (fs parabit.FaultStats, preMetrics string, rec parabit.Recovery, postMetrics, digest string) {
+	run := func(dir string) (st parabit.Stats, preMetrics string, rec parabit.Recovery, postMetrics, digest string) {
 		d, err := parabit.NewDevice(parabit.WithSmallGeometry(),
 			parabit.WithPersistence(dir), parabit.WithSnapshotEvery(5))
 		if err != nil {
@@ -304,8 +304,8 @@ func TestPowerFailDeterministicReplay(t *testing.T) {
 			}
 		}
 		d.Flush()
-		fs = d.FaultStats()
-		if fs.PowerCuts == 0 {
+		st = d.Stats()
+		if st.Faults.PowerCuts == 0 {
 			t.Fatal("scripted run never cut the power")
 		}
 		var buf bytes.Buffer
@@ -340,13 +340,13 @@ func TestPowerFailDeterministicReplay(t *testing.T) {
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return fs, preMetrics, rec, postMetrics, fmt.Sprintf("%x", h.Sum(nil))
+		return st, preMetrics, rec, postMetrics, fmt.Sprintf("%x", h.Sum(nil))
 	}
 
 	f1, m1, r1, pm1, d1 := run(t.TempDir())
 	f2, m2, r2, pm2, d2 := run(t.TempDir())
 	if f1 != f2 {
-		t.Errorf("fault stats diverged:\n%+v\n%+v", f1, f2)
+		t.Errorf("counters diverged:\n%+v\n%+v", f1, f2)
 	}
 	if r1 != r2 {
 		t.Errorf("recovery summaries diverged:\n%+v\n%+v", r1, r2)

@@ -1,17 +1,57 @@
 package sched
 
 import (
+	"parabit/internal/flash"
+	"parabit/internal/ftl"
+	"parabit/internal/persist"
 	"parabit/internal/sim"
+	"parabit/internal/ssd"
 	"parabit/internal/telemetry"
 )
+
+// Counters is one read of a device's event counts: the scheduler's own
+// and those every layer below it keeps in its Stats.
+type Counters struct {
+	Sched Stats
+	Op    ssd.OpStats
+	Query ssd.QueryStats
+	FTL   ftl.Stats
+	Flash flash.Stats
+	// Persist holds the store's counters; it is zero, and Persistent
+	// false, on an in-memory device.
+	Persist    persist.Stats
+	Persistent bool
+}
+
+// Counters drains the queue and then, in the same hold of the mutex,
+// reads every layer's counters, so they cover every submitted command
+// and agree with one another.
+func (s *Scheduler) Counters() Counters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dispatchLocked()
+	return s.countersLocked()
+}
+
+func (s *Scheduler) countersLocked() Counters {
+	c := Counters{
+		Sched: s.stats,
+		Op:    s.dev.Stats(),
+		Query: s.dev.QueryStats(),
+		FTL:   s.dev.FTL().Stats(),
+		Flash: s.dev.Array().Stats(),
+	}
+	c.Persist, c.Persistent = s.dev.PersistStats()
+	return c
+}
 
 // PublishMetrics writes into sink, under their metric names, the event
 // counts the scheduler and the layers below it keep in their Stats:
 // scheduler, controller, query planner, FTL, flash and, on a persistent
-// device, the store. Telemetry keeps no second count of these events, so
-// an export calls this first, with the sink (or shard scope) the
-// scheduler's telemetry goes to. It does not dispatch. A nil sink is a
-// no-op.
+// device, the store, read as Counters reads them. Telemetry keeps no
+// second count of these events, so an export calls this first, with the
+// sink (or shard scope) the scheduler's telemetry goes to. It does not
+// dispatch. A nil sink is a no-op.
 func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
 	if sink == nil {
 		return
@@ -20,7 +60,8 @@ func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
 	defer s.mu.Unlock()
 	count := func(name string, v int64) { sink.Counter(name).Set(v) }
 	level := func(name string, v int64) { sink.Gauge(name).Set(v) }
-	st, op, q := s.stats, s.dev.Stats(), s.dev.QueryStats()
+	c := s.countersLocked()
+	st, op, q, ft, fl := c.Sched, c.Op, c.Query, c.FTL, c.Flash
 	count("sched.batches", st.Batches)
 	count("sched.retries", st.Retries)
 	count("sched.retries_exhausted", st.RetriesExhausted)
@@ -35,7 +76,6 @@ func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
 	count("ssd.query.cache.hits", q.Cache.Hits)
 	count("ssd.query.cache.misses", q.Cache.Misses)
 	count("ssd.query.cache.evictions", q.Cache.Evictions)
-	ft, fl := s.dev.FTL().Stats(), s.dev.Array().Stats()
 	count("ftl.gc.runs", ft.GCRuns)
 	count("ftl.gc.pages_moved", ft.GCPagesMoved)
 	count("ftl.padded_pages", ft.PaddedPages)
@@ -47,7 +87,7 @@ func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
 	level("flash.programs", fl.Programs)
 	level("flash.erases", fl.Erases)
 	level("ftl.write_amp_milli", int64(ft.WriteAmplification()*1000))
-	if ps, ok := s.dev.PersistStats(); ok {
+	if ps := c.Persist; c.Persistent {
 		count("persist.journal.bytes", ps.JournalBytes)
 		count("persist.journal.records", ps.JournalRecords)
 		count("persist.snapshots", ps.Snapshots)

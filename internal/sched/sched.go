@@ -327,7 +327,9 @@ type schedTele struct {
 	retryTrack  *telemetry.Track
 }
 
-// SetTelemetry attaches (or, with nil, detaches) a telemetry sink. Every
+// SetTelemetry drains the queue and then attaches (or, with nil,
+// detaches) a telemetry sink to the scheduler and the device stack
+// below it (ssd.Device.SetTelemetry), whose lanes register first. Every
 // command kind gets a queue lane (spans run from batch issue to command
 // completion), a pending-depth gauge and a service-latency histogram;
 // batches and retries get their own lanes. All numKinds lanes register
@@ -337,6 +339,8 @@ type schedTele struct {
 func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dispatchLocked()
+	s.dev.SetTelemetry(sink)
 	tr := sink.Trace()
 	for k := 0; k < numKinds; k++ {
 		s.tele.queueTracks[k] = tr.Track("sched", "queue-"+kindNames[k])

@@ -130,9 +130,6 @@ func (d *Device) Crash() {
 	}
 }
 
-// Persistent reports whether the device is backed by an on-disk store.
-func (d *Device) Persistent() bool { return d.store != nil }
-
 // PersistStats returns the persistence counters and whether the device
 // is persistent at all.
 func (d *Device) PersistStats() (persist.Stats, bool) {

@@ -58,7 +58,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Persistent() {
+	if _, ok := d.PersistStats(); !ok {
 		t.Fatal("Create built a non-persistent device")
 	}
 

@@ -9,60 +9,71 @@ import (
 	"sync"
 	"testing"
 
+	"parabit/internal/faults"
+	"parabit/internal/persist"
 	"parabit/internal/sim"
 	"parabit/internal/ssd"
 )
+
+// layerStats reads every layer's Stats straight from the layer, not
+// through sched.Counters, in the shape Device.Stats returns.
+func layerStats(d *Device) Stats {
+	var st Stats
+	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
+		st.Op, st.Query, st.FTL, st.Flash = dev.Stats(), dev.QueryStats(), dev.FTL().Stats(), dev.Array().Stats()
+		st.Persist, st.Persistent = dev.PersistStats()
+	})
+	st.Sched = d.sched.Stats()
+	if d.faults != nil {
+		st.Faults = d.faults.Stats()
+	}
+	return st
+}
 
 // statsMetrics reads, straight from each layer's Stats, the value every
 // Stats-backed metric must export with, keyed "kind name" as the
 // summary prints it.
 func statsMetrics(d *Device) map[string]int64 {
-	ss := d.sched.Stats()
+	st := layerStats(d)
+	ss, op, q, ft, fl := st.Sched, st.Op, st.Query, st.FTL, st.Flash
 	want := map[string]int64{
-		"counter sched.batches":           ss.Batches,
-		"counter sched.retries":           ss.Retries,
-		"counter sched.retries_exhausted": ss.RetriesExhausted,
+		"counter sched.batches":               ss.Batches,
+		"counter sched.retries":               ss.Retries,
+		"counter sched.retries_exhausted":     ss.RetriesExhausted,
+		"counter ssd.bitwise.ops":             op.BitwiseOps,
+		"counter ssd.reallocations":           op.Reallocations,
+		"counter ssd.realloc.pages":           op.ReallocPages,
+		"counter ssd.descrambled_reads":       op.DescrambledOps,
+		"counter ssd.result_bytes":            op.ResultBytes,
+		"counter ssd.query.plans":             q.Queries,
+		"counter ssd.query.steps":             q.PlanSteps,
+		"counter ssd.query.fused_chains":      q.FusedChains,
+		"counter ssd.query.cache.hits":        q.Cache.Hits,
+		"counter ssd.query.cache.misses":      q.Cache.Misses,
+		"counter ssd.query.cache.evictions":   q.Cache.Evictions,
+		"counter ftl.gc.runs":                 ft.GCRuns,
+		"counter ftl.gc.pages_moved":          ft.GCPagesMoved,
+		"counter ftl.padded_pages":            ft.PaddedPages,
+		"counter ftl.faults.program_fails":    ft.ProgramFails,
+		"counter ftl.faults.erase_fails":      ft.EraseFails,
+		"counter ftl.bad_blocks.retired":      ft.BlocksRetired,
+		"counter ftl.faults.resteered_writes": ft.ResteeredWrites,
+		"gauge flash.sros":                    fl.SROs,
+		"gauge flash.programs":                fl.Programs,
+		"gauge flash.erases":                  fl.Erases,
+		"gauge ftl.write_amp_milli":           int64(ft.WriteAmplification() * 1000),
 	}
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		op, q, ft, fl := dev.Stats(), dev.QueryStats(), dev.FTL().Stats(), dev.Array().Stats()
-		for name, v := range map[string]int64{
-			"counter ssd.bitwise.ops":             op.BitwiseOps,
-			"counter ssd.reallocations":           op.Reallocations,
-			"counter ssd.realloc.pages":           op.ReallocPages,
-			"counter ssd.descrambled_reads":       op.DescrambledOps,
-			"counter ssd.result_bytes":            op.ResultBytes,
-			"counter ssd.query.plans":             q.Queries,
-			"counter ssd.query.steps":             q.PlanSteps,
-			"counter ssd.query.fused_chains":      q.FusedChains,
-			"counter ssd.query.cache.hits":        q.Cache.Hits,
-			"counter ssd.query.cache.misses":      q.Cache.Misses,
-			"counter ssd.query.cache.evictions":   q.Cache.Evictions,
-			"counter ftl.gc.runs":                 ft.GCRuns,
-			"counter ftl.gc.pages_moved":          ft.GCPagesMoved,
-			"counter ftl.padded_pages":            ft.PaddedPages,
-			"counter ftl.faults.program_fails":    ft.ProgramFails,
-			"counter ftl.faults.erase_fails":      ft.EraseFails,
-			"counter ftl.bad_blocks.retired":      ft.BlocksRetired,
-			"counter ftl.faults.resteered_writes": ft.ResteeredWrites,
-			"gauge flash.sros":                    fl.SROs,
-			"gauge flash.programs":                fl.Programs,
-			"gauge flash.erases":                  fl.Erases,
-			"gauge ftl.write_amp_milli":           int64(ft.WriteAmplification() * 1000),
-		} {
-			want[name] = v
-		}
-		if ps, ok := dev.PersistStats(); ok {
-			want["counter persist.journal.bytes"] = ps.JournalBytes
-			want["counter persist.journal.records"] = ps.JournalRecords
-			want["counter persist.snapshots"] = ps.Snapshots
-			want["counter persist.snapshot.bytes"] = ps.SnapshotBytes
-			want["counter persist.snapshots.full"] = ps.FullSnapshots
-			want["counter persist.replay.records"] = ps.ReplayedRecords
-			want["gauge persist.recovery_us"] = int64(ps.RecoveryTime / sim.Microsecond)
-		}
-	})
+	if ps := st.Persist; st.Persistent {
+		want["counter persist.journal.bytes"] = ps.JournalBytes
+		want["counter persist.journal.records"] = ps.JournalRecords
+		want["counter persist.snapshots"] = ps.Snapshots
+		want["counter persist.snapshot.bytes"] = ps.SnapshotBytes
+		want["counter persist.snapshots.full"] = ps.FullSnapshots
+		want["counter persist.replay.records"] = ps.ReplayedRecords
+		want["gauge persist.recovery_us"] = int64(ps.RecoveryTime / sim.Microsecond)
+	}
 	if d.faults != nil {
-		fs := d.faults.Stats()
+		fs := st.Faults
 		want["counter faults.plane_transient"] = fs.PlaneTransient
 		want["counter faults.plane_dead"] = fs.PlaneDead
 		want["counter faults.program_fail"] = fs.ProgramFails
@@ -197,10 +208,11 @@ func TestPublishedMetricsMatchStats(t *testing.T) {
 	checkPublished(t, d2)
 }
 
-// TestWriteMetricsWhileSubmitting exports metrics from one goroutine
-// while others submit commands; under -race it checks that the
-// export-time publish reads every layer's Stats under the scheduler's
-// lock. The last export still matches Stats.
+// TestWriteMetricsWhileSubmitting exports metrics from one goroutine and
+// reads Stats from another while others submit commands; under -race it
+// checks that the export-time publish and the snapshot read every
+// layer's Stats under the scheduler's lock. The last export still
+// matches Stats.
 func TestWriteMetricsWhileSubmitting(t *testing.T) {
 	d := newTestDevice(t, WithSmallGeometry())
 	d.EnableTelemetry(true)
@@ -224,6 +236,18 @@ func TestWriteMetricsWhileSubmitting(t *testing.T) {
 			}
 		}
 	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				d.Stats()
+			}
+		}
+	}()
 	var clients sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		clients.Add(1)
@@ -244,5 +268,74 @@ func TestWriteMetricsWhileSubmitting(t *testing.T) {
 	got := checkPublished(t, d)
 	if n := got["counter ssd.bitwise.ops"]; n < 200 {
 		t.Errorf("ssd.bitwise.ops exported %d after 200 bitwise ops", n)
+	}
+}
+
+// mixedFaultPlan is the plan TestPublishedMetricsMatchStats installs.
+const mixedFaultPlan = `{"seed": 3, "rules": [
+	{"type": "plane-transient", "plane": -1, "from_us": 0, "to_us": 100},
+	{"type": "stuck-block", "plane": 0, "block": 0},
+	{"type": "program-fail", "rate": 0.02},
+	{"type": "jitter", "rate": 0.2, "op": "sense", "max_jitter_us": 5}
+]}`
+
+// checkSnapshot fails unless every field of Device.Stats equals the
+// Stats its layer holds.
+func checkSnapshot(t *testing.T, d *Device) Stats {
+	t.Helper()
+	got := d.Stats()
+	if want := layerStats(d); got != want {
+		t.Errorf("Device.Stats:\n  got  %+v\n  want %+v", got, want)
+	}
+	return got
+}
+
+// TestStatsMatchLayers pins the root snapshot to the layers: after the
+// mixed run with faults, scrambling and persistence, and again on the
+// remounted device, Device.Stats holds exactly each layer's own Stats.
+func TestStatsMatchLayers(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDevice(t, WithSmallGeometry(), WithScrambling(true),
+		WithPersistence(dir), WithSnapshotEvery(16))
+	if err := d.InstallFaultPlan([]byte(mixedFaultPlan)); err != nil {
+		t.Fatal(err)
+	}
+	mixedRun(t, d)
+	st := checkSnapshot(t, d)
+	if !st.Persistent || st.Persist.JournalRecords == 0 || st.Faults.Faults() == 0 ||
+		st.Sched.Retries == 0 || st.Query.Cache.Hits == 0 || st.Op.DescrambledOps == 0 {
+		t.Errorf("the run missed a layer, so equality shows little: %+v", st)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	mixedRun(t, d2)
+	if st := checkSnapshot(t, d2); !st.Persistent {
+		t.Error("remounted device is not Persistent")
+	}
+}
+
+// TestStatsInMemoryDevice checks a bare device's snapshot: no store, so
+// not Persistent, and no fault plan, so zero Faults.
+func TestStatsInMemoryDevice(t *testing.T) {
+	d := newTestDevice(t)
+	if err := d.Write(0, pageOf(d, 0)); err != nil {
+		t.Fatal(err)
+	}
+	st := checkSnapshot(t, d)
+	if st.Persistent || st.Persist != (persist.Stats{}) {
+		t.Errorf("in-memory device reports persistence: %t %+v", st.Persistent, st.Persist)
+	}
+	if st.Faults != (faults.Stats{}) {
+		t.Errorf("device without a fault plan reports faults: %+v", st.Faults)
+	}
+	if st.FTL.HostPagesWritten != 1 {
+		t.Errorf("FTL.HostPagesWritten = %d after one write", st.FTL.HostPagesWritten)
 	}
 }

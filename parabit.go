@@ -18,6 +18,11 @@
 //   - Experiments: RunExperiment regenerates any table or figure of the
 //     paper's evaluation as a formatted text table.
 //
+// A device's counters have one reader and one exporter: Device.Stats
+// returns them as a snapshot taken once the command queue drains, and
+// WriteMetrics (after EnableTelemetry) exports them with the live
+// telemetry series.
+//
 // The quickstart in examples/quickstart shows the minimal end-to-end use.
 package parabit
 
@@ -140,7 +145,7 @@ type Result struct {
 // device mutations while letting commands submitted concurrently share a
 // virtual issue instant, so the simulated plane/channel parallelism
 // applies across callers. See Flush for the drain barrier and Stats for
-// the scheduler's queue counters.
+// the counters of every layer.
 type Device struct {
 	// dev is the raw single-threaded device; it must only be touched
 	// through sched (or inside sched.Exclusive).
@@ -328,45 +333,6 @@ func Open(dir string, opts ...Option) (*Device, Recovery, error) {
 // Open replays nothing; in-memory devices just drain. The device must
 // not be used after Close.
 func (d *Device) Close() error { return d.sched.Close() }
-
-// PersistStats reports the persistence layer's activity; ok is false
-// for in-memory devices. It drains the command queue first so the
-// counters cover every submitted command.
-type PersistStats struct {
-	// JournalRecords / JournalBytes count appended journal records
-	// (intents and commits) and their on-disk bytes in this incarnation.
-	JournalRecords int64
-	JournalBytes   int64
-	// Snapshots counts compaction snapshots taken.
-	Snapshots int64
-	// Recovery accounting for the mount that created this device (all
-	// zero for devices built by NewDevice).
-	ReplayedRecords int64
-	SkippedIntents  int64
-	TornBytes       int64
-}
-
-// PersistStats returns a snapshot of the persistence counters.
-func (d *Device) PersistStats() (PersistStats, bool) {
-	var ps PersistStats
-	ok := false
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		st, persistent := dev.PersistStats()
-		if !persistent {
-			return
-		}
-		ok = true
-		ps = PersistStats{
-			JournalRecords:  st.JournalRecords,
-			JournalBytes:    st.JournalBytes,
-			Snapshots:       st.Snapshots,
-			ReplayedRecords: st.ReplayedRecords,
-			SkippedIntents:  st.SkippedIntents,
-			TornBytes:       st.TornBytes,
-		}
-	})
-	return ps, ok
-}
 
 // PageSize returns the flash page size in bytes; operand buffers must be
 // exactly one page.
@@ -558,48 +524,6 @@ func (d *Device) query(q Query, scheme Scheme, toHost bool) *Pending {
 	})}
 }
 
-// QueryStats reports query-planner activity: how much fusion and result
-// caching the executed queries enjoyed.
-type QueryStats struct {
-	// Queries executed, plan steps run, fused chains among them, and the
-	// operands those chains covered.
-	Queries       int64
-	PlanSteps     int64
-	FusedChains   int64
-	FusedOperands int64
-	// Result-cache activity. Invalidations are entries dropped because an
-	// operand page changed (overwrite, GC migration, block retirement)
-	// between queries.
-	CacheHits          int64
-	CacheMisses        int64
-	CacheEvictions     int64
-	CacheInvalidations int64
-	CacheBytes         int64
-	CacheEntries       int64
-}
-
-// QueryStats returns a snapshot of planner counters. It drains the
-// command queue first.
-func (d *Device) QueryStats() QueryStats {
-	var qs QueryStats
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		st := dev.QueryStats()
-		qs = QueryStats{
-			Queries:            st.Queries,
-			PlanSteps:          st.PlanSteps,
-			FusedChains:        st.FusedChains,
-			FusedOperands:      st.FusedOperands,
-			CacheHits:          st.Cache.Hits,
-			CacheMisses:        st.Cache.Misses,
-			CacheEvictions:     st.Cache.Evictions,
-			CacheInvalidations: st.Cache.Invalidations,
-			CacheBytes:         st.Cache.Bytes,
-			CacheEntries:       st.Cache.Entries,
-		}
-	})
-	return qs
-}
-
 // Pending is a handle to a submitted but not yet awaited operation.
 // Submitting several operations before waiting on any of them queues them
 // into one dispatch batch: they share a virtual issue instant, so
@@ -724,64 +648,13 @@ func (d *Device) installFaultPlan(plan faults.Plan) error {
 }
 
 // ClearFaultPlan disarms fault injection. Damage already done (retired
-// blocks, surfaced errors) persists, and FaultStats keeps reporting the
-// disarmed plan's injection counts; only future injections stop.
+// blocks, surfaced errors) persists, and Stats keeps reporting the
+// disarmed plan's injection counts in Faults; only future injections
+// stop.
 func (d *Device) ClearFaultPlan() {
 	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
 		dev.SetFaultInjector(nil)
 	})
-}
-
-// FaultStats reports fault-injection activity and the graceful-degradation
-// work it triggered. All zeros when no plan was ever installed.
-type FaultStats struct {
-	// Injection counts, by class (from the armed plan's engine).
-	Injected       int64 // total structural faults injected
-	PlaneTransient int64
-	PlaneDead      int64
-	ProgramFails   int64
-	EraseFails     int64
-	StuckBlock     int64
-	// PowerCuts counts power-cut injections: the cut itself plus every
-	// operation failed against the dead device afterwards.
-	PowerCuts    int64
-	JitterEvents int64
-	// Scheduler recovery: commands re-issued after a transient fault,
-	// and commands that still failed after the last attempt.
-	Retries          int64
-	RetriesExhausted int64
-	// FTL degradation: blocks pulled from circulation, pages migrated to
-	// save their data, and writes re-steered onto healthy blocks.
-	BlocksRetired    int64
-	RetirePagesMoved int64
-	ResteeredWrites  int64
-}
-
-// FaultStats returns a snapshot of fault and recovery counters. It drains
-// the command queue first.
-func (d *Device) FaultStats() FaultStats {
-	var fs FaultStats
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		ft := dev.FTL().Stats()
-		fs.BlocksRetired = ft.BlocksRetired
-		fs.RetirePagesMoved = ft.RetirePagesMoved
-		fs.ResteeredWrites = ft.ResteeredWrites
-	})
-	if d.faults != nil {
-		es := d.faults.Stats()
-		fs.Injected = es.Faults()
-		fs.PlaneTransient = es.PlaneTransient
-		fs.PlaneDead = es.PlaneDead
-		fs.ProgramFails = es.ProgramFails
-		fs.EraseFails = es.EraseFails
-		fs.StuckBlock = es.StuckBlock
-		fs.PowerCuts = es.PowerCuts
-		fs.JitterEvents = es.JitterEvents
-	}
-	ss := d.sched.Stats()
-	fs.Retries = ss.Retries
-	fs.RetriesExhausted = ss.RetriesExhausted
-	return fs
 }
 
 // EnableTelemetry attaches a fresh telemetry sink to every layer of the
@@ -797,7 +670,6 @@ func (d *Device) EnableTelemetry(trace bool) *telemetry.Sink {
 	if trace {
 		sink.EnableTrace()
 	}
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) { dev.SetTelemetry(sink) })
 	d.sched.SetTelemetry(sink)
 	if d.faults != nil {
 		d.faults.SetTelemetry(sink)
@@ -835,76 +707,29 @@ func (d *Device) WriteMetrics(w io.Writer) {
 	d.sink.WriteMetrics(w)
 }
 
-// Stats reports device activity counters.
+// Stats is one snapshot of a device's counters: the scheduler's and those
+// each layer keeps in its own Stats (controller Op, planner Query, FTL,
+// Flash and, on a persistent device, Persist), read together once the
+// queue has drained, plus the fault engine's injection counts (zero when
+// no plan was ever installed). Read each count at its layer's path:
+// st.Flash.SROs, st.FTL.WriteAmplification(), st.Sched.Utilization(),
+// st.Query.Cache.Hits, st.Faults.Faults().
 type Stats struct {
-	BitwiseOps    int64
-	Reallocations int64
-	Fallbacks     int64
-	SROs          int64
-	// MWSSenses counts Flash-Cosmos multi-wordline senses (each is one
-	// SRO regardless of its operand count).
-	MWSSenses     int64
-	Programs      int64
-	Erases        int64
-	InjectedFlips int64
-	// InjectedFaults counts structural faults (failed programs/erases,
-	// plane outages) injected by an installed fault plan.
-	InjectedFaults int64
-	// FTL maintenance activity: garbage collection runs and the pages
-	// they migrated, plus MSB slots padded to keep paired writes aligned.
-	GCRuns       int64
-	GCPagesMoved int64
-	PaddedPages  int64
-	// WriteAmplification is (host+internal writes)/host writes.
-	WriteAmplification float64
-	// Commands counts scheduler commands executed; Batches how many
-	// dispatch rounds carried them; MaxBatch the widest single round
-	// (the queue-depth high-water mark across concurrent submitters).
-	Commands int64
-	Batches  int64
-	MaxBatch int
-	// Utilization is summed command service time over the virtual
-	// makespan: 1.0 is strictly serial execution, higher values measure
-	// how much concurrent commands overlapped on the planes.
-	Utilization float64
+	sched.Counters
+	Faults faults.Stats
 }
 
-// Stats returns a snapshot of the device counters. It drains the command
-// queue first, so the counters reflect every submitted command.
+// Stats drains the command queue and returns the device's counters, so
+// they reflect every submitted command. The fault counts are read just
+// after the layers' and can run ahead of them only if another goroutine's
+// command executes in between.
 func (d *Device) Stats() Stats {
-	var st Stats
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		op := dev.Stats()
-		fl := dev.Array().Stats()
-		ft := dev.FTL().Stats()
-		st = Stats{
-			BitwiseOps:         op.BitwiseOps,
-			Reallocations:      op.Reallocations,
-			Fallbacks:          op.Fallbacks,
-			SROs:               fl.SROs,
-			MWSSenses:          fl.MWSSenses,
-			Programs:           fl.Programs,
-			Erases:             fl.Erases,
-			InjectedFlips:      fl.InjectedFlips,
-			InjectedFaults:     fl.InjectedFaults,
-			GCRuns:             ft.GCRuns,
-			GCPagesMoved:       ft.GCPagesMoved,
-			PaddedPages:        ft.PaddedPages,
-			WriteAmplification: ft.WriteAmplification(),
-		}
-	})
-	ss := d.sched.Stats()
-	st.Commands = ss.Completed()
-	st.Batches = ss.Batches
-	st.MaxBatch = ss.MaxBatch
-	st.Utilization = ss.Utilization()
+	st := Stats{Counters: d.sched.Counters()}
+	if d.faults != nil {
+		st.Faults = d.faults.Stats()
+	}
 	return st
 }
-
-// SchedulerStats returns the scheduler's per-queue counters: submission,
-// completion and error counts, queue-depth high-water marks, and summed
-// service time for each command kind.
-func (d *Device) SchedulerStats() sched.Stats { return d.sched.Stats() }
 
 // Elapsed returns the device's virtual clock: total modeled time consumed
 // by the operations completed so far. Commands submitted but not yet

@@ -183,7 +183,7 @@ func TestStoreQueriesAreLocationFree(t *testing.T) {
 	if _, err := d.Query(QueryAnd(leaves...), LocationFree); err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Stats(); s.Reallocations != 0 || s.Fallbacks != 0 {
+	if s := d.Stats(); s.Op.Reallocations != 0 || s.Op.Fallbacks != 0 {
 		t.Fatalf("store query reallocated: %+v", s)
 	}
 }
@@ -300,11 +300,11 @@ func TestPublicStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := d.Stats()
-	if s.BitwiseOps != 1 || s.Reallocations != 1 || s.Programs < 4 {
+	if s.Op.BitwiseOps != 1 || s.Op.Reallocations != 1 || s.Flash.Programs < 4 {
 		t.Fatalf("stats %+v", s)
 	}
-	if s.WriteAmplification <= 1 {
-		t.Fatalf("WA = %v, expected > 1 after realloc", s.WriteAmplification)
+	if wa := s.FTL.WriteAmplification(); wa <= 1 {
+		t.Fatalf("WA = %v, expected > 1 after realloc", wa)
 	}
 	if d.Elapsed() <= 0 {
 		t.Fatal("no virtual time elapsed")
@@ -327,7 +327,7 @@ func TestPublicErrorModel(t *testing.T) {
 			t.Fatal("fresh-device result corrupted")
 		}
 	}
-	if d.Stats().InjectedFlips != 0 {
+	if d.Stats().Flash.InjectedFlips != 0 {
 		t.Fatal("flips injected at zero P/E")
 	}
 }
@@ -404,7 +404,7 @@ func TestPublicECCAsymmetry(t *testing.T) {
 		t.Fatal("baseline read corrupted despite ECC")
 	}
 	s := d.Stats()
-	if s.Erases == 0 {
+	if s.Flash.Erases == 0 {
 		t.Fatal("churn did not cycle any blocks")
 	}
 }
@@ -489,24 +489,24 @@ func TestInstallFaultPlanPublicAPI(t *testing.T) {
 			t.Fatalf("write %d: %v", lpn, err)
 		}
 	}
-	fs := d.FaultStats()
-	if fs.StuckBlock == 0 || fs.Injected == 0 {
-		t.Errorf("stuck block never hit: %+v", fs)
+	st := d.Stats()
+	if st.Faults.StuckBlock == 0 || st.Faults.Faults() == 0 {
+		t.Errorf("stuck block never hit: %+v", st.Faults)
 	}
-	if fs.BlocksRetired == 0 || fs.ResteeredWrites == 0 {
-		t.Errorf("no graceful degradation recorded: %+v", fs)
+	if st.FTL.BlocksRetired == 0 || st.FTL.ResteeredWrites == 0 {
+		t.Errorf("no graceful degradation recorded: %+v", st.FTL)
 	}
-	if st := d.Stats(); st.InjectedFaults == 0 {
-		t.Errorf("Stats.InjectedFaults = 0 after injections")
+	if st.Flash.InjectedFaults == 0 {
+		t.Errorf("Stats.Flash.InjectedFaults = 0 after injections")
 	}
 	d.ClearFaultPlan()
-	before := d.FaultStats().Injected
+	before := st.Faults.Faults()
 	for lpn := uint64(16); lpn < 24; lpn++ {
 		if err := d.Write(lpn, pageOf(d, int64(lpn))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := d.FaultStats().Injected; after != before {
+	if after := d.Stats().Faults.Faults(); after != before {
 		t.Errorf("disarmed plan kept injecting: %d -> %d", before, after)
 	}
 }

@@ -115,7 +115,7 @@ func TestTLCSegmentationEndToEnd(t *testing.T) {
 		t.Fatal("TLC recognition wrong")
 	}
 	s := d.Stats()
-	if s.SROs != 1 {
-		t.Fatalf("recognition used %d SROs, want 1 (single VREAD1 sense)", s.SROs)
+	if s.Flash.SROs != 1 {
+		t.Fatalf("recognition used %d SROs, want 1 (single VREAD1 sense)", s.Flash.SROs)
 	}
 }
