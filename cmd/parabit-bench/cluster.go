@@ -389,10 +389,8 @@ func runClusterHammer(n, ops, tenants int, cs clusterSpec, tracePath string, met
 		sink.Counter("cluster.admission.rejected.rate").Value(),
 		sink.Counter("cluster.admission.rejected.queue").Value())
 	if metrics {
-		// Each shard's Stats-backed counts publish under its scope.
-		c.EachShard(func(sh *cluster.Shard) {
-			sh.Scheduler().PublishMetrics(sink.Scope(fmt.Sprintf("shard%d", sh.ID())))
-		})
+		// Each shard's Stats-backed counts publish into its scope.
+		c.EachShard(func(sh *cluster.Shard) { sh.Scheduler().PublishMetrics() })
 		fmt.Fprintln(w, "\nmetrics:")
 		sink.WriteMetrics(w)
 	}

@@ -3,6 +3,7 @@ package parabit
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func TestDeviceConcurrentClients(t *testing.T) {
 	if st.Sched.Completed() == 0 || st.Sched.Batches == 0 {
 		t.Fatalf("scheduler saw no work: %+v", st)
 	}
-	if err := d.dev.FTL().CheckInvariants(); err != nil {
+	if err := d.CheckInvariants(); err != nil {
 		t.Errorf("FTL invariants violated: %v", err)
 	}
 	// Every pre-paired bitwise op should have sensed directly.
@@ -231,7 +232,68 @@ func TestQueryConcurrentClients(t *testing.T) {
 			t.Errorf("page %d did not read back: %v", lpn, err)
 		}
 	}
-	if err := d.dev.FTL().CheckInvariants(); err != nil {
+	if err := d.CheckInvariants(); err != nil {
+		t.Errorf("FTL invariants violated: %v", err)
+	}
+}
+
+// TestFaultPlanWhileReading installs, clears and re-arms fault plans and
+// telemetry sinks while other goroutines read the counters and the sink
+// and a third submits commands; under -race it checks that the fault
+// engine and the sink are reached only under the scheduler's lock. The
+// plan only jitters, so every command still succeeds.
+func TestFaultPlanWhileReading(t *testing.T) {
+	d := newTestDevice(t)
+	const plan = `{"seed": 5, "rules": [{"type": "jitter", "rate": 0.5, "max_jitter_us": 3}]}`
+	if err := d.WriteOperandPair(0, 1, pageOf(d, 0), pageOf(d, 1)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, read := range []func(){
+		func() { d.Stats() },
+		func() { d.WriteMetrics(io.Discard) },
+		func() { d.Telemetry().Trace().Len() },
+	} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	var work sync.WaitGroup
+	work.Add(2)
+	go func() {
+		defer work.Done()
+		for i := 0; i < 50; i++ {
+			if err := d.InstallFaultPlan([]byte(plan)); err != nil {
+				t.Error(err)
+				return
+			}
+			d.EnableTelemetry(i%2 == 0)
+			d.ClearFaultPlan()
+		}
+	}()
+	go func() {
+		defer work.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := d.Bitwise(And, 0, 1, PreAllocated); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	work.Wait()
+	close(done)
+	readers.Wait()
+	if err := d.CheckInvariants(); err != nil {
 		t.Errorf("FTL invariants violated: %v", err)
 	}
 }

@@ -96,7 +96,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Shard is one device bay: a simulated SSD, its scheduler and its NVMe
-// queue pair.
+// queue pair. Requests read id, dev, sched and qp outside the cluster
+// lock, so they are assigned only at construction.
 type Shard struct {
 	id    int
 	dev   *ssd.Device
@@ -282,7 +283,8 @@ func (c *Cluster) PageSize() int { return c.cfg.Device.Geometry.PageSize }
 // their own scoped lane set ("shard<N>.sched" and "shard<N>.flash" trace
 // processes, "shard<N>.sched.*" and "shard<N>.ssd.*" series), so hot
 // shards are visible per lane. Shards added or restarted later attach
-// to the same sink.
+// to the same sink. Call it before any traffic: requests read the front
+// end's handles without the cluster lock.
 func (c *Cluster) SetTelemetry(sink *telemetry.Sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -625,7 +627,8 @@ func (c *Cluster) KillShard(id int) error {
 
 // RestartShard recovers a killed shard from its on-disk store: the
 // journal is replayed onto the last snapshot, invariants are checked,
-// and the shard rejoins the ring with a fresh scheduler and queue pair.
+// and a new Shard with a fresh scheduler and queue pair replaces the
+// killed one, keeping its id, page allocator and routed-command counts.
 // Every write the old incarnation acknowledged is present; everything
 // in flight at the kill is not. Only valid on persistent clusters.
 func (c *Cluster) RestartShard(id int) (ssd.RecoveryInfo, error) {
@@ -645,11 +648,22 @@ func (c *Cluster) RestartShard(id int) (ssd.RecoveryInfo, error) {
 	if err != nil {
 		return ssd.RecoveryInfo{}, fmt.Errorf("cluster: restart shard %d: %w", id, err)
 	}
-	sh.dev = dev
-	sh.sched = sched.New(dev)
-	sh.qp = nvme.NewQueuePair(queueDepth)
-	c.attachShardLocked(sh)
-	sh.alive.Store(true)
+	sh.mu.Lock()
+	next := &Shard{
+		id:      id,
+		dev:     dev,
+		sched:   sched.New(dev),
+		qp:      nvme.NewQueuePair(queueDepth),
+		nextLPN: sh.nextLPN,
+		maxLPN:  sh.maxLPN,
+		free:    sh.free,
+	}
+	sh.mu.Unlock()
+	next.reads.Store(sh.reads.Load())
+	next.writes.Store(sh.writes.Load())
+	c.attachShardLocked(next)
+	next.alive.Store(true)
+	c.shards[id] = next
 	c.ring.add(id)
 	return info, nil
 }

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"parabit/internal/persist"
 	"parabit/internal/plan"
 	"parabit/internal/ssd"
 	"parabit/internal/telemetry"
@@ -165,4 +167,100 @@ func flashSpans(sink *telemetry.Sink, proc string) int {
 		}
 	}
 	return n
+}
+
+// TestRestartShardUnderTraffic kills and restarts the only shard of a
+// persistent cluster in a loop while four goroutines read, query and
+// write columns. Under -race it checks that a restart installs a new
+// Shard instead of rewriting the handles a request reads outside the
+// cluster lock. A request may fail only because the shard is down
+// (ErrUnavailable) or its old incarnation was cut (ErrPowerCut), and
+// every answer it does return holds the right bytes.
+func TestRestartShardUnderTraffic(t *testing.T) {
+	c := MustNew(Config{Shards: 1, Replicas: 1, PersistDir: t.TempDir()})
+	defer c.Close()
+	ps := c.PageSize()
+	// page fills a column with its key and version, so any read can be
+	// checked for being some whole write of that key.
+	page := func(key uint64, version byte) []byte {
+		p := make([]byte, ps)
+		for i := range p {
+			p[i] = byte(key)*31 + version + byte(i%7)
+		}
+		return p
+	}
+	whole := func(key uint64, p []byte) bool {
+		return bytes.Equal(p, page(key, p[0]-byte(key)*31))
+	}
+	// Keys 1 and 2 never change, so a query over them has one answer;
+	// key 12 is overwritten throughout.
+	for _, key := range []uint64{1, 2, 12} {
+		if _, err := c.WriteColumn("t", key, page(key, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]byte, ps)
+	a, b := page(1, 0), page(2, 0)
+	for i := range want {
+		want[i] = a[i] & b[i]
+	}
+	q := plan.And(plan.Leaf(1), plan.Leaf(2))
+	expected := func(err error) bool {
+		return err == nil || errors.Is(err, ErrUnavailable) || errors.Is(err, persist.ErrPowerCut)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for v := byte(1); ; v++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var err error
+				switch g {
+				case 0:
+					var got []byte
+					if got, _, err = c.ReadColumn("t", 1); err == nil && !bytes.Equal(got, a) {
+						err = fmt.Errorf("read of key 1 returned wrong bytes")
+					}
+				case 1:
+					var res QueryResult
+					if res, err = c.Query("t", q, ssd.SchemeLocFree); err == nil && !bytes.Equal(res.Data, want) {
+						err = fmt.Errorf("query returned wrong bytes")
+					}
+				case 2:
+					_, err = c.WriteColumn("t", 12, page(12, v))
+				case 3:
+					var got []byte
+					if got, _, err = c.ReadColumn("t", 12); err == nil && !whole(12, got) {
+						err = fmt.Errorf("read of key 12 returned a torn column")
+					}
+				}
+				if !expected(err) {
+					errs <- fmt.Errorf("goroutine %d: %w", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		if err := c.KillShard(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RestartShard(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -287,25 +287,11 @@ func (e *Engine) Stats() Stats {
 
 // SetTelemetry attaches (or, with nil, detaches) a telemetry sink: an
 // instant event on the "faults" lane per injection, so every fault is
-// visible in an exported trace. The counts stay in Stats;
-// PublishMetrics writes them into a sink.
+// visible in an exported trace. The counts stay in Stats.
 func (e *Engine) SetTelemetry(s *telemetry.Sink) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.faultTrack = s.Trace().Track("faults", "injected")
-}
-
-// PublishMetrics writes the injection counts into sink: one counter per
-// fault class and faults.jitter_events. A nil sink is a no-op.
-func (e *Engine) PublishMetrics(sink *telemetry.Sink) {
-	st := e.Stats()
-	sink.Counter("faults.plane_transient").Set(st.PlaneTransient)
-	sink.Counter("faults.plane_dead").Set(st.PlaneDead)
-	sink.Counter("faults.program_fail").Set(st.ProgramFails)
-	sink.Counter("faults.erase_fail").Set(st.EraseFails)
-	sink.Counter("faults.stuck_block").Set(st.StuckBlock)
-	sink.Counter("faults.power_cut").Set(st.PowerCuts)
-	sink.Counter("faults.jitter_events").Set(st.JitterEvents)
 }
 
 // failLocked records and returns one injected failure.

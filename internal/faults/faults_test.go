@@ -176,9 +176,8 @@ func TestTelemetryCounters(t *testing.T) {
 	sink.EnableTrace()
 	e.SetTelemetry(sink)
 	e.Inspect(flash.FaultProgram, geo.PlaneAt(0), 0, 0)
-	e.PublishMetrics(sink)
-	if got := sink.Counter("faults.stuck_block").Value(); got != 1 {
-		t.Errorf("faults.stuck_block = %d, want 1", got)
+	if got := e.Stats().StuckBlock; got != 1 {
+		t.Errorf("Stats().StuckBlock = %d, want 1", got)
 	}
 	if sink.Trace().Len() == 0 {
 		t.Error("no trace event recorded for injected fault")

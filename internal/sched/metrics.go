@@ -1,12 +1,12 @@
 package sched
 
 import (
+	"parabit/internal/faults"
 	"parabit/internal/flash"
 	"parabit/internal/ftl"
 	"parabit/internal/persist"
 	"parabit/internal/sim"
 	"parabit/internal/ssd"
-	"parabit/internal/telemetry"
 )
 
 // Counters is one read of a device's event counts: the scheduler's own
@@ -21,6 +21,8 @@ type Counters struct {
 	// false, on an in-memory device.
 	Persist    persist.Stats
 	Persistent bool
+	// Faults counts the last fault plan's injections; zero without one.
+	Faults faults.Stats
 }
 
 // Counters drains the queue and then, in the same hold of the mutex,
@@ -42,22 +44,25 @@ func (s *Scheduler) countersLocked() Counters {
 		Flash: s.dev.Array().Stats(),
 	}
 	c.Persist, c.Persistent = s.dev.PersistStats()
+	if s.faults != nil {
+		c.Faults = s.faults.Stats()
+	}
 	return c
 }
 
-// PublishMetrics writes into sink, under their metric names, the event
-// counts the scheduler and the layers below it keep in their Stats:
-// scheduler, controller, query planner, FTL, flash and, on a persistent
-// device, the store, read as Counters reads them. Telemetry keeps no
-// second count of these events, so an export calls this first, with the
-// sink (or shard scope) the scheduler's telemetry goes to. It does not
-// dispatch. A nil sink is a no-op.
-func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
+// PublishMetrics writes into the attached sink, under their metric
+// names, the counts every layer keeps in its Stats (scheduler through
+// flash, the store on a persistent device, the fault engine once a plan
+// was installed), read as Counters reads them. Telemetry keeps no second
+// count of these events, so an export calls this first. It does not
+// dispatch; with no sink attached it does nothing.
+func (s *Scheduler) PublishMetrics() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sink := s.sink
 	if sink == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	count := func(name string, v int64) { sink.Counter(name).Set(v) }
 	level := func(name string, v int64) { sink.Gauge(name).Set(v) }
 	c := s.countersLocked()
@@ -95,5 +100,14 @@ func (s *Scheduler) PublishMetrics(sink *telemetry.Sink) {
 		count("persist.snapshots.full", ps.FullSnapshots)
 		count("persist.replay.records", ps.ReplayedRecords)
 		level("persist.recovery_us", int64(ps.RecoveryTime/sim.Microsecond))
+	}
+	if fs := c.Faults; s.faults != nil {
+		count("faults.plane_transient", fs.PlaneTransient)
+		count("faults.plane_dead", fs.PlaneDead)
+		count("faults.program_fail", fs.ProgramFails)
+		count("faults.erase_fail", fs.EraseFails)
+		count("faults.stuck_block", fs.StuckBlock)
+		count("faults.power_cut", fs.PowerCuts)
+		count("faults.jitter_events", fs.JitterEvents)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"parabit/internal/faults"
 	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/nvme"
@@ -297,6 +298,9 @@ type Scheduler struct {
 	depth   [numKinds]int // pending commands per kind; guarded by mu
 	stats   Stats         // guarded by mu
 	tele    schedTele     // guarded by mu
+	// What is attached to the device; the scheduler is its one owner.
+	sink   *telemetry.Sink // guarded by mu
+	faults *faults.Engine  // armed, or the last plan disarmed; guarded by mu
 	// The arenas hold the pending commands' copies of LPNs, payload bytes
 	// and page lists. Each dispatch resets them, so steady-state traffic
 	// reuses one backing array per arena.
@@ -328,18 +332,19 @@ type schedTele struct {
 }
 
 // SetTelemetry drains the queue and then attaches (or, with nil,
-// detaches) a telemetry sink to the scheduler and the device stack
-// below it (ssd.Device.SetTelemetry), whose lanes register first. Every
-// command kind gets a queue lane (spans run from batch issue to command
-// completion), a pending-depth gauge and a service-latency histogram;
-// batches and retries get their own lanes. All numKinds lanes register
-// eagerly so an exported trace shows one lane per queue even for kinds
-// that saw no traffic. Batch and retry counts stay in Stats;
-// PublishMetrics writes them into a sink.
+// detaches) a telemetry sink to the device stack (ssd.Device.SetTelemetry),
+// whose lanes register first, the scheduler and any installed fault
+// engine. Every command kind gets a queue lane (spans run from batch
+// issue to command completion), a pending-depth gauge and a
+// service-latency histogram; batches and retries get their own lanes.
+// All numKinds lanes register eagerly so an exported trace shows one
+// lane per queue even for kinds that saw no traffic. Counts stay in
+// Stats; PublishMetrics writes them into the sink.
 func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dispatchLocked()
+	s.sink = sink
 	s.dev.SetTelemetry(sink)
 	tr := sink.Trace()
 	for k := 0; k < numKinds; k++ {
@@ -349,6 +354,39 @@ func (s *Scheduler) SetTelemetry(sink *telemetry.Sink) {
 	}
 	s.tele.batchTrack = tr.Track("sched", "batches")
 	s.tele.retryTrack = tr.Track("sched", "retries")
+	if s.faults != nil {
+		s.faults.SetTelemetry(sink)
+	}
+}
+
+// Telemetry returns the sink SetTelemetry attached, or nil.
+func (s *Scheduler) Telemetry() *telemetry.Sink {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sink
+}
+
+// InstallFaultPlan drains the queue, compiles plan against the device
+// geometry and arms it, replacing any previous plan and its counts; a
+// plan that fails validation changes nothing. It reports into the sink.
+func (s *Scheduler) InstallFaultPlan(plan faults.Plan) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dispatchLocked()
+	eng, err := faults.NewEngine(plan, s.dev.Array().Geometry())
+	if err != nil {
+		return err
+	}
+	eng.SetTelemetry(s.sink)
+	s.dev.SetFaultInjector(eng)
+	s.faults = eng
+	return nil
+}
+
+// ClearFaultPlan drains the queue and disarms fault injection. The
+// engine stays, so Counters keeps reporting the disarmed plan's counts.
+func (s *Scheduler) ClearFaultPlan() {
+	s.Exclusive(func(dev *ssd.Device, _ sim.Time) { dev.SetFaultInjector(nil) })
 }
 
 // New wraps a device. The scheduler assumes sole ownership: bypassing it
@@ -613,8 +651,8 @@ func (s *Scheduler) Close() error {
 
 // Exclusive drains the queue and then runs fn with the mutex held,
 // handing it the raw device. Use it for snapshots and maintenance
-// (statistics, trims, pool reclaim) that must not interleave with
-// commands. fn must not call back into the scheduler.
+// (statistics, trims) that must not interleave with commands. fn must
+// not call back into the scheduler.
 func (s *Scheduler) Exclusive(fn func(dev *ssd.Device, now sim.Time)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

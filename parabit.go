@@ -148,11 +148,9 @@ type Result struct {
 // the counters of every layer.
 type Device struct {
 	// dev is the raw single-threaded device; it must only be touched
-	// through sched (or inside sched.Exclusive).
-	dev    *ssd.Device
-	sched  *sched.Scheduler
-	sink   *telemetry.Sink
-	faults *faults.Engine
+	// through sched, which also owns its telemetry sink and fault plan.
+	dev   *ssd.Device
+	sched *sched.Scheduler
 }
 
 // Option configures a Device.
@@ -608,85 +606,53 @@ func (d *Device) CheckInvariants() error {
 // failures. The FTL absorbs what a real controller would (bad-block
 // retirement, write re-steering) and the scheduler retries transient
 // outages with simulated-time backoff; only unrecoverable failures
-// surface to callers. Installing a plan replaces any previous one; the
-// queue drains first.
-func (d *Device) InstallFaultPlan(data []byte) error {
-	plan, err := faults.ParsePlan(data)
-	if err != nil {
-		return err
-	}
-	return d.installFaultPlan(plan)
-}
+// surface to callers. Installing a plan replaces any previous one and
+// its counts; the queue drains first.
+func (d *Device) InstallFaultPlan(data []byte) error { return d.arm(faults.ParsePlan(data)) }
 
 // InstallFaultPlanFile is InstallFaultPlan for a plan file on disk.
-func (d *Device) InstallFaultPlanFile(path string) error {
-	plan, err := faults.LoadPlan(path)
-	if err != nil {
-		return err
-	}
-	return d.installFaultPlan(plan)
-}
+func (d *Device) InstallFaultPlanFile(path string) error { return d.arm(faults.LoadPlan(path)) }
 
-func (d *Device) installFaultPlan(plan faults.Plan) error {
-	var eng *faults.Engine
-	var err error
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		eng, err = faults.NewEngine(plan, dev.Array().Geometry())
-		if err != nil {
-			return
-		}
-		dev.SetFaultInjector(eng)
-	})
+// arm installs a decoded plan, or returns the error decoding it.
+func (d *Device) arm(plan faults.Plan, err error) error {
 	if err != nil {
 		return err
 	}
-	if d.sink != nil {
-		eng.SetTelemetry(d.sink)
-	}
-	d.faults = eng
-	return nil
+	return d.sched.InstallFaultPlan(plan)
 }
 
 // ClearFaultPlan disarms fault injection. Damage already done (retired
 // blocks, surfaced errors) persists, and Stats keeps reporting the
 // disarmed plan's injection counts in Faults; only future injections
 // stop.
-func (d *Device) ClearFaultPlan() {
-	d.sched.Exclusive(func(dev *ssd.Device, _ sim.Time) {
-		dev.SetFaultInjector(nil)
-	})
-}
+func (d *Device) ClearFaultPlan() { d.sched.ClearFaultPlan() }
 
 // EnableTelemetry attaches a fresh telemetry sink to every layer of the
 // device: scheduler queues, controller bitwise paths, FTL maintenance,
-// plane/channel occupancy, and the host link. With trace true the sink
-// also records spans for export as Chrome trace-event JSON (WriteTrace);
-// metrics (counters, gauges, latency histograms) are always on. The
-// counts the layers keep in their Stats reach the sink when WriteMetrics
-// publishes them. Safe to call on a device with in-flight commands — it
-// drains the queue first.
+// plane/channel occupancy, the host link and any fault plan. With trace
+// true the sink also records spans for export as Chrome trace-event JSON
+// (WriteTrace); metrics (counters, gauges, latency histograms) are always
+// on. The counts the layers keep in their Stats reach the sink when
+// WriteMetrics publishes them. Safe to call on a device with in-flight
+// commands — it drains the queue first.
 func (d *Device) EnableTelemetry(trace bool) *telemetry.Sink {
 	sink := telemetry.New()
 	if trace {
 		sink.EnableTrace()
 	}
 	d.sched.SetTelemetry(sink)
-	if d.faults != nil {
-		d.faults.SetTelemetry(sink)
-	}
-	d.sink = sink
 	return sink
 }
 
 // Telemetry returns the sink attached by EnableTelemetry, or nil.
-func (d *Device) Telemetry() *telemetry.Sink { return d.sink }
+func (d *Device) Telemetry() *telemetry.Sink { return d.sched.Telemetry() }
 
 // WriteTrace exports the recorded trace as Chrome trace-event JSON (open
 // in chrome://tracing or ui.perfetto.dev). Valid, possibly empty, output
 // even when telemetry or tracing is disabled.
 func (d *Device) WriteTrace(w io.Writer) error {
 	d.Flush()
-	return d.sink.WriteTrace(w)
+	return d.sched.Telemetry().WriteTrace(w)
 }
 
 // WriteMetrics drains the command queue and writes the expvar-style
@@ -696,40 +662,24 @@ func (d *Device) WriteTrace(w io.Writer) error {
 // live counters, gauges and histograms read as they stand. No output
 // when telemetry is disabled.
 func (d *Device) WriteMetrics(w io.Writer) {
-	if d.sink == nil {
-		return
-	}
 	d.Flush()
-	d.sched.PublishMetrics(d.sink)
-	if d.faults != nil {
-		d.faults.PublishMetrics(d.sink)
-	}
-	d.sink.WriteMetrics(w)
+	d.sched.PublishMetrics()
+	d.sched.Telemetry().WriteMetrics(w)
 }
 
 // Stats is one snapshot of a device's counters: the scheduler's and those
 // each layer keeps in its own Stats (controller Op, planner Query, FTL,
-// Flash and, on a persistent device, Persist), read together once the
-// queue has drained, plus the fault engine's injection counts (zero when
-// no plan was ever installed). Read each count at its layer's path:
-// st.Flash.SROs, st.FTL.WriteAmplification(), st.Sched.Utilization(),
+// Flash, on a persistent device Persist, and the fault engine's
+// injection counts in Faults, zero when no plan was ever installed),
+// read together in one hold of the scheduler lock once the queue has
+// drained. Read each count at its layer's path: st.Flash.SROs,
+// st.FTL.WriteAmplification(), st.Sched.Utilization(),
 // st.Query.Cache.Hits, st.Faults.Faults().
-type Stats struct {
-	sched.Counters
-	Faults faults.Stats
-}
+type Stats = sched.Counters
 
 // Stats drains the command queue and returns the device's counters, so
-// they reflect every submitted command. The fault counts are read just
-// after the layers' and can run ahead of them only if another goroutine's
-// command executes in between.
-func (d *Device) Stats() Stats {
-	st := Stats{Counters: d.sched.Counters()}
-	if d.faults != nil {
-		st.Faults = d.faults.Stats()
-	}
-	return st
-}
+// they reflect every submitted command.
+func (d *Device) Stats() Stats { return d.sched.Counters() }
 
 // Elapsed returns the device's virtual clock: total modeled time consumed
 // by the operations completed so far. Commands submitted but not yet

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parabit/internal/faults"
+	"parabit/internal/telemetry"
 )
 
 func newTestDevice(t *testing.T, opts ...Option) *Device {
@@ -470,6 +473,10 @@ func TestRunExperimentCSV(t *testing.T) {
 	}
 }
 
+// TestInstallFaultPlanPublicAPI arms a plan before telemetry is enabled,
+// clears it, then arms a second one after: each plan's injections reach
+// the sink's faults/injected lane and faults.* metrics, a cleared plan's
+// counts stay in Stats, and a new plan replaces them.
 func TestInstallFaultPlanPublicAPI(t *testing.T) {
 	d := newTestDevice(t)
 	if err := d.InstallFaultPlan([]byte(`{"rules": [{"type": "warp-core-breach"}]}`)); err == nil {
@@ -482,13 +489,31 @@ func TestInstallFaultPlanPublicAPI(t *testing.T) {
 	if err := d.InstallFaultPlan([]byte(plan)); err != nil {
 		t.Fatal(err)
 	}
-	d.EnableTelemetry(false)
-	// Enough writes that one allocation lands on plane 0 block 0.
-	for lpn := uint64(0); lpn < 16; lpn++ {
-		if err := d.Write(lpn, pageOf(d, int64(lpn))); err != nil {
-			t.Fatalf("write %d: %v", lpn, err)
+	sink := d.EnableTelemetry(true)
+	write := func(from, to uint64) {
+		t.Helper()
+		for lpn := from; lpn < to; lpn++ {
+			if err := d.Write(lpn, pageOf(d, int64(lpn))); err != nil {
+				t.Fatalf("write %d: %v", lpn, err)
+			}
 		}
 	}
+	// checkExport compares the faults.* metrics with fs and the
+	// faults/injected lane's instants with the injections of every plan.
+	lane := int64(0)
+	checkExport := func(fs faults.Stats) {
+		t.Helper()
+		got := exported(t, d)
+		if got["counter faults.stuck_block"] != fs.StuckBlock || got["counter faults.jitter_events"] != fs.JitterEvents {
+			t.Errorf("faults.* metrics %v, Stats %+v", got, fs)
+		}
+		lane += fs.Faults() + fs.JitterEvents
+		if n := faultInstants(sink); n != lane {
+			t.Errorf("faults/injected lane holds %d instants, want %d", n, lane)
+		}
+	}
+	// Enough writes that one allocation lands on plane 0 block 0.
+	write(0, 16)
 	st := d.Stats()
 	if st.Faults.StuckBlock == 0 || st.Faults.Faults() == 0 {
 		t.Errorf("stuck block never hit: %+v", st.Faults)
@@ -499,16 +524,43 @@ func TestInstallFaultPlanPublicAPI(t *testing.T) {
 	if st.Flash.InjectedFaults == 0 {
 		t.Errorf("Stats.Flash.InjectedFaults = 0 after injections")
 	}
+	checkExport(st.Faults)
 	d.ClearFaultPlan()
-	before := st.Faults.Faults()
-	for lpn := uint64(16); lpn < 24; lpn++ {
-		if err := d.Write(lpn, pageOf(d, int64(lpn))); err != nil {
-			t.Fatal(err)
+	write(16, 24)
+	if got := d.Stats().Faults; got != st.Faults {
+		t.Errorf("disarmed plan's counts moved: %+v -> %+v", st.Faults, got)
+	}
+
+	jitter := `{"seed": 2, "rules": [{"type": "jitter", "rate": 1, "op": "program", "max_jitter_us": 2}]}`
+	if err := d.InstallFaultPlan([]byte(jitter)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Faults; got != (faults.Stats{}) {
+		t.Errorf("a new plan kept the old plan's counts: %+v", got)
+	}
+	write(24, 32)
+	fs := d.Stats().Faults
+	if fs.JitterEvents == 0 || fs.Faults() != 0 {
+		t.Errorf("second plan's counts %+v, want jitter only", fs)
+	}
+	checkExport(fs)
+}
+
+// faultInstants counts the instants recorded on the faults/injected lane.
+func faultInstants(sink *telemetry.Sink) int64 {
+	pid, tid := -1, -1
+	var n int64
+	for _, ev := range sink.Trace().Events() {
+		switch {
+		case ev.Name == "process_name" && ev.Args["name"] == "faults":
+			pid = ev.PID
+		case ev.Name == "thread_name" && ev.PID == pid && ev.Args["name"] == "injected":
+			tid = ev.TID
+		case ev.Ph == "i" && ev.PID == pid && ev.TID == tid:
+			n++
 		}
 	}
-	if after := d.Stats().Faults.Faults(); after != before {
-		t.Errorf("disarmed plan kept injecting: %d -> %d", before, after)
-	}
+	return n
 }
 
 // TestSyncAndAsyncRefuseAlike checks that each blocking call returns the
