@@ -19,7 +19,7 @@ import (
 )
 
 var updateRecords = flag.Bool("update-records", false,
-	"rewrite BENCH_{planner,fc,cluster}.json at the repository root from this tree")
+	"rewrite BENCH_{planner,fc,cluster}.json at the repository root and testdata/figures.csv from this tree")
 
 const (
 	// fcMinSpeedup and fcMinSpeedupK are the Flash-Cosmos acceptance
@@ -34,10 +34,12 @@ const (
 )
 
 // TestBenchRecordsGolden regenerates the three BENCH_*.json records and
-// compares them byte for byte with the checked-in files; -update-records
-// rewrites the files instead. The simulation is deterministic, so any
-// simulated-time drift fails here. The generated records must also keep
-// the absolute floors each benchmark exists to show.
+// the paper's figures (-run all -format csv, recorded in
+// testdata/figures.csv) and compares them byte for byte with the
+// checked-in files; -update-records rewrites the files instead. The
+// simulation is deterministic, so any simulated-time drift fails here.
+// The generated records must also keep the absolute floors each
+// benchmark exists to show.
 func TestBenchRecordsGolden(t *testing.T) {
 	planner, err := runPlanner(parabit.LocationFree, io.Discard)
 	if err != nil {
@@ -51,19 +53,23 @@ func TestBenchRecordsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []struct {
-		name string
-		rec  any
-	}{
-		{"BENCH_planner.json", planner},
-		{"BENCH_fc.json", fc},
-		{"BENCH_cluster.json", cl},
+	var figures bytes.Buffer
+	if err := runExperiments("all", "csv", &figures); err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]byte{filepath.Join("testdata", "figures.csv"): figures.Bytes()}
+	for name, rec := range map[string]any{
+		"BENCH_planner.json": planner,
+		"BENCH_fc.json":      fc,
+		"BENCH_cluster.json": cl,
 	} {
-		got, err := encodeRecord(r.rec)
+		got, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("..", "..", r.name)
+		records[filepath.Join("..", "..", name)] = got
+	}
+	for path, got := range records {
 		if *updateRecords {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
@@ -76,7 +82,7 @@ func TestBenchRecordsGolden(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the regenerated record (rerun with -update-records only for a deliberate change):\n%s",
-				r.name, firstDiff(got, want))
+				filepath.Base(path), firstDiff(got, want))
 		}
 	}
 
