@@ -19,8 +19,9 @@
 // structs included; CI runs go vet ./... on every package.
 //
 // The latch circuit contract is not checked here. latch.Sequence.Validate
-// is its one checker: MWSProgram and plan.FusedSequence run it on every
-// program they build, and the latch tests run it over every fixed table.
+// is its one checker: latch runs it on every MWS program and chained
+// program it builds, and the latch tests run it over every fixed table
+// and every unrolled chain.
 //
 // Usage:
 //

@@ -41,8 +41,8 @@ const (
 	// AND/OR/NAND/NOR, 4 for XOR/XNOR).
 	SenseLocFreeLSB
 	// SenseChainLSB reduces the LSB pages of two or more WLs on one plane
-	// with a single chained location-free operation, priced by
-	// ChainCostLSB.
+	// with a single chained location-free operation, priced from latch's
+	// chained program of the op (latch.PriceChain).
 	SenseChainLSB
 	// SenseMWS is a Flash-Cosmos reduction: one multi-wordline sense over
 	// the LSB pages of 2..MaxMWSOperands WLs that share a block, computing
@@ -125,14 +125,14 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 	case wantWLs > 0 && len(s.WLs) != wantWLs:
 		return SenseResult{}, fmt.Errorf("flash: %v sense of %d wordlines, want %d", s.Kind, len(s.WLs), wantWLs)
 	case s.Kind == SenseChainLSB:
-		if len(s.WLs) < 2 {
-			return SenseResult{}, fmt.Errorf("flash: chain of %d operands", len(s.WLs))
-		}
-		cost, err := ChainCostLSB(op, len(s.WLs))
-		if err != nil {
+		// The op's base chain comes from latch's chain table, as an MWS
+		// program comes from its MWS table. It refuses k < 2 and an op
+		// with no chain; a chain longer than one program runs its body
+		// looped and is priced alike.
+		var err error
+		if sros, loads, err = latch.PriceChain(op, len(s.WLs)); err != nil {
 			return SenseResult{}, err
 		}
-		sros, loads = cost.SROs, cost.RegisterLoads
 	case s.Kind == SenseChainMWS && len(chunks) < 2:
 		return SenseResult{}, fmt.Errorf("flash: MWS chain of %d chunks, want >= 2", len(chunks))
 	}
@@ -314,39 +314,4 @@ func (t Timing) BitwiseLatency(op latch.Op) sim.Duration {
 // ParaBit op.
 func (t Timing) BitwiseLatencyLocFree(op latch.Op) sim.Duration {
 	return sim.Duration(latch.ForOpLocFree(op).SROs()) * t.SenseSRO
-}
-
-// ChainCost describes the array-side cost of a location-free k-operand
-// reduction (§4.2). For AND and OR the running result stays in the
-// latches (A and B respectively), so each additional operand costs one
-// more sense. The XOR family cannot accumulate in place: after each step
-// the partial result goes to the controller buffer and is reloaded (the
-// result and its complement) before the next operand's two-phase
-// sensing — two register loads plus two senses per additional operand.
-type ChainCost struct {
-	SROs          int // total sensing operations
-	RegisterLoads int // controller-buffer reloads (page transfers in)
-}
-
-// ChainCostLSB returns the cost of reducing k all-LSB aligned operands.
-func ChainCostLSB(op latch.Op, k int) (ChainCost, error) {
-	if k < 2 {
-		return ChainCost{}, fmt.Errorf("flash: chain of %d operands", k)
-	}
-	base := latch.ForOpLocFreeLSB(op).SROs()
-	switch op {
-	case latch.OpAnd, latch.OpOr:
-		// One sense per operand: the first two cost `base` (2), each
-		// additional operand gates the latch with one more sense.
-		return ChainCost{SROs: base + (k - 2)}, nil
-	case latch.OpNand, latch.OpNor:
-		// Accumulate as AND/OR, invert on the final transfer.
-		return ChainCost{SROs: base + (k - 2)}, nil
-	case latch.OpXor, latch.OpXnor:
-		// Buffer round-trip per extra operand: reload result + inverted
-		// result, then the two-phase sensing of the new operand.
-		return ChainCost{SROs: base + 2*(k-2), RegisterLoads: 2 * (k - 2)}, nil
-	default:
-		return ChainCost{}, fmt.Errorf("flash: op %v cannot chain", op)
-	}
 }

@@ -73,9 +73,9 @@ func referenceValidate(steps []Step) bool {
 // run: the MLC baseline page reads; the basic, location-free and
 // all-LSB location-free sequences for every operation; the Flash-Cosmos
 // program for every MWS-computable operation and every operand count
-// 2..MaxMWSOperands; and the TLC page reads and three-operand
-// operations. The planner's fused chains (plan.FusedSequence) are built
-// per (op, k) and validate themselves as they are built.
+// 2..MaxMWSOperands; the TLC page reads and three-operand operations;
+// and every chained program unrolled for k from 3 to MaxChain (at k=2 a
+// chain is its op's all-LSB location-free program).
 func tableSequences() []Sequence {
 	seqs := []Sequence{ReadLSB, ReadMSB}
 	for _, op := range Ops {
@@ -91,6 +91,11 @@ func tableSequences() []Sequence {
 	}
 	for _, op := range []TLCOp3{TLCAnd3, TLCOr3, TLCNand3, TLCNor3} {
 		seqs = append(seqs, TLCForOp(op))
+	}
+	for _, op := range chainOps {
+		for k := 3; k <= MaxChain(op); k++ {
+			seqs = append(seqs, chains[op].unroll(op, k))
+		}
 	}
 	return seqs
 }
@@ -132,9 +137,10 @@ func FuzzLatchSequenceValidate(f *testing.F) {
 
 // TestTableSequencesValidate pins the list that the fuzz corpus and
 // TestShippedSequencesValidate draw from — 2 MLC reads, 3 tables of 8
-// ops, 4 MWS ops at 7 operand counts, 3 TLC reads and 4 TLC ops, each a
-// distinct program — so a shipped program cannot drop out of Validate's
-// check unnoticed.
+// ops, 4 MWS ops at 7 operand counts, 3 TLC reads, 4 TLC ops and the
+// AND, OR and XOR chains of 3 to 31, 16 and 8 operands, each a distinct
+// program — so a shipped program cannot drop out of Validate's check
+// unnoticed.
 func TestTableSequencesValidate(t *testing.T) {
 	seqs := tableSequences()
 	names := make(map[string]bool, len(seqs))
@@ -144,7 +150,7 @@ func TestTableSequencesValidate(t *testing.T) {
 		}
 		names[s.Name] = true
 	}
-	if want := 2 + 3*8 + 4*(MaxMWSOperands-1) + 3 + 4; len(seqs) != want {
+	if want := 2 + 3*8 + 4*(MaxMWSOperands-1) + 3 + 4 + 29 + 14 + 6; len(seqs) != want {
 		t.Errorf("%d table sequences, want %d", len(seqs), want)
 	}
 }

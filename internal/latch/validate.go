@@ -3,9 +3,10 @@ package latch
 import "fmt"
 
 // MaxSteps bounds any single control sequence. The longest fixed programs
-// (location-free XOR and XNOR) have 16 steps, and the planner splits its
-// fused chains to stay within this cap; anything past it is a
-// construction bug, not a bigger circuit.
+// (location-free XOR and XNOR) have 16 steps; a chained program is
+// unrolled only up to MaxChain operands, the most that fit this cap, and
+// a longer chain runs its body looped. Anything past it is a construction
+// bug, not a bigger circuit.
 const MaxSteps = 64
 
 // Validate checks the circuit-ordering invariants every legal control
@@ -28,8 +29,9 @@ const MaxSteps = 64
 //
 // It returns nil for legal sequences and a descriptive error naming the
 // first violation otherwise. It is the one checker of this contract:
-// MWSProgram and plan.FusedSequence run it on every program they build,
-// and the package tests run it over every fixed table.
+// MWSProgram runs it on every program it builds, the chain table on each
+// chain unrolled at 2 and 3 operands, and the package tests over every
+// fixed table and every unrolled chain.
 func (s Sequence) Validate() error {
 	if len(s.Steps) == 0 {
 		return fmt.Errorf("sequence %q is empty: a control program must initialize the latches", s.Name)

@@ -9,10 +9,9 @@
 //
 //   - normalizes the tree (flattens associative chains, folds NOT into
 //     the complement operation of its operand node);
-//   - fuses associative runs into chained latch sequences, splitting
-//     chains that would exceed the circuit's legal program length
-//     (latch.MaxSteps) — every fused chain is validated against
-//     latch.Sequence.Validate before the plan is accepted;
+//   - fuses associative runs into chained location-free reductions,
+//     split at latch.MaxChain operands (the longest chained program
+//     latch validates) so that the segments run in parallel;
 //   - assigns every sub-expression a canonical key so structurally equal
 //     sub-queries share one controller-DRAM cache slot (see Cache).
 //

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"parabit/internal/flash"
 	"parabit/internal/latch"
 )
 
@@ -146,41 +145,6 @@ func TestNormalizePreservesEval(t *testing.T) {
 	}
 }
 
-func TestFusedSequenceLegalAndCosted(t *testing.T) {
-	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
-		max := maxChainLen(op)
-		if max < 2 {
-			t.Fatalf("maxChainLen(%v) = %d", op, max)
-		}
-		for k := 2; k <= max; k++ {
-			seq, err := FusedSequence(op, k)
-			if err != nil {
-				t.Fatalf("FusedSequence(%v, %d): %v", op, k, err)
-			}
-			if err := seq.Validate(); err != nil {
-				t.Fatalf("FusedSequence(%v, %d) invalid: %v", op, k, err)
-			}
-			cost, err := flash.ChainCostLSB(op, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.SROs() != cost.SROs {
-				t.Fatalf("FusedSequence(%v, %d): %d SROs, cost model %d", op, k, seq.SROs(), cost.SROs)
-			}
-			if len(seq.Steps) > latch.MaxSteps {
-				t.Fatalf("FusedSequence(%v, %d): %d steps", op, k, len(seq.Steps))
-			}
-		}
-		// One past the cap must refuse.
-		if _, err := FusedSequence(op, max+1); err == nil {
-			t.Errorf("FusedSequence(%v, %d) succeeded past MaxSteps", op, max+1)
-		}
-	}
-	if _, err := FusedSequence(latch.OpNand, 3); err == nil {
-		t.Error("FusedSequence(NAND) succeeded; complements must not fuse")
-	}
-}
-
 func TestCompileFusesChains(t *testing.T) {
 	// Eight AND'd pages: one fused chain, one step.
 	args := make([]*Expr, 8)
@@ -209,43 +173,43 @@ func TestCompileFusesChains(t *testing.T) {
 }
 
 func TestCompileSplitsOverlongChains(t *testing.T) {
-	// 40 OR operands exceed the 16-operand legal chain: expect multiple
-	// fused steps, each within bounds, combined by a final fused step.
+	// 40 operands exceed every op's longest chained program: expect
+	// several fused steps, each folding 2..latch.MaxChain operands (the
+	// range whose unrolled programs latch's TestChainUnrollsValidate
+	// validates), combined by a final fused step.
 	args := make([]*Expr, 40)
 	for i := range args {
 		args[i] = Leaf(uint64(i))
 	}
-	p, err := Compile(Or(args...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := maxChainLen(latch.OpOr)
-	covered := 0
-	for _, s := range p.Steps {
-		if s.Kind != StepFused {
-			t.Fatalf("unexpected step kind %v", s.Kind)
+	for _, e := range []*Expr{And(args...), Or(args...), Xor(args...)} {
+		p, err := Compile(e)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(s.Args) > max {
-			t.Fatalf("step arity %d exceeds legal chain %d", len(s.Args), max)
+		max := latch.MaxChain(e.Op)
+		if len(p.Steps) < 2 {
+			t.Fatalf("%v of 40 compiled to %d steps, want a split at %d", e.Op, len(p.Steps), max)
 		}
-		if _, err := FusedSequence(s.Op, len(s.Args)); err != nil {
-			t.Fatalf("emitted chain has no legal program: %v", err)
-		}
-		for _, r := range s.Args {
-			if r.Leaf {
-				covered++
+		covered := 0
+		for _, s := range p.Steps {
+			if s.Kind != StepFused || s.Op != e.Op {
+				t.Fatalf("unexpected step %v %v", s.Kind, s.Op)
+			}
+			if len(s.Args) < 2 || len(s.Args) > max {
+				t.Fatalf("%v step arity %d outside the legal chain 2..%d", s.Op, len(s.Args), max)
+			}
+			for _, r := range s.Args {
+				if r.Leaf {
+					covered++
+				}
 			}
 		}
-	}
-	if covered != 40 {
-		t.Fatalf("steps cover %d leaves, want 40", covered)
-	}
-	root := p.Steps[p.Root()]
-	if root.Kind != StepFused {
-		t.Fatalf("root step kind %v", root.Kind)
-	}
-	if len(root.Leaves) != 40 {
-		t.Fatalf("root leaf set %d, want 40", len(root.Leaves))
+		if covered != 40 {
+			t.Fatalf("%v steps cover %d leaves, want 40", e.Op, covered)
+		}
+		if root := p.Steps[p.Root()]; len(root.Leaves) != 40 {
+			t.Fatalf("%v root leaf set %d, want 40", e.Op, len(root.Leaves))
+		}
 	}
 }
 

@@ -5,50 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"parabit/internal/flash"
-	"parabit/internal/latch"
 )
 
-// TestProgramTableMatchesFreshBuild pins every shared table entry to what
-// the builders decide from scratch: a chain FusedSequence accepts, costed
-// like flash.ChainCostLSB, and the same Flash-Cosmos choice.
-func TestProgramTableMatchesFreshBuild(t *testing.T) {
-	for _, op := range []latch.Op{latch.OpAnd, latch.OpOr, latch.OpXor} {
-		for k := 2; k <= maxChainLen(op); k++ {
-			if err := chainErr(op, k); err != nil {
-				t.Fatalf("chainErr(%v, %d): %v", op, k, err)
-			}
-			fresh, err := FusedSequence(op, k)
-			if err != nil {
-				t.Fatalf("FusedSequence(%v, %d): %v", op, k, err)
-			}
-			cost, err := flash.ChainCostLSB(op, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fresh.SROs() != cost.SROs {
-				t.Fatalf("chain for %v/%d senses %d times, cost model %d", op, k, fresh.SROs(), cost.SROs)
-			}
-		}
-		// Refusals on both sides of the legal range are cached and stay
-		// refusals.
-		for _, k := range []int{0, 1, maxChainLen(op) + 1, maxChainLen(op) + 40} {
-			if chainErr(op, k) == nil {
-				t.Fatalf("chainErr(%v, %d) accepted an illegal chain length", op, k)
-			}
-		}
-	}
-	// An over-length fold must still fail when compiled directly.
-	c := &compiler{memo: map[string]Ref{}, plan: &Plan{}}
-	if _, err := c.fuseStep(latch.OpXor, make([]Ref, maxChainLen(latch.OpXor)+1), "k"); err == nil {
-		t.Fatal("fuseStep accepted an over-length XOR chain")
-	}
-}
-
 // TestCompileSharesProgramsAcrossGoroutines compiles the same queries from
-// many goroutines at once (cluster shards share the table); run under
-// -race it proves the lazily built table is safe to share.
+// many goroutines at once, as cluster shards do; run under -race it
+// proves Compile shares nothing mutable, including latch's chain table.
 func TestCompileSharesProgramsAcrossGoroutines(t *testing.T) {
 	qs := []string{
 		"1 & 2 & 3 & 4",
@@ -135,7 +96,7 @@ func TestNormalizeReturnsCanonicalInput(t *testing.T) {
 
 // TestCompileAllocationCeiling bounds the allocations of compiling a
 // 4-leaf AND: the plan, its one step, the key, the leaf set and the memo,
-// with nothing spent on normalization or on rebuilding the program.
+// with nothing spent on normalization.
 func TestCompileAllocationCeiling(t *testing.T) {
 	e := And(Leaf(1), Leaf(2), Leaf(3), Leaf(4))
 	if _, err := Compile(e); err != nil {

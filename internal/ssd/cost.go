@@ -50,15 +50,14 @@ func LocFreePairLatency(t flash.Timing, op latch.Op) sim.Duration {
 }
 
 // ChainWaveLatency is one wave of a location-free k-operand reduction:
-// the chained sensing plus any buffer reloads (§4.2).
+// the chained sensing plus any buffer reloads (§4.2), priced from latch's
+// chained program as the array prices the sense.
 func ChainWaveLatency(t flash.Timing, op latch.Op, k int, pageSize int) sim.Duration {
-	cost, err := flash.ChainCostLSB(op, k)
+	sros, loads, err := latch.PriceChain(op, k)
 	if err != nil {
 		panic(err)
 	}
-	d := sim.Duration(cost.SROs) * t.SenseSRO
-	d += sim.Duration(cost.RegisterLoads) * t.Transfer(pageSize)
-	return d
+	return sim.Duration(sros)*t.SenseSRO + sim.Duration(loads)*t.Transfer(pageSize)
 }
 
 // ReducePlan is the analytic execution plan of a k-operand reduction over

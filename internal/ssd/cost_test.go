@@ -115,6 +115,9 @@ func TestAnalyticMatchesFunctionalLocFree(t *testing.T) {
 	}{
 		{latch.OpAnd, 2}, {latch.OpAnd, 5}, {latch.OpOr, 4},
 		{latch.OpXor, 2}, {latch.OpXor, 4},
+		// Longer than one chained program (latch.MaxChain): the body
+		// loops, on the device and in PlanReduce.
+		{latch.OpAnd, 40}, {latch.OpOr, 20}, {latch.OpXor, 12},
 	} {
 		cfg := narrowConfig(1)
 		d := MustNew(cfg)

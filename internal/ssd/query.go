@@ -133,7 +133,8 @@ func (d *Device) computeStep(results []BitwiseResult, st plan.Step, scheme Schem
 		twice := [2]plan.Ref{args[0], args[0]}
 		args = twice[:]
 	}
-	// Fused chains are at most MaxSteps/2 operands long (plan.maxChainLen).
+	// The planner splits fused chains at latch.MaxChain, at most
+	// MaxSteps/2 operands.
 	var buf [latch.MaxSteps / 2]uint64
 	leaves := buf[:0]
 	for _, r := range args {
