@@ -7,6 +7,7 @@ import (
 
 	"parabit/internal/experiments"
 	"parabit/internal/flash"
+	"parabit/internal/latch"
 	"parabit/internal/ssd"
 )
 
@@ -25,9 +26,19 @@ type ReductionPlan struct {
 
 // PlanReduce computes the analytic plan for reducing k operand columns of
 // columnBytes each on the paper's SSD. The same cost model drives the
-// functional Device — they are cross-checked in the test suite.
-func PlanReduce(scheme Scheme, op Op, k int, columnBytes int64) ReductionPlan {
-	p := ssd.PlanReduce(flash.Default(), flash.DefaultTiming(), scheme.ssd(), op.latch(), k, columnBytes)
+// functional Device — they are cross-checked in the test suite. It
+// refuses what Device.Reduce refuses, an op other than And, Or or Xor,
+// and fewer than two operands.
+func PlanReduce(scheme Scheme, op Op, k int, columnBytes int64) (ReductionPlan, error) {
+	switch op {
+	case And, Or, Xor:
+	default:
+		return ReductionPlan{}, errReduceOp
+	}
+	p, err := ssd.PlanReduce(flash.Default(), flash.DefaultTiming(), scheme.ssd(), op.latch(), k, columnBytes)
+	if err != nil {
+		return ReductionPlan{}, err
+	}
 	return ReductionPlan{
 		Scheme:         scheme,
 		Op:             op,
@@ -36,19 +47,26 @@ func PlanReduce(scheme Scheme, op Op, k int, columnBytes int64) ReductionPlan {
 		ComputeSeconds: p.TotalSeconds,
 		Reallocations:  p.Reallocations,
 		ReallocBytes:   p.ReallocBytes,
-	}
+	}, nil
 }
 
 // OpLatency returns the in-flash latency of a single operation under the
 // basic (pre-allocated) scheme: the control sequence's sensing time.
 func OpLatency(op Op) time.Duration {
-	return flash.DefaultTiming().BitwiseLatency(op.latch()).Std()
+	return opLatency(latch.SensePair, op, 1)
 }
 
 // OpLatencyLocFree returns the latency of a location-free operation over
 // aligned LSB operands.
 func OpLatencyLocFree(op Op) time.Duration {
-	return flash.DefaultTiming().BitwiseLatencyLocFreeLSB(op.latch()).Std()
+	return opLatency(latch.SenseLocFreeLSB, op, 2)
+}
+
+// opLatency prices one sense of op's fixed program of kind on the
+// paper's SSD, as its array prices it.
+func opLatency(kind latch.SenseKind, op Op, k int) time.Duration {
+	c := latch.MustPrice(kind, op.latch(), k)
+	return flash.DefaultTiming().SenseLatency(c, flash.Default().PageSize).Std()
 }
 
 // Experiments lists the available experiment IDs with their titles,

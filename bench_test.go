@@ -184,7 +184,7 @@ func BenchmarkAblationSerialVsTreeCombine(b *testing.B) {
 	column := int64(100_000_000)
 	waves := float64(column) / float64(geo.WaveBytes())
 	step := ssd.ReallocStepLatency(tm, latch.OpAnd, 0, geo.PageSize).Seconds()
-	sense := ssd.PairSenseLatency(tm, latch.OpAnd).Seconds()
+	sense := OpLatency(And).Seconds()
 	b.Run("serial", func(b *testing.B) {
 		var total float64
 		for i := 0; i < b.N; i++ {
@@ -310,7 +310,7 @@ func BenchmarkAblationChannelContention(b *testing.B) {
 		tm.Transfer(perChanBytes).Seconds() + // operand reads out
 		2*(tm.Transfer(perChanBytes).Seconds()) + // paired program data in
 		2*tm.ProgramPage.Seconds() +
-		tm.BitwiseLatency(latch.OpAnd).Seconds()
+		OpLatency(And).Seconds()
 	b.Run("paper-lockstep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = lockstep

@@ -86,7 +86,10 @@ func main() {
 	fmt.Println("\npaper scale (800M users, m=12):")
 	bm := workload.PaperBitmap(12)
 	for _, scheme := range parabit.Schemes {
-		plan := parabit.PlanReduce(scheme, parabit.And, bm.Days(), bm.ColumnBytes())
+		plan, err := parabit.PlanReduce(scheme, parabit.And, bm.Days(), bm.ColumnBytes())
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-18s AND time %7.3fs (paper: ReAlloc 6.137s, ParaBit 3.179s)\n",
 			scheme, plan.ComputeSeconds)
 	}

@@ -71,7 +71,10 @@ func main() {
 	// Paper-scale plan: 200,000 images, three schemes.
 	fmt.Println("\npaper scale (200,000 images, 48 GB per channel plane):")
 	for _, scheme := range parabit.Schemes {
-		plan := parabit.PlanReduce(scheme, parabit.And, 3, workload.PaperSegmentation(200_000).ChannelPlaneBytes())
+		plan, err := parabit.PlanReduce(scheme, parabit.And, 3, workload.PaperSegmentation(200_000).ChannelPlaneBytes())
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-18s compute %7.3fs, %d reallocation steps\n",
 			scheme, plan.ComputeSeconds, plan.Reallocations)
 	}

@@ -81,6 +81,15 @@ func (m *Model) SenseEnergy(n int) float64 {
 	return m.phase(m.p.IRead, sim.Duration(n)*m.tm.SenseSRO)
 }
 
+// bitwiseEnergy returns the energy of one bitwise sense of kind over k
+// operand wordlines with op, drawing read current for as long as the
+// array senses it (its latch cost at flash.Timing.SenseLatency), plus the
+// result's transfer out.
+func (m *Model) bitwiseEnergy(kind latch.SenseKind, op latch.Op, k int) float64 {
+	sense := m.tm.SenseLatency(latch.MustPrice(kind, op, k), m.pageSize)
+	return m.phase(m.p.IRead, sense) + m.TransferEnergy()
+}
+
 // TransferEnergy returns the energy of one page crossing the channel.
 func (m *Model) TransferEnergy() float64 {
 	return m.phase(m.p.ITransfer, m.tm.Transfer(m.pageSize))
@@ -111,7 +120,7 @@ func (m *Model) WriteEnergy() float64 { return m.ProgramEnergy() }
 // ParaBitEnergy is a pre-allocated (co-located) ParaBit operation: the
 // control sequence's sensing plus the result transfer out.
 func (m *Model) ParaBitEnergy(op latch.Op) float64 {
-	return m.SenseEnergy(latch.ForOp(op).SROs()) + m.TransferEnergy()
+	return m.bitwiseEnergy(latch.SensePair, op, 1)
 }
 
 // ReAllocEnergy is a ParaBit-ReAlloc operation: read both operands (LSB +
@@ -120,12 +129,12 @@ func (m *Model) ParaBitEnergy(op latch.Op) float64 {
 func (m *Model) ReAllocEnergy(op latch.Op) float64 {
 	reads := m.ReadLSBEnergy() + m.ReadMSBEnergy()
 	programs := 2 * m.ProgramEnergy()
-	return reads + programs + m.SenseEnergy(latch.ForOp(op).SROs()) + m.TransferEnergy()
+	return reads + programs + m.bitwiseEnergy(latch.SensePair, op, 1)
 }
 
 // LocFreeEnergy is a location-free operation over aligned LSB operands.
 func (m *Model) LocFreeEnergy(op latch.Op) float64 {
-	return m.SenseEnergy(latch.ForOpLocFreeLSB(op).SROs()) + m.TransferEnergy()
+	return m.bitwiseEnergy(latch.SenseLocFreeLSB, op, 2)
 }
 
 // Fig16Row is one operation's energies normalized to the baselines: the

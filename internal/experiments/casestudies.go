@@ -63,7 +63,7 @@ func reduceStudy(env *Env, op latch.Op, k int, columnBytes, inputBytes, outputBy
 
 	resMove := env.Host.BulkSeconds(outputBytes)
 	for _, scheme := range []ssd.Scheme{ssd.SchemeReAlloc, ssd.SchemePreAlloc, ssd.SchemeLocFree} {
-		plan := ssd.PlanReduce(env.Geo, env.Timing, scheme, op, k, columnBytes)
+		plan := mustPlan(ssd.PlanReduce(env.Geo, env.Timing, scheme, op, k, columnBytes))
 		b = Breakdown{
 			Scheme:    scheme.String(),
 			Bitwise:   plan.TotalSeconds,
@@ -135,7 +135,7 @@ func EncryptionStudy(env *Env, images int) []Breakdown {
 
 	// LocFree: XOR sense over the aligned original and key, then program
 	// the ciphertext — no reallocation.
-	lfWave := (ssd.LocFreePairLatency(tm, latch.OpXor) +
+	lfWave := (senseLatency(tm, env.Geo, latch.SenseLocFreeLSB, latch.OpXor, 2) +
 		tm.Transfer(ps) + tm.ProgramPage).Seconds()
 	b = Breakdown{Scheme: "ParaBit-LocFree", Bitwise: waves * lfWave}
 	b.finish(waves)
@@ -227,8 +227,8 @@ func Fig15(env *Env) Result {
 	}
 	for _, op := range latch.BinaryOps {
 		ra := reallocSingleOp(env.Timing, env.Geo, op).Seconds()
-		pb := ssd.PairSenseLatency(env.Timing, op).Seconds()
-		lf := ssd.LocFreePairLatency(env.Timing, op).Seconds()
+		pb := senseLatency(env.Timing, env.Geo, latch.SensePair, op, 1).Seconds()
+		lf := senseLatency(env.Timing, env.Geo, latch.SenseLocFreeLSB, op, 2).Seconds()
 		r.Rows = append(r.Rows, []string{"8MB " + op.String(), us(ra), us(pb), us(lf)})
 	}
 	seg := SegmentationStudy(env, 200_000)

@@ -16,8 +16,11 @@ import (
 	"parabit/internal/flash"
 	"parabit/internal/interconnect"
 	"parabit/internal/isc"
+	"parabit/internal/latch"
 	"parabit/internal/pim"
 	"parabit/internal/reliability"
+	"parabit/internal/sim"
+	"parabit/internal/ssd"
 )
 
 // Env bundles the configured models every driver draws on.
@@ -30,6 +33,23 @@ type Env struct {
 	Host   *interconnect.Link
 	Energy *energy.Model
 	Rel    *reliability.Model
+}
+
+// senseLatency is the array time of one sense of a fixed program — kind
+// over k operand wordlines with one of latch.Ops — priced from its latch
+// cost as Array.Sense prices it.
+func senseLatency(t flash.Timing, geo flash.Geometry, kind latch.SenseKind, op latch.Op, k int) sim.Duration {
+	return t.SenseLatency(latch.MustPrice(kind, op, k), geo.PageSize)
+}
+
+// mustPlan unwraps ssd.PlanReduce for a figure's own reduction. The
+// figures plan only reductions of two or more operands that the latch
+// tables hold programs for, so a refusal is a bug in the figure.
+func mustPlan(p ssd.ReducePlan, err error) ssd.ReducePlan {
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // DefaultEnv returns the paper's evaluation setup (§5.1).

@@ -33,8 +33,8 @@ func ExtScale(env *Env) Result {
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		geo := env.Geo
 		geo.Channels *= n // n devices = n x the channels/planes
-		pre := ssd.PlanReduce(geo, env.Timing, ssd.SchemePreAlloc, latch.OpAnd, spec.Days(), spec.ColumnBytes())
-		lf := ssd.PlanReduce(geo, env.Timing, ssd.SchemeLocFree, latch.OpAnd, spec.Days(), spec.ColumnBytes())
+		pre := mustPlan(ssd.PlanReduce(geo, env.Timing, ssd.SchemePreAlloc, latch.OpAnd, spec.Days(), spec.ColumnBytes()))
+		lf := mustPlan(ssd.PlanReduce(geo, env.Timing, ssd.SchemeLocFree, latch.OpAnd, spec.Days(), spec.ColumnBytes()))
 		verdict := "LocFree"
 		if pre.TotalSeconds < pimSecs {
 			verdict = "both"

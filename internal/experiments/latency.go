@@ -23,10 +23,10 @@ func reallocSingleOp(t flash.Timing, geo flash.Geometry, op latch.Op) sim.Durati
 	switch op {
 	case latch.OpNotLSB:
 		return t.ReadLatency(flash.LSBPage) + t.Transfer(geo.PageSize) +
-			t.Transfer(geo.PageSize) + t.ProgramPage + t.BitwiseLatency(op)
+			t.Transfer(geo.PageSize) + t.ProgramPage + senseLatency(t, geo, latch.SensePair, op, 1)
 	case latch.OpNotMSB:
 		return t.ReadLatency(flash.MSBPage) + t.Transfer(geo.PageSize) +
-			t.Transfer(geo.PageSize) + t.ProgramPage + t.BitwiseLatency(op)
+			t.Transfer(geo.PageSize) + t.ProgramPage + senseLatency(t, geo, latch.SensePair, op, 1)
 	default:
 		return ssd.ReallocStepLatency(t, op, 2, geo.PageSize)
 	}
@@ -42,7 +42,7 @@ func Fig13a(env *Env) Result {
 	for _, op := range latch.Ops {
 		pimLat := env.PIM.OpLatency(op, int64(env.PIM.Config().RowBufferBytes))
 		iscLat := env.ISC.OpLatency(op, 8) // one word through one LUT pass
-		pb := env.Timing.BitwiseLatency(op)
+		pb := senseLatency(env.Timing, env.Geo, latch.SensePair, op, 1)
 		ra := reallocSingleOp(env.Timing, env.Geo, op)
 		r.Rows = append(r.Rows, []string{
 			op.String(),
@@ -68,9 +68,9 @@ func Fig13b(env *Env) Result {
 	for _, op := range latch.Ops {
 		pimLat := env.PIM.OpLatency(op, operand)
 		iscLat := env.ISC.OpLatency(op, operand)
-		pb := ssd.PairSenseLatency(env.Timing, op)
+		pb := senseLatency(env.Timing, env.Geo, latch.SensePair, op, 1)
 		ra := reallocSingleOp(env.Timing, env.Geo, op)
-		lf := ssd.LocFreePairLatency(env.Timing, op)
+		lf := senseLatency(env.Timing, env.Geo, latch.SenseLocFreeLSB, op, 2)
 		r.Rows = append(r.Rows, []string{
 			op.String(),
 			us(pimLat.Seconds()),

@@ -31,14 +31,14 @@ func ExtTLC(env *Env) Result {
 	waves := float64(column) / float64(env.Geo.WaveBytes())
 
 	// MLC executions from the calibrated model.
-	mlcPre := ssd.PlanReduce(env.Geo, env.Timing, ssd.SchemePreAlloc, latch.OpAnd, 3, column)
-	mlcLF := ssd.PlanReduce(env.Geo, env.Timing, ssd.SchemeLocFree, latch.OpAnd, 3, column)
+	mlcPre := mustPlan(ssd.PlanReduce(env.Geo, env.Timing, ssd.SchemePreAlloc, latch.OpAnd, 3, column))
+	mlcLF := mustPlan(ssd.PlanReduce(env.Geo, env.Timing, ssd.SchemeLocFree, latch.OpAnd, 3, column))
 
 	// TLC: one sense per wave (AND3 = 1 SRO), no combine, no realloc.
 	// Same plane count; TLC page size matches MLC's here, so the wave
 	// count is unchanged while each wave needs a single (slower) sense.
 	tlcSeconds := waves * tlcSenseUs / 1e6
-	seq := latch.TLCForOp(latch.TLCAnd3)
+	and3 := latch.MustPrice(latch.SenseTLC, latch.TLCAnd3.Op(), 1)
 
 	r := Result{
 		Name:   "Extension §4.4.1: 3-operand AND on TLC vs MLC (segmentation, 200k images)",
@@ -49,7 +49,7 @@ func ExtTLC(env *Env) Result {
 			secs(mlcPre.TotalSeconds), "1.00x"},
 		[]string{"MLC LocFree (chained)", "3", "0",
 			secs(mlcLF.TotalSeconds), fmt.Sprintf("%.2fx", mlcPre.TotalSeconds/mlcLF.TotalSeconds)},
-		[]string{"TLC co-located (AND3)", fmt.Sprintf("%d", seq.SROs()), "0",
+		[]string{"TLC co-located (AND3)", fmt.Sprintf("%d", and3.SROs), "0",
 			secs(tlcSeconds), fmt.Sprintf("%.2fx", mlcPre.TotalSeconds/tlcSeconds)},
 	)
 	r.Notes = append(r.Notes,

@@ -61,7 +61,7 @@ func TestSenseWaitsForBlockPrograms(t *testing.T) {
 	if s := lastOf(t, got, "sense"); s.start < programmed {
 		t.Fatalf("read sensed at %v, before its block's program ended at %v", s.start, programmed)
 	}
-	if _, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{wl}}, 0); err != nil {
+	if _, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{wl}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := lastOf(t, got, "bitwise"); s.start < programmed {

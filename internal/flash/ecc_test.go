@@ -92,7 +92,7 @@ func TestParaBitBypassesECC(t *testing.T) {
 	if _, err := a.Program(PageAddr{wl, MSBPage}, y, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
+	res, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestReadDisturbCounting(t *testing.T) {
 		t.Fatalf("read count = %d, want 10", got)
 	}
 	// A ParaBit XOR adds its 4 senses.
-	if _, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
+	if _, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.ReadCount(wl.PlaneAddr, wl.Block); got != 14 {

@@ -410,7 +410,7 @@ func TestBitwiseAllOpsCorrect(t *testing.T) {
 	wl := WordlineAddr{Block: 7, WL: 3}
 	writeOperands(t, a, wl, x, y)
 	for _, op := range latch.Ops {
-		res, err := a.Sense(Sense{Kind: SensePair, Op: op, WLs: []WordlineAddr{wl}}, 0)
+		res, err := a.Sense(Sense{Kind: latch.SensePair, Op: op, WLs: []WordlineAddr{wl}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -428,24 +428,42 @@ func TestBitwiseAllOpsCorrect(t *testing.T) {
 	}
 }
 
-func TestBitwiseLatencyMatchesSROs(t *testing.T) {
+// senseLatency prices one sense of kind on the test array's pages.
+func senseLatency(t *testing.T, tm Timing, kind latch.SenseKind, op latch.Op, k int) sim.Duration {
+	t.Helper()
+	c, err := latch.Price(kind, op, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm.SenseLatency(c, Small().PageSize)
+}
+
+func TestSenseLatencyMatchesSROs(t *testing.T) {
 	tm := DefaultTiming()
 	// §5.2: XNOR and XOR take 100 µs; AND one sense (25 µs).
-	if got := tm.BitwiseLatency(latch.OpXor); got != 100*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SensePair, latch.OpXor, 1); got != 100*sim.Microsecond {
 		t.Errorf("XOR latency %v, want 100µs", got)
 	}
-	if got := tm.BitwiseLatency(latch.OpXnor); got != 100*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SensePair, latch.OpXnor, 1); got != 100*sim.Microsecond {
 		t.Errorf("XNOR latency %v, want 100µs", got)
 	}
-	if got := tm.BitwiseLatency(latch.OpAnd); got != 25*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SensePair, latch.OpAnd, 1); got != 25*sim.Microsecond {
 		t.Errorf("AND latency %v, want 25µs", got)
 	}
-	if got := tm.BitwiseLatencyLocFree(latch.OpAnd); got != 75*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SenseLocFree, latch.OpAnd, 2); got != 75*sim.Microsecond {
 		t.Errorf("locfree AND latency %v, want 75µs", got)
+	}
+	// A multi-wordline sense develops once and settles each extra
+	// wordline; a chained XOR reloads two pages per extra operand.
+	if got, want := senseLatency(t, tm, latch.SenseMWS, latch.OpAnd, 8), tm.SenseMWS+7*tm.MWSSettlePerWL; got != want {
+		t.Errorf("8-wordline MWS latency %v, want %v", got, want)
+	}
+	if got, want := senseLatency(t, tm, latch.SenseChainLSB, latch.OpXor, 3), 6*tm.SenseSRO+2*tm.Transfer(Small().PageSize); got != want {
+		t.Errorf("3-operand XOR chain latency %v, want %v", got, want)
 	}
 	a := testArray()
 	wl := WordlineAddr{}
-	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
+	res, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +487,7 @@ func TestBitwiseLocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range latch.BinaryOps {
-		res, err := a.Sense(Sense{Kind: SenseLocFree, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
+		res, err := a.Sense(Sense{Kind: latch.SenseLocFree, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -491,7 +509,7 @@ func TestLocFreeRejectsCrossPlane(t *testing.T) {
 	a := testArray()
 	m := WordlineAddr{}
 	n := WordlineAddr{PlaneAddr: PlaneAddr{Plane: 1}}
-	if _, err := a.Sense(Sense{Kind: SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{m, n}}, 0); !errors.Is(err, ErrPlaneMismatch) {
+	if _, err := a.Sense(Sense{Kind: latch.SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{m, n}}, 0); !errors.Is(err, ErrPlaneMismatch) {
 		t.Fatalf("err = %v, want ErrPlaneMismatch", err)
 	}
 }
@@ -520,7 +538,7 @@ func TestCorruptorHookApplied(t *testing.T) {
 	if _, err := a.Erase(wl.PlaneAddr, wl.Block, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
+	res, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +570,7 @@ func TestStatsAccumulate(t *testing.T) {
 	a.Program(PageAddr{wl, LSBPage}, page, 0)
 	a.Program(PageAddr{wl, MSBPage}, page, 0)
 	a.Read(PageAddr{wl, LSBPage}, 0)
-	res, _ := a.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{wl}}, 0)
+	res, _ := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{wl}}, 0)
 	a.transferOut(wl.Channel, res.Ready, len(res.Data))
 	a.Erase(PlaneAddr{Channel: 1}, 0, 0)
 	s := a.Stats()
@@ -589,7 +607,7 @@ func TestDefaultGeometryConstructible(t *testing.T) {
 	// The paper-scale 512 GB geometry must be constructible in memory
 	// (lazy page storage) and usable for timing-only operations.
 	a := NewArray(Default(), DefaultTiming())
-	res, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{Block: 100, WL: 10}}}, 0)
+	res, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{Block: 100, WL: 10}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +628,7 @@ func BenchmarkBitwisePage8KB(b *testing.B) {
 	a.Program(PageAddr{wl, MSBPage}, page, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
+		if _, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -630,7 +648,7 @@ func TestBitwiseLocFreeLSB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range latch.BinaryOps {
-		res, err := a.Sense(Sense{Kind: SenseLocFreeLSB, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
+		res, err := a.Sense(Sense{Kind: latch.SenseLocFreeLSB, Op: op, WLs: []WordlineAddr{wlM, wlN}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -646,11 +664,11 @@ func TestBitwiseLocFreeLSB(t *testing.T) {
 		}
 	}
 	// NOT variants: NotLSB inverts M, NotMSB inverts N.
-	res, _ := a.Sense(Sense{Kind: SenseLocFreeLSB, Op: latch.OpNotLSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
+	res, _ := a.Sense(Sense{Kind: latch.SenseLocFreeLSB, Op: latch.OpNotLSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
 	if res.Data[0] != ^mData[0] {
 		t.Fatal("NotLSB (first operand) wrong")
 	}
-	res, _ = a.Sense(Sense{Kind: SenseLocFreeLSB, Op: latch.OpNotMSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
+	res, _ = a.Sense(Sense{Kind: latch.SenseLocFreeLSB, Op: latch.OpNotMSB, WLs: []WordlineAddr{wlM, wlN}}, 0)
 	if res.Data[0] != ^nData[0] {
 		t.Fatal("NotMSB (second operand) wrong")
 	}
@@ -658,10 +676,10 @@ func TestBitwiseLocFreeLSB(t *testing.T) {
 
 func TestLocFreeLSBTiming(t *testing.T) {
 	tm := DefaultTiming()
-	if got := tm.BitwiseLatencyLocFreeLSB(latch.OpAnd); got != 50*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SenseLocFreeLSB, latch.OpAnd, 2); got != 50*sim.Microsecond {
 		t.Errorf("LSB locfree AND = %v, want 50µs (2 SROs)", got)
 	}
-	if got := tm.BitwiseLatencyLocFreeLSB(latch.OpXor); got != 100*sim.Microsecond {
+	if got := senseLatency(t, tm, latch.SenseLocFreeLSB, latch.OpXor, 2); got != 100*sim.Microsecond {
 		t.Errorf("LSB locfree XOR = %v, want 100µs (4 SROs)", got)
 	}
 }

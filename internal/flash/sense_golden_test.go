@@ -144,9 +144,9 @@ func (g goldenSense) String() string {
 }
 
 // goldenKinds maps the golden's kind names to the sense kinds.
-var goldenKinds = map[string]SenseKind{
-	"pair": SensePair, "locfree": SenseLocFree, "locfree-lsb": SenseLocFreeLSB,
-	"chain-lsb": SenseChainLSB, "mws": SenseMWS, "chain-mws": SenseChainMWS, "tlc": SenseTLC,
+var goldenKinds = map[string]latch.SenseKind{
+	"pair": latch.SensePair, "locfree": latch.SenseLocFree, "locfree-lsb": latch.SenseLocFreeLSB,
+	"chain-lsb": latch.SenseChainLSB, "mws": latch.SenseMWS, "chain-mws": latch.SenseChainMWS, "tlc": latch.SenseTLC,
 }
 
 func (g goldenSense) run(a *Array, at sim.Time) (SenseResult, error) {
@@ -301,7 +301,8 @@ func goldenTLCSenses() []goldenSense {
 // TestSenseGolden pins every bitwise sense the array offers: per call,
 // the fault injector's and noise model's arguments, the result's SHA-256,
 // Ready and FlipCount, or the sentinel a refusal matches; then each
-// array's Stats and per-block read counts. Two MLC arrays run the MLC
+// array's Stats and per-block read counts, none of which may be
+// negative whatever the golden says. Two MLC arrays run the MLC
 // list, one whose noise model has the multi-wordline hook and one whose
 // model falls back to the read-disturb hook. Regenerate only for a
 // deliberate change to sensing:
@@ -356,7 +357,13 @@ func TestSenseGolden(t *testing.T) {
 		for pi := 0; pi < g.Planes(); pi++ {
 			p := g.PlaneAt(pi)
 			for b := 0; b < g.BlocksPerPlane; b++ {
-				if n := v.a.ReadCount(p, b); n != 0 {
+				n := v.a.ReadCount(p, b)
+				if n < 0 {
+					// A sense charges a block the senses its program
+					// gives the block's wordlines, never fewer than none.
+					t.Errorf("%s: %v block %d read count %d is negative", v.name, p, b, n)
+				}
+				if n != 0 {
 					fmt.Fprintf(&out, "reads %v b%d = %d\n", p, b, n)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parabit/internal/latch"
+	"parabit/internal/sim"
 )
 
 // senseFixture is one MLC and one TLC array with operands programmed,
@@ -72,28 +73,28 @@ func newSenseFixture(t testing.TB, mlc, tlc *Array) *senseFixture {
 
 	f.cases = []senseCase{
 		{"MLC", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SensePair, Op: latch.OpXor, WLs: []WordlineAddr{pair}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{pair}}, 0)
 		}},
 		{"MLC-erased-MSB", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SensePair, Op: latch.OpNotMSB, WLs: []WordlineAddr{half}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SensePair, Op: latch.OpNotMSB, WLs: []WordlineAddr{half}}, 0)
 		}},
 		{"LocFree", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SenseLocFree, Op: latch.OpOr, WLs: []WordlineAddr{pair, b2}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SenseLocFree, Op: latch.OpOr, WLs: []WordlineAddr{pair, b2}}, 0)
 		}},
 		{"LocFree-LSB", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SenseLocFreeLSB, Op: latch.OpNand, WLs: []WordlineAddr{b2, b4}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SenseLocFreeLSB, Op: latch.OpNand, WLs: []WordlineAddr{b2, b4}}, 0)
 		}},
 		{"ChainLSB", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SenseChainLSB, Op: latch.OpXnor, WLs: []WordlineAddr{b2, b3, b4}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SenseChainLSB, Op: latch.OpXnor, WLs: []WordlineAddr{b2, b3, b4}}, 0)
 		}},
 		{"MWS", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SenseMWS, Op: latch.OpNor, WLs: []WordlineAddr{m0, m1, m2}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SenseMWS, Op: latch.OpNor, WLs: []WordlineAddr{m0, m1, m2}}, 0)
 		}},
 		{"ChainMWS", mlc, func() (SenseResult, error) {
-			return mlc.Sense(Sense{Kind: SenseChainMWS, Op: latch.OpNand, Chunks: [][]WordlineAddr{{m0, m1, m2}, {n0, n1}}}, 0)
+			return mlc.Sense(Sense{Kind: latch.SenseChainMWS, Op: latch.OpNand, Chunks: [][]WordlineAddr{{m0, m1, m2}, {n0, n1}}}, 0)
 		}},
 		{"TLC", tlc, func() (SenseResult, error) {
-			return tlc.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{tw}}, 0)
+			return tlc.Sense(Sense{Kind: latch.SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{tw}}, 0)
 		}},
 		{"ReadSense", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(pair), 0) }},
 		{"ReadSense-erased", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(b4), 0) }},
@@ -252,7 +253,7 @@ func BenchmarkArrayChainLSB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Sense(Sense{Kind: SenseChainLSB, Op: latch.OpAnd, WLs: wls}, 0); err != nil {
+		if _, err := a.Sense(Sense{Kind: latch.SenseChainLSB, Op: latch.OpAnd, WLs: wls}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func BenchmarkArraySenseMWS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Sense(Sense{Kind: SenseMWS, Op: latch.OpNand, WLs: wls}, 0); err != nil {
+		if _, err := a.Sense(Sense{Kind: latch.SenseMWS, Op: latch.OpNand, WLs: wls}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +287,7 @@ func BenchmarkArraySenseTLC(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s := Sense{Kind: SenseTLC, Op3: latch.TLCNor3, WLs: []WordlineAddr{wl}}
+	s := Sense{Kind: latch.SenseTLC, Op3: latch.TLCNor3, WLs: []WordlineAddr{wl}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,17 +308,21 @@ func TestMWSRefusals(t *testing.T) {
 	}
 	pair := wls[:2]
 	for name, run := range map[string]func() (SenseResult, error){
-		"MWS XOR":      func() (SenseResult, error) { return a.Sense(Sense{Kind: SenseMWS, Op: latch.OpXor, WLs: pair}, 0) },
-		"MWS of 1":     func() (SenseResult, error) { return a.Sense(Sense{Kind: SenseMWS, Op: latch.OpAnd, WLs: wls[:1]}, 0) },
-		"MWS over cap": func() (SenseResult, error) { return a.Sense(Sense{Kind: SenseMWS, Op: latch.OpAnd, WLs: wls}, 0) },
+		"MWS XOR": func() (SenseResult, error) {
+			return a.Sense(Sense{Kind: latch.SenseMWS, Op: latch.OpXor, WLs: pair}, 0)
+		},
+		"MWS of 1": func() (SenseResult, error) {
+			return a.Sense(Sense{Kind: latch.SenseMWS, Op: latch.OpAnd, WLs: wls[:1]}, 0)
+		},
+		"MWS over cap": func() (SenseResult, error) { return a.Sense(Sense{Kind: latch.SenseMWS, Op: latch.OpAnd, WLs: wls}, 0) },
 		"chain XNOR": func() (SenseResult, error) {
-			return a.Sense(Sense{Kind: SenseChainMWS, Op: latch.OpXnor, Chunks: [][]WordlineAddr{pair, pair}}, 0)
+			return a.Sense(Sense{Kind: latch.SenseChainMWS, Op: latch.OpXnor, Chunks: [][]WordlineAddr{pair, pair}}, 0)
 		},
 		"chain of 1": func() (SenseResult, error) {
-			return a.Sense(Sense{Kind: SenseChainMWS, Op: latch.OpOr, Chunks: [][]WordlineAddr{pair}}, 0)
+			return a.Sense(Sense{Kind: latch.SenseChainMWS, Op: latch.OpOr, Chunks: [][]WordlineAddr{pair}}, 0)
 		},
 		"chunk over cap": func() (SenseResult, error) {
-			return a.Sense(Sense{Kind: SenseChainMWS, Op: latch.OpOr, Chunks: [][]WordlineAddr{pair, wls}}, 0)
+			return a.Sense(Sense{Kind: latch.SenseChainMWS, Op: latch.OpOr, Chunks: [][]WordlineAddr{pair, wls}}, 0)
 		},
 	} {
 		if _, err := run(); err == nil {
@@ -338,11 +343,11 @@ func TestSenseRefusesWrongOperandCount(t *testing.T) {
 		a *Array
 		s Sense
 	}{
-		{mlc, Sense{Kind: SensePair, Op: latch.OpAnd}},
-		{mlc, Sense{Kind: SensePair, Op: latch.OpAnd, WLs: three[:2]}},
-		{mlc, Sense{Kind: SenseLocFree, Op: latch.OpAnd, WLs: three[:1]}},
-		{mlc, Sense{Kind: SenseLocFreeLSB, Op: latch.OpAnd, WLs: three}},
-		{tlc, Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: three}},
+		{mlc, Sense{Kind: latch.SensePair, Op: latch.OpAnd}},
+		{mlc, Sense{Kind: latch.SensePair, Op: latch.OpAnd, WLs: three[:2]}},
+		{mlc, Sense{Kind: latch.SenseLocFree, Op: latch.OpAnd, WLs: three[:1]}},
+		{mlc, Sense{Kind: latch.SenseLocFreeLSB, Op: latch.OpAnd, WLs: three}},
+		{tlc, Sense{Kind: latch.SenseTLC, Op3: latch.TLCAnd3, WLs: three}},
 	} {
 		if _, err := c.a.Sense(c.s, 0); err == nil {
 			t.Errorf("%v sense of %d wordlines: sensed, want a refusal", c.s.Kind, len(c.s.WLs))
@@ -351,6 +356,91 @@ func TestSenseRefusesWrongOperandCount(t *testing.T) {
 	for _, a := range []*Array{mlc, tlc} {
 		if s := a.Stats(); s.BitwiseOps != 0 || s.SROs != 0 {
 			t.Fatalf("refused senses still counted: %+v", s)
+		}
+	}
+}
+
+// TestSenseChargesItsProgram pins the array to the cost lookup for every
+// sense kind × op: LSB chains of 2 to MaxChain+2 operands, multi-wordline
+// senses of 2 to MaxMWSOperands wordlines alone and chained, and TLC.
+// Each operand wordline sits in a block of its own (a multi-wordline
+// chunk in one block), so after one sense on a fresh array every block's
+// read count is the senses latch.Price gives its wordlines — never
+// negative — and the sense's SROs and ready time are its cost's.
+func TestSenseChargesItsProgram(t *testing.T) {
+	type charged struct {
+		s      Sense
+		chunks [][]WordlineAddr
+	}
+	spread := func(k int) []WordlineAddr {
+		wls := make([]WordlineAddr, k)
+		for i := range wls {
+			wls[i] = WordlineAddr{Block: 1 + i}
+		}
+		return wls
+	}
+	block := func(b, k int) []WordlineAddr {
+		wls := make([]WordlineAddr, k)
+		for i := range wls {
+			wls[i] = WordlineAddr{Block: b, WL: i}
+		}
+		return wls
+	}
+	var cases []charged
+	for _, op := range latch.Ops {
+		for _, kind := range []latch.SenseKind{latch.SensePair, latch.SenseLocFree, latch.SenseLocFreeLSB} {
+			k := 2
+			if kind == latch.SensePair {
+				k = 1
+			}
+			cases = append(cases, charged{s: Sense{Kind: kind, Op: op, WLs: spread(k)}})
+		}
+		for k := 2; latch.MaxChain(op) > 0 && k <= latch.MaxChain(op)+2; k++ {
+			cases = append(cases, charged{s: Sense{Kind: latch.SenseChainLSB, Op: op, WLs: spread(k)}})
+		}
+		for k := 2; latch.MWSComputable(op) && k <= latch.MaxMWSOperands; k++ {
+			cases = append(cases,
+				charged{s: Sense{Kind: latch.SenseMWS, Op: op, WLs: block(1, k)}},
+				charged{s: Sense{Kind: latch.SenseChainMWS, Op: op, Chunks: [][]WordlineAddr{block(1, k), block(2, 2), block(3, k)}}})
+		}
+	}
+	for _, op3 := range []latch.TLCOp3{latch.TLCAnd3, latch.TLCOr3, latch.TLCNand3, latch.TLCNor3} {
+		cases = append(cases, charged{s: Sense{Kind: latch.SenseTLC, Op3: op3, WLs: spread(1)}})
+	}
+	for _, c := range cases {
+		a, op, chunks := testArray(), c.s.Op, [][]WordlineAddr{c.s.WLs}
+		switch c.s.Kind {
+		case latch.SenseTLC:
+			a, op = tlcArray(), c.s.Op3.Op()
+		case latch.SenseChainMWS:
+			chunks = c.s.Chunks
+		}
+		want := map[int]int{}
+		var sros int
+		var ready sim.Duration
+		for _, wls := range chunks {
+			cost, err := latch.Price(c.s.Kind, op, len(wls))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sros += cost.SROs
+			ready += a.Timing().SenseLatency(cost, a.Geometry().PageSize)
+			for i, w := range wls {
+				want[w.Block] += cost.Reads(i)
+			}
+		}
+		name := fmt.Sprintf("%v %v of %d chunks, %d wordlines first", c.s.Kind, op, len(chunks), len(chunks[0]))
+		res, err := a.Sense(c.s, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := a.Stats().SROs; got != int64(sros) || res.Ready != sim.Time(ready) {
+			t.Errorf("%s: %d SROs ready at %v, want %d at %v", name, got, res.Ready, sros, ready)
+		}
+		for b := 0; b < a.Geometry().BlocksPerPlane; b++ {
+			if got := a.ReadCount(PlaneAddr{}, b); got != want[b] || got < 0 {
+				t.Errorf("%s: block %d read %d times, its program senses it %d times", name, b, got, want[b])
+			}
 		}
 	}
 }

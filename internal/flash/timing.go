@@ -3,6 +3,7 @@ package flash
 import (
 	"fmt"
 
+	"parabit/internal/latch"
 	"parabit/internal/sim"
 )
 
@@ -89,15 +90,20 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// MWSLatency returns the array-side time of one k-wordline
-// multi-wordline sense: one MWS develop plus the per-extra-wordline
-// driver settle. This is the Flash-Cosmos payoff: the whole k-operand
-// reduction costs about one SRO where a pairwise chain costs k.
-func (t Timing) MWSLatency(k int) sim.Duration {
-	if k < 2 {
-		panic(fmt.Sprintf("flash: MWS latency of %d wordlines", k))
+// SenseLatency converts a sense's latch cost (latch.Price) into array
+// time: its SROs at SenseSRO each — or, for a multi-wordline sense, one
+// MWS develop plus the driver settle of each extra selected wordline —
+// and its register loads, each a page of pageSize bytes crossing the
+// channel into the plane register. This is the Flash-Cosmos payoff: a
+// k-operand reduction costs about one SRO where a pairwise chain costs k.
+// Array.Sense times every bitwise sense with it, and the analytic cost
+// model prices with it.
+func (t Timing) SenseLatency(c latch.Cost, pageSize int) sim.Duration {
+	d := sim.Duration(c.SROs) * t.SenseSRO
+	if c.MWS > 0 {
+		d = t.SenseMWS + sim.Duration(c.MWS-1)*t.MWSSettlePerWL
 	}
-	return t.SenseMWS + sim.Duration(k-1)*t.MWSSettlePerWL
+	return d + sim.Duration(c.Loads)*t.Transfer(pageSize)
 }
 
 // Transfer returns the channel-bus time to move n bytes.

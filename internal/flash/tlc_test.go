@@ -86,7 +86,7 @@ func TestTLCBitwiseAllOpsCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range []latch.TLCOp3{latch.TLCAnd3, latch.TLCOr3, latch.TLCNand3, latch.TLCNor3} {
-		res, err := a.Sense(Sense{Kind: SenseTLC, Op3: op, WLs: []WordlineAddr{wl}}, 0)
+		res, err := a.Sense(Sense{Kind: latch.SenseTLC, Op3: op, WLs: []WordlineAddr{wl}}, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -105,7 +105,7 @@ func TestTLCBitwiseAllOpsCorrect(t *testing.T) {
 func TestTLCBitwiseTiming(t *testing.T) {
 	a := tlcArray()
 	wl := WordlineAddr{}
-	res, err := a.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{wl}}, 0)
+	res, err := a.Sense(Sense{Kind: latch.SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTLCBitwiseTiming(t *testing.T) {
 		t.Errorf("AND3 ready at %v, want 60µs (1 TLC sense)", res.Ready)
 	}
 	a.ResetTiming()
-	res, _ = a.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCOr3, WLs: []WordlineAddr{wl}}, 0)
+	res, _ = a.Sense(Sense{Kind: latch.SenseTLC, Op3: latch.TLCOr3, WLs: []WordlineAddr{wl}}, 0)
 	if res.Ready != sim.Time(120*sim.Microsecond) {
 		t.Errorf("OR3 ready at %v, want 120µs (2 senses)", res.Ready)
 	}
@@ -121,17 +121,17 @@ func TestTLCBitwiseTiming(t *testing.T) {
 
 func TestCellModeGuards(t *testing.T) {
 	mlc := testArray()
-	if _, err := mlc.Sense(Sense{Kind: SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := mlc.Sense(Sense{Kind: latch.SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("TLC op on MLC: %v", err)
 	}
 	tlc := tlcArray()
-	if _, err := tlc.Sense(Sense{Kind: SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: latch.SensePair, Op: latch.OpAnd, WLs: []WordlineAddr{{}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC op on TLC: %v", err)
 	}
-	if _, err := tlc.Sense(Sense{Kind: SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: latch.SenseLocFree, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC locfree on TLC: %v", err)
 	}
-	if _, err := tlc.Sense(Sense{Kind: SenseChainLSB, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
+	if _, err := tlc.Sense(Sense{Kind: latch.SenseChainLSB, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC chain on TLC: %v", err)
 	}
 }

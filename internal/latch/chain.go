@@ -34,6 +34,9 @@ type chain struct {
 	// bodyLoads counts the controller-buffer register loads one body run
 	// takes.
 	bodyLoads int
+	// ends and each are the costs of the prefix and suffix together and
+	// of one body run, counted from the programs at initialization.
+	ends, each Cost
 }
 
 // chains is the chained-program table, one entry per base op, validated
@@ -65,6 +68,7 @@ func init() {
 				panic(err)
 			}
 		}
+		c.ends, c.each = costOf(slices.Concat(c.prefix, c.suffix)), costOf(c.body)
 	}
 }
 
@@ -100,19 +104,22 @@ func MaxChain(op Op) int {
 	return 0
 }
 
-// PriceChain returns the single read operations and the controller-buffer
-// register loads of folding k aligned LSB operands with op in one chain
-// (NAND, NOR and XNOR at their base op's price), or the error refusing
-// it: k < 2, or an op with no chain. It allocates nothing on success.
-func PriceChain(op Op, k int) (sros, loads int, err error) {
-	c := chainOf(op)
+// priceChain returns the cost of folding k aligned LSB operands with op
+// in one chain (NAND, NOR and XNOR at their base op's price), or the
+// error refusing it: k < 2, or an op with no chain. The prefix senses
+// operands 0 and 1 and each body run one later operand, which the body's
+// senses name as wordline 0.
+func priceChain(op Op, k int) (Cost, error) {
+	ch := chainOf(op)
 	switch {
-	case c == nil:
-		return 0, 0, fmt.Errorf("latch: op %v cannot chain", op)
+	case ch == nil:
+		return Cost{}, fmt.Errorf("latch: op %v cannot chain", op)
 	case k < 2:
-		return 0, 0, fmt.Errorf("latch: chain of %d operands", k)
+		return Cost{}, fmt.Errorf("latch: chain of %d operands", k)
 	}
-	body := Sequence{Steps: c.body}.SROs()
-	sros = Sequence{Steps: c.prefix}.SROs() + (k-2)*body + Sequence{Steps: c.suffix}.SROs()
-	return sros, (k - 2) * c.bodyLoads, nil
+	c := ch.ends
+	c.SROs += (k - 2) * ch.each.SROs
+	c.Loads = (k - 2) * ch.bodyLoads
+	c.later = ch.each.reads[0]
+	return c, nil
 }

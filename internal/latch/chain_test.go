@@ -34,7 +34,7 @@ func TestChainUnrollsValidate(t *testing.T) {
 		if over := c.unroll(op, MaxChain(op)+1); len(over.Steps) <= MaxSteps {
 			t.Errorf("%v chain of %d has %d steps: MaxChain is not the longest program", op, MaxChain(op)+1, len(over.Steps))
 		}
-		if got := c.unroll(op, 2).Steps; !slices.Equal(got, ForOpLocFreeLSB(op).Steps) {
+		if got := c.unroll(op, 2).Steps; !slices.Equal(got, lsbSeqs[op].Steps) {
 			t.Errorf("%v chain of 2 = %v, want the LF-LSB program", op, got)
 		}
 	}
@@ -76,13 +76,11 @@ func TestChainComputesFold(t *testing.T) {
 // TestPriceChain pins the chain prices: a k-operand AND, OR, NAND or NOR
 // chain senses k times with no register loads, an XOR or XNOR chain 2k
 // times with 2(k-2) loads, at every k (past MaxChain the body loops); a
-// NOT and a chain of fewer than two operands are refused. Within
-// MaxChain the price is the unrolled program's sense count, and pricing
-// allocates nothing.
+// NOT and a chain of fewer than two operands are refused.
 func TestPriceChain(t *testing.T) {
 	for _, op := range Ops {
 		for k := 0; k <= 64; k++ {
-			sros, loads, err := PriceChain(op, k)
+			c, err := Price(SenseChainLSB, op, k)
 			wantS, wantL, ok := k, 0, k >= 2
 			switch op {
 			case OpXor, OpXnor:
@@ -91,23 +89,11 @@ func TestPriceChain(t *testing.T) {
 				ok = false
 			}
 			if ok != (err == nil) {
-				t.Fatalf("PriceChain(%v, %d) err = %v, want refusal %v", op, k, err, !ok)
+				t.Fatalf("chain of %d %v: err = %v, want refusal %v", k, op, err, !ok)
 			}
-			if ok && (sros != wantS || loads != wantL) {
-				t.Fatalf("PriceChain(%v, %d) = %d SROs, %d loads; want %d, %d", op, k, sros, loads, wantS, wantL)
-			}
-			if base, _ := op.Base(); ok && k <= MaxChain(op) {
-				if n := chains[base].unroll(base, k).SROs(); n != sros {
-					t.Fatalf("PriceChain(%v, %d) = %d SROs, the program senses %d times", op, k, sros, n)
-				}
+			if ok && (c.SROs != wantS || c.Loads != wantL) {
+				t.Fatalf("chain of %d %v = %d SROs, %d loads; want %d, %d", k, op, c.SROs, c.Loads, wantS, wantL)
 			}
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := PriceChain(OpXnor, 40); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("PriceChain allocates %v times", allocs)
 	}
 }

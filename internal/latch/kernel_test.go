@@ -172,7 +172,7 @@ func TestKernelMatchesLocFreeLSBCircuit(t *testing.T) {
 			nn := nByte&(1<<b) != 0
 			cells := CellSensor{FromBits(m, false), FromBits(nn, false)}
 			c := NewCircuit(cells)
-			if c.Run(ForOpLocFreeLSB(op)) != (out&(1<<b) != 0) {
+			if c.Run(lsbSeqs[op]) != (out&(1<<b) != 0) {
 				return false
 			}
 		}
@@ -182,7 +182,7 @@ func TestKernelMatchesLocFreeLSBCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range Ops {
-		checkKernelWide(t, op, circuitTable(ForOpLocFreeLSB(op), func(m, n bool) CellSensor {
+		checkKernelWide(t, op, circuitTable(lsbSeqs[op], func(m, n bool) CellSensor {
 			return CellSensor{FromBits(m, false), FromBits(n, false)}
 		}))
 	}

@@ -1,7 +1,5 @@
 package latch
 
-import "fmt"
-
 // Location-free sequences for the all-LSB data layout the paper's
 // location-free evaluation uses (§5.5: "We store all data in LSB bits of
 // MLCs"). Both operands are LSB bits of aligned cells: M on wordline 0,
@@ -110,14 +108,4 @@ var lsbSeqs = map[Op]Sequence{
 	// second wordline's operand instead.
 	OpNotLSB: lsbNotM,
 	OpNotMSB: lsbNotN,
-}
-
-// ForOpLocFreeLSB returns the location-free sequence for operands that
-// are both LSB bits: M on wordline 0, N on wordline 1.
-func ForOpLocFreeLSB(op Op) Sequence {
-	s, ok := lsbSeqs[op]
-	if !ok {
-		panic(fmt.Sprintf("latch: no LSB location-free sequence for op %v", op))
-	}
-	return s
 }

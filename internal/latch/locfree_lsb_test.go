@@ -7,7 +7,7 @@ func TestLocFreeLSBAllOpsAllCombinations(t *testing.T) {
 	// wordline-0 cell, N the LSB of the wordline-1 cell; the other bits
 	// of each cell must not affect the result.
 	for _, op := range Ops {
-		seq := ForOpLocFreeLSB(op)
+		seq := lsbSeqs[op]
 		for s0 := E; s0 <= S3; s0++ {
 			for s1 := E; s1 <= S3; s1++ {
 				c := NewCircuit(CellSensor{s0, s1})
@@ -41,7 +41,7 @@ func TestLocFreeLSBSROCounts(t *testing.T) {
 		OpXor: 4, OpXnor: 4, OpNotLSB: 1, OpNotMSB: 1,
 	}
 	for op, n := range want {
-		got := ForOpLocFreeLSB(op).SROs()
+		got := lsbSeqs[op].SROs()
 		if got != n {
 			t.Errorf("%v: %d SROs, want %d", op, got, n)
 		}
@@ -59,7 +59,7 @@ func TestLocFreeLSBInverterUsage(t *testing.T) {
 	}
 	for op, want := range wantInv {
 		got := false
-		for _, st := range ForOpLocFreeLSB(op).Steps {
+		for _, st := range lsbSeqs[op].Steps {
 			if st.Kind == StepSense && st.Inverted {
 				got = true
 			}

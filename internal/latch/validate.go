@@ -29,7 +29,7 @@ const MaxSteps = 64
 //
 // It returns nil for legal sequences and a descriptive error naming the
 // first violation otherwise. It is the one checker of this contract:
-// MWSProgram runs it on every program it builds, the chain table on each
+// the MWS table runs it on every program it builds, the chain table on each
 // chain unrolled at 2 and 3 operands, and the package tests over every
 // fixed table and every unrolled chain.
 func (s Sequence) Validate() error {

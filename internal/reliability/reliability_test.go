@@ -130,7 +130,7 @@ func TestModelPlugsIntoFlash(t *testing.T) {
 	if _, err := array.Program(flash.PageAddr{WordlineAddr: wl, Kind: flash.MSBPage}, page, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := array.Sense(flash.Sense{Kind: flash.SensePair, Op: latch.OpXor, WLs: []flash.WordlineAddr{wl}}, 0)
+	res, err := array.Sense(flash.Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []flash.WordlineAddr{wl}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"fmt"
+
 	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/plan"
@@ -10,19 +12,15 @@ import (
 // Analytic per-wave cost model. The paper-scale experiments (hundreds of
 // gigabytes of operands) cannot write real pages through the functional
 // simulator; they instead compute wave counts and multiply by the per-wave
-// latencies below. These functions are the single source of truth shared
-// with the functional executor — TestAnalyticMatchesFunctional asserts the
-// functional device reproduces them exactly at small scale.
+// latencies below. Every sense in them is priced as the functional
+// executor's array prices it, from its latch program's cost
+// (latch.Price, converted by flash.Timing.SenseLatency) —
+// TestAnalyticMatchesFunctional asserts the functional device reproduces
+// them exactly at small scale.
 //
 // A "wave" is one all-planes-parallel operation: every plane senses one
 // wordline, so a wave covers Geometry.WaveBytes() of each operand
 // (8 MB on the paper's configuration).
-
-// PairSenseLatency is the cost of one pre-allocated (co-located) ParaBit
-// operation: the op's control-sequence SROs.
-func PairSenseLatency(t flash.Timing, op latch.Op) sim.Duration {
-	return t.BitwiseLatency(op)
-}
 
 // ReallocStepLatency is the cost of one reallocate-then-sense step:
 // reading the operands still in flash (readOperands of them — 2 when both
@@ -41,23 +39,18 @@ func ReallocStepLatency(t flash.Timing, op latch.Op, readOperands int, pageSize 
 	// Two page programs on the target wordline (LSB then MSB), each
 	// preceded by its channel transfer in.
 	programPhase := 2 * (t.Transfer(pageSize) + t.ProgramPage)
-	return readPhase + programPhase + t.BitwiseLatency(op)
+	return readPhase + programPhase + t.SenseLatency(latch.MustPrice(latch.SensePair, op, 1), pageSize)
 }
 
-// LocFreePairLatency is one location-free op over aligned LSB operands.
-func LocFreePairLatency(t flash.Timing, op latch.Op) sim.Duration {
-	return t.BitwiseLatencyLocFreeLSB(op)
-}
-
-// ChainWaveLatency is one wave of a location-free k-operand reduction:
-// the chained sensing plus any buffer reloads (§4.2), priced from latch's
-// chained program as the array prices the sense.
-func ChainWaveLatency(t flash.Timing, op latch.Op, k int, pageSize int) sim.Duration {
-	sros, loads, err := latch.PriceChain(op, k)
+// senseLatency prices one sense of kind folding k operand wordlines with
+// op as Array.Sense prices it: its latch program's cost, converted to
+// array time. It returns the lookup's refusal.
+func senseLatency(geo flash.Geometry, t flash.Timing, kind latch.SenseKind, op latch.Op, k int) (sim.Duration, error) {
+	c, err := latch.Price(kind, op, k)
 	if err != nil {
-		panic(err)
+		return 0, err
 	}
-	return sim.Duration(sros)*t.SenseSRO + sim.Duration(loads)*t.Transfer(pageSize)
+	return t.SenseLatency(c, geo.PageSize), nil
 }
 
 // ReducePlan is the analytic execution plan of a k-operand reduction over
@@ -102,7 +95,14 @@ type ReducePlan struct {
 //     chunk, chained on the plane, plus a read and a controller combine
 //     for a lone leftover operand; the XOR family (no MWS form) is priced
 //     as its LocFree fallback.
-func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, k int, columnBytes int64) ReducePlan {
+//
+// Every sense is priced from its latch program's cost, as the array
+// prices it. PlanReduce refuses fewer than two operands and a reduction
+// the latch tables have no program for (a chained NOT).
+func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, k int, columnBytes int64) (ReducePlan, error) {
+	if k < 2 {
+		return ReducePlan{}, fmt.Errorf("ssd: reduction of %d operands, want at least 2", k)
+	}
 	waves := float64(columnBytes) / float64(geo.WaveBytes())
 	if waves < 1 {
 		waves = 1
@@ -112,7 +112,8 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 	case SchemePreAlloc:
 		pairs := k / 2
 		odd := k%2 == 1
-		p.SenseSeconds = float64(pairs) * waves * PairSenseLatency(t, op).Seconds()
+		pair := t.SenseLatency(latch.MustPrice(latch.SensePair, op, 1), geo.PageSize)
+		p.SenseSeconds = float64(pairs) * waves * pair.Seconds()
 		combines := pairs - 1
 		if odd {
 			combines++
@@ -131,18 +132,24 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 		p.CombineSeconds = waves * (first + float64(steps-1)*rest)
 		p.Reallocations = steps
 	case SchemeLocFree:
+		// Two operands run the all-LSB location-free program, more the
+		// chained one.
+		kind := latch.SenseChainLSB
 		if k == 2 {
-			p.SenseSeconds = waves * LocFreePairLatency(t, op).Seconds()
-		} else {
-			p.SenseSeconds = waves * ChainWaveLatency(t, op, k, geo.PageSize).Seconds()
+			kind = latch.SenseLocFreeLSB
 		}
+		sense, err := senseLatency(geo, t, kind, op, k)
+		if err != nil {
+			return ReducePlan{}, err
+		}
+		p.SenseSeconds = waves * sense.Seconds()
 	case SchemeFlashCosmos:
 		if !latch.MWSComputable(op) {
 			// No MWS form: the executor falls back to the LocFree paths
 			// wholesale, and the plan prices that honestly.
-			p = PlanReduce(geo, t, SchemeLocFree, op, k, columnBytes)
-			p.Scheme = SchemeFlashCosmos
-			return p
+			lf, err := PlanReduce(geo, t, SchemeLocFree, op, k, columnBytes)
+			lf.Scheme = SchemeFlashCosmos
+			return lf, err
 		}
 		// One multi-wordline sense per MaxMWSOperands-sized chunk. The
 		// group lays out in one block (persist.OpWriteMWSGroup), so chunk
@@ -161,7 +168,11 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 				lone = true
 				break
 			}
-			sense += t.MWSLatency(c)
+			chunk, err := senseLatency(geo, t, latch.SenseChainMWS, op, c)
+			if err != nil {
+				return ReducePlan{}, err
+			}
+			sense += chunk
 			rem -= c
 		}
 		p.SenseSeconds = waves * sense.Seconds()
@@ -172,5 +183,5 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 	}
 	p.TotalSeconds = p.SenseSeconds + p.CombineSeconds
 	p.ReallocBytes = int64(float64(p.Reallocations) * 2 * float64(columnBytes))
-	return p
+	return p, nil
 }

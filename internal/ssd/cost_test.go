@@ -52,7 +52,7 @@ func TestAnalyticMatchesFunctionalReAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanReduce(cfg.Geometry, cfg.Timing, SchemeReAlloc, latch.OpAnd, k, int64(cfg.Geometry.PageSize))
+		plan := planReduce(t, cfg.Geometry, cfg.Timing, SchemeReAlloc, latch.OpAnd, k, int64(cfg.Geometry.PageSize))
 		// The analytic wave count for a single page on a 2-plane device
 		// is still 1 (columns smaller than a wave clamp to one wave).
 		if got, want := seconds(r.Done), plan.TotalSeconds; !approxEqual(got, want, 0.02) {
@@ -75,7 +75,7 @@ func TestAnalyticMatchesFunctionalPreAllocPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanReduce(cfg.Geometry, cfg.Timing, SchemePreAlloc, op, 2, int64(cfg.Geometry.PageSize))
+		plan := planReduce(t, cfg.Geometry, cfg.Timing, SchemePreAlloc, op, 2, int64(cfg.Geometry.PageSize))
 		if got, want := seconds(r.Done), plan.TotalSeconds; !approxEqual(got, want, 0.001) {
 			t.Errorf("%v: functional %.6fs vs analytic %.6fs", op, got, want)
 		}
@@ -100,7 +100,7 @@ func TestAnalyticMatchesFunctionalPreAllocChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanReduce(cfg.Geometry, cfg.Timing, SchemePreAlloc, latch.OpAnd, k, int64(cfg.Geometry.PageSize))
+		plan := planReduce(t, cfg.Geometry, cfg.Timing, SchemePreAlloc, latch.OpAnd, k, int64(cfg.Geometry.PageSize))
 		if got, want := seconds(r.Done), plan.TotalSeconds; !approxEqual(got, want, 0.02) {
 			t.Errorf("k=%d: functional %.6fs vs analytic %.6fs", k, got, want)
 		}
@@ -135,7 +135,7 @@ func TestAnalyticMatchesFunctionalLocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanReduce(cfg.Geometry, cfg.Timing, SchemeLocFree, tc.op, tc.k, int64(cfg.Geometry.PageSize))
+		plan := planReduce(t, cfg.Geometry, cfg.Timing, SchemeLocFree, tc.op, tc.k, int64(cfg.Geometry.PageSize))
 		if got, want := seconds(r.Done), plan.TotalSeconds; !approxEqual(got, want, 0.001) {
 			t.Errorf("%v k=%d: functional %.6fs vs analytic %.6fs", tc.op, tc.k, got, want)
 		}
@@ -170,7 +170,7 @@ func TestAnalyticMatchesFunctionalFlashCosmos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanReduce(cfg.Geometry, cfg.Timing, SchemeFlashCosmos, tc.op, tc.k, int64(cfg.Geometry.PageSize))
+		plan := planReduce(t, cfg.Geometry, cfg.Timing, SchemeFlashCosmos, tc.op, tc.k, int64(cfg.Geometry.PageSize))
 		if got, want := seconds(r.Done), plan.TotalSeconds; !approxEqual(got, want, 0.02) {
 			t.Errorf("%v k=%d: functional %.6fs vs analytic %.6fs", tc.op, tc.k, got, want)
 		}
@@ -194,18 +194,18 @@ func TestPlanReduceBitmapAnchors(t *testing.T) {
 	geo := flash.Default()
 	tm := flash.DefaultTiming()
 	column := int64(800_000_000 / 8) // 100 MB of user bits
-	re := PlanReduce(geo, tm, SchemeReAlloc, latch.OpAnd, 360, column)
+	re := planReduce(t, geo, tm, SchemeReAlloc, latch.OpAnd, 360, column)
 	if re.TotalSeconds < 5.5 || re.TotalSeconds > 7.0 {
 		t.Errorf("ReAlloc bitmap = %.2fs, paper reports 6.137s", re.TotalSeconds)
 	}
-	pre := PlanReduce(geo, tm, SchemePreAlloc, latch.OpAnd, 360, column)
+	pre := planReduce(t, geo, tm, SchemePreAlloc, latch.OpAnd, 360, column)
 	if pre.TotalSeconds < 2.7 || pre.TotalSeconds > 3.7 {
 		t.Errorf("ParaBit bitmap = %.2fs, paper reports 3.179s", pre.TotalSeconds)
 	}
 	if ratio := pre.TotalSeconds / re.TotalSeconds; ratio < 0.45 || ratio > 0.6 {
 		t.Errorf("ParaBit/ReAlloc = %.2f, want ≈0.52", ratio)
 	}
-	lf := PlanReduce(geo, tm, SchemeLocFree, latch.OpAnd, 360, column)
+	lf := planReduce(t, geo, tm, SchemeLocFree, latch.OpAnd, 360, column)
 	if lf.TotalSeconds >= pre.TotalSeconds/5 {
 		t.Errorf("LocFree bitmap = %.2fs, expected well under ParaBit's %.2fs", lf.TotalSeconds, pre.TotalSeconds)
 	}
@@ -223,4 +223,14 @@ func TestReallocStepMatchesPaperScale(t *testing.T) {
 	if step < 1.3 || step > 1.45 {
 		t.Errorf("realloc step = %.3f ms, want ≈1.35", step)
 	}
+}
+
+// planReduce is PlanReduce for a reduction the test knows it prices.
+func planReduce(t *testing.T, geo flash.Geometry, tm flash.Timing, scheme Scheme, op latch.Op, k int, columnBytes int64) ReducePlan {
+	t.Helper()
+	p, err := PlanReduce(geo, tm, scheme, op, k, columnBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -119,9 +119,9 @@ func (d *Device) reduceFlashCosmos(op latch.Op, lpns []uint64, at sim.Time) (Bit
 				s.chunkWLs = append(s.chunkWLs, s.wls[ch.start:ch.end])
 			}
 		}
-		sense := flash.Sense{Kind: flash.SenseChainMWS, Op: op, Chunks: s.chunkWLs}
+		sense := flash.Sense{Kind: latch.SenseChainMWS, Op: op, Chunks: s.chunkWLs}
 		if len(s.chunkWLs) == 1 {
-			sense = flash.Sense{Kind: flash.SenseMWS, Op: op, WLs: s.chunkWLs[0]}
+			sense = flash.Sense{Kind: latch.SenseMWS, Op: op, WLs: s.chunkWLs[0]}
 		}
 		res, err := d.runSense(sense, at, op, SchemeFlashCosmos, at)
 		if err != nil {

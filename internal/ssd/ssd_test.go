@@ -819,6 +819,50 @@ func TestLocFreeBothOrientations(t *testing.T) {
 	}
 }
 
+// TestLocFreeNotChargesItsProgram pins a location-free complement's read
+// disturb to its program. With an LSB operand and an MSB operand on one
+// plane in two blocks, Bitwise(NOT-LSB, lsb, msb, LocFree) senses the
+// location-free NOT-LSB program, which senses the LSB operand's wordline
+// once and never the MSB operand's: after three such senses the LSB
+// block has absorbed 3 reads and the MSB block none.
+func TestLocFreeNotChargesItsProgram(t *testing.T) {
+	d := newDevice(t)
+	if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{0, 1}, [][]byte{randPage(d, 1), randPage(d, 2)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	msb, _ := d.FTL().Lookup(1)
+	g := d.cfg.Geometry
+	var lsbLPN uint64
+	var lsb flash.PageAddr
+	for i := uint64(1); lsbLPN == 0 && i <= uint64(g.Planes()*(g.WordlinesPerBlock+1)); i++ {
+		if _, err := d.WritePages(persist.OpWritePair, 0, []uint64{2 * i, 2*i + 1}, [][]byte{randPage(d, int64(2*i)), randPage(d, int64(2*i+1))}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if a, _ := d.FTL().Lookup(2 * i); a.PlaneAddr == msb.PlaneAddr && a.Block != msb.Block {
+			lsbLPN, lsb = 2*i, a
+		}
+	}
+	if lsbLPN == 0 {
+		t.Fatal("no pair landed in another block of the first pair's plane")
+	}
+	a := d.Array()
+	lsbBefore, msbBefore := a.ReadCount(lsb.PlaneAddr, lsb.Block), a.ReadCount(msb.PlaneAddr, msb.Block)
+	for i := 0; i < 3; i++ {
+		if _, err := d.Bitwise(latch.OpNotLSB, lsbLPN, 1, SchemeLocFree, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := d.Stats(); s.Fallbacks != 0 || s.Reallocations != 0 {
+		t.Fatalf("the complement did not sense location-free: %+v", s)
+	}
+	if got := a.ReadCount(lsb.PlaneAddr, lsb.Block) - lsbBefore; got != 3 {
+		t.Errorf("LSB operand's block absorbed %d reads, want 3", got)
+	}
+	if got := a.ReadCount(msb.PlaneAddr, msb.Block) - msbBefore; got != 0 {
+		t.Errorf("MSB operand's block absorbed %d reads, want 0", got)
+	}
+}
+
 // TestTLCReallocRefusesFirst pins that a reallocation on TLC cells,
 // whose pair sense is MLC-only, refuses before it reads, allocates or
 // programs anything: no flash, FTL or device counter moves.

@@ -2,6 +2,7 @@ package parabit
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -349,12 +350,39 @@ func TestPublicBitwiseToHost(t *testing.T) {
 }
 
 func TestPlanReducePublic(t *testing.T) {
-	p := PlanReduce(Reallocated, And, 360, 100_000_000)
+	p, err := PlanReduce(Reallocated, And, 360, 100_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.ComputeSeconds < 5.5 || p.ComputeSeconds > 7 {
 		t.Errorf("bitmap ReAlloc plan = %.2fs, want ≈6.1", p.ComputeSeconds)
 	}
 	if p.Reallocations != 359 {
 		t.Errorf("reallocations = %d", p.Reallocations)
+	}
+}
+
+// TestPlanReduceRefuses pins that PlanReduce either prices a reduction
+// or refuses it, for every scheme, op and operand count: it never panics
+// and never returns a negative plan. It refuses what Device.Reduce
+// refuses, an op other than And, Or or Xor, and fewer than two operands.
+func TestPlanReduceRefuses(t *testing.T) {
+	for _, scheme := range Schemes {
+		for _, op := range Ops {
+			for _, k := range []int{0, 1, 2, 3, 40} {
+				p, err := PlanReduce(scheme, op, k, 100_000_000)
+				refuse := k < 2 || (op != And && op != Or && op != Xor)
+				if refuse != (err != nil) {
+					t.Errorf("PlanReduce(%v, %v, %d) err = %v, want refusal %v", scheme, op, k, err, refuse)
+				}
+				if op != And && op != Or && op != Xor && !errors.Is(err, errReduceOp) {
+					t.Errorf("PlanReduce(%v, %v, %d) err = %v, want errReduceOp", scheme, op, k, err)
+				}
+				if err == nil && (p.ComputeSeconds <= 0 || p.Reallocations < 0 || p.ReallocBytes < 0) {
+					t.Errorf("PlanReduce(%v, %v, %d) = %+v, want a positive plan", scheme, op, k, p)
+				}
+			}
+		}
 	}
 }
 

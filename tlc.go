@@ -73,6 +73,6 @@ func (d *Device) Bitwise3(op Op3, lpns [3]uint64) (Result, error) {
 // Op3Latency returns the in-flash latency of a three-operand TLC
 // operation under TLC timing.
 func Op3Latency(op Op3) time.Duration {
-	return (time.Duration(latch.TLCForOp(op.latch()).SROs()) *
-		flash.TLCTiming().SenseSRO.Std())
+	c := latch.MustPrice(latch.SenseTLC, op.latch().Op(), 1)
+	return flash.TLCTiming().SenseLatency(c, flash.SmallTLC().PageSize).Std()
 }
