@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"parabit"
+	"parabit/internal/flash"
 	"parabit/internal/latch"
 	"parabit/internal/sim"
 	"parabit/internal/telemetry"
@@ -267,13 +268,15 @@ func execute(dev *parabit.Device, line string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		seq := latch.ForOp(latch.Op(op))
+		seq, kind, k := latch.ForOp(latch.Op(op)), latch.SensePair, 1
 		if len(f) == 3 {
-			seq = latch.ForOpLocFree(latch.Op(op))
+			seq, kind, k = latch.ForOpLocFree(latch.Op(op)), latch.SenseLocFree, 2
 		}
 		fmt.Fprint(w, latch.FormatTable(seq, latch.RunSymbolic(seq, true)))
+		// The sense is priced as the array prices it.
+		c := latch.MustPrice(kind, latch.Op(op), k)
 		fmt.Fprintf(w, "SROs: %d (%.0fµs on the modeled MLC flash)\n",
-			seq.SROs(), float64(seq.SROs())*25)
+			c.SROs, flash.DefaultTiming().SenseLatency(c, flash.Default().PageSize).Micros())
 	case "flush":
 		if len(f) != 1 {
 			return fmt.Errorf("flush takes no arguments")

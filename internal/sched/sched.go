@@ -146,7 +146,8 @@ type Command struct {
 	// Scheme selects the execution scheme for bitwise kinds.
 	Scheme ssd.Scheme
 	// ToHost additionally ships the result over the host link, filling
-	// Result.HostDone (KindBitwise, KindReduce, KindQuery).
+	// Result.HostDone (KindRead, KindBitwise, KindBitwiseTriple,
+	// KindReduce, KindQuery).
 	ToHost bool
 	// Batches are the parsed formula for KindFormula, one per term.
 	Batches []nvme.Batch
@@ -576,7 +577,7 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 			break
 		}
 		br, err := s.dev.BitwiseTriple(c.Op3, [3]uint64{c.LPNs[0], c.LPNs[1], c.LPNs[2]}, issue)
-		s.deliver(&r, br, err, false)
+		s.deliver(&r, br, err, c.ToHost)
 	case KindReduce:
 		br, err := s.dev.Reduce(c.Op, c.LPNs, c.Scheme, issue)
 		s.deliver(&r, br, err, c.ToHost)

@@ -645,3 +645,66 @@ func BenchmarkSubmitWait(b *testing.B) {
 		}
 	}
 }
+
+// TestTripleToHostShips pins that a three-operand command honours
+// ToHost: kept, its result stays in the controller buffer; shipped, the
+// same page reaches the host after it is computed, through the device's
+// one host-delivery path, which counts it in ResultBytes.
+func TestTripleToHostShips(t *testing.T) {
+	dev, err := ssd.New(ssd.SmallTLCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(dev)
+	lpns := []uint64{0, 1, 2}
+	pages := [][]byte{pageOf(dev, 1), pageOf(dev, 2), pageOf(dev, 3)}
+	if r := s.Submit(Command{Kind: KindWriteTriple, LPNs: lpns, Pages: pages}).Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	kept := s.Submit(Command{Kind: KindBitwiseTriple, LPNs: lpns, Op3: latch.TLCNor3}).Wait()
+	if kept.Err != nil {
+		t.Fatal(kept.Err)
+	}
+	if got := s.Counters().Op.ResultBytes; kept.HostDone != 0 || got != 0 {
+		t.Fatalf("kept triple: HostDone %v, %d result bytes; want 0, 0", kept.HostDone, got)
+	}
+	shipped := s.Submit(Command{Kind: KindBitwiseTriple, LPNs: lpns, Op3: latch.TLCNor3, ToHost: true}).Wait()
+	if shipped.Err != nil {
+		t.Fatal(shipped.Err)
+	}
+	if shipped.HostDone <= shipped.Done {
+		t.Fatalf("shipped triple reached the host at %v, computed at %v", shipped.HostDone, shipped.Done)
+	}
+	if !bytes.Equal(shipped.Data, kept.Data) {
+		t.Fatal("shipped triple differs from the kept one")
+	}
+	if got := s.Counters().Op.ResultBytes; got != int64(dev.PageSize()) {
+		t.Fatalf("shipped triple counted %d result bytes, want %d", got, dev.PageSize())
+	}
+}
+
+// TestReadToHostCountsResultBytes pins that a read shipped to the host
+// goes through the same host-delivery path as a computed result: it is
+// counted in ResultBytes, and a read kept in the controller is not.
+func TestReadToHostCountsResultBytes(t *testing.T) {
+	s, dev := newSched(t)
+	if r := s.Submit(Command{Kind: KindWriteOperand, LPN: 4, Data: pageOf(dev, 4)}).Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r := s.Submit(Command{Kind: KindRead, LPN: 4}).Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if got := s.Counters().Op.ResultBytes; got != 0 {
+		t.Fatalf("controller read counted %d result bytes, want 0", got)
+	}
+	r := s.Submit(Command{Kind: KindRead, LPN: 4, ToHost: true}).Wait()
+	if r.Err != nil || !bytes.Equal(r.Data, pageOf(dev, 4)) {
+		t.Fatalf("shipped read: err %v", r.Err)
+	}
+	if r.HostDone <= r.Start || r.Done != r.HostDone {
+		t.Fatalf("shipped read started %v, done %v, at the host %v", r.Start, r.Done, r.HostDone)
+	}
+	if got := s.Counters().Op.ResultBytes; got != int64(dev.PageSize()) {
+		t.Fatalf("shipped read counted %d result bytes, want %d", got, dev.PageSize())
+	}
+}
