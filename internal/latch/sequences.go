@@ -2,9 +2,9 @@ package latch
 
 import "fmt"
 
-// Sequence is a named latching-circuit control program. SROs is the number
-// of single read operations it issues — the component with real latency on
-// flash (25 µs each on the modeled MLC parts); every other step is circuit
+// Sequence is a named latching-circuit control program. Its senses are
+// the component with real latency on flash (25 µs each on the modeled MLC
+// parts), counted by the cost lookup (Price); every other step is circuit
 // switching at negligible cost next to a sense.
 type Sequence struct {
 	Name  string
@@ -15,20 +15,6 @@ type Sequence struct {
 	// latency and the reliability model, never the circuit algebra, so
 	// Validate ignores it.
 	ESP bool
-}
-
-// SROs counts the sensing steps in the sequence. A multi-wordline sense
-// counts as one: it is one read operation regardless of how many
-// wordlines it selects (its extra settle time is billed separately by the
-// timing model).
-func (s Sequence) SROs() int {
-	n := 0
-	for _, st := range s.Steps {
-		if st.Kind == StepSense || st.Kind == StepSenseMulti {
-			n++
-		}
-	}
-	return n
 }
 
 func sense(v Vref) Step            { return Step{Kind: StepSense, V: v} }
