@@ -107,9 +107,10 @@ func (a *admitter) get(name string) *tenant {
 }
 
 // admit charges one operation against the tenant's QoS at the given
-// virtual instant. On success the returned release must be called when
-// the operation completes; on rejection the error matches ErrAdmission.
-func (a *admitter) admit(name string, now sim.Time) (release func(), err error) {
+// virtual instant. On success the returned tenant's release must be
+// called when the operation completes; on rejection the error matches
+// ErrAdmission.
+func (a *admitter) admit(name string, now sim.Time) (*tenant, error) {
 	t := a.get(name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -134,11 +135,14 @@ func (a *admitter) admit(name string, now sim.Time) (release func(), err error) 
 		t.tokens--
 	}
 	t.inflight++
-	return func() {
-		t.mu.Lock()
-		t.inflight--
-		t.mu.Unlock()
-	}, nil
+	return t, nil
+}
+
+// release ends one operation admit admitted.
+func (t *tenant) release() {
+	t.mu.Lock()
+	t.inflight--
+	t.mu.Unlock()
 }
 
 // countReject bumps the matching rejection counter. The counter fields

@@ -16,11 +16,11 @@ func TestAdmissionRateLimit(t *testing.T) {
 
 	// Burst admits two, then the bucket is dry.
 	for i := 0; i < 2; i++ {
-		release, err := a.admit("limited", 0)
+		tn, err := a.admit("limited", 0)
 		if err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
-		release()
+		tn.release()
 	}
 	_, err := a.admit("limited", 0)
 	if !errors.Is(err, ErrAdmission) {
@@ -32,11 +32,11 @@ func TestAdmissionRateLimit(t *testing.T) {
 	}
 
 	// Half a virtual second refills one token at 2 ops/s.
-	release, err := a.admit("limited", sim.Time(500*sim.Millisecond))
+	tn, err := a.admit("limited", sim.Time(500*sim.Millisecond))
 	if err != nil {
 		t.Fatalf("post-refill admit: %v", err)
 	}
-	release()
+	tn.release()
 	if _, err := a.admit("limited", sim.Time(500*sim.Millisecond)); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("second post-refill admit = %v, want ErrAdmission", err)
 	}
@@ -60,13 +60,13 @@ func TestAdmissionQueueDepth(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Reason != "queue" {
 		t.Fatalf("over-depth error = %v, want queue rejection", err)
 	}
-	r1()
+	r1.release()
 	r3, err := a.admit("bounded", 0)
 	if err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	r3()
-	r2()
+	r3.release()
+	r2.release()
 }
 
 // TestQueueRejectionDoesNotChargeRateToken pins the check order: a
@@ -84,13 +84,13 @@ func TestQueueRejectionDoesNotChargeRateToken(t *testing.T) {
 	if _, err := a.admit("both", 0); !errors.As(err, &ae) || ae.Reason != "queue" {
 		t.Fatalf("over-depth error = %v, want queue rejection", err)
 	}
-	r1()
+	r1.release()
 	// The second burst token must have survived the queue rejection.
 	r2, err := a.admit("both", 0)
 	if err != nil {
 		t.Fatalf("admit after queue rejection: %v", err)
 	}
-	r2()
+	r2.release()
 }
 
 // TestRejectionCountingRacesTelemetryRebind pins the countReject fix:
@@ -130,7 +130,7 @@ func TestRejectionCountingRacesTelemetryRebind(t *testing.T) {
 
 	// Hold the single in-flight slot so every further admit is a queue
 	// rejection racing the rebinder.
-	release, err := a.admit("tenant", 0)
+	tn, err := a.admit("tenant", 0)
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestRejectionCountingRacesTelemetryRebind(t *testing.T) {
 			t.Fatalf("admit %d = %v, want ErrAdmission", i, err)
 		}
 	}
-	release()
+	tn.release()
 	close(stop)
 	wg.Wait()
 

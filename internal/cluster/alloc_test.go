@@ -10,8 +10,10 @@ import (
 // TestColocatedQueryAllocationCeiling bounds the host allocations of a
 // colocated query end to end — admission, colocation, routing, the shard
 // scheduler, planning and the device — on the shard-local and the wire
-// route. Colocation itself allocates nothing; the ceilings leave room
-// only for what the result and the plan need.
+// route. Admission, colocation and planning allocate nothing: the shard
+// compiles the tree over its pages in reused scratch. A local query
+// allocates its ticket, its result page and the leaf buffer, which
+// escapes because the scheduler's Submit stores its Command.
 func TestColocatedQueryAllocationCeiling(t *testing.T) {
 	pages := diffPages(4, ssd.SmallConfig().Geometry.PageSize, 7)
 	c := clusterFor(t, true, pages)
@@ -22,10 +24,10 @@ func TestColocatedQueryAllocationCeiling(t *testing.T) {
 		route   Route
 		ceiling float64
 	}{
-		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 24},
+		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 3},
 		// The wire route crosses the NVMe encoding once, at the shard's
-		// queue pair; it measures 28.
-		{"and2", plan.And(k(1), k(2)), RouteWire, 30},
+		// queue pair, and lifts the parsed batches into a new tree.
+		{"and2", plan.And(k(1), k(2)), RouteWire, 14},
 	}
 	for _, tc := range cases {
 		res, err := c.Query("t", tc.e, ssd.SchemeLocFree)
@@ -43,6 +45,27 @@ func TestColocatedQueryAllocationCeiling(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Fatalf("%s: colocated Cluster.Query allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
 		}
+	}
+}
+
+// TestWriteColumnAllocationCeiling bounds the host allocations of a
+// column overwrite on two replicas: one ticket per replica and the two
+// the device's write path takes per page. Admission, the replica targets
+// and the tickets' bookkeeping allocate nothing.
+func TestWriteColumnAllocationCeiling(t *testing.T) {
+	c := MustNew(Config{Shards: 4, Replicas: 2})
+	page := make([]byte, c.PageSize())
+	if _, err := c.WriteColumn("t", 1, page); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 4
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.WriteColumn("t", 1, page); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("WriteColumn allocates %v times, ceiling %d", allocs, ceiling)
 	}
 }
 

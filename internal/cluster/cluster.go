@@ -49,10 +49,12 @@ var (
 )
 
 // Every shard projects virtualNodes points onto the placement ring, and
-// its NVMe submission queue holds queueDepth entries.
+// its NVMe submission queue holds queueDepth entries. Column writes keep
+// up to maxInlineReplicas replicas' bookkeeping on the stack.
 const (
-	virtualNodes = 64
-	queueDepth   = 1024
+	virtualNodes      = 64
+	queueDepth        = 1024
+	maxInlineReplicas = 4
 )
 
 // Config parameterizes a cluster.
@@ -429,11 +431,12 @@ func (c *Cluster) liveLeastLoadedLocked(reps []replica) (*Shard, replica, bool) 
 // size zero; the writer commits the real size after its replicas ack.
 func (c *Cluster) placeLocked(key uint64) (*column, error) {
 	group := c.cfg.PlacementOf(key)
-	owners := c.ring.lookup(group, c.cfg.Replicas)
+	var buf [maxInlineReplicas]int
+	owners := c.ring.lookup(group, c.cfg.Replicas, buf[:0])
 	if len(owners) == 0 {
 		return nil, ErrNoShards
 	}
-	col := &column{key: key}
+	col := &column{key: key, replicas: make([]replica, 0, len(owners))}
 	for _, id := range owners {
 		lpn, err := c.shards[id].allocLPN()
 		if err != nil {
@@ -456,11 +459,11 @@ func (c *Cluster) WriteColumn(tenant string, key uint64, data []byte) (sim.Time,
 	if ps := c.PageSize(); len(data) > ps {
 		return 0, fmt.Errorf("%w: column %d: %d bytes > page size %d", ErrTooLarge, key, len(data), ps)
 	}
-	release, err := c.adm.admit(tenant, c.Now())
+	tn, err := c.adm.admit(tenant, c.Now())
 	if err != nil {
 		return 0, err
 	}
-	defer release()
+	defer tn.release()
 	c.tele.cWrites.Add(1)
 
 	c.mu.Lock()
@@ -480,7 +483,8 @@ func (c *Cluster) WriteColumn(tenant string, key uint64, data []byte) (sim.Time,
 		sh  *Shard
 		lpn uint64
 	}
-	var targets []target
+	var tbuf [maxInlineReplicas]target
+	targets := tbuf[:0]
 	for _, r := range col.replicas {
 		if sh := c.shards[r.shard]; sh != nil && sh.Alive() {
 			targets = append(targets, target{sh, r.lpn})
@@ -492,15 +496,16 @@ func (c *Cluster) WriteColumn(tenant string, key uint64, data []byte) (sim.Time,
 		c.tele.cUnavailable.Add(1)
 		return 0, fmt.Errorf("%w: column %d", ErrUnavailable, key)
 	}
-	tickets := make([]*sched.Ticket, len(targets))
-	for i, t := range targets {
+	var kbuf [maxInlineReplicas]*sched.Ticket
+	tickets := kbuf[:0]
+	for _, t := range targets {
 		t.sh.writes.Add(1)
-		tickets[i] = t.sh.sched.Submit(sched.Command{
+		tickets = append(tickets, t.sh.sched.Submit(sched.Command{
 			Kind:  sched.KindWriteOnPlane,
 			LPN:   t.lpn,
 			Data:  data,
 			Plane: planeOf(group),
-		})
+		}))
 	}
 	var done sim.Time
 	for i, tk := range tickets {
@@ -522,11 +527,11 @@ func (c *Cluster) WriteColumn(tenant string, key uint64, data []byte) (sim.Time,
 // ReadColumn returns one column's bytes from the least-loaded live
 // replica, shipped over that shard's host link.
 func (c *Cluster) ReadColumn(tenant string, key uint64) ([]byte, sim.Time, error) {
-	release, err := c.adm.admit(tenant, c.Now())
+	tn, err := c.adm.admit(tenant, c.Now())
 	if err != nil {
 		return nil, 0, err
 	}
-	defer release()
+	defer tn.release()
 	c.tele.cReads.Add(1)
 
 	c.mu.RLock()
@@ -695,7 +700,7 @@ func (c *Cluster) Close() error {
 func (c *Cluster) rebalanceLocked() (migrated int, err error) {
 	for _, col := range c.columns {
 		group := c.cfg.PlacementOf(col.key)
-		desired := c.ring.lookup(group, c.cfg.Replicas)
+		desired := c.ring.lookup(group, c.cfg.Replicas, nil)
 		want := make(map[int]bool, len(desired))
 		for _, id := range desired {
 			want[id] = true
@@ -803,7 +808,7 @@ func (c *Cluster) Repair() (repaired int, err error) {
 		}
 		col.replicas = liveReps
 		group := c.cfg.PlacementOf(col.key)
-		for _, id := range c.ring.lookup(group, len(c.shards)) {
+		for _, id := range c.ring.lookup(group, len(c.shards), nil) {
 			if len(col.replicas) >= c.cfg.Replicas {
 				break
 			}

@@ -49,11 +49,11 @@ type QueryResult struct {
 // Query routes and executes a bitmap expression whose leaves are column
 // keys, under the tenant's QoS.
 func (c *Cluster) Query(tenant string, e *plan.Expr, scheme ssd.Scheme) (QueryResult, error) {
-	release, err := c.adm.admit(tenant, c.Now())
+	tn, err := c.adm.admit(tenant, c.Now())
 	if err != nil {
 		return QueryResult{}, err
 	}
-	defer release()
+	defer tn.release()
 	c.tele.cQueries.Add(1)
 
 	n, err := plan.Normalize(e)
@@ -135,7 +135,8 @@ func (c *Cluster) route(e *plan.Expr, scheme ssd.Scheme) (QueryResult, error) {
 	if e.IsLeaf() {
 		return c.routeLeaf(e.LPN)
 	}
-	leaves := e.Leaves()
+	var buf [16]uint64
+	leaves := e.AppendLeaves(buf[:0])
 	sh, err := c.colocatedShard(leaves)
 	if err != nil {
 		return QueryResult{}, err
@@ -195,19 +196,18 @@ func (c *Cluster) routeLeaf(key uint64) (QueryResult, error) {
 }
 
 // execLocal runs the whole expression on one shard. lpns holds the
-// shard-local page of each leaf, in e.Leaves order. Wire-expressible
-// shapes cross the shard's queue pair first — encode, bounded submit,
-// device-side parse — so what executes is exactly what survived the wire.
+// shard-local page of each leaf, in e.Leaves order; the shard's device
+// compiles e over them, so the tree is never rebuilt for the shard.
+// Wire-expressible shapes cross the shard's queue pair first — encode,
+// bounded submit, device-side parse — so what executes is exactly what
+// survived the wire.
 func (c *Cluster) execLocal(sh *Shard, e *plan.Expr, lpns []uint64, scheme ssd.Scheme) (QueryResult, error) {
-	// MapLeaves visits leaves in Leaves order, so the i-th visit takes
-	// lpns[i].
-	next := 0
-	le := e.MapLeaves(func(uint64) uint64 {
-		next++
-		return lpns[next-1]
-	})
 	route := RouteLocal
-	if f, ok := plan.ToFormula(le, c.PageSize()); ok {
+	if f, ok := plan.ToFormula(e, c.PageSize()); ok {
+		// ToFormula lays the leaves out in Leaves order, two per term.
+		for i := range f.Terms {
+			f.Terms[i].M.LBA, f.Terms[i].N.LBA = lpns[2*i], lpns[2*i+1]
+		}
 		// The scheme rides DWord 14 of every command, so on the wire route
 		// the device executes under what survived the encoding — not an
 		// out-of-band copy.
@@ -218,12 +218,13 @@ func (c *Cluster) execLocal(sh *Shard, e *plan.Expr, lpns []uint64, scheme ssd.S
 			// planner path rather than failing the query.
 			c.tele.sink.Counter("cluster.wire.fallback").Add(1)
 		} else {
-			le, scheme, route = wired, wireScheme, RouteWire
+			// The parsed tree names the shard's pages itself.
+			e, lpns, scheme, route = wired, nil, wireScheme, RouteWire
 		}
 	}
 	sh.reads.Add(1)
 	res := sh.sched.Submit(sched.Command{
-		Kind: sched.KindQuery, Query: le, Scheme: scheme, ToHost: true,
+		Kind: sched.KindQuery, Query: e, LPNs: lpns, Scheme: scheme, ToHost: true,
 	}).Wait()
 	if res.Err != nil {
 		return QueryResult{}, fmt.Errorf("cluster: query shard %d: %w", sh.id, res.Err)

@@ -1,6 +1,9 @@
 package cluster
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // The placement ring is a consistent-hash ring with virtual nodes: each
 // shard projects virtualNodes points onto a 64-bit circle, and a key
@@ -64,22 +67,20 @@ func (r *ring) remove(shard int) {
 	r.points = kept
 }
 
-// lookup walks clockwise from the key's hash and returns up to n distinct
-// shards — the key's replica set in preference order.
-func (r *ring) lookup(key uint64, n int) []int {
+// lookup walks clockwise from the key's hash and appends up to n
+// distinct shards to dst — the key's replica set in preference order.
+func (r *ring) lookup(key uint64, n int, dst []int) []int {
 	if len(r.points) == 0 || n < 1 {
-		return nil
+		return dst
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	base := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
+		if !slices.Contains(dst[base:], p.shard) {
+			dst = append(dst, p.shard)
 		}
 	}
-	return out
+	return dst
 }

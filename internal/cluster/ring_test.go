@@ -8,7 +8,7 @@ func TestRingLookupDistinctAndStable(t *testing.T) {
 		r.add(id)
 	}
 	for key := uint64(0); key < 200; key++ {
-		got := r.lookup(key, 3)
+		got := r.lookup(key, 3, nil)
 		if len(got) != 3 {
 			t.Fatalf("key %d: %d owners, want 3", key, len(got))
 		}
@@ -19,7 +19,7 @@ func TestRingLookupDistinctAndStable(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		again := r.lookup(key, 3)
+		again := r.lookup(key, 3, nil)
 		for i := range got {
 			if got[i] != again[i] {
 				t.Fatalf("key %d: lookup not stable: %v vs %v", key, got, again)
@@ -32,10 +32,10 @@ func TestRingLookupCapsAtShardCount(t *testing.T) {
 	r := newRing(16)
 	r.add(0)
 	r.add(1)
-	if got := r.lookup(42, 5); len(got) != 2 {
+	if got := r.lookup(42, 5, nil); len(got) != 2 {
 		t.Fatalf("lookup over 2 shards returned %v", got)
 	}
-	if got := r.lookup(42, 0); got != nil {
+	if got := r.lookup(42, 0, nil); got != nil {
 		t.Fatalf("n=0 lookup returned %v", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestRingBalancesKeys(t *testing.T) {
 	counts := make([]int, shards)
 	const keys = 4000
 	for key := uint64(0); key < keys; key++ {
-		counts[r.lookup(key, 1)[0]]++
+		counts[r.lookup(key, 1, nil)[0]]++
 	}
 	for id, n := range counts {
 		// With 128 vnodes the spread stays well inside 2x of fair share.
@@ -66,12 +66,12 @@ func TestRingRemoveMovesOnlyVictimKeys(t *testing.T) {
 	}
 	before := make(map[uint64]int)
 	for key := uint64(0); key < 1000; key++ {
-		before[key] = r.lookup(key, 1)[0]
+		before[key] = r.lookup(key, 1, nil)[0]
 	}
 	r.remove(2)
 	moved := 0
 	for key := uint64(0); key < 1000; key++ {
-		after := r.lookup(key, 1)[0]
+		after := r.lookup(key, 1, nil)[0]
 		if after == 2 {
 			t.Fatalf("key %d still maps to removed shard", key)
 		}

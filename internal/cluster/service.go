@@ -59,15 +59,18 @@ func (s *BitmapService) Chunks() int { return s.chunks }
 // Padding bits stay zero through every bitwise reduction, so popcounts
 // need no tail masking.
 func (s *BitmapService) Load(tenant string, d *workload.BitmapData) error {
-	page := s.c.PageSize()
+	// One page buffer serves every chunk: the scheduler copies a write's
+	// payload at submit, and WriteColumn returns once every replica is
+	// written.
+	buf := make([]byte, s.c.PageSize())
 	for day, col := range d.Columns {
 		raw := col.Bytes()
 		for chunk := 0; chunk < s.chunks; chunk++ {
-			buf := make([]byte, page)
-			lo := chunk * page
-			if lo < len(raw) {
-				copy(buf, raw[lo:])
+			n := 0
+			if lo := chunk * len(buf); lo < len(raw) {
+				n = copy(buf, raw[lo:])
 			}
+			clear(buf[n:])
 			if _, err := s.c.WriteColumn(tenant, ColumnKey(chunk, day), buf); err != nil {
 				return fmt.Errorf("cluster: load day %d chunk %d: %w", day, chunk, err)
 			}

@@ -1,6 +1,9 @@
 package plan
 
-import "container/heap"
+import (
+	"container/heap"
+	"slices"
+)
 
 // The planner's result cache models the controller's DRAM holding hot
 // intermediate query results. A hit replaces a chained flash operation
@@ -28,7 +31,7 @@ type CacheStats struct {
 }
 
 type entry struct {
-	key  string
+	key  Key
 	data []byte
 	// deps and vers snapshot the FTL mapping versions of every logical
 	// page the value derives from, parallel slices.
@@ -74,14 +77,18 @@ func (h *entryHeap) Pop() any {
 	return e
 }
 
-// Cache is a capacity-bounded result store keyed by canonical expression
-// keys. Not safe for concurrent use; the owning device serializes access.
+// Cache is a capacity-bounded result store keyed by structural keys
+// (Key). Not safe for concurrent use; the owning device serializes
+// access.
 type Cache struct {
 	capacity int64
 	used     int64
-	entries  map[string]*entry
+	// entries maps a key's hash to the one entry stored under it.
+	entries map[uint64]*entry
 	// order heaps the entries by eviction preference, root first.
 	order entryHeap
+	// spare holds removed entries, whose buffers the next Put reuses.
+	spare []*entry
 	clock uint64
 	stats CacheStats
 }
@@ -92,7 +99,7 @@ type Cache struct {
 func NewCache(capacity int64) *Cache {
 	return &Cache{
 		capacity: capacity,
-		entries:  map[string]*entry{},
+		entries:  map[uint64]*entry{},
 	}
 }
 
@@ -105,11 +112,12 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Get returns the cached value for key if present and still valid under
-// the current FTL mapping versions (verOf). The returned slice is the
+// the current FTL mapping versions (verOf). An entry stored under the
+// same hash for another structure is a miss. The returned slice is the
 // caller's to keep.
-func (c *Cache) Get(key string, verOf func(lpn uint64) uint64) ([]byte, bool) {
-	e, ok := c.entries[key]
-	if !ok {
+func (c *Cache) Get(key Key, verOf func(lpn uint64) uint64) ([]byte, bool) {
+	e, ok := c.entries[key.Hash]
+	if !ok || !slices.Equal(e.key.Shape, key.Shape) {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -130,16 +138,17 @@ func (c *Cache) Get(key string, verOf func(lpn uint64) uint64) ([]byte, bool) {
 	return append([]byte(nil), e.data...), true
 }
 
-// Put stores a computed value: its canonical key, the logical pages it
-// derives from (whose versions are snapshotted via verOf), and the
-// measured seconds the computation took. Values larger than the whole
-// cache are not stored.
-func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint64) uint64, costSeconds float64) {
+// Put stores a computed value: its key, the logical pages it derives
+// from (whose versions are snapshotted via verOf), and the measured
+// seconds the computation took. It replaces whatever entry its hash
+// names, and reuses the buffers of the entries it removes. Values larger
+// than the whole cache are not stored.
+func (c *Cache) Put(key Key, data []byte, deps []uint64, verOf func(lpn uint64) uint64, costSeconds float64) {
 	size := int64(len(data))
 	if size == 0 || size > c.capacity {
 		return
 	}
-	if old, ok := c.entries[key]; ok {
+	if old, ok := c.entries[key.Hash]; ok {
 		c.remove(old)
 	}
 	for c.used+size > c.capacity {
@@ -147,28 +156,33 @@ func (c *Cache) Put(key string, data []byte, deps []uint64, verOf func(lpn uint6
 			return
 		}
 	}
-	vers := make([]uint64, len(deps))
-	for i, lpn := range deps {
-		vers[i] = verOf(lpn)
+	var e *entry
+	if n := len(c.spare); n > 0 {
+		e, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		e = new(entry)
+	}
+	e.key.Hash = key.Hash
+	e.key.Shape = append(e.key.Shape[:0], key.Shape...)
+	e.data = append(e.data[:0], data...)
+	e.deps = append(e.deps[:0], deps...)
+	e.vers = e.vers[:0]
+	for _, lpn := range deps {
+		e.vers = append(e.vers, verOf(lpn))
 	}
 	c.clock++
-	e := &entry{
-		key:     key,
-		data:    append([]byte(nil), data...),
-		deps:    append([]uint64(nil), deps...),
-		vers:    vers,
-		score:   costSeconds / float64(size),
-		lastUse: c.clock,
-	}
-	c.entries[key] = e
+	e.score = costSeconds / float64(size)
+	e.lastUse = c.clock
+	c.entries[key.Hash] = e
 	heap.Push(&c.order, e)
 	c.used += size
 }
 
 func (c *Cache) remove(e *entry) {
-	delete(c.entries, e.key)
+	delete(c.entries, e.key.Hash)
 	heap.Remove(&c.order, e.index)
 	c.used -= int64(len(e.data))
+	c.spare = append(c.spare, e)
 }
 
 // evictOne removes the lowest-value entry, the heap's root

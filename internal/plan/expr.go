@@ -113,22 +113,20 @@ func (e *Expr) check() error {
 	return nil
 }
 
-// Leaves appends the LPN of every leaf under e, in tree order, possibly
+// Leaves returns the LPN of every leaf under e, in tree order, possibly
 // with duplicates.
-func (e *Expr) Leaves() []uint64 {
-	var out []uint64
-	var walk func(*Expr)
-	walk = func(n *Expr) {
-		if n.leaf {
-			out = append(out, n.LPN)
-			return
-		}
-		for _, a := range n.Args {
-			walk(a)
-		}
+func (e *Expr) Leaves() []uint64 { return e.AppendLeaves(nil) }
+
+// AppendLeaves appends the LPN of every leaf under e to dst, in Leaves
+// order, and returns the extended slice.
+func (e *Expr) AppendLeaves(dst []uint64) []uint64 {
+	if e.leaf {
+		return append(dst, e.LPN)
 	}
-	walk(e)
-	return out
+	for _, a := range e.Args {
+		dst = a.AppendLeaves(dst)
+	}
+	return dst
 }
 
 // MapLeaves returns a copy of e whose leaves read f(lpn) instead, with f
@@ -251,8 +249,8 @@ func (e *Expr) Key() string {
 
 // joinKey renders the canonical key of an op node from its arguments'
 // keys, sorting keys in place: every multi-operand query op is
-// commutative, and NOT is unary. Expr.Key and the compiler's step keys
-// both spell keys through it, so they agree byte for byte.
+// commutative, and NOT is unary. Expr.Key and Plan.KeyString both spell
+// keys through it, so they agree byte for byte.
 func joinKey(op latch.Op, keys []string) string {
 	slices.Sort(keys)
 	var name string

@@ -83,7 +83,7 @@ func dumpPlan(b *strings.Builder, p *Plan) {
 			}
 		}
 		fmt.Fprintf(b, "  step %d %s %v args=%s\n", i, s.Kind, s.Op, strings.Join(args, ","))
-		fmt.Fprintf(b, "    key=%s\n", s.Key)
+		fmt.Fprintf(b, "    key=%s\n", p.KeyString(i))
 		fmt.Fprintf(b, "    leaves=%v\n", s.Leaves)
 	}
 	fmt.Fprintf(b, "  fused=%d operands=%d\n", p.FusedChains, p.FusedOperands)

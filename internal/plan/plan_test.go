@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -249,26 +250,38 @@ func TestCompileTopoOrder(t *testing.T) {
 	}
 }
 
+// testKey is a cache key named by a string: its FNV-1a hash, and its
+// bytes as the shape.
+func testKey(s string) Key {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	shape := make([]uint64, len(s))
+	for i := range s {
+		shape[i] = uint64(s[i])
+	}
+	return Key{Hash: h.Sum64(), Shape: shape}
+}
+
 func TestCacheHitMissInvalidate(t *testing.T) {
 	vers := map[uint64]uint64{1: 1, 2: 1}
 	verOf := func(lpn uint64) uint64 { return vers[lpn] }
 	c := NewCache(1024)
-	if _, ok := c.Get("and(1,2)", verOf); ok {
+	if _, ok := c.Get(testKey("and(1,2)"), verOf); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("and(1,2)", []byte{0xAA, 0xBB}, []uint64{1, 2}, verOf, 1e-4)
-	got, ok := c.Get("and(1,2)", verOf)
+	c.Put(testKey("and(1,2)"), []byte{0xAA, 0xBB}, []uint64{1, 2}, verOf, 1e-4)
+	got, ok := c.Get(testKey("and(1,2)"), verOf)
 	if !ok || got[0] != 0xAA {
 		t.Fatalf("miss after Put: %v %v", got, ok)
 	}
 	// Returned slice is a copy.
 	got[0] = 0
-	if again, _ := c.Get("and(1,2)", verOf); again[0] != 0xAA {
+	if again, _ := c.Get(testKey("and(1,2)"), verOf); again[0] != 0xAA {
 		t.Fatal("Get returned shared storage")
 	}
 	// Bump a dependency version: entry must invalidate.
 	vers[2]++
-	if _, ok := c.Get("and(1,2)", verOf); ok {
+	if _, ok := c.Get(testKey("and(1,2)"), verOf); ok {
 		t.Fatal("served stale entry after operand version bump")
 	}
 	st := c.Stats()
@@ -282,14 +295,14 @@ func TestCacheEvictsCheapestPerByte(t *testing.T) {
 	c := NewCache(2048)
 	cheap := make([]byte, 1024)
 	dear := make([]byte, 1024)
-	c.Put("cheap", cheap, nil, verOf, 1e-6)
-	c.Put("dear", dear, nil, verOf, 1e-2)
+	c.Put(testKey("cheap"), cheap, nil, verOf, 1e-6)
+	c.Put(testKey("dear"), dear, nil, verOf, 1e-2)
 	// Inserting a third page forces one eviction: the cheap entry goes.
-	c.Put("new", make([]byte, 1024), nil, verOf, 1e-3)
-	if _, ok := c.Get("dear", verOf); !ok {
+	c.Put(testKey("new"), make([]byte, 1024), nil, verOf, 1e-3)
+	if _, ok := c.Get(testKey("dear"), verOf); !ok {
 		t.Fatal("expensive entry evicted before cheap one")
 	}
-	if _, ok := c.Get("cheap", verOf); ok {
+	if _, ok := c.Get(testKey("cheap"), verOf); ok {
 		t.Fatal("cheap entry survived")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -319,7 +332,7 @@ func TestCacheEvictionOrderUnchanged(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		key := fmt.Sprintf("k%d", rng.Intn(40))
 		if rng.Intn(3) == 0 {
-			_, got := c.Get(key, verOf)
+			_, got := c.Get(testKey(key), verOf)
 			e, want := model[key]
 			if got != want {
 				t.Fatalf("op %d: Get(%s) = %v, model %v", i, key, got, want)
@@ -334,7 +347,7 @@ func TestCacheEvictionOrderUnchanged(t *testing.T) {
 		// Costs from a small set, so equal scores exercise the LRU
 		// tiebreak.
 		cost := float64(1+rng.Intn(4)) * 1e-5
-		c.Put(key, make([]byte, size), nil, verOf, cost)
+		c.Put(testKey(key), make([]byte, size), nil, verOf, cost)
 		if old, ok := model[key]; ok {
 			used -= old.size
 			delete(model, key)
@@ -359,7 +372,7 @@ func TestCacheEvictionOrderUnchanged(t *testing.T) {
 			t.Fatalf("op %d: cache holds %d entries, model %d", i, len(c.entries), len(model))
 		}
 		for k := range model {
-			if _, ok := c.entries[k]; !ok {
+			if _, ok := c.entries[testKey(k).Hash]; !ok {
 				t.Fatalf("op %d: cache evicted %s, model kept it (model victims %v)", i, k, victims[max(0, len(victims)-3):])
 			}
 		}
@@ -372,8 +385,8 @@ func TestCacheEvictionOrderUnchanged(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
 	verOf := func(uint64) uint64 { return 0 }
-	c.Put("k", []byte{1}, nil, verOf, 1)
-	if _, ok := c.Get("k", verOf); ok {
+	c.Put(testKey("k"), []byte{1}, nil, verOf, 1)
+	if _, ok := c.Get(testKey("k"), verOf); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
 }

@@ -1,10 +1,14 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"parabit/internal/latch"
 )
 
 // TestCompileSharesProgramsAcrossGoroutines compiles the same queries from
@@ -35,7 +39,7 @@ func TestCompileSharesProgramsAcrossGoroutines(t *testing.T) {
 					errs <- err
 					return
 				}
-				keys[g] = append(keys[g], p.Steps[p.Root()].Key)
+				keys[g] = append(keys[g], p.KeyString(p.Root()))
 			}
 		}(g)
 	}
@@ -127,5 +131,140 @@ func BenchmarkPlanCompile(b *testing.B) {
 		if _, err := Compile(n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWarmCompilerAllocatesNothing pins the device's planning cost: once
+// a Compiler has compiled a normalized shape, compiling it again, with or
+// without substituted pages, reuses its scratch and allocates nothing.
+func TestWarmCompilerAllocatesNothing(t *testing.T) {
+	var c Compiler
+	for _, raw := range keyCorpus(t) {
+		e, err := Normalize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpns := e.Leaves()
+		for i := range lpns {
+			lpns[i] += 1000
+		}
+		for _, sub := range [][]uint64{nil, lpns} {
+			if _, err := c.Compile(e, sub); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := c.Compile(e, sub); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("warm Compile(%s, %d pages) allocates %v times", e, len(sub), allocs)
+			}
+		}
+	}
+}
+
+// TestCompilerSubstitutesLeavesInOrder checks that a compile over
+// substituted pages equals a compile of the tree whose leaves read them.
+func TestCompilerSubstitutesLeavesInOrder(t *testing.T) {
+	var c Compiler
+	for _, e := range keyCorpus(t) {
+		next := uint64(500)
+		mapped := e.MapLeaves(func(uint64) uint64 { next += 7; return next })
+		want, err := Compile(mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantDump strings.Builder
+		dumpPlan(&wantDump, want)
+		got, err := c.Compile(e, mapped.Leaves())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotDump strings.Builder
+		dumpPlan(&gotDump, got)
+		if gotDump.String() != wantDump.String() {
+			t.Fatalf("Compile(%s) over pages:\n%s\nwant\n%s", e, gotDump.String(), wantDump.String())
+		}
+	}
+	if _, err := c.Compile(And(Leaf(1), Leaf(2)), []uint64{1}); !errors.Is(err, ErrBadExpr) {
+		t.Fatalf("2 leaves over 1 page: %v, want ErrBadExpr", err)
+	}
+	if _, err := c.Compile(And(Leaf(1), Leaf(2)), []uint64{1, 2, 3}); !errors.Is(err, ErrBadExpr) {
+		t.Fatalf("2 leaves over 3 pages: %v, want ErrBadExpr", err)
+	}
+}
+
+// TestAppendLeavesAllocatesNothing pins leaf collection into a buffer
+// that fits.
+func TestAppendLeavesAllocatesNothing(t *testing.T) {
+	e, err := Parse("!(1 ^ 2) | (5 ~& 6) | (3 ~| 3) ~^ 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]uint64, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() { buf = e.AppendLeaves(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendLeaves allocates %v times", allocs)
+	}
+	if fmt.Sprint(buf) != fmt.Sprint(e.Leaves()) {
+		t.Fatalf("AppendLeaves = %v, want %v", buf, e.Leaves())
+	}
+}
+
+// TestCacheNoAllocations pins the cache's steady state: a Put into a
+// full cache reuses the buffers of the entry it evicts, and a miss
+// allocates nothing.
+func TestCacheNoAllocations(t *testing.T) {
+	verOf := func(uint64) uint64 { return 0 }
+	c := NewCache(8 * 64)
+	page := make([]byte, 64)
+	deps := []uint64{1, 2, 3}
+	keys := make([]Key, 64)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("k%d", i))
+		c.Put(keys[i], page, deps, verOf, 1e-5)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Put(keys[i%len(keys)], page, deps, verOf, 1e-5)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Put into a full cache allocates %v times", allocs)
+	}
+	if st := c.Stats(); st.Entries != 8 || st.Evictions < 1000 {
+		t.Fatalf("stats %+v, want a full cache evicting on every Put", st)
+	}
+	miss := testKey("absent")
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.Get(miss, verOf); ok {
+			t.Fatal("hit on an absent key")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Get miss allocates %v times", allocs)
+	}
+}
+
+// TestCacheCollisionMisses stores two structures under one hash: a
+// lookup of the other structure misses, and a Put replaces the entry.
+func TestCacheCollisionMisses(t *testing.T) {
+	verOf := func(uint64) uint64 { return 0 }
+	c := NewCache(1024)
+	a := Key{Hash: 7, Shape: []uint64{nodeTag(latch.OpAnd, 2), 0, 1, 0, 2}}
+	b := Key{Hash: 7, Shape: []uint64{nodeTag(latch.OpOr, 2), 0, 1, 0, 2}}
+	c.Put(a, []byte{1}, nil, verOf, 1)
+	if _, ok := c.Get(b, verOf); ok {
+		t.Fatal("a colliding structure hit")
+	}
+	if got, ok := c.Get(a, verOf); !ok || got[0] != 1 {
+		t.Fatalf("Get(a) = %v, %v", got, ok)
+	}
+	c.Put(b, []byte{2}, nil, verOf, 1)
+	if _, ok := c.Get(a, verOf); ok {
+		t.Fatal("the replaced structure still hits")
+	}
+	if got, ok := c.Get(b, verOf); !ok || got[0] != 2 {
+		t.Fatalf("Get(b) = %v, %v", got, ok)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }

@@ -131,7 +131,9 @@ type Command struct {
 	LPN uint64
 	// LPNs addresses multi-operand commands: [first, second] for
 	// KindWritePair/KindBitwise, three entries for the triple kinds, k
-	// entries for KindWriteGroup/KindReduce.
+	// entries for KindWriteGroup/KindReduce. For KindQuery it is the page
+	// each leaf of Query reads, in Leaves order; nil means the leaves
+	// name their pages themselves.
 	LPNs []uint64
 	// Data is the payload of single-page writes.
 	Data []byte
@@ -588,7 +590,7 @@ func (s *Scheduler) execLocked(c *Command, issue sim.Time) Result {
 			r.Done, r.HostDone = fr.Done, fr.HostDone
 		}
 	case KindQuery:
-		br, err := s.dev.ExecuteQuery(c.Query, c.Scheme, issue)
+		br, err := s.dev.ExecuteQueryOn(c.Query, c.LPNs, c.Scheme, issue)
 		s.deliver(&r, br, err, c.ToHost)
 	}
 	return r

@@ -45,6 +45,10 @@ type Device struct {
 	// when disabled); qstats counts planner activity.
 	qcache *plan.Cache
 	qstats QueryStats
+	// qplan compiles every query into scratch it reuses, so a plan lives
+	// until the next query; qres holds the running query's step results.
+	qplan plan.Compiler
+	qres  []BitwiseResult
 	// store is the crash-consistent on-disk backend (nil on a volatile
 	// device): host writes are journaled before they are acknowledged and
 	// the journal compacts into snapshots. See Create/Open/Close.

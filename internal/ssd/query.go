@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 
 	"parabit/internal/latch"
 	"parabit/internal/plan"
@@ -65,13 +66,21 @@ func (d *Device) QueryStats() QueryStats {
 // The result is bit-exact with the software evaluation of the expression
 // over current page contents.
 func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (BitwiseResult, error) {
+	return d.ExecuteQueryOn(e, nil, scheme, at)
+}
+
+// ExecuteQueryOn runs e as ExecuteQuery does, with the i-th leaf of e in
+// Leaves order reading page lpns[i]: a tree over column keys runs over
+// this device's pages without being rebuilt. A nil lpns reads the pages
+// the leaves name.
+func (d *Device) ExecuteQueryOn(e *plan.Expr, lpns []uint64, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	if e == nil {
 		return BitwiseResult{}, fmt.Errorf("ssd: nil query expression")
 	}
 	// Compile normalizes its input. Normalization returns a canonical tree
 	// as is, so a tree the caller already normalized (the cluster path) is
 	// never rebuilt.
-	p, err := plan.Compile(e)
+	p, err := d.qplan.Compile(e, lpns)
 	if err != nil {
 		return BitwiseResult{}, err
 	}
@@ -86,11 +95,15 @@ func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (Bitwise
 		d.tele.qTrack.Span("plan", at, start)
 	}
 
-	results := make([]BitwiseResult, len(p.Steps))
-	for i, st := range p.Steps {
-		r, err := d.execStep(p, results, st, scheme, start)
+	results := slices.Grow(d.qres[:0], len(p.Steps))[:len(p.Steps)]
+	d.qres = results
+	// Drop the step pages once the query returns, so the scratch pins none.
+	defer clear(results)
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		r, err := d.execStep(results, st, scheme, start)
 		if err != nil {
-			return BitwiseResult{}, fmt.Errorf("ssd: query step %d (%s %s): %w", i, st.Kind, st.Key, err)
+			return BitwiseResult{}, fmt.Errorf("ssd: query step %d (%s %s): %w", i, st.Kind, p.KeyString(i), err)
 		}
 		results[i] = r
 	}
@@ -98,7 +111,7 @@ func (d *Device) ExecuteQuery(e *plan.Expr, scheme Scheme, at sim.Time) (Bitwise
 }
 
 // execStep runs one plan step, consulting and feeding the result cache.
-func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
+func (d *Device) execStep(results []BitwiseResult, st *plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	cacheable := d.qcache != nil && st.Kind != plan.StepRead
 	if cacheable {
 		if data, ok := d.qcache.Get(st.Key, d.ftl.Version); ok {
@@ -126,7 +139,7 @@ func (d *Device) execStep(p *plan.Plan, results []BitwiseResult, st plan.Step, s
 // Bitwise, and a NOT's leaf against itself. Buffered results then join
 // the fold, and a lone leaf last, one fold join each. A read step is a
 // fold of its one leaf.
-func (d *Device) computeStep(results []BitwiseResult, st plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
+func (d *Device) computeStep(results []BitwiseResult, st *plan.Step, scheme Scheme, at sim.Time) (BitwiseResult, error) {
 	args := st.Args
 	if st.Kind == plan.StepNot {
 		// A complement is its op applied to the operand twice.
