@@ -11,13 +11,15 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"parabit/internal/flash"
 )
 
 // sizedSnap writes body and reports written payload bytes for a delta
 // (all of live for a full image) against a live image of live bytes, so
 // a test can steer the compaction rule.
 func sizedSnap(body []byte, written, live int64) SnapshotWriter {
-	return func(w io.Writer, delta bool) (Payload, error) {
+	return func(w io.Writer, delta bool, _ flash.SegmentTally) (Payload, error) {
 		if _, err := w.Write(body); err != nil {
 			return Payload{}, err
 		}
@@ -96,6 +98,7 @@ func TestChainCompactionRule(t *testing.T) {
 	if p := parentOf(t, dir, 5); p != 0 {
 		t.Fatalf("epoch 5 names parent %d after superseded payload passed live, want a full image", p)
 	}
+	s.removing.Wait() // retired files go in the background
 	if got := snapFiles(t, dir); !slices.Equal(got, []string{"snap-5.bin"}) {
 		t.Fatalf("files after a full image %v, want only snap-5.bin", got)
 	}
@@ -196,20 +199,79 @@ func TestOpenDirReadsV1Snapshot(t *testing.T) {
 	}
 }
 
-// TestSweepStaleKeepsChain pins the mount-time sweep: every snapshot the
-// current chain references and the current journal stay; older
-// snapshots, other journals and temporary files go.
-func TestSweepStaleKeepsChain(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{
-		"CURRENT", "snap-1.bin", "snap-2.bin", "snap-3.bin", "snap-4.bin", "snap-5.bin",
-		"journal-3.log", "journal-5.log", "snap-6.bin.tmp", "CURRENT.tmp", "notes.txt",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+// image stands in for a device in the store tests: pages it names by
+// reference when it writes a snapshot.
+type image struct {
+	refs  []flash.PageRef
+	pages [][]byte
+}
+
+// add journals and commits one single-page write per page and names the
+// pages by their references.
+func (m *image) add(t *testing.T, s *Store, pages ...[]byte) {
+	t.Helper()
+	m.refs = append(m.refs, appendPages(t, s, pages...)...)
+	m.pages = append(m.pages, pages...)
+}
+
+// drop forgets page i, as an erase does.
+func (m *image) drop(i int) { m.refs[i] = 0 }
+
+// snap writes body after reporting every named page to the tally and
+// carrying forward the pages of retiring segments, as the flash array's
+// encoder does.
+func (m *image) snap(body []byte) SnapshotWriter {
+	return func(w io.Writer, _ bool, tally flash.SegmentTally) (Payload, error) {
+		for i, r := range m.refs {
+			if r != 0 && tally.Tally(r.Segment(), int64(len(m.pages[i]))) {
+				m.refs[i] = tally.Carry(flash.PageAddr{}, m.pages[i])
+			}
+		}
+		_, err := w.Write(body)
+		return Payload{Written: int64(len(body)), Live: int64(len(body))}, err
+	}
+}
+
+// requireResolves fails unless every page m names resolves to its bytes
+// in the store dir holds.
+func (m *image) requireResolves(t *testing.T, dir string) {
+	t.Helper()
+	rec, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range m.refs {
+		if r == 0 {
+			continue
+		}
+		got, err := rec.ResolvePage(r)
+		if err != nil || !bytes.Equal(got, m.pages[i]) {
+			t.Fatalf("page %d (%#x): %v", i, uint64(r), err)
+		}
+	}
+}
+
+// appendPages journals and commits one single-page write per page and
+// returns the pages' references.
+func appendPages(t *testing.T, s *Store, pages ...[]byte) []flash.PageRef {
+	t.Helper()
+	var refs []flash.PageRef
+	for i, p := range pages {
+		seq, r, err := s.AppendIntent(intentRec(0, uint64(i), p), refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = r
+		if err := s.AppendCommit(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sweepStale(dir, 5, []uint64{3, 4, 5})
+	return refs
+}
+
+// dirNames lists dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +280,67 @@ func TestSweepStaleKeepsChain(t *testing.T) {
 	for _, e := range entries {
 		got = append(got, e.Name())
 	}
-	want := []string{"CURRENT", "journal-5.log", "notes.txt", "snap-3.bin", "snap-4.bin", "snap-5.bin"}
-	if !slices.Equal(got, want) {
+	return got
+}
+
+// TestSweepStaleKeepsChain pins the mount-time sweep: every snapshot the
+// current chain references, every segment kept and the current journal
+// stay; older snapshots, other journals and temporary files go. Then a
+// real mount: the segments the chain's image names survive Resume and
+// its sweep and still resolve, and a journal no image names goes.
+func TestSweepStaleKeepsChain(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{
+		"CURRENT", "snap-1.bin", "snap-2.bin", "snap-3.bin", "snap-4.bin", "snap-5.bin",
+		"journal-1.log", "journal-2.log", "journal-3.log", "journal-4.log", "journal-5.log",
+		"snap-6.bin.tmp", "CURRENT.tmp", "notes.txt",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweepStale(dir, 5, []uint64{3, 4, 5}, []segment{{epoch: 2}, {epoch: 3}})
+	want := []string{"CURRENT", "journal-2.log", "journal-3.log", "journal-5.log", "notes.txt",
+		"snap-3.bin", "snap-4.bin", "snap-5.bin"}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
 		t.Fatalf("after sweep %v, want %v", got, want)
 	}
+
+	dir = t.TempDir()
+	s, err := Create(Config{Dir: dir, SnapshotEvery: -1}, staticSnap([]byte("base")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 200) }
+	var m image
+	m.add(t, s, page(1), page(2))
+	if err := s.Snapshot(m.snap([]byte("e2"))); err != nil {
+		t.Fatal(err)
+	}
+	appendPages(t, s, page(3)) // journal 2: no image names it
+	if err := s.Snapshot(m.snap([]byte("e3"))); err != nil {
+		t.Fatal(err)
+	}
+	m.add(t, s, page(4))
+	s.Abandon()
+	if err := os.WriteFile(journalPath(dir, 9), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := rec.Resume(Config{}, m.snap([]byte("e4")), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"CURRENT", "journal-1.log", "journal-3.log", "journal-4.log", "snap-4.bin"}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after Resume %v, want %v", got, want)
+	}
+	if st := s2.Stats(); st.Segments != 2 {
+		t.Fatalf("stats %+v, want 2 segments", st)
+	}
+	s2.Abandon()
+	m.requireResolves(t, dir)
 }

@@ -49,7 +49,7 @@ func swapJournal(s *Store) *halfFrameJournal {
 // commitOne journals and commits one single-page write of lpn.
 func commitOne(t *testing.T, s *Store, lpn uint64) {
 	t.Helper()
-	seq, err := s.AppendIntent(intentRec(0, lpn, []byte{byte(lpn)}))
+	seq, _, err := s.AppendIntent(intentRec(0, lpn, []byte{byte(lpn)}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestFailedAppendRollsBack(t *testing.T) {
 	commitOne(t, s, 1)
 
 	j.armed = true
-	if _, err := s.AppendIntent(intentRec(0, 2, []byte{2})); !errors.Is(err, errDiskFull) {
+	if _, _, err := s.AppendIntent(intentRec(0, 2, []byte{2}), nil); !errors.Is(err, errDiskFull) {
 		t.Fatalf("half-written intent: %v, want %v", err, errDiskFull)
 	}
 	commitOne(t, s, 3)
 
-	seq, err := s.AppendIntent(intentRec(0, 4, []byte{4}))
+	seq, _, err := s.AppendIntent(intentRec(0, 4, []byte{4}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestFailedRollbackLatchesStore(t *testing.T) {
 	commitOne(t, s, 2)
 
 	j.armed, j.truncateErr = true, errors.New("truncate refused")
-	if _, err := s.AppendIntent(intentRec(0, 3, []byte{3})); !errors.Is(err, errDiskFull) {
+	if _, _, err := s.AppendIntent(intentRec(0, 3, []byte{3}), nil); !errors.Is(err, errDiskFull) {
 		t.Fatalf("half-written intent: %v, want %v", err, errDiskFull)
 	}
-	if _, err := s.AppendIntent(intentRec(0, 4, []byte{4})); !errors.Is(err, j.truncateErr) {
+	if _, _, err := s.AppendIntent(intentRec(0, 4, []byte{4}), nil); !errors.Is(err, j.truncateErr) {
 		t.Fatalf("append on a failed store: %v, want the latched failure", err)
 	}
 	if s.ShouldSnapshot() {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"parabit/internal/binio"
+	"parabit/internal/flash"
 )
 
 // Op identifies the layout a journaled write placed its pages with. The
@@ -71,6 +73,12 @@ type Record struct {
 type Entry struct {
 	Record    Record
 	Committed bool
+	// Refs names where each of the record's pages lies in its journal,
+	// which a rotation keeps as a segment; OpenDir sets it on committed
+	// entries.
+	Refs []flash.PageRef
+	// off is the offset of the entry's payload in the journal.
+	off int64
 }
 
 // Framing and decode limits. A frame is u32 payload length, u32 IEEE
@@ -90,6 +98,10 @@ const (
 const (
 	payloadIntent uint8 = 1
 	payloadCommit uint8 = 2
+	// payloadPages carries pages a rotation copied forward out of a
+	// retiring segment: a page count, then the pages, laid out like an
+	// intent's. Replay skips it; only snapshot references name its pages.
+	payloadPages uint8 = 3
 )
 
 // ShapeOK reports whether the record's operand count is legal for its
@@ -148,8 +160,71 @@ func sealFrame(buf []byte, start int) []byte {
 	return buf
 }
 
+// intentHeader is the size of an intent payload before its LPNs: type,
+// op, sequence number, plane and LPN count.
+const intentHeader = 1 + 1 + 8 + 8 + 4
+
+// appendPageRefs appends to dst a reference for each page of the intent
+// or page-carrying payload, which lies at offset base in the journal of
+// epoch seg. A page whose position does not fit a flash.PageRef gets
+// the zero reference, and is stored inline. ok is false when payload is
+// neither, or its page table does not fit it.
+func appendPageRefs(dst []flash.PageRef, seg uint64, base int64, payload []byte) (_ []flash.PageRef, ok bool) {
+	var pos uint64 // where the page count lies
+	switch {
+	case len(payload) >= intentHeader && payload[0] == payloadIntent:
+		nLPN := uint64(binary.LittleEndian.Uint32(payload[intentHeader-4:]))
+		pos = uint64(intentHeader) + 8*nLPN
+	case len(payload) > 0 && payload[0] == payloadPages:
+		pos = 1
+	default:
+		return dst, false
+	}
+	if pos+4 > uint64(len(payload)) {
+		return dst, false
+	}
+	nPages := binary.LittleEndian.Uint32(payload[pos:])
+	pos += 4
+	for i := uint32(0); i < nPages; i++ {
+		if pos+4 > uint64(len(payload)) {
+			return dst, false
+		}
+		n := uint64(binary.LittleEndian.Uint32(payload[pos:]))
+		pos += 4
+		if pos+n > uint64(len(payload)) {
+			return dst, false
+		}
+		var ref flash.PageRef
+		if off := uint64(base) + pos; seg <= math.MaxUint32 && off <= math.MaxUint32 {
+			ref = flash.NewPageRef(uint32(seg), uint32(off))
+		}
+		dst = append(dst, ref)
+		pos += n
+	}
+	return dst, true
+}
+
+// nextFrame returns the payload of the frame at the start of b and the
+// frame's length, or ok false when b does not start with a whole frame
+// that passes its checksum: the end of the valid journal.
+func nextFrame(b []byte) (payload []byte, n int, ok bool) {
+	if len(b) < frameHeader {
+		return nil, 0, false
+	}
+	ln := binary.LittleEndian.Uint32(b[0:4])
+	if ln > MaxRecord || int(ln) > len(b)-frameHeader {
+		return nil, 0, false
+	}
+	payload = b[frameHeader : frameHeader+int(ln)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, false
+	}
+	return payload, frameHeader + int(ln), true
+}
+
 // decodePayload parses one CRC-verified payload into its type tag and,
-// for intents, the record. Every length is bounds-checked and trailing
+// for intents, the record; a page-carrying payload is validated and
+// skipped. Every length is bounds-checked and trailing
 // garbage is rejected, so hostile bytes fail cleanly instead of
 // panicking or over-allocating.
 func decodePayload(payload []byte) (uint8, Record, error) {
@@ -160,6 +235,11 @@ func decodePayload(payload []byte) (uint8, Record, error) {
 	switch typ {
 	case payloadCommit:
 		rec.Seq = b.U64()
+	case payloadPages:
+		n := b.U32()
+		for i := uint32(0); i < n && b.Err() == nil; i++ {
+			b.Skip()
+		}
 	case payloadIntent:
 		rec.Op = Op(b.U8())
 		rec.Seq = b.U64()
@@ -196,6 +276,8 @@ func decodePayload(payload []byte) (uint8, Record, error) {
 
 // ScanJournal walks raw journal bytes frame by frame and returns the
 // scanned entries in order plus the byte offset where valid frames end.
+// Frames of pages a rotation copied forward are no entries and are
+// skipped.
 // An incomplete, over-long or checksum-failing frame ends the scan — the
 // torn tail a crash mid-append leaves — and is reported through the
 // offset, not as an error. A frame that passes its checksum but decodes
@@ -208,16 +290,8 @@ func ScanJournal(b []byte) ([]Entry, int64, error) {
 	lastSeq := uint64(0)
 	pending := -1
 	for {
-		rest := b[off:]
-		if len(rest) < frameHeader {
-			break
-		}
-		ln := binary.LittleEndian.Uint32(rest[0:4])
-		if ln > MaxRecord || int(ln) > len(rest)-frameHeader {
-			break
-		}
-		payload := rest[frameHeader : frameHeader+int(ln)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
+		payload, n, ok := nextFrame(b[off:])
+		if !ok {
 			break
 		}
 		typ, rec, err := decodePayload(payload)
@@ -230,7 +304,7 @@ func ScanJournal(b []byte) ([]Entry, int64, error) {
 				return nil, int64(off), fmt.Errorf("%w: sequence %d after %d", ErrCorrupt, rec.Seq, lastSeq)
 			}
 			lastSeq = rec.Seq
-			entries = append(entries, Entry{Record: rec})
+			entries = append(entries, Entry{Record: rec, off: int64(off + frameHeader)})
 			pending = len(entries) - 1
 		case payloadCommit:
 			if pending < 0 || entries[pending].Record.Seq != rec.Seq {
@@ -239,7 +313,7 @@ func ScanJournal(b []byte) ([]Entry, int64, error) {
 			entries[pending].Committed = true
 			pending = -1
 		}
-		off += frameHeader + int(ln)
+		off += n
 	}
 	return entries, int64(off), nil
 }

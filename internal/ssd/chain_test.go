@@ -33,7 +33,7 @@ func tinyTLCConfig() Config {
 func fullImage(t *testing.T, d *Device) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := d.writeSnapshot(&buf, false); err != nil {
+	if _, err := d.writeSnapshot(&buf, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -47,7 +47,7 @@ func mountChain(t *testing.T, dir string) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := deviceFromSnapshot(rec.Chain())
+	m, err := deviceFromSnapshot(rec.Chain(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestChainBrokenMountFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := deviceFromSnapshot(rec.Chain()[:1]); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := deviceFromSnapshot(rec.Chain()[:1], rec); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("delta decoded without its parents: %v", err)
 		}
 	})

@@ -53,6 +53,14 @@ type Device struct {
 	// device): host writes are journaled before they are acknowledged and
 	// the journal compacts into snapshots. See Create/Open/Close.
 	store *persist.Store
+	// cfgJSON is the configuration every snapshot carries, marshaled
+	// once when the store is created or mounted; refs holds the journal
+	// references of the write being journaled, and tally the store's
+	// census a snapshot reports them to. All stay empty on a volatile
+	// device.
+	cfgJSON []byte
+	refs    []flash.PageRef
+	tally   liveTally
 	// red is the working memory the reduction paths reuse across calls.
 	red reduceScratch
 }
