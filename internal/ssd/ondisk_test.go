@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,13 +104,42 @@ func chainFiles(t *testing.T, dir string) (string, []string) {
 	return epoch, files
 }
 
+// segmentFiles returns the journal segments dir keeps besides the
+// current epoch's journal, oldest first.
+func segmentFiles(t *testing.T, dir, epoch string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs []uint64
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "journal-")
+		if num, found := strings.CutSuffix(num, ".log"); ok && found && num != epoch {
+			n, err := strconv.ParseUint(num, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochs = append(epochs, n)
+		}
+	}
+	slices.Sort(epochs)
+	var names []string
+	for _, n := range epochs {
+		names = append(names, "journal-"+strconv.FormatUint(n, 10)+".log")
+	}
+	return names
+}
+
 // renderOnDisk names the SHA-256 and length of CURRENT, every snapshot
-// file of the current chain (newest first) and the current journal.
+// file of the current chain (newest first), the current journal and the
+// segments kept beside it (oldest first).
 func renderOnDisk(t *testing.T, dir string) string {
 	t.Helper()
 	epoch, snaps := chainFiles(t, dir)
 	var b strings.Builder
 	names := append(append([]string{"CURRENT"}, snaps...), "journal-"+epoch+".log")
+	names = append(names, segmentFiles(t, dir, epoch)...)
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -121,8 +151,8 @@ func renderOnDisk(t *testing.T, dir string) string {
 }
 
 // TestOnDiskBytesGolden pins the exact bytes the store writes: the
-// snapshot chain and journal of the last epoch of buildOnDisk must hash
-// to testdata/ondisk.golden. Any change to snapshot encoding, journal
+// snapshot chain, journal and segments of the last epoch of buildOnDisk
+// must hash to testdata/ondisk.golden. Any change to snapshot encoding, journal
 // framing or rotation points shows up here.
 // Regenerate with: go test ./internal/ssd -run TestOnDiskBytesGolden -update-ondisk
 func TestOnDiskBytesGolden(t *testing.T) {
