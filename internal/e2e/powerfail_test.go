@@ -32,7 +32,11 @@ func isPowerCut(err error) bool {
 // TestPowerFailMatrix is the crash-consistency matrix: for every
 // injectable cut point, concurrent clients write fresh pages, overwrite
 // their own base pages and query pre-cut operand pairs while the plan
-// kills the device mid-traffic. After the remount, every acknowledged
+// kills the device mid-traffic. Half the writes are operand pages, which
+// snapshots name by reference into the journal segments rotations keep;
+// the scrambled half leaves segments below half referenced, so rotations
+// retire them, and the last case cuts power at a pre-snapshot boundary
+// after segments have retired. After the remount, every acknowledged
 // write must read back byte-identical, every unacknowledged fresh write
 // must fail explicitly (never stale or partial data), unacknowledged
 // overwrites must still show the pre-crash bytes, and the FTL must
@@ -47,6 +51,7 @@ func TestPowerFailMatrix(t *testing.T) {
 		{"post-journal", 9},
 		{"mid-program", 30},
 		{"pre-snapshot", 1},
+		{"pre-snapshot", 6},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-%d", tc.point, tc.afterN), func(t *testing.T) {
@@ -102,6 +107,14 @@ func TestPowerFailMatrix(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(1000 + c)))
 					freshNext := uint64(c*100 + 50)
+					// write stores a host page or, every other time, an
+					// operand page.
+					write := func(lpn uint64, p []byte) error {
+						if rng.Intn(2) == 0 {
+							return d.WriteOperand(lpn, p)
+						}
+						return d.Write(lpn, p)
+					}
 					for i := 0; i < 40; i++ {
 						switch rng.Intn(3) {
 						case 0: // fresh write to a never-used LPN
@@ -109,7 +122,7 @@ func TestPowerFailMatrix(t *testing.T) {
 							freshNext++
 							p := make([]byte, d.PageSize())
 							rng.Read(p)
-							err := d.Write(lpn, p)
+							err := write(lpn, p)
 							if err == nil {
 								led.Lock()
 								led.pages[lpn] = p
@@ -121,7 +134,7 @@ func TestPowerFailMatrix(t *testing.T) {
 							lpn := uint64(c*100 + rng.Intn(basePerClient))
 							p := make([]byte, d.PageSize())
 							rng.Read(p)
-							err := d.Write(lpn, p)
+							err := write(lpn, p)
 							if err == nil {
 								led.Lock()
 								led.pages[lpn] = p
@@ -148,6 +161,9 @@ func TestPowerFailMatrix(t *testing.T) {
 			fs := d.Stats().Faults
 			if fs.PowerCuts == 0 {
 				t.Fatalf("plan never cut the power: %+v", fs)
+			}
+			if ps := d.Stats().Persist; tc.afterN > 1 && tc.point == "pre-snapshot" && ps.RetiredSegments == 0 {
+				t.Fatalf("no segment retired before the cut: %+v", ps)
 			}
 			// Crash-close: the store is dead, so Close releases the handle
 			// without flushing anything the crash didn't make durable.
