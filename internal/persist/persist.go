@@ -5,9 +5,15 @@
 //
 // # Durability contract
 //
-// Every host write appends an intent record (the operation and its
-// payload) before the device executes it and a commit record after the
-// device reports success; only then is the write acknowledged. Recovery
+// Every host write journals an intent record (the operation and its
+// payload) and, once the device reports success, a commit record; only
+// after both land is the write acknowledged. The store holds the intent
+// until its commit and appends the two in one write: the device is
+// rebuilt from the journal at every mount, so nothing needs the intent
+// on disk before the device executes it. An intent no commit follows is
+// written alone before anything else lands or the store could lose it,
+// so the journal a mount reads holds the same bytes as if every record
+// were written as it was made. Recovery
 // applies exactly the committed intents, in order, so an acknowledged
 // write is always recovered byte-for-byte and an unacknowledged one is
 // never silently resurrected — a remounted read of it fails explicitly.
@@ -97,8 +103,9 @@ const (
 	// PointPreJournal cuts before a journal append: the operation leaves
 	// no trace and recovery never sees it.
 	PointPreJournal = "pre-journal"
-	// PointPostJournal cuts after the intent append, before the program:
-	// the intent is durable but uncommitted, so recovery skips it.
+	// PointPostJournal cuts after the intent, before the program: the
+	// store writes the intent it held alone, uncommitted, so recovery
+	// skips it.
 	PointPostJournal = "post-journal"
 	// PointMidProgram cuts during the NAND program itself.
 	PointMidProgram = "mid-program"
@@ -137,6 +144,7 @@ type CutInjector interface {
 // Stats counts persistence activity since the store opened.
 type Stats struct {
 	JournalRecords  int64 // records appended (intents + commits)
+	JournalWrites   int64 // write calls on the journal, carried pages' frames included
 	JournalBytes    int64 // bytes appended to the journal
 	Snapshots       int64 // snapshot rotations completed
 	FullSnapshots   int64 // rotations that wrote a full image

@@ -95,6 +95,7 @@ func (s *Scheduler) PublishMetrics() {
 	if ps := c.Persist; c.Persistent {
 		count("persist.journal.bytes", ps.JournalBytes)
 		count("persist.journal.records", ps.JournalRecords)
+		count("persist.journal.writes", ps.JournalWrites)
 		count("persist.snapshots", ps.Snapshots)
 		count("persist.snapshot.bytes", ps.SnapshotBytes)
 		count("persist.snapshots.full", ps.FullSnapshots)

@@ -233,15 +233,21 @@ func TestChainFailedDeltaKeepsChanges(t *testing.T) {
 	}
 }
 
-// preSnapshotCut cuts power at the first pre-snapshot boundary.
-type preSnapshotCut struct{ dead bool }
-
-func (c *preSnapshotCut) CutAtBoundary(point string) bool {
-	c.dead = c.dead || point == persist.PointPreSnapshot
-	return c.dead
+// boundaryCut cuts power at the n-th crossing of one persistence
+// boundary.
+type boundaryCut struct {
+	point   string
+	n, seen int
 }
 
-func (c *preSnapshotCut) PowerDead() bool { return c.dead }
+func (c *boundaryCut) CutAtBoundary(point string) bool {
+	if point == c.point {
+		c.seen++
+	}
+	return c.PowerDead()
+}
+
+func (c *boundaryCut) PowerDead() bool { return c.seen >= c.n }
 
 // TestChainCutDeltaKeepsChanges pins the flags across a delta whose
 // swap a pre-snapshot power cut prevents: none are cleared, and the
@@ -256,7 +262,7 @@ func TestChainCutDeltaKeepsChanges(t *testing.T) {
 	writeToRotationEdge(w)
 	epoch := currentEpoch(t, dir)
 	changed := d.array.ChangedBlocks()
-	d.store.SetCutInjector(&preSnapshotCut{})
+	d.store.SetCutInjector(&boundaryCut{point: persist.PointPreSnapshot, n: 1})
 	if _, err := d.WriteOperand(0, randPage(d, 1), 0); err != nil {
 		t.Fatalf("acknowledged write whose rotation was cut: %v", err)
 	}

@@ -161,12 +161,17 @@ func (d *Device) SetFaultInjector(fi flash.FaultInjector) {
 }
 
 // journaled runs one journal record under the write-ahead protocol:
-// intent append, execution through applyRecord — the same path replay
-// takes — commit append, then (maybe) a compaction snapshot. The
-// operation is acknowledged — journaled returns nil — only after the
-// commit record is durable, which is exactly the set of operations
-// mount-time replay reapplies. A power cut during the compaction
-// snapshot does not fail the (already durable) write.
+// intent, execution through applyRecord — the same path replay takes —
+// commit, then (maybe) a compaction snapshot. The store holds the intent
+// until the commit and writes both in one write; the device state is
+// rebuilt from the journal at every mount, so nothing needs the intent
+// on disk before the execution. The operation is acknowledged —
+// journaled returns nil — only after that write lands, which is exactly
+// the set of operations mount-time replay reapplies. A failed commit
+// drops the pages' journal references, because a failed write is cut
+// back with its intent: the pages stay inline in the next snapshot. A
+// power cut during the compaction snapshot does not fail the (already
+// durable) write.
 func (d *Device) journaled(rec persist.Record, at sim.Time) (sim.Time, error) {
 	if d.store == nil {
 		return d.applyRecord(rec, nil, at)
@@ -181,6 +186,8 @@ func (d *Device) journaled(rec persist.Record, at sim.Time) (sim.Time, error) {
 		return 0, err
 	}
 	if err := d.store.AppendCommit(seq); err != nil {
+		clear(refs)
+		d.ftl.SetRefs(rec.LPNs, refs)
 		return 0, err
 	}
 	if err := d.maybeSnapshot(); err != nil {

@@ -412,6 +412,70 @@ func BenchmarkDeviceRotation(b *testing.B) {
 	}
 }
 
+// TestFailedCommitKeepsPagesInline pins journaled's failure path: a
+// commit that fails drops the journal references of the pages its
+// record programmed, because a failed write is cut back together with
+// the intent they name, so a snapshot carries those pages inline. The
+// commit here fails by a power cut at its journal boundary.
+func TestFailedCommitKeepsPagesInline(t *testing.T) {
+	d, err := Create(t.TempDir(), SmallConfig(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := func() int64 {
+		t.Helper()
+		p, err := d.writeSnapshot(io.Discard, false, keepSegments{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Inline
+	}
+	for lpn := uint64(0); lpn < 4; lpn++ {
+		if _, err := d.WriteOperand(lpn, randPage(d, int64(lpn)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := inline()
+	// The first pre-journal crossing is the intent's, the second its
+	// commit's.
+	d.store.SetCutInjector(&boundaryCut{point: persist.PointPreJournal, n: 2})
+	if _, err := d.WriteOperand(4, randPage(d, 4), 0); !errors.Is(err, persist.ErrPowerCut) {
+		t.Fatalf("write with its commit cut: %v, want ErrPowerCut", err)
+	}
+	if got, want := inline(), before+int64(d.PageSize()); got != want {
+		t.Fatalf("snapshot carries %d inline bytes after the failed commit, want %d", got, want)
+	}
+	d.Crash()
+}
+
+// keepSegments is a SegmentTally that keeps every segment.
+type keepSegments struct{}
+
+func (keepSegments) Tally(uint32, int64) bool                   { return false }
+func (keepSegments) Carry(flash.PageAddr, []byte) flash.PageRef { return 0 }
+
+// BenchmarkDeviceJournaledWrite measures one acknowledged single-page
+// write of a persistent Small device at the default rotation length:
+// the intent framed and held, the program, the intent and its commit in
+// one journal write, and every default rotation length a rotation. The
+// overwrites cycle over the preloaded working set.
+func BenchmarkDeviceJournaledWrite(b *testing.B) {
+	d := preloadedDevice(b)
+	lpns, pages := []uint64{0}, [][]byte{randPage(d, -1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lpns[0] = uint64(i) % benchPreload
+		if _, err := d.WritePages(persist.OpWriteOperand, 0, lpns, pages, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestOpenFailsOnBrokenSegment pins the mount's segment checks: the
 // chain names operand pages by reference into the journal segments it
 // keeps, and a segment that is gone, or whose frame holding a named page

@@ -65,6 +65,7 @@ func statsMetrics(d *Device) map[string]int64 {
 	if ps := st.Persist; st.Persistent {
 		want["counter persist.journal.bytes"] = ps.JournalBytes
 		want["counter persist.journal.records"] = ps.JournalRecords
+		want["counter persist.journal.writes"] = ps.JournalWrites
 		want["counter persist.snapshots"] = ps.Snapshots
 		want["counter persist.snapshot.bytes"] = ps.SnapshotBytes
 		want["counter persist.snapshots.full"] = ps.FullSnapshots
@@ -185,7 +186,7 @@ func TestPublishedMetricsMatchStats(t *testing.T) {
 		"counter ssd.bitwise.ops", "counter ssd.reallocations", "counter ssd.descrambled_reads",
 		"counter ssd.result_bytes", "counter ssd.query.plans", "counter ssd.query.cache.hits",
 		"counter ftl.padded_pages", "counter ftl.bad_blocks.retired",
-		"counter persist.journal.records", "counter persist.snapshots",
+		"counter persist.journal.records", "counter persist.journal.writes", "counter persist.snapshots",
 		"counter faults.stuck_block", "counter faults.plane_transient", "counter faults.jitter_events",
 		"gauge flash.sros", "gauge flash.programs",
 	} {
