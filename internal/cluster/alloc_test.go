@@ -10,10 +10,11 @@ import (
 // TestColocatedQueryAllocationCeiling bounds the host allocations of a
 // colocated query end to end — admission, colocation, routing, the shard
 // scheduler, planning and the device — on the shard-local and the wire
-// route. Admission, colocation and planning allocate nothing: the shard
-// compiles the tree over its pages in reused scratch. A local query
-// allocates its ticket, its result page and the leaf buffer, which
-// escapes because the scheduler's Submit stores its Command.
+// route. Admission, colocation, planning and the wire crossing allocate
+// nothing: the leaf buffer, the command streams, the parsed batches and
+// the lifted tree live in the cluster's route scratch, and the shard
+// compiles the tree over its pages in reused scratch. Either route
+// allocates its ticket and its result page.
 func TestColocatedQueryAllocationCeiling(t *testing.T) {
 	pages := diffPages(4, ssd.SmallConfig().Geometry.PageSize, 7)
 	c := clusterFor(t, true, pages)
@@ -24,10 +25,11 @@ func TestColocatedQueryAllocationCeiling(t *testing.T) {
 		route   Route
 		ceiling float64
 	}{
-		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 3},
+		{"and4", plan.And(k(1), k(2), k(3), k(4)), RouteLocal, 2},
 		// The wire route crosses the NVMe encoding once, at the shard's
-		// queue pair, and lifts the parsed batches into a new tree.
-		{"and2", plan.And(k(1), k(2)), RouteWire, 14},
+		// queue pair, and lifts the parsed batches into the scratch's
+		// node arena.
+		{"and2", plan.And(k(1), k(2)), RouteWire, 2},
 	}
 	for _, tc := range cases {
 		res, err := c.Query("t", tc.e, ssd.SchemeLocFree)
@@ -76,7 +78,7 @@ func TestColocatedShardMapsLeavesInOrder(t *testing.T) {
 	pages := diffPages(4, ssd.SmallConfig().Geometry.PageSize, 3)
 	c := clusterFor(t, true, pages)
 	keys := []uint64{3, 1, 4, 1}
-	sh, err := c.colocatedShard(keys)
+	sh, err := c.colocatedShard(&routeScratch{leaves: keys})
 	if err != nil || sh == nil {
 		t.Fatalf("colocatedShard = %v, %v; want a shard", sh, err)
 	}

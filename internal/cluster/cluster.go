@@ -241,8 +241,9 @@ type Cluster struct {
 	nextID  int                // guarded by mu
 	columns map[uint64]*column // guarded by mu
 
-	adm  admitter
-	tele clusterTele
+	adm     admitter
+	tele    clusterTele
+	scratch scratchList
 }
 
 // New builds a cluster of cfg.Shards fresh devices.

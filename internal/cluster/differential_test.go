@@ -157,7 +157,7 @@ func TestDifferentialRoutes(t *testing.T) {
 search:
 	for i := uint64(1); i <= 4; i++ {
 		for j := i + 1; j <= 4; j++ {
-			if sh, err := sp.colocatedShard([]uint64{i, j}); err == nil && sh == nil {
+			if sh, err := sp.colocatedShard(&routeScratch{leaves: []uint64{i, j}}); err == nil && sh == nil {
 				a, b = i, j
 				break search
 			}

@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"fmt"
+	"slices"
 
 	"parabit/internal/latch"
 )
@@ -11,10 +12,16 @@ import (
 // the pointer chaining of §4.3.1/Fig. 11. The stream is ordered: for each
 // term, sub-operation by sub-operation, first operand then second.
 func EncodeFormula(f Formula, pageSize int) ([]Command, error) {
+	return AppendCommands(nil, f, pageSize)
+}
+
+// AppendCommands is EncodeFormula appending the stream to dst, so a
+// caller that keeps dst encodes without allocating. A formula Validate
+// refuses returns dst unchanged with the error.
+func AppendCommands(dst []Command, f Formula, pageSize int) ([]Command, error) {
 	if err := f.Validate(pageSize); err != nil {
-		return nil, err
+		return dst, err
 	}
-	var cmds []Command
 	for ti, term := range f.Terms {
 		extra := OpNone
 		if ti < len(f.Combine) {
@@ -59,10 +66,10 @@ func EncodeFormula(f Formula, pageSize int) ([]Command, error) {
 				first.SchemeHint, first.SchemeHintValid = f.Scheme, true
 				second.SchemeHint, second.SchemeHintValid = f.Scheme, true
 			}
-			cmds = append(cmds, first, second)
+			dst = append(dst, first, second)
 		}
 	}
-	return cmds, nil
+	return dst, nil
 }
 
 // StreamScheme recovers the placement-scheme hint from a parsed command
@@ -111,21 +118,35 @@ type Batch struct {
 // batch list from the submitted command stream, validating the pairing
 // and pointer chaining invariants.
 func ParseBatches(cmds []Command, pageSize int) ([]Batch, error) {
+	return new(Parser).Parse(cmds, pageSize)
+}
+
+// Parser is the CMD Parse module with reusable scratch: the batches Parse
+// returns, and their sub-operations, live in the parser and stay valid
+// until its next Parse. The zero value is ready to use; scratch grows on
+// first use. Not safe for concurrent use.
+type Parser struct {
+	// batches, last and next are indexed by batch order, which the 8-bit
+	// wire field bounds to MaxTerms, so no map is needed. last is the
+	// stream index of the batch's latest tag-1 command; next counts the
+	// batch's sub-operations, then marks where its next one goes in subs.
+	batches    []Batch
+	last, next []int
+	subs       []SubOp
+}
+
+// Parse is ParseBatches into the parser's scratch.
+func (p *Parser) Parse(cmds []Command, pageSize int) ([]Batch, error) {
 	if len(cmds) == 0 {
 		return nil, fmt.Errorf("%w: empty command stream", ErrBadCommand)
 	}
 	if len(cmds)%2 != 0 {
 		return nil, fmt.Errorf("%w: odd command count %d", ErrBadCommand, len(cmds))
 	}
-	byOrder := map[int]*Batch{}
-	// lastSecond remembers each batch's most recent tag-1 command so the
-	// sub-operation chain verifies per batch: batches may interleave in
-	// the stream, so the previous command in stream order is not
-	// necessarily this batch's predecessor.
-	lastSecond := map[int]Command{}
-	var orders []int
+	var seen [MaxTerms]bool
+	orders := 0
 	for i := 0; i < len(cmds); i += 2 {
-		first, second := cmds[i], cmds[i+1]
+		first, second := &cmds[i], &cmds[i+1]
 		if first.OperandTag != 0 || second.OperandTag != 1 {
 			return nil, fmt.Errorf("%w: commands %d,%d have tags %d,%d",
 				ErrBadCommand, i, i+1, first.OperandTag, second.OperandTag)
@@ -139,56 +160,93 @@ func ParseBatches(cmds []Command, pageSize int) ([]Batch, error) {
 				ErrBadCommand, i, first.BatchOrder, second.BatchOrder)
 		}
 		order := int(first.BatchOrder)
-		b, ok := byOrder[order]
-		if !ok {
+		if !seen[order] {
 			op, err := first.IntraOp.Op()
 			if err != nil {
 				return nil, fmt.Errorf("%w: batch %d intra op: %v", ErrBadCommand, order, err)
 			}
-			b = &Batch{Order: order, Op: op}
+			b := Batch{Order: order, Op: op}
 			// The last batch carries OpNone; test it first so its absent
 			// extra op costs no error value.
 			if second.ExtraOp < OpNone {
 				b.Extra = latch.Op(second.ExtraOp)
 			}
-			byOrder[order] = b
-			orders = append(orders, order)
+			p.batches, p.last, p.next = atLeast(p.batches, order+1), atLeast(p.last, order+1), atLeast(p.next, order+1)
+			p.batches[order], p.next[order] = b, 0
+			seen[order] = true
+			orders++
 		}
-		sub := SubOp{M: first.LBA, N: second.LBA, Length: pageSize}
-		if first.SectorCount != 0 || second.SectorCount != 0 {
-			if first.SectorCount != second.SectorCount {
-				return nil, fmt.Errorf("%w: pair %d sector counts differ (%d vs %d)",
-					ErrBadCommand, i, first.SectorCount, second.SectorCount)
-			}
-			sector := SectorFor(pageSize)
-			sub.SectorOffset = int(first.SectorOffset) * sector
-			sub.NSectorOffset = int(second.SectorOffset) * sector
-			sub.Length = int(first.SectorCount) * sector
+		if _, err := pairSub(first, second, i, pageSize); err != nil {
+			return nil, err
 		}
 		// Verify the sub-operation chain: this batch's previous pair must
 		// have pointed its second command at this pair's first operand.
-		if len(b.Subs) > 0 {
-			prev := lastSecond[order]
+		// Batches may interleave in the stream, so the previous command
+		// in stream order is not necessarily this batch's predecessor.
+		if p.next[order] > 0 {
+			prev := &cmds[p.last[order]]
 			if !prev.PointerValid || prev.Pointer != first.LBA {
 				return nil, fmt.Errorf("%w: batch %d sub-op %d not chained",
-					ErrBadCommand, order, len(b.Subs))
+					ErrBadCommand, order, p.next[order])
 			}
 		}
-		lastSecond[order] = second
-		b.Subs = append(b.Subs, sub)
+		p.last[order] = i + 1
+		p.next[order]++
 	}
 	// Batches execute in order; later batches consume earlier results, so
 	// orders must be dense from zero.
-	out := make([]Batch, 0, len(orders))
-	for want := 0; want < len(orders); want++ {
-		b, ok := byOrder[want]
-		if !ok {
+	for want := 0; want < orders; want++ {
+		if !seen[want] {
 			return nil, fmt.Errorf("%w: batch order %d missing", ErrBadCommand, want)
 		}
-		b.HasNext = want < len(orders)-1
-		out = append(out, *b)
 	}
-	return out, nil
+	// Every order below the count is present, so none lies above it. Lay
+	// each batch's sub-operations out contiguously, in stream order.
+	batches := p.batches[:orders]
+	at := 0
+	for o := range batches {
+		n := p.next[o]
+		p.next[o] = at
+		at += n
+	}
+	p.subs = atLeast(p.subs[:0], at)
+	for i := 0; i < len(cmds); i += 2 {
+		o := cmds[i].BatchOrder
+		p.subs[p.next[o]], _ = pairSub(&cmds[i], &cmds[i+1], i, pageSize)
+		p.next[o]++
+	}
+	start := 0
+	for o := range batches {
+		end := p.next[o]
+		batches[o].Subs = p.subs[start:end:end]
+		batches[o].HasNext = o < orders-1
+		start = end
+	}
+	return batches, nil
+}
+
+// pairSub is the sub-operation the pair at stream index i names.
+func pairSub(first, second *Command, i, pageSize int) (SubOp, error) {
+	sub := SubOp{M: first.LBA, N: second.LBA, Length: pageSize}
+	if first.SectorCount != 0 || second.SectorCount != 0 {
+		if first.SectorCount != second.SectorCount {
+			return SubOp{}, fmt.Errorf("%w: pair %d sector counts differ (%d vs %d)",
+				ErrBadCommand, i, first.SectorCount, second.SectorCount)
+		}
+		sector := SectorFor(pageSize)
+		sub.SectorOffset = int(first.SectorOffset) * sector
+		sub.NSectorOffset = int(second.SectorOffset) * sector
+		sub.Length = int(first.SectorCount) * sector
+	}
+	return sub, nil
+}
+
+// atLeast extends s to length n, reusing its backing array when it fits.
+func atLeast[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // RoundTrip is the host boundary of a formula: encode it to wire

@@ -3,6 +3,7 @@ package nvme
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -63,21 +64,28 @@ func (q *QueuePair) Stats() QueuePairStats {
 // queue's depth fails with ErrQueueFull. Concurrent exchanges never
 // interleave their streams.
 func (q *QueuePair) Exchange(cmds []Command) ([]Command, error) {
+	return q.AppendExchange(nil, cmds)
+}
+
+// AppendExchange is Exchange appending what the device sees to dst, so a
+// caller that keeps dst exchanges without allocating. A rejected stream
+// returns dst unchanged with the error.
+func (q *QueuePair) AppendExchange(dst, cmds []Command) ([]Command, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(cmds) > q.depth {
 		q.stats.Rejected += int64(len(cmds))
-		return nil, fmt.Errorf("%w: %d entries for %d free slots",
+		return dst, fmt.Errorf("%w: %d entries for %d free slots",
 			ErrQueueFull, len(cmds), q.depth)
 	}
-	out := make([]Command, len(cmds))
-	for i, c := range cmds {
-		out[i] = Decode(c.LBA, c.Encode())
+	dst = slices.Grow(dst, len(cmds))
+	for i := range cmds {
+		dst = append(dst, Decode(cmds[i].LBA, cmds[i].Encode()))
 	}
 	q.stats.Submitted += int64(len(cmds))
 	q.stats.Drained += int64(len(cmds))
 	if len(cmds) > q.stats.MaxDepth {
 		q.stats.MaxDepth = len(cmds)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -462,20 +462,22 @@ func (c *Compiler) emitNode(op latch.Op, args []arg) (Ref, int32, error) {
 			break
 		}
 	}
+	var r Ref
 	switch op {
 	case latch.OpAnd, latch.OpOr, latch.OpXor:
-		r := c.emitFused(op, args, stepKey)
-		// Split chains register under nested segment keys; remember the
-		// flat n-ary key too, so an identical sub-query re-uses the
-		// compiled result.
-		c.keys[key].step = int32(r.Step)
-		return r, key, nil
+		r = c.emitFused(op, args, stepKey)
 	case latch.OpXnor, latch.OpNand, latch.OpNor:
-		return c.add(StepOp, op, args, stepKey), key, nil
+		r = c.add(StepOp, op, args, stepKey)
 	case latch.OpNotLSB, latch.OpNotMSB:
-		return c.add(StepNot, latch.OpNotLSB, args, stepKey), key, nil
+		r = c.add(StepNot, latch.OpNotLSB, args, stepKey)
+	default:
+		return Ref{}, 0, fmt.Errorf("%w: op %v", ErrBadExpr, op)
 	}
-	return Ref{}, 0, fmt.Errorf("%w: op %v", ErrBadExpr, op)
+	// The step registers under its step key (split chains under nested
+	// segment keys); remember the expression key too, so an identical
+	// sub-query re-uses the compiled result.
+	c.keys[key].step = int32(r.Step)
+	return r, key, nil
 }
 
 // emitFused lowers an n-ary associative fold whose step key over args'

@@ -232,6 +232,48 @@ func TestCompileSharesCommonSubexpressions(t *testing.T) {
 	}
 }
 
+func TestCompileSharesComplementsOfSplitChains(t *testing.T) {
+	// A complement over a chain longer than latch.MaxChain steps under a
+	// key over the chain's segment results, not its expression key. A
+	// repeat of the complement must still find the step, as a repeated
+	// split chain does.
+	chain := func() *Expr {
+		args := make([]*Expr, 40)
+		for i := range args {
+			args[i] = Leaf(uint64(i + 1))
+		}
+		return And(args...)
+	}
+	cases := []struct {
+		name string
+		e    *Expr
+		kind StepKind
+	}{
+		{"not", Or(Not(chain()), Not(chain())), StepNot},
+		{"nand", Or(Nand(chain(), Leaf(41)), Nand(Leaf(41), chain())), StepOp},
+	}
+	for _, tc := range cases {
+		p, err := Compile(tc.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range p.Steps {
+			if s.Kind == tc.kind {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("%s: the repeated complement compiled to %d %s steps, want 1 (%d steps)", tc.name, n, tc.kind, len(p.Steps))
+		}
+		// Two chain segments, the fold of their results, the complement
+		// and the OR over its two uses.
+		if len(p.Steps) != 5 {
+			t.Fatalf("%s: %d steps, want 5", tc.name, len(p.Steps))
+		}
+	}
+}
+
 func TestCompileTopoOrder(t *testing.T) {
 	e, err := Parse("!((1 & 2 & 3) ^ (4 | 5)) ~& (1 & 2 & 3)")
 	if err != nil {
