@@ -281,13 +281,17 @@ func (a *Array) ReadCount(p PlaneAddr, blockIdx int) int {
 }
 
 // noteSense charges a sense of sros SROs ending at end to the block
-// holding w: its read disturb, and the time its erase must wait for. It
-// returns the block's disturb exposure before this sense.
+// holding w: its read disturb, and the time its erase must wait for. A
+// program that selects w but charges it no SRO never reads the block, so
+// the block's erase need not wait for it. It returns the block's disturb
+// exposure before this sense.
 func (a *Array) noteSense(w WordlineAddr, sros int, end sim.Time) int {
 	blk := &a.planeAt(w.PlaneAddr).blocks[w.Block]
 	before := blk.reads
-	blk.reads += sros
-	blk.sensed = sim.Max(blk.sensed, end)
+	if sros > 0 {
+		blk.reads += sros
+		blk.sensed = sim.Max(blk.sensed, end)
+	}
 	return before
 }
 

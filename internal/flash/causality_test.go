@@ -149,3 +149,41 @@ func TestResetTimingClearsBlockStamps(t *testing.T) {
 		t.Fatalf("erase after ResetTiming started at %v, want %v", e.start, res.Ready)
 	}
 }
+
+// A location-free NOT-LSB sense selects two wordlines but reads only the
+// second: its program charges the first 0 SROs. An erase of the first
+// block must not wait for that sense, an erase of the second must.
+func TestEraseSkipsSenseThatNeverReadIt(t *testing.T) {
+	a := testArray()
+	got := observePlanes(a)
+	unread, read := WordlineAddr{Block: 8}, WordlineAddr{Block: 9}
+	for i, w := range []WordlineAddr{unread, read} {
+		if _, err := a.Program(PageAddr{WordlineAddr: w}, fillPattern(a.geo.PageSize, byte(7+i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, err := latch.Price(latch.SenseLocFree, latch.OpNotLSB, 2); err != nil || c.Reads(0) != 0 || c.Reads(1) == 0 {
+		t.Fatalf("location-free NOT-LSB charges its wordlines %v %v (%v), want 0 and more", c.Reads(0), c.Reads(1), err)
+	}
+	const issued = sim.Time(20 * sim.Millisecond)
+	if _, err := a.Sense(Sense{Kind: latch.SenseLocFree, Op: latch.OpNotLSB, WLs: []WordlineAddr{unread, read}}, issued); err != nil {
+		t.Fatal(err)
+	}
+	sense := lastOf(t, got, "bitwise")
+	if a.ReadCount(unread.PlaneAddr, unread.Block) != 0 {
+		t.Fatalf("block %d absorbed %d SROs from a sense that never read it", unread.Block, a.ReadCount(unread.PlaneAddr, unread.Block))
+	}
+	if _, err := a.Erase(unread.PlaneAddr, unread.Block, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e := lastOf(t, got, "erase"); e.end > sense.start {
+		t.Fatalf("erase of the unread block ran [%v,%v), waiting for a sense booked at [%v,%v) that never read it",
+			e.start, e.end, sense.start, sense.end)
+	}
+	if _, err := a.Erase(read.PlaneAddr, read.Block, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e := lastOf(t, got, "erase"); e.start < sense.end {
+		t.Fatalf("erase of the read block started at %v, before the sense of it ended at %v", e.start, sense.end)
+	}
+}
