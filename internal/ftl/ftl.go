@@ -300,13 +300,18 @@ func (f *FTL) Read(lpn uint64, at sim.Time) ([]byte, sim.Time, error) {
 
 // relocate moves the valid pages of block blk on pa to other blocks, in
 // slot order, each keeping its journal reference (flash.Array.CarryRef),
-// and returns when the last program completes and how many
-// pages moved. Each page is read into buf. A nil buf reads each into a
-// fresh page, which retirement needs: a relocation whose program faults
-// retires that block mid-move, and the retirement must not overwrite the
-// page the relocation still carries. op names the caller in errors.
+// and returns when the latest program completes and how many pages
+// moved. The moves pipeline across planes: each read is issued when the
+// previous read's transfer ends, and each copy is programmed on its
+// relocationTarget plane as soon as its own read lands, so the copies of
+// one victim program on several planes at once. Each page is read into
+// buf, which the program copies before the next read reuses it. A nil
+// buf reads each into a fresh page, which retirement needs: a relocation
+// whose program faults retires that block mid-move, and the retirement
+// must not overwrite the page the relocation still carries. op names the
+// caller in errors.
 func (f *FTL) relocate(pa *planeAlloc, blk int, at sim.Time, buf []byte, op string) (sim.Time, int64, error) {
-	now, moved := at, int64(0)
+	issue, end, moved := at, at, int64(0)
 	for slot := 0; slot < int(f.perBlock) && pa.valid[blk] > 0; slot++ {
 		lpn, ok := pa.owner(blk, slot)
 		if !ok {
@@ -316,25 +321,25 @@ func (f *FTL) relocate(pa *planeAlloc, blk int, at sim.Time, buf []byte, op stri
 		if data == nil {
 			data = make([]byte, f.geo.PageSize)
 		}
-		readDone, err := f.array.ReadInto(data, f.pageIn(pa, blk, slot), now)
+		readDone, err := f.array.ReadInto(data, f.pageIn(pa, blk, slot), issue)
 		if err != nil {
-			return now, moved, fmt.Errorf("ftl: %s read: %w", op, err)
+			return end, moved, fmt.Errorf("ftl: %s read: %w", op, err)
 		}
 		target := f.relocationTarget(pa)
 		if target == nil {
-			return now, moved, ErrDeviceFull
+			return end, moved, ErrDeviceFull
 		}
 		done, err := f.writeTo(target, lpn, data, readDone, false)
 		if err != nil {
-			return now, moved, fmt.Errorf("ftl: %s write: %w", op, err)
+			return end, moved, fmt.Errorf("ftl: %s write: %w", op, err)
 		}
 		// The copy holds the same bytes, so it keeps the page's
 		// reference into the journal.
 		f.array.CarryRef(pa.base+uint64(blk)*f.perBlock+uint64(slot), uint64(f.l2p.get(lpn)-1))
-		now = done
+		issue, end = readDone, sim.Max(end, done)
 		moved++
 	}
-	return now, moved, nil
+	return end, moved, nil
 }
 
 // without returns list with its entry b, if any, removed.
@@ -420,9 +425,12 @@ func (f *FTL) takeFreeBlock(pa *planeAlloc) int {
 // when the active block fills. With allowGC set, dropping below the free
 // headroom runs garbage collection first; relocation writes issued *by* GC
 // pass allowGC=false so collection never recurses. at is when the
-// allocation is requested; the returned time reflects any GC the
-// allocation had to wait for. aligned reports that the caller padded or
-// sealed the plane for a group that must start on a fresh wordline.
+// allocation is requested. Every GC pass starts at at, so passes overlap
+// wherever their planes are free; the plane calendars and the array's
+// per-block program and sense stamps order what they share. The returned
+// time is the latest pass's end when GC ran, at otherwise. aligned
+// reports that the caller padded or sealed the plane for a group that
+// must start on a fresh wordline.
 func (f *FTL) allocSlot(pa *planeAlloc, at sim.Time, allowGC, aligned bool) (flash.PageAddr, sim.Time, error) {
 	ready := at
 	if pa.active < 0 {
@@ -430,7 +438,9 @@ func (f *FTL) allocSlot(pa *planeAlloc, at sim.Time, allowGC, aligned bool) (fla
 			var gcErr error
 			for len(pa.free) <= f.cfg.GCFreeBlockLow && len(pa.full) > 0 {
 				before := len(pa.free)
-				ready, gcErr = f.collectPlane(pa, ready)
+				var end sim.Time
+				end, gcErr = f.collectPlane(pa, at)
+				ready = sim.Max(ready, end)
 				// Stop when collection fails or frees nothing net (every
 				// remaining victim is fully valid): further passes would
 				// only shuffle pages forever.
@@ -811,8 +821,9 @@ func (f *FTL) sealActive(pa *planeAlloc) {
 }
 
 // collectPlane garbage-collects one plane: pick the full block with the
-// fewest valid pages, relocate them, erase. Returns when the plane is
-// usable again.
+// fewest valid pages, relocate them, erase. The erase is issued at the
+// latest copy's program end, so the victim is wiped only once every page
+// it held lives elsewhere. Returns when the plane is usable again.
 func (f *FTL) collectPlane(pa *planeAlloc, at sim.Time) (sim.Time, error) {
 	if len(pa.full) == 0 {
 		if len(pa.free) == 0 {
