@@ -306,7 +306,7 @@ func BenchmarkAblationChannelContention(b *testing.B) {
 	perChanBytes := planesPerChannel * geo.PageSize
 	// With contention: each channel serializes reads out (1 page/plane)
 	// and programs in (2 pages/plane) at the channel rate.
-	contended := tm.SenseSRO.Seconds() +
+	contended := tm.SenseLatency(latch.ReadCost(geo.CellBits, int(flash.LSBPage), 0), geo.PageSize).Seconds() +
 		tm.Transfer(perChanBytes).Seconds() + // operand reads out
 		2*(tm.Transfer(perChanBytes).Seconds()) + // paired program data in
 		2*tm.ProgramPage.Seconds() +

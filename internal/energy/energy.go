@@ -7,7 +7,7 @@
 //
 //   - ParaBit's worst case (the 4-SRO XOR/XNOR) is about 2x the baseline
 //     MSB read — automatic, since both are pure sensing and 4 SROs are
-//     twice an MSB read's 2.
+//     twice the MSB read program's senses.
 //   - ParaBit-ReAlloc's worst case consumes up to 2.65% more than the
 //     baseline (two-page) write: the reallocation's reads and sensing add
 //     (75+100) µs of read current against 1280 µs of program current,
@@ -106,12 +106,13 @@ func (m *Model) EraseEnergy() float64 {
 	return m.phase(m.p.IErase, m.tm.EraseBlock)
 }
 
-// ReadLSBEnergy is the baseline LSB page read (1 SRO + transfer out).
-func (m *Model) ReadLSBEnergy() float64 { return m.SenseEnergy(1) + m.TransferEnergy() }
-
-// ReadMSBEnergy is the baseline MSB page read (2 SROs + transfer out) —
-// the read normalization reference of Fig. 16.
-func (m *Model) ReadMSBEnergy() float64 { return m.SenseEnergy(2) + m.TransferEnergy() }
+// readEnergy is the baseline read of an MLC page: read current while the
+// array senses its read program (latch.ReadCost), plus the transfer out.
+// The MSB read is the read normalization reference of Fig. 16.
+func (m *Model) readEnergy(kind flash.PageKind) float64 {
+	sense := m.tm.SenseLatency(latch.ReadCost(2, int(kind), 0), m.pageSize)
+	return m.phase(m.p.IRead, sense) + m.TransferEnergy()
+}
 
 // WriteEnergy is the baseline MSB-page write — the write normalization
 // reference of Fig. 16.
@@ -127,7 +128,7 @@ func (m *Model) ParaBitEnergy(op latch.Op) float64 {
 // MSB with transfers), program them paired, then the operation's sensing
 // and result transfer.
 func (m *Model) ReAllocEnergy(op latch.Op) float64 {
-	reads := m.ReadLSBEnergy() + m.ReadMSBEnergy()
+	reads := m.readEnergy(flash.LSBPage) + m.readEnergy(flash.MSBPage)
 	programs := 2 * m.ProgramEnergy()
 	return reads + programs + m.bitwiseEnergy(latch.SensePair, op, 1)
 }
@@ -160,8 +161,8 @@ func (m *Model) Fig16() []Fig16Row {
 			LocFreeJoules: m.LocFreeEnergy(op),
 			ReAllocJoules: m.ReAllocEnergy(op),
 		}
-		r.ParaBitVsRead = r.ParaBitJoules / m.ReadMSBEnergy()
-		r.LocFreeVsRead = r.LocFreeJoules / m.ReadMSBEnergy()
+		r.ParaBitVsRead = r.ParaBitJoules / m.readEnergy(flash.MSBPage)
+		r.LocFreeVsRead = r.LocFreeJoules / m.readEnergy(flash.MSBPage)
 		r.ReAllocVsWrite = r.ReAllocJoules / (2 * m.WriteEnergy())
 		rows = append(rows, r)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"parabit/internal/flash"
 	"parabit/internal/latch"
 )
 
@@ -12,7 +13,7 @@ func TestWorstCaseParaBitIsTwiceMSBRead(t *testing.T) {
 	// MSB read" — the 4-SRO XOR/XNOR against the 2-SRO MSB read.
 	m := DefaultModel()
 	for _, op := range []latch.Op{latch.OpXor, latch.OpXnor} {
-		ratio := m.ParaBitEnergy(op) / m.ReadMSBEnergy()
+		ratio := m.ParaBitEnergy(op) / m.readEnergy(flash.MSBPage)
 		if ratio < 1.5 || ratio > 2.0 {
 			t.Errorf("%v: ParaBit/MSB-read = %.2f, want ≈2 (at most 2)", op, ratio)
 		}
@@ -81,10 +82,10 @@ func TestFig16Rows(t *testing.T) {
 
 func TestBaselineRelations(t *testing.T) {
 	m := DefaultModel()
-	if m.ReadMSBEnergy() <= m.ReadLSBEnergy() {
+	if m.readEnergy(flash.MSBPage) <= m.readEnergy(flash.LSBPage) {
 		t.Error("MSB read should cost more than LSB read")
 	}
-	if m.WriteEnergy() <= m.ReadMSBEnergy() {
+	if m.WriteEnergy() <= m.readEnergy(flash.MSBPage) {
 		t.Error("program should dwarf a read")
 	}
 	if m.EraseEnergy() <= m.WriteEnergy() {
@@ -101,4 +102,22 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}
 	}()
 	NewModel(p, DefaultModel().tm, 8192)
+}
+
+// TestBaselineReadsChargeTheirPrograms pins the Fig. 16 read normalisers
+// to the read programs: each baseline MLC page read draws read current
+// for exactly its program's senses (latch.ReadCost), as many SROs'
+// worth as SenseEnergy prices, plus one page transfer.
+func TestBaselineReadsChargeTheirPrograms(t *testing.T) {
+	m := DefaultModel()
+	for _, kind := range []flash.PageKind{flash.LSBPage, flash.MSBPage} {
+		c := latch.ReadCost(2, int(kind), 0)
+		sense := m.phase(m.p.IRead, m.tm.SenseLatency(c, m.pageSize))
+		if got := m.readEnergy(kind); got != sense+m.TransferEnergy() {
+			t.Errorf("%v read = %.6g J, its program's senses and transfer %.6g J", kind, got, sense+m.TransferEnergy())
+		}
+		if got := m.SenseEnergy(c.SROs); math.Abs(got-sense) > 1e-18 {
+			t.Errorf("%v read senses %.6g J, SenseEnergy(%d) %.6g J", kind, sense, c.SROs, got)
+		}
+	}
 }

@@ -18,18 +18,19 @@ func init() {
 // reallocSingleOp returns the latency of one ParaBit-ReAlloc operation
 // with flash-resident operands: the general case reads both operands (an
 // LSB and an MSB page for a co-location realloc), programs the pair, and
-// senses. NOT ops have one operand: one read, one program.
+// senses. NOT ops have one operand, on the page the op names: one read
+// (its read program, latch.ReadCost), one program.
 func reallocSingleOp(t flash.Timing, geo flash.Geometry, op latch.Op) sim.Duration {
+	page := flash.LSBPage
 	switch op {
-	case latch.OpNotLSB:
-		return t.ReadLatency(flash.LSBPage) + t.Transfer(geo.PageSize) +
-			t.Transfer(geo.PageSize) + t.ProgramPage + senseLatency(t, geo, latch.SensePair, op, 1)
 	case latch.OpNotMSB:
-		return t.ReadLatency(flash.MSBPage) + t.Transfer(geo.PageSize) +
-			t.Transfer(geo.PageSize) + t.ProgramPage + senseLatency(t, geo, latch.SensePair, op, 1)
-	default:
-		return ssd.ReallocStepLatency(t, op, 2, geo.PageSize)
+		page = flash.MSBPage
+		fallthrough
+	case latch.OpNotLSB:
+		read := t.SenseLatency(latch.ReadCost(geo.CellBits, int(page), 0), geo.PageSize)
+		return read + 2*t.Transfer(geo.PageSize) + t.ProgramPage + senseLatency(t, geo, latch.SensePair, op, 1)
 	}
+	return ssd.ReallocStepLatency(t, op, 2, geo.PageSize)
 }
 
 // Fig13a compares one operation (one DRAM row / one LUT pass / one flash

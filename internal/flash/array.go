@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"parabit/internal/ecc"
+	"parabit/internal/latch"
 	"parabit/internal/sim"
 )
 
@@ -116,9 +117,9 @@ type Array struct {
 	// erased is the one all-ones page every read of erased storage sees
 	// in place. Like a programmed page, nothing ever writes to it.
 	erased []byte
-	// views is the reusable operand list a multi-operand fold reads its
-	// pages through.
+	// views and costs are a sense's reusable operand page and chunk price lists.
 	views [][]byte
+	costs []latch.Cost
 	// free holds page buffers erases released, for programs to reuse
 	// before allocating; it keeps at most freeCap of them.
 	free    [][]byte
@@ -259,17 +260,6 @@ func (a *Array) pageView(w WordlineAddr, kind PageKind) []byte {
 	return a.erased
 }
 
-// pageBits copies the stored page content into dst, or into a fresh page
-// when dst is nil, for the read paths whose noise injection and ECC
-// correction mutate it.
-func (a *Array) pageBits(dst []byte, w WordlineAddr, kind PageKind) []byte {
-	if dst == nil {
-		dst = make([]byte, a.geo.PageSize)
-	}
-	copy(dst, a.pageView(w, kind))
-	return dst
-}
-
 // peCycles returns the erase count of the block holding w.
 func (a *Array) peCycles(w WordlineAddr) int {
 	return a.planeAt(w.PlaneAddr).blocks[w.Block].erases
@@ -280,19 +270,37 @@ func (a *Array) ReadCount(p PlaneAddr, blockIdx int) int {
 	return a.planeAt(p).blocks[blockIdx].reads
 }
 
-// noteSense charges a sense of sros SROs ending at end to the block
-// holding w: its read disturb, and the time its erase must wait for. A
-// program that selects w but charges it no SRO never reads the block, so
-// the block's erase need not wait for it. It returns the block's disturb
-// exposure before this sense.
-func (a *Array) noteSense(w WordlineAddr, sros int, end sim.Time) int {
-	blk := &a.planeAt(w.PlaneAddr).blocks[w.Block]
-	before := blk.reads
-	if sros > 0 {
-		blk.reads += sros
-		blk.sensed = sim.Max(blk.sensed, end)
+// book books one plane sense, bitwise or page read; no other code
+// reserves a plane to sense. costs[i] prices chunks[i], the operand
+// wordlines of one program run, and jitter is the fault injector's. The
+// sense waits for every operand block's programs, then holds the first
+// operand's plane for its latency plus jitter. Each operand wordline's
+// block absorbs the senses its program gives it as read disturb, and
+// then its erase waits for the sense. book returns the sense's end and
+// the most disturb an operand block had absorbed before it.
+func (a *Array) book(at sim.Time, jitter sim.Duration, chunks [][]WordlineAddr, costs []latch.Cost, label string) (end sim.Time, exposure int) {
+	start, dur := at, jitter
+	for ci, wls := range chunks {
+		dur += a.timing.SenseLatency(costs[ci], a.geo.PageSize)
+		a.stats.SROs += int64(costs[ci].SROs)
+		a.stats.BytesIn += int64(costs[ci].Loads * a.geo.PageSize)
+		for _, w := range wls {
+			start = sim.Max(start, a.planeAt(w.PlaneAddr).blocks[w.Block].programmed)
+		}
 	}
-	return before
+	first := chunks[0][0]
+	_, end = a.planeAt(first.PlaneAddr).sense.ReserveLabeled(start, dur, label)
+	for ci, wls := range chunks {
+		for i, w := range wls {
+			blk := &a.planeAt(w.PlaneAddr).blocks[w.Block]
+			exposure = max(exposure, blk.reads)
+			if n := costs[ci].Reads(i); n > 0 {
+				blk.reads += n
+				blk.sensed = sim.Max(blk.sensed, end)
+			}
+		}
+	}
+	return end, exposure
 }
 
 // corrupt applies the noise model to sensed data, routing through the
@@ -307,15 +315,13 @@ func (a *Array) corrupt(data []byte, pe, sros, blockReads int) int {
 	return a.noise.Corrupt(data, pe, sros)
 }
 
-// SenseResult is the outcome of an array-side operation that leaves data
-// in the plane's cache register: the data itself, when the sensing
-// finished (register valid), how many bit errors the noise model
-// injected, and how many the baseline ECC path corrected.
+// SenseResult is the outcome of a bitwise sense, which leaves data in the
+// plane's cache register: the data itself, when the sensing finished
+// (register valid), and how many bit errors the noise model injected.
 type SenseResult struct {
 	Data      []byte
 	Ready     sim.Time
 	FlipCount int
-	Corrected int
 }
 
 // parityOf returns the stored OOB parity for a programmed page, or nil.
@@ -327,78 +333,13 @@ func (a *Array) parityOf(p PageAddr) []byte {
 	return wl.parity[p.Kind]
 }
 
-// ReadSense senses one page into the plane's cache register without
-// transferring it: the building block for reads, reallocation and the
-// ParaBit pipelines. This is the baseline (ECC-protected) path: with
-// noisy baseline reads enabled, raw errors are injected and corrected
-// against the page's stored parity — the flow ParaBit results cannot
-// use (§4.4.3). A correction failure surfaces as a read error, like a
-// real drive's uncorrectable-ECC status.
-func (a *Array) ReadSense(p PageAddr, at sim.Time) (SenseResult, error) {
-	return a.readSense(p, nil, at)
-}
-
-// readSense is ReadSense sensing into dst, or into a fresh page when dst
-// is nil.
-func (a *Array) readSense(p PageAddr, dst []byte, at sim.Time) (SenseResult, error) {
-	if err := a.geo.CheckPage(p); err != nil {
-		return SenseResult{}, err
-	}
-	jitter, ferr := a.checkFault(FaultSense, p.PlaneAddr, p.Block, at)
-	if ferr != nil {
-		return SenseResult{}, ferr
-	}
-	pl := a.planeAt(p.PlaneAddr)
-	sros := a.geo.ReadSROs(p.Kind)
-	// A page reads only once the block's programs have ended.
-	at = sim.Max(at, pl.blocks[p.Block].programmed)
-	_, end := pl.sense.ReserveLabeled(at, sim.Duration(sros)*a.timing.SenseSRO+jitter, "sense")
-	a.stats.SROs += int64(sros)
-	exposure := a.noteSense(p.WordlineAddr, sros, end)
-	res := SenseResult{Data: a.pageBits(dst, p.WordlineAddr, p.Kind), Ready: end}
-	if a.codec != nil && a.noise != nil {
-		par := a.parityOf(p)
-		if par == nil {
-			return res, nil
-		}
-		res.FlipCount = a.corrupt(res.Data, a.peCycles(p.WordlineAddr), sros, exposure)
-		a.stats.InjectedFlips += int64(res.FlipCount)
-		n, derr := a.codec.Decode(res.Data, par)
-		// Uncorrectable sector: re-read with calibrated reference
-		// voltages (§5.8). Each retry is one more SRO on the plane and a
-		// fresh, milder sensing outcome — the Vref lands closer to the
-		// shifted distributions.
-		retries := 0
-		for derr != nil && retries < a.timing.MaxReadRetries {
-			retries++
-			a.stats.ReadRetries++
-			_, end = pl.sense.ReserveLabeled(end, a.timing.SenseSRO, "sense")
-			a.stats.SROs++
-			a.noteSense(p.WordlineAddr, 1, end)
-			res.Data = a.pageBits(res.Data, p.WordlineAddr, p.Kind)
-			// Calibrated sensing quarters the effective error exposure
-			// per attempt.
-			res.FlipCount = a.corrupt(res.Data, a.peCycles(p.WordlineAddr), 1, exposure>>(2*uint(retries)))
-			a.stats.InjectedFlips += int64(res.FlipCount)
-			n, derr = a.codec.Decode(res.Data, par)
-		}
-		if derr != nil {
-			return res, fmt.Errorf("flash: read %v after %d retries: %w", p, retries, derr)
-		}
-		res.Ready = end
-		res.Corrected = n
-		a.stats.CorrectedBits += int64(n)
-	}
-	return res, nil
-}
-
 // Read senses a page and transfers it over the channel to the controller.
 // The returned time is when the controller holds the data. Reads use the
 // cache register (§2.1): the plane frees as soon as sensing completes,
 // and the cache register holds the outgoing data while the next sense
 // proceeds.
 func (a *Array) Read(p PageAddr, at sim.Time) ([]byte, sim.Time, error) {
-	return a.read(p, nil, at)
+	return a.read(p, make([]byte, a.geo.PageSize), at)
 }
 
 // ReadInto is Read into the caller's page dst, which must be one page
@@ -412,13 +353,63 @@ func (a *Array) ReadInto(dst []byte, p PageAddr, at sim.Time) (sim.Time, error) 
 	return done, err
 }
 
-// read is Read sensing into dst, or into a fresh page when dst is nil.
+// read is Read into the page dst, which the noise and ECC correction
+// mutate. Its sense is priced by the page's read program (latch.ReadCost)
+// and booked by book, like every bitwise sense. With noisy baseline reads
+// enabled, the ECC path corrects raw errors against the page's stored
+// parity — the flow ParaBit results cannot use (§4.4.3) — and a
+// correction failure surfaces as a read error, like a real drive's.
 func (a *Array) read(p PageAddr, dst []byte, at sim.Time) ([]byte, sim.Time, error) {
-	res, err := a.readSense(p, dst, at)
+	if err := a.geo.CheckPage(p); err != nil {
+		return nil, 0, err
+	}
+	jitter, err := a.checkFault(FaultSense, p.PlaneAddr, p.Block, at)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res.Data, a.transferOut(p.Channel, res.Ready, len(res.Data)), nil
+	copy(dst, a.pageView(p.WordlineAddr, p.Kind))
+	retries, err := a.decode(dst, p)
+	c := latch.ReadCost(a.geo.CellBits, int(p.Kind), retries)
+	sensed, _ := a.book(at, jitter, [][]WordlineAddr{{p.WordlineAddr}}, []latch.Cost{c}, "sense")
+	if err != nil {
+		return nil, 0, fmt.Errorf("flash: read %v after %d retries: %w", p, retries, err)
+	}
+	return dst, a.transferOut(p.Channel, sensed, len(dst)), nil
+}
+
+// decode injects the noise model's raw errors into a read page and
+// corrects them against its parity, if a codec, a noise model and parity
+// exist. An uncorrectable sector is re-read with calibrated reference
+// voltages (§5.8), up to Timing.MaxReadRetries times. Decoding depends on
+// data and noise alone, not on time, so read books its first sense and
+// the retries decode returns as one span.
+func (a *Array) decode(data []byte, p PageAddr) (int, error) {
+	if a.codec == nil || a.noise == nil {
+		return 0, nil
+	}
+	par := a.parityOf(p)
+	if par == nil {
+		return 0, nil
+	}
+	pe := a.peCycles(p.WordlineAddr)
+	// The disturb the block absorbed before this read.
+	exposure := a.planeAt(p.PlaneAddr).blocks[p.Block].reads
+	a.stats.InjectedFlips += int64(a.corrupt(data, pe, latch.ReadCost(a.geo.CellBits, int(p.Kind), 0).SROs, exposure))
+	n, err := a.codec.Decode(data, par)
+	retries := 0
+	for err != nil && retries < a.timing.MaxReadRetries {
+		retries++
+		copy(data, a.pageView(p.WordlineAddr, p.Kind))
+		// A calibrated re-read senses once and quarters the effective
+		// error exposure per attempt.
+		a.stats.InjectedFlips += int64(a.corrupt(data, pe, 1, exposure>>(2*uint(retries))))
+		n, err = a.codec.Decode(data, par)
+	}
+	a.stats.ReadRetries += int64(retries)
+	if err == nil {
+		a.stats.CorrectedBits += int64(n)
+	}
+	return retries, err
 }
 
 // transferOut books the channel for a plane->controller page transfer.

@@ -32,14 +32,11 @@ type Sense struct {
 
 // Sense performs one bitwise sense and leaves the result in the plane's
 // cache register. It validates the operands against the kind, prices the
-// sense with its latch program's cost (latch.Price, converted to array
-// time by Timing.SenseLatency), consults the fault injector about the
-// first operand's block, reserves the plane once the programs of every
-// operand block have ended, and computes the result with the word-wide
-// fold kernel. Each operand wordline's block absorbs, as read disturb,
-// the senses its program gives that wordline. Read noise, if a
-// Corruptor is installed, applies to the result — ParaBit results bypass
-// ECC (paper §4.4.3).
+// sense with its latch program's cost (latch.Price), consults the fault
+// injector about the first operand's block, books the sense (book, which
+// also books every page read), and computes the result with the
+// word-wide fold kernel. Read noise, if a Corruptor is installed, applies
+// to the result — ParaBit results bypass ECC (paper §4.4.3).
 func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 	op, chunks := s.Op, [][]WordlineAddr{s.WLs}
 	cellBits, mws := 2, s.Kind == latch.SenseMWS || s.Kind == latch.SenseChainMWS
@@ -54,9 +51,9 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 			return SenseResult{}, fmt.Errorf("flash: MWS chain of %d chunks, want >= 2", len(chunks))
 		}
 	}
-	var sros, loads, widest int
-	var dur sim.Duration
-	pe, esp, start := 0, true, at
+	costs := a.costs[:0]
+	var sros, widest int
+	pe, esp := 0, true
 	for ci, wls := range chunks {
 		// A multi-wordline sense is priced one chunk at a time.
 		c, err := latch.Price(s.Kind, op, len(wls))
@@ -66,8 +63,8 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 			}
 			return SenseResult{}, err
 		}
-		sros, loads, widest = sros+c.SROs, loads+c.Loads, max(widest, c.MWS)
-		dur += a.timing.SenseLatency(c, a.geo.PageSize)
+		costs = append(costs, c)
+		sros, widest = sros+c.SROs, max(widest, c.MWS)
 		for _, w := range wls {
 			if err := a.geo.CheckWordline(w); err != nil {
 				return SenseResult{}, err
@@ -85,27 +82,16 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 				esp = esp && a.IsESP(PageAddr{WordlineAddr: w, Kind: LSBPage})
 			}
 			pe = max(pe, a.peCycles(w))
-			// The sense reads its operands once their programs end.
-			start = sim.Max(start, a.planeAt(w.PlaneAddr).blocks[w.Block].programmed)
 		}
 	}
+	a.costs = costs
 	first := chunks[0][0]
 	jitter, ferr := a.checkFault(FaultSense, first.PlaneAddr, first.Block, at)
 	if ferr != nil {
 		return SenseResult{}, ferr
 	}
-	// Register reloads cross the channel bus into the plane register.
-	a.stats.BytesIn += int64(loads * a.geo.PageSize)
-	_, end := a.planeAt(first.PlaneAddr).sense.ReserveLabeled(start, dur+jitter, senseLabels[s.Kind])
+	end, exposure := a.book(at, jitter, chunks, costs, senseLabels[s.Kind])
 	res := SenseResult{Data: a.foldSense(s.Kind, op, chunks), Ready: end}
-	exposure := 0
-	for _, wls := range chunks {
-		// Priced without refusal above.
-		c, _ := latch.Price(s.Kind, op, len(wls))
-		for i, w := range wls {
-			exposure = max(exposure, a.noteSense(w, c.Reads(i), end))
-		}
-	}
 	if a.noise != nil {
 		if mws {
 			// Each sense divides its margin across its own chunk only;
@@ -116,7 +102,6 @@ func (a *Array) Sense(s Sense, at sim.Time) (SenseResult, error) {
 		}
 		a.stats.InjectedFlips += int64(res.FlipCount)
 	}
-	a.stats.SROs += int64(sros)
 	if mws {
 		a.stats.MWSSenses += int64(len(chunks))
 	}

@@ -55,7 +55,7 @@ func TestSenseWaitsForBlockPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.ReadSense(lsb, 0); err != nil {
+	if _, _, err := a.Read(lsb, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := lastOf(t, got, "sense"); s.start < programmed {
@@ -68,7 +68,7 @@ func TestSenseWaitsForBlockPrograms(t *testing.T) {
 		t.Fatalf("bitwise sense at %v, before its operands' program ended at %v", s.start, programmed)
 	}
 	// A sense of another block fills the idle gap before the programs.
-	if _, err := a.ReadSense(PageAddr{WordlineAddr: WordlineAddr{Block: 4}}, 0); err != nil {
+	if _, _, err := a.Read(PageAddr{WordlineAddr: WordlineAddr{Block: 4}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := lastOf(t, got, "sense"); s.start != 0 {
@@ -85,15 +85,15 @@ func TestEraseWaitsForBookedSense(t *testing.T) {
 	if _, err := a.Program(p, fillPattern(a.geo.PageSize, 3), 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.ReadSense(p, sim.Time(20*sim.Millisecond))
-	if err != nil {
+	if _, _, err := a.Read(p, sim.Time(20*sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
+	sensed := lastOf(t, got, "sense").end
 	if _, err := a.Erase(p.PlaneAddr, p.Block, 0); err != nil {
 		t.Fatal(err)
 	}
-	if e := lastOf(t, got, "erase"); e.start < res.Ready {
-		t.Fatalf("erase started at %v, before the booked sense ended at %v", e.start, res.Ready)
+	if e := lastOf(t, got, "erase"); e.start < sensed {
+		t.Fatalf("erase started at %v, before the booked sense ended at %v", e.start, sensed)
 	}
 }
 
@@ -130,23 +130,23 @@ func TestResetTimingClearsBlockStamps(t *testing.T) {
 	if _, err := a.Program(p, fillPattern(a.geo.PageSize, 6), sim.Time(50*sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.ReadSense(p, sim.Time(60*sim.Millisecond)); err != nil {
+	if _, _, err := a.Read(p, sim.Time(60*sim.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	a.ResetTiming()
 	got := observePlanes(a)
-	res, err := a.ReadSense(p, 0)
-	if err != nil {
+	if _, _, err := a.Read(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s := lastOf(t, got, "sense"); s.start != 0 || res.Ready != sim.Time(a.timing.SenseSRO) {
-		t.Fatalf("read after ResetTiming sensed [%v,%v), want from 0", s.start, res.Ready)
+	s := lastOf(t, got, "sense")
+	if s.start != 0 || s.end != sim.Time(readLatency(a, LSBPage, 0)) {
+		t.Fatalf("read after ResetTiming sensed [%v,%v), want from 0", s.start, s.end)
 	}
-	if _, err := a.Erase(p.PlaneAddr, p.Block, res.Ready); err != nil {
+	if _, err := a.Erase(p.PlaneAddr, p.Block, s.end); err != nil {
 		t.Fatal(err)
 	}
-	if e := lastOf(t, got, "erase"); e.start != res.Ready {
-		t.Fatalf("erase after ResetTiming started at %v, want %v", e.start, res.Ready)
+	if e := lastOf(t, got, "erase"); e.start != s.end {
+		t.Fatalf("erase after ResetTiming started at %v, want %v", e.start, s.end)
 	}
 }
 

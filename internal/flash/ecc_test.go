@@ -99,7 +99,7 @@ func TestParaBitBypassesECC(t *testing.T) {
 	if res.FlipCount == 0 {
 		t.Fatal("no errors injected into the ParaBit result")
 	}
-	if res.Corrected != 0 {
+	if a.Stats().CorrectedBits != 0 {
 		t.Fatal("ParaBit result was ECC-corrected, which hardware cannot do")
 	}
 	// The result actually differs from the ideal XOR.
@@ -176,6 +176,7 @@ func TestReadRetryRecovers(t *testing.T) {
 	if _, err := a.Program(PageAddr{wl, LSBPage}, data, 0); err != nil {
 		t.Fatal(err)
 	}
+	a.ResetTiming()
 	got, done, err := a.Read(PageAddr{wl, LSBPage}, 0)
 	if err != nil {
 		t.Fatalf("read failed despite retry budget: %v", err)
@@ -189,12 +190,12 @@ func TestReadRetryRecovers(t *testing.T) {
 	if s.ReadRetries != 1 {
 		t.Fatalf("retries = %d, want 1", s.ReadRetries)
 	}
-	// The retry cost an extra SRO: 1 (LSB) + 1 (retry) = 2 senses.
-	if s.SROs != 2 {
-		t.Fatalf("SROs = %d, want 2", s.SROs)
+	// The retry is one more sense, booked with the first.
+	if want := latch.ReadCost(a.Geometry().CellBits, int(LSBPage), 1).SROs; s.SROs != int64(want) {
+		t.Fatalf("SROs = %d, want %d", s.SROs, want)
 	}
-	if done < sim.Time(2*25*sim.Microsecond) {
-		t.Fatalf("retry latency unaccounted: done at %v", done)
+	if want := sim.Time(readLatency(a, LSBPage, 1) + a.Timing().Transfer(a.Geometry().PageSize)); done != want {
+		t.Fatalf("retried read done at %v, want %v", done, want)
 	}
 }
 
@@ -232,16 +233,17 @@ func TestReadDisturbCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 10 LSB reads = 10 SROs of disturb on the block.
-	if got := a.ReadCount(wl.PlaneAddr, wl.Block); got != 10 {
-		t.Fatalf("read count = %d, want 10", got)
+	// 10 LSB reads charge the block 10 reads' senses of disturb.
+	reads := 10 * latch.ReadCost(a.Geometry().CellBits, int(LSBPage), 0).Reads(0)
+	if got := a.ReadCount(wl.PlaneAddr, wl.Block); got != reads {
+		t.Fatalf("read count = %d, want %d", got, reads)
 	}
 	// A ParaBit XOR adds its 4 senses.
 	if _, err := a.Sense(Sense{Kind: latch.SensePair, Op: latch.OpXor, WLs: []WordlineAddr{wl}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ReadCount(wl.PlaneAddr, wl.Block); got != 14 {
-		t.Fatalf("read count = %d, want 14", got)
+	if got := a.ReadCount(wl.PlaneAddr, wl.Block); got != reads+4 {
+		t.Fatalf("read count = %d, want %d", got, reads+4)
 	}
 	// Erase resets the exposure.
 	if _, err := a.Erase(wl.PlaneAddr, wl.Block, 0); err != nil {

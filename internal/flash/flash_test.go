@@ -334,42 +334,46 @@ func TestBadAddressesRejected(t *testing.T) {
 	}
 }
 
+// readLatency is the sense time of a page read of kind on a, with
+// retries calibrated re-reads: its read program's price.
+func readLatency(a *Array, kind PageKind, retries int) sim.Duration {
+	return a.Timing().SenseLatency(latch.ReadCost(a.Geometry().CellBits, int(kind), retries), a.Geometry().PageSize)
+}
+
 func TestReadTiming(t *testing.T) {
 	a := testArray()
 	tm := a.Timing()
-	// LSB read: one SRO then a channel transfer.
-	_, done, err := a.Read(PageAddr{WordlineAddr{}, LSBPage}, 0)
-	if err != nil {
-		t.Fatal(err)
+	// A read senses its page's read program, then crosses the channel.
+	for _, kind := range []PageKind{LSBPage, MSBPage} {
+		a.ResetTiming()
+		_, done, err := a.Read(PageAddr{WordlineAddr{}, kind}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Time(0).Add(readLatency(a, kind, 0)).Add(tm.Transfer(a.Geometry().PageSize))
+		if done != want {
+			t.Fatalf("%v read done at %v, want %v", kind, done, want)
+		}
 	}
-	want := sim.Time(0).Add(tm.SenseSRO).Add(tm.Transfer(a.Geometry().PageSize))
-	if done != want {
-		t.Fatalf("LSB read done at %v, want %v", done, want)
-	}
-	// MSB read on a fresh plane: two SROs.
-	a.ResetTiming()
-	_, done, _ = a.Read(PageAddr{WordlineAddr{}, MSBPage}, 0)
-	want = sim.Time(0).Add(2 * tm.SenseSRO).Add(tm.Transfer(a.Geometry().PageSize))
-	if done != want {
-		t.Fatalf("MSB read done at %v, want %v", done, want)
+	if readLatency(a, MSBPage, 0) <= readLatency(a, LSBPage, 0) {
+		t.Fatal("MSB read no slower than LSB read")
 	}
 }
 
 func TestPlaneSerializationAndParallelism(t *testing.T) {
 	a := testArray()
-	tm := a.Timing()
 	same := PageAddr{WordlineAddr{}, LSBPage}
 	// Two reads of the same plane serialize on the sense path.
-	r1, _ := a.ReadSense(same, 0)
-	r2, _ := a.ReadSense(same, 0)
-	if r2.Ready != r1.Ready.Add(tm.SenseSRO) {
-		t.Fatalf("same-plane reads did not serialize: %v then %v", r1.Ready, r2.Ready)
+	_, r1, _ := a.Read(same, 0)
+	_, r2, _ := a.Read(same, 0)
+	if r2 != r1.Add(readLatency(a, LSBPage, 0)) {
+		t.Fatalf("same-plane reads did not serialize: %v then %v", r1, r2)
 	}
 	// A read of a different plane on a different channel is independent.
 	other := PageAddr{WordlineAddr{PlaneAddr: PlaneAddr{Channel: 1}}, LSBPage}
-	r3, _ := a.ReadSense(other, 0)
-	if r3.Ready != sim.Time(0).Add(tm.SenseSRO) {
-		t.Fatalf("cross-plane read not parallel: ready at %v", r3.Ready)
+	_, r3, _ := a.Read(other, 0)
+	if r3 != r1 {
+		t.Fatalf("cross-plane read not parallel: done at %v, first read at %v", r3, r1)
 	}
 }
 
@@ -383,7 +387,7 @@ func TestChannelSharedByPlanesOfSameChannel(t *testing.T) {
 	_, d0, _ := a.Read(p0, 0)
 	_, d1, _ := a.Read(p1, 0)
 	tx := tm.Transfer(g.PageSize)
-	if d0 != sim.Time(0).Add(tm.SenseSRO).Add(tx) {
+	if d0 != sim.Time(0).Add(readLatency(a, LSBPage, 0)).Add(tx) {
 		t.Fatalf("first read done %v", d0)
 	}
 	if d1 != d0.Add(tx) {
@@ -577,8 +581,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Programs != 2 || s.Erases != 1 || s.BitwiseOps != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.SROs != 2 { // 1 for the LSB read + 1 for AND
-		t.Fatalf("SROs = %d, want 2", s.SROs)
+	if want := latch.ReadCost(a.Geometry().CellBits, int(LSBPage), 0).SROs + latch.MustPrice(latch.SensePair, latch.OpAnd, 1).SROs; s.SROs != int64(want) {
+		t.Fatalf("SROs = %d, want %d (the LSB read's and the AND's)", s.SROs, want)
 	}
 	if s.BytesIn != int64(2*a.Geometry().PageSize) || s.BytesOut != int64(2*a.Geometry().PageSize) {
 		t.Fatalf("bytes in/out = %d/%d", s.BytesIn, s.BytesOut)
@@ -593,8 +597,8 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestDrainTimeAndReset(t *testing.T) {
 	a := testArray()
-	a.ReadSense(PageAddr{WordlineAddr{}, MSBPage}, 0)
-	if a.DrainTime() != sim.Time(50*sim.Microsecond) {
+	a.Read(PageAddr{WordlineAddr{}, MSBPage}, 0)
+	if a.DrainTime() != sim.Time(readLatency(a, MSBPage, 0)+a.Timing().Transfer(a.Geometry().PageSize)) {
 		t.Fatalf("drain = %v", a.DrainTime())
 	}
 	a.ResetTiming()
@@ -702,7 +706,7 @@ func TestCacheReadPipelines(t *testing.T) {
 		last = done
 	}
 	// 4 senses back to back + one final transfer.
-	if want := sim.Time(4*tm.SenseSRO + tm.Transfer(geo.PageSize)); last != want {
+	if want := sim.Time(4*readLatency(a, LSBPage, 0) + tm.Transfer(geo.PageSize)); last != want {
 		t.Errorf("cache-read burst done at %v, want %v", last, want)
 	}
 }

@@ -265,12 +265,3 @@ func (g Geometry) CheckPage(p PageAddr) error {
 	}
 	return nil
 }
-
-// ReadSROs returns the single-read-operation count of a baseline page
-// read: the gray code's boundary count for the page (MLC 1-2; TLC 1-2-4).
-func (g Geometry) ReadSROs(kind PageKind) int {
-	if g.CellBits == 3 {
-		return []int{1, 2, 4}[kind]
-	}
-	return []int{1, 2}[kind]
-}

@@ -28,6 +28,13 @@ type senseCase struct {
 	run  func() (SenseResult, error)
 }
 
+// readResult runs a page read as a sense case: its page and when the
+// controller holds it.
+func readResult(a *Array, p PageAddr) (SenseResult, error) {
+	data, done, err := a.Read(p, 0)
+	return SenseResult{Data: data, Ready: done}, err
+}
+
 func newSenseFixture(t testing.TB, mlc, tlc *Array) *senseFixture {
 	t.Helper()
 	f := &senseFixture{
@@ -96,8 +103,8 @@ func newSenseFixture(t testing.TB, mlc, tlc *Array) *senseFixture {
 		{"TLC", tlc, func() (SenseResult, error) {
 			return tlc.Sense(Sense{Kind: latch.SenseTLC, Op3: latch.TLCAnd3, WLs: []WordlineAddr{tw}}, 0)
 		}},
-		{"ReadSense", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(pair), 0) }},
-		{"ReadSense-erased", mlc, func() (SenseResult, error) { return mlc.ReadSense(lsb(b4), 0) }},
+		{"Read", mlc, func() (SenseResult, error) { return readResult(mlc, lsb(pair)) }},
+		{"Read-erased", mlc, func() (SenseResult, error) { return readResult(mlc, lsb(b4)) }},
 	}
 	return f
 }

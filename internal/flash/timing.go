@@ -13,8 +13,9 @@ import (
 // parts like the one in the Samsung 970 PRO the authors measured against.
 type Timing struct {
 	// SenseSRO is one single read operation: applying one reference
-	// voltage and latching the comparison. An LSB read costs one SRO, an
-	// MSB read two; ParaBit ops cost their control sequence's SRO count.
+	// voltage and latching the comparison. Page reads and ParaBit ops
+	// alike cost their control program's SRO count (latch.ReadCost,
+	// latch.Price).
 	SenseSRO sim.Duration
 	// ProgramPage is a full-page program (either MLC page).
 	ProgramPage sim.Duration
@@ -45,7 +46,7 @@ type Timing struct {
 	ProgramESP sim.Duration
 	// MaxReadRetries bounds the calibrated re-reads the baseline path
 	// attempts when ECC reports an uncorrectable sector (§5.8's "voltage
-	// calibration read"). Each retry costs one extra SRO.
+	// calibration read"). latch.ReadCost prices each retry.
 	MaxReadRetries int
 }
 
@@ -90,14 +91,14 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// SenseLatency converts a sense's latch cost (latch.Price) into array
-// time: its SROs at SenseSRO each — or, for a multi-wordline sense, one
-// MWS develop plus the driver settle of each extra selected wordline —
-// and its register loads, each a page of pageSize bytes crossing the
-// channel into the plane register. This is the Flash-Cosmos payoff: a
-// k-operand reduction costs about one SRO where a pairwise chain costs k.
-// Array.Sense times every bitwise sense with it, and the analytic cost
-// model prices with it.
+// SenseLatency converts a sense's latch cost (latch.Price, or
+// latch.ReadCost for a page read) into array time: its SROs at SenseSRO
+// each — or, for a multi-wordline sense, one MWS develop plus the driver
+// settle of each extra selected wordline — and its register loads, each
+// a page of pageSize bytes crossing the channel into the plane register.
+// This is the Flash-Cosmos payoff: a k-operand reduction costs about one
+// SRO where a pairwise chain costs k. The array times every sense with
+// it, bitwise or page read, and the analytic cost model prices with it.
 func (t Timing) SenseLatency(c latch.Cost, pageSize int) sim.Duration {
 	d := sim.Duration(c.SROs) * t.SenseSRO
 	if c.MWS > 0 {
@@ -109,15 +110,6 @@ func (t Timing) SenseLatency(c latch.Cost, pageSize int) sim.Duration {
 // Transfer returns the channel-bus time to move n bytes.
 func (t Timing) Transfer(n int) sim.Duration {
 	return t.CmdOverhead + sim.Duration(float64(n)/t.ChannelBytesPerNs)
-}
-
-// ReadLatency returns the array-side sense time for a page of the given
-// kind: one SRO for LSB pages, two for MSB pages (paper Fig. 3).
-func (t Timing) ReadLatency(kind PageKind) sim.Duration {
-	if kind == LSBPage {
-		return t.SenseSRO
-	}
-	return 2 * t.SenseSRO
 }
 
 // Stats accumulates operation counts across an array's lifetime. The

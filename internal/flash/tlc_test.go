@@ -18,9 +18,6 @@ func TestTLCGeometry(t *testing.T) {
 	if g.PagesPerBlock() != 3*g.WordlinesPerBlock {
 		t.Errorf("pages per block = %d", g.PagesPerBlock())
 	}
-	if g.ReadSROs(LSBPage) != 1 || g.ReadSROs(MSBPage) != 2 || g.ReadSROs(TopPage) != 4 {
-		t.Error("TLC read SRO split should be 1-2-4")
-	}
 	// PPN round-trips with three kinds.
 	for _, kind := range []PageKind{LSBPage, MSBPage, TopPage} {
 		p := PageAddr{WordlineAddr{Block: 3, WL: 7}, kind}
@@ -133,30 +130,5 @@ func TestCellModeGuards(t *testing.T) {
 	}
 	if _, err := tlc.Sense(Sense{Kind: latch.SenseChainLSB, Op: latch.OpAnd, WLs: []WordlineAddr{{}, {WL: 1}}}, 0); !errors.Is(err, ErrCellMode) {
 		t.Fatalf("MLC chain on TLC: %v", err)
-	}
-}
-
-func TestTLCReadLatencies(t *testing.T) {
-	a := tlcArray()
-	tm := a.Timing()
-	page := make([]byte, a.Geometry().PageSize)
-	wl := WordlineAddr{Block: 3}
-	for _, kind := range []PageKind{LSBPage, MSBPage, TopPage} {
-		if _, err := a.Program(PageAddr{wl, kind}, page, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.ResetTiming()
-	wantSROs := map[PageKind]int{LSBPage: 1, MSBPage: 2, TopPage: 4}
-	for kind, sros := range wantSROs {
-		a.ResetTiming()
-		res, err := a.ReadSense(PageAddr{wl, kind}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sim.Time(sim.Duration(sros) * tm.SenseSRO)
-		if res.Ready != want {
-			t.Errorf("%v read ready at %v, want %v", kind, res.Ready, want)
-		}
 	}
 }

@@ -122,7 +122,16 @@ var fixed [numKinds][numOps]Cost
 // fixedWLs is the operand wordline count of each one-program kind.
 var fixedWLs = [numKinds]int{SensePair: 1, SenseLocFree: 2, SenseLocFreeLSB: 2, SenseTLC: 1}
 
+// reads holds the cost of each baseline page read program by the bits a
+// cell stores, pages in order of significance from the LSB page: MLC's
+// READ-LSB and READ-MSB (paper Fig. 3) and TLC's 1-2-4 split.
+var reads [4][]Cost
+
 func init() {
+	reads[2] = []Cost{costOf(readLSB.Steps), costOf(readMSB.Steps)}
+	for _, seq := range tlcReads {
+		reads[3] = append(reads[3], costOf(seq.Steps))
+	}
 	for op := Op(0); op < numOps; op++ {
 		fixed[SensePair][op] = costOf(basicSeqs[op].Steps)
 		fixed[SenseLocFree][op] = costOf(locFreeSeqs[op].Steps)
@@ -174,5 +183,16 @@ func MustPrice(kind SenseKind, op Op, k int) Cost {
 	if err != nil {
 		panic(err)
 	}
+	return c
+}
+
+// ReadCost returns the cost of one baseline read of page (0 is the LSB
+// page) on cells of cellBits bits, counted from its read program, plus
+// one sense of the wordline per calibrated re-read (retries, §5.8). It
+// allocates nothing and panics for a page no cell mode has.
+func ReadCost(cellBits, page, retries int) Cost {
+	c := reads[cellBits][page]
+	c.SROs += retries
+	c.reads[0] += retries
 	return c
 }

@@ -147,3 +147,46 @@ func TestPriceAllocatesNothing(t *testing.T) {
 		t.Fatalf("Price allocates %v times", allocs)
 	}
 }
+
+// TestReadCostMatchesPrograms pins the read lookup against the read
+// programs: every page of both cell modes senses only its own wordline,
+// as many times as its program (Fig. 3's READ-LSB and READ-MSB, TLC's
+// 1-2-4 split), loads nothing, and each calibrated re-read adds one
+// sense. Reading a page no mode has panics, and pricing allocates
+// nothing.
+func TestReadCostMatchesPrograms(t *testing.T) {
+	programs := map[int][]Sequence{
+		2: {readLSB, readMSB},
+		3: {TLCReadSequence(TLCLSB), TLCReadSequence(TLCCSB), TLCReadSequence(TLCMSB)},
+	}
+	for bits, seqs := range programs {
+		for page, seq := range seqs {
+			for retries := 0; retries <= 3; retries++ {
+				c := ReadCost(bits, page, retries)
+				want := seq.SROs() + retries
+				if c.SROs != want || c.Reads(0) != want || c.Reads(1) != 0 || c.Loads != 0 || c.MWS != 0 {
+					t.Errorf("ReadCost(%d, %d, %d) = %+v, want %d SROs of wordline 0 (%s)", bits, page, retries, c, want, seq.Name)
+				}
+			}
+		}
+	}
+	for _, k := range [][2]int{{2, 2}, {3, 3}, {4, 0}, {1, 0}, {2, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ReadCost(%d, %d, 0) priced a page with no read program", k[0], k[1])
+				}
+			}()
+			ReadCost(k[0], k[1], 0)
+		}()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for bits, seqs := range programs {
+			for page := range seqs {
+				ReadCost(bits, page, 1)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadCost allocates %v times", allocs)
+	}
+}

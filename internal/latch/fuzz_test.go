@@ -61,6 +61,9 @@ func referenceValidate(steps []Step) bool {
 			if !sawInit {
 				return false
 			}
+			// A transfer consumes the sensed value: the next combine
+			// needs a sense of its own.
+			senseSinceInit = false
 		default:
 			return false
 		}
@@ -77,7 +80,7 @@ func referenceValidate(steps []Step) bool {
 // and every chained program unrolled for k from 3 to MaxChain (at k=2 a
 // chain is its op's all-LSB location-free program).
 func tableSequences() []Sequence {
-	seqs := []Sequence{ReadLSB, ReadMSB}
+	seqs := []Sequence{readLSB, readMSB}
 	for _, op := range Ops {
 		seqs = append(seqs, ForOp(op), ForOpLocFree(op), lsbSeqs[op])
 		if MWSComputable(op) {
@@ -113,6 +116,8 @@ func FuzzLatchSequenceValidate(f *testing.F) {
 	f.Add([]byte{byte(StepInit), 0x0e})            // unknown kind
 	f.Add(make([]byte, MaxSteps+1))                // too long
 	f.Add([]byte{byte(StepInitInv), byte(StepM1)}) // combine before sense
+	// combine after a transfer, with no sense since it
+	f.Add([]byte{byte(StepInit), byte(StepSense), byte(StepM2), byte(StepM3), byte(StepM1)})
 	// MWS seeds: over/under the wordline cap, and mixed with a pairwise
 	// sense (the sole-sense rule).
 	f.Add([]byte{byte(StepInit), byte(StepSenseMulti) | 9<<4, byte(StepM2), byte(StepM3)})

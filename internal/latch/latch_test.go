@@ -59,34 +59,34 @@ func expectRow(t *testing.T, seq Sequence, rows []SymbolicRow, i int, so, c, a, 
 func TestInitialization(t *testing.T) {
 	// Paper Fig. 2: after init, L(C)=0000, L(A)=1111, L(OUT)=0000, L(B)=1111.
 	rows := RunSymbolic(Sequence{Name: "init", Steps: []Step{{Kind: StepInit}}}, false)
-	expectRow(t, ReadLSB, rows, 0, "", "0000", "1111", "1111", "0000")
+	expectRow(t, readLSB, rows, 0, "", "0000", "1111", "1111", "0000")
 	// Paper Fig. 7: inverted init has L(A)=0000, L(C)=1111, L2 unchanged.
 	rows = RunSymbolic(Sequence{Name: "init-inv", Steps: []Step{{Kind: StepInitInv}}}, false)
-	expectRow(t, ReadLSB, rows, 0, "", "1111", "0000", "1111", "0000")
+	expectRow(t, readLSB, rows, 0, "", "1111", "0000", "1111", "0000")
 }
 
 func TestReadLSBSequence(t *testing.T) {
 	// Paper Fig. 3 top: sense VREAD2 (SO=0011), M2 gives A=1100 (the LSB
 	// pattern), M3 transfers it to OUT.
-	rows := RunSymbolic(ReadLSB, false)
-	expectRow(t, ReadLSB, rows, 1, "0011", "", "", "", "")
-	expectRow(t, ReadLSB, rows, 2, "", "0011", "1100", "", "")
-	expectRow(t, ReadLSB, rows, 3, "", "", "", "0011", "1100")
-	if ReadLSB.SROs() != 1 {
-		t.Errorf("LSB read uses %d SROs, want 1", ReadLSB.SROs())
+	rows := RunSymbolic(readLSB, false)
+	expectRow(t, readLSB, rows, 1, "0011", "", "", "", "")
+	expectRow(t, readLSB, rows, 2, "", "0011", "1100", "", "")
+	expectRow(t, readLSB, rows, 3, "", "", "", "0011", "1100")
+	if readLSB.SROs() != 1 {
+		t.Errorf("LSB read uses %d SROs, want 1", readLSB.SROs())
 	}
 }
 
 func TestReadMSBSequence(t *testing.T) {
 	// Paper Fig. 3 bottom: VREAD1 then VREAD3; A ends 1001 (MSB pattern).
-	rows := RunSymbolic(ReadMSB, false)
-	expectRow(t, ReadMSB, rows, 1, "0111", "", "", "", "")
-	expectRow(t, ReadMSB, rows, 2, "", "0111", "1000", "", "")
-	expectRow(t, ReadMSB, rows, 3, "0001", "", "", "", "")
-	expectRow(t, ReadMSB, rows, 4, "", "0110", "1001", "", "")
-	expectRow(t, ReadMSB, rows, 5, "", "", "", "0110", "1001")
-	if ReadMSB.SROs() != 2 {
-		t.Errorf("MSB read uses %d SROs, want 2", ReadMSB.SROs())
+	rows := RunSymbolic(readMSB, false)
+	expectRow(t, readMSB, rows, 1, "0111", "", "", "", "")
+	expectRow(t, readMSB, rows, 2, "", "0111", "1000", "", "")
+	expectRow(t, readMSB, rows, 3, "0001", "", "", "", "")
+	expectRow(t, readMSB, rows, 4, "", "0110", "1001", "", "")
+	expectRow(t, readMSB, rows, 5, "", "", "", "0110", "1001")
+	if readMSB.SROs() != 2 {
+		t.Errorf("MSB read uses %d SROs, want 2", readMSB.SROs())
 	}
 }
 
@@ -192,8 +192,8 @@ func TestSROCounts(t *testing.T) {
 		seq         Sequence
 		steps, sros int
 	}{
-		{ReadLSB, 4, 1},
-		{ReadMSB, 6, 2},
+		{readLSB, 4, 1},
+		{readMSB, 6, 2},
 		{ForOp(OpAnd), 4, 1},
 		{ForOp(OpOr), 6, 2},
 		{ForOp(OpXnor), 11, 4},
@@ -327,11 +327,11 @@ func TestCircuitMatchesBooleanProperty(t *testing.T) {
 func TestReadSequencesRecoverBits(t *testing.T) {
 	for s := E; s <= S3; s++ {
 		c := NewCircuit(CellSensor{s})
-		if got := c.Run(ReadLSB); got != s.LSB() {
+		if got := c.Run(readLSB); got != s.LSB() {
 			t.Errorf("LSB read of %v = %v, want %v", s, got, s.LSB())
 		}
 		c = NewCircuit(CellSensor{s})
-		if got := c.Run(ReadMSB); got != s.MSB() {
+		if got := c.Run(readMSB); got != s.MSB() {
 			t.Errorf("MSB read of %v = %v, want %v", s, got, s.MSB())
 		}
 	}
@@ -402,8 +402,8 @@ func TestLatchComplementInvariant(t *testing.T) {
 	for s0 := E; s0 <= S3; s0++ {
 		for s1 := E; s1 <= S3; s1++ {
 			cells := CellSensor{s0, s1}
-			check(ReadLSB, cells)
-			check(ReadMSB, cells)
+			check(readLSB, cells)
+			check(readMSB, cells)
 			for _, op := range Ops {
 				check(ForOp(op), cells)
 				check(ForOpLocFree(op), cells)

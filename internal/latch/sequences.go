@@ -30,17 +30,17 @@ var (
 	m3      = Step{Kind: StepM3}
 )
 
-// ReadLSB is the baseline LSB page read (paper Fig. 3 top): one sense at
+// readLSB is the baseline LSB page read (paper Fig. 3 top): one sense at
 // VREAD2, captured through M2, then transferred to L2. OUT ends equal to
 // the cell's LSB bit.
-var ReadLSB = Sequence{
+var readLSB = Sequence{
 	Name:  "READ-LSB",
 	Steps: []Step{init0, sense(VRead2), m2, m3},
 }
 
-// ReadMSB is the baseline MSB page read (paper Fig. 3 bottom): senses at
+// readMSB is the baseline MSB page read (paper Fig. 3 bottom): senses at
 // VREAD1 and VREAD3, then transfers. OUT ends equal to the cell's MSB bit.
-var ReadMSB = Sequence{
+var readMSB = Sequence{
 	Name:  "READ-MSB",
 	Steps: []Step{init0, sense(VRead1), m2, sense(VRead3), m1, m3},
 }

@@ -9,11 +9,12 @@ import "fmt"
 // single sense at VREAD1, which isolates state E, the only state where
 // all three bits are 1.
 //
-// This file holds the seven TLC read reference voltages and the
-// three-operand AND/OR/NOR/NAND programs the coding admits directly. The
-// cell model that proves them — the state space, the gray coding and the
-// 1-2-4 page reads — is the package tests' oracle. The per-bitline
-// circuit is the same Circuit type; only the sensing changes.
+// This file holds the seven TLC read reference voltages, the baseline
+// page reads ReadCost prices TLC reads from, and the three-operand
+// AND/OR/NOR/NAND programs the coding admits directly. The cell model
+// that proves them — the state space and the gray coding — is the
+// package tests' oracle. The per-bitline circuit is the same Circuit
+// type; only the sensing changes.
 
 // TLCVref is a TLC read reference voltage. TVRead0 sits below the erased
 // distribution; TVRead1..TVRead7 separate adjacent states.
@@ -118,4 +119,16 @@ var tlcSeqs = [...]Sequence{
 		tsense(TVRead6), m2, // A = [S5]
 		m3,
 	}},
+}
+
+// tlcReads holds the baseline read program of each TLC page (LSB, CSB,
+// MSB): one sense per boundary where the gray code flips the page's bit,
+// the classic 1-2-4 split. CSB = 1 for {E,S1} and {S6,S7}, the MLC MSB
+// read's shape; MSB = 1 for {E,S3,S4,S7}, gathered in A as the senses
+// alternate M2 and M1.
+var tlcReads = [...]Sequence{
+	{Name: "TLC-READ-LSB", Steps: []Step{init0, tsense(TVRead4), m2, m3}},
+	{Name: "TLC-READ-CSB", Steps: []Step{init0, tsense(TVRead2), m2, tsense(TVRead6), m1, m3}},
+	{Name: "TLC-READ-MSB", Steps: []Step{init0, tsense(TVRead1), m2, tsense(TVRead3), m1,
+		tsense(TVRead5), m2, tsense(TVRead7), m1, m3}},
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The TLC cell model below is the oracle the TLC programs are checked
-// against: the state space, the gray coding and the 1-2-4 page reads.
+// The TLC cell model below is the oracle the TLC programs, page reads
+// included, are checked against: the state space and the gray coding.
 
 // TLCState is the threshold state of a TLC cell, in increasing-voltage
 // order.
@@ -96,39 +96,8 @@ func (c TLCCellSensor) Sense(wl int, v Vref) bool {
 	return TLCSenseHigh(c[wl], TLCVref(v))
 }
 
-// TLCReadSequence returns the baseline read sequence of a TLC page,
-// derived from the gray code's bit boundaries: LSB flips once (1 sense at
-// TVREAD4), CSB twice (TVREAD2, TVREAD6), MSB four times (TVREAD1,
-// TVREAD3, TVREAD5, TVREAD7) — the classic 1-2-4 split.
-func TLCReadSequence(p TLCPage) Sequence {
-	switch p {
-	case TLCLSB:
-		return Sequence{Name: "TLC-READ-LSB", Steps: []Step{
-			init0, tsense(TVRead4), m2, m3,
-		}}
-	case TLCCSB:
-		// CSB = 1 for {E,S1} and {S6,S7}: the MLC MSB-read shape with the
-		// band boundaries TVREAD2 and TVREAD6 — A gathers {E,S1}, then
-		// M1 carves the middle band out of C, leaving A = CSB.
-		return Sequence{Name: "TLC-READ-CSB", Steps: []Step{
-			init0,
-			tsense(TVRead2), m2, // A = {E,S1}
-			tsense(TVRead6), m1, // C = [S2..S5], A = {E,S1,S6,S7}
-			m3,
-		}}
-	case TLCMSB:
-		// MSB = 1 for {E, S3, S4, S7}: four boundaries, four senses.
-		return Sequence{Name: "TLC-READ-MSB", Steps: []Step{
-			init0,
-			tsense(TVRead1), m2, // A = {E}
-			tsense(TVRead3), m1, // C gathers [S3..]; A = {E} ∪ [S3..]
-			tsense(TVRead5), m2, // A = {E, S3, S4}
-			tsense(TVRead7), m1, // A = {E, S3, S4, S7}
-			m3,
-		}}
-	}
-	panic(fmt.Sprintf("latch: invalid TLC page %v", p))
-}
+// TLCReadSequence returns the baseline read program of a TLC page.
+func TLCReadSequence(p TLCPage) Sequence { return tlcReads[p] }
 
 // TLCRunOp executes a three-operand operation on a cell in the given
 // state and returns OUT.

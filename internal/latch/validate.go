@@ -17,8 +17,9 @@ const MaxSteps = 64
 //   - the first step is StepInit or StepInitInv — the latches are
 //     undefined before initialization;
 //   - every StepM1/StepM2 combine is preceded by a sense (StepSense or
-//     StepSenseMulti) since the most recent initialization, so SO holds a
-//     sensed value to combine;
+//     StepSenseMulti) since the most recent initialization or StepM3
+//     transfer, so SO holds a value sensed for this combine, not one a
+//     transfer has already consumed;
 //   - every StepM3 transfer has some prior initialization, so L1 holds
 //     a defined value to move into L2;
 //   - a StepSenseMulti selects between 2 and MaxMWSOperands wordlines —
@@ -66,12 +67,13 @@ func (s Sequence) Validate() error {
 			mws = true
 		case StepM1, StepM2:
 			if !senseSinceInit {
-				return fmt.Errorf("sequence %q: %s combine at step %d has no StepSense since the last initialization: SO holds no sensed value to combine", s.Name, st.Kind, i+1)
+				return fmt.Errorf("sequence %q: %s combine at step %d has no StepSense since the last initialization or transfer: SO holds no fresh sensed value to combine", s.Name, st.Kind, i+1)
 			}
 		case StepM3:
 			if !sawInit {
 				return fmt.Errorf("sequence %q: StepM3 transfer at step %d before any initialization: L1 holds no value to transfer", s.Name, i+1)
 			}
+			senseSinceInit = false
 		}
 	}
 	if mws && senses > 1 {

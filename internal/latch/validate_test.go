@@ -36,12 +36,17 @@ func TestValidateRejectsIllegalSequences(t *testing.T) {
 		{
 			name: "combine without sense",
 			seq:  Sequence{Name: "BLIND", Steps: []Step{init0, m2, m3}},
-			want: "has no StepSense since the last initialization",
+			want: "has no StepSense since the last initialization or transfer",
 		},
 		{
 			name: "combine after reinit clears the sense",
 			seq:  Sequence{Name: "STALE", Steps: []Step{init0, sense(VRead1), reinit, m1}},
-			want: "has no StepSense since the last initialization",
+			want: "has no StepSense since the last initialization or transfer",
+		},
+		{
+			name: "combine after M3 reuses a consumed sense",
+			seq:  Sequence{Name: "STALE-M3", Steps: []Step{init0, sense(VRead1), m2, m3, m1, m3}},
+			want: "has no StepSense since the last initialization or transfer",
 		},
 		{
 			name: "unknown kind",

@@ -27,14 +27,15 @@ import (
 // operands are flash-resident, 1 when the running result is already in
 // the controller buffer), the paired LSB+MSB program, the data transfers
 // across the channel, and the op's sense. Operand reads overlap across
-// planes, so only the slowest (an LSB read, 1 SRO) plus its transfer gate
-// the program.
+// planes, so one MLC LSB read's sense (its read program, latch.ReadCost)
+// plus the transfers gate the program.
 func ReallocStepLatency(t flash.Timing, op latch.Op, readOperands int, pageSize int) sim.Duration {
 	var readPhase sim.Duration
 	if readOperands > 0 {
-		// Parallel reads across planes: latency of one LSB read plus the
+		// Parallel reads across planes: one LSB read's sense plus the
 		// serialized channel transfers.
-		readPhase = t.SenseSRO + sim.Duration(readOperands)*t.Transfer(pageSize)
+		readPhase = t.SenseLatency(latch.ReadCost(2, int(flash.LSBPage), 0), pageSize) +
+			sim.Duration(readOperands)*t.Transfer(pageSize)
 	}
 	// Two page programs on the target wordline (LSB then MSB), each
 	// preceded by its channel transfer in.
@@ -177,7 +178,7 @@ func PlanReduce(geo flash.Geometry, t flash.Timing, scheme Scheme, op latch.Op, 
 		}
 		p.SenseSeconds = waves * sense.Seconds()
 		if lone {
-			read := t.ReadLatency(flash.LSBPage) + t.Transfer(geo.PageSize)
+			read := t.SenseLatency(latch.ReadCost(geo.CellBits, int(flash.LSBPage), 0), geo.PageSize) + t.Transfer(geo.PageSize)
 			p.CombineSeconds = waves * (read + plan.CombineCost(2, geo.PageSize)).Seconds()
 		}
 	}

@@ -148,8 +148,8 @@ func TestFlashCosmosChunkPlusStrays(t *testing.T) {
 
 // TestComplementSensesInPlace: a NOT is its op with the operand given
 // twice. Under LocFree and Flash-Cosmos it senses the page's own wordline
-// once, with the read shape of the page's slot (one SRO for an LSB page,
-// two for an MSB page), and programs nothing, whichever complement op
+// once, with the read shape of the page's slot (its read program's SROs,
+// latch.ReadCost), and programs nothing, whichever complement op
 // names it and whichever slot the page sits in.
 func TestComplementSensesInPlace(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeLocFree, SchemeFlashCosmos} {
@@ -173,10 +173,7 @@ func TestComplementSensesInPlace(t *testing.T) {
 					t.Fatalf("%v %v %v: result is not the page's complement", scheme, op, addr.Kind)
 				}
 				after := d.Array().Stats()
-				wantSROs := int64(1)
-				if addr.Kind == flash.MSBPage {
-					wantSROs = 2
-				}
+				wantSROs := int64(latch.ReadCost(d.cfg.Geometry.CellBits, int(addr.Kind), 0).SROs)
 				if n := after.BitwiseOps - before.BitwiseOps; n != 1 {
 					t.Errorf("%v %v %v: %d senses, want 1", scheme, op, addr.Kind, n)
 				}
